@@ -215,8 +215,15 @@ def _read_embeddings_csv(path: Path, modality: Modality) -> dict[str, list[Segme
         if not header or header[:3] != ["subject_id", "modality", "segment_index"]:
             raise FormatError(f"{path}: unexpected embeddings header")
         for rec in reader:
-            sid, mod_name, idx = rec[0], rec[1], int(rec[2])
-            vec = np.array([float(t) for t in rec[3:]], dtype=np.float32)
+            if len(rec) != len(header):
+                raise FormatError(
+                    f"{path}: line {reader.line_num} has {len(rec)} cells, header has {len(header)}"
+                )
+            try:
+                sid, mod_name, idx = rec[0], rec[1], int(rec[2])
+                vec = np.array([float(t) for t in rec[3:]], dtype=np.float32)
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
             out.setdefault(sid, []).append(
                 SegmentEmbedding(sid, Modality.parse(mod_name), idx, vec)
             )

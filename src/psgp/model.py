@@ -48,6 +48,9 @@ _DEFAULT_STRIDES = {3750: (5, 5, 5), 300: (2, 5)}
 
 _LN_EPS = 1e-5
 _NORM_FLOOR = 1e-12
+# target size of one embed tile's stage-0 stem activation: with the arrays
+# derived from it, a tile's working set fits in a 2 MB L2 cache
+_EMBED_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -347,17 +350,23 @@ def embed_segments(
 ) -> np.ndarray:
     """Embed (N, m) segment samples -> (N, d) unit-norm embeddings.
 
-    Chunking is fixed by batch_size (never by caller thread count), so the
-    arithmetic is identical no matter how the chunks are scheduled.
+    Rows go through the model in tiles. The tile size comes from the stem's
+    stage-0 activation (rows x d x itemsize per segment), the largest array
+    of the forward pass, so that a tile's activations stay in cache;
+    ``batch_size`` is an upper bound on the tile. Every segment is computed
+    independently of the others in its tile, so the output does not depend
+    on the tiling or on how callers schedule their chunks.
     """
     X = np.asarray(X, dtype=config.np_dtype)
     if X.ndim != 2 or X.shape[1] != config.input_len:
         raise DataError(f"expected (N, {config.input_len}) samples, got {X.shape}")
+    stage0_bytes = config.input_len // config.stem_strides[0] * config.embed_dim * X.itemsize
+    tile = max(1, min(batch_size, _EMBED_TILE_BYTES // stage0_bytes))
     tp = _as_tensor_params(params)
     out = np.empty((X.shape[0], config.embed_dim), dtype=config.np_dtype)
     with no_grad():
-        for start in range(0, X.shape[0], batch_size):
-            chunk = Tensor(X[start:start + batch_size])
+        for start in range(0, X.shape[0], tile):
+            chunk = Tensor(X[start:start + tile])
             enc = encode_t(stem_forward(chunk, tp, config), tp, config)
             out[start:start + enc.shape[0]] = pool_rows(enc).data
     return out

@@ -321,7 +321,9 @@ def train(
 
     Everything random derives from ssl_config.seed through named SeedSequence
     children (init / batch order / per-step masks), so two runs with the same
-    inputs agree bit-for-bit. A non-finite loss aborts, keeping the parameters
+    inputs agree bit-for-bit. A non-finite loss, or a NumericError raised
+    inside a step (non-finite activations, a coding-rate matrix that is not
+    positive definite), aborts with the step number, keeping the parameters
     from before the bad step; when checkpoint_dir is given they are saved
     there and the error names the file.
     """
@@ -352,16 +354,20 @@ def train(
             cursor += batch_size
             step_seed = int(mask_rng.integers(0, 2**63))
             t0 = time.perf_counter()
-            loss, report = total_loss_graph(batch, params_t, config, ssl_config, step_seed)
-            if not np.isfinite(report.total):
+            try:
+                loss, report = total_loss_graph(batch, params_t, config, ssl_config, step_seed)
+                if not np.isfinite(report.total):
+                    raise NumericError("non-finite loss")
+                zero_grads(params_t)
+                backward(loss)
+            except NumericError as exc:
+                # the optimizer has not run, so params_t still holds the pre-step values
                 where = ""
                 if checkpoint_dir is not None:
                     path = Path(checkpoint_dir) / "checkpoint_lastgood.psgm"
                     mdl.save_checkpoint({k: t.data for k, t in params_t.items()}, config, path)
                     where = f"; last good parameters saved to {path}"
-                raise NumericError(f"non-finite loss at step {step}{where}")
-            zero_grads(params_t)
-            backward(loss)
+                raise NumericError(f"{exc} at step {step}{where}") from exc
             opt.step(params_t)
             report = replace(report, step=step)
             reports.append(report)

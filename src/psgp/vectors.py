@@ -235,7 +235,11 @@ def load_disease_vector(path: Path | str) -> DiseaseVector:
         key, _, value = line.partition("=")
         kv[key] = value
     try:
+        outcome = kv["outcome"]
+        modality = Modality.parse(kv["modality"])
         d = int(kv["d"])
+        n_positive = int(kv["n_positive"])
+        n_negative = int(kv["n_negative"])
         arrays = {
             name: np.array([float(t) for t in kv[name].split()], dtype=np.float64)
             for name in ("vector", "mu_positive", "mu_negative")
@@ -246,13 +250,13 @@ def load_disease_vector(path: Path | str) -> DiseaseVector:
         if arr.shape[0] != d:
             raise FormatError(f"{path}: {name} has {arr.shape[0]} components, header says {d}")
     return DiseaseVector(
-        outcome=kv["outcome"],
-        modality=Modality.parse(kv["modality"]),
+        outcome=outcome,
+        modality=modality,
         vector=arrays["vector"],
         mu_positive=arrays["mu_positive"],
         mu_negative=arrays["mu_negative"],
-        n_positive=int(kv["n_positive"]),
-        n_negative=int(kv["n_negative"]),
+        n_positive=n_positive,
+        n_negative=n_negative,
     )
 
 
@@ -275,7 +279,9 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
         for rec in reader:
             if len(rec) != 5:
                 raise FormatError(f"{path}: malformed score row {rec}")
-            out.append(
-                SubjectScore(rec[0], rec[1], Modality.parse(rec[2]), float(rec[3]), int(rec[4]))
-            )
+            try:
+                score, used = float(rec[3]), int(rec[4])
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+            out.append(SubjectScore(rec[0], rec[1], Modality.parse(rec[2]), score, used))
     return out

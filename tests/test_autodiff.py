@@ -1,5 +1,6 @@
 """Reverse-mode tape: every operator's gradient is checked against central
-finite differences in float64, plus closed-form spot checks."""
+finite differences in float64, plus closed-form spot checks; the float32
+GELU kernel is checked against the float64 scipy oracle."""
 import numpy as np
 import pytest
 
@@ -89,6 +90,84 @@ class TestElementwiseGrads:
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.3, 1.5])
         # gradient passes only where the input was above the floor
         check_op(lambda t: ad.clamp_min(t, 0.0), self.x(9) + 2.0)
+
+
+def phi_f64(x: np.ndarray) -> np.ndarray:
+    """Reference Phi(x) = 0.5 * (1 + erf(x / sqrt(2))) in float64 (scipy)."""
+    from scipy.special import erf as sp_erf
+
+    return 0.5 * (1.0 + sp_erf(np.asarray(x, dtype=np.float64) / np.sqrt(2.0)))
+
+
+def float32_range(lo: float, hi: float) -> np.ndarray:
+    """Every float32 in [lo, hi), for 0 < lo < hi."""
+    a, b = np.array([lo, hi], dtype=np.float32).view(np.int32)
+    return np.arange(a, b, dtype=np.int32).view(np.float32)
+
+
+class TestGeluF32Kernel:
+    """The float32 GELU path evaluates Phi with a rational approximation; it
+    is checked against the float64 scipy oracle, not finite differences."""
+
+    PHI_ATOL = 2.5e-7
+
+    def phi(self, x: np.ndarray) -> np.ndarray:
+        return ad._gelu_f32(np.asarray(x, dtype=np.float32), keep_phi=True)[1]
+
+    def test_phi_dense_grid(self):
+        # every float32 with 4 <= |x| < 8, where the error peaks, plus an even grid
+        tail = float32_range(4.0, 8.0)
+        grid = np.linspace(-12.0, 12.0, 4_000_001).astype(np.float32)
+        worst = 0.0
+        for part in (tail, -tail, grid):
+            for start in range(0, part.size, 1 << 21):
+                x = part[start:start + (1 << 21)]
+                worst = max(worst, float(np.abs(self.phi(x) - phi_f64(x)).max()))
+        assert 2 * tail.size + grid.size >= 10_000_000
+        assert worst <= self.PHI_ATOL
+
+    def test_phi_special_values(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.array(
+            [0.0, -0.0, tiny, -tiny, 1e-39, -1e-39, np.inf, -np.inf, 12.0, -12.0],
+            dtype=np.float32,
+        )
+        phi = self.phi(x)
+        np.testing.assert_allclose(phi, phi_f64(x), rtol=0, atol=self.PHI_ATOL)
+        assert phi[0] == phi[1] == np.float32(0.5)
+        nan = np.array([np.nan, 1.0, np.nan], dtype=np.float32)
+        assert np.isnan(self.phi(nan)[[0, 2]]).all()
+        assert np.isnan(ad.gelu(Tensor(nan)).data[[0, 2]]).all()
+        np.testing.assert_array_equal(ad.gelu(Tensor(x[:6])).data, x[:6] * np.float32(0.5))
+
+    def test_block_edges(self):
+        block = ad._PHI_BLOCK
+        rng = np.random.default_rng(12)
+        whole = (3.0 * rng.standard_normal(block + 1)).astype(np.float32)
+        reference = ad.gelu(Tensor(whole)).data
+        for n in (0, 1, block - 1, block, block + 1):
+            x = whole[:n]
+            got = ad.gelu(Tensor(x)).data
+            assert got.shape == x.shape and got.dtype == np.float32
+            # elementwise: a value never depends on its block or neighbours
+            np.testing.assert_array_equal(got, reference[:n])
+            kept, phi = ad._gelu_f32(x, keep_phi=True)
+            np.testing.assert_array_equal(kept, got)
+            np.testing.assert_array_equal(kept, x * phi)
+        view = whole[:30].reshape(2, 3, 5).transpose(2, 0, 1)  # non-contiguous
+        expected = reference[:30].reshape(2, 3, 5).transpose(2, 0, 1)
+        np.testing.assert_array_equal(ad.gelu(Tensor(view)).data, expected)
+
+    def test_vjp_matches_analytic_derivative(self):
+        x = np.linspace(-12.0, 12.0, 200_001).astype(np.float32)
+        g = np.random.default_rng(13).uniform(-1.0, 1.0, x.shape).astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        ad.backward(ad.gelu(t), g)
+        assert t.grad.dtype == np.float32
+        xd = x.astype(np.float64)
+        dphi = phi_f64(xd) + xd * np.exp(-0.5 * xd * xd) / np.sqrt(2.0 * np.pi)
+        eps = float(np.finfo(np.float32).eps)
+        np.testing.assert_allclose(t.grad, g * dphi, rtol=0, atol=4 * eps)
 
 
 class TestShapeOps:

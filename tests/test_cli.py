@@ -226,6 +226,75 @@ class TestExitCodes:
         assert "S9999" in err
 
 
+def corrupt_cell(src: Path, dst: Path, line: int, column: int, value: str | None) -> None:
+    """Copy a CSV with one cell replaced (``value=None`` drops the cell)."""
+    with src.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if value is None:
+        del rows[line - 1][column]
+    else:
+        rows[line - 1][column] = value
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    with dst.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def assert_one_line_data_error(rc: int, err: str, *fragments: str) -> None:
+    assert rc == 3
+    assert "Traceback" not in err
+    assert err.startswith("error: FormatError:")
+    assert err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestCorruptTextTables:
+    """One bad cell in a text table is a data error (exit 3, one line)."""
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("column,value", [(3, "high"), (4, "3.5"), (4, "")])
+    def test_score_table_cell(self, chain, tmp_path, capsys, command, column, value):
+        scores = tmp_path / "scores.csv"
+        corrupt_cell(chain["scores"] / "scores.csv", scores, 4, column, value)
+        rc = run_cli(
+            command, "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--scores", scores, "--seed", 5,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(scores), "line 4")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n_positive", "many"), ("n_negative", "1.5"), ("outcome", None), ("modality", None)],
+    )
+    def test_disease_vector_field(self, chain, tmp_path, capsys, key, value):
+        vec_dir = tmp_path / "vectors"
+        vec_dir.mkdir()
+        src = chain["vectors"] / "vectors" / "CVD_RESP.txt"
+        lines = [
+            line for line in src.read_text(encoding="utf-8").splitlines()
+            if value is not None or not line.startswith(f"{key}=")
+        ]
+        if value is not None:
+            lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
+        (vec_dir / "CVD_RESP.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = run_cli(
+            "score", "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--embeddings", chain["emb"], "--vectors", vec_dir,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, "CVD_RESP.txt")
+
+    @pytest.mark.parametrize("column,value", [(2, "first"), (5, "0.1.2"), (7, None)])
+    def test_embeddings_table_cell(self, chain, tmp_path, capsys, column, value):
+        emb = tmp_path / "emb"
+        table = emb / "RESP" / "embeddings.csv"
+        corrupt_cell(chain["emb"] / "RESP" / "embeddings.csv", table, 6, column, value)
+        rc = run_cli(
+            "vectors", "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--embeddings", emb, "--seed", 5,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(table), "line 6")
+
+
 class TestThreadsResolution:
     def test_env_var_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSGP_THREADS", "2")

@@ -236,6 +236,22 @@ class TestPooling:
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
+    def test_embed_segments_tiles_are_byte_identical(self):
+        """f32 at the default ECG geometry: any batch_size gives the same bytes,
+        whichever way the rows split into tiles (remainder tile included)."""
+        import psgp.model as mdl
+
+        cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
+        stage0_bytes = cfg.input_len // cfg.stem_strides[0] * cfg.embed_dim * 4
+        tile = mdl._EMBED_TILE_BYTES // stage0_bytes
+        assert 2 < tile < 256  # the default batch is cut into several tiles
+        params = init_parameters(cfg, seed=4)
+        X = np.random.default_rng(4).standard_normal((2 * tile + 3, cfg.input_len))
+        reference = embed_segments(X, params, cfg).tobytes()
+        for batch_size in (1, 3, tile - 1):
+            assert embed_segments(X, params, cfg, batch_size=batch_size).tobytes() == reference
+
+
 class TestCheckpointFormat:
     def _saved(self, tmp_path, cfg=None, seed=11):
         cfg = cfg or tiny_config()

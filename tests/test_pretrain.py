@@ -1,4 +1,7 @@
 """Masking, the two loss terms, and the seeded training loop."""
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -379,6 +382,26 @@ class TestTrain:
         loaded, loaded_cfg = load_checkpoint(saved)
         assert loaded_cfg == cfg
         assert set(loaded) == {name for name, _, _ in parameter_schema(cfg)}
+
+    def test_divergence_inside_a_step_saves_last_good(self, tmp_path):
+        """A real divergence (lr=1e6, f32) raises from inside the step, not as
+        a NaN loss; the error names the step and the pre-step parameters are
+        saved."""
+        cfg = tiny_config(precision="f32")
+        ssl = tiny_ssl(steps=20, learning_rate=1e6)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            train(self._segments(), cfg, ssl, checkpoint_dir=tmp_path)
+        message = str(info.value)
+        assert "non-finite activations" in message
+        step = int(re.search(r"at step (\d+);", message).group(1))
+        assert step > 1
+        saved = tmp_path / "checkpoint_lastgood.psgm"
+        assert str(saved) in message
+        loaded, loaded_cfg = load_checkpoint(saved)
+        assert loaded_cfg == cfg
+        before, _ = train(self._segments(), cfg, replace(ssl, steps=step - 1))
+        for name, arr in before.items():
+            np.testing.assert_array_equal(loaded[name], arr)
 
     def test_too_few_segments(self):
         cfg = tiny_config()
