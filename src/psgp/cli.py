@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,13 +30,14 @@ from .config import (
     synth_config_for,
 )
 from .errors import ConfigError, DataError, FormatError, MissingInputError, PsgpError
-from .model import SegmentEmbedding, embed_segments, load_checkpoint, save_checkpoint
+from .model import embed_segments, load_checkpoint, save_checkpoint
 from .pretrain import train
 from .report import build_report_card, render_report_card, report_card_csv
 from .signalio import Modality, read_signal_file, samples_per_window, segment_recording
 from .stats import evaluate_grid, odds_ratio_report, save_or_report
 from .synth import generate_cohort
 from .vectors import (
+    EmbeddingTable,
     derive_vectors,
     load_disease_vector,
     load_scores,
@@ -207,8 +209,11 @@ def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modal
             writer.writerow([sid, modality.name, idx] + [format(float(v), ".9g") for v in vec])
 
 
-def _read_embeddings_csv(path: Path, modality: Modality) -> dict[str, list[SegmentEmbedding]]:
-    out: dict[str, list[SegmentEmbedding]] = {}
+def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
+    """(subject_ids, X) of one modality's table, X an (N, d) float32 array."""
+    subject_ids: list[str] = []
+    lines: list[int] = []
+    values = array("d")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -220,14 +225,19 @@ def _read_embeddings_csv(path: Path, modality: Modality) -> dict[str, list[Segme
                     f"{path}: line {reader.line_num} has {len(rec)} cells, header has {len(header)}"
                 )
             try:
-                sid, mod_name, idx = rec[0], rec[1], int(rec[2])
-                vec = np.array([float(t) for t in rec[3:]], dtype=np.float32)
-            except ValueError as exc:
+                if rec[1] != modality.name and Modality.parse(rec[1]) is not modality:
+                    raise DataError(f"modality {rec[1]!r} in the {modality.name} table")
+                int(rec[2])
+                values.extend(map(float, rec[3:]))
+            except (ValueError, DataError) as exc:
                 raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-            out.setdefault(sid, []).append(
-                SegmentEmbedding(sid, Modality.parse(mod_name), idx, vec)
-            )
-    return out
+            subject_ids.append(rec[0])
+            lines.append(reader.line_num)
+    X = np.frombuffer(values, dtype=np.float64).reshape(len(lines), len(header) - 3).astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: line {lines[bad[0]]}: non-finite embedding value")
+    return np.array(subject_ids, dtype=str), X
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
@@ -265,26 +275,23 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _embedding_store(root: Path, modalities) -> dict[str, list[SegmentEmbedding]]:
-    store: dict[str, list[SegmentEmbedding]] = {}
-    for modality in modalities:
-        path = _require(root / modality.name / "embeddings.csv", "embeddings table")
-        for sid, embs in _read_embeddings_csv(path, modality).items():
-            store.setdefault(sid, []).extend(embs)
-    return store
+def _embedding_tables(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality, EmbeddingTable]:
+    root = _require(Path(args.embeddings), "embeddings directory")
+    paths = {m: _require(root / m.name / "embeddings.csv", "embeddings table") for m in cfg.modalities}
+    return {m: _read_embeddings_csv(path, m) for m, path in paths.items()}
 
 
 def cmd_vectors(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     data, manifest = _manifest_for(args)
-    store = _embedding_store(_require(Path(args.embeddings), "embeddings directory"), cfg.modalities)
+    tables = _embedding_tables(args, cfg)
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
     vec_dir = out / "vectors"
     vec_dir.mkdir(parents=True, exist_ok=True)
     for outcome in _outcomes_for(cfg, manifest):
         for modality in cfg.modalities:
-            vector = derive_vectors(store, manifest, split.train_ids, outcome, modality)
+            vector = derive_vectors(tables, manifest, split.train_ids, outcome, modality)
             save_disease_vector(vector, vec_dir / f"{outcome}_{modality.name}.txt")
     save_split(split, out / "split.csv")
     _snapshot(cfg, out, "vectors")
@@ -294,7 +301,7 @@ def cmd_vectors(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _, manifest = _manifest_for(args)
-    store = _embedding_store(_require(Path(args.embeddings), "embeddings directory"), cfg.modalities)
+    tables = _embedding_tables(args, cfg)
     vec_dir = _require(Path(args.vectors), "vectors directory")
     vec_paths = sorted(vec_dir.glob("*.txt"))
     if not vec_paths:
@@ -302,13 +309,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     vectors = [load_disease_vector(p) for p in vec_paths]
     vectors = [v for v in vectors if v.modality in set(cfg.modalities)]
     out = _out_dir(args)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(lambda v: score_cohort(store, [v], manifest), vectors))
-        scores = [s for chunk in chunks for s in chunk]
-    else:
-        scores = score_cohort(store, vectors, manifest)
-    save_scores(scores, out / "scores.csv")
+    save_scores(score_cohort(tables, vectors, manifest), out / "scores.csv")
     _snapshot(cfg, out, "score")
     return 0
 
@@ -400,7 +401,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", type=Path, default=None, help="INI config file")
     sp.add_argument("--out", required=True, help="output directory (all writes go here)")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None, help="worker threads (env PSGP_THREADS)")
+    sp.add_argument("--threads", type=int, default=None, help="worker threads for embed (env PSGP_THREADS)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -206,10 +206,6 @@ def _check_schema(params: dict[str, np.ndarray], config: ModelConfig) -> None:
 
 
 # --- forward passes ---------------------------------------------------
-
-def _params_are_tensors(params) -> bool:
-    return any(isinstance(v, Tensor) for v in params.values())
-
 
 def _as_tensor_params(params) -> dict[str, Tensor]:
     return {k: (v if isinstance(v, Tensor) else Tensor(v)) for k, v in params.items()}
@@ -527,11 +523,3 @@ def load_checkpoint(
             f"{origin}: checkpoint config does not match the expected config"
         )
     return params, config
-
-
-@dataclass(frozen=True)
-class SegmentEmbedding:
-    subject_id: str
-    modality: Modality
-    segment_index: int
-    vector: np.ndarray = field(repr=False)

@@ -106,25 +106,20 @@ def sample_masks(n: int, mask_ratio: float, k: int, seed) -> list[MaskPlan]:
     return plans
 
 
-def apply_mask(patches, plan: MaskPlan, mask_token):
-    """Replace masked rows with the token; works on arrays or graph tensors.
+def apply_mask(patches: Tensor, plan: MaskPlan, mask_token: Tensor) -> Tensor:
+    """Replace the masked rows of a (..., n, d) grid with the token.
 
     Composed as ``patches * (1 - bits) + token * bits`` so gradients flow to
     the token through masked rows and to the patches through visible rows.
     """
-    is_tensor = isinstance(patches, Tensor)
-    data = patches.data if is_tensor else np.asarray(patches)
-    if data.shape[-2] != plan.bits.shape[0]:
+    if patches.shape[-2] != plan.bits.shape[0]:
         raise DataError(
-            f"mask plan covers {plan.bits.shape[0]} rows, grid has {data.shape[-2]}"
+            f"mask plan covers {plan.bits.shape[0]} rows, grid has {patches.shape[-2]}"
         )
-    tok = mask_token if isinstance(mask_token, Tensor) else Tensor(np.asarray(mask_token, dtype=data.dtype))
-    if tok.data.shape != (data.shape[-1],):
+    if mask_token.shape != (patches.shape[-1],):
         raise DataError("mask token width does not match the grid")
-    bits = plan.bits.astype(data.dtype)[:, None]
-    x = patches if is_tensor else Tensor(data)
-    out = ad.add(ad.mul(x, 1.0 - bits), ad.mul(tok, bits))
-    return out if (is_tensor or isinstance(mask_token, Tensor)) else out.data
+    bits = plan.bits.astype(patches.dtype)[:, None]
+    return ad.add(ad.mul(patches, 1.0 - bits), ad.mul(mask_token, bits))
 
 
 def _cos_rows(e_hat: Tensor, z: Tensor) -> Tensor:
@@ -136,31 +131,30 @@ def _cos_rows(e_hat: Tensor, z: Tensor) -> Tensor:
     return ad.div(num, den)
 
 
-def similarity_loss(e_hat, z_list):
+def similarity_loss(e_hat, z_list) -> float:
     """Mean cosine similarity between the target grid and each listed grid.
 
-    The target is treated as a constant: no gradient flows through it.
-    Returns a float for ndarray inputs, a graph Tensor otherwise.
+    Evaluates on arrays the same row-wise cosine the training graph uses.
     """
     if not z_list:
         raise UsageError("similarity_loss needs at least one reconstruction")
-    tensor_mode = isinstance(e_hat, Tensor) or any(isinstance(z, Tensor) for z in z_list)
-    target = Tensor(e_hat.data if isinstance(e_hat, Tensor) else np.asarray(e_hat))
-    terms = []
+    target = Tensor(np.asarray(e_hat))
+    acc = None
     for z in z_list:
-        zt = z if isinstance(z, Tensor) else Tensor(np.asarray(z, dtype=target.dtype))
+        zt = Tensor(np.asarray(z, dtype=target.dtype))
         if zt.shape != target.shape:
             raise DataError(f"grid shape {zt.shape} does not match target {target.shape}")
-        terms.append(ad.tmean(_cos_rows(target, zt)))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    out = ad.mul(acc, 1.0 / len(terms))
-    return out if tensor_mode else float(out.data)
+        term = ad.tmean(_cos_rows(target, zt))
+        acc = term if acc is None else ad.add(acc, term)
+    return float(ad.mul(acc, 1.0 / len(z_list)).data)
 
 
 def tcr_loss(z, epsilon: float):
-    """Total coding rate of a (d, b) matrix whose columns are embeddings."""
+    """Total coding rate of a (d, b) matrix whose columns are embeddings.
+
+    A Tensor in gives a graph Tensor (training), an array a float (the
+    dense-eigen oracle checks this form).
+    """
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     is_tensor = isinstance(z, Tensor)

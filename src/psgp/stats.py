@@ -69,6 +69,12 @@ class LogisticModel:
     separated: bool = False
 
 
+def _sigmoid(eta: np.ndarray) -> np.ndarray:
+    # exp(-eta) overflows for eta < -709, where 0.0 is the right probability
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-eta))
+
+
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
     # sum(y*eta - log(1 + exp(eta))), computed stably
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
@@ -109,7 +115,7 @@ def fit_logistic(
     it = 0
     for it in range(1, max_iter + 1):
         eta = X @ beta
-        p = 1.0 / (1.0 + np.exp(-eta))
+        p = _sigmoid(eta)
         w = np.maximum(p * (1.0 - p), 1e-12)
         score = X.T @ (y - p)
         if np.max(np.abs(score)) < tol:
@@ -132,7 +138,7 @@ def fit_logistic(
         beta = beta + step * delta
         ll = _log_likelihood(X @ beta, y)
         if np.max(np.abs(beta)) > _SEPARATION_BETA:
-            p_now = 1.0 / (1.0 + np.exp(-(X @ beta)))
+            p_now = _sigmoid(X @ beta)
             if np.max(np.minimum(p_now, 1.0 - p_now)) < 1e-4 or -ll < 1e-6:
                 separated = True
                 warnings.warn(
@@ -143,7 +149,7 @@ def fit_logistic(
                 )
                 break
     eta = X @ beta
-    p = 1.0 / (1.0 + np.exp(-eta))
+    p = _sigmoid(eta)
     ll_final = _log_likelihood(eta, y)
     # Diverging coefficients can also exit through the score check once the
     # probabilities saturate, so re-test at the final beta. A (near-)zero
@@ -183,7 +189,7 @@ def predict_proba(model: LogisticModel, x: FeatureMatrix) -> np.ndarray:
     if x.feature_names != model.feature_names:
         raise DataError("feature names do not match the fitted model")
     X = np.column_stack([np.ones(x.values.shape[0]), x.values])
-    return 1.0 / (1.0 + np.exp(-(X @ model.beta)))
+    return _sigmoid(X @ model.beta)
 
 
 @dataclass(frozen=True)

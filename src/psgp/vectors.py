@@ -1,14 +1,16 @@
 """Disease directions in embedding space and projection-based risk scores.
 
-For one (outcome, modality) pair: average the unit-norm segment embeddings of
-positive-labelled training subjects (segment-weighted) and of negatives, take
-the normalized centroid difference as the disease direction, and score a
-subject by projecting each of their segments onto it and averaging the top
-min(3, available) projections.
+A modality's embeddings are one ``EmbeddingTable``: (N,) subject ids and the
+(N, d) unit-norm segment embeddings. For one (outcome, modality) pair the
+direction is the normalized difference of the segment-weighted centroids of
+positive and of negative training subjects (two masked sums); a subject's
+score is the mean of their top min(3, available) projections onto it (one
+matrix product per modality, no thread pool).
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -23,10 +25,11 @@ from .errors import (
     InsufficientClassError,
     UnknownOutcomeError,
 )
-from .model import SegmentEmbedding
 from .signalio import Modality
 
 _DIRECTION_FLOOR = 1e-10
+
+EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,10 @@ class DiseaseVector:
 
     def __post_init__(self) -> None:
         for name in ("vector", "mu_positive", "mu_negative"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(arr).all():
+                raise DataError(f"disease vector {name} has non-finite components")
+            object.__setattr__(self, name, arr)
         if self.vector.ndim != 1:
             raise DataError("disease vector must be one-dimensional")
         if self.mu_positive.shape != self.vector.shape or self.mu_negative.shape != self.vector.shape:
@@ -61,38 +67,30 @@ class SubjectScore:
     n_segments_used: int
 
 
-def compute_centroids(
-    embeddings: Iterable[SegmentEmbedding], labels: Mapping[str, int | None]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Segment-weighted class means of the embeddings, in float64.
+def _group_rows(subject_ids) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct subject ids and each row's index into them."""
+    ids, inverse = np.unique(np.asarray(subject_ids, dtype=str), return_inverse=True)
+    return ids.tolist(), inverse
 
-    Subjects with a missing label for this outcome are skipped entirely.
+
+def compute_centroids(subject_ids, X, labels: Mapping[str, int | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Segment-weighted class means of the rows of X, in float64.
+
+    Rows of subjects with a missing label for this outcome are skipped. Each
+    class sums its rows subject by subject in id order, then in table order.
     """
-    sum_pos = sum_neg = None
-    count = [0, 0]
-    for emb in embeddings:
-        label = labels.get(emb.subject_id)
-        if label is None:
-            continue
-        vec = np.asarray(emb.vector, dtype=np.float64)
-        if sum_pos is None:
-            sum_pos = np.zeros_like(vec)
-            sum_neg = np.zeros_like(vec)
-        if vec.shape != sum_pos.shape:
-            raise DataError(
-                f"embedding for {emb.subject_id!r} has dimension {vec.shape}, expected {sum_pos.shape}"
-            )
-        if label == 1:
-            sum_pos += vec
-            count[1] += 1
-        else:
-            sum_neg += vec
-            count[0] += 1
-    if count[1] == 0 or count[0] == 0:
+    ids, inverse = _group_rows(subject_ids)
+    X = np.asarray(X)
+    classes = np.array([-1 if labels.get(sid) is None else labels[sid] for sid in ids], dtype=np.int8)
+    order = np.argsort(inverse, kind="stable")
+    row_class = classes[inverse[order]]
+    pos = X[order[row_class == 1]].astype(np.float64)
+    neg = X[order[row_class == 0]].astype(np.float64)
+    if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise InsufficientClassError(
-            f"centroids need both classes (got {count[1]} positive, {count[0]} negative segments)"
+            f"centroids need both classes (got {pos.shape[0]} positive, {neg.shape[0]} negative segments)"
         )
-    return sum_pos / count[1], sum_neg / count[0]
+    return pos.sum(axis=0) / pos.shape[0], neg.sum(axis=0) / neg.shape[0]
 
 
 def derive_disease_vector(
@@ -122,9 +120,8 @@ def derive_disease_vector(
     )
 
 
-def project_segment(embedding: np.ndarray | SegmentEmbedding, vector: DiseaseVector) -> float:
-    vec = embedding.vector if isinstance(embedding, SegmentEmbedding) else embedding
-    vec = np.asarray(vec, dtype=np.float64)
+def project_segment(embedding: np.ndarray, vector: DiseaseVector) -> float:
+    vec = np.asarray(embedding, dtype=np.float64)
     if vec.shape != vector.vector.shape:
         raise DataError(f"embedding dimension {vec.shape} does not match vector {vector.vector.shape}")
     return float(vec @ vector.vector)
@@ -140,7 +137,7 @@ def subject_score(segment_projections: Sequence[float]) -> tuple[float, int]:
 
 
 def derive_vectors(
-    embeddings_by_subject: Mapping[str, Sequence[SegmentEmbedding]],
+    tables: Mapping[Modality, EmbeddingTable],
     manifest: CohortManifest,
     train_ids: Iterable[str],
     outcome: str,
@@ -149,60 +146,65 @@ def derive_vectors(
     """Centroid-difference vector from training subjects only."""
     if outcome not in manifest.outcome_names:
         raise UnknownOutcomeError(f"manifest has no outcome {outcome!r}")
-    labels = manifest.outcome_labels(outcome)
-    train = sorted(set(train_ids))
-    pool: list[SegmentEmbedding] = []
-    subjects = [0, 0]
-    for sid in train:
-        embs = embeddings_by_subject.get(sid, ())
-        embs = [e for e in embs if e.modality is modality]
-        if not embs:
-            continue
-        label = labels.get(sid)
-        if label is None:
-            continue
-        subjects[label] += 1
-        pool.extend(embs)
-    if subjects[1] == 0 or subjects[0] == 0:
+    train = set(train_ids)
+    labels = {s: y for s, y in manifest.outcome_labels(outcome).items() if s in train and y is not None}
+    subject_ids, X = tables.get(modality, ((), np.empty((0, 0))))  # no table: no rows
+    classes = [labels[sid] for sid in _group_rows(subject_ids)[0] if sid in labels]
+    n_positive = sum(classes)
+    n_negative = len(classes) - n_positive
+    if n_positive == 0 or n_negative == 0:
         raise InsufficientClassError(
-            f"{outcome}/{modality.name}: training split has {subjects[1]} positive and "
-            f"{subjects[0]} negative subjects with embeddings"
+            f"{outcome}/{modality.name}: training split has {n_positive} positive and "
+            f"{n_negative} negative subjects with embeddings"
         )
-    mu_pos, mu_neg = compute_centroids(pool, labels)
+    mu_pos, mu_neg = compute_centroids(subject_ids, X, labels)
     return derive_disease_vector(
-        mu_pos, mu_neg, outcome, modality, n_positive=subjects[1], n_negative=subjects[0]
+        mu_pos, mu_neg, outcome, modality, n_positive=n_positive, n_negative=n_negative
     )
 
 
 def score_cohort(
-    embeddings_by_subject: Mapping[str, Sequence[SegmentEmbedding]],
+    tables: Mapping[Modality, EmbeddingTable],
     vectors: Sequence[DiseaseVector],
     manifest: CohortManifest,
 ) -> list[SubjectScore]:
-    """Project every subject with embeddings onto every disease vector.
+    """Project every manifest subject's rows onto every disease vector.
 
-    Subjects lacking a modality simply have no row for that vector; a second
-    pass over the same inputs returns identical scores (pure function).
+    Rows of subjects outside the manifest are ignored; a subject without rows
+    for a modality gets no score for its vectors. Labels are not needed.
+    Scores come out by subject id, then in the order of ``vectors``.
     """
     for vec in vectors:
         if vec.outcome not in manifest.outcome_names:
             raise UnknownOutcomeError(f"manifest has no outcome {vec.outcome!r}")
-    out: list[SubjectScore] = []
-    for sid in sorted(manifest.rows):
-        embs = embeddings_by_subject.get(sid)
-        if not embs:
+    found: list[tuple[str, int, float, int]] = []
+    for modality, (subject_ids, X) in tables.items():
+        picked = [j for j, vec in enumerate(vectors) if vec.modality is modality]
+        if not picked:
             continue
-        by_mod: dict[Modality, list[SegmentEmbedding]] = {}
-        for e in embs:
-            by_mod.setdefault(e.modality, []).append(e)
-        for vec in vectors:
-            mod_embs = by_mod.get(vec.modality)
-            if not mod_embs:
-                continue
-            projections = [project_segment(e, vec) for e in mod_embs]
-            score, used = subject_score(projections)
-            out.append(SubjectScore(sid, vec.outcome, vec.modality, score, used))
-    return out
+        V = np.stack([vectors[j].vector for j in picked], axis=1)
+        X = np.asarray(X)
+        if X.shape[1] != V.shape[0]:
+            raise DataError(f"{modality.name} embeddings have dimension {X.shape[1]}, vectors {V.shape[0]}")
+        ids, inverse = _group_rows(subject_ids)
+        keep = np.array([sid in manifest.rows for sid in ids], dtype=bool)[inverse]
+        group = inverse[keep]
+        projections = X[keep].astype(np.float64) @ V
+        counts = np.bincount(group, minlength=len(ids))
+        present = np.flatnonzero(counts)
+        used = np.minimum(counts[present], 3)
+        # where each subject's three best rows land once rows are ranked by
+        # subject, then by projection; a slot past its last row is not averaged
+        first = (np.cumsum(counts) - counts)[present]
+        slots = np.minimum(first[:, None] + np.arange(3), group.shape[0] - 1)
+        for col, j in enumerate(picked):
+            top = projections[np.lexsort((-projections[:, col], group)), col][slots]
+            score = np.empty(present.shape[0])
+            for k in (1, 2, 3):  # a k-wide row mean adds like subject_score's
+                score[used == k] = top[used == k, :k].mean(axis=1)
+            found.extend((ids[s], j, v, k) for s, v, k in zip(present, score.tolist(), used.tolist()))
+    found.sort(key=lambda f: f[:2])
+    return [SubjectScore(sid, vectors[j].outcome, vectors[j].modality, v, k) for sid, j, v, k in found]
 
 
 # --- on-disk formats ---------------------------------------------------
@@ -249,15 +251,18 @@ def load_disease_vector(path: Path | str) -> DiseaseVector:
     for name, arr in arrays.items():
         if arr.shape[0] != d:
             raise FormatError(f"{path}: {name} has {arr.shape[0]} components, header says {d}")
-    return DiseaseVector(
-        outcome=outcome,
-        modality=modality,
-        vector=arrays["vector"],
-        mu_positive=arrays["mu_positive"],
-        mu_negative=arrays["mu_negative"],
-        n_positive=n_positive,
-        n_negative=n_negative,
-    )
+    try:
+        return DiseaseVector(
+            outcome=outcome,
+            modality=modality,
+            vector=arrays["vector"],
+            mu_positive=arrays["mu_positive"],
+            mu_negative=arrays["mu_negative"],
+            n_positive=n_positive,
+            n_negative=n_negative,
+        )
+    except DataError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_scores(scores: Sequence[SubjectScore], path: Path | str) -> None:
@@ -283,5 +288,7 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
                 score, used = float(rec[3]), int(rec[4])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+            if not math.isfinite(score):
+                raise FormatError(f"{path}: line {reader.line_num}: score {rec[3]!r} is not finite")
             out.append(SubjectScore(rec[0], rec[1], Modality.parse(rec[2]), score, used))
     return out

@@ -252,7 +252,10 @@ class TestCorruptTextTables:
     """One bad cell in a text table is a data error (exit 3, one line)."""
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
-    @pytest.mark.parametrize("column,value", [(3, "high"), (4, "3.5"), (4, "")])
+    @pytest.mark.parametrize(
+        "column,value",
+        [(3, "high"), (4, "3.5"), (4, ""), (3, "nan"), (3, "inf"), (3, "-inf")],
+    )
     def test_score_table_cell(self, chain, tmp_path, capsys, command, column, value):
         scores = tmp_path / "scores.csv"
         corrupt_cell(chain["scores"] / "scores.csv", scores, 4, column, value)
@@ -283,7 +286,10 @@ class TestCorruptTextTables:
         )
         assert_one_line_data_error(rc, capsys.readouterr().err, "CVD_RESP.txt")
 
-    @pytest.mark.parametrize("column,value", [(2, "first"), (5, "0.1.2"), (7, None)])
+    @pytest.mark.parametrize(
+        "column,value",
+        [(2, "first"), (5, "0.1.2"), (7, None), (5, "nan"), (5, "inf"), (5, "-inf"), (1, "ECG")],
+    )
     def test_embeddings_table_cell(self, chain, tmp_path, capsys, column, value):
         emb = tmp_path / "emb"
         table = emb / "RESP" / "embeddings.csv"

@@ -108,6 +108,20 @@ class TestFitLogistic:
         assert model.separated
         assert np.abs(model.beta).max() > 10
 
+    def test_separated_fit_emits_no_runtime_warning(self):
+        """A separated fit drives exp(-eta) past overflow; the saturated
+        sigmoid is exact there, so the only warning is the separation one."""
+        x = np.concatenate([np.linspace(-10.0, -0.1, 20), np.linspace(0.1, 10.0, 20)])[:, None]
+        y = (x[:, 0] > 0).astype(float)
+        fm = FeatureMatrix(("x",), x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_logistic(fm, y)
+            p = predict_proba(model, fm)
+        assert model.separated
+        assert [w.category for w in caught] == [SeparationWarning]
+        assert np.all((p >= 0.0) & (p <= 1.0))
+
     def test_collinear_design_rejected(self):
         rng = np.random.default_rng(13)
         col = rng.standard_normal(20)

@@ -10,9 +10,9 @@ from psgp.errors import (
     InsufficientClassError,
     UnknownOutcomeError,
 )
-from psgp.model import SegmentEmbedding
 from psgp.signalio import Modality
 from psgp.vectors import (
+    DiseaseVector,
     SubjectScore,
     compute_centroids,
     derive_disease_vector,
@@ -32,36 +32,28 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def _emb(sid, vec, modality=Modality.EEG, idx=0):
-    return SegmentEmbedding(sid, modality, idx, np.asarray(vec, dtype=np.float64))
+def _table(rows):
+    """(subject_ids, X) from (subject_id, vector) rows, in table order."""
+    return np.array([sid for sid, _ in rows]), np.array([vec for _, vec in rows], dtype=np.float64)
 
 
 class TestComputeCentroids:
     def test_segment_weighted_means(self):
         labels = {"P": 1, "N": 0}
-        embs = [
-            _emb("P", [1.0, 0.0]),
-            _emb("P", [0.0, 1.0], idx=1),
-            _emb("N", [-1.0, 0.0]),
-        ]
-        mu_pos, mu_neg = compute_centroids(embs, labels)
+        ids, X = _table([("P", [1.0, 0.0]), ("P", [0.0, 1.0]), ("N", [-1.0, 0.0])])
+        mu_pos, mu_neg = compute_centroids(ids, X, labels)
         np.testing.assert_allclose(mu_pos, [0.5, 0.5])
         np.testing.assert_allclose(mu_neg, [-1.0, 0.0])
 
     def test_unlabelled_subjects_skipped(self):
         labels = {"P": 1, "N": 0, "U": None}
-        embs = [_emb("P", [1.0]), _emb("N", [0.0]), _emb("U", [99.0])]
-        mu_pos, mu_neg = compute_centroids(embs, labels)
+        ids, X = _table([("P", [1.0]), ("N", [0.0]), ("U", [99.0])])
+        mu_pos, mu_neg = compute_centroids(ids, X, labels)
         assert mu_pos[0] == 1.0 and mu_neg[0] == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientClassError):
-            compute_centroids([_emb("P", [1.0])], {"P": 1})
-
-    def test_dimension_mismatch(self):
-        labels = {"A": 1, "B": 0}
-        with pytest.raises(DataError):
-            compute_centroids([_emb("A", [1.0, 2.0]), _emb("B", [1.0])], labels)
+            compute_centroids(*_table([("P", [1.0])]), {"P": 1})
 
 
 class TestDeriveDiseaseVector:
@@ -94,6 +86,16 @@ class TestDeriveDiseaseVector:
     def test_coincident_centroids_degenerate(self):
         with pytest.raises(DegenerateDirectionError):
             derive_disease_vector([1.0, 1.0], [1.0, 1.0], "CVD", Modality.EEG)
+
+    @pytest.mark.parametrize("name", ["vector", "mu_positive", "mu_negative"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_components_rejected(self, name, bad):
+        """A NaN direction has no norm to fail the unit-norm check, so
+        finiteness is checked on its own."""
+        fields = {"vector": np.array([1.0, 0.0]), "mu_positive": np.zeros(2), "mu_negative": np.zeros(2)}
+        fields[name] = np.array([bad, 0.0])
+        with pytest.raises(DataError, match="non-finite"):
+            DiseaseVector(outcome="CVD", modality=Modality.EEG, n_positive=1, n_negative=1, **fields)
 
 
 class TestSubjectScore:
@@ -129,15 +131,15 @@ class TestVonMisesFisherRecovery:
         d = 16
         u = _unit(rng.standard_normal(d))
         kappa = 8.0
-        embs, labels = [], {}
+        rows, labels = [], {}
         for i in range(60):
             sid = f"S{i:03d}"
             label = i % 2
             labels[sid] = label
             center = u if label == 1 else -u
             for j in range(4):
-                embs.append(_emb(sid, _unit(kappa * center + rng.standard_normal(d)), idx=j))
-        mu_pos, mu_neg = compute_centroids(embs, labels)
+                rows.append((sid, _unit(kappa * center + rng.standard_normal(d))))
+        mu_pos, mu_neg = compute_centroids(*_table(rows), labels)
         dv = derive_disease_vector(mu_pos, mu_neg, "CVD", Modality.EEG)
         assert float(dv.vector @ u) > 0.99
 
@@ -153,10 +155,20 @@ class TestVonMisesFisherRecovery:
         assert min(pos_scores) > max(neg_scores)
 
 
-def _manifest(tmp_path, rows):
+def _manifest(tmp_path, rows, outcomes="CVD"):
     path = tmp_path / "manifest.csv"
-    path.write_text("subject_id,age,sex,bmi,sbp,frs,CVD\n" + "\n".join(rows) + "\n")
+    path.write_text(f"subject_id,age,sex,bmi,sbp,frs,{outcomes}\n" + "\n".join(rows) + "\n")
     return load_manifest(path)
+
+
+def _interleaved(rng, counts, d):
+    """Unit-norm f32 rows for subjects with the given row counts, shuffled so
+    each subject's rows are spread through the table."""
+    ids = np.array([sid for sid, n in counts.items() for _ in range(n)])
+    ids = ids[rng.permutation(ids.shape[0])]
+    X = rng.standard_normal((ids.shape[0], d))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return ids, X.astype(np.float32)
 
 
 class TestDeriveVectors:
@@ -165,24 +177,26 @@ class TestDeriveVectors:
             tmp_path,
             ["A,60,1,25,,,1", "B,61,0,26,,,0", "C,62,1,27,,,1", "D,63,0,28,,,0"],
         )
-        store = {
-            "A": [_emb("A", [1.0, 0.0])],
-            "B": [_emb("B", [-1.0, 0.0])],
-            # C carries an extreme vector that must not influence the result
-            "C": [_emb("C", [0.0, 50.0])],
-            "D": [_emb("D", [0.0, -50.0])],
+        tables = {
+            Modality.EEG: _table([
+                ("A", [1.0, 0.0]),
+                ("B", [-1.0, 0.0]),
+                # C carries an extreme vector that must not influence the result
+                ("C", [0.0, 50.0]),
+                ("D", [0.0, -50.0]),
+            ])
         }
-        dv = derive_vectors(store, manifest, ["A", "B"], "CVD", Modality.EEG)
+        dv = derive_vectors(tables, manifest, ["A", "B"], "CVD", Modality.EEG)
         np.testing.assert_allclose(dv.vector, [1.0, 0.0])
         assert dv.n_positive == 1 and dv.n_negative == 1
 
     def test_modality_filtering(self, tmp_path):
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0"])
-        store = {
-            "A": [_emb("A", [1.0, 0.0]), _emb("A", [0.0, 9.0], modality=Modality.ECG)],
-            "B": [_emb("B", [-1.0, 0.0]), _emb("B", [0.0, -9.0], modality=Modality.ECG)],
+        tables = {
+            Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])]),
+            Modality.ECG: _table([("A", [0.0, 9.0]), ("B", [0.0, -9.0])]),
         }
-        dv = derive_vectors(store, manifest, ["A", "B"], "CVD", Modality.EEG)
+        dv = derive_vectors(tables, manifest, ["A", "B"], "CVD", Modality.EEG)
         np.testing.assert_allclose(dv.vector, [1.0, 0.0])
 
     def test_unknown_outcome(self, tmp_path):
@@ -192,9 +206,37 @@ class TestDeriveVectors:
 
     def test_single_class_train_split(self, tmp_path):
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0"])
-        store = {"A": [_emb("A", [1.0, 0.0])], "B": [_emb("B", [-1.0, 0.0])]}
+        tables = {Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])])}
         with pytest.raises(InsufficientClassError):
-            derive_vectors(store, manifest, ["A"], "CVD", Modality.EEG)
+            derive_vectors(tables, manifest, ["A"], "CVD", Modality.EEG)
+
+    def test_matches_per_row_sum(self, tmp_path):
+        """Oracle: the centroids equal a per-row float64 sum taken over the
+        training subjects in id order, each subject's rows in table order."""
+        manifest = _manifest(
+            tmp_path,
+            ["A,60,1,25,,,1", "B,61,0,26,,,0", "C,62,1,27,,,1", "D,63,0,28,,,0",
+             "E,64,1,29,,,", "F,65,0,30,,,1"],
+        )
+        rng = np.random.default_rng(8)
+        ids, X = _interleaved(rng, {"A": 3, "B": 1, "C": 5, "D": 2, "E": 4, "F": 3, "Z": 2}, 7)
+        # float64 rows of mixed scale, so a sum in another row order rounds differently
+        X = X * 10.0 ** rng.uniform(-4.0, 4.0, size=(X.shape[0], 1))
+        train = ["D", "A", "B", "C", "E"]  # F is held out; E is unlabelled; Z is not in the manifest
+        dv = derive_vectors({Modality.EEG: (ids, X)}, manifest, train, "CVD", Modality.EEG)
+        labels = manifest.outcome_labels("CVD")
+        sums = {0: np.zeros(7), 1: np.zeros(7)}
+        rows = {0: 0, 1: 0}
+        for sid in sorted(train):
+            if labels.get(sid) is None:
+                continue
+            for row_sid, x in zip(ids, X):
+                if row_sid == sid:
+                    sums[labels[sid]] += np.asarray(x, dtype=np.float64)
+                    rows[labels[sid]] += 1
+        np.testing.assert_array_equal(dv.mu_positive, sums[1] / rows[1])
+        np.testing.assert_array_equal(dv.mu_negative, sums[0] / rows[0])
+        assert (dv.n_positive, dv.n_negative) == (2, 2)
 
 
 class TestScoreCohort:
@@ -203,16 +245,15 @@ class TestScoreCohort:
             tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0", "C,62,1,27,,,"]
         )
         dv = derive_disease_vector([1.0, 0.0], [-1.0, 0.0], "CVD", Modality.EEG)
-        store = {
-            "A": [_emb("A", [0.8, 0.6]), _emb("A", [0.6, 0.8], idx=1)],
-            "B": [_emb("B", [-0.8, 0.6])],
-            "C": [_emb("C", [0.0, 1.0], modality=Modality.ECG)],
+        tables = {
+            Modality.EEG: _table([("A", [0.8, 0.6]), ("A", [0.6, 0.8]), ("B", [-0.8, 0.6])]),
+            Modality.ECG: _table([("C", [0.0, 1.0])]),
         }
-        return manifest, [dv], store
+        return manifest, [dv], tables
 
     def test_scores_and_membership(self, tmp_path):
-        manifest, vectors, store = self._setup(tmp_path)
-        scores = score_cohort(store, vectors, manifest)
+        manifest, vectors, tables = self._setup(tmp_path)
+        scores = score_cohort(tables, vectors, manifest)
         by_id = {s.subject_id: s for s in scores}
         # C has no EEG embeddings, so no row for the EEG vector
         assert set(by_id) == {"A", "B"}
@@ -221,16 +262,52 @@ class TestScoreCohort:
         assert by_id["B"].score == pytest.approx(-0.8)
 
     def test_pure_function(self, tmp_path):
-        manifest, vectors, store = self._setup(tmp_path)
-        assert score_cohort(store, vectors, manifest) == score_cohort(store, vectors, manifest)
+        manifest, vectors, tables = self._setup(tmp_path)
+        assert score_cohort(tables, vectors, manifest) == score_cohort(tables, vectors, manifest)
 
     def test_unlabelled_subjects_still_scored(self, tmp_path):
         """Scoring needs no labels; a subject missing the outcome label still
         gets a risk score for reporting."""
         manifest = _manifest(tmp_path, ["A,60,1,25,,,"])
         dv = derive_disease_vector([1.0, 0.0], [-1.0, 0.0], "CVD", Modality.EEG)
-        scores = score_cohort({"A": [_emb("A", [1.0, 0.0])]}, [dv], manifest)
+        scores = score_cohort({Modality.EEG: _table([("A", [1.0, 0.0])])}, [dv], manifest)
         assert len(scores) == 1 and scores[0].score == pytest.approx(1.0)
+
+    def test_matches_brute_force_oracle(self, tmp_path):
+        """Oracle: per subject and vector, the top-3 rule over one
+        project_segment call per row, walking the manifest in id order."""
+        manifest = _manifest(
+            tmp_path,
+            ["A,60,1,25,,,1,0", "B,61,0,26,,,0,1", "C,62,1,27,,,1,", "D,63,0,28,,,,", "E,64,1,29,,,0,0"],
+            outcomes="CVD,DM",
+        )
+        rng = np.random.default_rng(9)
+        # 1, 2, 3 and 5 rows; D is unlabelled; Z is not in the manifest; E has no EEG rows
+        tables = {
+            Modality.EEG: _interleaved(rng, {"A": 1, "B": 2, "C": 3, "D": 5, "Z": 4}, 6),
+            Modality.ECG: _interleaved(rng, {"A": 5, "B": 3, "C": 1, "D": 2, "E": 3, "Z": 2}, 6),
+        }
+        vectors = [
+            derive_disease_vector(rng.standard_normal(6), rng.standard_normal(6), outcome, modality)
+            for outcome, modality in [
+                ("CVD", Modality.EEG), ("DM", Modality.ECG), ("DM", Modality.EEG), ("CVD", Modality.ECG)
+            ]
+        ]
+        want = []
+        for sid in sorted(manifest.rows):
+            for vec in vectors:
+                ids, X = tables[vec.modality]
+                projections = [project_segment(x, vec) for row_sid, x in zip(ids, X) if row_sid == sid]
+                if projections:
+                    want.append((sid, vec.outcome, vec.modality, *subject_score(projections)))
+        got = score_cohort(tables, vectors, manifest)
+        assert [(s.subject_id, s.outcome, s.modality, s.n_segments_used) for s in got] == [
+            w[:3] + (w[4],) for w in want
+        ]
+        for s, w in zip(got, want):
+            assert s.score == pytest.approx(w[3], rel=1e-12, abs=1e-15)
+        assert {w[0] for w in want} == {"A", "B", "C", "D", "E"}
+        assert {w[4] for w in want} == {1, 2, 3}
 
 
 class TestDiskFormats:
@@ -256,6 +333,10 @@ class TestDiskFormats:
         path.write_text("outcome=CVD\nmodality=EEG\nd=3\nn_positive=1\nn_negative=1\n"
                         "vector=1 0\nmu_positive=0 0 0\nmu_negative=0 0 0\n")
         with pytest.raises(FormatError):
+            load_disease_vector(path)
+        path.write_text("outcome=CVD\nmodality=EEG\nd=2\nn_positive=1\nn_negative=1\n"
+                        "vector=nan 0\nmu_positive=0 0\nmu_negative=0 0\n")
+        with pytest.raises(FormatError, match="v.txt"):
             load_disease_vector(path)
 
     def test_scores_round_trip_and_order(self, tmp_path):
