@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -210,34 +210,88 @@ def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modal
 
 
 def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
-    """(subject_ids, X) of one modality's table, X an (N, d) float32 array."""
+    """(subject_ids, X) of one modality's table, X an (N, d) float32 array.
+
+    One streaming pass: each line's key cells are checked as it is read and
+    its numeric tail goes on to a single ``np.loadtxt``. Every line after the
+    header must be a full row, so row i is line i + 2.
+    """
     subject_ids: list[str] = []
-    lines: list[int] = []
-    values = array("d")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:3] != ["subject_id", "modality", "segment_index"]:
+    with path.open(encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[:3] != ["subject_id", "modality", "segment_index"] or len(header) < 4:
             raise FormatError(f"{path}: unexpected embeddings header")
-        for rec in reader:
-            if len(rec) != len(header):
-                raise FormatError(
-                    f"{path}: line {reader.line_num} has {len(rec)} cells, header has {len(header)}"
-                )
-            try:
-                if rec[1] != modality.name and Modality.parse(rec[1]) is not modality:
-                    raise DataError(f"modality {rec[1]!r} in the {modality.name} table")
-                int(rec[2])
-                values.extend(map(float, rec[3:]))
-            except (ValueError, DataError) as exc:
-                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-            subject_ids.append(rec[0])
-            lines.append(reader.line_num)
-    X = np.frombuffer(values, dtype=np.float64).reshape(len(lines), len(header) - 3).astype(np.float32)
+        try:
+            X = _decimal_rows(_embedding_rows(fh, path, modality, len(header), subject_ids), len(header) - 3)
+        except (ValueError, FormatError):
+            _raise_first_bad_line(path, modality, len(header))
+            raise
+    with np.errstate(over="ignore"):  # beyond float32 range is caught just below
+        X = X.astype(np.float32)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
-        raise FormatError(f"{path}: line {lines[bad[0]]}: non-finite embedding value")
+        raise FormatError(f"{path}: line {bad[0] + 2}: non-finite embedding value")
     return np.array(subject_ids, dtype=str), X
+
+
+def _embedding_rows(fh, path: Path, modality: Modality, width: int, subject_ids: list[str]):
+    """Check the key cells of each line of an open table and yield its numeric tail.
+
+    Each row's subject id is appended to ``subject_ids``.
+    """
+    name = modality.name
+    for lineno, line in enumerate(fh, start=2):
+        if line[-1] != "\n":
+            raise FormatError(f"{path}: line {lineno} has no line end (truncated table?)")
+        if line[0] == '"':  # a subject id that csv.writer quoted
+            rec = next(csv.reader([line]))
+            cells = rec[:3] + [",".join(rec[3:])] if len(rec) > 3 else rec
+        else:
+            cells = line[:-1].split(",", 3)
+        if len(cells) != 4 or cells[3].count(",") != width - 4:
+            n_cells = len(cells) + cells[3].count(",") if len(cells) == 4 else len(cells)
+            raise FormatError(f"{path}: line {lineno} has {n_cells} cells, header has {width}")
+        sid, mod, index, tail = cells
+        if not tail:  # d = 1: loadtxt would skip the row as a blank line
+            raise FormatError(f"{path}: line {lineno}: empty embedding value")
+        try:
+            if mod != name and Modality.parse(mod) is not modality:
+                raise DataError(f"modality {mod!r} in the {modality.name} table")
+            int(index)
+        except (ValueError, DataError) as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        subject_ids.append(sid)
+        yield tail
+
+
+def _decimal_rows(rows, d: int) -> np.ndarray:
+    """(N, d) float64 array of an iterable of comma-separated number rows."""
+    first = next(rows, None)
+    if first is None:  # loadtxt warns on empty input
+        return np.empty((0, d))
+    return np.loadtxt(
+        itertools.chain([first], rows), delimiter=",", comments=None, dtype=np.float64, ndmin=2
+    )
+
+
+def _raise_first_bad_line(path: Path, modality: Modality, width: int) -> None:
+    """Re-read a table that failed to parse in bulk, row by row, and raise a
+    FormatError for its first bad line."""
+    with path.open(encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, tail in enumerate(_embedding_rows(fh, path, modality, width, []), start=2):
+            try:
+                _decimal_rows(iter([tail]), width - 3)
+            except ValueError:
+                cell = next(c for c in tail.split(",") if not _is_decimal(c))
+                raise FormatError(f"{path}: line {lineno}: {cell!r} is not a decimal number") from None
+
+
+def _is_decimal(cell: str) -> bool:
+    try:  # loadtxt would skip an empty cell as a blank line
+        return cell != "" and _decimal_rows(iter([cell]), 1).size == 1
+    except ValueError:
+        return False
 
 
 def cmd_embed(args: argparse.Namespace) -> int:

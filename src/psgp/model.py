@@ -330,15 +330,18 @@ def decode(latent, params, config: ModelConfig) -> np.ndarray:
 def pool_segment(grid: np.ndarray) -> np.ndarray:
     """Encoded grid (n, d) -> unit-norm segment embedding (d,)."""
     arr = np.asarray(grid)
+    if not np.issubdtype(arr.dtype, np.floating):
+        arr = arr.astype(np.float64)
     if arr.ndim != 2:
         raise DataError(f"pool_segment expects a 2-D grid, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NumericError("pool_segment received non-finite values")
-    m = arr.mean(axis=0)
-    norm = float(np.sqrt((m * m).sum()))
-    if norm < _NORM_FLOOR:
+    with no_grad():
+        pooled = pool_rows(Tensor(arr)).data
+    # pool_rows divides by max(|mean|, floor): a (near-)zero mean comes back short
+    if abs(float(np.linalg.norm(pooled)) - 1.0) > 1e-3:
         raise DegenerateEmbeddingError("mean patch embedding has (near-)zero norm")
-    return m / norm
+    return pooled
 
 
 def embed_segments(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -28,6 +29,8 @@ from .errors import (
 from .signalio import Modality
 
 _DIRECTION_FLOOR = 1e-10
+# a plain decimal number, the form save_scores writes (no "1_0", no non-ASCII digits)
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
 
@@ -282,13 +285,17 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
         if header != ["subject_id", "outcome", "modality", "score", "n_segments_used"]:
             raise FormatError(f"{path}: unexpected score table header {header}")
         for rec in reader:
+            where = f"{path}: line {reader.line_num}"
             if len(rec) != 5:
-                raise FormatError(f"{path}: malformed score row {rec}")
+                raise FormatError(f"{where} has {len(rec)} cells, header has 5")
+            sid, outcome, name, score, used = rec
+            if not _DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
+                raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
+            if not (used.isascii() and used.isdigit() and int(used) >= 1):
+                raise FormatError(f"{where}: n_segments_used {used!r} is not a positive integer")
             try:
-                score, used = float(rec[3]), int(rec[4])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-            if not math.isfinite(score):
-                raise FormatError(f"{path}: line {reader.line_num}: score {rec[3]!r} is not finite")
-            out.append(SubjectScore(rec[0], rec[1], Modality.parse(rec[2]), score, used))
+                modality = Modality.parse(name)
+            except DataError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
+            out.append(SubjectScore(sid, outcome, modality, float(score), int(used)))
     return out

@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface (all in-process)."""
 import csv
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from psgp.cli import main
+from psgp.cli import _read_embeddings_csv, _write_embeddings_csv, main
+from psgp.errors import FormatError
+from psgp.signalio import Modality
+from psgp.vectors import SubjectScore, load_scores, save_scores
 
 
 def run_cli(*argv) -> int:
@@ -226,14 +230,14 @@ class TestExitCodes:
         assert "S9999" in err
 
 
-def corrupt_cell(src: Path, dst: Path, line: int, column: int, value: str | None) -> None:
-    """Copy a CSV with one cell replaced (``value=None`` drops the cell)."""
+def corrupt_cell(src: Path, dst: Path, line: int, column: int, value: str | list[str] | None) -> None:
+    """Copy a CSV with one cell replaced (``value=None`` drops the cell, a
+    list replaces it with several)."""
     with src.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if value is None:
-        del rows[line - 1][column]
-    else:
-        rows[line - 1][column] = value
+        value = []
+    rows[line - 1][column:column + 1] = [value] if isinstance(value, str) else value
     dst.parent.mkdir(parents=True, exist_ok=True)
     with dst.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -254,7 +258,8 @@ class TestCorruptTextTables:
     @pytest.mark.parametrize("command", ["fit", "eval"])
     @pytest.mark.parametrize(
         "column,value",
-        [(3, "high"), (4, "3.5"), (4, ""), (3, "nan"), (3, "inf"), (3, "-inf")],
+        [(3, "high"), (4, "3.5"), (4, ""), (3, "nan"), (3, "inf"), (3, "-inf"),
+         (2, "XYZ"), (4, "-1"), (4, None), (4, ["3", "0"])],
     )
     def test_score_table_cell(self, chain, tmp_path, capsys, command, column, value):
         scores = tmp_path / "scores.csv"
@@ -330,3 +335,186 @@ class TestThreadsResolution:
         assert rc == 2
         assert err.startswith("error: ConfigError:")
         assert "PSGP_THREADS" in err
+
+
+def oracle_read_embeddings(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The table parse the streaming reader replaced: csv.reader and float() per cell."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ids = np.array([r[0] for r in rows], dtype=str)
+    X = np.array([[float(c) for c in r[3:]] for r in rows], dtype=np.float64)
+    return ids, X.astype(np.float32)
+
+
+class TestEmbeddingsReader:
+    """``_read_embeddings_csv`` against the csv.reader + float() oracle."""
+
+    SPECIAL = np.array(
+        [0.0, -0.0, 1e-45, -1e-45, 3e-40, 1.1754942e-38, 3.4028235e38, -3.4028235e38,
+         0.123456789, -1.00000012, 123456789.0, 9.99999944e-11],
+        dtype=np.float32,
+    )
+
+    def assert_matches_oracle(self, path: Path, modality=Modality.RESP):
+        ids, X = _read_embeddings_csv(path, modality)
+        want_ids, want_X = oracle_read_embeddings(path)
+        assert ids.tolist() == want_ids.tolist()
+        assert X.dtype == np.float32 and X.shape == want_X.shape
+        assert X.tobytes() == want_X.tobytes()
+        return ids, X
+
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_writer_tables_bit_identical(self, tmp_path, d, n):
+        rng = np.random.default_rng(d * 100 + n)
+        X = rng.standard_normal((n, d)).astype(np.float32)
+        flat = X.reshape(-1)
+        flat[: min(flat.size, self.SPECIAL.size)] = self.SPECIAL[: flat.size]
+        keys = [(f"S{i % 7:04d}", i) for i in range(n)]
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, keys, X, Modality.RESP)
+        ids, got = self.assert_matches_oracle(path)
+        assert ids.tolist() == [k[0] for k in keys]
+        assert got.tobytes() == X.tobytes()  # the writer's .9g round-trips float32
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        self.assert_matches_oracle(crlf)
+
+    def test_every_special_value_in_one_row(self, tmp_path):
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, [("S0001", 0)], self.SPECIAL[None, :], Modality.RESP)
+        _, X = self.assert_matches_oracle(path)
+        assert np.signbit(X[0, 1]) and X[0, 2] > 0 and X[0, 6] == np.finfo(np.float32).max
+
+    def test_quoted_subject_ids_read_back_exactly(self, tmp_path):
+        path = tmp_path / "embeddings.csv"
+        ids = ["a,b", 'q"x', '"', "plain"]
+        X = np.arange(8, dtype=np.float32).reshape(4, 2)
+        _write_embeddings_csv(path, [(sid, i) for i, sid in enumerate(ids)], X, Modality.RESP)
+        got_ids, got = self.assert_matches_oracle(path)
+        assert got_ids.tolist() == ids
+        assert got.tobytes() == X.tobytes()
+
+    def test_line_break_in_subject_id_is_refused(self, tmp_path):
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, [("S1", 0), ("a\nb", 1)], np.ones((2, 2), np.float32), Modality.RESP)
+        with pytest.raises(FormatError, match="line 3"):
+            _read_embeddings_csv(path, Modality.RESP)
+
+    @pytest.mark.parametrize("value", ["", " ", "1_0"])
+    def test_bad_value_in_one_column_table(self, tmp_path, value):
+        """d = 1: an empty value would be a blank line to loadtxt, not a row."""
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, [("S1", i) for i in range(4)], np.ones((4, 1), np.float32), Modality.RESP)
+        path.write_text(path.read_text(encoding="utf-8").replace("S1,RESP,2,1", f"S1,RESP,2,{value}"))
+        with pytest.raises(FormatError, match="line 4"):
+            _read_embeddings_csv(path, Modality.RESP)
+
+    def test_last_line_cut_inside_a_number_is_refused(self, tmp_path):
+        path = tmp_path / "embeddings.csv"
+        X = np.full((2, 2), 0.123456789, np.float32)
+        _write_embeddings_csv(path, [("S1", 0), ("S1", 1)], X, Modality.RESP)
+        path.write_bytes(path.read_bytes()[:-4])  # the cut cell still reads as a number
+        with pytest.raises(FormatError, match="line 3"):
+            _read_embeddings_csv(path, Modality.RESP)
+
+    def test_header_only_table_is_empty(self, tmp_path):
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, [], np.empty((0, 4), np.float32), Modality.RESP)
+        ids, X = _read_embeddings_csv(path, Modality.RESP)
+        assert ids.shape == (0,) and X.shape == (0, 4) and X.dtype == np.float32
+
+    @pytest.mark.parametrize("first,second", [(("5", "x"), ("1", "ECG")), (("1", "ECG"), ("5", "x"))])
+    def test_first_bad_line_in_file_order(self, tmp_path, first, second):
+        """With two bad lines far apart the earlier one is named, whichever
+        check (key cell or number) it fails."""
+        path = tmp_path / "embeddings.csv"
+        n = 3000
+        X = np.random.default_rng(3).standard_normal((n, 4)).astype(np.float32)
+        _write_embeddings_csv(path, [(f"S{i:05d}", i) for i in range(n)], X, Modality.RESP)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for lineno, (column, value) in ((400, first), (2600, second)):
+            cells = lines[lineno - 1].split(",")
+            cells[int(column)] = value
+            lines[lineno - 1] = ",".join(cells)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match="line 400[:]"):
+            _read_embeddings_csv(path, Modality.RESP)
+
+
+def _mutate(text: str, kind: str, rng: random.Random, table: str) -> tuple[str, int]:
+    """One single-line corruption of a CSV table; returns it and its line number."""
+    lines = text.split("\n")[:-1]  # every line ends in "\n"
+    numeric = range(3, len(lines[0].split(","))) if table == "embeddings" else (3, 4)
+    lineno = rng.randrange(3, len(lines) + 1) if kind == "blank" else rng.randrange(2, len(lines) + 1)
+    if kind == "truncate":
+        lineno = len(lines)
+        text = "\n".join(lines[:-1]) + "\n" + lines[-1][: rng.randrange(1, len(lines[-1]))]
+        return text, lineno
+    if kind == "blank":
+        lines.insert(lineno - 1, "")
+        return "\n".join(lines) + "\n", lineno
+    cells = lines[lineno - 1].split(",")
+    if kind == "drop":
+        del cells[rng.randrange(len(cells))]
+    elif kind == "extra":
+        cells.insert(rng.randrange(len(cells) + 1), "0.5")
+    elif kind == "modality":
+        cells[2 if table == "scores" else 1] = "XYZ" if table == "scores" else "ECG"
+    elif kind == "index":
+        cells[4 if table == "scores" else 2] = rng.choice(["1.5", "one", "", "2x"])
+    else:
+        value = {
+            "quotes": '""', "empty": "", "underscore": "1_0", "nan": "nan", "inf": "-inf",
+            "junk": rng.choice(["abc", "0.1.2", "--1", "1e", "#", "0x10", "١"]),
+            "overflow": "1e39" if table == "embeddings" else "1e400",
+        }[kind]
+        cells[rng.choice(numeric)] = value
+    lines[lineno - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n", lineno
+
+
+MUTATIONS = ("blank", "drop", "extra", "quotes", "empty", "junk", "underscore", "nan", "inf",
+             "overflow", "modality", "index", "truncate")
+
+
+class TestTableFuzz:
+    """Seeded single-line corruptions of both tables: exit 3, one
+    ``error: FormatError:`` line naming the file and the line."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_embeddings_table(self, chain, tmp_path, capsys, kind, seed):
+        src = chain["emb"] / "RESP" / "embeddings.csv"
+        text, lineno = _mutate(src.read_text(encoding="utf-8"), kind, random.Random(seed), "embeddings")
+        table = tmp_path / "emb" / "RESP" / "embeddings.csv"
+        table.parent.mkdir(parents=True)
+        table.write_text(text, encoding="utf-8")
+        for command, extra in (("vectors", ()), ("score", ("--vectors", chain["vectors"] / "vectors"))):
+            rc = run_cli(
+                command, "--out", tmp_path / command, "--config", chain["ini"],
+                "--data", chain["data"], "--embeddings", tmp_path / "emb", "--seed", 5, *extra,
+            )
+            assert_one_line_data_error(rc, capsys.readouterr().err, str(table), f"line {lineno}")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_score_table(self, chain, tmp_path, capsys, kind, seed):
+        src = chain["scores"] / "scores.csv"
+        text, lineno = _mutate(src.read_text(encoding="utf-8"), kind, random.Random(seed), "scores")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text, encoding="utf-8")
+        rc = run_cli(
+            "eval", "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--scores", scores, "--seed", 5,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(scores), f"line {lineno}")
+
+    def test_quoted_subject_ids_in_scores(self, tmp_path):
+        scores = [
+            SubjectScore(sid, "CVD", Modality.ECG, 0.25 * i, 1 + i % 3)
+            for i, sid in enumerate(["a,b", 'q"x', "a\nb", '"', "plain"])
+        ]
+        path = tmp_path / "scores.csv"
+        save_scores(scores, path)
+        assert load_scores(path) == sorted(scores, key=lambda s: s.subject_id)
