@@ -12,7 +12,6 @@ import csv
 import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from .config import (
     ssl_config_for,
     synth_config_for,
 )
-from .errors import ConfigError, DataError, FormatError, MissingInputError, PsgpError
+from .errors import ConfigError, DataError, FormatError, MissingInputError, PsgpError, utf8_text
 from .model import embed_segments, load_checkpoint, save_checkpoint
 from .pretrain import train
 from .report import build_report_card, render_report_card, report_card_csv
@@ -75,7 +74,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     take("permutations", "n_permutations")
     take("tcr_weight", "tcr_weight")
     take("tcr_epsilon", "tcr_epsilon")
-    take("embed_batch", "embed_batch")
     take("subjects", "n_subjects")
     take("segments", "segments_per_subject")
     take("noise_sigma", "noise_sigma")
@@ -138,7 +136,7 @@ def _load_modality_segments(
     data: Path, manifest: CohortManifest, modality: Modality, subject_ids, input_len: int
 ) -> tuple[np.ndarray, list[tuple[str, int]]]:
     """Stack every available segment for the given subjects, sorted by id."""
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     keys: list[tuple[str, int]] = []
     for sid in sorted(subject_ids):
         path = data / "signals" / f"{sid}_{modality.name}.psgs"
@@ -152,12 +150,12 @@ def _load_modality_segments(
             raise DataError(
                 f"{path}: window of {spw} samples does not match the model input length {input_len}"
             )
-        for seg in segment_recording(rec):
-            rows.append(seg.samples)
-            keys.append((sid, seg.index))
-    if not rows:
+        rows = segment_recording(rec)
+        blocks.append(rows)
+        keys.extend((sid, i) for i in range(len(rows)))
+    if not keys:
         raise DataError(f"no {modality.name} segments found under {data / 'signals'}")
-    return np.stack(rows), keys
+    return np.concatenate(blocks), keys
 
 
 # --- subcommands -------------------------------------------------------
@@ -217,7 +215,7 @@ def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
     header must be a full row, so row i is line i + 2.
     """
     subject_ids: list[str] = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8") as fh, utf8_text(path):
         header = fh.readline().rstrip("\n").split(",")
         if header[:3] != ["subject_id", "modality", "segment_index"] or len(header) < 4:
             raise FormatError(f"{path}: unexpected embeddings header")
@@ -305,22 +303,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         X, keys = _load_modality_segments(
             data, manifest, modality, manifest.subject_ids, mcfg.input_len
         )
-        vecs = np.empty((X.shape[0], mcfg.embed_dim), dtype=mcfg.np_dtype)
-        spans = [
-            (s, min(s + cfg.embed_batch, X.shape[0]))
-            for s in range(0, X.shape[0], cfg.embed_batch)
-        ]
-
-        def work(span):
-            s, e = span
-            vecs[s:e] = embed_segments(X[s:e], params, mcfg, batch_size=cfg.embed_batch)
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                list(pool.map(work, spans))
-        else:
-            for span in spans:
-                work(span)
+        vecs = embed_segments(X, params, mcfg, threads=cfg.threads)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
         _write_embeddings_csv(mod_dir / "embeddings.csv", keys, vecs, modality)
@@ -498,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--models", required=True, help="directory holding <MODALITY>/checkpoint.psgm")
     sp.add_argument("--modality", default=None)
-    sp.add_argument("--embed-batch", dest="embed_batch", type=int, default=None)
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("vectors", help="derive disease vectors on the training split")

@@ -1,22 +1,26 @@
 """Cohort manifest CSV and the deterministic train/test split.
 
 Manifest header: ``subject_id,age,sex,bmi,sbp,frs,<outcome>...`` with one row
-per subject. Covariates may be empty (missing); outcome cells are ``""``,
-``"0"`` or ``"1"``. Sex is coded 1=male, 0=female.
+per subject. Covariates are empty (missing) or plain ASCII decimals; outcome
+cells are ``""``, ``"0"`` or ``"1"``. Sex is coded 1=male, 0=female. Errors
+name the file and the line.
 """
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ManifestError, UsageError
+from .errors import DataError, ManifestError, UsageError, utf8_text
 from .signalio import round_half_up
 
 COVARIATE_COLUMNS = ("age", "sex", "bmi", "sbp", "frs")
 _FIXED_HEADER = ("subject_id",) + COVARIATE_COLUMNS
+# a plain ASCII decimal number: no nan/inf, underscores or non-ASCII digits
+DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
 @dataclass
@@ -59,24 +63,32 @@ class CohortManifest:
         return {sid: row.outcomes[outcome] for sid, row in self.rows.items()}
 
 
-def _parse_float(token: str, *, row: str, column: str) -> float | None:
+def _parse_float(token: str, *, where: str, column: str) -> float | None:
     token = token.strip()
     if token == "":
         return None
-    try:
-        value = float(token)
-    except ValueError:
-        raise ManifestError(f"row {row!r}: column {column!r} is not numeric: {token!r}") from None
+    if not DECIMAL.fullmatch(token):
+        raise ManifestError(f"{where}: column {column!r} is not a decimal number: {token!r}")
+    value = float(token)
     if not np.isfinite(value):
-        raise ManifestError(f"row {row!r}: column {column!r} is not finite")
+        raise ManifestError(f"{where}: column {column!r} is not finite")
     return value
+
+
+def _parse_flag(token: str, *, where: str, column: str) -> int | None:
+    token = token.strip()
+    if token == "":
+        return None
+    if token not in ("0", "1"):
+        raise ManifestError(f"{where}: column {column!r} must be 0, 1 or empty, got {token!r}")
+    return int(token)
 
 
 def load_manifest(path: Path | str) -> CohortManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8") as fh, utf8_text(path, ManifestError):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -91,42 +103,28 @@ def load_manifest(path: Path | str) -> CohortManifest:
         if len(set(outcome_names)) != len(outcome_names):
             raise ManifestError(f"{path}: duplicate outcome columns")
         rows: dict[str, SubjectRow] = {}
-        for line_no, rec in enumerate(reader, start=2):
+        for rec in reader:
+            where = f"{path} line {reader.line_num}"
             if not rec or all(tok.strip() == "" for tok in rec):
                 continue
             if len(rec) != len(header):
-                raise ManifestError(f"{path} line {line_no}: expected {len(header)} fields")
+                raise ManifestError(f"{where}: expected {len(header)} fields")
             sid = rec[0].strip()
             if not sid:
-                raise ManifestError(f"{path} line {line_no}: empty subject_id")
+                raise ManifestError(f"{where}: empty subject_id")
             if sid in rows:
-                raise ManifestError(f"{path} line {line_no}: duplicate subject_id {sid!r}")
-            age = _parse_float(rec[1], row=sid, column="age")
-            if age is not None and age <= 0:
-                raise ManifestError(f"row {sid!r}: age must be positive")
-            sex_tok = rec[2].strip()
-            if sex_tok == "":
-                sex = None
-            elif sex_tok in ("0", "1"):
-                sex = int(sex_tok)
-            else:
-                raise ManifestError(f"row {sid!r}: column 'sex' must be 0, 1 or empty, got {sex_tok!r}")
-            bmi = _parse_float(rec[3], row=sid, column="bmi")
-            if bmi is not None and bmi <= 0:
-                raise ManifestError(f"row {sid!r}: bmi must be positive")
-            sbp = _parse_float(rec[4], row=sid, column="sbp")
-            frs = _parse_float(rec[5], row=sid, column="frs")
-            outcomes: dict[str, int | None] = {}
-            for name, tok in zip(outcome_names, rec[len(_FIXED_HEADER):]):
-                tok = tok.strip()
-                if tok == "":
-                    outcomes[name] = None
-                elif tok in ("0", "1"):
-                    outcomes[name] = int(tok)
-                else:
-                    raise ManifestError(
-                        f"row {sid!r}: outcome column {name!r} must be 0, 1 or empty, got {tok!r}"
-                    )
+                raise ManifestError(f"{where}: duplicate subject_id {sid!r}")
+            age, bmi, sbp, frs = (
+                _parse_float(rec[i], where=where, column=header[i]) for i in (1, 3, 4, 5)
+            )
+            for name, value in (("age", age), ("bmi", bmi)):
+                if value is not None and value <= 0:
+                    raise ManifestError(f"{where}: {name} must be positive")
+            sex = _parse_flag(rec[2], where=where, column="sex")
+            outcomes = {
+                name: _parse_flag(tok, where=where, column=name)
+                for name, tok in zip(outcome_names, rec[len(_FIXED_HEADER):])
+            }
             rows[sid] = SubjectRow(sid, age, sex, bmi, sbp, frs, outcomes)
     if not rows:
         raise ManifestError(f"{path}: manifest has no subject rows")

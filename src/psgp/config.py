@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8_text
 from .model import ModelConfig, default_model_config
 from .pretrain import SslConfig
 from .signalio import Modality
@@ -28,7 +28,6 @@ class RunConfig:
     outcomes: tuple[str, ...] = ()  # empty = every outcome in the manifest
     threads: int = 1
     split_ratio: float = 0.8
-    embed_batch: int = 256
     # [model]
     embed_dim: int = 32
     encoder_depth: int = 4
@@ -56,7 +55,7 @@ class RunConfig:
 
 
 _SECTIONS: dict[str, tuple[str, ...]] = {
-    "run": ("seed", "modalities", "outcomes", "threads", "split_ratio", "embed_batch"),
+    "run": ("seed", "modalities", "outcomes", "threads", "split_ratio"),
     "model": ("embed_dim", "encoder_depth", "decoder_depth", "n_heads", "ffn_mult", "precision"),
     "ssl": (
         "mask_ratio",
@@ -80,7 +79,7 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
 }
 
 _INT_FIELDS = {
-    "seed", "threads", "embed_batch", "embed_dim", "encoder_depth", "decoder_depth",
+    "seed", "threads", "embed_dim", "encoder_depth", "decoder_depth",
     "n_heads", "ffn_mult", "n_permutations", "batch_size", "steps", "n_subjects",
     "segments_per_subject",
 }
@@ -175,7 +174,8 @@ def load_run_config(path: Path | str | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        with utf8_text(path, ConfigError):
+            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     updates: dict[str, object] = {}

@@ -6,6 +6,8 @@ missing inputs), and numeric problems (degenerate or non-finite math).
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -103,3 +105,13 @@ class NotConvergedError(NumericError):
 
 class SeparationWarning(UserWarning):
     """Perfect separation detected while fitting a logistic model."""
+
+
+@contextmanager
+def utf8_text(path, error: type[PsgpError] = FormatError):
+    """Turn a decode failure while reading ``path`` as UTF-8 into ``error``
+    naming the file, so a stray byte is one error line, not a traceback."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.object[exc.start]:#04x} is not UTF-8 text") from exc

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .signalio import Modality, Segment
+from .signalio import Modality
 
 CKPT_MAGIC = b"PSGM"
 CKPT_VERSION = 1
@@ -280,8 +281,6 @@ def pool_rows(t: Tensor) -> Tensor:
 # --- public ndarray-facing wrappers ----------------------------------
 
 def _coerce_batch(segment, config: ModelConfig) -> tuple[np.ndarray, bool]:
-    if isinstance(segment, Segment):
-        segment = segment.samples
     arr = np.asarray(segment, dtype=config.np_dtype)
     single = arr.ndim == 1
     if single:
@@ -320,13 +319,6 @@ def encode(patches, params, config: ModelConfig, use_positions: bool = True) -> 
     return out[0] if single else out
 
 
-def decode(latent, params, config: ModelConfig) -> np.ndarray:
-    arr, single = _grid_batch(latent, config)
-    with no_grad():
-        out = decode_t(Tensor(arr), _as_tensor_params(params), config).data
-    return out[0] if single else out
-
-
 def pool_segment(grid: np.ndarray) -> np.ndarray:
     """Encoded grid (n, d) -> unit-norm segment embedding (d,)."""
     arr = np.asarray(grid)
@@ -344,30 +336,38 @@ def pool_segment(grid: np.ndarray) -> np.ndarray:
     return pooled
 
 
-def embed_segments(
-    X: np.ndarray, params, config: ModelConfig, batch_size: int = 256
-) -> np.ndarray:
+def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1) -> np.ndarray:
     """Embed (N, m) segment samples -> (N, d) unit-norm embeddings.
 
     Rows go through the model in tiles. The tile size comes from the stem's
     stage-0 activation (rows x d x itemsize per segment), the largest array
-    of the forward pass, so that a tile's activations stay in cache;
-    ``batch_size`` is an upper bound on the tile. Every segment is computed
-    independently of the others in its tile, so the output does not depend
-    on the tiling or on how callers schedule their chunks.
+    of the forward pass, so that a tile's activations stay in cache. With
+    ``threads`` > 1 and more than one tile, a thread pool maps over the
+    tiles. Every segment is computed independently of the others in its
+    tile, so the output bytes depend neither on the tiling nor on
+    ``threads``. Tape recording is switched off once, on the calling thread,
+    around all tiles: ``no_grad`` sets a process-wide flag, so worker
+    threads must not enter or leave it themselves.
     """
     X = np.asarray(X, dtype=config.np_dtype)
     if X.ndim != 2 or X.shape[1] != config.input_len:
         raise DataError(f"expected (N, {config.input_len}) samples, got {X.shape}")
     stage0_bytes = config.input_len // config.stem_strides[0] * config.embed_dim * X.itemsize
-    tile = max(1, min(batch_size, _EMBED_TILE_BYTES // stage0_bytes))
+    tile = max(1, _EMBED_TILE_BYTES // stage0_bytes)
     tp = _as_tensor_params(params)
     out = np.empty((X.shape[0], config.embed_dim), dtype=config.np_dtype)
+
+    def embed_tile(start: int) -> None:
+        enc = encode_t(stem_forward(Tensor(X[start:start + tile]), tp, config), tp, config)
+        out[start:start + enc.shape[0]] = pool_rows(enc).data
+
+    starts = range(0, X.shape[0], tile)
     with no_grad():
-        for start in range(0, X.shape[0], tile):
-            chunk = Tensor(X[start:start + tile])
-            enc = encode_t(stem_forward(chunk, tp, config), tp, config)
-            out[start:start + enc.shape[0]] = pool_rows(enc).data
+        if threads > 1 and len(starts) > 1:
+            with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+                list(pool.map(embed_tile, starts))
+        else:
+            list(map(embed_tile, starts))
     return out
 
 

@@ -26,7 +26,7 @@ from . import model as mdl
 from .autodiff import Tensor, backward, no_grad, zero_grads
 from .errors import ConfigError, DataError, DegenerateMaskError, NumericError, UsageError
 from .model import ModelConfig
-from .signalio import Segment, round_half_up
+from .signalio import round_half_up
 
 _COS_FLOOR = 1e-12
 
@@ -173,12 +173,7 @@ def tcr_loss(z, epsilon: float):
 
 
 def _stack_segments(segments, config: ModelConfig) -> np.ndarray:
-    if isinstance(segments, np.ndarray):
-        arr = segments
-    else:
-        rows = [s.samples if isinstance(s, Segment) else np.asarray(s) for s in segments]
-        arr = np.stack(rows) if rows else np.empty((0, config.input_len))
-    arr = np.asarray(arr, dtype=config.np_dtype)
+    arr = np.asarray(segments, dtype=config.np_dtype)
     if arr.ndim != 2 or arr.shape[1] != config.input_len:
         raise DataError(f"expected (N, {config.input_len}) segment samples, got {arr.shape}")
     return arr

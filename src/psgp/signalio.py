@@ -17,7 +17,7 @@ Reads and writes round-trip byte-for-byte.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -91,16 +91,6 @@ class Recording:
         return int(self.samples.shape[0])
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A fixed-length window cut from a recording, in temporal order."""
-
-    subject_id: str
-    modality: Modality
-    index: int
-    samples: np.ndarray = field(repr=False)
-
-
 def samples_per_window(sample_rate_hz: float, window_seconds: float = WINDOW_SECONDS) -> int:
     return round_half_up(window_seconds * sample_rate_hz)
 
@@ -163,24 +153,17 @@ def read_signal_file(path: Path | str) -> Recording:
 
 def segment_recording(
     recording: Recording, window_seconds: float = WINDOW_SECONDS
-) -> list[Segment]:
+) -> np.ndarray:
     """Cut non-overlapping windows in temporal order.
 
-    A trailing remainder shorter than one window is discarded, so
-    n_segments * window + remainder == n_samples with remainder < window.
+    Returns an (n_segments, window) float32 view of ``recording.samples``;
+    row i is segment i. A trailing remainder shorter than one window is
+    discarded, so n_segments * window + remainder == n_samples with
+    remainder < window, and a recording shorter than one window gives
+    shape (0, window).
     """
     if window_seconds <= 0:
         raise DataError("window_seconds must be positive")
     spw = samples_per_window(recording.sample_rate_hz, window_seconds)
-    if spw < 1:
-        return []
-    n_seg = recording.n_samples // spw
-    return [
-        Segment(
-            recording.subject_id,
-            recording.modality,
-            i,
-            recording.samples[i * spw:(i + 1) * spw],
-        )
-        for i in range(n_seg)
-    ]
+    n_seg = recording.n_samples // spw if spw >= 1 else 0
+    return recording.samples[:n_seg * spw].reshape(n_seg, spw)

@@ -11,26 +11,24 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import CohortManifest
+from .cohort import DECIMAL, CohortManifest
 from .errors import (
     DataError,
     DegenerateDirectionError,
     FormatError,
     InsufficientClassError,
     UnknownOutcomeError,
+    utf8_text,
 )
 from .signalio import Modality
 
 _DIRECTION_FLOOR = 1e-10
-# a plain decimal number, the form save_scores writes (no "1_0", no non-ASCII digits)
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
 
@@ -230,27 +228,44 @@ def save_disease_vector(vector: DiseaseVector, path: Path | str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _decimals(text: str) -> np.ndarray:
+    tokens = text.split()
+    for token in tokens:
+        if not DECIMAL.fullmatch(token):
+            raise ValueError(f"{token!r} is not a decimal number")
+    return np.array([float(t) for t in tokens], dtype=np.float64)
+
+
 def load_disease_vector(path: Path | str) -> DiseaseVector:
+    with utf8_text(path):
+        text = Path(path).read_text(encoding="utf-8")
+    if not text.endswith("\n"):
+        raise FormatError(f"{path}: last line has no line end (truncated file?)")
     kv: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         if not line.strip():
             continue
         if "=" not in line:
-            raise FormatError(f"{path}: malformed line {line!r}")
+            raise FormatError(f"{path}: line {lineno} is not key=value: {line!r}")
         key, _, value = line.partition("=")
+        if key in kv:
+            raise FormatError(f"{path}: line {lineno} repeats key {key!r}")
         kv[key] = value
     try:
         outcome = kv["outcome"]
         modality = Modality.parse(kv["modality"])
-        d = int(kv["d"])
-        n_positive = int(kv["n_positive"])
-        n_negative = int(kv["n_negative"])
-        arrays = {
-            name: np.array([float(t) for t in kv[name].split()], dtype=np.float64)
-            for name in ("vector", "mu_positive", "mu_negative")
-        }
-    except (KeyError, ValueError) as exc:
+        d, n_positive, n_negative = (_count(kv[k]) for k in ("d", "n_positive", "n_negative"))
+        arrays = {name: _decimals(kv[name]) for name in ("vector", "mu_positive", "mu_negative")}
+    except (KeyError, ValueError, DataError) as exc:
         raise FormatError(f"{path}: incomplete or malformed vector file: {exc}") from exc
+    if not outcome:
+        raise FormatError(f"{path}: empty outcome")
     for name, arr in arrays.items():
         if arr.shape[0] != d:
             raise FormatError(f"{path}: {name} has {arr.shape[0]} components, header says {d}")
@@ -279,7 +294,7 @@ def save_scores(scores: Sequence[SubjectScore], path: Path | str) -> None:
 def load_scores(path: Path | str) -> list[SubjectScore]:
     path = Path(path)
     out: list[SubjectScore] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8") as fh, utf8_text(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["subject_id", "outcome", "modality", "score", "n_segments_used"]:
@@ -289,7 +304,7 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
             if len(rec) != 5:
                 raise FormatError(f"{where} has {len(rec)} cells, header has 5")
             sid, outcome, name, score, used = rec
-            if not _DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
+            if not DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
                 raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
             if not (used.isascii() and used.isdigit() and int(used) >= 1):
                 raise FormatError(f"{where}: n_segments_used {used!r} is not a positive integer")

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import psgp.model as mdl
+from psgp import autodiff
 from psgp.cli import _read_embeddings_csv, _write_embeddings_csv, main
 from psgp.errors import FormatError
 from psgp.signalio import Modality
@@ -243,10 +245,10 @@ def corrupt_cell(src: Path, dst: Path, line: int, column: int, value: str | list
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def assert_one_line_data_error(rc: int, err: str, *fragments: str) -> None:
-    assert rc == 3
+def assert_one_line_data_error(rc: int, err: str, *fragments: str, kind: str = "FormatError", code: int = 3) -> None:
+    assert rc == code
     assert "Traceback" not in err
-    assert err.startswith("error: FormatError:")
+    assert err.startswith(f"error: {kind}:")
     assert err.count("\n") == 1
     for fragment in fragments:
         assert fragment in err
@@ -518,3 +520,173 @@ class TestTableFuzz:
         path = tmp_path / "scores.csv"
         save_scores(scores, path)
         assert load_scores(path) == sorted(scores, key=lambda s: s.subject_id)
+
+
+def _mutate_manifest(text: str, kind: str, rng: random.Random) -> tuple[str, int]:
+    """One single-line corruption of a manifest; returns it and its line number."""
+    lines = text.split("\n")[:-1]
+    lineno = rng.randrange(2, len(lines) + 1)
+    cells = lines[lineno - 1].split(",")
+    if kind == "drop":
+        del cells[rng.randrange(len(cells))]
+    elif kind == "extra":
+        cells.insert(rng.randrange(len(cells) + 1), "0.5")
+    elif kind == "duplicate":  # the id of the line above: the second occurrence is the bad one
+        lineno = max(lineno, 3)
+        cells = lines[lineno - 1].split(",")
+        cells[0] = lines[lineno - 2].split(",")[0]
+    elif kind == "empty_id":
+        cells[0] = ""
+    elif kind == "nonpositive":
+        cells[rng.choice([1, 3])] = rng.choice(["0", "-3.5"])
+    elif kind == "flag":
+        cells[rng.choice([2, 6])] = rng.choice(["2", "yes", "1.0", "-1"])
+    else:
+        cells[rng.choice([1, 3, 4, 5])] = {
+            "junk": rng.choice(["abc", "0.1.2", "--1", "1e", "#", "0x10", "\u0661", "1_0"]),
+            "nan": "nan", "inf": "-inf", "overflow": "1e400",
+        }[kind]
+    lines[lineno - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n", lineno
+
+
+def _mutate_vector_file(text: str, kind: str, rng: random.Random) -> str:
+    """One single-line corruption of a disease-vector file."""
+    lines = text.split("\n")[:-1]
+    keys = [line.partition("=")[0] for line in lines]
+    if kind == "truncate":
+        return "\n".join(lines[:-1]) + "\n" + lines[-1][: rng.randrange(1, len(lines[-1]))]
+    lineno = rng.randrange(len(lines))
+    if kind == "drop_line":
+        del lines[lineno]
+    elif kind == "repeat_line":
+        lines.insert(rng.randrange(len(lines) + 1), lines[lineno])
+    elif kind == "no_equals":
+        lines[lineno] = lines[lineno].replace("=", " ")
+    elif kind == "empty":
+        lines[lineno] = keys[lineno] + "="
+    elif kind == "count":
+        at = keys.index(rng.choice(["d", "n_positive", "n_negative"]))
+        lines[at] = keys[at] + "=" + rng.choice(["1.5", "one", "-1", "1_0", "\u0661"])
+    elif kind == "modality":
+        lines[keys.index("modality")] = "modality=XYZ"
+    else:
+        at = keys.index(rng.choice(["vector", "mu_positive", "mu_negative"]))
+        parts = lines[at].partition("=")[2].split()
+        i = rng.randrange(len(parts))
+        if kind == "drop_component":
+            del parts[i]
+        elif kind == "extra_component":
+            parts.insert(i, "0.5")
+        else:
+            parts[i] = {
+                "junk": rng.choice(["abc", "0.1.2", "--1", "1e", "#", "0x10", "\u0661", "1_0"]),
+                "nan": "nan", "inf": "-inf", "overflow": "1e400",
+            }[kind]
+        lines[at] = keys[at] + "=" + " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+MANIFEST_MUTATIONS = ("drop", "extra", "duplicate", "empty_id", "nonpositive", "flag", "junk",
+                      "nan", "inf", "overflow")
+VECTOR_MUTATIONS = ("drop_line", "repeat_line", "no_equals", "empty", "count", "modality", "drop_component",
+                    "extra_component", "junk", "nan", "inf", "overflow", "truncate")
+
+
+class TestManifestAndVectorFuzz:
+    """Seeded single-line corruptions of the manifest and of a disease-vector
+    file: exit 3, one ``error:`` line naming the file (and, for the manifest,
+    the line)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", MANIFEST_MUTATIONS)
+    def test_manifest(self, chain, tmp_path, capsys, kind, seed):
+        src = chain["data"] / "manifest.csv"
+        text, lineno = _mutate_manifest(src.read_text(encoding="utf-8"), kind, random.Random(seed))
+        manifest = tmp_path / "data" / "manifest.csv"
+        manifest.parent.mkdir()
+        manifest.write_text(text, encoding="utf-8")
+        rc = run_cli(
+            "eval", "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", manifest.parent, "--scores", chain["scores"] / "scores.csv", "--seed", 5,
+        )
+        assert_one_line_data_error(
+            rc, capsys.readouterr().err, str(manifest), f"line {lineno}:", kind="ManifestError"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", VECTOR_MUTATIONS)
+    def test_vector_file(self, chain, tmp_path, capsys, kind, seed):
+        src = chain["vectors"] / "vectors" / "CVD_RESP.txt"
+        vector = tmp_path / "vectors" / "CVD_RESP.txt"
+        vector.parent.mkdir()
+        vector.write_text(_mutate_vector_file(src.read_text(encoding="utf-8"), kind, random.Random(seed)),
+                          encoding="utf-8")
+        rc = run_cli(
+            "score", "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--embeddings", chain["emb"], "--vectors", vector.parent,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(vector))
+
+
+@pytest.mark.parametrize("target", ["manifest", "embeddings", "vector", "scores", "config"])
+def test_non_utf8_byte_is_one_error_line(chain, tmp_path, capsys, target):
+    """A 0xff byte in any text input is one ``error:`` line naming the file."""
+    paths = {
+        "data": chain["data"], "emb": chain["emb"], "vectors": chain["vectors"] / "vectors",
+        "scores": chain["scores"] / "scores.csv", "ini": chain["ini"],
+    }
+    key, inner, after, command, kind, code = {  # the 0xff goes right after ``after``
+        "manifest": ("data", "manifest.csv", b"\nS0003", "eval", "ManifestError", 3),
+        "embeddings": ("emb", "RESP/embeddings.csv", b",RES", "vectors", "FormatError", 3),
+        "vector": ("vectors", "CVD_RESP.txt", b"outcome=", "score", "FormatError", 3),
+        "scores": ("scores", "", b"\nS0002,CVD", "eval", "FormatError", 3),
+        "config": ("ini", "", b"[run]\n", "eval", "ConfigError", 2),
+    }[target]
+    blob = (paths[key] / inner).read_bytes()
+    paths[key] = tmp_path / key
+    bad = paths[key] / inner
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    at = blob.index(after) + len(after)
+    bad.write_bytes(blob[:at] + b"\xff" + blob[at:])
+    extra = {
+        "vectors": ("--embeddings", paths["emb"], "--seed", 5),
+        "score": ("--embeddings", paths["emb"], "--vectors", paths["vectors"]),
+        "eval": ("--scores", paths["scores"], "--seed", 5),
+    }[command]
+    rc = run_cli(command, "--out", tmp_path / "out", "--config", paths["ini"], "--data", paths["data"], *extra)
+    assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), "not UTF-8", kind=kind, code=code)
+
+
+def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
+    """ECG at d = 32 embeds in tiles of 10 rows, so 24 segments make three
+    tiles and ``--threads 2`` really runs the pool. Its table must equal the
+    one-thread bytes, and tape recording must still be on for a following
+    in-process ``train``."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nmodalities = ECG\n"
+        "[model]\nembed_dim = 32\nencoder_depth = 1\ndecoder_depth = 1\nn_heads = 2\n"
+        "[ssl]\nsteps = 2\nbatch_size = 4\nn_permutations = 2\n",
+        encoding="utf-8",
+    )
+    data, models = tmp_path / "cohort", tmp_path / "models"
+    assert run_cli(
+        "synth", "--out", data, "--config", ini, "--seed", 3, "--subjects", 8, "--segments", 3,
+        "--prevalence", "CVD=0.5",
+    ) == 0
+    assert run_cli("train", "--out", models, "--config", ini, "--data", data, "--seed", 3) == 0
+    _, mcfg = mdl.load_checkpoint(models / "ECG" / "checkpoint.psgm")
+    tile = mdl._EMBED_TILE_BYTES // (mcfg.input_len // mcfg.stem_strides[0] * mcfg.embed_dim * 4)
+    tables = {}
+    for threads in (1, 2):
+        out = tmp_path / f"emb{threads}"
+        assert run_cli(
+            "embed", "--out", out, "--config", ini, "--data", data, "--models", models,
+            "--threads", threads,
+        ) == 0
+        tables[threads] = (out / "ECG" / "embeddings.csv").read_bytes()
+    assert tables[1].count(b"\n") - 1 == 24 > tile
+    assert tables[2] == tables[1]
+    assert autodiff.grad_enabled()
+    assert run_cli("train", "--out", tmp_path / "again", "--config", ini, "--data", data, "--seed", 3) == 0

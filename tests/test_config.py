@@ -129,7 +129,6 @@ class TestLoadRunConfig:
         assert cfg.prevalence == (("CVD", 0.5), ("Stroke", 0.2))
         assert cfg.effects == (("CVD", "ECG", 2.5),)
         # untouched keys keep their defaults
-        assert cfg.embed_batch == 256
         assert cfg.batch_size == 8
 
     def test_missing_file_rejected(self, tmp_path):

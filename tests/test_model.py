@@ -219,7 +219,7 @@ class TestPooling:
         params = init_parameters(cfg, seed=7)
         rng = np.random.default_rng(7)
         X = rng.standard_normal((5, 40))
-        embs = embed_segments(X, params, cfg, batch_size=2)
+        embs = embed_segments(X, params, cfg, threads=2)
         assert embs.shape == (5, 8)
         np.testing.assert_allclose(np.linalg.norm(embs, axis=1), 1.0, rtol=1e-12)
         for i in range(5):
@@ -231,25 +231,49 @@ class TestPooling:
         params = init_parameters(cfg, seed=7)
         rng = np.random.default_rng(7)
         X = rng.standard_normal((7, 40))
-        a = embed_segments(X, params, cfg, batch_size=2)
-        b = embed_segments(X, params, cfg, batch_size=64)
+        a = embed_segments(X, params, cfg, threads=1)
+        b = embed_segments(X, params, cfg, threads=3)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
     def test_embed_segments_tiles_are_byte_identical(self):
-        """f32 at the default ECG geometry: any batch_size gives the same bytes,
-        whichever way the rows split into tiles (remainder tile included)."""
+        """f32 at the default ECG geometry: several tiles plus a remainder tile
+        give the same bytes as one tile per row, at any thread count."""
         import psgp.model as mdl
 
         cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
         stage0_bytes = cfg.input_len // cfg.stem_strides[0] * cfg.embed_dim * 4
         tile = mdl._EMBED_TILE_BYTES // stage0_bytes
-        assert 2 < tile < 256  # the default batch is cut into several tiles
+        assert tile > 2
         params = init_parameters(cfg, seed=4)
         X = np.random.default_rng(4).standard_normal((2 * tile + 3, cfg.input_len))
         reference = embed_segments(X, params, cfg).tobytes()
-        for batch_size in (1, 3, tile - 1):
-            assert embed_segments(X, params, cfg, batch_size=batch_size).tobytes() == reference
+        one_per_row = b"".join(embed_segments(row[None], params, cfg).tobytes() for row in X)
+        assert one_per_row == reference
+        for threads in (2, 4):
+            assert embed_segments(X, params, cfg, threads=threads).tobytes() == reference
+
+    def test_embed_segments_pool_leaves_grad_enabled(self):
+        """``no_grad`` is one process-wide flag: workers that entered and left
+        it themselves could leave tape recording off once the call returns."""
+        import sys
+
+        import psgp.model as mdl
+        from psgp import autodiff as ad
+
+        cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
+        tile = mdl._EMBED_TILE_BYTES // (cfg.input_len // cfg.stem_strides[0] * cfg.embed_dim * 4)
+        params = init_parameters(cfg, seed=4)
+        X = np.random.default_rng(5).standard_normal((2 * tile + 3, cfg.input_len))
+        reference = embed_segments(X, params, cfg, threads=1).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(4):
+                assert embed_segments(X, params, cfg, threads=3).tobytes() == reference
+                assert ad.grad_enabled()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCheckpointFormat:

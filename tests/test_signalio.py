@@ -207,28 +207,25 @@ class TestSegmentation:
         # 2 full windows plus 100 leftover samples at 125 Hz
         rec = _recording(n=2 * 3750 + 100)
         segs = segment_recording(rec)
-        assert len(segs) == 2
-        assert all(s.samples.shape == (3750,) for s in segs)
+        assert segs.shape == (2, 3750)
 
     def test_segments_tile_the_recording(self):
         rec = _recording(n=3 * 300, rate=10.0, modality=Modality.RESP)
         segs = segment_recording(rec)
-        assert [s.index for s in segs] == [0, 1, 2]
-        np.testing.assert_array_equal(
-            np.concatenate([s.samples for s in segs]), rec.samples
-        )
+        assert segs.shape == (3, 300)
+        for i in range(3):
+            np.testing.assert_array_equal(segs[i], rec.samples[i * 300:(i + 1) * 300])
 
     def test_short_recording_yields_nothing(self):
         rec = _recording(n=299, rate=10.0, modality=Modality.RESP)
-        assert segment_recording(rec) == []
+        assert segment_recording(rec).shape == (0, 300)
 
     def test_segment_metadata(self):
         rec = _recording(n=3750, sid="S42")
-        (seg,) = segment_recording(rec)
-        assert seg.subject_id == "S42"
-        assert seg.modality is Modality.EEG
-        assert seg.index == 0
-        assert seg.samples.dtype == np.float32
+        segs = segment_recording(rec)
+        assert segs.shape == (1, 3750)
+        assert segs.dtype == np.float32
+        assert np.shares_memory(segs, rec.samples)  # a view, not a copy
 
     def test_bad_window_rejected(self):
         with pytest.raises(DataError):
