@@ -10,9 +10,19 @@ Design constraints that shaped this module:
 * dtype discipline: all ops preserve the input dtype exactly, so the same
   graph runs in float32 for speed or float64 for finite-difference checks.
   Python-float scalars are lifted to the anchor tensor's dtype.
+* fat nodes: at d = 32 a training step is bound by per-node dispatch, not
+  arithmetic, so the model's hot paths are single nodes with hand-written
+  VJPs. ``linear`` is matmul plus bias over all rows in one GEMM;
+  ``attention`` holds the q/k/v projections, the scaled scores, the softmax,
+  the value mix and the output projection; ``layer_norm`` takes its row
+  statistics as GEMVs. The small ops (``add``, ``matmul``, ``softmax``, ...)
+  remain for everything else.
 * determinism: no op uses threads, unordered reductions, or in-place
   mutation of shared buffers; the only scatter (window gather backward)
-  uses ``np.add.at``, which applies updates in index order.
+  uses ``np.add.at``, which applies updates in index order. A GEMM's bytes
+  can depend on how many threads BLAS splits it over, so training and
+  inference run inside ``single_blas_thread()``, which sets the bundled
+  OpenBLAS to one thread and restores the previous count on exit.
 * every op here is validated against central finite differences in the
   test-suite before anything downstream relies on it. The one exception is
   the float32 GELU kernel: its rational Phi is checked against the float64
@@ -21,7 +31,12 @@ Design constraints that shaped this module:
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -52,6 +67,56 @@ class no_grad:
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED
+
+
+class OpenBlasThreads(NamedTuple):
+    """The thread-count getter and setter of numpy's bundled OpenBLAS."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def openblas_threads() -> OpenBlasThreads | None:
+    """Numpy's bundled OpenBLAS thread controls, or None if it has none.
+
+    Resolved on first use (not at import) and remembered. numpy wheels ship
+    ``numpy.libs/libscipy_openblas64_*.so``; another BLAS build has no such
+    library or symbols, and then nothing is pinned.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return OpenBlasThreads(get, set_)
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run BLAS at one thread inside the block; restore the count on exit.
+
+    psgp's only parallelism is its own ``--threads`` pool: at d = 32 every
+    GEMM is too small to gain from BLAS threads, and a GEMM split over
+    several threads can round differently, so pinning keeps the output
+    bytes independent of the environment's BLAS thread count.
+    """
+    blas = openblas_threads()
+    if blas is None:
+        yield
+        return
+    saved = blas.get()
+    blas.set(1)
+    try:
+        yield
+    finally:
+        blas.set(saved)
 
 
 class Tensor:
@@ -427,27 +492,137 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), vjp)
 
 
+def _col_sum(a: np.ndarray) -> np.ndarray:
+    """Column sums of a (rows, k) array as a GEMV against ones: over many
+    short rows this is an order of magnitude faster than ``sum(axis=0)``."""
+    return np.ones(a.shape[0], dtype=a.dtype) @ a
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer ``x @ w + b`` over the last axis of x, as one node.
+
+    x is folded to (rows, k) so the forward and the weight gradient are one
+    GEMM each over all rows, and the bias is added in place.
+    """
+    shape = x.data.shape
+    k, n = w.data.shape
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ w.data
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ w.data.T).reshape(shape) if x.requires_grad else None
+        return gx, x2.T @ g2, _col_sum(g2)
+
+    return _node(out.reshape(shape[:-1] + (n,)), (x, w, b), vjp)
+
+
+def _heads(qkv: np.ndarray, B: int, n: int, H: int, dh: int) -> tuple[np.ndarray, ...]:
+    """(B*n, 3d) q|k|v rows -> three (B, H, n, dh) strided per-head views."""
+    per_head = qkv.reshape(B, n, 3, H, dh)
+    return tuple(per_head[:, :, c].transpose(0, 2, 1, 3) for c in range(3))
+
+
+def attention(
+    x: Tensor,
+    wq: Tensor, bq: Tensor,
+    wk: Tensor, bk: Tensor,
+    wv: Tensor, bv: Tensor,
+    wo: Tensor, bo: Tensor,
+    n_heads: int,
+) -> Tensor:
+    """Multi-head self-attention over a (B, n, d) grid, as one node.
+
+    The q/k/v projections are one GEMM against the (d, 3d) concatenation of
+    their weights, and the heads are strided views of its output. Scores are
+    scaled by 1/sqrt(d / n_heads) through q and stored key-major,
+    ``p[j, b, h, i] = k_j . q_i``, so the softmax over keys reduces over the
+    leading axis (far faster than over a short last axis). The softmax keeps
+    its max shift, which is gradient-free because softmax ignores a per-row
+    constant. The value mix feeds the output projection.
+    """
+    B, n, d = x.data.shape
+    H = n_heads
+    dh = d // H
+    dtype = x.data.dtype
+    x2 = x.data.reshape(B * n, d)
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
+    qkv = x2 @ w_qkv
+    qkv += np.concatenate((bq.data, bk.data, bv.data))
+    q, k, v = _heads(qkv, B, n, H, dh)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=dtype)
+    q *= scale
+    p = np.empty((n, B, H, n), dtype=dtype)
+    np.matmul(k, np.swapaxes(q, -1, -2), out=p.transpose(1, 2, 0, 3))
+    p2 = p.reshape(n, -1)
+    p2 -= p2.max(axis=0)
+    np.exp(p2, out=p2)
+    ones = np.ones(n, dtype=dtype)
+    p2 /= ones @ p2
+    mixed = np.empty((B, n, H, dh), dtype=dtype)
+    np.matmul(p.transpose(1, 2, 3, 0), v, out=mixed.transpose(0, 2, 1, 3))
+    mixed = mixed.reshape(B * n, d)
+    out = mixed @ wo.data
+    out += bo.data
+
+    def vjp(g):
+        g2 = g.reshape(B * n, d)
+        g_mixed = (g2 @ wo.data.T).reshape(B, n, H, dh).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((B * n, 3 * d), dtype=dtype)
+        gq, gk, gv = _heads(g_qkv, B, n, H, dh)
+        np.matmul(p.transpose(1, 2, 0, 3), g_mixed, out=gv)
+        gs = np.empty_like(p)
+        np.matmul(v, np.swapaxes(g_mixed, -1, -2), out=gs.transpose(1, 2, 0, 3))
+        # softmax VJP over keys, in place: gs = p * (gp - sum_j gp * p)
+        gs2 = gs.reshape(n, -1)
+        gs2 -= ones @ (gs2 * p2)
+        gs2 *= p2
+        np.matmul(gs.transpose(1, 2, 3, 0), k, out=gq)
+        gq *= scale
+        np.matmul(gs.transpose(1, 2, 0, 3), q, out=gk)
+        gw = x2.T @ g_qkv
+        gb = _col_sum(g_qkv)
+        gx = (g_qkv @ w_qkv.T).reshape(B, n, d) if x.requires_grad else None
+        return (
+            gx,
+            gw[:, :d], gb[:d],
+            gw[:, d:2 * d], gb[d:2 * d],
+            gw[:, 2 * d:], gb[2 * d:],
+            mixed.T @ g2, _col_sum(g2),
+        )
+
+    return _node(out.reshape(B, n, d), (x, wq, bq, wk, bk, wv, bv, wo, bo), vjp)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis with learned scale/offset."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = xc * inv
-    data = xhat * gamma.data + beta.data
+    """Normalization over the last axis with learned scale/offset.
+
+    Row means are GEMVs against a 1/d vector in the input dtype, several
+    times faster than ``mean(axis=-1)`` over short rows. x keeps its leading
+    axes, so each (n, d) item is its own GEMV and a row's value does not
+    depend on how many items share the batch.
+    """
+    d = x.data.shape[-1]
+    dtype = x.data.dtype
+    mean_w = np.full(d, 1.0 / d, dtype=dtype)
+    xhat = x.data - (x.data @ mean_w)[..., None]
+    inv = ((xhat * xhat) @ mean_w)[..., None]
+    inv += np.asarray(eps, dtype=dtype)
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def vjp(g):
         gxhat = g * gamma.data
-        gx = inv * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        ggamma = _unbroadcast(g * xhat, gamma.data.shape)
-        gbeta = _unbroadcast(g, beta.data.shape)
-        return gx, ggamma, gbeta
+        gx = gxhat - (gxhat @ mean_w)[..., None]
+        gx -= xhat * ((gxhat * xhat) @ mean_w)[..., None]
+        gx *= inv
+        return gx, _col_sum((g * xhat).reshape(-1, d)), _col_sum(g.reshape(-1, d))
 
-    return _node(data, (x, gamma, beta), vjp)
+    return _node(out, (x, gamma, beta), vjp)
 
 
 def gather_windows(x: Tensor, kernel: int, stride: int) -> Tensor:

@@ -2,8 +2,10 @@
 
 Manifest header: ``subject_id,age,sex,bmi,sbp,frs,<outcome>...`` with one row
 per subject. Covariates are empty (missing) or plain ASCII decimals; outcome
-cells are ``""``, ``"0"`` or ``"1"``. Sex is coded 1=male, 0=female. Errors
-name the file and the line.
+cells are ``""``, ``"0"`` or ``"1"``. Sex is coded 1=male, 0=female. Every
+line ends with a line break, so a file cut inside its last row is refused
+rather than read with its last cells missing. Errors name the file and the
+line.
 """
 from __future__ import annotations
 
@@ -84,12 +86,20 @@ def _parse_flag(token: str, *, where: str, column: str) -> int | None:
     return int(token)
 
 
+def _terminated_lines(fh, path: Path):
+    """The file's lines, refusing a last line that has no line break."""
+    for lineno, line in enumerate(fh, 1):
+        if not line.endswith(("\n", "\r")):
+            raise ManifestError(f"{path} line {lineno}: no line end (truncated file?)")
+        yield line
+
+
 def load_manifest(path: Path | str) -> CohortManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh, utf8_text(path, ManifestError):
-        reader = csv.reader(fh)
+        reader = csv.reader(_terminated_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -87,10 +87,6 @@ class DegenerateMaskError(UsageError):
 
 # --- numerics ---
 
-class DegenerateEmbeddingError(NumericError):
-    pass
-
-
 class DegenerateDirectionError(NumericError):
     """Class centroids coincide; no direction can be derived."""
 

@@ -32,7 +32,6 @@ from .errors import (
     BadMagicError,
     ConfigError,
     DataError,
-    DegenerateEmbeddingError,
     FormatError,
     NumericError,
     SchemaMismatchError,
@@ -105,10 +104,6 @@ class ModelConfig:
     @property
     def n_patches(self) -> int:
         return self.input_len // math.prod(self.stem_strides)
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.n_heads
 
     @property
     def np_dtype(self):
@@ -218,31 +213,23 @@ def stem_forward(x: Tensor, params: dict[str, Tensor], config: ModelConfig) -> T
     h = ad.reshape(x, (B, config.input_len, 1))
     for i, (k, s) in enumerate(zip(config.stem_kernels, config.stem_strides)):
         h = ad.gather_windows(h, k, s)
-        h = ad.gelu(ad.add(ad.matmul(h, params[f"stem.{i}.conv.w"]), params[f"stem.{i}.conv.b"]))
-        inner = ad.gelu(ad.add(ad.matmul(h, params[f"stem.{i}.pw1.w"]), params[f"stem.{i}.pw1.b"]))
-        h = ad.add(h, ad.add(ad.matmul(inner, params[f"stem.{i}.pw2.w"]), params[f"stem.{i}.pw2.b"]))
+        h = ad.gelu(ad.linear(h, params[f"stem.{i}.conv.w"], params[f"stem.{i}.conv.b"]))
+        inner = ad.gelu(ad.linear(h, params[f"stem.{i}.pw1.w"], params[f"stem.{i}.pw1.b"]))
+        h = ad.add(h, ad.linear(inner, params[f"stem.{i}.pw2.w"], params[f"stem.{i}.pw2.b"]))
     return h
 
 
 def _attention(x: Tensor, params: dict[str, Tensor], base: str, config: ModelConfig) -> Tensor:
-    B, n, d = x.shape
-    H, dh = config.n_heads, config.head_dim
-    q = ad.add(ad.matmul(x, params[f"{base}.wq"]), params[f"{base}.bq"])
-    k = ad.add(ad.matmul(x, params[f"{base}.wk"]), params[f"{base}.bk"])
-    v = ad.add(ad.matmul(x, params[f"{base}.wv"]), params[f"{base}.bv"])
-    q = ad.swapaxes(ad.reshape(q, (B, n, H, dh)), 1, 2)
-    k = ad.swapaxes(ad.reshape(k, (B, n, H, dh)), 1, 2)
-    v = ad.swapaxes(ad.reshape(v, (B, n, H, dh)), 1, 2)
-    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
-    attn = ad.softmax(scores, axis=-1)
-    out = ad.matmul(attn, v)
-    out = ad.reshape(ad.swapaxes(out, 1, 2), (B, n, d))
-    return ad.add(ad.matmul(out, params[f"{base}.wo"]), params[f"{base}.bo"])
+    return ad.attention(
+        x,
+        *(params[f"{base}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
+        n_heads=config.n_heads,
+    )
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], base: str) -> Tensor:
-    inner = ad.gelu(ad.add(ad.matmul(x, params[f"{base}.w1"]), params[f"{base}.b1"]))
-    return ad.add(ad.matmul(inner, params[f"{base}.w2"]), params[f"{base}.b2"])
+    inner = ad.gelu(ad.linear(x, params[f"{base}.w1"], params[f"{base}.b1"]))
+    return ad.linear(inner, params[f"{base}.w2"], params[f"{base}.b2"])
 
 
 def _transformer(
@@ -278,63 +265,7 @@ def pool_rows(t: Tensor) -> Tensor:
     return ad.div(m, ad.clamp_min(norm, _NORM_FLOOR))
 
 
-# --- public ndarray-facing wrappers ----------------------------------
-
-def _coerce_batch(segment, config: ModelConfig) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(segment, dtype=config.np_dtype)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != config.input_len:
-        raise DataError(
-            f"segment batch has shape {arr.shape}, expected (*, {config.input_len})"
-        )
-    return arr, single
-
-
-def patchify(segment, params, config: ModelConfig) -> np.ndarray:
-    """Segment samples (m,) or (B, m) -> patch grid (n, d) or (B, n, d)."""
-    arr, single = _coerce_batch(segment, config)
-    with no_grad():
-        out = stem_forward(Tensor(arr), _as_tensor_params(params), config).data
-    return out[0] if single else out
-
-
-def _grid_batch(grid, config: ModelConfig) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(grid, dtype=config.np_dtype)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[None, :, :]
-    if arr.ndim != 3 or arr.shape[-2:] != (config.n_patches, config.embed_dim):
-        raise DataError(
-            f"patch grid has shape {arr.shape}, expected (*, {config.n_patches}, {config.embed_dim})"
-        )
-    return arr, single
-
-
-def encode(patches, params, config: ModelConfig, use_positions: bool = True) -> np.ndarray:
-    arr, single = _grid_batch(patches, config)
-    with no_grad():
-        out = encode_t(Tensor(arr), _as_tensor_params(params), config, use_positions).data
-    return out[0] if single else out
-
-
-def pool_segment(grid: np.ndarray) -> np.ndarray:
-    """Encoded grid (n, d) -> unit-norm segment embedding (d,)."""
-    arr = np.asarray(grid)
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"pool_segment expects a 2-D grid, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NumericError("pool_segment received non-finite values")
-    with no_grad():
-        pooled = pool_rows(Tensor(arr)).data
-    # pool_rows divides by max(|mean|, floor): a (near-)zero mean comes back short
-    if abs(float(np.linalg.norm(pooled)) - 1.0) > 1e-3:
-        raise DegenerateEmbeddingError("mean patch embedding has (near-)zero norm")
-    return pooled
-
+# --- inference --------------------------------------------------------
 
 def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1) -> np.ndarray:
     """Embed (N, m) segment samples -> (N, d) unit-norm embeddings.
@@ -344,10 +275,11 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
     of the forward pass, so that a tile's activations stay in cache. With
     ``threads`` > 1 and more than one tile, a thread pool maps over the
     tiles. Every segment is computed independently of the others in its
-    tile, so the output bytes depend neither on the tiling nor on
-    ``threads``. Tape recording is switched off once, on the calling thread,
-    around all tiles: ``no_grad`` sets a process-wide flag, so worker
-    threads must not enter or leave it themselves.
+    tile, and BLAS runs at one thread, so the output bytes depend neither on
+    the tiling, nor on ``threads``, nor on the environment's BLAS thread
+    count. Tape recording and the BLAS pin are switched once, on the calling
+    thread, around all tiles: both are process-wide, so worker threads must
+    not enter or leave them themselves.
     """
     X = np.asarray(X, dtype=config.np_dtype)
     if X.ndim != 2 or X.shape[1] != config.input_len:
@@ -362,7 +294,7 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
         out[start:start + enc.shape[0]] = pool_rows(enc).data
 
     starts = range(0, X.shape[0], tile)
-    with no_grad():
+    with no_grad(), ad.single_blas_thread():
         if threads > 1 and len(starts) > 1:
             with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
                 list(pool.map(embed_tile, starts))

@@ -299,6 +299,14 @@ class _Adam:
             tensor.data = tensor.data - self.lr * update
 
 
+def _check_grads(params_t: dict[str, Tensor]) -> None:
+    """A finite loss can still have a non-finite gradient; Adam would write
+    it into the parameters, so it counts as a failure of this step."""
+    for name, t in params_t.items():
+        if t.grad is not None and not np.isfinite(t.grad).all():
+            raise NumericError(f"non-finite gradient for {name!r}")
+
+
 def train(
     segments,
     config: ModelConfig,
@@ -310,11 +318,13 @@ def train(
 
     Everything random derives from ssl_config.seed through named SeedSequence
     children (init / batch order / per-step masks), so two runs with the same
-    inputs agree bit-for-bit. A non-finite loss, or a NumericError raised
-    inside a step (non-finite activations, a coding-rate matrix that is not
-    positive definite), aborts with the step number, keeping the parameters
-    from before the bad step; when checkpoint_dir is given they are saved
-    there and the error names the file.
+    inputs agree bit-for-bit; BLAS runs at one thread throughout, so they
+    agree whatever the environment's BLAS thread count. A non-finite loss or
+    gradient, or a NumericError raised inside a step (non-finite
+    activations, a coding-rate matrix that is not positive definite), aborts
+    with the step number, keeping the parameters from before the bad step;
+    when checkpoint_dir is given they are saved there and the error names
+    the file.
     """
     X = _stack_segments(segments, config)
     if X.shape[0] < 2:
@@ -335,37 +345,39 @@ def train(
     if log_fh:
         log_fh.write("step,similarity,tcr,total,wallclock_ms\n")
     try:
-        for step in range(1, ssl_config.steps + 1):
-            if cursor + batch_size > X.shape[0]:
-                order = order_rng.permutation(X.shape[0])
-                cursor = 0
-            batch = X[np.sort(order[cursor:cursor + batch_size])]
-            cursor += batch_size
-            step_seed = int(mask_rng.integers(0, 2**63))
-            t0 = time.perf_counter()
-            try:
-                loss, report = total_loss_graph(batch, params_t, config, ssl_config, step_seed)
-                if not np.isfinite(report.total):
-                    raise NumericError("non-finite loss")
-                zero_grads(params_t)
-                backward(loss)
-            except NumericError as exc:
-                # the optimizer has not run, so params_t still holds the pre-step values
-                where = ""
-                if checkpoint_dir is not None:
-                    path = Path(checkpoint_dir) / "checkpoint_lastgood.psgm"
-                    mdl.save_checkpoint({k: t.data for k, t in params_t.items()}, config, path)
-                    where = f"; last good parameters saved to {path}"
-                raise NumericError(f"{exc} at step {step}{where}") from exc
-            opt.step(params_t)
-            report = replace(report, step=step)
-            reports.append(report)
-            if log_fh:
-                ms = (time.perf_counter() - t0) * 1000.0
-                log_fh.write(
-                    f"{step},{report.similarity_term:.6f},{report.tcr_term:.6f},"
-                    f"{report.total:.6f},{ms:.1f}\n"
-                )
+        with ad.single_blas_thread():
+            for step in range(1, ssl_config.steps + 1):
+                if cursor + batch_size > X.shape[0]:
+                    order = order_rng.permutation(X.shape[0])
+                    cursor = 0
+                batch = X[np.sort(order[cursor:cursor + batch_size])]
+                cursor += batch_size
+                step_seed = int(mask_rng.integers(0, 2**63))
+                t0 = time.perf_counter()
+                try:
+                    loss, report = total_loss_graph(batch, params_t, config, ssl_config, step_seed)
+                    if not np.isfinite(report.total):
+                        raise NumericError("non-finite loss")
+                    zero_grads(params_t)
+                    backward(loss)
+                    _check_grads(params_t)
+                except NumericError as exc:
+                    # the optimizer has not run, so params_t still holds the pre-step values
+                    where = ""
+                    if checkpoint_dir is not None:
+                        path = Path(checkpoint_dir) / "checkpoint_lastgood.psgm"
+                        mdl.save_checkpoint({k: t.data for k, t in params_t.items()}, config, path)
+                        where = f"; last good parameters saved to {path}"
+                    raise NumericError(f"{exc} at step {step}{where}") from exc
+                opt.step(params_t)
+                report = replace(report, step=step)
+                reports.append(report)
+                if log_fh:
+                    ms = (time.perf_counter() - t0) * 1000.0
+                    log_fh.write(
+                        f"{step},{report.similarity_term:.6f},{report.tcr_term:.6f},"
+                        f"{report.total:.6f},{ms:.1f}\n"
+                    )
     finally:
         if log_fh:
             log_fh.close()

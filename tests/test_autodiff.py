@@ -240,6 +240,112 @@ class TestMatmul:
         )
 
 
+class TestLinear:
+    def setup_method(self):
+        self.rng = np.random.default_rng(14)
+
+    @pytest.mark.parametrize("x_shape", [(4, 3), (2, 4, 3)])
+    def test_gradients_all_three_inputs(self, x_shape):
+        x = self.rng.standard_normal(x_shape)
+        w = self.rng.standard_normal((3, 5))
+        b = self.rng.standard_normal(5)
+        # weight the outputs so no gradient reduces to a plain sum of ones
+        mix = Tensor(self.rng.standard_normal(x_shape[:-1] + (5,)))
+        check_op(lambda t: ad.mul(ad.linear(t, Tensor(w), Tensor(b)), mix), x.copy())
+        check_op(lambda t: ad.mul(ad.linear(Tensor(x), t, Tensor(b)), mix), w.copy())
+        check_op(lambda t: ad.mul(ad.linear(Tensor(x), Tensor(w), t), mix), b.copy())
+
+    def test_values_match_matmul_plus_bias(self):
+        x = self.rng.standard_normal((2, 4, 3))
+        w = self.rng.standard_normal((3, 5))
+        b = self.rng.standard_normal(5)
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.shape == (2, 4, 5)
+        np.testing.assert_allclose(out, x @ w + b, rtol=1e-13, atol=1e-15)
+        f32 = [a.astype(np.float32) for a in (x, w, b)]
+        assert ad.linear(*(Tensor(a) for a in f32)).data.dtype == np.float32
+
+
+def composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """Multi-head attention built from the small ops, as the model once did."""
+    B, n, d = x.shape
+    dh = d // n_heads
+
+    def heads(t):
+        return ad.swapaxes(ad.reshape(t, (B, n, n_heads, dh)), 1, 2)
+
+    q = heads(ad.add(ad.matmul(x, wq), bq))
+    k = heads(ad.add(ad.matmul(x, wk), bk))
+    v = heads(ad.add(ad.matmul(x, wv), bv))
+    scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(dh))
+    out = ad.matmul(ad.softmax(scores, axis=-1), v)
+    out = ad.reshape(ad.swapaxes(out, 1, 2), (B, n, d))
+    return ad.add(ad.matmul(out, wo), bo)
+
+
+class TestAttention:
+    """``attention`` is one node; it must equal the composed graph and pass
+    finite differences on every one of its nine inputs."""
+
+    H = 2
+    NAMES = ("x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+    def inputs(self, seed=15, B=2, n=5, d=8):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal((B, n, d))]
+        for _ in range(4):
+            arrays.append(0.5 * rng.standard_normal((d, d)))
+            arrays.append(0.3 * rng.standard_normal(d))
+        mix = rng.standard_normal((B, n, d))
+        return arrays, mix
+
+    def test_forward_matches_composed_graph(self):
+        for seed, n in ((15, 5), (16, 1), (17, 7)):
+            arrays, _ = self.inputs(seed, n=n)
+            tensors = [Tensor(a) for a in arrays]
+            fused = ad.attention(*tensors, n_heads=self.H).data
+            composed = composed_attention(*tensors, n_heads=self.H).data
+            assert fused.shape == arrays[0].shape
+            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        f32 = [Tensor(a.astype(np.float32)) for a in arrays]
+        assert ad.attention(*f32, n_heads=self.H).data.dtype == np.float32
+
+    def test_gradients_all_nine_inputs(self):
+        arrays, mix = self.inputs()
+        mix = Tensor(mix)
+        for i, name in enumerate(self.NAMES):
+            def build(t, i=i):
+                args = [Tensor(a) for a in arrays]
+                args[i] = t
+                return ad.mul(ad.attention(*args, n_heads=self.H), mix)
+
+            if name == "bk":
+                # softmax ignores a per-row constant, and q . bk is one per
+                # query row, so the true gradient is exactly zero: compare
+                # against an absolute tolerance, not a relative one
+                check_op(build, arrays[i].copy(), rtol=0, atol=1e-8)
+            else:
+                check_op(build, arrays[i].copy(), rtol=1e-6, atol=1e-8)
+
+    def test_key_bias_gradient_is_zero(self):
+        arrays, mix = self.inputs(seed=18)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        ad.backward(ad.attention(*tensors, n_heads=self.H), mix)
+        assert np.abs(tensors[4].grad).max() < 1e-12
+        assert np.abs(tensors[2].grad).max() > 1e-3  # bq does move the loss
+
+    def test_vjp_matches_composed_graph(self):
+        arrays, mix = self.inputs(seed=19)
+        grads = []
+        for build in (lambda *a: ad.attention(*a, n_heads=self.H),
+                      lambda *a: composed_attention(*a, n_heads=self.H)):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            ad.backward(build(*tensors), mix)
+            grads.append([t.grad for t in tensors])
+        for name, fused, composed in zip(self.NAMES, *grads):
+            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestLayerNorm:
     def test_output_is_standardized(self):
         rng = np.random.default_rng(21)
@@ -408,3 +514,23 @@ class TestDeepCompositionGradient:
             return ad.tmean(ad.matmul(attn, h))
 
         check_op(build, rng.standard_normal((1, 12, 2)), rtol=2e-5, atol=1e-7)
+
+
+class TestTapeSize:
+    def test_desk_step_records_few_nodes(self):
+        """Linear layers and attention blocks are one node each: a desk-scale
+        EEG loss graph (d = 32, depth 4/2, K = 4, B = 8) stays under 400
+        nodes with a VJP, where the composed ops recorded 880."""
+        from psgp import model as mdl
+        from psgp.pretrain import SslConfig, total_loss_graph
+        from psgp.signalio import Modality
+
+        cfg = mdl.default_model_config(
+            Modality.EEG, embed_dim=32, encoder_depth=4, decoder_depth=2, precision="f32"
+        )
+        ssl = SslConfig(batch_size=8, n_permutations=4)
+        batch = np.random.default_rng(3).standard_normal((8, cfg.input_len)).astype(np.float32)
+        params = {k: Tensor(v, requires_grad=True) for k, v in mdl.init_parameters(cfg, 0).items()}
+        loss, _ = total_loss_graph(batch, params, cfg, ssl, seed=1)
+        with_vjp = sum(1 for node in ad._topological_order(loss) if node._vjp is not None)
+        assert with_vjp <= 400, with_vjp

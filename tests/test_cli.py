@@ -525,6 +525,9 @@ class TestTableFuzz:
 def _mutate_manifest(text: str, kind: str, rng: random.Random) -> tuple[str, int]:
     """One single-line corruption of a manifest; returns it and its line number."""
     lines = text.split("\n")[:-1]
+    if kind == "truncate":  # no final line break; the cut may fall inside the last cell
+        body = "\n".join(lines)
+        return body[: len(body) - rng.randrange(3)], len(lines)
     lineno = rng.randrange(2, len(lines) + 1)
     cells = lines[lineno - 1].split(",")
     if kind == "drop":
@@ -588,7 +591,7 @@ def _mutate_vector_file(text: str, kind: str, rng: random.Random) -> str:
 
 
 MANIFEST_MUTATIONS = ("drop", "extra", "duplicate", "empty_id", "nonpositive", "flag", "junk",
-                      "nan", "inf", "overflow")
+                      "nan", "inf", "overflow", "truncate")
 VECTOR_MUTATIONS = ("drop_line", "repeat_line", "no_equals", "empty", "count", "modality", "drop_component",
                     "extra_component", "junk", "nan", "inf", "overflow", "truncate")
 
@@ -690,3 +693,46 @@ def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
     assert tables[2] == tables[1]
     assert autodiff.grad_enabled()
     assert run_cli("train", "--out", tmp_path / "again", "--config", ini, "--data", data, "--seed", 3) == 0
+
+
+def test_train_and_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """psgp runs BLAS at one thread while it trains and embeds. EEG at d = 32
+    and batch 8 makes 6000-row stem GEMMs, whose weight gradients OpenBLAS
+    rounds differently when it splits them over two threads; with the pin
+    the checkpoint and the table keep their bytes, and the caller's thread
+    count is restored afterwards."""
+    blas = autodiff.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nmodalities = EEG\n"
+        "[model]\nembed_dim = 32\nencoder_depth = 1\ndecoder_depth = 1\n"
+        "[ssl]\nsteps = 2\nbatch_size = 8\nn_permutations = 2\n",
+        encoding="utf-8",
+    )
+    data = tmp_path / "cohort"
+    assert run_cli(
+        "synth", "--out", data, "--config", ini, "--seed", 4, "--subjects", 8, "--segments", 2,
+        "--prevalence", "CVD=0.5",
+    ) == 0
+    saved = blas.get()
+    outputs = {}
+    try:
+        for threads in (1, 2):
+            blas.set(threads)
+            models, emb = tmp_path / f"models{threads}", tmp_path / f"emb{threads}"
+            assert run_cli("train", "--out", models, "--config", ini, "--data", data, "--seed", 4) == 0
+            # every run embeds with the one-thread checkpoint, so embed is compared on its own
+            assert run_cli(
+                "embed", "--out", emb, "--config", ini, "--data", data, "--models", tmp_path / "models1",
+            ) == 0
+            assert blas.get() == threads
+            outputs[threads] = (
+                (models / "EEG" / "checkpoint.psgm").read_bytes(),
+                (emb / "EEG" / "embeddings.csv").read_bytes(),
+            )
+    finally:
+        blas.set(saved)
+    assert outputs[2][0] == outputs[1][0]
+    assert outputs[2][1] == outputs[1][1]

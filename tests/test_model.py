@@ -5,11 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from psgp.autodiff import Tensor, no_grad
 from psgp.errors import (
     BadMagicError,
     ConfigError,
     DataError,
-    DegenerateEmbeddingError,
     FormatError,
     NumericError,
     SchemaMismatchError,
@@ -22,13 +22,13 @@ from psgp.model import (
     config_to_text,
     default_model_config,
     embed_segments,
-    encode,
+    encode_t,
     init_parameters,
     load_checkpoint,
     parameter_schema,
-    patchify,
-    pool_segment,
+    pool_rows,
     save_checkpoint,
+    stem_forward,
 )
 from psgp.signalio import Modality
 
@@ -48,6 +48,25 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
+
+
+def stem(X, params, cfg) -> np.ndarray:
+    """(B, m) samples -> (B, n, d) patch grid, without a tape."""
+    with no_grad():
+        return stem_forward(Tensor(np.asarray(X)), {k: Tensor(v) for k, v in params.items()}, cfg).data
+
+
+def encode(grid, params, cfg, use_positions=True) -> np.ndarray:
+    """(B, n, d) patch grid -> (B, n, d) encoded grid, without a tape."""
+    with no_grad():
+        tp = {k: Tensor(v) for k, v in params.items()}
+        return encode_t(Tensor(np.asarray(grid)), tp, cfg, use_positions).data
+
+
+def pool(grid) -> np.ndarray:
+    """(..., n, d) grid -> (..., d) unit-norm embedding, without a tape."""
+    with no_grad():
+        return pool_rows(Tensor(np.asarray(grid))).data
 
 
 class TestModelConfig:
@@ -91,13 +110,13 @@ class TestModelConfig:
         cfg = tiny_config(stem_kernels=(4, 5))
         params = init_parameters(cfg, seed=0)
         rng = np.random.default_rng(9)
-        x = rng.standard_normal(cfg.input_len)
-        base = patchify(x, params, cfg)
+        x = rng.standard_normal((1, cfg.input_len))
+        base = stem(x, params, cfg)[0]
         field, jump = cfg.receptive_field()
         for idx in (0, 17, cfg.input_len - 1):
             bumped = x.copy()
-            bumped[idx] += 1.0
-            delta = np.abs(patchify(bumped, params, cfg) - base).max(axis=1)
+            bumped[0, idx] += 1.0
+            delta = np.abs(stem(bumped, params, cfg)[0] - base).max(axis=1)
             touched = set(np.nonzero(delta > 0)[0])
             expected = {
                 j for j in range(cfg.n_patches) if j * jump <= idx < j * jump + field
@@ -142,9 +161,9 @@ class TestForwardShapes:
     def test_patchify_shapes(self):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=1)
-        single = patchify(np.zeros(40), params, cfg)
-        assert single.shape == (4, 8)
-        batch = patchify(np.zeros((3, 40)), params, cfg)
+        single = stem(np.zeros((1, 40)), params, cfg)
+        assert single.shape == (1, 4, 8)
+        batch = stem(np.zeros((3, 40)), params, cfg)
         assert batch.shape == (3, 4, 8)
 
     def test_batch_matches_single(self):
@@ -152,21 +171,21 @@ class TestForwardShapes:
         params = init_parameters(cfg, seed=1)
         rng = np.random.default_rng(2)
         X = rng.standard_normal((3, 40))
-        batch = patchify(X, params, cfg)
+        batch = stem(X, params, cfg)
         for i in range(3):
-            np.testing.assert_array_equal(batch[i], patchify(X[i], params, cfg))
+            np.testing.assert_array_equal(batch[i], stem(X[i:i + 1], params, cfg)[0])
 
     def test_wrong_length_rejected(self):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=1)
         with pytest.raises(DataError):
-            patchify(np.zeros(39), params, cfg)
+            embed_segments(np.zeros((1, 39)), params, cfg)
 
     def test_encode_shape(self):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=1)
-        grid = patchify(np.zeros(40), params, cfg)
-        assert encode(grid, params, cfg).shape == (4, 8)
+        grid = stem(np.zeros((1, 40)), params, cfg)
+        assert encode(grid, params, cfg).shape == (1, 4, 8)
 
 
 class TestEncoderProperties:
@@ -176,26 +195,26 @@ class TestEncoderProperties:
         cfg = tiny_config()
         params = init_parameters(cfg, seed=5)
         rng = np.random.default_rng(6)
-        grid = rng.standard_normal((cfg.n_patches, cfg.embed_dim))
+        grid = rng.standard_normal((1, cfg.n_patches, cfg.embed_dim))
         perm = rng.permutation(cfg.n_patches)
-        out_perm = encode(grid[perm], params, cfg, use_positions=False)
+        out_perm = encode(grid[:, perm], params, cfg, use_positions=False)
         out_base = encode(grid, params, cfg, use_positions=False)
-        np.testing.assert_allclose(out_perm, out_base[perm], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out_perm, out_base[:, perm], rtol=1e-10, atol=1e-12)
 
     def test_positions_break_equivariance(self):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=5)
         rng = np.random.default_rng(6)
-        grid = rng.standard_normal((cfg.n_patches, cfg.embed_dim))
+        grid = rng.standard_normal((1, cfg.n_patches, cfg.embed_dim))
         perm = np.array([1, 0, 3, 2])
-        out_perm = encode(grid[perm], params, cfg)
+        out_perm = encode(grid[:, perm], params, cfg)
         out_base = encode(grid, params, cfg)
-        assert np.abs(out_perm - out_base[perm]).max() > 1e-4
+        assert np.abs(out_perm - out_base[:, perm]).max() > 1e-4
 
     def test_nonfinite_input_raises(self):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=5)
-        grid = np.full((4, 8), np.nan)
+        grid = np.full((1, 4, 8), np.nan)
         with pytest.raises(NumericError):
             encode(grid, params, cfg)
 
@@ -203,16 +222,16 @@ class TestEncoderProperties:
 class TestPooling:
     def test_unit_norm_output(self):
         rng = np.random.default_rng(8)
-        v = pool_segment(rng.standard_normal((6, 5)))
+        v = pool(rng.standard_normal((6, 5)))
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
 
     def test_small_closed_form(self):
         grid = np.array([[1.0, 0.0], [3.0, 0.0]])  # mean (2, 0) -> unit (1, 0)
-        np.testing.assert_allclose(pool_segment(grid), [1.0, 0.0])
+        np.testing.assert_allclose(pool(grid), [1.0, 0.0])
 
     def test_zero_grid_degenerate(self):
-        with pytest.raises(DegenerateEmbeddingError):
-            pool_segment(np.zeros((4, 3)))
+        # the norm is clamped at its floor: a zero mean pools to zeros, not NaN
+        np.testing.assert_array_equal(pool(np.zeros((4, 3))), np.zeros(3))
 
     def test_embed_segments_matches_manual_path(self):
         cfg = tiny_config()
@@ -223,7 +242,7 @@ class TestPooling:
         assert embs.shape == (5, 8)
         np.testing.assert_allclose(np.linalg.norm(embs, axis=1), 1.0, rtol=1e-12)
         for i in range(5):
-            manual = pool_segment(encode(patchify(X[i], params, cfg), params, cfg))
+            manual = pool(encode(stem(X[i:i + 1], params, cfg), params, cfg))[0]
             np.testing.assert_allclose(embs[i], manual, rtol=1e-10, atol=1e-12)
 
     def test_embed_segments_batch_size_irrelevant(self):

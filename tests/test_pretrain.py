@@ -394,6 +394,38 @@ class TestTrain:
         for name, arr in before.items():
             np.testing.assert_array_equal(loaded[name], arr)
 
+    def test_nan_gradient_with_finite_loss_saves_last_good(self, tmp_path, monkeypatch):
+        """A NaN gradient under a finite loss is that step's failure: Adam
+        must not write it into the parameters, the error names the step and
+        the pre-step parameters are saved."""
+        cfg = tiny_config()
+        real_loss, real_backward = pretrain.total_loss_graph, pretrain.backward
+        seen = {"params": None, "calls": 0}
+
+        def capturing(batch, params_t, config, ssl_config, seed):
+            seen["params"] = params_t
+            return real_loss(batch, params_t, config, ssl_config, seed)
+
+        def poisoned(loss):
+            real_backward(loss)
+            seen["calls"] += 1
+            if seen["calls"] == 2:
+                seen["params"]["stem.0.conv.w"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(pretrain, "total_loss_graph", capturing)
+        monkeypatch.setattr(pretrain, "backward", poisoned)
+        with pytest.raises(NumericError) as info:
+            train(self._segments(), cfg, tiny_ssl(steps=5), checkpoint_dir=tmp_path)
+        message = str(info.value)
+        assert "non-finite gradient for 'stem.0.conv.w' at step 2;" in message
+        saved = tmp_path / "checkpoint_lastgood.psgm"
+        assert str(saved) in message
+        loaded, _ = load_checkpoint(saved)
+        monkeypatch.undo()
+        before, _ = train(self._segments(), cfg, tiny_ssl(steps=1))
+        for name, arr in before.items():
+            np.testing.assert_array_equal(loaded[name], arr)
+
     def test_too_few_segments(self):
         cfg = tiny_config()
         with pytest.raises(DataError):
