@@ -291,6 +291,17 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     return _node(np.swapaxes(a.data, ax1, ax2), (a,), vjp)
 
 
+def index(a: Tensor, i: int) -> Tensor:
+    """``a[i]``: one slice along the leading axis."""
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        ga[i] = g
+        return (ga,)
+
+    return _node(a.data[i], (a,), vjp)
+
+
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))

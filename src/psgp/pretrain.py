@@ -1,13 +1,14 @@
 """Masked-reconstruction pretraining with an anti-collapse coding-rate term.
 
-Per step, a batch of segments is patchified once; the full (unmasked) grid is
-encoded without gradients as the target. K random mask plans each replace the
-masked patch rows with a learned token; each masked grid is encoded and
-decoded, and the loss combines
+Per step, a batch of B segments is patchified once; the full (unmasked) grid
+is encoded without gradients as the target. K random mask plans each replace
+the masked patch rows with a learned token, giving K masked copies of the
+grid; all K views go through the encoder and decoder as one (K*B, n, d)
+batch, and the loss combines
 
-* the mean row-wise cosine similarity between the target grid and each
-  decoded grid (averaged over rows, batch and the K views), and
-* the total coding rate of the pooled decoded embeddings,
+* the mean row-wise cosine similarity between the target grid and the
+  decoded grids (one mean over the K views, the batch and the rows), and
+* the total coding rate of each view's pooled decoded embeddings,
   0.5 * logdet(I + (d / (b * eps^2)) * Z Z^T), averaged over views,
 
 as ``total = (1 - similarity) - tcr_weight * tcr``: maximize agreement while
@@ -106,24 +107,26 @@ def sample_masks(n: int, mask_ratio: float, k: int, seed) -> list[MaskPlan]:
     return plans
 
 
-def apply_mask(patches: Tensor, plan: MaskPlan, mask_token: Tensor) -> Tensor:
-    """Replace the masked rows of a (..., n, d) grid with the token.
+def apply_mask(patches: Tensor, plans: list[MaskPlan], mask_token: Tensor) -> Tensor:
+    """One masked copy of a (..., n, d) grid per plan -> (K, ..., n, d).
 
-    Composed as ``patches * (1 - bits) + token * bits`` so gradients flow to
-    the token through masked rows and to the patches through visible rows.
+    View k replaces the rows plan k masks with the token. Composed as
+    ``patches * (1 - bits) + token * bits`` so gradients flow to the token
+    through masked rows and to the patches through visible rows.
     """
-    if patches.shape[-2] != plan.bits.shape[0]:
-        raise DataError(
-            f"mask plan covers {plan.bits.shape[0]} rows, grid has {patches.shape[-2]}"
-        )
-    if mask_token.shape != (patches.shape[-1],):
+    n, d = patches.shape[-2:]
+    bits = np.stack([plan.bits for plan in plans]).astype(patches.dtype)
+    if bits.shape[1] != n:
+        raise DataError(f"mask plan covers {bits.shape[1]} rows, grid has {n}")
+    if mask_token.shape != (d,):
         raise DataError("mask token width does not match the grid")
-    bits = plan.bits.astype(patches.dtype)[:, None]
+    bits = bits.reshape((len(plans),) + (1,) * (patches.ndim - 2) + (n, 1))
     return ad.add(ad.mul(patches, 1.0 - bits), ad.mul(mask_token, bits))
 
 
 def _cos_rows(e_hat: Tensor, z: Tensor) -> Tensor:
-    """Row-wise cosine similarity between two (..., n, d) grids -> (..., n)."""
+    """Row-wise cosine similarity between two (..., n, d) grids -> (..., n);
+    the leading axes broadcast."""
     num = ad.tsum(ad.mul(e_hat, z), axis=-1)
     ne = ad.tsqrt(ad.tsum(ad.mul(e_hat, e_hat), axis=-1))
     nz = ad.tsqrt(ad.tsum(ad.mul(z, z), axis=-1))
@@ -134,19 +137,17 @@ def _cos_rows(e_hat: Tensor, z: Tensor) -> Tensor:
 def similarity_loss(e_hat, z_list) -> float:
     """Mean cosine similarity between the target grid and each listed grid.
 
-    Evaluates on arrays the same row-wise cosine the training graph uses.
+    Evaluates on arrays the same row-wise cosine the training graph uses:
+    the listed grids are stacked into one array and share one mean.
     """
     if not z_list:
         raise UsageError("similarity_loss needs at least one reconstruction")
     target = Tensor(np.asarray(e_hat))
-    acc = None
     for z in z_list:
-        zt = Tensor(np.asarray(z, dtype=target.dtype))
-        if zt.shape != target.shape:
-            raise DataError(f"grid shape {zt.shape} does not match target {target.shape}")
-        term = ad.tmean(_cos_rows(target, zt))
-        acc = term if acc is None else ad.add(acc, term)
-    return float(ad.mul(acc, 1.0 / len(z_list)).data)
+        if np.shape(z) != target.shape:
+            raise DataError(f"grid shape {np.shape(z)} does not match target {target.shape}")
+    stacked = Tensor(np.stack([np.asarray(z, dtype=target.dtype) for z in z_list]))
+    return float(ad.tmean(_cos_rows(target, stacked)).data)
 
 
 def tcr_loss(z, epsilon: float):
@@ -221,30 +222,23 @@ def total_loss_graph(
             )
         target = Tensor(frozen.astype(patches.dtype, copy=False))
 
-    sim_terms = []
-    tcr_terms = []
-    for plan in plans:
-        masked = apply_mask(patches, plan, params_t["mask_token"])
-        latent = mdl.encode_t(masked, params_t, config)
-        decoded = mdl.decode_t(latent, params_t, config)
-        cos = _cos_rows(target, decoded)  # (B, n)
-        if ssl_config.masked_only:
-            w = plan.bits.astype(batch.dtype)
-            cos = ad.div(ad.tsum(ad.mul(cos, w), axis=-1), float(w.sum()))
-            sim_terms.append(ad.tmean(cos))
-        else:
-            sim_terms.append(ad.tmean(cos))
-        pooled = mdl.pool_rows(decoded)  # (B, d)
-        tcr_terms.append(tcr_loss(ad.transpose(pooled), ssl_config.tcr_epsilon))
-
-    k = len(plans)
-    sim = sim_terms[0]
-    for t in sim_terms[1:]:
-        sim = ad.add(sim, t)
-    sim = ad.mul(sim, 1.0 / k)
-    tcr = tcr_terms[0]
-    for t in tcr_terms[1:]:
-        tcr = ad.add(tcr, t)
+    # all K views run as one (K*B, n, d) batch through the encoder and decoder
+    k, (B, n, d) = len(plans), patches.shape
+    masked = apply_mask(patches, plans, params_t["mask_token"])
+    latent = mdl.encode_t(ad.reshape(masked, (k * B, n, d)), params_t, config)
+    decoded = ad.reshape(mdl.decode_t(latent, params_t, config), (k, B, n, d))
+    cos = _cos_rows(target, decoded)  # (K, B, n)
+    if ssl_config.masked_only:
+        # every plan masks the same number of rows, so each view's row
+        # weights sum to n_masked
+        w = np.stack([plan.bits for plan in plans]).astype(patches.dtype)[:, None, :]
+        cos = ad.mul(ad.tsum(ad.mul(cos, w), axis=-1), 1.0 / plans[0].n_masked)
+    sim = ad.tmean(cos)
+    # the coding rate stays per view: one (d, B) matrix of pooled rows each
+    pooled = ad.transpose(mdl.pool_rows(decoded), (0, 2, 1))  # (K, d, B)
+    tcr = tcr_loss(ad.index(pooled, 0), ssl_config.tcr_epsilon)
+    for i in range(1, k):
+        tcr = ad.add(tcr, tcr_loss(ad.index(pooled, i), ssl_config.tcr_epsilon))
     tcr = ad.mul(tcr, 1.0 / k)
     total = ad.sub(ad.sub(1.0, sim), ad.mul(tcr, ssl_config.tcr_weight))
     report = LossReport(
@@ -272,39 +266,66 @@ def total_loss(
 
 
 class _Adam:
-    """Adam-style moment estimates, bias-corrected, in the parameter dtype."""
+    """Adam-style moment estimates, bias-corrected, in the parameter dtype.
+
+    The parameters are re-pointed to views into one contiguous buffer, with
+    the moments as flat arrays beside it, so a step is a handful of
+    whole-buffer ufuncs into preallocated scratch instead of a loop over
+    tensors. The elementwise operations and their order are those of the
+    per-tensor update, so the result is the same to the byte.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self.flat = np.concatenate([t.data for t in params.values()], axis=None)
+        start = 0
+        for t in params.values():
+            t.data = self.flat[start:start + t.data.size].reshape(t.data.shape)
+            start += t.data.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.g = np.empty_like(self.flat)
+        self.scratch = np.empty_like(self.flat)
         self.t = 0
 
-    def step(self, params: dict[str, Tensor]) -> None:
+    def gather(self, params: dict[str, Tensor]) -> None:
+        """Copy every gradient into the flat buffer; a missing one reads as
+        zero, so its moments stay 0 and its update is exactly 0.
+
+        A finite loss can still have a non-finite gradient; Adam would write
+        it into the parameters, so it counts as a failure of this step.
+        """
+        grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in params.values()]
+        np.concatenate(grads, axis=None, out=self.g)
+        if not np.isfinite(self.g).all():
+            name = next(
+                k for k, t in params.items()
+                if t.grad is not None and not np.isfinite(t.grad).all()
+            )
+            raise NumericError(f"non-finite gradient for {name!r}")
+
+    def step(self) -> None:
+        """Update the parameters in place from the gathered gradients."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, tensor in params.items():
-            g = tensor.grad
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            tensor.data = tensor.data - self.lr * update
-
-
-def _check_grads(params_t: dict[str, Tensor]) -> None:
-    """A finite loss can still have a non-finite gradient; Adam would write
-    it into the parameters, so it counts as a failure of this step."""
-    for name, t in params_t.items():
-        if t.grad is not None and not np.isfinite(t.grad).all():
-            raise NumericError(f"non-finite gradient for {name!r}")
+        g, s, m, v = self.g, self.scratch, self.m, self.v
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        # update = (m / b1c) / (sqrt(v / b2c) + eps), built in g and s
+        np.divide(v, b2c, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, b1c, out=s)
+        s /= g
+        s *= self.lr
+        self.flat -= s
 
 
 def train(
@@ -360,7 +381,7 @@ def train(
                         raise NumericError("non-finite loss")
                     zero_grads(params_t)
                     backward(loss)
-                    _check_grads(params_t)
+                    opt.gather(params_t)
                 except NumericError as exc:
                     # the optimizer has not run, so params_t still holds the pre-step values
                     where = ""
@@ -369,7 +390,7 @@ def train(
                         mdl.save_checkpoint({k: t.data for k, t in params_t.items()}, config, path)
                         where = f"; last good parameters saved to {path}"
                     raise NumericError(f"{exc} at step {step}{where}") from exc
-                opt.step(params_t)
+                opt.step()
                 report = replace(report, step=step)
                 reports.append(report)
                 if log_fh:

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from psgp import model as mdl
 from psgp import pretrain
-from psgp.autodiff import Tensor, backward
+from psgp.autodiff import Tensor, backward, no_grad
 from psgp.errors import (
     ConfigError,
     DataError,
@@ -112,36 +113,63 @@ class TestApplyMask:
         grid = rng.standard_normal((5, 3))
         token = np.array([9.0, 9.5, 10.0])
         plan = MaskPlan(bits=np.array([0, 1, 0, 1, 0]), n_masked=2)
-        out = apply_mask(Tensor(grid), plan, Tensor(token)).data
-        np.testing.assert_array_equal(out[1], token)
-        np.testing.assert_array_equal(out[3], token)
-        np.testing.assert_array_equal(out[[0, 2, 4]], grid[[0, 2, 4]])
+        out = apply_mask(Tensor(grid), [plan], Tensor(token)).data
+        assert out.shape == (1, 5, 3)
+        np.testing.assert_array_equal(out[0, 1], token)
+        np.testing.assert_array_equal(out[0, 3], token)
+        np.testing.assert_array_equal(out[0, [0, 2, 4]], grid[[0, 2, 4]])
 
     def test_batched_grid(self):
         rng = np.random.default_rng(1)
         grid = rng.standard_normal((2, 4, 3))
         token = np.zeros(3)
         plan = MaskPlan(bits=np.array([1, 0, 0, 1]), n_masked=2)
-        out = apply_mask(Tensor(grid), plan, Tensor(token)).data
-        assert out.shape == grid.shape
-        np.testing.assert_array_equal(out[:, 1:3], grid[:, 1:3])
-        np.testing.assert_array_equal(out[:, [0, 3]], 0.0)
+        out = apply_mask(Tensor(grid), [plan], Tensor(token)).data
+        assert out.shape == (1,) + grid.shape
+        np.testing.assert_array_equal(out[0, :, 1:3], grid[:, 1:3])
+        np.testing.assert_array_equal(out[0, :, [0, 3]], 0.0)
+
+    def test_one_view_per_plan(self):
+        rng = np.random.default_rng(11)
+        grid = rng.standard_normal((2, 6, 3))
+        token = rng.standard_normal(3)
+        plans = sample_masks(6, 0.5, k=3, seed=4)
+        out = apply_mask(Tensor(grid), plans, Tensor(token)).data
+        assert out.shape == (3, 2, 6, 3)
+        for view, plan in zip(out, plans):
+            masked = plan.bits.astype(bool)
+            np.testing.assert_array_equal(view[:, masked], np.broadcast_to(token, (2, 3, 3)))
+            np.testing.assert_array_equal(view[:, ~masked], grid[:, ~masked])
 
     def test_gradients_split_by_mask(self):
         rng = np.random.default_rng(2)
         grid = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         token = Tensor(rng.standard_normal(3), requires_grad=True)
         plan = MaskPlan(bits=np.array([1, 0, 1, 0]), n_masked=2)
-        out = apply_mask(grid, plan, token)
+        out = apply_mask(grid, [plan], token)
         backward(pretrain.ad.tsum(out))
         np.testing.assert_array_equal(grid.grad[[1, 3]], 1.0)
         np.testing.assert_array_equal(grid.grad[[0, 2]], 0.0)
         np.testing.assert_array_equal(token.grad, 2.0 * np.ones(3))
 
+    def test_gradients_sum_over_views(self):
+        rng = np.random.default_rng(3)
+        grid = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        token = Tensor(rng.standard_normal(3), requires_grad=True)
+        plans = [
+            MaskPlan(bits=np.array([1, 0, 1, 0]), n_masked=2),
+            MaskPlan(bits=np.array([1, 1, 0, 0]), n_masked=2),
+        ]
+        backward(pretrain.ad.tsum(apply_mask(grid, plans, token)))
+        np.testing.assert_array_equal(grid.grad[:, 0], [0.0, 1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(token.grad, 4.0 * np.ones(3))
+
     def test_shape_mismatch(self):
         plan = MaskPlan(bits=np.array([1, 0]), n_masked=1)
         with pytest.raises(DataError):
-            apply_mask(Tensor(np.zeros((3, 2))), plan, Tensor(np.zeros(2)))
+            apply_mask(Tensor(np.zeros((3, 2))), [plan], Tensor(np.zeros(2)))
+        with pytest.raises(DataError):
+            apply_mask(Tensor(np.zeros((2, 2))), [plan], Tensor(np.zeros(3)))
 
 
 class TestSimilarityLoss:
@@ -287,6 +315,98 @@ class TestTotalLoss:
             total_loss(self._batch(n=1), params, cfg, tiny_ssl(), seed=5)
 
 
+def per_view_loss_graph(batch, params_t, config, ssl_config, seed):
+    """Reference: the loss with one encoder/decoder pass per mask view, each
+    view's similarity its own mean, as the training graph was first written.
+    Returns the total, similarity and coding-rate Tensors."""
+    ad = pretrain.ad
+    plans = sample_masks(config.n_patches, ssl_config.mask_ratio, ssl_config.n_permutations, seed)
+    patches = mdl.stem_forward(Tensor(batch), params_t, config)
+    with no_grad():
+        target = Tensor(mdl.encode_t(Tensor(patches.data), params_t, config).data)
+    sim = tcr = None
+    for plan in plans:
+        bits = plan.bits.astype(patches.dtype)[:, None]
+        masked = ad.add(ad.mul(patches, 1.0 - bits), ad.mul(params_t["mask_token"], bits))
+        decoded = mdl.decode_t(mdl.encode_t(masked, params_t, config), params_t, config)
+        cos = pretrain._cos_rows(target, decoded)
+        if ssl_config.masked_only:
+            w = plan.bits.astype(batch.dtype)
+            cos = ad.div(ad.tsum(ad.mul(cos, w), axis=-1), float(w.sum()))
+        sim_k = ad.tmean(cos)
+        tcr_k = tcr_loss(ad.transpose(mdl.pool_rows(decoded)), ssl_config.tcr_epsilon)
+        sim = sim_k if sim is None else ad.add(sim, sim_k)
+        tcr = tcr_k if tcr is None else ad.add(tcr, tcr_k)
+    sim = ad.mul(sim, 1.0 / len(plans))
+    tcr = ad.mul(tcr, 1.0 / len(plans))
+    total = ad.sub(ad.sub(1.0, sim), ad.mul(tcr, ssl_config.tcr_weight))
+    return total, sim, tcr
+
+
+class TestBatchedLossOracle:
+    """The K views batched through one encoder/decoder pass give the loss and
+    the gradients of one pass per view, to rounding, in float64."""
+
+    def _setup(self, batch_size):
+        cfg = tiny_config(input_len=120, encoder_depth=2)  # n = 12 patches
+        params = init_parameters(cfg, seed=4)
+        batch = np.random.default_rng(batch_size).standard_normal((batch_size, cfg.input_len))
+        return cfg, params, batch
+
+    @pytest.mark.parametrize("masked_only", [False, True])
+    @pytest.mark.parametrize("batch_size", [2, 8])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_matches_per_view_graph(self, k, batch_size, masked_only):
+        cfg, params, batch = self._setup(batch_size)
+        ssl = tiny_ssl(n_permutations=k, batch_size=batch_size, masked_only=masked_only)
+        grads = []
+        for build in ("batched", "per_view"):
+            params_t = {n: Tensor(a.copy(), requires_grad=True) for n, a in params.items()}
+            if build == "batched":
+                total, report = pretrain.total_loss_graph(batch, params_t, cfg, ssl, seed=9)
+                values = (report.total, report.similarity_term, report.tcr_term)
+            else:
+                total, sim, tcr = per_view_loss_graph(batch, params_t, cfg, ssl, seed=9)
+                want = (float(total.data), float(sim.data), float(tcr.data))
+            backward(total)
+            grads.append({n: t.grad for n, t in params_t.items()})
+        for got, ref in zip(values, want):
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        batched, reference = grads
+        for name, ref in reference.items():
+            err = float(np.abs(batched[name] - ref).max())
+            if name.endswith("attn.bk"):
+                # the key bias cancels inside the softmax: its true gradient is 0
+                assert err < 1e-12 and float(np.abs(ref).max()) < 1e-12, name
+            else:
+                assert err <= 1e-12 * float(np.abs(ref).max()), (name, err)
+
+    @pytest.mark.parametrize("masked_only", [False, True])
+    def test_similarity_value_oracle(self, masked_only):
+        """The similarity term equals the mean over views, batch and rows (only
+        the masked rows with masked_only) of the row cosines between the
+        full-grid target and each masked grid's reconstruction, computed here
+        one view at a time in numpy."""
+        cfg, params, batch = self._setup(4)
+        ssl = tiny_ssl(n_permutations=3, masked_only=masked_only)
+        target = pretrain.full_grid_target(batch, params, cfg)
+        tp = {n: Tensor(a) for n, a in params.items()}
+        with no_grad():
+            patches = mdl.stem_forward(Tensor(batch), tp, cfg).data
+        per_view = []
+        for plan in sample_masks(cfg.n_patches, ssl.mask_ratio, 3, seed=9):
+            rows = plan.bits.astype(bool)
+            masked = np.where(rows[:, None], params["mask_token"], patches)
+            with no_grad():
+                z = mdl.decode_t(mdl.encode_t(Tensor(masked), tp, cfg), tp, cfg).data
+            cos = (target * z).sum(-1) / (
+                np.linalg.norm(target, axis=-1) * np.linalg.norm(z, axis=-1)
+            )
+            per_view.append(cos[:, rows].mean() if masked_only else cos.mean())
+        report = total_loss(batch, params, cfg, ssl, seed=9)
+        assert report.similarity_term == pytest.approx(np.mean(per_view), rel=1e-12, abs=0.0)
+
+
 class TestSslConfigValidation:
     def test_bad_values(self):
         for kwargs in [
@@ -301,6 +421,66 @@ class TestSslConfigValidation:
         ]:
             with pytest.raises(ConfigError):
                 tiny_ssl(**kwargs)
+
+
+class TestAdam:
+    """The flat-buffer step against the per-tensor Adam update it replaces."""
+
+    SHAPES = {"w": (3, 4), "b": (5,), "t": (2, 2, 2)}
+
+    def _params(self, rng, dtype):
+        return {
+            k: Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+            for k, s in self.SHAPES.items()
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_tensor_update_bytes(self, dtype):
+        rng = np.random.default_rng(12)
+        params = self._params(rng, dtype)
+        ref = {k: t.data.copy() for k, t in params.items()}
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        opt = pretrain._Adam(params, 1e-3)
+        for step in range(1, 4):
+            for t in params.values():
+                t.grad = rng.standard_normal(t.shape).astype(dtype)
+            opt.gather(params)
+            opt.step()
+            b1c, b2c = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for k, t in params.items():
+                g = t.grad
+                m[k] *= 0.9
+                m[k] += (1.0 - 0.9) * g
+                v[k] *= 0.999
+                v[k] += (1.0 - 0.999) * (g * g)
+                update = (m[k] / b1c) / (np.sqrt(v[k] / b2c) + 1e-8)
+                ref[k] = ref[k] - 1e-3 * update
+                assert t.data.dtype == dtype
+                np.testing.assert_array_equal(t.data, ref[k])
+
+    def test_missing_gradient_leaves_tensor_unchanged(self):
+        rng = np.random.default_rng(13)
+        params = self._params(rng, np.float64)
+        before = {k: t.data.copy() for k, t in params.items()}
+        opt = pretrain._Adam(params, 1e-2)
+        for _ in range(3):
+            params["w"].grad = rng.standard_normal(self.SHAPES["w"])
+            params["t"].grad = rng.standard_normal(self.SHAPES["t"])
+            opt.gather(params)
+            opt.step()
+        np.testing.assert_array_equal(params["b"].data, before["b"])
+        assert np.abs(params["w"].data - before["w"]).max() > 0
+
+    def test_nonfinite_gradient_names_the_tensor(self):
+        rng = np.random.default_rng(14)
+        params = self._params(rng, np.float32)
+        opt = pretrain._Adam(params, 1e-2)
+        params["w"].grad = np.ones(self.SHAPES["w"], dtype=np.float32)
+        params["t"].grad = np.ones(self.SHAPES["t"], dtype=np.float32)
+        params["t"].grad[1, 0, 1] = np.inf
+        with pytest.raises(NumericError, match="non-finite gradient for 't'"):
+            opt.gather(params)
 
 
 class TestTrain:
