@@ -12,23 +12,30 @@ import csv
 import itertools
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cohort import CohortManifest, load_manifest, save_split, split_cohort
+from .cohort import CohortManifest, CohortSplit, load_manifest, save_split, split_cohort
 from .config import (
+    LIST_PARSERS,
     RunConfig,
     load_run_config,
     model_config_for,
-    parse_effects,
-    parse_modalities,
-    parse_prevalence,
     resolved_text,
     ssl_config_for,
     synth_config_for,
 )
-from .errors import ConfigError, DataError, FormatError, MissingInputError, PsgpError, utf8_text
+from .errors import (
+    ConfigError,
+    DataError,
+    FormatError,
+    MissingInputError,
+    PsgpError,
+    UsageError,
+    utf8_text,
+)
 from .model import embed_segments, load_checkpoint, save_checkpoint
 from .pretrain import train
 from .report import build_report_card, render_report_card, report_card_csv
@@ -37,6 +44,7 @@ from .stats import evaluate_grid, odds_ratio_report, save_or_report
 from .synth import generate_cohort
 from .vectors import (
     EmbeddingTable,
+    SubjectScore,
     derive_vectors,
     load_disease_vector,
     load_scores,
@@ -53,57 +61,30 @@ def _require(path: Path, what: str) -> Path:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_run_config(getattr(args, "config", None))
+    """The INI file, then each flag named after its field; PSGP_THREADS
+    stands in for an absent --threads."""
+    cfg = load_run_config(args.config)
     updates: dict[str, object] = {}
-
-    def take(attr: str, field: str, convert=None):
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[field] = convert(value) if convert else value
-
-    take("seed", "seed")
-    take("split_ratio", "split_ratio")
-    take("modality", "modalities", parse_modalities)
-    take("outcomes", "outcomes", lambda s: tuple(t.strip() for t in s.split(",") if t.strip()))
-    take("embed_dim", "embed_dim")
-    take("precision", "precision")
-    take("steps", "steps")
-    take("batch_size", "batch_size")
-    take("learning_rate", "learning_rate")
-    take("mask_ratio", "mask_ratio")
-    take("permutations", "n_permutations")
-    take("tcr_weight", "tcr_weight")
-    take("tcr_epsilon", "tcr_epsilon")
-    take("subjects", "n_subjects")
-    take("segments", "segments_per_subject")
-    take("noise_sigma", "noise_sigma")
-    take("waveform", "base_waveform")
-    take("affected_fraction", "affected_fraction")
-    if getattr(args, "masked_only", False):
-        updates["masked_only"] = True
-    if getattr(args, "prevalence", None):
-        updates["prevalence"] = parse_prevalence(",".join(args.prevalence))
-    if getattr(args, "effect", None):
-        updates["effects"] = parse_effects(",".join(args.effect))
-
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("PSGP_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"PSGP_THREADS must be an integer, got {env!r}") from None
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        updates["threads"] = threads
-
-    from dataclasses import replace
-
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            continue
+        if f.name in LIST_PARSERS:  # --prevalence and --effect may repeat
+            value = LIST_PARSERS[f.name](value if isinstance(value, str) else ",".join(value))
+        updates[f.name] = value
+    env = os.environ.get("PSGP_THREADS")
+    if "threads" not in updates and env:
+        try:
+            updates["threads"] = int(env)
+        except ValueError:
+            raise ConfigError(f"PSGP_THREADS must be an integer, got {env!r}") from None
     cfg = replace(cfg, **updates)
+    if cfg.threads < 1:
+        raise ConfigError("threads must be >= 1")
     if not (0.0 < cfg.split_ratio < 1.0):
         raise ConfigError(f"split_ratio must lie in (0, 1), got {cfg.split_ratio}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -111,10 +92,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _snapshot(cfg: RunConfig, out: Path, command: str) -> None:
-    (out / f"resolved_config_{command}.txt").write_text(resolved_text(cfg), encoding="utf-8")
 
 
 def _manifest_for(args: argparse.Namespace) -> tuple[Path, CohortManifest]:
@@ -160,22 +137,18 @@ def _load_modality_segments(
 
 # --- subcommands -------------------------------------------------------
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> None:
     out = _out_dir(args)
     truth = generate_cohort(synth_config_for(cfg), out)
-    _snapshot(cfg, out, "synth")
     print("outcome,modality,effect_size,n_positive")
     outcomes = sorted({o for o, _ in truth.effect_sizes})
     for outcome in outcomes:
         n_pos = sum(truth.labels[sid][outcome] for sid in truth.labels)
         for mod in ("EEG", "ECG", "RESP"):
             print(f"{outcome},{mod},{truth.effect_sizes[(outcome, mod)]:g},{n_pos}")
-    return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
@@ -194,8 +167,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_checkpoint(params, mcfg, mod_dir / "checkpoint.psgm")
         print(f"trained {modality.name}: {X.shape[0]} segments -> {mod_dir / 'checkpoint.psgm'}")
     save_split(split, out / "split.csv")
-    _snapshot(cfg, out, "train")
-    return 0
 
 
 def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modality) -> None:
@@ -292,8 +263,7 @@ def _is_decimal(cell: str) -> bool:
         return False
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     models = _require(Path(args.models), "models directory")
     out = _out_dir(args)
@@ -308,8 +278,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
         mod_dir.mkdir(parents=True, exist_ok=True)
         _write_embeddings_csv(mod_dir / "embeddings.csv", keys, vecs, modality)
         print(f"embedded {modality.name}: {X.shape[0]} segments")
-    _snapshot(cfg, out, "embed")
-    return 0
 
 
 def _embedding_tables(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality, EmbeddingTable]:
@@ -318,8 +286,7 @@ def _embedding_tables(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality
     return {m: _read_embeddings_csv(path, m) for m, path in paths.items()}
 
 
-def cmd_vectors(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     tables = _embedding_tables(args, cfg)
     out = _out_dir(args)
@@ -331,12 +298,9 @@ def cmd_vectors(args: argparse.Namespace) -> int:
             vector = derive_vectors(tables, manifest, split.train_ids, outcome, modality)
             save_disease_vector(vector, vec_dir / f"{outcome}_{modality.name}.txt")
     save_split(split, out / "split.csv")
-    _snapshot(cfg, out, "vectors")
-    return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     _, manifest = _manifest_for(args)
     tables = _embedding_tables(args, cfg)
     vec_dir = _require(Path(args.vectors), "vectors directory")
@@ -347,25 +311,21 @@ def cmd_score(args: argparse.Namespace) -> int:
     vectors = [v for v in vectors if v.modality in set(cfg.modalities)]
     out = _out_dir(args)
     save_scores(score_cohort(tables, vectors, manifest), out / "scores.csv")
-    _snapshot(cfg, out, "score")
-    return 0
 
 
-def _split_scores(scores, split):
-    train = [s for s in scores if s.subject_id in split.train_ids]
-    test = [s for s in scores if s.subject_id in split.test_ids]
-    return train, test
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _scores_and_split(
+    args: argparse.Namespace, cfg: RunConfig
+) -> tuple[CohortManifest, list[SubjectScore], CohortSplit]:
     _, manifest = _manifest_for(args)
     scores = load_scores(_require(Path(args.scores), "score table"))
-    split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
-    train_scores, _ = _split_scores(scores, split)
+    return manifest, scores, split_cohort(manifest, cfg.split_ratio, cfg.seed)
+
+
+def cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> None:
+    manifest, scores, split = _scores_and_split(args, cfg)
     out = _out_dir(args)
     rows = odds_ratio_report(
-        train_scores,
+        scores,
         manifest,
         split,
         outcomes=_outcomes_for(cfg, manifest),
@@ -373,63 +333,45 @@ def cmd_fit(args: argparse.Namespace) -> int:
         standardize=args.standardize,
     )
     save_or_report(rows, out / "or_report.csv")
-    _snapshot(cfg, out, "fit")
-    return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    _, manifest = _manifest_for(args)
-    scores = load_scores(_require(Path(args.scores), "score table"))
-    split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
-    train_scores, test_scores = _split_scores(scores, split)
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> None:
+    manifest, scores, split = _scores_and_split(args, cfg)
     out = _out_dir(args)
     grid = evaluate_grid(
-        train_scores,
-        test_scores,
-        manifest,
-        split,
-        outcomes=_outcomes_for(cfg, manifest),
-        standardize=args.standardize,
+        scores, manifest, split, outcomes=_outcomes_for(cfg, manifest), standardize=args.standardize
     )
     (out / "grid.csv").write_text(grid.to_csv(), encoding="utf-8")
-    _snapshot(cfg, out, "eval")
-    return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    _, manifest = _manifest_for(args)
-    scores = load_scores(_require(Path(args.scores), "score table"))
-    split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
+def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> None:
+    if len(cfg.modalities) != 1:
+        names = ",".join(m.name for m in cfg.modalities)
+        raise UsageError(f"report takes one modality, got {names}")
+    (modality,) = cfg.modalities
+    manifest, scores, split = _scores_and_split(args, cfg)
     subject = args.subject
     if subject not in manifest.rows:
         raise DataError(f"manifest has no subject {subject!r}")
-    modality = Modality.parse(args.modality)
     outcomes = _outcomes_for(cfg, manifest)
-    current = {
-        s.outcome: s.score
-        for s in scores
-        if s.subject_id == subject and s.modality is modality
+    reference = {  # the positive training subjects of each outcome
+        o: {sid for sid, y in manifest.outcome_labels(o).items() if y == 1} & split.train_ids
+        for o in outcomes
     }
-    positives: dict[str, list[float]] = {}
-    for outcome in outcomes:
-        labels = manifest.outcome_labels(outcome)
-        positives[outcome] = [
-            s.score
-            for s in scores
-            if s.modality is modality
-            and s.outcome == outcome
-            and s.subject_id in split.train_ids
-            and labels.get(s.subject_id) == 1
-        ]
+    current: dict[str, float] = {}
+    positives: dict[str, list[float]] = {o: [] for o in outcomes}
+    for s in scores:
+        if s.modality is not modality:
+            continue
+        if s.subject_id == subject:
+            current[s.outcome] = s.score
+        if s.subject_id in reference.get(s.outcome, ()):
+            positives[s.outcome].append(s.score)
     card = build_report_card(subject, modality, current, positives, outcomes)
     out = _out_dir(args)
     (out / f"report_{subject}.txt").write_text(render_report_card(card), encoding="utf-8")
     (out / f"report_{subject}.csv").write_text(report_card_csv(card), encoding="utf-8")
     print(render_report_card(card), end="")
-    _snapshot(cfg, out, "report")
-    return 0
 
 
 # --- parser ------------------------------------------------------------
@@ -441,6 +383,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--threads", type=int, default=None, help="worker threads for embed (env PSGP_THREADS)")
 
 
+def _add_modality(sp: argparse.ArgumentParser, **kwargs) -> None:
+    sp.add_argument("--modality", dest="modalities", metavar="MODALITY", **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psgp",
@@ -450,44 +396,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate a synthetic cohort with planted effects")
     _add_common(sp)
-    sp.add_argument("--subjects", type=int, default=None)
-    sp.add_argument("--segments", type=int, default=None)
+    sp.add_argument("--subjects", dest="n_subjects", metavar="SUBJECTS", type=int, default=None)
+    sp.add_argument("--segments", dest="segments_per_subject", metavar="SEGMENTS", type=int, default=None)
     sp.add_argument("--prevalence", action="append", default=None, metavar="NAME=P")
-    sp.add_argument("--effect", action="append", default=None, metavar="OUTCOME:MODALITY=SIZE")
+    sp.add_argument(
+        "--effect", dest="effects", action="append", default=None, metavar="OUTCOME:MODALITY=SIZE"
+    )
     sp.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    sp.add_argument("--waveform", choices=("sinusoid_mix", "band_noise"), default=None)
+    sp.add_argument(
+        "--waveform", dest="base_waveform", choices=("sinusoid_mix", "band_noise"), default=None
+    )
     sp.add_argument("--affected-fraction", dest="affected_fraction", type=float, default=None)
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("train", help="pretrain one model per modality")
     _add_common(sp)
     sp.add_argument("--data", required=True, help="cohort directory (manifest.csv, signals/)")
-    sp.add_argument("--modality", default=None, help="comma list or 'all'")
+    _add_modality(sp, help="comma list or 'all'")
     sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     sp.add_argument("--mask-ratio", dest="mask_ratio", type=float, default=None)
-    sp.add_argument("--permutations", type=int, default=None)
+    sp.add_argument("--permutations", dest="n_permutations", metavar="PERMUTATIONS", type=int, default=None)
     sp.add_argument("--tcr-weight", dest="tcr_weight", type=float, default=None)
     sp.add_argument("--tcr-epsilon", dest="tcr_epsilon", type=float, default=None)
     sp.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
     sp.add_argument("--precision", choices=("f32", "f64"), default=None)
-    sp.add_argument("--masked-only", dest="masked_only", action="store_true")
+    sp.add_argument("--masked-only", dest="masked_only", action="store_true", default=None)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("embed", help="embed every segment with trained checkpoints")
     _add_common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--models", required=True, help="directory holding <MODALITY>/checkpoint.psgm")
-    sp.add_argument("--modality", default=None)
+    _add_modality(sp)
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("vectors", help="derive disease vectors on the training split")
     _add_common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--embeddings", required=True, help="directory holding <MODALITY>/embeddings.csv")
-    sp.add_argument("--modality", default=None)
+    _add_modality(sp)
     sp.add_argument("--outcomes", default=None, help="comma list (default: all in manifest)")
     sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
     sp.set_defaults(func=cmd_vectors)
@@ -497,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--embeddings", required=True)
     sp.add_argument("--vectors", required=True, help="directory of disease-vector files")
-    sp.add_argument("--modality", default=None)
+    _add_modality(sp)
     sp.set_defaults(func=cmd_score)
 
     sp = sub.add_parser("fit", help="adjusted odds-ratio report on the training split")
     _add_common(sp)
     sp.add_argument("--data", required=True)
     sp.add_argument("--scores", required=True, help="scores.csv from the score step")
-    sp.add_argument("--modality", default=None)
+    _add_modality(sp)
     sp.add_argument("--outcomes", default=None)
     sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
     sp.add_argument("--standardize", action="store_true")
@@ -524,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--scores", required=True)
     sp.add_argument("--subject", required=True)
-    sp.add_argument("--modality", required=True)
+    _add_modality(sp, required=True)
     sp.add_argument("--outcomes", default=None)
     sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
     sp.set_defaults(func=cmd_report)
@@ -539,11 +489,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors itself
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        cfg = _resolve_config(args)
+        args.func(args, cfg)
     except PsgpError as exc:
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return exc.exit_code
+    snapshot = Path(args.out) / f"resolved_config_{args.command}.txt"
+    snapshot.write_text(resolved_text(cfg), encoding="utf-8")
+    return 0
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

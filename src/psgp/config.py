@@ -7,9 +7,8 @@ one core; paper-scale runs override them in a config file.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping
 
 from .errors import ConfigError, utf8_text
 from .model import ModelConfig, default_model_config
@@ -78,18 +77,6 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
     ),
 }
 
-_INT_FIELDS = {
-    "seed", "threads", "embed_dim", "encoder_depth", "decoder_depth",
-    "n_heads", "ffn_mult", "n_permutations", "batch_size", "steps", "n_subjects",
-    "segments_per_subject",
-}
-_FLOAT_FIELDS = {
-    "split_ratio", "mask_ratio", "tcr_epsilon", "tcr_weight", "learning_rate",
-    "noise_sigma", "affected_fraction",
-}
-_BOOL_FIELDS = {"masked_only"}
-
-
 def parse_modalities(text: str) -> tuple[Modality, ...]:
     text = text.strip()
     if not text or text.lower() == "all":
@@ -137,30 +124,35 @@ def parse_effects(text: str) -> tuple[tuple[str, str, float], ...]:
     return tuple(out)
 
 
+def parse_outcomes(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+# Text parsers of the list-valued fields; every other field is parsed by the
+# type of its default.
+LIST_PARSERS = {
+    "modalities": parse_modalities,
+    "outcomes": parse_outcomes,
+    "prevalence": parse_prevalence,
+    "effects": parse_effects,
+}
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
+    if key in LIST_PARSERS:
+        return LIST_PARSERS[key](raw)
+    kind = type(getattr(RunConfig, key))
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _BOOL_FIELDS:
+        if kind is bool:
             if raw.lower() in ("1", "true", "yes", "on"):
                 return True
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r} has invalid value {raw!r}") from None
-    if key == "modalities":
-        return parse_modalities(raw)
-    if key == "outcomes":
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    if key == "prevalence":
-        return parse_prevalence(raw)
-    if key == "effects":
-        return parse_effects(raw)
-    return raw  # plain string fields
 
 
 def load_run_config(path: Path | str | None) -> RunConfig:
@@ -230,17 +222,7 @@ def model_config_for(cfg: RunConfig, modality: Modality) -> ModelConfig:
 
 
 def ssl_config_for(cfg: RunConfig) -> SslConfig:
-    return SslConfig(
-        mask_ratio=cfg.mask_ratio,
-        n_permutations=cfg.n_permutations,
-        tcr_epsilon=cfg.tcr_epsilon,
-        tcr_weight=cfg.tcr_weight,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        steps=cfg.steps,
-        seed=cfg.seed,
-        masked_only=cfg.masked_only,
-    )
+    return SslConfig(**{f.name: getattr(cfg, f.name) for f in fields(SslConfig)})
 
 
 def synth_config_for(cfg: RunConfig) -> SynthConfig:

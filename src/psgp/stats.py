@@ -412,8 +412,7 @@ def _standardized(
 
 
 def evaluate_grid(
-    train_scores: Sequence[SubjectScore],
-    test_scores: Sequence[SubjectScore],
+    scores: Sequence[SubjectScore],
     manifest: CohortManifest,
     split: CohortSplit,
     predictor_sets: Mapping[str, tuple] | None = None,
@@ -422,8 +421,9 @@ def evaluate_grid(
 ) -> AucGrid:
     """Fit every predictor set on the train split, report test-split AUC.
 
-    Only eligible subjects enter either side; test labels are never touched
-    during fitting. Unusable cells carry "NA:<reason>" instead of a number.
+    ``scores`` may cover the whole cohort: only eligible subjects of each
+    side of the split are read, and test labels are never touched during
+    fitting. Unusable cells carry "NA:<reason>" instead of a number.
     """
     sets = dict(predictor_sets) if predictor_sets is not None else PREDICTOR_SETS
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
@@ -433,26 +433,25 @@ def evaluate_grid(
     eligible = set(manifest.eligible_ids())
     train_ids = sorted(split.train_ids & eligible)
     test_ids = sorted(split.test_ids & eligible)
-    tr_lookup = _score_lookup(train_scores)
-    te_lookup = _score_lookup(test_scores)
+    lookup = _score_lookup(scores)
     cells: dict[tuple[str, str], float | str] = {}
     for row_name, spec in sets.items():
         for outcome in outs:
             cells[(row_name, outcome)] = _grid_cell(
-                manifest, tr_lookup, te_lookup, outcome, spec, train_ids, test_ids, standardize
+                manifest, lookup, outcome, spec, train_ids, test_ids, standardize
             )
     return AucGrid(tuple(sets), outs, cells)
 
 
 def _grid_cell(
-    manifest, tr_lookup, te_lookup, outcome, spec, train_ids, test_ids, standardize
+    manifest, lookup, outcome, spec, train_ids, test_ids, standardize
 ) -> float | str:
-    x_tr, y_tr, _ = build_feature_matrix(manifest, tr_lookup, outcome, spec, train_ids)
+    x_tr, y_tr, _ = build_feature_matrix(manifest, lookup, outcome, spec, train_ids)
     if y_tr.shape[0] == 0:
         return "NA:no_train_rows"
     if np.unique(y_tr).shape[0] < 2:
         return "NA:single_class_train"
-    x_te, y_te, _ = build_feature_matrix(manifest, te_lookup, outcome, spec, test_ids)
+    x_te, y_te, _ = build_feature_matrix(manifest, lookup, outcome, spec, test_ids)
     if y_te.shape[0] == 0:
         return "NA:no_test_rows"
     if np.unique(y_te).shape[0] < 2:
@@ -481,7 +480,7 @@ class OrReportRow:
 
 
 def odds_ratio_report(
-    train_scores: Sequence[SubjectScore],
+    scores: Sequence[SubjectScore],
     manifest: CohortManifest,
     split: CohortSplit,
     outcomes: Sequence[str] | None = None,
@@ -490,11 +489,12 @@ def odds_ratio_report(
     alpha: float = 0.05,
 ) -> list[OrReportRow]:
     """Per (outcome, modality): adjusted OR of the risk score, controlling
-    for age, sex and bmi, fitted on the training split."""
+    for age, sex and bmi, fitted on the eligible training subjects alone
+    (``scores`` may cover the whole cohort)."""
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
     eligible = set(manifest.eligible_ids())
     train_ids = sorted(split.train_ids & eligible)
-    lookup = _score_lookup(train_scores)
+    lookup = _score_lookup(scores)
     rows: list[OrReportRow] = []
     for outcome in outs:
         for modality in modalities:

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface (all in-process)."""
+import argparse
 import csv
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 
 import psgp.model as mdl
 from psgp import autodiff
-from psgp.cli import _read_embeddings_csv, _write_embeddings_csv, main
+from psgp.cli import _read_embeddings_csv, _resolve_config, _write_embeddings_csv, build_parser, main
+from psgp.config import RunConfig
 from psgp.errors import FormatError
 from psgp.signalio import Modality
 from psgp.vectors import SubjectScore, load_scores, save_scores
@@ -221,6 +224,30 @@ class TestExitCodes:
         assert err.startswith("error: MissingInputError:")
         assert "absent.csv" in err
 
+    @pytest.mark.parametrize("command", ["synth", "fit"])
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_negative_seed_is_usage_error(self, chain, tmp_path, capsys, command, source):
+        ini = tmp_path / "seed.ini"
+        ini.write_text("[run]\nseed = -3\n", encoding="utf-8")
+        seed = ["--seed", -1] if source == "flag" else ["--config", ini]
+        stage = {
+            "synth": ["--subjects", 4, "--segments", 1, "--prevalence", "CVD=0.5"],
+            "fit": ["--data", chain["data"], "--scores", chain["scores"] / "scores.csv"],
+        }[command]
+        rc = run_cli(command, "--out", tmp_path / "out", *stage, *seed)
+        err = capsys.readouterr().err
+        assert_one_line_data_error(rc, err, "seed must be >= 0", kind="ConfigError", code=2)
+
+    @pytest.mark.parametrize("modality", ["all", "ECG,RESP"])
+    def test_report_of_several_modalities_is_usage_error(self, chain, capsys, modality):
+        rc = run_cli(
+            "report", "--out", chain["root"] / "r3", "--config", chain["ini"],
+            "--data", chain["data"], "--scores", chain["scores"] / "scores.csv",
+            "--subject", "S0001", "--modality", modality, "--seed", 5,
+        )
+        err = capsys.readouterr().err
+        assert_one_line_data_error(rc, err, "one modality", kind="UsageError", code=2)
+
     def test_unknown_report_subject_is_data_error(self, chain, capsys):
         rc = run_cli(
             "report", "--out", chain["root"] / "r2", "--config", chain["ini"],
@@ -327,6 +354,19 @@ class TestThreadsResolution:
         snapshot = (tmp_path / "s" / "resolved_config_synth.txt").read_text(encoding="utf-8")
         assert "threads = 3" in snapshot
 
+    def test_zero_threads_in_ini_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("PSGP_THREADS", raising=False)
+        ini = tmp_path / "threads.ini"
+        ini.write_text("[run]\nthreads = 0\n", encoding="utf-8")
+        rc = run_cli(
+            "synth", "--out", tmp_path / "s", "--config", ini, "--seed", 1, "--subjects", 4,
+            "--segments", 1, "--prevalence", "CVD=0.5",
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: ConfigError: threads must be >= 1\n"
+        assert not (tmp_path / "s" / "resolved_config_synth.txt").exists()
+
     def test_invalid_env_value_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PSGP_THREADS", "many")
         rc = run_cli(
@@ -337,6 +377,69 @@ class TestThreadsResolution:
         assert rc == 2
         assert err.startswith("error: ConfigError:")
         assert "PSGP_THREADS" in err
+
+
+# Stage arguments: every other flag sets the RunConfig field its dest names.
+STAGE_DESTS = {
+    "out", "config", "data", "models", "embeddings", "vectors", "scores", "subject",
+    "standardize", "command", "func",
+}
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestFlagsNameTheirFields:
+    @pytest.mark.parametrize("command", sorted(subcommand_parsers()))
+    def test_every_dest_is_a_field_or_a_stage_argument(self, command):
+        sp = subcommand_parsers()[command]
+        dests = {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+        dests |= set(sp._defaults) | {"command"}
+        names = {f.name for f in fields(RunConfig)}
+        assert not STAGE_DESTS & names
+        assert not dests - names - STAGE_DESTS
+
+    @pytest.mark.parametrize(
+        "argv,field,want",
+        [
+            (["synth", "--seed", "4"], "seed", 4),
+            (["synth", "--threads", "3"], "threads", 3),
+            (["synth", "--subjects", "7"], "n_subjects", 7),
+            (["synth", "--segments", "3"], "segments_per_subject", 3),
+            (["synth", "--waveform", "band_noise"], "base_waveform", "band_noise"),
+            (["synth", "--noise-sigma", "0.5"], "noise_sigma", 0.5),
+            (["synth", "--affected-fraction", "0.2"], "affected_fraction", 0.2),
+            (["synth", "--prevalence", "CVD=0.5", "--prevalence", "HTN=0.1"],
+             "prevalence", (("CVD", 0.5), ("HTN", 0.1))),
+            (["synth", "--effect", "CVD:ecg=2", "--effect", "HTN:EEG=1.5"],
+             "effects", (("CVD", "ECG", 2.0), ("HTN", "EEG", 1.5))),
+            (["train", "--data", "d", "--modality", "ECG,resp"],
+             "modalities", (Modality.ECG, Modality.RESP)),
+            (["train", "--data", "d", "--permutations", "6"], "n_permutations", 6),
+            (["train", "--data", "d", "--steps", "9"], "steps", 9),
+            (["train", "--data", "d", "--batch-size", "5"], "batch_size", 5),
+            (["train", "--data", "d", "--learning-rate", "0.01"], "learning_rate", 0.01),
+            (["train", "--data", "d", "--mask-ratio", "0.25"], "mask_ratio", 0.25),
+            (["train", "--data", "d", "--tcr-weight", "0.5"], "tcr_weight", 0.5),
+            (["train", "--data", "d", "--tcr-epsilon", "0.1"], "tcr_epsilon", 0.1),
+            (["train", "--data", "d", "--embed-dim", "16"], "embed_dim", 16),
+            (["train", "--data", "d", "--precision", "f64"], "precision", "f64"),
+            (["train", "--data", "d", "--masked-only"], "masked_only", True),
+            (["train", "--data", "d", "--split-ratio", "0.6"], "split_ratio", 0.6),
+            (["vectors", "--data", "d", "--embeddings", "e", "--outcomes", "CVD, HTN"],
+             "outcomes", ("CVD", "HTN")),
+            (["report", "--data", "d", "--scores", "s", "--subject", "S1", "--modality", "ecg"],
+             "modalities", (Modality.ECG,)),
+        ],
+    )
+    def test_flag_sets_its_field(self, monkeypatch, argv, field, want):
+        monkeypatch.delenv("PSGP_THREADS", raising=False)
+        cfg = _resolve_config(build_parser().parse_args([argv[0], "--out", "x", *argv[1:]]))
+        assert getattr(cfg, field) == want
+        assert getattr(RunConfig(), field) != want
 
 
 def oracle_read_embeddings(path: Path) -> tuple[np.ndarray, np.ndarray]:

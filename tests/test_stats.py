@@ -382,6 +382,24 @@ def _scores_for(manifest, labels, signal=("EEG",), noise=0.5, seed=1):
     return out
 
 
+def _by_side(train_scores, test_scores, split):
+    """One score list: ``train_scores`` for the training subjects and
+    ``test_scores`` for the held-out ones."""
+    return [s for s in train_scores if s.subject_id in split.train_ids] + [
+        s for s in test_scores if s.subject_id in split.test_ids
+    ]
+
+
+def _with_ineligible(tmp_path, n=50, seed=21):
+    """``_manifest`` plus four subjects without bmi, who are never eligible."""
+    manifest, labels = _manifest(tmp_path, n=n, seed=seed)
+    path = tmp_path / "manifest.csv"
+    extra = [f"X{i:03d},60,{i % 2},,120,0.1,{i % 2}" for i in range(4)]
+    path.write_text(path.read_text() + "\n".join(extra) + "\n")
+    labels.update({f"X{i:03d}": i % 2 for i in range(4)})
+    return load_manifest(path), labels
+
+
 class TestBuildFeatureMatrix:
     def test_complete_case_and_order(self, tmp_path):
         manifest, labels = _manifest(tmp_path, n=6)
@@ -416,7 +434,7 @@ class TestEvaluateGrid:
         train_scores = _scores_for(manifest, labels, signal=("EEG",), noise=0.15, seed=6)
         test_scores = _scores_for(manifest, labels, signal=("EEG",), noise=0.15, seed=7)
         split = split_cohort(manifest, ratio=0.6, seed=0)
-        grid = evaluate_grid(train_scores, test_scores, manifest, split)
+        grid = evaluate_grid(_by_side(train_scores, test_scores, split), manifest, split)
         assert grid.predictor_sets == tuple(PREDICTOR_SETS)
         assert grid.outcomes == ("CVD",)
         eeg = grid.cells[("EEG", "CVD")]
@@ -428,7 +446,7 @@ class TestEvaluateGrid:
         manifest, labels = _manifest(tmp_path, n=30, seed=8)
         scores = _scores_for(manifest, labels)
         split = split_cohort(manifest, ratio=0.6, seed=0)
-        grid = evaluate_grid(scores, scores, manifest, split)
+        grid = evaluate_grid(scores, manifest, split)
         lines = grid.to_csv().splitlines()
         assert lines[0] == "predictor_set,CVD"
         assert len(lines) == 1 + len(PREDICTOR_SETS)
@@ -440,7 +458,7 @@ class TestEvaluateGrid:
         manifest, labels = _manifest(tmp_path, n=20, seed=9, outcome_of=lambda i: 0)
         scores = _scores_for(manifest, labels)
         split = split_cohort(manifest, ratio=0.5, seed=0)
-        grid = evaluate_grid(scores, scores, manifest, split)
+        grid = evaluate_grid(scores, manifest, split)
         assert grid.cells[("EEG", "CVD")] == "NA:single_class_train"
 
     def test_na_collinear(self, tmp_path):
@@ -452,7 +470,7 @@ class TestEvaluateGrid:
             for mod in (Modality.EEG, Modality.ECG, Modality.RESP):
                 scores.append(SubjectScore(sid, "CVD", mod, val, 3))  # identical columns
         split = split_cohort(manifest, ratio=0.6, seed=0)
-        grid = evaluate_grid(scores, scores, manifest, split)
+        grid = evaluate_grid(scores, manifest, split)
         assert grid.cells[("EEG-ECG", "CVD")] == "NA:collinear"
         assert isinstance(grid.cells[("EEG", "CVD")], float)
 
@@ -463,8 +481,9 @@ class TestEvaluateGrid:
         train_scores = _scores_for(manifest, labels, seed=12)
         test_scores = _scores_for(manifest, labels, seed=13)
         split = split_cohort(manifest, ratio=0.6, seed=0)
-        plain = evaluate_grid(train_scores, test_scores, manifest, split)
-        scaled = evaluate_grid(train_scores, test_scores, manifest, split, standardize=True)
+        scores = _by_side(train_scores, test_scores, split)
+        plain = evaluate_grid(scores, manifest, split)
+        scaled = evaluate_grid(scores, manifest, split, standardize=True)
         for key, value in plain.cells.items():
             other = scaled.cells[key]
             if isinstance(value, float) and isinstance(other, float):
@@ -474,7 +493,57 @@ class TestEvaluateGrid:
         manifest, labels = _manifest(tmp_path, n=10)
         split = split_cohort(manifest, ratio=0.5, seed=0)
         with pytest.raises(DataError):
-            evaluate_grid([], [], manifest, split, outcomes=("Dementia",))
+            evaluate_grid([], manifest, split, outcomes=("Dementia",))
+
+
+class TestSplitInsideStats:
+    """evaluate_grid and odds_ratio_report take the whole score list and
+    keep only the subjects of the split that are eligible."""
+
+    def test_grid_of_full_list_equals_grid_of_split_subjects(self, tmp_path):
+        manifest, labels = _with_ineligible(tmp_path)
+        scores = _scores_for(manifest, labels, signal=("EEG", "ECG"), seed=22)
+        split = split_cohort(manifest, ratio=0.6, seed=0)
+        members = (split.train_ids | split.test_ids) & set(manifest.eligible_ids())
+        assert len({s.subject_id for s in scores} - members) == 4
+        grid = evaluate_grid(scores, manifest, split)
+        assert grid == evaluate_grid([s for s in scores if s.subject_id in members], manifest, split)
+        assert isinstance(grid.cells[("EEG", "CVD")], float)
+
+    def test_or_rows_of_full_list_equal_rows_of_training_scores(self, tmp_path):
+        manifest, labels = _with_ineligible(tmp_path)
+        scores = _scores_for(manifest, labels, signal=("EEG", "ECG", "RESP"), seed=23)
+        split = split_cohort(manifest, ratio=0.7, seed=0)
+        rows = odds_ratio_report(scores, manifest, split)
+        assert len(rows) == 3
+        train_scores = [s for s in scores if s.subject_id in split.train_ids]
+        assert odds_ratio_report(train_scores, manifest, split) == rows
+
+    def test_held_out_scores_and_labels_do_not_move_or_rows(self, tmp_path):
+        manifest, labels = _with_ineligible(tmp_path)
+        scores = _scores_for(manifest, labels, signal=("EEG", "ECG", "RESP"), seed=24)
+        split = split_cohort(manifest, ratio=0.7, seed=0)
+        rows = odds_ratio_report(scores, manifest, split)
+        assert len(rows) == 3
+
+        flipped = tmp_path / "flipped.csv"
+        lines = (tmp_path / "manifest.csv").read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            if line.split(",", 1)[0] in split.test_ids:
+                lines[i] = f"{line[:-1]}{1 - int(line[-1])}"
+        flipped.write_text("\n".join(lines) + "\n")
+        relabelled = load_manifest(flipped)
+        for sid in split.test_ids:
+            assert relabelled.rows[sid].outcomes["CVD"] == 1 - labels[sid]
+        rng = np.random.default_rng(25)
+        rescored = [
+            SubjectScore(s.subject_id, s.outcome, s.modality, 10.0 * rng.standard_normal(), 3)
+            if s.subject_id in split.test_ids else s
+            for s in scores
+        ]
+        assert odds_ratio_report(scores, relabelled, split) == rows
+        assert odds_ratio_report(rescored, manifest, split) == rows
+        assert odds_ratio_report(rescored, relabelled, split) == rows
 
 
 class TestOrReport:
@@ -482,8 +551,7 @@ class TestOrReport:
         manifest, labels = _manifest(tmp_path, n=80, seed=14)
         scores = _scores_for(manifest, labels, signal=("EEG", "ECG", "RESP"), noise=0.6, seed=15)
         split = split_cohort(manifest, ratio=0.8, seed=0)
-        train_scores = [s for s in scores if s.subject_id in split.train_ids]
-        rows = odds_ratio_report(train_scores, manifest, split)
+        rows = odds_ratio_report(scores, manifest, split)
         assert {(r.outcome, r.modality.name) for r in rows} == {
             ("CVD", "EEG"), ("CVD", "ECG"), ("CVD", "RESP")
         }
@@ -495,9 +563,7 @@ class TestOrReport:
         manifest, labels = _manifest(tmp_path, n=40, seed=16)
         scores = _scores_for(manifest, labels, seed=17)
         split = split_cohort(manifest, ratio=0.8, seed=0)
-        rows = odds_ratio_report(
-            [s for s in scores if s.subject_id in split.train_ids], manifest, split
-        )
+        rows = odds_ratio_report(scores, manifest, split)
         out = tmp_path / "or.csv"
         save_or_report(rows, out)
         lines = out.read_text().splitlines()
