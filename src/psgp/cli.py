@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -85,6 +86,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"split_ratio must lie in (0, 1), got {cfg.split_ratio}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        # the number of a prevalence or effect entry is its last item
+        numbers = [entry[-1] for entry in value] if f.name in ("prevalence", "effects") else [value]
+        bad = [v for v in numbers if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"{f.name} must be finite, got {bad[0]}")
     return cfg
 
 
@@ -139,13 +147,8 @@ def _load_modality_segments(
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> None:
     out = _out_dir(args)
-    truth = generate_cohort(synth_config_for(cfg), out)
-    print("outcome,modality,effect_size,n_positive")
-    outcomes = sorted({o for o, _ in truth.effect_sizes})
-    for outcome in outcomes:
-        n_pos = sum(truth.labels[sid][outcome] for sid in truth.labels)
-        for mod in ("EEG", "ECG", "RESP"):
-            print(f"{outcome},{mod},{truth.effect_sizes[(outcome, mod)]:g},{n_pos}")
+    generate_cohort(synth_config_for(cfg), out)
+    print((out / "effects.csv").read_text(encoding="utf-8"), end="")
 
 
 def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:

@@ -16,14 +16,12 @@ from .pretrain import SslConfig
 from .signalio import Modality
 from .synth import SynthConfig
 
-_ALL_MODALITIES = (Modality.EEG, Modality.ECG, Modality.RESP)
-
 
 @dataclass(frozen=True)
 class RunConfig:
     # [run]
     seed: int = 0
-    modalities: tuple[Modality, ...] = _ALL_MODALITIES
+    modalities: tuple[Modality, ...] = tuple(Modality)
     outcomes: tuple[str, ...] = ()  # empty = every outcome in the manifest
     threads: int = 1
     split_ratio: float = 0.8
@@ -80,7 +78,7 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
 def parse_modalities(text: str) -> tuple[Modality, ...]:
     text = text.strip()
     if not text or text.lower() == "all":
-        return _ALL_MODALITIES
+        return tuple(Modality)
     mods = tuple(Modality.parse(tok) for tok in text.split(",") if tok.strip())
     if len(set(mods)) != len(mods):
         raise ConfigError(f"duplicate modalities in {text!r}")
@@ -210,15 +208,7 @@ def resolved_text(cfg: RunConfig) -> str:
 
 
 def model_config_for(cfg: RunConfig, modality: Modality) -> ModelConfig:
-    return default_model_config(
-        modality,
-        embed_dim=cfg.embed_dim,
-        encoder_depth=cfg.encoder_depth,
-        decoder_depth=cfg.decoder_depth,
-        n_heads=cfg.n_heads,
-        ffn_mult=cfg.ffn_mult,
-        precision=cfg.precision,
-    )
+    return default_model_config(modality, **{key: getattr(cfg, key) for key in _SECTIONS["model"]})
 
 
 def ssl_config_for(cfg: RunConfig) -> SslConfig:

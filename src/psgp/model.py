@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from .signalio import Modality
+from .signalio import Modality, samples_per_window
 
 CKPT_MAGIC = b"PSGM"
 CKPT_VERSION = 1
@@ -120,9 +120,10 @@ class ModelConfig:
 
 
 def default_model_config(modality: Modality, **overrides) -> ModelConfig:
-    """Desk-friendly constructor: 30 s window at the modality's nominal rate."""
-    input_len = int(round(30.0 * modality.nominal_rate_hz))
-    return ModelConfig(modality=modality, input_len=input_len, **overrides)
+    """Desk-friendly constructor: one signal window at the modality's nominal rate."""
+    return ModelConfig(
+        modality=modality, input_len=samples_per_window(modality.nominal_rate_hz), **overrides
+    )
 
 
 # --- parameter schema and initialization -----------------------------
@@ -247,10 +248,8 @@ def _transformer(
     return h
 
 
-def encode_t(
-    patches: Tensor, params: dict[str, Tensor], config: ModelConfig, use_positions: bool = True
-) -> Tensor:
-    h = ad.add(patches, params["pos_embed"]) if use_positions else patches
+def encode_t(patches: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
+    h = ad.add(patches, params["pos_embed"])
     return _transformer(h, params, config, "enc", config.encoder_depth)
 
 
@@ -305,34 +304,24 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
 
 # --- checkpoint container ---------------------------------------------
 
-_CONFIG_KEYS = (
-    "modality",
-    "input_len",
-    "embed_dim",
-    "encoder_depth",
-    "decoder_depth",
-    "n_heads",
-    "ffn_mult",
-    "stem_strides",
-    "stem_kernels",
-    "precision",
-)
+# (format, parse) of each ModelConfig field type in the config blob, keyed by
+# the annotation text (annotations are postponed in this module); the blob
+# lists the fields in declaration order
+_BLOB_FORMS = {
+    "Modality": (lambda m: m.name, Modality.parse),
+    "int": (str, int),
+    "str": (str, str),
+    "tuple[int, ...]": (
+        lambda t: ",".join(str(v) for v in t),
+        lambda text: tuple(int(v) for v in text.split(",") if v),
+    ),
+}
 
 
 def config_to_text(config: ModelConfig) -> str:
-    values = {
-        "modality": config.modality.name,
-        "input_len": config.input_len,
-        "embed_dim": config.embed_dim,
-        "encoder_depth": config.encoder_depth,
-        "decoder_depth": config.decoder_depth,
-        "n_heads": config.n_heads,
-        "ffn_mult": config.ffn_mult,
-        "stem_strides": ",".join(str(s) for s in config.stem_strides),
-        "stem_kernels": ",".join(str(k) for k in config.stem_kernels),
-        "precision": config.precision,
-    }
-    return "".join(f"{k}={values[k]}\n" for k in _CONFIG_KEYS)
+    return "".join(
+        f"{f.name}={_BLOB_FORMS[f.type][0](getattr(config, f.name))}\n" for f in fields(ModelConfig)
+    )
 
 
 def config_from_text(text: str) -> ModelConfig:
@@ -345,22 +334,11 @@ def config_from_text(text: str) -> ModelConfig:
             raise SchemaMismatchError(f"malformed config line {line!r}")
         key, _, value = line.partition("=")
         kv[key] = value
-    missing = [k for k in _CONFIG_KEYS if k not in kv]
+    missing = [f.name for f in fields(ModelConfig) if f.name not in kv]
     if missing:
         raise SchemaMismatchError(f"checkpoint config missing keys {missing}")
     try:
-        return ModelConfig(
-            modality=Modality.parse(kv["modality"]),
-            input_len=int(kv["input_len"]),
-            embed_dim=int(kv["embed_dim"]),
-            encoder_depth=int(kv["encoder_depth"]),
-            decoder_depth=int(kv["decoder_depth"]),
-            n_heads=int(kv["n_heads"]),
-            ffn_mult=int(kv["ffn_mult"]),
-            stem_strides=tuple(int(s) for s in kv["stem_strides"].split(",") if s),
-            stem_kernels=tuple(int(k) for k in kv["stem_kernels"].split(",") if k),
-            precision=kv["precision"],
-        )
+        return ModelConfig(**{f.name: _BLOB_FORMS[f.type][1](kv[f.name]) for f in fields(ModelConfig)})
     except (ValueError, ConfigError) as exc:
         raise SchemaMismatchError(f"invalid checkpoint config: {exc}") from exc
 

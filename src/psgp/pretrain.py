@@ -306,7 +306,11 @@ class _Adam:
             raise NumericError(f"non-finite gradient for {name!r}")
 
     def step(self) -> None:
-        """Update the parameters in place from the gathered gradients."""
+        """Update the parameters in place from the gathered gradients.
+
+        A non-finite update (an overflowing learning rate, say) fails the
+        step before any parameter is written.
+        """
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
@@ -319,12 +323,15 @@ class _Adam:
         s *= 1.0 - self.beta2
         v += s
         # update = (m / b1c) / (sqrt(v / b2c) + eps), built in g and s
-        np.divide(v, b2c, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        np.divide(m, b1c, out=s)
-        s /= g
-        s *= self.lr
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            np.divide(v, b2c, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            np.divide(m, b1c, out=s)
+            s /= g
+            s *= self.lr
+        if not np.isfinite(s).all():
+            raise NumericError("non-finite parameter update")
         self.flat -= s
 
 
@@ -340,8 +347,8 @@ def train(
     Everything random derives from ssl_config.seed through named SeedSequence
     children (init / batch order / per-step masks), so two runs with the same
     inputs agree bit-for-bit; BLAS runs at one thread throughout, so they
-    agree whatever the environment's BLAS thread count. A non-finite loss or
-    gradient, or a NumericError raised inside a step (non-finite
+    agree whatever the environment's BLAS thread count. A non-finite loss,
+    gradient or parameter update, or a NumericError raised inside a step (non-finite
     activations, a coding-rate matrix that is not positive definite), aborts
     with the step number, keeping the parameters from before the bad step;
     when checkpoint_dir is given they are saved there and the error names
@@ -382,15 +389,15 @@ def train(
                     zero_grads(params_t)
                     backward(loss)
                     opt.gather(params_t)
+                    opt.step()
                 except NumericError as exc:
-                    # the optimizer has not run, so params_t still holds the pre-step values
+                    # the optimizer has not written params_t, so it holds the pre-step values
                     where = ""
                     if checkpoint_dir is not None:
                         path = Path(checkpoint_dir) / "checkpoint_lastgood.psgm"
                         mdl.save_checkpoint({k: t.data for k, t in params_t.items()}, config, path)
                         where = f"; last good parameters saved to {path}"
                     raise NumericError(f"{exc} at step {step}{where}") from exc
-                opt.step()
                 report = replace(report, step=step)
                 reports.append(report)
                 if log_fh:

@@ -31,7 +31,10 @@ from .signalio import Modality
 from .vectors import SubjectScore
 
 Z95 = 1.959964
+_ALPHA = 0.05  # significance level of the odds-ratio report
 _SEPARATION_BETA = 30.0
+_MAX_ITER = 100  # Newton steps of one logistic fit
+_TOL = 1e-10  # on the score, max |X^T (y - p)|
 
 
 @dataclass
@@ -63,7 +66,6 @@ class LogisticModel:
     beta: np.ndarray
     cov: np.ndarray
     n_used: int
-    n_dropped: int
     converged: bool
     iterations: int
     separated: bool = False
@@ -80,19 +82,12 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
-def fit_logistic(
-    x: FeatureMatrix,
-    y: np.ndarray,
-    outcome: str = "",
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    n_dropped: int = 0,
-) -> LogisticModel:
+def fit_logistic(x: FeatureMatrix, y: np.ndarray, outcome: str = "") -> LogisticModel:
     """Newton/IRLS logistic regression with step-halving.
 
-    Convergence: max |X^T (y - p)| < tol. Perfect separation (diverging
-    coefficients while deviance collapses) emits SeparationWarning and
-    returns the partial fit flagged `separated`.
+    Convergence: max |X^T (y - p)| < _TOL within _MAX_ITER steps. Perfect
+    separation (diverging coefficients while deviance collapses) emits
+    SeparationWarning and returns the partial fit flagged `separated`.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.values.shape[0] != y.shape[0]:
@@ -111,14 +106,13 @@ def fit_logistic(
     beta = np.zeros(X.shape[1])
     ll = _log_likelihood(X @ beta, y)
     converged = False
-    separated = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         eta = X @ beta
         p = _sigmoid(eta)
         w = np.maximum(p * (1.0 - p), 1e-12)
         score = X.T @ (y - p)
-        if np.max(np.abs(score)) < tol:
+        if np.max(np.abs(score)) < _TOL:
             converged = True
             break
         info = (X * w[:, None]).T @ X
@@ -140,25 +134,17 @@ def fit_logistic(
         if np.max(np.abs(beta)) > _SEPARATION_BETA:
             p_now = _sigmoid(X @ beta)
             if np.max(np.minimum(p_now, 1.0 - p_now)) < 1e-4 or -ll < 1e-6:
-                separated = True
-                warnings.warn(
-                    f"outcome {outcome!r}: perfect separation detected; "
-                    "coefficients are unbounded",
-                    SeparationWarning,
-                    stacklevel=2,
-                )
-                break
-    eta = X @ beta
-    p = _sigmoid(eta)
-    ll_final = _log_likelihood(eta, y)
-    # Diverging coefficients can also exit through the score check once the
-    # probabilities saturate, so re-test at the final beta. A (near-)zero
-    # deviance means the fit is perfect, which only separation produces.
-    if not separated and (
-        -ll_final < 1e-6
+                break  # diverging: the verdict below holds at this beta
+    p = _sigmoid(X @ beta)
+    # One verdict at the final beta, however the loop ended: diverging
+    # coefficients can also exit through the score check once the
+    # probabilities saturate. A (near-)zero deviance (ll is that of the final
+    # beta) means the fit is perfect, which only separation produces.
+    separated = bool(
+        -ll < 1e-6
         or (np.max(np.abs(beta)) > _SEPARATION_BETA and np.max(np.minimum(p, 1.0 - p)) < 1e-4)
-    ):
-        separated = True
+    )
+    if separated:
         warnings.warn(
             f"outcome {outcome!r}: perfect separation detected; "
             "coefficients are unbounded",
@@ -178,7 +164,6 @@ def fit_logistic(
         beta=beta,
         cov=cov,
         n_used=n,
-        n_dropped=n_dropped,
         converged=converged,
         iterations=it,
         separated=separated,
@@ -217,14 +202,11 @@ def odds_ratios(model: LogisticModel, features: Sequence[str] | None = None) -> 
         se = float(np.sqrt(max(model.cov[j, j], 0.0)))
         if se == 0.0:
             p = 1.0 if b == 0.0 else 0.0
-            lo = hi = np.exp(b)
         else:
-            z = b / se
-            p = 2.0 * float(_norm.sf(abs(z)))
-            with np.errstate(over="ignore"):  # an infinite bound is a valid answer
-                lo = np.exp(b - Z95 * se)
-                hi = np.exp(b + Z95 * se)
-        out.append(OddsRatio(name, float(np.exp(b)), float(lo), float(hi), p))
+            p = 2.0 * float(_norm.sf(abs(b / se)))
+        with np.errstate(over="ignore"):  # an infinite ratio or bound is a valid answer
+            ratio, lo, hi = (float(np.exp(v)) for v in (b, b - Z95 * se, b + Z95 * se))
+        out.append(OddsRatio(name, ratio, lo, hi, p))
     return out
 
 
@@ -415,7 +397,6 @@ def evaluate_grid(
     scores: Sequence[SubjectScore],
     manifest: CohortManifest,
     split: CohortSplit,
-    predictor_sets: Mapping[str, tuple] | None = None,
     outcomes: Sequence[str] | None = None,
     standardize: bool = False,
 ) -> AucGrid:
@@ -425,7 +406,6 @@ def evaluate_grid(
     side of the split are read, and test labels are never touched during
     fitting. Unusable cells carry "NA:<reason>" instead of a number.
     """
-    sets = dict(predictor_sets) if predictor_sets is not None else PREDICTOR_SETS
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
     for outcome in outs:
         if outcome not in manifest.outcome_names:
@@ -435,12 +415,12 @@ def evaluate_grid(
     test_ids = sorted(split.test_ids & eligible)
     lookup = _score_lookup(scores)
     cells: dict[tuple[str, str], float | str] = {}
-    for row_name, spec in sets.items():
+    for row_name, spec in PREDICTOR_SETS.items():
         for outcome in outs:
             cells[(row_name, outcome)] = _grid_cell(
                 manifest, lookup, outcome, spec, train_ids, test_ids, standardize
             )
-    return AucGrid(tuple(sets), outs, cells)
+    return AucGrid(tuple(PREDICTOR_SETS), outs, cells)
 
 
 def _grid_cell(
@@ -484,9 +464,8 @@ def odds_ratio_report(
     manifest: CohortManifest,
     split: CohortSplit,
     outcomes: Sequence[str] | None = None,
-    modalities: Sequence[Modality] = (Modality.EEG, Modality.ECG, Modality.RESP),
+    modalities: Sequence[Modality] = tuple(Modality),
     standardize: bool = False,
-    alpha: float = 0.05,
 ) -> list[OrReportRow]:
     """Per (outcome, modality): adjusted OR of the risk score, controlling
     for age, sex and bmi, fitted on the eligible training subjects alone
@@ -519,7 +498,7 @@ def odds_ratio_report(
                     result.ci_low,
                     result.ci_high,
                     result.p_value,
-                    result.p_value < alpha,
+                    result.p_value < _ALPHA,
                 )
             )
     return rows

@@ -113,7 +113,6 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
     signals_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes = sorted(config.prevalence)
-    modalities = (Modality.EEG, Modality.ECG, Modality.RESP)
     master = np.random.SeedSequence(config.seed)
     ss_labels, ss_templates, ss_subjects = master.spawn(3)
     label_rng = np.random.default_rng(ss_labels)
@@ -124,7 +123,7 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
     # so adding an effect never reshuffles unrelated randomness
     templates: dict[tuple[str, str], np.ndarray] = {}
     for outcome in outcomes:
-        for modality in modalities:
+        for modality in Modality:
             spw = samples_per_window(modality.nominal_rate_hz)
             templates[(outcome, modality.name)] = _template(
                 template_rng, spw, modality.nominal_rate_hz
@@ -140,7 +139,7 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
 
     # covariate shift per outcome scales with its strongest planted effect
     shift_scale = {
-        o: max((config.effect_size(o, m) for m in modalities), default=0.0) for o in outcomes
+        o: max((config.effect_size(o, m) for m in Modality), default=0.0) for o in outcomes
     }
 
     rows: dict[str, SubjectRow] = {}
@@ -160,7 +159,7 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
         )
         rows[sid] = SubjectRow(sid, age, sex, bmi, sbp, frs, dict(lab))
 
-        for modality in modalities:
+        for modality in Modality:
             rate = modality.nominal_rate_hz
             spw = samples_per_window(rate)
             total = n_segments * spw
@@ -185,14 +184,14 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
     save_manifest(manifest, out_dir / "manifest.csv")
 
     effect_sizes = {
-        (o, m.name): config.effect_size(o, m) for o in outcomes for m in modalities
+        (o, m.name): config.effect_size(o, m) for o in outcomes for m in Modality
     }
     with (out_dir / "effects.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["outcome", "modality", "effect_size", "n_positive"])
         for o in outcomes:
             n_pos = sum(labels[sid][o] for sid in subject_ids)
-            for m in modalities:
+            for m in Modality:
                 writer.writerow([o, m.name, format(effect_sizes[(o, m.name)], ".6g"), n_pos])
     with (out_dir / "affected.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

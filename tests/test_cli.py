@@ -179,6 +179,7 @@ class TestSynthDeterminism:
         ) == 0
         out = capsys.readouterr().out
         assert "CVD" in out and "ECG" in out
+        assert out == (tmp_path / "c" / "effects.csv").read_text(encoding="utf-8")
 
 
 class TestExitCodes:
@@ -237,6 +238,38 @@ class TestExitCodes:
         rc = run_cli(command, "--out", tmp_path / "out", *stage, *seed)
         err = capsys.readouterr().err
         assert_one_line_data_error(rc, err, "seed must be >= 0", kind="ConfigError", code=2)
+
+    @pytest.mark.parametrize(
+        "stage,value,field",
+        [
+            (["train", "--tcr-epsilon", "inf"], None, "tcr_epsilon"),
+            (["train", "--learning-rate", "nan"], None, "learning_rate"),
+            (["synth", "--effect", "CVD:ECG=nan"], None, "effects"),
+            (["synth", "--noise-sigma", "inf"], None, "noise_sigma"),
+            (["train"], "[ssl]\ntcr_weight = inf\n", "tcr_weight"),
+            (["eval"], "[synth]\nprevalence = CVD=nan\n", "prevalence"),
+            (["eval"], "[synth]\naffected_fraction = nan\n", "affected_fraction"),
+            (["fit"], "[synth]\neffects = CVD:RESP=-inf\n", "effects"),
+        ],
+    )
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, stage, value, field):
+        """Refused when the config is merged, before the stage reads any
+        input: the data directory here does not exist."""
+        command, *flags = stage
+        if value is not None:
+            ini = tmp_path / "bad.ini"
+            ini.write_text(value, encoding="utf-8")
+            flags += ["--config", ini]
+        inputs = {
+            "synth": ["--subjects", 4, "--segments", 1, "--prevalence", "CVD=0.5"],
+            "train": ["--data", tmp_path / "none"],
+            "eval": ["--data", tmp_path / "none", "--scores", tmp_path / "none.csv"],
+            "fit": ["--data", tmp_path / "none", "--scores", tmp_path / "none.csv"],
+        }[command]
+        rc = run_cli(command, "--out", tmp_path / "out", *inputs, *flags)
+        err = capsys.readouterr().err
+        assert_one_line_data_error(rc, err, f"{field} must be finite", kind="ConfigError", code=2)
+        assert not (tmp_path / "out" / f"resolved_config_{command}.txt").exists()
 
     @pytest.mark.parametrize("modality", ["all", "ECG,RESP"])
     def test_report_of_several_modalities_is_usage_error(self, chain, capsys, modality):
@@ -796,6 +829,40 @@ def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
     assert tables[2] == tables[1]
     assert autodiff.grad_enabled()
     assert run_cli("train", "--out", tmp_path / "again", "--config", ini, "--data", data, "--seed", 3) == 0
+
+
+def test_overflowing_update_fails_its_step_and_keeps_the_initial_parameters(tmp_path, capsys):
+    """A learning rate past the float32 range makes step 1's Adam update
+    infinite. The step fails before the parameters are written: one error
+    line names the step, and the last-good checkpoint holds the seeded
+    initialization."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nmodalities = RESP\n"
+        "[model]\nembed_dim = 8\nencoder_depth = 1\ndecoder_depth = 1\nn_heads = 2\n"
+        "[ssl]\nsteps = 3\nbatch_size = 4\nn_permutations = 2\n",
+        encoding="utf-8",
+    )
+    data, models = tmp_path / "cohort", tmp_path / "models"
+    assert run_cli(
+        "synth", "--out", data, "--config", ini, "--seed", 2, "--subjects", 6, "--segments", 2,
+        "--prevalence", "CVD=0.5",
+    ) == 0
+    capsys.readouterr()
+    rc = run_cli(
+        "train", "--out", models, "--config", ini, "--data", data, "--seed", 2,
+        "--learning-rate", "1e39",
+    )
+    err = capsys.readouterr().err
+    lastgood = models / "RESP" / "checkpoint_lastgood.psgm"
+    assert_one_line_data_error(
+        rc, err, "non-finite parameter update at step 1;", str(lastgood), kind="NumericError", code=4
+    )
+    params, mcfg = mdl.load_checkpoint(lastgood)
+    s_init = np.random.SeedSequence(2).spawn(3)[0]
+    for name, want in mdl.init_parameters(mcfg, s_init).items():
+        np.testing.assert_array_equal(params[name], want, err_msg=name)
+    assert not (models / "RESP" / "checkpoint.psgm").exists()
 
 
 def test_train_and_embed_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -56,11 +56,11 @@ def stem(X, params, cfg) -> np.ndarray:
         return stem_forward(Tensor(np.asarray(X)), {k: Tensor(v) for k, v in params.items()}, cfg).data
 
 
-def encode(grid, params, cfg, use_positions=True) -> np.ndarray:
+def encode(grid, params, cfg) -> np.ndarray:
     """(B, n, d) patch grid -> (B, n, d) encoded grid, without a tape."""
     with no_grad():
         tp = {k: Tensor(v) for k, v in params.items()}
-        return encode_t(Tensor(np.asarray(grid)), tp, cfg, use_positions).data
+        return encode_t(Tensor(np.asarray(grid)), tp, cfg).data
 
 
 def pool(grid) -> np.ndarray:
@@ -190,15 +190,16 @@ class TestForwardShapes:
 
 class TestEncoderProperties:
     def test_permutation_equivariance_without_positions(self):
-        """With the position table disabled, the encoder commutes with any
+        """With a zero position table, the encoder commutes with any
         permutation of the patch rows."""
         cfg = tiny_config()
         params = init_parameters(cfg, seed=5)
+        params["pos_embed"] = np.zeros_like(params["pos_embed"])
         rng = np.random.default_rng(6)
         grid = rng.standard_normal((1, cfg.n_patches, cfg.embed_dim))
         perm = rng.permutation(cfg.n_patches)
-        out_perm = encode(grid[:, perm], params, cfg, use_positions=False)
-        out_base = encode(grid, params, cfg, use_positions=False)
+        out_perm = encode(grid[:, perm], params, cfg)
+        out_base = encode(grid, params, cfg)
         np.testing.assert_allclose(out_perm, out_base[:, perm], rtol=1e-10, atol=1e-12)
 
     def test_positions_break_equivariance(self):
@@ -375,6 +376,15 @@ class TestCheckpointFormat:
     def test_config_text_round_trip(self):
         cfg = tiny_config(stem_kernels=(4, 5))
         assert config_from_text(config_to_text(cfg)) == cfg
+
+    def test_config_text_is_the_field_list_in_order(self):
+        """The config blob byte for byte: one key=value line per ModelConfig
+        field, in declaration order. Reordering the fields changes the blob of
+        every checkpoint written after it."""
+        assert config_to_text(tiny_config(stem_kernels=(4, 5))) == (
+            "modality=EEG\ninput_len=40\nembed_dim=8\nencoder_depth=1\ndecoder_depth=1\n"
+            "n_heads=2\nffn_mult=2\nstem_strides=2,5\nstem_kernels=4,5\nprecision=f64\n"
+        )
 
     def test_config_text_missing_key(self):
         text = config_to_text(tiny_config()).replace("n_heads=2\n", "")

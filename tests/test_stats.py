@@ -122,6 +122,21 @@ class TestFitLogistic:
         assert [w.category for w in caught] == [SeparationWarning]
         assert np.all((p >= 0.0) & (p <= 1.0))
 
+    def test_separated_fit_stops_at_the_early_exit(self):
+        """Once |beta| passes the separation bound with saturated
+        probabilities, IRLS stops at that step with one SeparationWarning;
+        run on to its step cap, the same design takes 100 steps to a slope
+        of about 208."""
+        x = np.concatenate([np.linspace(-10.0, -0.1, 20), np.linspace(0.1, 10.0, 20)])[:, None]
+        y = (x[:, 0] > 0).astype(float)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit_logistic(FeatureMatrix(("x",), x), y)
+        assert [w.category for w in caught] == [SeparationWarning]
+        assert model.separated and not model.converged
+        assert model.iterations == 17
+        np.testing.assert_allclose(model.beta, [0.0, 93.35075101783124], rtol=1e-9, atol=1e-9)
+
     def test_collinear_design_rejected(self):
         rng = np.random.default_rng(13)
         col = rng.standard_normal(20)
@@ -161,7 +176,6 @@ class TestOddsRatios:
             beta=np.asarray(beta, dtype=float),
             cov=np.asarray(cov, dtype=float),
             n_used=10,
-            n_dropped=0,
             converged=converged,
             iterations=5,
             separated=separated,
@@ -210,6 +224,20 @@ class TestOddsRatios:
             odds_ratios(bad)
         sep = self._model([0.0, 40.0], np.eye(2), converged=False, separated=True)
         assert odds_ratios(sep)[0].odds_ratio > 1
+
+    @pytest.mark.parametrize("slope_var", [4.0, 0.0])
+    def test_overflowing_ratio_is_inf_without_runtime_warning(self, slope_var):
+        """exp(800) is past the float64 range: a separated slope of 800 gives
+        an infinite ratio and bounds, with or without a standard error, and
+        no numpy overflow warning."""
+        model = self._model(
+            [0.0, 800.0], [[1.0, 0.0], [0.0, slope_var]], converged=False, separated=True
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (result,) = odds_ratios(model)
+        assert result.odds_ratio == result.ci_low == result.ci_high == np.inf
+        assert result.p_value == 0.0
 
 
 class TestAuc:
