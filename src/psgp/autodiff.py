@@ -395,7 +395,7 @@ _PHI_Q = tuple(np.float32(c) for c in (
     "106862.15", "1.5653919e+06", "1.2345848e+07", "5.40935e+07", "1.04651464e+08",
 ))
 # elements per block: the block and its three scratch arrays stay in L2
-_PHI_BLOCK = 1 << 15
+_PHI_BLOCK = 1 << 16
 
 
 def _phi_f32_block(
@@ -403,7 +403,10 @@ def _phi_f32_block(
 ) -> None:
     """Phi of one float32 block into ``out``; z, t, q are scratch of its length."""
     np.multiply(x, _PHI_SCALE, out=z)
-    np.clip(z, -_PHI_CLAMP, _PHI_CLAMP, out=z)
+    # two ufuncs, not np.clip: clip's Python-level wrappers cost more than the
+    # clamp itself and hand the GIL around between embed workers
+    np.minimum(z, _PHI_CLAMP, out=z)
+    np.maximum(z, -_PHI_CLAMP, out=z)
     np.multiply(z, z, out=t)
     np.add(t, _PHI_P[0], out=out)
     for c in _PHI_P[1:]:

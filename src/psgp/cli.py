@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import math
 import os
@@ -172,13 +173,25 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     save_split(split, out / "split.csv")
 
 
+def _csv_cells(cells: list) -> str:
+    """``cells`` as ``csv.writer`` writes them, without a line ending."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
+
+
 def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modality) -> None:
+    """One row per segment, each value as ``%.9g`` (which round-trips float32).
+
+    Each subject's key cells go through ``csv.writer`` once, so an id that
+    needs quoting is quoted as csv quotes it; each row is then one ``%``.
+    """
     d = vectors.shape[1]
+    key_cells = {sid: _csv_cells([sid, modality.name]) for sid in dict.fromkeys(sid for sid, _ in keys)}
+    row = "%s,%d" + ",%.9g" * d + "\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)])
-        for (sid, idx), vec in zip(keys, vectors):
-            writer.writerow([sid, modality.name, idx] + [format(float(v), ".9g") for v in vec])
+        fh.write(",".join(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)]) + "\n")
+        fh.writelines(row % (key_cells[sid], idx, *vec) for (sid, idx), vec in zip(keys, vectors.tolist()))
 
 
 def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:

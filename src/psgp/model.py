@@ -48,8 +48,8 @@ _DEFAULT_STRIDES = {3750: (5, 5, 5), 300: (2, 5)}
 
 _LN_EPS = 1e-5
 _NORM_FLOOR = 1e-12
-# target size of one embed tile's stage-0 stem activation: with the arrays
-# derived from it, a tile's working set fits in a 2 MB L2 cache
+# target size of the largest activation of one embed tile (see embed_tiles):
+# with the arrays derived from it, a tile's working set fits in a 2 MB L2 cache
 _EMBED_TILE_BYTES = 1 << 20
 
 
@@ -266,31 +266,51 @@ def pool_rows(t: Tensor) -> Tensor:
 
 # --- inference --------------------------------------------------------
 
+def embed_tiles(config: ModelConfig) -> tuple[int, int]:
+    """(stem rows, encoder rows) of one ``embed_segments`` tile.
+
+    Each fills ``_EMBED_TILE_BYTES`` with the largest activation of its part
+    of the forward pass, per segment: the stem's stage-0 output
+    (input_len / stride_0 rows of d) and the encoder's FFN inner activation
+    (n_patches rows of ffn_mult * d).
+    """
+    row_bytes = config.embed_dim * np.dtype(config.np_dtype).itemsize
+    stem_bytes = config.input_len // config.stem_strides[0] * row_bytes
+    encoder_bytes = config.n_patches * config.ffn_mult * row_bytes
+    return max(1, _EMBED_TILE_BYTES // stem_bytes), max(1, _EMBED_TILE_BYTES // encoder_bytes)
+
+
 def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1) -> np.ndarray:
     """Embed (N, m) segment samples -> (N, d) unit-norm embeddings.
 
-    Rows go through the model in tiles. The tile size comes from the stem's
-    stage-0 activation (rows x d x itemsize per segment), the largest array
-    of the forward pass, so that a tile's activations stay in cache. With
-    ``threads`` > 1 and more than one tile, a thread pool maps over the
-    tiles. Every segment is computed independently of the others in its
-    tile, and BLAS runs at one thread, so the output bytes depend neither on
-    the tiling, nor on ``threads``, nor on the environment's BLAS thread
-    count. Tape recording and the BLAS pin are switched once, on the calling
+    Rows go through the model in encoder tiles, and each encoder tile through
+    the stem in smaller stem tiles (sizes from ``embed_tiles``), so that the
+    activations stay in cache while each numpy call still does a lot of
+    work. With ``threads`` > 1 and more than one encoder tile, a thread pool
+    maps over the encoder tiles. The tiling depends on the config alone and
+    BLAS runs at one thread, so one config gives the same bytes at every
+    ``threads`` and every environment BLAS thread count. Another tiling of
+    the same rows may move low bits: some GEMMs round differently with their
+    row count (seen at d = 8 in the stem's (rows, 40) @ (40, 8) GEMM and in
+    attention's softmax sum over more than 16,800 columns).
+    Tape recording and the BLAS pin are switched once, on the calling
     thread, around all tiles: both are process-wide, so worker threads must
     not enter or leave them themselves.
     """
     X = np.asarray(X, dtype=config.np_dtype)
     if X.ndim != 2 or X.shape[1] != config.input_len:
         raise DataError(f"expected (N, {config.input_len}) samples, got {X.shape}")
-    stage0_bytes = config.input_len // config.stem_strides[0] * config.embed_dim * X.itemsize
-    tile = max(1, _EMBED_TILE_BYTES // stage0_bytes)
+    stem_tile, tile = embed_tiles(config)
     tp = _as_tensor_params(params)
     out = np.empty((X.shape[0], config.embed_dim), dtype=config.np_dtype)
 
     def embed_tile(start: int) -> None:
-        enc = encode_t(stem_forward(Tensor(X[start:start + tile]), tp, config), tp, config)
-        out[start:start + enc.shape[0]] = pool_rows(enc).data
+        rows = X[start:start + tile]
+        patches = np.concatenate([
+            stem_forward(Tensor(rows[s:s + stem_tile]), tp, config).data
+            for s in range(0, rows.shape[0], stem_tile)
+        ])
+        out[start:start + rows.shape[0]] = pool_rows(encode_t(Tensor(patches), tp, config)).data
 
     starts = range(0, X.shape[0], tile)
     with no_grad(), ad.single_blas_thread():

@@ -158,6 +158,22 @@ class TestGeluF32Kernel:
         expected = reference[:30].reshape(2, 3, 5).transpose(2, 0, 1)
         np.testing.assert_array_equal(ad.gelu(Tensor(view)).data, expected)
 
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch):
+        """Value and Phi bytes are the same at every block size, over a length
+        that is a multiple of none of them, clamped tails and specials included."""
+        rng = np.random.default_rng(14)
+        x = (6.0 * rng.standard_normal(3 * (1 << 16) + 12_345)).astype(np.float32)
+        x[:6] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 40.0]
+        blocks = (999, 1 << 10, 1 << 15, 1 << 16, 1 << 18)
+        assert all(x.size % b for b in blocks)
+        runs = []
+        for block in blocks:
+            monkeypatch.setattr(ad, "_PHI_BLOCK", block)
+            value, phi = ad._gelu_f32(x, keep_phi=True)
+            runs.append((value.tobytes(), phi.tobytes(), ad._gelu_f32(x, keep_phi=False)[0].tobytes()))
+        assert runs[0][0] == runs[0][2]
+        assert all(run == runs[0] for run in runs[1:])
+
     def test_vjp_matches_analytic_derivative(self):
         x = np.linspace(-12.0, 12.0, 200_001).astype(np.float32)
         g = np.random.default_rng(13).uniform(-1.0, 1.0, x.shape).astype(np.float32)

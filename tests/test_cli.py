@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (all in-process)."""
 import argparse
 import csv
+import io
 import random
 from dataclasses import fields
 from pathlib import Path
@@ -533,6 +534,23 @@ class TestEmbeddingsReader:
         assert got_ids.tolist() == ids
         assert got.tobytes() == X.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sid", ["S0001", 'a,"b"'])
+    def test_writer_bytes_equal_csv_writer_rows(self, tmp_path, sid, dtype):
+        """One ``%`` per row writes the bytes of a ``csv.writer`` row of
+        ``format(float(v), ".9g")`` cells, for a plain id and a quoted one."""
+        X = np.concatenate([self.SPECIAL[None, :], np.random.default_rng(3).standard_normal((3, 12))])
+        X = X.astype(dtype)
+        keys = [(sid, 0), (sid, 1), ("S0002", 0), (sid, 2)]
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, keys, X, Modality.ECG)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(12)])
+        for (key, idx), vec in zip(keys, X):
+            writer.writerow([key, "ECG", idx] + [format(float(v), ".9g") for v in vec])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
     def test_line_break_in_subject_id_is_refused(self, tmp_path):
         path = tmp_path / "embeddings.csv"
         _write_embeddings_csv(path, [("S1", 0), ("a\nb", 1)], np.ones((2, 2), np.float32), Modality.RESP)
@@ -798,10 +816,10 @@ def test_non_utf8_byte_is_one_error_line(chain, tmp_path, capsys, target):
 
 
 def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
-    """ECG at d = 32 embeds in tiles of 10 rows, so 24 segments make three
-    tiles and ``--threads 2`` really runs the pool. Its table must equal the
-    one-thread bytes, and tape recording must still be on for a following
-    in-process ``train``."""
+    """ECG at d = 32 embeds in encoder tiles of 68 rows, so 144 segments make
+    two full tiles and a remainder and ``--threads 2`` really runs the pool.
+    Its table must equal the one-thread bytes, and tape recording must still
+    be on for a following in-process ``train``."""
     ini = tmp_path / "run.ini"
     ini.write_text(
         "[run]\nmodalities = ECG\n"
@@ -811,12 +829,12 @@ def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
     )
     data, models = tmp_path / "cohort", tmp_path / "models"
     assert run_cli(
-        "synth", "--out", data, "--config", ini, "--seed", 3, "--subjects", 8, "--segments", 3,
+        "synth", "--out", data, "--config", ini, "--seed", 3, "--subjects", 8, "--segments", 18,
         "--prevalence", "CVD=0.5",
     ) == 0
     assert run_cli("train", "--out", models, "--config", ini, "--data", data, "--seed", 3) == 0
     _, mcfg = mdl.load_checkpoint(models / "ECG" / "checkpoint.psgm")
-    tile = mdl._EMBED_TILE_BYTES // (mcfg.input_len // mcfg.stem_strides[0] * mcfg.embed_dim * 4)
+    _, tile = mdl.embed_tiles(mcfg)
     tables = {}
     for threads in (1, 2):
         out = tmp_path / f"emb{threads}"
@@ -825,7 +843,7 @@ def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
             "--threads", threads,
         ) == 0
         tables[threads] = (out / "ECG" / "embeddings.csv").read_bytes()
-    assert tables[1].count(b"\n") - 1 == 24 > tile
+    assert tables[1].count(b"\n") - 1 == 144 > 2 * tile
     assert tables[2] == tables[1]
     assert autodiff.grad_enabled()
     assert run_cli("train", "--out", tmp_path / "again", "--config", ini, "--data", data, "--seed", 3) == 0

@@ -256,21 +256,52 @@ class TestPooling:
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
+    def test_embed_tiles_fill_the_budget(self):
+        """d = 32 f32: the stem's stage-0 tile is 10 rows at 3750 samples and
+        54 at 300; the encoder tile, set by the FFN inner activation
+        (30 patches x 128 x 4 bytes per segment), is 68 for both."""
+        import psgp.model as mdl
+
+        for modality, stem_tile in ((Modality.ECG, 10), (Modality.RESP, 54)):
+            cfg = default_model_config(modality, embed_dim=32, precision="f32")
+            assert mdl.embed_tiles(cfg) == (stem_tile, 68)
+        f64 = default_model_config(Modality.ECG, embed_dim=32, precision="f64")
+        assert mdl.embed_tiles(f64) == (5, 34)
+        wide = default_model_config(Modality.ECG, embed_dim=1024, n_heads=4, precision="f64")
+        assert mdl.embed_tiles(wide) == (1, 1)
+
     def test_embed_segments_tiles_are_byte_identical(self):
-        """f32 at the default ECG geometry: several tiles plus a remainder tile
-        give the same bytes as one tile per row, at any thread count."""
+        """f32 at the default ECG geometry: several encoder tiles plus a
+        remainder tile, each run through the stem in stem tiles, give the same
+        bytes as one tile per row, at any thread count."""
         import psgp.model as mdl
 
         cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
-        stage0_bytes = cfg.input_len // cfg.stem_strides[0] * cfg.embed_dim * 4
-        tile = mdl._EMBED_TILE_BYTES // stage0_bytes
-        assert tile > 2
+        stem_tile, tile = mdl.embed_tiles(cfg)
+        assert tile > stem_tile > 2 and tile % stem_tile
         params = init_parameters(cfg, seed=4)
         X = np.random.default_rng(4).standard_normal((2 * tile + 3, cfg.input_len))
         reference = embed_segments(X, params, cfg).tobytes()
         one_per_row = b"".join(embed_segments(row[None], params, cfg).tobytes() for row in X)
         assert one_per_row == reference
         for threads in (2, 4):
+            assert embed_segments(X, params, cfg, threads=threads).tobytes() == reference
+
+    def test_embed_segments_threads_keep_bytes_at_d8(self):
+        """At d = 8 the bytes may depend on the tile sizes (the stem GEMM and
+        attention's softmax sum round differently with their row count), but
+        the tiling follows from the config alone: every thread count gives
+        the bytes of one thread, over several encoder tiles and a remainder."""
+        import psgp.model as mdl
+
+        cfg = default_model_config(
+            Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1, precision="f32"
+        )
+        _, tile = mdl.embed_tiles(cfg)
+        params = init_parameters(cfg, seed=8)
+        X = np.random.default_rng(8).standard_normal((2 * tile + 5, cfg.input_len))
+        reference = embed_segments(X, params, cfg, threads=1).tobytes()
+        for threads in (2, 3):
             assert embed_segments(X, params, cfg, threads=threads).tobytes() == reference
 
     def test_embed_segments_pool_leaves_grad_enabled(self):
@@ -282,7 +313,7 @@ class TestPooling:
         from psgp import autodiff as ad
 
         cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
-        tile = mdl._EMBED_TILE_BYTES // (cfg.input_len // cfg.stem_strides[0] * cfg.embed_dim * 4)
+        _, tile = mdl.embed_tiles(cfg)
         params = init_parameters(cfg, seed=4)
         X = np.random.default_rng(5).standard_normal((2 * tile + 3, cfg.input_len))
         reference = embed_segments(X, params, cfg, threads=1).tobytes()
