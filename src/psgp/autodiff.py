@@ -403,8 +403,8 @@ def _phi_f32_block(
 ) -> None:
     """Phi of one float32 block into ``out``; z, t, q are scratch of its length."""
     np.multiply(x, _PHI_SCALE, out=z)
-    # two ufuncs, not np.clip: clip's Python-level wrappers cost more than the
-    # clamp itself and hand the GIL around between embed workers
+    # two ufuncs, not np.clip: clip runs Python-level wrappers on every call,
+    # and each is one more GIL hand-off between embed workers
     np.minimum(z, _PHI_CLAMP, out=z)
     np.maximum(z, -_PHI_CLAMP, out=z)
     np.multiply(z, z, out=t)

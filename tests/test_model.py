@@ -22,6 +22,7 @@ from psgp.model import (
     config_to_text,
     default_model_config,
     embed_segments,
+    embed_tiles,
     encode_t,
     init_parameters,
     load_checkpoint,
@@ -260,24 +261,20 @@ class TestPooling:
         """d = 32 f32: the stem's stage-0 tile is 10 rows at 3750 samples and
         54 at 300; the encoder tile, set by the FFN inner activation
         (30 patches x 128 x 4 bytes per segment), is 68 for both."""
-        import psgp.model as mdl
-
         for modality, stem_tile in ((Modality.ECG, 10), (Modality.RESP, 54)):
             cfg = default_model_config(modality, embed_dim=32, precision="f32")
-            assert mdl.embed_tiles(cfg) == (stem_tile, 68)
+            assert embed_tiles(cfg) == (stem_tile, 68)
         f64 = default_model_config(Modality.ECG, embed_dim=32, precision="f64")
-        assert mdl.embed_tiles(f64) == (5, 34)
+        assert embed_tiles(f64) == (5, 34)
         wide = default_model_config(Modality.ECG, embed_dim=1024, n_heads=4, precision="f64")
-        assert mdl.embed_tiles(wide) == (1, 1)
+        assert embed_tiles(wide) == (1, 1)
 
     def test_embed_segments_tiles_are_byte_identical(self):
         """f32 at the default ECG geometry: several encoder tiles plus a
         remainder tile, each run through the stem in stem tiles, give the same
         bytes as one tile per row, at any thread count."""
-        import psgp.model as mdl
-
         cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
-        stem_tile, tile = mdl.embed_tiles(cfg)
+        stem_tile, tile = embed_tiles(cfg)
         assert tile > stem_tile > 2 and tile % stem_tile
         params = init_parameters(cfg, seed=4)
         X = np.random.default_rng(4).standard_normal((2 * tile + 3, cfg.input_len))
@@ -292,12 +289,10 @@ class TestPooling:
         attention's softmax sum round differently with their row count), but
         the tiling follows from the config alone: every thread count gives
         the bytes of one thread, over several encoder tiles and a remainder."""
-        import psgp.model as mdl
-
         cfg = default_model_config(
             Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1, precision="f32"
         )
-        _, tile = mdl.embed_tiles(cfg)
+        _, tile = embed_tiles(cfg)
         params = init_parameters(cfg, seed=8)
         X = np.random.default_rng(8).standard_normal((2 * tile + 5, cfg.input_len))
         reference = embed_segments(X, params, cfg, threads=1).tobytes()
@@ -309,11 +304,10 @@ class TestPooling:
         it themselves could leave tape recording off once the call returns."""
         import sys
 
-        import psgp.model as mdl
         from psgp import autodiff as ad
 
         cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
-        _, tile = mdl.embed_tiles(cfg)
+        _, tile = embed_tiles(cfg)
         params = init_parameters(cfg, seed=4)
         X = np.random.default_rng(5).standard_normal((2 * tile + 3, cfg.input_len))
         reference = embed_segments(X, params, cfg, threads=1).tobytes()
