@@ -22,7 +22,9 @@ Design constraints that shaped this module:
   uses ``np.add.at``, which applies updates in index order. A GEMM's bytes
   can depend on how many threads BLAS splits it over, so training and
   inference run inside ``single_blas_thread()``, which sets the bundled
-  OpenBLAS to one thread and restores the previous count on exit.
+  OpenBLAS to one thread and restores the previous count on exit. Every
+  BLAS/LAPACK call of ``train`` and ``embed`` is numpy's, so the pin covers
+  them all; scipy supplies only ``erf``, which is not BLAS.
 * every op here is validated against central finite differences in the
   test-suite before anything downstream relies on it. The one exception is
   the float32 GELU kernel: its rational Phi is checked against the float64
@@ -39,7 +41,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import erf as _erf_np
 
 from .errors import NumericError
@@ -105,7 +106,8 @@ def single_blas_thread():
     psgp's only parallelism is its own ``--threads`` pool: at d = 32 every
     GEMM is too small to gain from BLAS threads, and a GEMM split over
     several threads can round differently, so pinning keeps the output
-    bytes independent of the environment's BLAS thread count.
+    bytes independent of the environment's BLAS thread count. Every
+    BLAS/LAPACK call of ``train`` and ``embed`` is numpy's, so this covers all.
     """
     blas = openblas_threads()
     if blas is None:
@@ -289,17 +291,6 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
         return (np.swapaxes(g, ax1, ax2),)
 
     return _node(np.swapaxes(a.data, ax1, ax2), (a,), vjp)
-
-
-def index(a: Tensor, i: int) -> Tensor:
-    """``a[i]``: one slice along the leading axis."""
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        return (ga,)
-
-    return _node(a.data[i], (a,), vjp)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -673,10 +664,12 @@ def gather_windows(x: Tensor, kernel: int, stride: int) -> Tensor:
 
 
 def logdet_psd(a: Tensor) -> Tensor:
-    """log-determinant of a symmetric positive-definite matrix via Cholesky.
+    """log-determinant of each symmetric positive-definite matrix in a
+    (..., n, n) stack -> (...), via one Cholesky over the stack.
 
-    Gradient: d logdet(A) / dA = inv(A) (symmetric). Factorization failure is
-    reported with eigenvalue diagnostics rather than propagated silently.
+    Gradient: d logdet(A) / dA = inv(A) (symmetric), from numpy's LAPACK.
+    A factorization failure anywhere in the stack is reported with
+    eigenvalue diagnostics rather than propagated silently.
     """
     mat = a.data
     try:
@@ -688,12 +681,13 @@ def logdet_psd(a: Tensor) -> Tensor:
         except np.linalg.LinAlgError:
             detail = "eigenvalues unavailable"
         raise NumericError(f"matrix is not positive definite ({detail})") from None
-    data = np.asarray(2.0 * np.log(np.diag(chol)).sum(), dtype=mat.dtype)
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    data = np.asarray(2.0 * np.log(diag).sum(axis=-1), dtype=mat.dtype)
 
     def vjp(g):
-        inv = cho_solve((chol, True), np.eye(mat.shape[0], dtype=mat.dtype))
-        inv = 0.5 * (inv + inv.T)
-        return (g * inv,)
+        inv = np.linalg.inv(mat)
+        inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
+        return (g[..., None, None] * inv,)
 
     return _node(data, (a,), vjp)
 

@@ -119,7 +119,7 @@ def _outcomes_for(cfg: RunConfig, manifest: CohortManifest) -> tuple[str, ...]:
 
 
 def _load_modality_segments(
-    data: Path, manifest: CohortManifest, modality: Modality, subject_ids, input_len: int
+    data: Path, modality: Modality, subject_ids, input_len: int
 ) -> tuple[np.ndarray, list[tuple[str, int]]]:
     """Stack every available segment for the given subjects, sorted by id."""
     blocks: list[np.ndarray] = []
@@ -158,7 +158,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
     for modality in cfg.modalities:
         mcfg = model_config_for(cfg, modality)
-        X, _ = _load_modality_segments(data, manifest, modality, split.train_ids, mcfg.input_len)
+        X, _ = _load_modality_segments(data, modality, split.train_ids, mcfg.input_len)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
         params, _ = train(
@@ -286,9 +286,7 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
     for modality in cfg.modalities:
         ckpt_path = _require(models / modality.name / "checkpoint.psgm", "checkpoint")
         params, mcfg = load_checkpoint(ckpt_path)
-        X, keys = _load_modality_segments(
-            data, manifest, modality, manifest.subject_ids, mcfg.input_len
-        )
+        X, keys = _load_modality_segments(data, modality, manifest.subject_ids, mcfg.input_len)
         vecs = embed_segments(X, params, mcfg, threads=cfg.threads)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)

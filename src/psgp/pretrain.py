@@ -9,7 +9,8 @@ batch, and the loss combines
 * the mean row-wise cosine similarity between the target grid and the
   decoded grids (one mean over the K views, the batch and the rows), and
 * the total coding rate of each view's pooled decoded embeddings,
-  0.5 * logdet(I + (d / (b * eps^2)) * Z Z^T), averaged over views,
+  0.5 * logdet(I + (d / (b * eps^2)) * Z Z^T), averaged over views and
+  taken as one log-determinant node over the (K, d, B) stack of the Z,
 
 as ``total = (1 - similarity) - tcr_weight * tcr``: maximize agreement while
 keeping the embedding cloud from collapsing.
@@ -151,26 +152,30 @@ def similarity_loss(e_hat, z_list) -> float:
 
 
 def tcr_loss(z, epsilon: float):
-    """Total coding rate of a (d, b) matrix whose columns are embeddings.
+    """Total coding rate of each (d, b) matrix, columns the embeddings, in a
+    (..., d, b) stack -> (...).
 
-    A Tensor in gives a graph Tensor (training), an array a float (the
-    dense-eigen oracle checks this form).
+    A Tensor in gives a graph Tensor (training); an array gives an array,
+    and a float for one 2-D (d, b) matrix (the dense-eigen oracle checks
+    this form).
     """
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     is_tensor = isinstance(z, Tensor)
-    data = z.data if is_tensor else np.asarray(z)
-    if data.ndim != 2:
-        raise DataError(f"coding rate expects a (d, b) matrix, got shape {data.shape}")
+    zt = z if is_tensor else Tensor(np.asarray(z))
+    data = zt.data
+    if data.ndim < 2:
+        raise DataError(f"coding rate expects (..., d, b) matrices, got shape {data.shape}")
     if not np.isfinite(data).all():
         raise NumericError("coding rate received non-finite values")
-    d, b = data.shape
+    d, b = data.shape[-2:]
     coeff = d / (b * epsilon * epsilon)
-    zt = z if is_tensor else Tensor(data)
-    gram = ad.matmul(zt, ad.transpose(zt))
+    gram = ad.matmul(zt, ad.swapaxes(zt, -1, -2))
     eye = Tensor(np.eye(d, dtype=data.dtype))
     val = ad.mul(ad.logdet_psd(ad.add(eye, ad.mul(gram, coeff))), 0.5)
-    return val if is_tensor else float(val.data)
+    if is_tensor:
+        return val
+    return float(val.data) if data.ndim == 2 else val.data
 
 
 def _stack_segments(segments, config: ModelConfig) -> np.ndarray:
@@ -234,12 +239,9 @@ def total_loss_graph(
         w = np.stack([plan.bits for plan in plans]).astype(patches.dtype)[:, None, :]
         cos = ad.mul(ad.tsum(ad.mul(cos, w), axis=-1), 1.0 / plans[0].n_masked)
     sim = ad.tmean(cos)
-    # the coding rate stays per view: one (d, B) matrix of pooled rows each
-    pooled = ad.transpose(mdl.pool_rows(decoded), (0, 2, 1))  # (K, d, B)
-    tcr = tcr_loss(ad.index(pooled, 0), ssl_config.tcr_epsilon)
-    for i in range(1, k):
-        tcr = ad.add(tcr, tcr_loss(ad.index(pooled, i), ssl_config.tcr_epsilon))
-    tcr = ad.mul(tcr, 1.0 / k)
+    # each view's (d, B) matrix of pooled rows; one stacked logdet takes all K
+    pooled = ad.swapaxes(mdl.pool_rows(decoded), -1, -2)  # (K, d, B)
+    tcr = ad.tmean(tcr_loss(pooled, ssl_config.tcr_epsilon))
     total = ad.sub(ad.sub(1.0, sim), ad.mul(tcr, ssl_config.tcr_weight))
     report = LossReport(
         step=0,

@@ -262,6 +262,29 @@ class TestTcrLoss:
                 numeric[i, j] = (tcr_loss(zp, 0.25) - tcr_loss(zm, 0.25)) / (2 * h)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("d,b", [(6, 3), (5, 5), (3, 7)])
+    def test_stack_matches_each_matrix(self, d, b):
+        """A (4, d, b) stack gives each matrix's 2-D coding rate and its
+        dense-eigen value, and each matrix its own 2-D gradient, for b < d,
+        b = d and b > d."""
+        rng = np.random.default_rng(11 + d * b)
+        z = rng.standard_normal((4, d, b))
+        w = np.array([0.5, -1.0, 2.0, 1.5])
+        eps = 0.3
+        t = Tensor(z.copy(), requires_grad=True)
+        val = tcr_loss(t, eps)
+        backward(pretrain.ad.tsum(pretrain.ad.mul(val, w)))
+        coeff = d / (b * eps * eps)
+        for i in range(4):
+            lam = np.linalg.eigvalsh(z[i] @ z[i].T)
+            want = 0.5 * np.log1p(coeff * np.clip(lam, 0.0, None)).sum()
+            assert val.data[i] == pytest.approx(tcr_loss(z[i], eps), rel=1e-12)
+            assert val.data[i] == pytest.approx(want, rel=1e-9)
+            ti = Tensor(z[i].copy(), requires_grad=True)
+            backward(tcr_loss(ti, eps))
+            np.testing.assert_allclose(t.grad[i], w[i] * ti.grad, rtol=1e-10, atol=1e-13)
+        np.testing.assert_array_equal(tcr_loss(z, eps), val.data)
+
     def test_bad_inputs(self):
         with pytest.raises(ConfigError):
             tcr_loss(np.zeros((3, 3)), 0.0)
