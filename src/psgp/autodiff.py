@@ -17,14 +17,13 @@ Design constraints that shaped this module:
   the value mix and the output projection; ``layer_norm`` takes its row
   statistics as GEMVs. The small ops (``add``, ``matmul``, ``softmax``, ...)
   remain for everything else.
-* determinism: no op uses threads, unordered reductions, or in-place
-  mutation of shared buffers; the only scatter (window gather backward)
-  uses ``np.add.at``, which applies updates in index order. A GEMM's bytes
-  can depend on how many threads BLAS splits it over, so training and
-  inference run inside ``single_blas_thread()``, which sets the bundled
-  OpenBLAS to one thread and restores the previous count on exit. Every
-  BLAS/LAPACK call of ``train`` and ``embed`` is numpy's, so the pin covers
-  them all; scipy supplies only ``erf``, which is not BLAS.
+* determinism: no op uses threads, unordered reductions, scatters, or
+  in-place mutation of shared buffers. A GEMM's bytes can depend on how
+  many threads BLAS splits it over, so training and inference run inside
+  ``single_blas_thread()``, which sets the bundled OpenBLAS to one thread
+  and restores the previous count on exit. Every BLAS/LAPACK call of
+  ``train`` and ``embed`` is numpy's, so the pin covers them all; scipy
+  supplies only ``erf``, which is not BLAS.
 * every op here is validated against central finite differences in the
   test-suite before anything downstream relies on it. The one exception is
   the float32 GELU kernel: its rational Phi is checked against the float64
@@ -532,7 +531,7 @@ def _heads(qkv: np.ndarray, B: int, n: int, H: int, dh: int) -> tuple[np.ndarray
 def attention(
     x: Tensor,
     wq: Tensor, bq: Tensor,
-    wk: Tensor, bk: Tensor,
+    wk: Tensor,
     wv: Tensor, bv: Tensor,
     wo: Tensor, bo: Tensor,
     n_heads: int,
@@ -540,8 +539,10 @@ def attention(
     """Multi-head self-attention over a (B, n, d) grid, as one node.
 
     The q/k/v projections are one GEMM against the (d, 3d) concatenation of
-    their weights, and the heads are strided views of its output. Scores are
-    scaled by 1/sqrt(d / n_heads) through q and stored key-major,
+    their weights, and the heads are strided views of its output. ``bq`` and
+    ``bv`` are added to their own columns; the keys have no bias, because
+    q . b_k is one constant per query row, which the softmax cancels. Scores
+    are scaled by 1/sqrt(d / n_heads) through q and stored key-major,
     ``p[j, b, h, i] = k_j . q_i``, so the softmax over keys reduces over the
     leading axis (far faster than over a short last axis). The softmax keeps
     its max shift, which is gradient-free because softmax ignores a per-row
@@ -554,7 +555,8 @@ def attention(
     x2 = x.data.reshape(B * n, d)
     w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)
     qkv = x2 @ w_qkv
-    qkv += np.concatenate((bq.data, bk.data, bv.data))
+    qkv[:, :d] += bq.data
+    qkv[:, 2 * d:] += bv.data
     q, k, v = _heads(qkv, B, n, H, dh)
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=dtype)
     q *= scale
@@ -592,12 +594,12 @@ def attention(
         return (
             gx,
             gw[:, :d], gb[:d],
-            gw[:, d:2 * d], gb[d:2 * d],
+            gw[:, d:2 * d],
             gw[:, 2 * d:], gb[2 * d:],
             mixed.T @ g2, _col_sum(g2),
         )
 
-    return _node(out.reshape(B, n, d), (x, wq, bq, wk, bk, wv, bv, wo, bo), vjp)
+    return _node(out.reshape(B, n, d), (x, wq, bq, wk, wv, bv, wo, bo), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -630,37 +632,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _node(out, (x, gamma, beta), vjp)
 
 
-def gather_windows(x: Tensor, kernel: int, stride: int) -> Tensor:
-    """Slide a window over axis 1: (B, L, C) -> (B, n_out, kernel*C).
-
-    Window i covers input rows [i*stride, i*stride + kernel). When the kernel
-    overlaps past the end (kernel > stride), the input is zero-padded on the
-    right so that n_out = floor(L / stride) whenever stride divides L.
-    """
+def gather_windows(x: Tensor, kernel: int) -> Tensor:
+    """Cut axis 1 into non-overlapping windows: (B, L, C) -> (B, L / kernel,
+    kernel*C), a reshape. Window i covers input rows [i*kernel, (i+1)*kernel),
+    flattened position-major; kernel must divide L."""
     B, L, C = x.data.shape
-    n_out = L // stride
-    needed = (n_out - 1) * stride + kernel
-    pad = max(0, needed - L)
-    if stride == kernel and pad == 0 and n_out * stride == L:
-        # contiguous tiling: pure reshape
-        data = x.data.reshape(B, n_out, kernel * C)
-
-        def vjp(g):
-            return (g.reshape(B, L, C),)
-
-        return _node(data, (x,), vjp)
-
-    xp = np.concatenate([x.data, np.zeros((B, pad, C), dtype=x.data.dtype)], axis=1) if pad else x.data
-    idx = stride * np.arange(n_out)[:, None] + np.arange(kernel)[None, :]
-    data = xp[:, idx, :].reshape(B, n_out, kernel * C)
 
     def vjp(g):
-        g4 = g.reshape(B, n_out, kernel, C)
-        gx = np.zeros((B, L + pad, C), dtype=g.dtype)
-        np.add.at(gx, (slice(None), idx), g4)
-        return (gx[:, :L, :],)
+        return (g.reshape(B, L, C),)
 
-    return _node(data, (x,), vjp)
+    return _node(x.data.reshape(B, L // kernel, kernel * C), (x,), vjp)
 
 
 def logdet_psd(a: Tensor) -> Tensor:

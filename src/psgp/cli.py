@@ -286,6 +286,10 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
     for modality in cfg.modalities:
         ckpt_path = _require(models / modality.name / "checkpoint.psgm", "checkpoint")
         params, mcfg = load_checkpoint(ckpt_path)
+        if mcfg.modality is not modality:
+            raise DataError(
+                f"{ckpt_path}: checkpoint was trained on {mcfg.modality.name}, not {modality.name}"
+            )
         X, keys = _load_modality_segments(data, modality, manifest.subject_ids, mcfg.input_len)
         vecs = embed_segments(X, params, mcfg, threads=cfg.threads)
         mod_dir = out / modality.name

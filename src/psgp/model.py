@@ -2,7 +2,9 @@
 
 A segment of m samples is downsampled by a stack of strided conv stages
 (each followed by a pointwise residual block) into n patch embeddings of
-width d, where n = m / prod(strides). The encoder and decoder are pre-norm
+width d, where n = m / prod(strides). Each stage's window is its stride, so
+the windows do not overlap: with P = prod(strides), patch j sees exactly the
+input samples [j * P, (j + 1) * P). The encoder and decoder are pre-norm
 transformers sharing one learned absolute position table, applied at the
 encoder input. Pooling is mean-over-patches followed by L2 normalization,
 so every segment embedding lives on the unit sphere.
@@ -10,7 +12,8 @@ so every segment embedding lives on the unit sphere.
 Checkpoint container (little-endian)::
 
     magic        4 bytes  b"PSGM"
-    version      u32      currently 1
+    version      u32      currently 2 (version 1 also held an attention
+                          key bias per block; it is refused, not converted)
     config blob  u32 length + UTF-8 key=value lines
     tensor count u32
     per tensor:  u16 name length + UTF-8 name, u8 rank, rank * u64 dims,
@@ -41,7 +44,7 @@ from .errors import (
 from .signalio import Modality, samples_per_window
 
 CKPT_MAGIC = b"PSGM"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 # stem geometries for the two nominal rates (30 s windows)
 _DEFAULT_STRIDES = {3750: (5, 5, 5), 300: (2, 5)}
@@ -63,7 +66,6 @@ class ModelConfig:
     n_heads: int = 4
     ffn_mult: int = 4
     stem_strides: tuple[int, ...] = ()
-    stem_kernels: tuple[int, ...] = ()
     precision: str = "f32"
 
     def __post_init__(self) -> None:
@@ -76,15 +78,9 @@ class ModelConfig:
                     f"no default stem geometry for input_len={self.input_len}; pass stem_strides"
                 )
             strides = _DEFAULT_STRIDES[self.input_len]
-        kernels = tuple(int(k) for k in self.stem_kernels) or strides
         object.__setattr__(self, "stem_strides", strides)
-        object.__setattr__(self, "stem_kernels", kernels)
-        if len(kernels) != len(strides):
-            raise ConfigError("stem_kernels and stem_strides must have equal length")
-        if any(s < 1 for s in strides) or any(k < 1 for k in kernels):
-            raise ConfigError("stem strides and kernels must be positive")
-        if any(k < s for k, s in zip(kernels, strides)):
-            raise ConfigError("each stem kernel must be >= its stride")
+        if any(s < 1 for s in strides):
+            raise ConfigError("stem strides must be positive")
         prod = math.prod(strides)
         if self.input_len % prod != 0:
             raise ConfigError(
@@ -109,15 +105,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.float32 if self.precision == "f32" else np.float64
 
-    def receptive_field(self) -> tuple[int, int]:
-        """(field, jump): patch j sees input samples [j*jump, j*jump + field),
-        clipped to the signal; field = 1 + sum_i (k_i - 1) * prod_{l<i} s_l."""
-        field_, jump = 1, 1
-        for k, s in zip(self.stem_kernels, self.stem_strides):
-            field_ += (k - 1) * jump
-            jump *= s
-        return field_, jump
-
 
 def default_model_config(modality: Modality, **overrides) -> ModelConfig:
     """Desk-friendly constructor: one signal window at the modality's nominal rate."""
@@ -133,8 +120,8 @@ def parameter_schema(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
     d = config.embed_dim
     schema: list[tuple[str, tuple[int, ...], str]] = []
     c_in = 1
-    for i, k in enumerate(config.stem_kernels):
-        schema.append((f"stem.{i}.conv.w", (k * c_in, d), "fanin_uniform"))
+    for i, s in enumerate(config.stem_strides):
+        schema.append((f"stem.{i}.conv.w", (s * c_in, d), "fanin_uniform"))
         schema.append((f"stem.{i}.conv.b", (d,), "zeros"))
         schema.append((f"stem.{i}.pw1.w", (d, d), "fanin_uniform"))
         schema.append((f"stem.{i}.pw1.b", (d,), "zeros"))
@@ -150,7 +137,7 @@ def parameter_schema(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
             schema.append((f"{base}.ln1.b", (d,), "zeros"))
             for proj in ("wq", "wk", "wv", "wo"):
                 schema.append((f"{base}.attn.{proj}", (d, d), "fanin_uniform"))
-            for bias in ("bq", "bk", "bv", "bo"):
+            for bias in ("bq", "bv", "bo"):
                 schema.append((f"{base}.attn.{bias}", (d,), "zeros"))
             schema.append((f"{base}.ln2.g", (d,), "ones"))
             schema.append((f"{base}.ln2.b", (d,), "zeros"))
@@ -212,8 +199,8 @@ def stem_forward(x: Tensor, params: dict[str, Tensor], config: ModelConfig) -> T
     """(B, m) samples -> (B, n, d) patch embeddings."""
     B = x.shape[0]
     h = ad.reshape(x, (B, config.input_len, 1))
-    for i, (k, s) in enumerate(zip(config.stem_kernels, config.stem_strides)):
-        h = ad.gather_windows(h, k, s)
+    for i, s in enumerate(config.stem_strides):
+        h = ad.gather_windows(h, s)
         h = ad.gelu(ad.linear(h, params[f"stem.{i}.conv.w"], params[f"stem.{i}.conv.b"]))
         inner = ad.gelu(ad.linear(h, params[f"stem.{i}.pw1.w"], params[f"stem.{i}.pw1.b"]))
         h = ad.add(h, ad.linear(inner, params[f"stem.{i}.pw2.w"], params[f"stem.{i}.pw2.b"]))
@@ -223,7 +210,7 @@ def stem_forward(x: Tensor, params: dict[str, Tensor], config: ModelConfig) -> T
 def _attention(x: Tensor, params: dict[str, Tensor], base: str, config: ModelConfig) -> Tensor:
     return ad.attention(
         x,
-        *(params[f"{base}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
+        *(params[f"{base}.{name}"] for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")),
         n_heads=config.n_heads,
     )
 
@@ -428,7 +415,10 @@ def load_checkpoint(
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
+        try:
+            name = rd.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{origin}: a tensor name is not UTF-8") from exc
         (rank,) = rd.unpack("<B")
         shape = rd.unpack(f"<{rank}Q") if rank else ()
         (tag,) = rd.unpack("<B")
@@ -438,7 +428,8 @@ def load_checkpoint(
             wire, dtype = "<f8", np.float64
         else:
             raise FormatError(f"{origin}: tensor {name!r} has unknown dtype tag {tag}")
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # a Python int: a corrupt dim must fail take(), not wrap around
+        n_items = math.prod(shape)
         raw = rd.take(n_items * np.dtype(wire).itemsize)
         params[name] = np.frombuffer(raw, dtype=wire).astype(dtype, copy=False).reshape(shape).copy()
     if rd.off != len(rd.blob):

@@ -111,8 +111,7 @@ class TestAcceptance:
         h = 1e-5
         # Central differences carry cancellation noise of roughly
         # eps * |loss| / h per element; gradients indistinguishable from
-        # that noise (key-projection biases cancel inside softmax, so their
-        # true gradient is zero) cannot be compared by ratio.
+        # that noise cannot be compared by ratio.
         f0 = abs(loss_at(params))
         noise = 100.0 * np.finfo(np.float64).eps * max(1.0, f0) / h
         for name, arr in params.items():

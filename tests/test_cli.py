@@ -3,6 +3,7 @@ import argparse
 import csv
 import io
 import random
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -813,6 +814,49 @@ def test_non_utf8_byte_is_one_error_line(chain, tmp_path, capsys, target):
     }[command]
     rc = run_cli(command, "--out", tmp_path / "out", "--config", paths["ini"], "--data", paths["data"], *extra)
     assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), "not UTF-8", kind=kind, code=code)
+
+
+@pytest.mark.parametrize("corruption", ["dims", "name"])
+def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruption):
+    """First tensor dims of (2**32, 2**32) claim 2**64 items, which an int64
+    product wraps to 0, so the loader must see a payload past the end of the
+    file; a tensor name that is not UTF-8 must not escape as a decode error."""
+    blob = bytearray((chain["models"] / "RESP" / "checkpoint.psgm").read_bytes())
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    at = 12 + cfg_len + 4  # the first tensor's name length
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    if corruption == "name":
+        blob[at + 2] = 0xFF
+        kind, fragment = "FormatError", "not UTF-8"
+    else:
+        at += 2 + name_len
+        assert blob[at] == 2  # its rank
+        struct.pack_into("<2Q", blob, at + 1, 2**32, 2**32)
+        kind, fragment = "TruncatedPayloadError", "truncated"
+    bad = tmp_path / "models" / "RESP" / "checkpoint.psgm"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(bytes(blob))
+    rc = run_cli(
+        "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
+        "--models", tmp_path / "models",
+    )
+    assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), fragment, kind=kind)
+
+
+def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys):
+    """EEG and ECG share input_len 3750, so an ECG checkpoint under
+    ``models/EEG/`` fits the EEG signals; embed refuses it by its config's
+    modality and writes no table."""
+    cfg = mdl.default_model_config(Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1, n_heads=2)
+    ckpt = tmp_path / "models" / "EEG" / "checkpoint.psgm"
+    ckpt.parent.mkdir(parents=True)
+    mdl.save_checkpoint(mdl.init_parameters(cfg, 0), cfg, ckpt)
+    rc = run_cli(
+        "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
+        "--models", tmp_path / "models", "--modality", "EEG",
+    )
+    assert_one_line_data_error(rc, capsys.readouterr().err, str(ckpt), "ECG", "EEG", kind="DataError")
+    assert not (tmp_path / "emb" / "EEG").exists()
 
 
 def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
