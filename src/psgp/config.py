@@ -1,8 +1,9 @@
 """Run configuration: INI-style key=value sections, with CLI flag overrides.
 
-Desk-scale values are the built-in defaults (small embedding width, few mask
-permutations, a few hundred steps) so the whole pipeline runs in minutes on
-one core; paper-scale runs override them in a config file.
+`RunConfig` holds the only defaults, at desk scale (small embedding width, few
+mask permutations, a few hundred steps) so the whole pipeline runs in minutes
+on one core; `configs/paper.ini` sets the paper scale. The INI sections follow
+the fields of the stage dataclasses (`_SECTIONS`).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import configparser
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, utf8_text
+from .errors import ConfigError, DataError, utf8_text
 from .model import ModelConfig, default_model_config
 from .pretrain import SslConfig
 from .signalio import Modality
@@ -51,37 +52,37 @@ class RunConfig:
     affected_fraction: float = 0.3
 
 
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "run": ("seed", "modalities", "outcomes", "threads", "split_ratio"),
-    "model": ("embed_dim", "encoder_depth", "decoder_depth", "n_heads", "ffn_mult", "precision"),
-    "ssl": (
-        "mask_ratio",
-        "n_permutations",
-        "tcr_epsilon",
-        "tcr_weight",
-        "batch_size",
-        "learning_rate",
-        "steps",
-        "masked_only",
-    ),
-    "synth": (
-        "n_subjects",
-        "segments_per_subject",
-        "prevalence",
-        "effects",
-        "base_waveform",
-        "noise_sigma",
-        "affected_fraction",
-    ),
+# [model], [ssl] and [synth] hold the RunConfig fields of their stage's
+# dataclass, in RunConfig order; [run] holds the seed and the rest.
+_STAGES = {"model": ModelConfig, "ssl": SslConfig, "synth": SynthConfig}
+_OWNER = {
+    f.name: section for section, cls in _STAGES.items() for f in fields(cls) if f.name != "seed"
 }
+_SECTIONS = {
+    section: tuple(f.name for f in fields(RunConfig) if _OWNER.get(f.name, "run") == section)
+    for section in ("run", *_STAGES)
+}
+
+
+def _refuse_duplicates(what: str, keys: list[str]) -> None:
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ConfigError(f"duplicate {what} {key!r}")
+
+
+def _parse_modality(name: str) -> Modality:
+    try:
+        return Modality.parse(name)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
+
 
 def parse_modalities(text: str) -> tuple[Modality, ...]:
     text = text.strip()
     if not text or text.lower() == "all":
         return tuple(Modality)
-    mods = tuple(Modality.parse(tok) for tok in text.split(",") if tok.strip())
-    if len(set(mods)) != len(mods):
-        raise ConfigError(f"duplicate modalities in {text!r}")
+    mods = tuple(_parse_modality(tok) for tok in text.split(",") if tok.strip())
+    _refuse_duplicates("modality", [m.name for m in mods])
     return mods
 
 
@@ -101,6 +102,7 @@ def parse_prevalence(text: str) -> tuple[tuple[str, float], ...]:
             raise ConfigError(f"bad prevalence value in {tok!r}") from None
     if not out:
         raise ConfigError("empty prevalence list")
+    _refuse_duplicates("prevalence outcome", [name for name, _ in out])
     return tuple(out)
 
 
@@ -116,14 +118,17 @@ def parse_effects(text: str) -> tuple[tuple[str, str, float], ...]:
         head, _, value = tok.partition("=")
         outcome, _, modality = head.partition(":")
         try:
-            out.append((outcome.strip(), Modality.parse(modality).name, float(value)))
+            out.append((outcome.strip(), _parse_modality(modality).name, float(value)))
         except ValueError:
             raise ConfigError(f"bad effect size in {tok!r}") from None
+    _refuse_duplicates("effect", [f"{o}:{m}" for o, m, _ in out])
     return tuple(out)
 
 
 def parse_outcomes(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    outcomes = [tok.strip() for tok in text.split(",") if tok.strip()]
+    _refuse_duplicates("outcome", outcomes)
+    return tuple(outcomes)
 
 
 # Text parsers of the list-valued fields; every other field is parsed by the
@@ -216,13 +221,6 @@ def ssl_config_for(cfg: RunConfig) -> SslConfig:
 
 
 def synth_config_for(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(
-        n_subjects=cfg.n_subjects,
-        segments_per_subject=cfg.segments_per_subject,
-        prevalence=dict(cfg.prevalence),
-        effects={(o, m): s for o, m, s in cfg.effects},
-        base_waveform=cfg.base_waveform,
-        noise_sigma=cfg.noise_sigma,
-        affected_fraction=cfg.affected_fraction,
-        seed=cfg.seed,
-    )
+    values = {f.name: getattr(cfg, f.name) for f in fields(SynthConfig)}
+    values.update(prevalence=dict(cfg.prevalence), effects={(o, m): s for o, m, s in cfg.effects})
+    return SynthConfig(**values)

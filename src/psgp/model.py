@@ -56,17 +56,17 @@ _NORM_FLOOR = 1e-12
 _EMBED_TILE_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelConfig:
     modality: Modality
     input_len: int
-    embed_dim: int = 256
-    encoder_depth: int = 4
-    decoder_depth: int = 2
-    n_heads: int = 4
-    ffn_mult: int = 4
+    embed_dim: int
+    encoder_depth: int
+    decoder_depth: int
+    n_heads: int
+    ffn_mult: int
     stem_strides: tuple[int, ...] = ()
-    precision: str = "f32"
+    precision: str
 
     def __post_init__(self) -> None:
         if self.input_len < 1:
@@ -107,7 +107,7 @@ class ModelConfig:
 
 
 def default_model_config(modality: Modality, **overrides) -> ModelConfig:
-    """Desk-friendly constructor: one signal window at the modality's nominal rate."""
+    """A config whose input is one signal window at the modality's nominal rate."""
     return ModelConfig(
         modality=modality, input_len=samples_per_window(modality.nominal_rate_hz), **overrides
     )

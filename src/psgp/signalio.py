@@ -91,8 +91,8 @@ class Recording:
         return int(self.samples.shape[0])
 
 
-def samples_per_window(sample_rate_hz: float, window_seconds: float = WINDOW_SECONDS) -> int:
-    return round_half_up(window_seconds * sample_rate_hz)
+def samples_per_window(sample_rate_hz: float) -> int:
+    return round_half_up(WINDOW_SECONDS * sample_rate_hz)
 
 
 def write_signal_file(recording: Recording, path: Path | str) -> None:
@@ -151,9 +151,7 @@ def read_signal_file(path: Path | str) -> Recording:
     return Recording(subject_id, modality, rate, samples)
 
 
-def segment_recording(
-    recording: Recording, window_seconds: float = WINDOW_SECONDS
-) -> np.ndarray:
+def segment_recording(recording: Recording) -> np.ndarray:
     """Cut non-overlapping windows in temporal order.
 
     Returns an (n_segments, window) float32 view of ``recording.samples``;
@@ -162,8 +160,6 @@ def segment_recording(
     remainder < window, and a recording shorter than one window gives
     shape (0, window).
     """
-    if window_seconds <= 0:
-        raise DataError("window_seconds must be positive")
-    spw = samples_per_window(recording.sample_rate_hz, window_seconds)
+    spw = samples_per_window(recording.sample_rate_hz)
     n_seg = recording.n_samples // spw if spw >= 1 else 0
     return recording.samples[:n_seg * spw].reshape(n_seg, spw)

@@ -15,7 +15,7 @@ one child per subject, so generation order cannot change the data.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -30,14 +30,14 @@ _WAVEFORMS = ("sinusoid_mix", "band_noise")
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_subjects: int = 200
-    segments_per_subject: int = 20
-    prevalence: Mapping[str, float] = field(default_factory=lambda: {"CVD": 0.4})
-    effects: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    base_waveform: str = "sinusoid_mix"
-    noise_sigma: float = 1.0
-    affected_fraction: float = 0.3
-    seed: int = 0
+    n_subjects: int
+    segments_per_subject: int
+    prevalence: Mapping[str, float]
+    effects: Mapping[tuple[str, str], float]
+    base_waveform: str
+    noise_sigma: float
+    affected_fraction: float
+    seed: int
 
     def __post_init__(self) -> None:
         if self.n_subjects < 2:

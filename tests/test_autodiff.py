@@ -535,9 +535,13 @@ class TestTapeSize:
         from psgp.signalio import Modality
 
         cfg = mdl.default_model_config(
-            Modality.EEG, embed_dim=32, encoder_depth=4, decoder_depth=2, precision="f32"
+            Modality.EEG, embed_dim=32, encoder_depth=4, decoder_depth=2, n_heads=4, ffn_mult=4,
+            precision="f32",
         )
-        ssl = SslConfig(batch_size=8, n_permutations=n_permutations)
+        ssl = SslConfig(
+            mask_ratio=0.5, n_permutations=n_permutations, tcr_epsilon=0.2, tcr_weight=1.0,
+            batch_size=8, learning_rate=1e-3, steps=300, seed=0,
+        )
         batch = np.random.default_rng(3).standard_normal((8, cfg.input_len)).astype(np.float32)
         params = {k: Tensor(v, requires_grad=True) for k, v in mdl.init_parameters(cfg, 0).items()}
         loss, _ = total_loss_graph(batch, params, cfg, ssl, seed=1)

@@ -273,6 +273,39 @@ class TestExitCodes:
         assert_one_line_data_error(rc, err, f"{field} must be finite", kind="ConfigError", code=2)
         assert not (tmp_path / "out" / f"resolved_config_{command}.txt").exists()
 
+    @pytest.mark.parametrize(
+        "stage,value,fragment",
+        [
+            (["train", "--modality", "XYZ"], None, "unknown modality name 'XYZ'"),
+            (["synth", "--effect", "CVD:XYZ=1"], None, "unknown modality name 'XYZ'"),
+            (["train"], "[run]\nmodalities = XYZ\n", "unknown modality name 'XYZ'"),
+            (["eval", "--outcomes", "CVD,CVD"], None, "duplicate outcome 'CVD'"),
+            (["synth", "--prevalence", "CVD=0.4", "--prevalence", "CVD=0.1"], None,
+             "duplicate prevalence outcome 'CVD'"),
+            (["synth", "--effect", "CVD:ECG=1", "--effect", "CVD:ECG=0"], None,
+             "duplicate effect 'CVD:ECG'"),
+            (["fit"], "[synth]\neffects = CVD:ECG=1,CVD:ecg=0\n", "duplicate effect 'CVD:ECG'"),
+        ],
+    )
+    def test_bad_list_entry_is_usage_error(self, tmp_path, capsys, stage, value, fragment):
+        """An unknown modality or a repeated entry in a list value, from a
+        flag or the INI file, is refused before the stage reads any input."""
+        command, *flags = stage
+        if value is not None:
+            ini = tmp_path / "bad.ini"
+            ini.write_text(value, encoding="utf-8")
+            flags += ["--config", ini]
+        inputs = {
+            "synth": ["--subjects", 4, "--segments", 1],
+            "train": ["--data", tmp_path / "none"],
+            "eval": ["--data", tmp_path / "none", "--scores", tmp_path / "none.csv"],
+            "fit": ["--data", tmp_path / "none", "--scores", tmp_path / "none.csv"],
+        }[command]
+        rc = run_cli(command, "--out", tmp_path / "out", *inputs, *flags)
+        err = capsys.readouterr().err
+        assert_one_line_data_error(rc, err, fragment, kind="ConfigError", code=2)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("modality", ["all", "ECG,RESP"])
     def test_report_of_several_modalities_is_usage_error(self, chain, capsys, modality):
         rc = run_cli(
@@ -847,7 +880,9 @@ def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys)
     """EEG and ECG share input_len 3750, so an ECG checkpoint under
     ``models/EEG/`` fits the EEG signals; embed refuses it by its config's
     modality and writes no table."""
-    cfg = mdl.default_model_config(Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1, n_heads=2)
+    cfg = mdl.default_model_config(
+        Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1, n_heads=2, ffn_mult=4, precision="f32"
+    )
     ckpt = tmp_path / "models" / "EEG" / "checkpoint.psgm"
     ckpt.parent.mkdir(parents=True)
     mdl.save_checkpoint(mdl.init_parameters(cfg, 0), cfg, ckpt)
@@ -968,3 +1003,23 @@ def test_train_and_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
         blas.set(saved)
     assert outputs[2][0] == outputs[1][0]
     assert outputs[2][1] == outputs[1][1]
+
+
+def test_paper_ini_trains_at_paper_width(tmp_path, capsys):
+    """``--config configs/paper.ini`` reaches the model: zero steps save the
+    initial d = 256 parameters."""
+    data = tmp_path / "cohort"
+    assert run_cli(
+        "synth", "--out", data, "--seed", 1, "--subjects", 4, "--segments", 1,
+        "--prevalence", "CVD=0.5",
+    ) == 0
+    paper_ini = Path(__file__).resolve().parents[1] / "configs" / "paper.ini"
+    assert run_cli(
+        "train", "--out", tmp_path / "models", "--data", data, "--config", paper_ini,
+        "--steps", 0, "--modality", "RESP",
+    ) == 0
+    capsys.readouterr()
+    blob = (tmp_path / "models" / "RESP" / "checkpoint.psgm").read_bytes()
+    assert b"\nembed_dim=256\n" in blob
+    _, cfg = mdl.load_checkpoint(tmp_path / "models" / "RESP" / "checkpoint.psgm")
+    assert (cfg.embed_dim, cfg.encoder_depth, cfg.decoder_depth) == (256, 4, 2)

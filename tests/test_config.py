@@ -1,19 +1,29 @@
 """Tests for run configuration loading and parsing."""
+from dataclasses import MISSING, fields
+from pathlib import Path
+
 import pytest
 
 from psgp.config import (
+    _SECTIONS,
     RunConfig,
     load_run_config,
     model_config_for,
     parse_effects,
     parse_modalities,
+    parse_outcomes,
     parse_prevalence,
     resolved_text,
     ssl_config_for,
     synth_config_for,
 )
 from psgp.errors import ConfigError
+from psgp.model import ModelConfig
+from psgp.pretrain import SslConfig
 from psgp.signalio import Modality
+from psgp.synth import SynthConfig
+
+PAPER_INI = Path(__file__).resolve().parents[1] / "configs" / "paper.ini"
 
 
 class TestDefaults:
@@ -58,8 +68,17 @@ class TestParseModalities:
             parse_modalities("EEG,eeg")
 
     def test_unknown_modality_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="unknown modality name 'EMG'"):
             parse_modalities("EMG")
+
+
+class TestParseOutcomes:
+    def test_basic(self):
+        assert parse_outcomes(" CVD, Stroke ,") == ("CVD", "Stroke")
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate outcome 'CVD'"):
+            parse_outcomes("CVD,Stroke,CVD")
 
 
 class TestParsePrevalence:
@@ -69,7 +88,7 @@ class TestParsePrevalence:
     def test_whitespace_and_trailing_comma(self):
         assert parse_prevalence(" CVD = 0.4 , ") == (("CVD", 0.4),)
 
-    @pytest.mark.parametrize("text", ["CVD", "CVD=abc", "", "   ,  "])
+    @pytest.mark.parametrize("text", ["CVD", "CVD=abc", "", "   ,  ", "CVD=0.4,HTN=0.2,CVD=0.1"])
     def test_bad_entries_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_prevalence(text)
@@ -85,7 +104,9 @@ class TestParseEffects:
     def test_empty_text_gives_no_effects(self):
         assert parse_effects("") == ()
 
-    @pytest.mark.parametrize("text", ["CVD=3.0", "CVD:ECG", "CVD:ECG=abc"])
+    @pytest.mark.parametrize(
+        "text", ["CVD=3.0", "CVD:ECG", "CVD:ECG=abc", "CVD:EMG=1", "CVD:ECG=1,HTN:ECG=1,CVD:ecg=0"]
+    )
     def test_bad_entries_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_effects(text)
@@ -253,3 +274,49 @@ class TestAdapters:
         assert sc.effects == {("CVD", "ECG"): 2.0}
         assert sc.noise_sigma == 0.7
         assert sc.affected_fraction == 0.4
+
+
+class TestSections:
+    def test_sections_partition_the_fields(self):
+        keys = [key for section in _SECTIONS.values() for key in section]
+        assert list(_SECTIONS) == ["run", "model", "ssl", "synth"]
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+        assert len(keys) == len(set(keys))
+
+    def test_each_section_builds_its_dataclass(self):
+        cfg = RunConfig()
+        built = {
+            "model": model_config_for(cfg, Modality.ECG),
+            "ssl": ssl_config_for(cfg),
+            "synth": synth_config_for(cfg),
+        }
+        for section, obj in built.items():
+            for key in _SECTIONS[section]:
+                got = getattr(obj, key)
+                if key == "prevalence":
+                    got = tuple(got.items())
+                elif key == "effects":
+                    got = tuple((o, m, size) for (o, m), size in got.items())
+                assert got == getattr(cfg, key), key
+        assert built["ssl"].seed == built["synth"].seed == cfg.seed
+
+    @pytest.mark.parametrize("cls", [ModelConfig, SslConfig, SynthConfig])
+    def test_run_config_holds_the_only_default(self, cls):
+        """The one exception is ``SslConfig.masked_only``, which acceptance
+        test 01 leaves out when it builds an SslConfig."""
+        run_fields = {f.name for f in fields(RunConfig)}
+        defaulted = [
+            f.name
+            for f in fields(cls)
+            if f.name in run_fields and (f.default is not MISSING or f.default_factory is not MISSING)
+        ]
+        assert defaulted == (["masked_only"] if cls is SslConfig else [])
+
+    def test_paper_ini_is_the_paper_scale(self):
+        cfg = load_run_config(PAPER_INI)
+        mc = model_config_for(cfg, Modality.EEG)
+        assert (mc.embed_dim, mc.encoder_depth, mc.decoder_depth) == (256, 4, 2)
+        assert (mc.n_heads, mc.ffn_mult, mc.precision) == (4, 4, "f32")
+        sc = ssl_config_for(cfg)
+        assert (sc.n_permutations, sc.batch_size, sc.learning_rate, sc.steps) == (24, 16, 1e-4, 1000)
+        assert (sc.mask_ratio, sc.tcr_epsilon, sc.tcr_weight) == (0.5, 0.2, 1.0)

@@ -51,6 +51,16 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**defaults)
 
 
+def window_config(modality: Modality, **overrides) -> ModelConfig:
+    """One signal window at the modality's nominal rate, desk geometry
+    (d = 32, depth 4/2, 4 heads, FFN x4, f32) unless overridden."""
+    geometry = dict(
+        embed_dim=32, encoder_depth=4, decoder_depth=2, n_heads=4, ffn_mult=4, precision="f32"
+    )
+    geometry.update(overrides)
+    return default_model_config(modality, **geometry)
+
+
 def stem(X, params, cfg) -> np.ndarray:
     """(B, m) samples -> (B, n, d) patch grid, without a tape."""
     with no_grad():
@@ -72,8 +82,8 @@ def pool(grid) -> np.ndarray:
 
 class TestModelConfig:
     def test_nominal_rates_give_30_patches(self):
-        eeg = default_model_config(Modality.EEG)
-        resp = default_model_config(Modality.RESP)
+        eeg = window_config(Modality.EEG)
+        resp = window_config(Modality.RESP)
         assert eeg.input_len == 3750 and eeg.n_patches == 30
         assert resp.input_len == 300 and resp.n_patches == 30
         assert eeg.stem_strides == (5, 5, 5)
@@ -91,7 +101,7 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             tiny_config(precision="f16")
         with pytest.raises(ConfigError):
-            ModelConfig(modality=Modality.EEG, input_len=777)  # no default geometry
+            tiny_config(input_len=777, stem_strides=())  # no default geometry
 
     def test_receptive_field_empirical(self):
         """The stem's windows do not overlap: perturbing one input sample
@@ -248,18 +258,18 @@ class TestPooling:
         54 at 300; the encoder tile, set by the FFN inner activation
         (30 patches x 128 x 4 bytes per segment), is 68 for both."""
         for modality, stem_tile in ((Modality.ECG, 10), (Modality.RESP, 54)):
-            cfg = default_model_config(modality, embed_dim=32, precision="f32")
+            cfg = window_config(modality)
             assert embed_tiles(cfg) == (stem_tile, 68)
-        f64 = default_model_config(Modality.ECG, embed_dim=32, precision="f64")
+        f64 = window_config(Modality.ECG, precision="f64")
         assert embed_tiles(f64) == (5, 34)
-        wide = default_model_config(Modality.ECG, embed_dim=1024, n_heads=4, precision="f64")
+        wide = window_config(Modality.ECG, embed_dim=1024, precision="f64")
         assert embed_tiles(wide) == (1, 1)
 
     def test_embed_segments_tiles_are_byte_identical(self):
         """f32 at the default ECG geometry: several encoder tiles plus a
         remainder tile, each run through the stem in stem tiles, give the same
         bytes as one tile per row, at any thread count."""
-        cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
+        cfg = window_config(Modality.ECG)
         stem_tile, tile = embed_tiles(cfg)
         assert tile > stem_tile > 2 and tile % stem_tile
         params = init_parameters(cfg, seed=4)
@@ -275,9 +285,7 @@ class TestPooling:
         attention's softmax sum round differently with their row count), but
         the tiling follows from the config alone: every thread count gives
         the bytes of one thread, over several encoder tiles and a remainder."""
-        cfg = default_model_config(
-            Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1, precision="f32"
-        )
+        cfg = window_config(Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1)
         _, tile = embed_tiles(cfg)
         params = init_parameters(cfg, seed=8)
         X = np.random.default_rng(8).standard_normal((2 * tile + 5, cfg.input_len))
@@ -292,7 +300,7 @@ class TestPooling:
 
         from psgp import autodiff as ad
 
-        cfg = default_model_config(Modality.ECG, embed_dim=32, precision="f32")
+        cfg = window_config(Modality.ECG)
         _, tile = embed_tiles(cfg)
         params = init_parameters(cfg, seed=4)
         X = np.random.default_rng(5).standard_normal((2 * tile + 3, cfg.input_len))

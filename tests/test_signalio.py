@@ -226,7 +226,3 @@ class TestSegmentation:
         assert segs.shape == (1, 3750)
         assert segs.dtype == np.float32
         assert np.shares_memory(segs, rec.samples)  # a view, not a copy
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(DataError):
-            segment_recording(_recording(n=10), window_seconds=0.0)

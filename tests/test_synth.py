@@ -17,6 +17,7 @@ def small_config(**overrides):
         segments_per_subject=4,
         prevalence={"CVD": 0.5},
         effects={},
+        base_waveform="sinusoid_mix",
         noise_sigma=1.0,
         affected_fraction=0.5,
         seed=11,
@@ -34,8 +35,17 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 class TestSynthConfigValidation:
-    def test_defaults_are_valid(self):
-        cfg = SynthConfig()
+    def test_desk_values_are_valid(self):
+        cfg = SynthConfig(
+            n_subjects=200,
+            segments_per_subject=20,
+            prevalence={"CVD": 0.4},
+            effects={},
+            base_waveform="sinusoid_mix",
+            noise_sigma=1.0,
+            affected_fraction=0.3,
+            seed=0,
+        )
         assert cfg.n_subjects == 200
         assert cfg.segments_per_subject == 20
         assert cfg.prevalence == {"CVD": 0.4}
@@ -137,8 +147,9 @@ class TestOutputLayout:
 
 class TestGroundTruth:
     def test_labels_match_prevalence_roughly(self, tmp_path):
-        cfg = SynthConfig(
-            n_subjects=400, segments_per_subject=1, prevalence={"CVD": 0.4}, seed=3
+        cfg = small_config(
+            n_subjects=400, segments_per_subject=1, prevalence={"CVD": 0.4}, affected_fraction=0.3,
+            seed=3,
         )
         gt = generate_cohort(cfg, tmp_path)
         count = sum(lab["CVD"] for lab in gt.labels.values())
