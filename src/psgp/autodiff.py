@@ -22,13 +22,15 @@ Design constraints that shaped this module:
   many threads BLAS splits it over, so training and inference run inside
   ``single_blas_thread()``, which sets the bundled OpenBLAS to one thread
   and restores the previous count on exit. Every BLAS/LAPACK call of
-  ``train`` and ``embed`` is numpy's, so the pin covers them all; scipy
-  supplies only ``erf``, which is not BLAS.
+  ``train`` and ``embed`` is numpy's, so the pin covers them all.
+* numpy is the only dependency: ``erf``/``erfc`` are this module's own
+  float64 kernel (the cephes rational forms, in cache-sized blocks).
 * every op here is validated against central finite differences in the
-  test-suite before anything downstream relies on it. The one exception is
-  the float32 GELU kernel: its rational Phi is checked against the float64
-  scipy ``erf`` oracle (value and analytic derivative) instead, because
-  float32 differences are too coarse to test it.
+  test-suite before anything downstream relies on it. The exceptions are the
+  erf kernels: the float64 ``erf``/``erfc`` are checked against ``math.erf``
+  and ``math.erfc``, and the float32 GELU kernel's rational Phi against the
+  float64 oracle (value and analytic derivative), because float32
+  differences are too coarse to test it.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erf as _erf_np
 
 from .errors import NumericError
 
@@ -362,8 +363,125 @@ def tsqrt(a: Tensor) -> Tensor:
     return _node(data, (a,), vjp)
 
 
+# float64 erf and erfc: the cephes rational forms (ndtr.c). |x| <= 1 takes
+# erf(x) = x T(x^2) / U(x^2); beyond it erfc(|x|) = exp(-x^2) P(|x|) / Q(|x|)
+# below 8 and exp(-x^2) R(|x|) / S(|x|) from 8 on, erf = 1 - erfc, and
+# erfc(x) = 2 - erfc(-x) for x < 0. U, Q and S are monic (leading 1 omitted).
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERFC_UNDERFLOW = 7.09782712893383996843e2  # x^2 above log(DBL_MAX): erfc is 0
+_ERFC_CLAMP = 27.0  # 27^2 > _ERFC_UNDERFLOW, and x^2 cannot overflow
+# elements per block: the same bytes per block as the float32 GELU kernel
+_ERF_BLOCK = 1 << 15
+
+
+def _poly(x: np.ndarray, coef: tuple[float, ...], out: np.ndarray, monic: bool) -> np.ndarray:
+    """Horner's rule into ``out``: sum c_i x^(n-i), with a leading 1 when monic."""
+    if monic:
+        np.add(x, coef[0], out=out)
+    else:
+        np.multiply(x, coef[0], out=out)
+        out += coef[1]
+    for c in coef[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erfc_ge1(v: np.ndarray) -> np.ndarray:
+    """erfc of a 1-D array of values >= 1 (inf included)."""
+    e = np.minimum(v, _ERFC_CLAMP)
+    np.multiply(e, e, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    m = np.minimum(v, 8.0)
+    y = _poly(m, _ERFC_P, np.empty_like(m), monic=False)
+    y *= e
+    y /= _poly(m, _ERFC_Q, np.empty_like(m), monic=True)
+    tail = np.flatnonzero(v >= 8.0)
+    if tail.size:
+        t = np.minimum(v[tail], _ERFC_CLAMP)
+        yt = _poly(t, _ERFC_R, np.empty_like(t), monic=False)
+        yt *= e[tail]
+        yt /= _poly(t, _ERFC_S, np.empty_like(t), monic=True)
+        yt[t * t > _ERFC_UNDERFLOW] = 0.0
+        y[tail] = yt
+    return y
+
+
+def _erf_f64_block(
+    x: np.ndarray, out: np.ndarray, s: np.ndarray, z: np.ndarray, q: np.ndarray,
+    complement: bool,
+) -> None:
+    """erf (or erfc) of one float64 block into ``out``; s, z, q are scratch.
+
+    The small-|x| form runs over the whole block on x clamped to [-1, 1]
+    (cheap, and no overflow on the elements it does not serve); the erfc form
+    runs only on the elements beyond 1 and is scattered over them.
+    """
+    np.minimum(x, 1.0, out=s)
+    np.maximum(s, -1.0, out=s)
+    np.multiply(s, s, out=z)
+    _poly(z, _ERF_T, out, monic=False)
+    out *= s
+    out /= _poly(z, _ERF_U, q, monic=True)
+    if complement:
+        np.subtract(1.0, out, out=out)
+    np.abs(x, out=s)
+    # cephes: erf takes its own form at |x| = 1, erfc the erfc form
+    far = np.flatnonzero(s >= 1.0) if complement else np.flatnonzero(s > 1.0)
+    if far.size:
+        y = _erfc_ge1(s[far])
+        negative = x[far] < 0.0
+        if complement:
+            out[far] = np.where(negative, 2.0 - y, y)
+        else:
+            np.subtract(1.0, y, out=y)
+            out[far] = np.where(negative, -y, y)
+
+
+def _erf_f64(x: np.ndarray, complement: bool = False) -> np.ndarray:
+    """erf(x), or erfc(x) when ``complement``, in float64 over cache-sized
+    blocks of the flat array; NaN stays NaN."""
+    flat = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    n = flat.size
+    out = np.empty_like(flat)
+    m = min(n, _ERF_BLOCK)
+    s, z, q = (np.empty(m) for _ in range(3))
+    for start in range(0, n, _ERF_BLOCK):
+        end = min(start + _ERF_BLOCK, n)
+        k = end - start
+        _erf_f64_block(flat[start:end], out[start:end], s[:k], z[:k], q[:k], complement)
+    return out.reshape(np.shape(x))
+
+
 def terf(a: Tensor) -> Tensor:
-    data = _erf_np(a.data)
+    """erf, evaluated in float64 and returned in the input's dtype."""
+    data = _erf_f64(a.data).astype(a.data.dtype, copy=False)
     two_over_sqrt_pi = 2.0 / math.sqrt(math.pi)
 
     def vjp(g):
@@ -375,7 +493,7 @@ def terf(a: Tensor) -> Tensor:
 # float32 Phi(x) = 1/2 + erf(x / sqrt(2)) / 2 with erf(z) = z P(z^2) / Q(z^2),
 # Eigen's float rational for |z| <= 4 (beyond it erf rounds to +-1 in float32),
 # rescaled so P is monic and Q absorbs the 1/2. Over every float32 in
-# [-12, 12] it is within 2.47e-7 of the float64 scipy value.
+# [-12, 12] it is within 2.47e-7 of the float64 value.
 _PHI_CLAMP = np.float32(4.0)
 _PHI_SCALE = np.float32(_INV_SQRT2)
 _PHI_P = tuple(np.float32(c) for c in (
@@ -432,15 +550,19 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple[np.ndarray, np.ndarray | N
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi(x) = 0.5 * (1 + erf(x / sqrt(2))).
+    """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
 
-    float64 takes Phi from scipy's erf; float32 from the rational kernel above.
+    float32 takes Phi from the rational kernel above. float64 takes
+    Phi(x) = erfc(-x / sqrt(2)) / 2 from the cephes kernel, which
+    keeps its relative accuracy in the negative tail, where
+    (1 + erf(x / sqrt(2))) / 2 cancels to nothing below about x = -8.
     """
     x = a.data
     if x.dtype == np.float32:
         data, phi = _gelu_f32(x, keep_phi=_GRAD_ENABLED and a.requires_grad)
     else:
-        phi = 0.5 * (1.0 + _erf_np(x * _INV_SQRT2))
+        phi = _erf_f64(x * -_INV_SQRT2, complement=True)
+        phi *= 0.5
         data = x * phi
 
     def vjp(g):

@@ -4,19 +4,20 @@ and the predictor-set x outcome AUC grid.
 The logistic fitter is iteratively reweighted least squares (Newton) with
 step-halving; covariance is the inverse Fisher information at the optimum.
 Confidence intervals use the fixed two-sided 95% normal quantile 1.959964.
+Tail probabilities and ranks are numpy and ``math`` code: a Wald p is
+``math.erfc``, a chi-square p the closed-form tail for integer degrees of
+freedom, and ties share their average rank.
 """
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
-from scipy.stats import norm as _norm
-from scipy.stats import rankdata as _rankdata
 
 from .cohort import CohortManifest, CohortSplit
 from .errors import (
@@ -203,11 +204,46 @@ def odds_ratios(model: LogisticModel, features: Sequence[str] | None = None) -> 
         if se == 0.0:
             p = 1.0 if b == 0.0 else 0.0
         else:
-            p = 2.0 * float(_norm.sf(abs(b / se)))
+            p = math.erfc(abs(b / se) / math.sqrt(2.0))  # two-sided normal tail
         with np.errstate(over="ignore"):  # an infinite ratio or bound is a valid answer
             ratio, lo, hi = (float(np.exp(v)) for v in (b, b - Z95 * se, b + Z95 * se))
         out.append(OddsRatio(name, ratio, lo, hi, p))
     return out
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; each run of ties shares its mean rank."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], a.shape[0]]
+    ranks = np.empty(a.shape[0])
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of a chi-square with integer ``dof`` >= 1.
+
+    Closed form, with y = x / 2 and h = 0 for an even dof, 1/2 for an odd
+    one: the sum of e^-y y^s / Gamma(s + 1) over s = h, h + 1, ... below
+    dof / 2, plus erfc(sqrt(y)) when dof is odd. Each term is taken in log
+    space with ``math.lgamma``, so a huge x gives 0.0.
+    """
+    if math.isnan(x):
+        return math.nan
+    y = x / 2.0
+    if y <= 0.0:
+        return 1.0
+    if math.isinf(y):
+        return 0.0
+    log_y = math.log(y)
+    h = (dof % 2) / 2.0
+    total = math.erfc(math.sqrt(y)) if h else 0.0
+    for j in range(dof // 2):
+        s = j + h
+        total += math.exp(s * log_y - y - math.lgamma(s + 1.0))
+    return min(total, 1.0)
 
 
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -224,7 +260,7 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise InsufficientClassError("AUC needs both classes")
-    ranks = _rankdata(s)  # average ranks on ties
+    ranks = _average_ranks(s)
     u = float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -240,7 +276,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
     if not np.isfinite(pooled).all():
         raise DataError("group values contain non-finite entries")
     n_total = pooled.shape[0]
-    ranks = _rankdata(pooled)
+    ranks = _average_ranks(pooled)
     h = 0.0
     start = 0
     for a in arrays:
@@ -255,7 +291,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, float]:
         return 0.0, 1.0
     h /= denom
     dof = len(arrays) - 1
-    return float(h), float(_chi2.sf(h, dof))
+    return float(h), _chi2_sf(float(h), dof)
 
 
 def chi_square(table, yates: bool = False) -> tuple[float, float, int]:
@@ -276,7 +312,7 @@ def chi_square(table, yates: bool = False) -> tuple[float, float, int]:
         diff = np.maximum(diff - 0.5, 0.0)
     stat = float((diff**2 / expected).sum())
     dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
-    return stat, float(_chi2.sf(stat, dof)), dof
+    return stat, _chi2_sf(stat, dof), dof
 
 
 # --- predictor-set grid ------------------------------------------------

@@ -1,6 +1,9 @@
 """Reverse-mode tape: every operator's gradient is checked against central
-finite differences in float64, plus closed-form spot checks; the float32
-GELU kernel is checked against the float64 scipy oracle."""
+finite differences in float64, plus closed-form spot checks; the float64
+erf/erfc kernel is checked against ``math.erf``/``math.erfc``, and the
+float32 GELU kernel against the float64 scipy oracle."""
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +187,99 @@ class TestGeluF32Kernel:
         dphi = phi_f64(xd) + xd * np.exp(-0.5 * xd * xd) / np.sqrt(2.0 * np.pi)
         eps = float(np.finfo(np.float32).eps)
         np.testing.assert_allclose(t.grad, g * dphi, rtol=0, atol=4 * eps)
+
+
+def math_oracle(fn, x: np.ndarray) -> np.ndarray:
+    return np.array([fn(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
+
+
+class TestErfF64Kernel:
+    """The float64 erf/erfc kernel (cephes rational forms) against the C
+    library's ``math.erf``/``math.erfc``."""
+
+    def erf(self, x):
+        return ad._erf_f64(np.asarray(x, dtype=np.float64))
+
+    def erfc(self, x):
+        return ad._erf_f64(np.asarray(x, dtype=np.float64), complement=True)
+
+    def check(self, x: np.ndarray) -> None:
+        got, want = self.erf(x), math_oracle(math.erf, x)
+        assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+        got, want = self.erfc(x), math_oracle(math.erfc, x)
+        # exp(-x^2) carries the rounding of x^2, a relative x^2 * 2^-53,
+        # so the far tail gets a wider relative bound
+        near = np.abs(x) < 8.0
+        np.testing.assert_allclose(got[near], want[near], rtol=1e-14, atol=0)
+        # beyond x^2 = log(DBL_MAX) cephes flushes to 0; the true value is
+        # below 1.2e-310 there
+        under = x * x > ad._ERFC_UNDERFLOW
+        assert (got[under & (x > 0)] == 0.0).all() and (got[under & (x < 0)] == 2.0).all()
+        assert (want[under & (x > 0)] < 1.2e-310).all()
+        far = ~near & ~under
+        np.testing.assert_allclose(got[far], want[far], rtol=1e-13, atol=0)
+
+    def test_dense_grid(self):
+        x = np.linspace(-30.0, 30.0, 600_001)
+        self.check(x)
+
+    def test_branch_edges(self):
+        edges = np.array([1.0, 6.0, 8.0, math.sqrt(ad._ERFC_UNDERFLOW), ad._ERFC_CLAMP])
+        around = np.concatenate(
+            [np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)]
+        )
+        self.check(np.concatenate([around, -around]))
+
+    def test_special_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        sub = np.array([tiny, 7 * tiny, 1e-310, 2.2e-308])
+        x = np.concatenate([sub, -sub])
+        self.check(x)
+        np.testing.assert_array_equal(self.erfc(x), 1.0)
+        zero = self.erf([0.0, -0.0])
+        assert zero.tolist() == [0.0, 0.0] and np.signbit(zero).tolist() == [False, True]
+        np.testing.assert_array_equal(self.erfc([0.0, -0.0]), [1.0, 1.0])
+        inf = [np.inf, -np.inf, 1e300, -1e300]
+        np.testing.assert_array_equal(self.erf(inf), [1.0, -1.0, 1.0, -1.0])
+        np.testing.assert_array_equal(self.erfc(inf), [0.0, 2.0, 0.0, 2.0])
+        nan = np.array([np.nan, 0.5, np.nan, 9.0])
+        for got in (self.erf(nan), self.erfc(nan)):
+            assert np.isnan(got[[0, 2]]).all() and np.isfinite(got[[1, 3]]).all()
+
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        x = 5.0 * rng.standard_normal(3 * (1 << 15) + 12_345)
+        x[:6] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 40.0]
+        blocks = (999, 1 << 10, 1 << 15, 1 << 17)
+        runs = []
+        for block in blocks:
+            monkeypatch.setattr(ad, "_ERF_BLOCK", block)
+            runs.append((self.erf(x).tobytes(), self.erfc(x).tobytes()))
+        assert all(run == runs[0] for run in runs[1:])
+        shaped = x[:30].reshape(2, 3, 5).transpose(2, 0, 1)  # non-contiguous
+        expected = self.erf(x[:30]).reshape(2, 3, 5).transpose(2, 0, 1)
+        np.testing.assert_array_equal(self.erf(shaped), expected)
+
+    def test_terf_keeps_dtype(self):
+        x = np.linspace(-3.0, 3.0, 13)
+        assert ad.terf(Tensor(x)).data.dtype == np.float64
+        got = ad.terf(Tensor(x.astype(np.float32))).data
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, self.erf(x.astype(np.float32)).astype(np.float32))
+
+    def test_gelu_f64_negative_tail(self):
+        """Phi(x) = erfc(-x / sqrt(2)) / 2 keeps its relative accuracy where
+        (1 + erf(x / sqrt(2))) / 2 cancels to zero, below about x = -8."""
+        x = -np.geomspace(8.0, 37.0, 2_001)
+        t = Tensor(x, requires_grad=True)
+        out = ad.gelu(t)
+        a = x * -(1.0 / math.sqrt(2.0))
+        phi = 0.5 * math_oracle(math.erfc, a)
+        assert (out.data < 0.0).all()
+        np.testing.assert_allclose(out.data, x * phi, rtol=1e-13, atol=0)
+        ad.backward(out, np.ones_like(x))
+        dphi = phi + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(t.grad, dphi, rtol=1e-12, atol=0)
 
 
 class TestShapeOps:

@@ -21,6 +21,7 @@ from psgp.errors import (
     UsageError,
 )
 from psgp.signalio import Modality
+from psgp.stats import _average_ranks, _chi2_sf
 from psgp.stats import (
     COV,
     PREDICTOR_SETS,
@@ -225,6 +226,13 @@ class TestOddsRatios:
         sep = self._model([0.0, 40.0], np.eye(2), converged=False, separated=True)
         assert odds_ratios(sep)[0].odds_ratio > 1
 
+    def test_p_matches_normal_tail(self):
+        for z in (0.0, 1e-8, 0.3, 1.0, 1.959964, 2.5, 6.0, 12.0, 37.0, 38.5):
+            model = self._model([0.0, -0.5 * z], [[1.0, 0.0], [0.0, 0.25]])
+            (result,) = odds_ratios(model)
+            want = 2.0 * float(sp_stats.norm.sf(z))
+            assert result.p_value == pytest.approx(want, rel=1e-13, abs=1e-300)
+
     @pytest.mark.parametrize("slope_var", [4.0, 0.0])
     def test_overflowing_ratio_is_inf_without_runtime_warning(self, slope_var):
         """exp(800) is past the float64 range: a separated slope of 800 gives
@@ -296,6 +304,49 @@ class TestAuc:
             auc([1.0, 2.0, 3.0], [0, 1])
         with pytest.raises(DataError):
             auc([1.0, 2.0], [0, 2])
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 1.0, 2.0],
+            [2.0, 1.0, 2.0, 3.0, 1.0, 2.0],
+            [5.0] * 7,
+            [4.2],
+            [-0.0, 0.0, 1.0, -1.0],
+        ],
+    )
+    def test_matches_scipy_rankdata(self, values):
+        got = _average_ranks(np.asarray(values))
+        np.testing.assert_array_equal(got, sp_stats.rankdata(values))
+
+    def test_random_ties_match_scipy(self):
+        rng = np.random.default_rng(33)
+        for n in (2, 17, 500):
+            values = np.round(rng.standard_normal(n), 1)
+            got = _average_ranks(values)
+            np.testing.assert_array_equal(got, sp_stats.rankdata(values))
+
+
+class TestChiSquareTail:
+    def test_matches_scipy(self):
+        x = np.concatenate([[0.0], np.geomspace(1e-10, 1e4, 600)])
+        for dof in range(1, 41):
+            got = np.array([_chi2_sf(float(v), dof) for v in x])
+            want = sp_stats.chi2.sf(x, dof)
+            # below 1e-300 both are in or near the subnormal range
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("dof", [1, 2, 7, 40, 501])
+    def test_huge_statistic_is_zero(self, dof):
+        for x in (1e4, 1e6, 1e300, float(np.finfo(np.float64).max), np.inf):
+            assert _chi2_sf(x, dof) == 0.0
+
+    def test_edges(self):
+        assert _chi2_sf(0.0, 3) == 1.0
+        assert _chi2_sf(-1e-15, 2) == 1.0  # a rounding-negative statistic
+        assert np.isnan(_chi2_sf(float("nan"), 2))
 
 
 class TestKruskalWallis:
