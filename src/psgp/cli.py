@@ -12,7 +12,6 @@ import csv
 import io
 import itertools
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -63,8 +62,7 @@ def _require(path: Path, what: str) -> Path:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The INI file, then each flag named after its field; PSGP_THREADS
-    stands in for an absent --threads."""
+    """The INI file, then each flag named after its field."""
     cfg = load_run_config(args.config)
     updates: dict[str, object] = {}
     for f in fields(RunConfig):
@@ -74,12 +72,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if f.name in LIST_PARSERS:  # --prevalence and --effect may repeat
             value = LIST_PARSERS[f.name](value if isinstance(value, str) else ",".join(value))
         updates[f.name] = value
-    env = os.environ.get("PSGP_THREADS")
-    if "threads" not in updates and env:
-        try:
-            updates["threads"] = int(env)
-        except ValueError:
-            raise ConfigError(f"PSGP_THREADS must be an integer, got {env!r}") from None
     cfg = replace(cfg, **updates)
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -398,7 +390,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", type=Path, default=None, help="INI config file")
     sp.add_argument("--out", required=True, help="output directory (all writes go here)")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None, help="worker threads for embed (env PSGP_THREADS)")
+    sp.add_argument(
+        "--threads", type=int, default=None, help="worker threads for embed; other stages run on one"
+    )
 
 
 def _add_modality(sp: argparse.ArgumentParser, **kwargs) -> None:
@@ -421,9 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--effect", dest="effects", action="append", default=None, metavar="OUTCOME:MODALITY=SIZE"
     )
     sp.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    sp.add_argument(
-        "--waveform", dest="base_waveform", choices=("sinusoid_mix", "band_noise"), default=None
-    )
     sp.add_argument("--affected-fraction", dest="affected_fraction", type=float, default=None)
     sp.set_defaults(func=cmd_synth)
 
@@ -441,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tcr-epsilon", dest="tcr_epsilon", type=float, default=None)
     sp.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
     sp.add_argument("--precision", choices=("f32", "f64"), default=None)
-    sp.add_argument("--masked-only", dest="masked_only", action="store_true", default=None)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("embed", help="embed every segment with trained checkpoints")

@@ -176,7 +176,7 @@ class CohortSplit:
     ratio: float
 
 
-def split_cohort(manifest: CohortManifest, ratio: float = 0.8, seed: int = 0) -> CohortSplit:
+def split_cohort(manifest: CohortManifest, ratio: float, seed: int) -> CohortSplit:
     """Disjoint train/test partition of the eligible subjects.
 
     Pure function of the sorted eligible ids, the ratio and the seed; the

@@ -41,13 +41,11 @@ class RunConfig:
     batch_size: int = 8
     learning_rate: float = 1e-3
     steps: int = 300
-    masked_only: bool = False
     # [synth]
     n_subjects: int = 200
     segments_per_subject: int = 20
     prevalence: tuple[tuple[str, float], ...] = (("CVD", 0.4),)
     effects: tuple[tuple[str, str, float], ...] = ()
-    base_waveform: str = "sinusoid_mix"
     noise_sigma: float = 1.0
     affected_fraction: float = 0.3
 
@@ -145,15 +143,8 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in LIST_PARSERS:
         return LIST_PARSERS[key](raw)
-    kind = type(getattr(RunConfig, key))
     try:
-        if kind is bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
+        return type(getattr(RunConfig, key))(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r} has invalid value {raw!r}") from None
 
@@ -194,8 +185,6 @@ def _format_value(cfg: RunConfig, key: str) -> str:
         return ",".join(f"{name}={p:g}" for name, p in value)
     if key == "effects":
         return ",".join(f"{o}:{m}={s:g}" for o, m, s in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, "g")
     return str(value)

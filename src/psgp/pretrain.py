@@ -59,7 +59,6 @@ class SslConfig:
     learning_rate: float
     steps: int
     seed: int
-    masked_only: bool = False  # acceptance test 01 builds SslConfig without it
 
     def __post_init__(self) -> None:
         if not (0.0 < self.mask_ratio < 1.0):
@@ -233,11 +232,6 @@ def total_loss_graph(
     latent = mdl.encode_t(ad.reshape(masked, (k * B, n, d)), params_t, config)
     decoded = ad.reshape(mdl.decode_t(latent, params_t, config), (k, B, n, d))
     cos = _cos_rows(target, decoded)  # (K, B, n)
-    if ssl_config.masked_only:
-        # every plan masks the same number of rows, so each view's row
-        # weights sum to n_masked
-        w = np.stack([plan.bits for plan in plans]).astype(patches.dtype)[:, None, :]
-        cos = ad.mul(ad.tsum(ad.mul(cos, w), axis=-1), 1.0 / plans[0].n_masked)
     sim = ad.tmean(cos)
     # each view's (d, B) matrix of pooled rows; one stacked logdet takes all K
     pooled = ad.swapaxes(mdl.pool_rows(decoded), -1, -2)  # (K, d, B)

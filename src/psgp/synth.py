@@ -22,10 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from .cohort import CohortManifest, SubjectRow, save_manifest
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .signalio import Modality, Recording, round_half_up, samples_per_window, write_signal_file
-
-_WAVEFORMS = ("sinusoid_mix", "band_noise")
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,6 @@ class SynthConfig:
     segments_per_subject: int
     prevalence: Mapping[str, float]
     effects: Mapping[tuple[str, str], float]
-    base_waveform: str
     noise_sigma: float
     affected_fraction: float
     seed: int
@@ -56,12 +53,10 @@ class SynthConfig:
                 raise ConfigError(f"effect references unknown outcome {outcome!r}")
             try:
                 Modality.parse(modality)
-            except Exception:
+            except DataError:
                 raise ConfigError(f"effect references unknown modality {modality!r}") from None
             if size < 0:
                 raise ConfigError("effect sizes must be non-negative")
-        if self.base_waveform not in _WAVEFORMS:
-            raise ConfigError(f"base_waveform must be one of {_WAVEFORMS}")
         if self.noise_sigma <= 0:
             raise ConfigError("noise_sigma must be positive")
         if not (0.0 < self.affected_fraction <= 1.0):
@@ -90,19 +85,13 @@ def _template(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
     return wave / rms
 
 
-def _base_signal(rng: np.random.Generator, n: int, rate: float, kind: str, sigma: float) -> np.ndarray:
-    if kind == "sinusoid_mix":
-        t = np.arange(n) / rate
-        sig = np.zeros(n)
-        for _ in range(4):
-            freq = rng.uniform(0.1, min(4.0, rate / 4.0))
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            sig += rng.uniform(0.3, 1.0) * np.sin(2.0 * np.pi * freq * t + phase)
-    else:  # band_noise: smoothed white noise, rescaled to unit RMS
-        raw = rng.standard_normal(n + 8)
-        kernel = np.ones(9) / 9.0
-        sig = np.convolve(raw, kernel, mode="valid")
-        sig = sig / float(np.sqrt((sig**2).mean()))
+def _base_signal(rng: np.random.Generator, n: int, rate: float, sigma: float) -> np.ndarray:
+    t = np.arange(n) / rate
+    sig = np.zeros(n)
+    for _ in range(4):
+        freq = rng.uniform(0.1, min(4.0, rate / 4.0))
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        sig += rng.uniform(0.3, 1.0) * np.sin(2.0 * np.pi * freq * t + phase)
     return sig + sigma * rng.standard_normal(n)
 
 
@@ -163,7 +152,7 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
             rate = modality.nominal_rate_hz
             spw = samples_per_window(rate)
             total = n_segments * spw
-            sig = _base_signal(rng, total, rate, config.base_waveform, config.noise_sigma)
+            sig = _base_signal(rng, total, rate, config.noise_sigma)
             for outcome in outcomes:
                 size = config.effect_size(outcome, modality)
                 # draw the affected subset unconditionally to keep subject

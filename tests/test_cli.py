@@ -185,9 +185,19 @@ class TestSynthDeterminism:
 
 
 class TestExitCodes:
-    def test_unknown_subcommand_is_usage_error(self, capsys):
-        assert run_cli("compress") == 2
-        capsys.readouterr()
+    def test_unknown_subcommand_is_usage_error(self, tmp_path, capsys):
+        """Also a flag the parser does not have (--waveform, --masked-only):
+        exit 2, one error line and no snapshot."""
+        out = tmp_path / "out"
+        for argv in [
+            ["compress"],
+            ["synth", "--out", out, "--waveform", "band_noise"],
+            ["train", "--out", out, "--data", tmp_path / "none", "--masked-only"],
+        ]:
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "Traceback" not in err
+            assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run_cli("synth") == 2
@@ -404,26 +414,7 @@ class TestCorruptTextTables:
 
 
 class TestThreadsResolution:
-    def test_env_var_used_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSGP_THREADS", "2")
-        assert run_cli(
-            "synth", "--out", tmp_path / "s", "--seed", 1, "--subjects", 4,
-            "--segments", 1, "--prevalence", "CVD=0.5",
-        ) == 0
-        snapshot = (tmp_path / "s" / "resolved_config_synth.txt").read_text(encoding="utf-8")
-        assert "threads = 2" in snapshot
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PSGP_THREADS", "2")
-        assert run_cli(
-            "synth", "--out", tmp_path / "s", "--seed", 1, "--subjects", 4,
-            "--segments", 1, "--prevalence", "CVD=0.5", "--threads", 3,
-        ) == 0
-        snapshot = (tmp_path / "s" / "resolved_config_synth.txt").read_text(encoding="utf-8")
-        assert "threads = 3" in snapshot
-
-    def test_zero_threads_in_ini_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("PSGP_THREADS", raising=False)
+    def test_zero_threads_in_ini_is_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "threads.ini"
         ini.write_text("[run]\nthreads = 0\n", encoding="utf-8")
         rc = run_cli(
@@ -434,17 +425,6 @@ class TestThreadsResolution:
         assert rc == 2
         assert err == "error: ConfigError: threads must be >= 1\n"
         assert not (tmp_path / "s" / "resolved_config_synth.txt").exists()
-
-    def test_invalid_env_value_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PSGP_THREADS", "many")
-        rc = run_cli(
-            "synth", "--out", tmp_path / "s", "--seed", 1, "--subjects", 4,
-            "--segments", 1, "--prevalence", "CVD=0.5",
-        )
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: ConfigError:")
-        assert "PSGP_THREADS" in err
 
 
 # Stage arguments: every other flag sets the RunConfig field its dest names.
@@ -477,7 +457,7 @@ class TestFlagsNameTheirFields:
             (["synth", "--threads", "3"], "threads", 3),
             (["synth", "--subjects", "7"], "n_subjects", 7),
             (["synth", "--segments", "3"], "segments_per_subject", 3),
-            (["synth", "--waveform", "band_noise"], "base_waveform", "band_noise"),
+            (["vectors", "--data", "d", "--embeddings", "e", "--split-ratio", "0.7"], "split_ratio", 0.7),
             (["synth", "--noise-sigma", "0.5"], "noise_sigma", 0.5),
             (["synth", "--affected-fraction", "0.2"], "affected_fraction", 0.2),
             (["synth", "--prevalence", "CVD=0.5", "--prevalence", "HTN=0.1"],
@@ -495,7 +475,7 @@ class TestFlagsNameTheirFields:
             (["train", "--data", "d", "--tcr-epsilon", "0.1"], "tcr_epsilon", 0.1),
             (["train", "--data", "d", "--embed-dim", "16"], "embed_dim", 16),
             (["train", "--data", "d", "--precision", "f64"], "precision", "f64"),
-            (["train", "--data", "d", "--masked-only"], "masked_only", True),
+            (["embed", "--data", "d", "--models", "m", "--threads", "2"], "threads", 2),
             (["train", "--data", "d", "--split-ratio", "0.6"], "split_ratio", 0.6),
             (["vectors", "--data", "d", "--embeddings", "e", "--outcomes", "CVD, HTN"],
              "outcomes", ("CVD", "HTN")),
@@ -503,8 +483,7 @@ class TestFlagsNameTheirFields:
              "modalities", (Modality.ECG,)),
         ],
     )
-    def test_flag_sets_its_field(self, monkeypatch, argv, field, want):
-        monkeypatch.delenv("PSGP_THREADS", raising=False)
+    def test_flag_sets_its_field(self, argv, field, want):
         cfg = _resolve_config(build_parser().parse_args([argv[0], "--out", "x", *argv[1:]]))
         assert getattr(cfg, field) == want
         assert getattr(RunConfig(), field) != want

@@ -43,7 +43,6 @@ class TestDefaults:
         assert cfg.tcr_epsilon == 0.2
         assert cfg.tcr_weight == 1.0
         assert cfg.steps == 300
-        assert cfg.masked_only is False
         assert cfg.n_subjects == 200
         assert cfg.segments_per_subject == 20
         assert cfg.prevalence == (("CVD", 0.4),)
@@ -128,7 +127,6 @@ class TestLoadRunConfig:
             "[ssl]\n"
             "steps = 12\n"
             "learning_rate = 5e-4\n"
-            "masked_only = true\n"
             "[synth]\n"
             "n_subjects = 30\n"
             "prevalence = CVD=0.5,Stroke=0.2\n"
@@ -145,7 +143,6 @@ class TestLoadRunConfig:
         assert cfg.precision == "f64"
         assert cfg.steps == 12
         assert cfg.learning_rate == 5e-4
-        assert cfg.masked_only is True
         assert cfg.n_subjects == 30
         assert cfg.prevalence == (("CVD", 0.5), ("Stroke", 0.2))
         assert cfg.effects == (("CVD", "ECG", 2.5),)
@@ -164,9 +161,10 @@ class TestLoadRunConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text("[ssl]\nstep_count = 5\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"unknown key"):
-            load_run_config(path)
+        for section, key in [("ssl", "step_count"), ("ssl", "masked_only"), ("synth", "base_waveform")]:
+            path.write_text(f"[{section}]\n{key} = 5\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+                load_run_config(path)
 
     def test_key_in_wrong_section_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -179,7 +177,6 @@ class TestLoadRunConfig:
         [
             "[ssl]\nsteps = soon\n",
             "[run]\nsplit_ratio = lots\n",
-            "[ssl]\nmasked_only = maybe\n",
         ],
     )
     def test_bad_values_rejected(self, tmp_path, body):
@@ -193,12 +190,6 @@ class TestLoadRunConfig:
         path.write_text("steps = 5\n", encoding="utf-8")  # key before any section
         with pytest.raises(ConfigError, match="cannot parse"):
             load_run_config(path)
-
-    def test_boolean_spellings(self, tmp_path):
-        for raw, want in [("1", True), ("yes", True), ("off", False), ("FALSE", False)]:
-            path = tmp_path / "run.ini"
-            path.write_text(f"[ssl]\nmasked_only = {raw}\n", encoding="utf-8")
-            assert load_run_config(path).masked_only is want
 
 
 class TestResolvedText:
@@ -219,7 +210,6 @@ class TestResolvedText:
             prevalence=(("CVD", 0.4),),
             effects=(("CVD", "ECG", 3.0),),
             learning_rate=5e-4,
-            masked_only=True,
         )
         text = resolved_text(cfg)
         assert "modalities = ECG" in text
@@ -227,10 +217,9 @@ class TestResolvedText:
         assert "prevalence = CVD=0.4" in text
         assert "effects = CVD:ECG=3" in text
         assert "learning_rate = 0.0005" in text
-        assert "masked_only = true" in text
 
     def test_round_trips_through_loader(self, tmp_path):
-        cfg = RunConfig(seed=9, steps=17, modalities=(Modality.RESP,), masked_only=True)
+        cfg = RunConfig(seed=9, steps=17, modalities=(Modality.RESP,))
         path = tmp_path / "echo.ini"
         path.write_text(resolved_text(cfg), encoding="utf-8")
         assert load_run_config(path) == cfg
@@ -248,13 +237,12 @@ class TestAdapters:
         assert mc.input_len == 300
 
     def test_ssl_config_for(self):
-        cfg = RunConfig(seed=5, steps=9, mask_ratio=0.25, tcr_weight=0.5, masked_only=True)
+        cfg = RunConfig(seed=5, steps=9, mask_ratio=0.25, tcr_weight=0.5)
         sc = ssl_config_for(cfg)
         assert sc.seed == 5
         assert sc.steps == 9
         assert sc.mask_ratio == 0.25
         assert sc.tcr_weight == 0.5
-        assert sc.masked_only is True
 
     def test_synth_config_for(self):
         cfg = RunConfig(
@@ -302,15 +290,13 @@ class TestSections:
 
     @pytest.mark.parametrize("cls", [ModelConfig, SslConfig, SynthConfig])
     def test_run_config_holds_the_only_default(self, cls):
-        """The one exception is ``SslConfig.masked_only``, which acceptance
-        test 01 leaves out when it builds an SslConfig."""
         run_fields = {f.name for f in fields(RunConfig)}
         defaulted = [
             f.name
             for f in fields(cls)
             if f.name in run_fields and (f.default is not MISSING or f.default_factory is not MISSING)
         ]
-        assert defaulted == (["masked_only"] if cls is SslConfig else [])
+        assert defaulted == []
 
     def test_paper_ini_is_the_paper_scale(self):
         cfg = load_run_config(PAPER_INI)

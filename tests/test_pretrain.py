@@ -324,13 +324,6 @@ class TestTotalLoss:
         c = total_loss(self._batch(), params, cfg, tiny_ssl(), seed=6)
         assert a.total != c.total
 
-    def test_masked_only_changes_the_term(self):
-        cfg = tiny_config()
-        params = init_parameters(cfg, seed=1)
-        full = total_loss(self._batch(), params, cfg, tiny_ssl(masked_only=False), seed=5)
-        masked = total_loss(self._batch(), params, cfg, tiny_ssl(masked_only=True), seed=5)
-        assert full.similarity_term != masked.similarity_term
-
     def test_batch_of_one_rejected(self):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=1)
@@ -352,11 +345,7 @@ def per_view_loss_graph(batch, params_t, config, ssl_config, seed):
         bits = plan.bits.astype(patches.dtype)[:, None]
         masked = ad.add(ad.mul(patches, 1.0 - bits), ad.mul(params_t["mask_token"], bits))
         decoded = mdl.decode_t(mdl.encode_t(masked, params_t, config), params_t, config)
-        cos = pretrain._cos_rows(target, decoded)
-        if ssl_config.masked_only:
-            w = plan.bits.astype(batch.dtype)
-            cos = ad.div(ad.tsum(ad.mul(cos, w), axis=-1), float(w.sum()))
-        sim_k = ad.tmean(cos)
+        sim_k = ad.tmean(pretrain._cos_rows(target, decoded))
         tcr_k = tcr_loss(ad.transpose(mdl.pool_rows(decoded)), ssl_config.tcr_epsilon)
         sim = sim_k if sim is None else ad.add(sim, sim_k)
         tcr = tcr_k if tcr is None else ad.add(tcr, tcr_k)
@@ -376,12 +365,16 @@ class TestBatchedLossOracle:
         batch = np.random.default_rng(batch_size).standard_normal((batch_size, cfg.input_len))
         return cfg, params, batch
 
-    @pytest.mark.parametrize("masked_only", [False, True])
+    @pytest.mark.parametrize("similarity_only", [False, True])
     @pytest.mark.parametrize("batch_size", [2, 8])
     @pytest.mark.parametrize("k", [1, 4])
-    def test_matches_per_view_graph(self, k, batch_size, masked_only):
+    def test_matches_per_view_graph(self, k, batch_size, similarity_only):
+        """With ``similarity_only`` the coding-rate weight is 0, so the
+        gradients compared are those of the similarity path alone."""
         cfg, params, batch = self._setup(batch_size)
-        ssl = tiny_ssl(n_permutations=k, batch_size=batch_size, masked_only=masked_only)
+        ssl = tiny_ssl(
+            n_permutations=k, batch_size=batch_size, tcr_weight=0.0 if similarity_only else 1.0
+        )
         grads = []
         for build in ("batched", "per_view"):
             params_t = {n: Tensor(a.copy(), requires_grad=True) for n, a in params.items()}
@@ -400,14 +393,12 @@ class TestBatchedLossOracle:
             err = float(np.abs(batched[name] - ref).max())
             assert err <= 1e-12 * float(np.abs(ref).max()), (name, err)
 
-    @pytest.mark.parametrize("masked_only", [False, True])
-    def test_similarity_value_oracle(self, masked_only):
-        """The similarity term equals the mean over views, batch and rows (only
-        the masked rows with masked_only) of the row cosines between the
-        full-grid target and each masked grid's reconstruction, computed here
-        one view at a time in numpy."""
+    def test_similarity_value_oracle(self):
+        """The similarity term equals the mean over views, batch and rows of
+        the row cosines between the full-grid target and each masked grid's
+        reconstruction, computed here one view at a time in numpy."""
         cfg, params, batch = self._setup(4)
-        ssl = tiny_ssl(n_permutations=3, masked_only=masked_only)
+        ssl = tiny_ssl(n_permutations=3)
         target = pretrain.full_grid_target(batch, params, cfg)
         tp = {n: Tensor(a) for n, a in params.items()}
         with no_grad():
@@ -421,7 +412,7 @@ class TestBatchedLossOracle:
             cos = (target * z).sum(-1) / (
                 np.linalg.norm(target, axis=-1) * np.linalg.norm(z, axis=-1)
             )
-            per_view.append(cos[:, rows].mean() if masked_only else cos.mean())
+            per_view.append(cos.mean())
         report = total_loss(batch, params, cfg, ssl, seed=9)
         assert report.similarity_term == pytest.approx(np.mean(per_view), rel=1e-12, abs=0.0)
 

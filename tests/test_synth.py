@@ -17,7 +17,6 @@ def small_config(**overrides):
         segments_per_subject=4,
         prevalence={"CVD": 0.5},
         effects={},
-        base_waveform="sinusoid_mix",
         noise_sigma=1.0,
         affected_fraction=0.5,
         seed=11,
@@ -41,8 +40,7 @@ class TestSynthConfigValidation:
             segments_per_subject=20,
             prevalence={"CVD": 0.4},
             effects={},
-            base_waveform="sinusoid_mix",
-            noise_sigma=1.0,
+                noise_sigma=1.0,
             affected_fraction=0.3,
             seed=0,
         )
@@ -64,7 +62,7 @@ class TestSynthConfigValidation:
             dict(effects={("Stroke", "ECG"): 1.0}),
             dict(effects={("CVD", "EMG"): 1.0}),
             dict(effects={("CVD", "ECG"): -0.5}),
-            dict(base_waveform="square"),
+            dict(prevalence={"A\nB": 0.5}),
             dict(noise_sigma=0.0),
             dict(affected_fraction=0.0),
             dict(affected_fraction=1.5),
@@ -270,13 +268,6 @@ class TestPlantedTemplates:
         assert len(chunks) >= 2
         for chunk in chunks[1:]:
             np.testing.assert_allclose(chunk, chunks[0], rtol=0, atol=1e-3)
-
-    def test_band_noise_waveform_also_generates(self, tmp_path):
-        cfg = small_config(base_waveform="band_noise", segments_per_subject=2)
-        generate_cohort(cfg, tmp_path)
-        rec = read_signal_file(tmp_path / "signals" / "S0001_EEG.psgs")
-        assert np.isfinite(rec.samples).all()
-        assert float(np.std(rec.samples)) > 0.0
 
 
 class TestNullCohort:
