@@ -310,15 +310,31 @@ def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     save_split(split, out / "split.csv")
 
 
+def _vector_files(vec_dir: Path) -> list[Path]:
+    """The `<outcome>_<MODALITY>.txt` files of a directory, as `vectors` names them."""
+    named = ((p, p.stem.rpartition("_")) for p in vec_dir.glob("*.txt"))
+    return sorted(p for p, (outcome, _, modality) in named if outcome and modality in Modality.__members__)
+
+
 def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     _, manifest = _manifest_for(args)
     tables = _embedding_tables(args, cfg)
     vec_dir = _require(Path(args.vectors), "vectors directory")
-    vec_paths = sorted(vec_dir.glob("*.txt"))
+    vec_paths = _vector_files(vec_dir)
     if not vec_paths:
-        raise MissingInputError(f"no disease-vector files under {vec_dir}")
-    vectors = [load_disease_vector(p) for p in vec_paths]
-    vectors = [v for v in vectors if v.modality in set(cfg.modalities)]
+        nested = vec_dir / "vectors"
+        hint = f"; {nested} holds them, pass --vectors {nested}" if _vector_files(nested) else ""
+        raise MissingInputError(f"no <outcome>_<MODALITY>.txt disease-vector files under {vec_dir}{hint}")
+    vectors = []
+    for path in vec_paths:
+        vector = load_disease_vector(path)
+        if path.stem != f"{vector.outcome}_{vector.modality.name}":
+            raise FormatError(
+                f"{path}: holds outcome={vector.outcome} modality={vector.modality.name}, "
+                "which its file name contradicts"
+            )
+        if vector.modality in cfg.modalities:
+            vectors.append(vector)
     out = _out_dir(args)
     save_scores(score_cohort(tables, vectors, manifest), out / "scores.csv")
 

@@ -86,12 +86,30 @@ def _template(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
 
 
 def _base_signal(rng: np.random.Generator, n: int, rate: float, sigma: float) -> np.ndarray:
+    """Four random sinusoids plus sigma-scaled white noise.
+
+    Each sinusoid's phase is reduced in float64 to a fraction of a cycle,
+    c = t*freq + phase/2pi - floor(...), so the float32 sin only ever sees
+    an argument in [0, 2pi): a float32 argument of up to 15,000 rad (4 Hz
+    over 600 s) would be wrong by about 1e-3. The sines are summed in
+    float32, within a few float32 ulps of the float64 sum.
+    """
     t = np.arange(n) / rate
-    sig = np.zeros(n)
+    cycles = np.empty(n)
+    whole = np.empty(n)
+    wave = np.empty(n, dtype=np.float32)
+    sig = np.zeros(n, dtype=np.float32)
     for _ in range(4):
         freq = rng.uniform(0.1, min(4.0, rate / 4.0))
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        sig += rng.uniform(0.3, 1.0) * np.sin(2.0 * np.pi * freq * t + phase)
+        amp = rng.uniform(0.3, 1.0)
+        np.multiply(t, freq, out=cycles)
+        cycles += phase / (2.0 * np.pi)
+        cycles -= np.floor(cycles, out=whole)
+        np.multiply(cycles, 2.0 * np.pi, out=wave, casting="same_kind")
+        np.sin(wave, out=wave)
+        wave *= np.float32(amp)
+        sig += wave
     return sig + sigma * rng.standard_normal(n)
 
 

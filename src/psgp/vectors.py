@@ -294,6 +294,7 @@ def save_scores(scores: Sequence[SubjectScore], path: Path | str) -> None:
 def load_scores(path: Path | str) -> list[SubjectScore]:
     path = Path(path)
     out: list[SubjectScore] = []
+    seen: set[tuple[str, str, str]] = set()
     with path.open(newline="", encoding="utf-8") as fh, utf8_text(path):
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -312,5 +313,9 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
                 modality = Modality.parse(name)
             except DataError as exc:
                 raise FormatError(f"{where}: {exc}") from exc
+            key = (sid, outcome, modality.name)
+            if key in seen:
+                raise FormatError(f"{where} repeats the row for {sid}, {outcome}, {modality.name}")
+            seen.add(key)
             out.append(SubjectScore(sid, outcome, modality, float(score), int(used)))
     return out

@@ -398,6 +398,17 @@ class TestCorruptTextTables:
         )
         assert_one_line_data_error(rc, capsys.readouterr().err, "CVD_RESP.txt")
 
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_score_table_repeated_row(self, chain, tmp_path, capsys, command):
+        scores = tmp_path / "scores.csv"
+        lines = (chain["scores"] / "scores.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        scores.write_text("".join(lines[:4] + lines[2:3] + lines[4:]), encoding="utf-8")
+        rc = run_cli(
+            command, "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--scores", scores, "--seed", 5,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(scores), "line 5 repeats")
+
     @pytest.mark.parametrize(
         "column,value",
         [(2, "first"), (5, "0.1.2"), (7, None), (5, "nan"), (5, "inf"), (5, "-inf"), (1, "ECG")],
@@ -411,6 +422,45 @@ class TestCorruptTextTables:
             "--data", chain["data"], "--embeddings", emb, "--seed", 5,
         )
         assert_one_line_data_error(rc, capsys.readouterr().err, str(table), "line 6")
+
+
+class TestScoreVectorsDirectory:
+    """``score --vectors DIR`` reads only ``<outcome>_<MODALITY>.txt`` files."""
+
+    def score(self, chain, tmp_path, vec_dir) -> int:
+        return run_cli(
+            "score", "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--embeddings", chain["emb"], "--vectors", vec_dir,
+        )
+
+    def test_vectors_stage_out_dir_names_its_vectors_subdir(self, chain, tmp_path, capsys):
+        rc = self.score(chain, tmp_path, chain["vectors"])
+        assert_one_line_data_error(
+            rc, capsys.readouterr().err, f"under {chain['vectors']};", str(chain["vectors"] / "vectors"),
+            kind="MissingInputError",
+        )
+
+    def test_other_txt_files_are_ignored(self, chain, tmp_path):
+        vec_dir = tmp_path / "vectors"
+        vec_dir.mkdir()
+        (vec_dir / "CVD_RESP.txt").write_bytes((chain["vectors"] / "vectors" / "CVD_RESP.txt").read_bytes())
+        (vec_dir / "resolved_config_vectors.txt").write_bytes(
+            (chain["vectors"] / "resolved_config_vectors.txt").read_bytes()
+        )
+        (vec_dir / "notes.txt").write_text("not a vector\n", encoding="utf-8")
+        (vec_dir / "_RESP.txt").write_text("not a vector\n", encoding="utf-8")
+        assert self.score(chain, tmp_path, vec_dir) == 0
+        assert (tmp_path / "out" / "scores.csv").read_bytes() == (chain["scores"] / "scores.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["CVD_ECG.txt", "HTN_RESP.txt", "CVD_X_RESP.txt"])
+    def test_file_name_must_match_its_contents(self, chain, tmp_path, capsys, name):
+        vec_dir = tmp_path / "vectors"
+        vec_dir.mkdir()
+        (vec_dir / name).write_bytes((chain["vectors"] / "vectors" / "CVD_RESP.txt").read_bytes())
+        rc = self.score(chain, tmp_path, vec_dir)
+        assert_one_line_data_error(
+            rc, capsys.readouterr().err, str(vec_dir / name), "outcome=CVD modality=RESP", "file name"
+        )
 
 
 class TestThreadsResolution:

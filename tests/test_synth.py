@@ -1,10 +1,12 @@
 """Tests for the synthetic cohort generator."""
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from psgp import synth
 from psgp.cohort import load_manifest
 from psgp.errors import ConfigError
 from psgp.signalio import Modality, read_signal_file, round_half_up, samples_per_window
@@ -40,7 +42,7 @@ class TestSynthConfigValidation:
             segments_per_subject=20,
             prevalence={"CVD": 0.4},
             effects={},
-                noise_sigma=1.0,
+            noise_sigma=1.0,
             affected_fraction=0.3,
             seed=0,
         )
@@ -210,6 +212,66 @@ class TestGroundTruth:
                 assert len(set(segs)) == expected
                 assert all(0 <= s < n_seg for s in segs)
                 assert list(segs) == sorted(segs)
+
+
+def base_signal_f64(rng: np.random.Generator, n: int, rate: float, sigma: float) -> np.ndarray:
+    """Float64 oracle of ``synth._base_signal``: the same draws in the same
+    order, each sine taken of its unreduced phase and summed in float64."""
+    t = np.arange(n) / rate
+    sig = np.zeros(n)
+    for _ in range(4):
+        freq = rng.uniform(0.1, min(4.0, rate / 4.0))
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        sig += rng.uniform(0.3, 1.0) * np.sin(2.0 * np.pi * freq * t + phase)
+    return sig + sigma * rng.standard_normal(n)
+
+
+class TestBaseSignal:
+    """The float32 sines with float64 phase reduction stay within 4e-6 of the
+    float64 oracle and consume exactly the oracle's random draws."""
+
+    @pytest.mark.parametrize("rate", [125.0, 10.0])
+    def test_matches_float64_oracle_with_the_same_draws(self, rate):
+        n = 20 * samples_per_window(rate)
+        for seed in range(4):
+            oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = base_signal_f64(oracle_rng, n, rate, 0.7)
+            got = synth._base_signal(rng, n, rate, 0.7)
+            assert got.shape == (n,)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=4e-6)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_cohort_signals_match_float64_oracle(self, tmp_path, monkeypatch):
+        cfg = small_config(prevalence={"CVD": 0.5, "Stroke": 0.3},
+                           effects={("CVD", "ECG"): 2.0, ("Stroke", "RESP"): 1.5})
+        gt = generate_cohort(cfg, tmp_path / "new")
+        monkeypatch.setattr(synth, "_base_signal", base_signal_f64)
+        gt_oracle = generate_cohort(cfg, tmp_path / "oracle")
+        assert gt == gt_oracle
+        new, oracle = tree_bytes(tmp_path / "new"), tree_bytes(tmp_path / "oracle")
+        assert sorted(new) == sorted(oracle)
+        for name in new:
+            if not name.endswith(".psgs"):
+                assert new[name] == oracle[name], name
+                continue
+            a = read_signal_file(tmp_path / "new" / name).samples
+            b = read_signal_file(tmp_path / "oracle" / name).samples
+            np.testing.assert_allclose(a, b, rtol=0, atol=4e-6, err_msg=name)
+
+    def test_label_and_subset_files_keep_their_bytes(self, tmp_path):
+        """Pinned to the bytes written before the float32 sine kernel."""
+        cfg = small_config(prevalence={"CVD": 0.5, "Stroke": 0.3},
+                           effects={("CVD", "ECG"): 2.0, ("Stroke", "RESP"): 1.5})
+        generate_cohort(cfg, tmp_path)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("manifest.csv", "effects.csv", "affected.csv")
+        }
+        assert digests == {
+            "manifest.csv": "c6af20c4864bdc689aedb8dae37a1d74818c9412aae3654589afcbdbef5e2df1",
+            "effects.csv": "0fad528c6d95579f27f3fa9f749bbb49a6aa1c95f4d3c2428b07e8b7c2df874a",
+            "affected.csv": "e2247bcb05823250e431833d72d230c78f727de29d23d731a087a9c8dda3995e",
+        }
 
 
 class TestPlantedTemplates:

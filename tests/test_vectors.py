@@ -358,3 +358,12 @@ class TestDiskFormats:
         path.write_text("nope\n")
         with pytest.raises(FormatError):
             load_scores(path)
+
+    def test_scores_repeated_row_refused(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        save_scores([SubjectScore("A", "CVD", Modality.ECG, 0.5, 1),
+                     SubjectScore("A", "CVD", Modality.EEG, 0.5, 1)], path)
+        with path.open("a") as fh:
+            fh.write("A,CVD,ecg,0.25,2\n")
+        with pytest.raises(FormatError, match="line 4 repeats the row for A, CVD, ECG"):
+            load_scores(path)
