@@ -6,62 +6,3 @@ downstream statistics (adjusted odds ratios, AUC grids, report cards).
 """
 
 __version__ = "0.1.0"
-
-from .cohort import CohortManifest, CohortSplit, load_manifest, split_cohort
-from .errors import (
-    DataError,
-    FormatError,
-    NumericError,
-    PsgpError,
-    SeparationWarning,
-    UsageError,
-)
-from .model import ModelConfig, default_model_config, load_checkpoint, save_checkpoint
-from .pretrain import SslConfig, full_grid_target, sample_masks, total_loss, train
-from .report import build_report_card, render_report_card
-from .signalio import Modality, Recording, read_signal_file, segment_recording, write_signal_file
-from .stats import auc, chi_square, evaluate_grid, fit_logistic, kruskal_wallis, odds_ratios
-from .synth import SynthConfig, generate_cohort
-from .vectors import derive_disease_vector, derive_vectors, score_cohort, subject_score
-
-__all__ = [
-    "__version__",
-    "CohortManifest",
-    "CohortSplit",
-    "DataError",
-    "FormatError",
-    "ModelConfig",
-    "Modality",
-    "NumericError",
-    "PsgpError",
-    "Recording",
-    "SeparationWarning",
-    "SslConfig",
-    "SynthConfig",
-    "UsageError",
-    "auc",
-    "build_report_card",
-    "chi_square",
-    "default_model_config",
-    "derive_disease_vector",
-    "derive_vectors",
-    "evaluate_grid",
-    "fit_logistic",
-    "generate_cohort",
-    "kruskal_wallis",
-    "load_checkpoint",
-    "load_manifest",
-    "odds_ratios",
-    "read_signal_file",
-    "render_report_card",
-    "sample_masks",
-    "save_checkpoint",
-    "score_cohort",
-    "segment_recording",
-    "split_cohort",
-    "subject_score",
-    "full_grid_target",
-    "total_loss",
-    "train",
-    "write_signal_file",
-]

@@ -29,6 +29,7 @@ from .config import (
     synth_config_for,
 )
 from .errors import (
+    EXIT_DATA,
     ConfigError,
     DataError,
     FormatError,
@@ -91,6 +92,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"--out {out} exists and is not a directory")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -515,12 +518,12 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         args.func(args, cfg)
-    except PsgpError as exc:
+        snapshot = Path(args.out) / f"resolved_config_{args.command}.txt"
+        snapshot.write_text(resolved_text(cfg), encoding="utf-8")
+    except (PsgpError, OSError) as exc:  # an OSError (a path of the wrong kind) is a data error
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return exc.exit_code
-    snapshot = Path(args.out) / f"resolved_config_{args.command}.txt"
-    snapshot.write_text(resolved_text(cfg), encoding="utf-8")
+        return getattr(exc, "exit_code", EXIT_DATA)
     return 0
 
 

@@ -16,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ManifestError, UsageError, utf8_text
+from .errors import DataError, ManifestError, PsgpError, UsageError, utf8_text
 from .signalio import round_half_up
 
 COVARIATE_COLUMNS = ("age", "sex", "bmi", "sbp", "frs")
+# what every adjusted model controls for; a subject missing one is ineligible
+ADJUSTMENT_COVARIATES = ("age", "sex", "bmi")
 _FIXED_HEADER = ("subject_id",) + COVARIATE_COLUMNS
 # a plain ASCII decimal number: no nan/inf, underscores or non-ASCII digits
 DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
@@ -52,17 +54,25 @@ class CohortManifest:
         return list(self.rows)
 
     def eligible_ids(self) -> list[str]:
-        """Subjects usable for model fitting: age, sex and bmi all present."""
+        """Subjects usable for model fitting: every adjustment covariate present."""
         return [
             sid
             for sid, row in self.rows.items()
-            if row.age is not None and row.sex is not None and row.bmi is not None
+            if all(getattr(row, name) is not None for name in ADJUSTMENT_COVARIATES)
         ]
 
     def outcome_labels(self, outcome: str) -> dict[str, int | None]:
         if outcome not in self.outcome_names:
             raise ManifestError(f"manifest has no outcome column {outcome!r}")
         return {sid: row.outcomes[outcome] for sid, row in self.rows.items()}
+
+
+def check_outcome_name(name: str, error: type[PsgpError], where: str) -> None:
+    """Refuse an outcome name that cannot be both a file-name part and a CSV
+    header cell: an empty one, or one holding ``,``, ``"``, ``/``, ``\\`` or a
+    line break."""
+    if not name or any(ch in name for ch in ',"/\\') or len(f"|{name}|".splitlines()) > 1:
+        raise error(f"{where}: outcome name {name!r} is empty or holds , \" / \\ or a line break")
 
 
 def _parse_float(token: str, *, where: str, column: str) -> float | None:
@@ -110,6 +120,8 @@ def load_manifest(path: Path | str) -> CohortManifest:
                 f"{path}: header must start with {','.join(_FIXED_HEADER)}"
             )
         outcome_names = tuple(header[len(_FIXED_HEADER):])
+        for name in outcome_names:
+            check_outcome_name(name, ManifestError, f"{path} line 1")
         if len(set(outcome_names)) != len(outcome_names):
             raise ManifestError(f"{path}: duplicate outcome columns")
         rows: dict[str, SubjectRow] = {}

@@ -158,6 +158,8 @@ def load_run_config(path: Path | str | None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config {path} is not a regular file")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with utf8_text(path, ConfigError):

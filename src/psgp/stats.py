@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import CohortManifest, CohortSplit
+from .cohort import ADJUSTMENT_COVARIATES, CohortManifest, CohortSplit
 from .errors import (
     CollinearityError,
     DataError,
@@ -319,6 +319,7 @@ def chi_square(table, yates: bool = False) -> tuple[float, float, int]:
 
 SCORE = "score"
 COV = "cov"
+_ADJUSTMENT = tuple((COV, name) for name in ADJUSTMENT_COVARIATES)
 
 PREDICTOR_SETS: dict[str, tuple[tuple[str, object], ...]] = {
     "EEG": ((SCORE, Modality.EEG),),
@@ -328,7 +329,7 @@ PREDICTOR_SETS: dict[str, tuple[tuple[str, object], ...]] = {
     "EEG-Resp": ((SCORE, Modality.EEG), (SCORE, Modality.RESP)),
     "ECG-Resp": ((SCORE, Modality.ECG), (SCORE, Modality.RESP)),
     "EEG-ECG-Resp": ((SCORE, Modality.EEG), (SCORE, Modality.ECG), (SCORE, Modality.RESP)),
-    "Baseline": ((COV, "age"), (COV, "sex"), (COV, "bmi")),
+    "Baseline": _ADJUSTMENT,
     "FRS Score": ((COV, "frs"),),
     "FRS Score Composite": (
         (SCORE, Modality.EEG),
@@ -336,14 +337,7 @@ PREDICTOR_SETS: dict[str, tuple[tuple[str, object], ...]] = {
         (SCORE, Modality.RESP),
         (COV, "frs"),
     ),
-    "Composite": (
-        (SCORE, Modality.EEG),
-        (SCORE, Modality.ECG),
-        (SCORE, Modality.RESP),
-        (COV, "age"),
-        (COV, "sex"),
-        (COV, "bmi"),
-    ),
+    "Composite": ((SCORE, Modality.EEG), (SCORE, Modality.ECG), (SCORE, Modality.RESP)) + _ADJUSTMENT,
 }
 
 
@@ -417,16 +411,46 @@ class AucGrid:
         return "\n".join(lines) + "\n"
 
 
-def _standardized(
-    train: FeatureMatrix, test: FeatureMatrix
-) -> tuple[FeatureMatrix, FeatureMatrix]:
-    mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0)
+_Side = tuple[FeatureMatrix, np.ndarray]  # one side's design matrix and 0/1 labels
+
+
+def _standardized(sides: list[_Side]) -> list[_Side]:
+    """Each side's features scaled by the mean and SD of the first side's."""
+    train = sides[0][0].values
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    return (
-        FeatureMatrix(train.feature_names, (train.values - mean) / std, train.subject_ids),
-        FeatureMatrix(test.feature_names, (test.values - mean) / std, test.subject_ids),
-    )
+    return [(FeatureMatrix(x.feature_names, (x.values - mean) / std, x.subject_ids), y) for x, y in sides]
+
+
+def _fit_on_train(
+    manifest, lookup, outcome, spec, train_ids, test_ids, standardize
+) -> tuple[LogisticModel, list[_Side]] | str:
+    """Fit ``spec`` for ``outcome`` on the training subjects.
+
+    Returns the model with each side's matrix and labels, train first (the
+    test side only when ``test_ids`` is given), or "NA:<reason>" when a side
+    has no rows or one class, or the design is collinear. Separated fits are
+    returned as fitted, without their warning.
+    """
+    sides: list[_Side] = []
+    for name, ids in (("train", train_ids), ("test", test_ids)):
+        if ids is None:
+            continue
+        x, y, _ = build_feature_matrix(manifest, lookup, outcome, spec, ids)
+        if y.shape[0] == 0:
+            return f"NA:no_{name}_rows"
+        if np.unique(y).shape[0] < 2:
+            return f"NA:single_class_{name}"
+        sides.append((x, y))
+    if standardize:
+        sides = _standardized(sides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        try:
+            return fit_logistic(*sides[0], outcome=outcome), sides
+        except CollinearityError:
+            return "NA:collinear"
 
 
 def evaluate_grid(
@@ -438,50 +462,27 @@ def evaluate_grid(
 ) -> AucGrid:
     """Fit every predictor set on the train split, report test-split AUC.
 
-    ``scores`` may cover the whole cohort: only eligible subjects of each
-    side of the split are read, and test labels are never touched during
-    fitting. Unusable cells carry "NA:<reason>" instead of a number.
+    ``scores`` may cover the whole cohort: only the subjects of each side of
+    the split are read, and test labels are never touched during fitting.
+    Unusable cells carry "NA:<reason>" instead of a number.
     """
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
     for outcome in outs:
         if outcome not in manifest.outcome_names:
             raise DataError(f"manifest has no outcome {outcome!r}")
-    eligible = set(manifest.eligible_ids())
-    train_ids = sorted(split.train_ids & eligible)
-    test_ids = sorted(split.test_ids & eligible)
+    train_ids = sorted(split.train_ids)
+    test_ids = sorted(split.test_ids)
     lookup = _score_lookup(scores)
     cells: dict[tuple[str, str], float | str] = {}
     for row_name, spec in PREDICTOR_SETS.items():
         for outcome in outs:
-            cells[(row_name, outcome)] = _grid_cell(
-                manifest, lookup, outcome, spec, train_ids, test_ids, standardize
-            )
+            fit = _fit_on_train(manifest, lookup, outcome, spec, train_ids, test_ids, standardize)
+            if isinstance(fit, str):
+                cells[(row_name, outcome)] = fit
+            else:
+                model, (_, (x_te, y_te)) = fit
+                cells[(row_name, outcome)] = float(auc(predict_proba(model, x_te), y_te.astype(int)))
     return AucGrid(tuple(PREDICTOR_SETS), outs, cells)
-
-
-def _grid_cell(
-    manifest, lookup, outcome, spec, train_ids, test_ids, standardize
-) -> float | str:
-    x_tr, y_tr, _ = build_feature_matrix(manifest, lookup, outcome, spec, train_ids)
-    if y_tr.shape[0] == 0:
-        return "NA:no_train_rows"
-    if np.unique(y_tr).shape[0] < 2:
-        return "NA:single_class_train"
-    x_te, y_te, _ = build_feature_matrix(manifest, lookup, outcome, spec, test_ids)
-    if y_te.shape[0] == 0:
-        return "NA:no_test_rows"
-    if np.unique(y_te).shape[0] < 2:
-        return "NA:single_class_test"
-    if standardize:
-        x_tr, x_te = _standardized(x_tr, x_te)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeparationWarning)
-        try:
-            model = fit_logistic(x_tr, y_tr, outcome=outcome)
-        except CollinearityError:
-            return "NA:collinear"
-    probs = predict_proba(model, x_te)
-    return float(auc(probs, y_te.astype(int)))
 
 
 @dataclass(frozen=True)
@@ -504,28 +505,24 @@ def odds_ratio_report(
     standardize: bool = False,
 ) -> list[OrReportRow]:
     """Per (outcome, modality): adjusted OR of the risk score, controlling
-    for age, sex and bmi, fitted on the eligible training subjects alone
-    (``scores`` may cover the whole cohort)."""
+    for the adjustment covariates, fitted on the training subjects alone
+    (``scores`` may cover the whole cohort). A cell the grid would mark
+    "NA:<reason>" on its training side, or whose fit does not converge, has
+    no row."""
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
-    eligible = set(manifest.eligible_ids())
-    train_ids = sorted(split.train_ids & eligible)
+    train_ids = sorted(split.train_ids)
     lookup = _score_lookup(scores)
     rows: list[OrReportRow] = []
     for outcome in outs:
         for modality in modalities:
-            spec = ((SCORE, modality), (COV, "age"), (COV, "sex"), (COV, "bmi"))
-            x_tr, y_tr, _ = build_feature_matrix(manifest, lookup, outcome, spec, train_ids)
-            if y_tr.shape[0] == 0 or np.unique(y_tr).shape[0] < 2:
+            spec = ((SCORE, modality),) + _ADJUSTMENT
+            fit = _fit_on_train(manifest, lookup, outcome, spec, train_ids, None, standardize)
+            if isinstance(fit, str):
                 continue
-            if standardize:
-                x_tr, _ = _standardized(x_tr, x_tr)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SeparationWarning)
-                try:
-                    model = fit_logistic(x_tr, y_tr, outcome=outcome)
-                    result = odds_ratios(model, [f"score_{modality.name}"])[0]
-                except (CollinearityError, NotConvergedError):
-                    continue
+            try:
+                result = odds_ratios(fit[0], [f"score_{modality.name}"])[0]
+            except NotConvergedError:
+                continue
             rows.append(
                 OrReportRow(
                     outcome,

@@ -923,6 +923,66 @@ def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys)
     assert not (tmp_path / "emb" / "EEG").exists()
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["config_dir", "out_file", "scores_dir", "embeddings_dir", "checkpoint_dir", "manifest_dir", "signal_dir"],
+)
+def test_path_of_the_wrong_kind_is_one_error_line(chain, tmp_path, capsys, case):
+    """A directory where a file belongs, or a file where the output directory
+    belongs: exit 2 for ``--config`` and ``--out``, exit 3 for an input."""
+    ini, data, scores = chain["ini"], chain["data"], chain["scores"] / "scores.csv"
+    out = tmp_path / "out"
+    kind, code = "IsADirectoryError", 3
+    if case == "config_dir":
+        argv, kind, code = ("synth", "--config", tmp_path), "ConfigError", 2
+    elif case == "out_file":
+        out.write_text("a file\n", encoding="utf-8")
+        argv, kind, code = ("synth", "--subjects", 2, "--segments", 1), "UsageError", 2
+    elif case == "scores_dir":
+        argv = ("eval", "--config", ini, "--data", data, "--scores", tmp_path)
+    elif case == "embeddings_dir":
+        (tmp_path / "emb" / "EEG" / "embeddings.csv").mkdir(parents=True)
+        argv = ("vectors", "--config", ini, "--data", data, "--embeddings", tmp_path / "emb", "--modality", "EEG")
+    elif case == "checkpoint_dir":
+        (tmp_path / "models" / "EEG" / "checkpoint.psgm").mkdir(parents=True)
+        argv = ("embed", "--config", ini, "--data", data, "--models", tmp_path / "models", "--modality", "EEG")
+    elif case == "manifest_dir":
+        (tmp_path / "data" / "manifest.csv").mkdir(parents=True)
+        argv = ("eval", "--config", ini, "--data", tmp_path / "data", "--scores", scores)
+    else:  # an EEG checkpoint reaches the signal files, of which S0001's is a directory
+        (tmp_path / "data" / "signals" / "S0001_EEG.psgs").mkdir(parents=True)
+        (tmp_path / "data" / "manifest.csv").write_bytes((data / "manifest.csv").read_bytes())
+        cfg = mdl.default_model_config(
+            Modality.EEG, embed_dim=8, encoder_depth=1, decoder_depth=1, n_heads=2, ffn_mult=4, precision="f32"
+        )
+        ckpt = tmp_path / "models" / "EEG" / "checkpoint.psgm"
+        ckpt.parent.mkdir(parents=True)
+        mdl.save_checkpoint(mdl.init_parameters(cfg, 0), cfg, ckpt)
+        argv = ("embed", "--config", ini, "--data", tmp_path / "data", "--models", tmp_path / "models",
+                "--modality", "EEG")
+    rc = run_cli(argv[0], "--out", out, *argv[1:])
+    assert_one_line_data_error(rc, capsys.readouterr().err, kind=kind, code=code)
+
+
+@pytest.mark.parametrize("name,command", [("../../evil", "vectors"), ("A,B", "eval")])
+def test_outcome_name_unfit_for_a_file_name_or_header_cell_is_refused(chain, tmp_path, capsys, name, command):
+    """``../../evil`` would put ``vectors`` files outside ``--out`` and
+    ``A,B`` would give ``grid.csv`` a header of three cells over rows of two:
+    the manifest is refused before anything is written."""
+    data = tmp_path / "data"
+    data.mkdir()
+    manifest = data / "manifest.csv"
+    corrupt_cell(chain["data"] / "manifest.csv", manifest, 1, 6, name)
+    extra = {
+        "vectors": ("--embeddings", chain["emb"]),
+        "eval": ("--scores", chain["scores"] / "scores.csv"),
+    }[command]
+    out = tmp_path / "run" / "out"
+    rc = run_cli(command, "--out", out, "--config", chain["ini"], "--data", data, "--seed", 5, *extra)
+    assert_one_line_data_error(rc, capsys.readouterr().err, str(manifest), repr(name), kind="ManifestError")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [manifest]
+
+
 def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
     """ECG at d = 32 embeds in encoder tiles of 68 rows, so 144 segments make
     two full tiles and a remainder and ``--threads 2`` really runs the pool.

@@ -96,6 +96,14 @@ class TestLoadManifest:
             with pytest.raises(ManifestError):
                 load_manifest(path)
 
+    @pytest.mark.parametrize("name", ["", "A,B", 'A"B', "../evil", "A\\B", "A\nB", "A\rB", "A\u2028B"])
+    def test_outcome_name_must_suit_a_file_name_and_a_header_cell(self, tmp_path, name):
+        quoted = '"' + name.replace('"', '""') + '"'
+        path = _write(tmp_path, [f"subject_id,age,sex,bmi,sbp,frs,CVD,{quoted}", "S1,60,1,25,,,1,0"])
+        with pytest.raises(ManifestError, match="outcome name") as info:
+            load_manifest(path)
+        assert repr(name) in str(info.value)
+
     def test_empty_manifest(self, tmp_path):
         with pytest.raises(ManifestError):
             load_manifest(_write(tmp_path, [HEADER]))

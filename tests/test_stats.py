@@ -11,7 +11,7 @@ import pytest
 from scipy import optimize as sp_opt
 from scipy import stats as sp_stats
 
-from psgp.cohort import load_manifest, split_cohort
+from psgp.cohort import CohortManifest, SubjectRow, load_manifest, split_cohort
 from psgp.errors import (
     CollinearityError,
     DataError,
@@ -651,3 +651,106 @@ class TestOrReport:
         first = lines[1].split(",")
         assert first[0] == "CVD" and first[1] in ("EEG", "ECG", "RESP")
         assert first[6] in ("0", "1")
+
+
+def _fixed_cohort():
+    """A 60-subject cohort built in memory, with outcomes CVD and HTN, and a
+    score for every (subject, outcome, modality): noise for EEG, a planted
+    shift for ECG and a larger one for RESP. P58 has no bmi, so it is never
+    eligible, and P59 has no HTN label."""
+    rng = np.random.default_rng(31)
+    rows = {}
+    scores = []
+    for i in range(60):
+        sid = f"P{i:02d}"
+        labels = {"CVD": int(rng.integers(0, 2)), "HTN": int(rng.integers(0, 2))}
+        if i == 59:
+            labels["HTN"] = None
+        bmi = None if i == 58 else 22.0 + i % 9
+        rows[sid] = SubjectRow(sid, 45.0 + i % 25, i % 2, bmi, 118.0 + i % 11, 0.05 + 0.01 * (i % 6), labels)
+        for outcome, label in labels.items():
+            for k, mod in enumerate(Modality):
+                shift = 0.6 * k * (label or 0)
+                scores.append(SubjectScore(sid, outcome, mod, shift + float(rng.standard_normal()), 3))
+    return CohortManifest(rows, ("CVD", "HTN")), scores
+
+
+def _or_report_text(rows, tmp_path) -> str:
+    path = tmp_path / "or_report.csv"
+    save_or_report(rows, path)
+    return path.read_text(encoding="utf-8")
+
+
+class TestGridAndOrReportShareOneFit:
+    """``evaluate_grid`` and ``odds_ratio_report`` fit on the same training
+    subjects, and the OR report leaves out what the grid cannot fit."""
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_or_report_skips_the_cells_the_grid_marks_na(self, tmp_path, standardize):
+        manifest, scores = _fixed_cohort()
+        for row in manifest.rows.values():  # HTN is single-class everywhere
+            row.outcomes["HTN"] = 0
+        scores = [  # a constant ECG score is collinear with the intercept
+            SubjectScore(s.subject_id, s.outcome, s.modality, 1.0, 3) if s.modality is Modality.ECG else s
+            for s in scores
+        ]
+        split = split_cohort(manifest, ratio=0.7, seed=2)
+        grid = evaluate_grid(scores, manifest, split, standardize=standardize)
+        rows = odds_ratio_report(scores, manifest, split, standardize=standardize)
+        assert grid.cells[("EEG", "HTN")] == "NA:single_class_train"
+        assert grid.cells[("ECG", "CVD")] == "NA:collinear"
+        fitted = {
+            (outcome, modality)
+            for outcome in manifest.outcome_names
+            for modality, row_name in zip(Modality, ("EEG", "ECG", "Resp"))
+            if isinstance(grid.cells[(row_name, outcome)], float)
+        }
+        assert fitted == {("CVD", Modality.EEG), ("CVD", Modality.RESP)}
+        assert [(r.outcome, r.modality) for r in rows] == [("CVD", Modality.EEG), ("CVD", Modality.RESP)]
+
+    # Written by the code before the grid and the OR report shared a fit.
+    # Standardizing is an affine change of the features: it leaves every AUC
+    # and every Wald p as it is and moves only the ORs and their bounds.
+    GRID_CSV = (
+        "predictor_set,CVD,HTN\n"
+        "EEG,0.208,0.569\n"
+        "ECG,0.416,0.875\n"
+        "Resp,0.922,0.847\n"
+        "EEG-ECG,0.234,0.625\n"
+        "EEG-Resp,0.753,0.861\n"
+        "ECG-Resp,0.961,0.889\n"
+        "EEG-ECG-Resp,0.779,0.903\n"
+        "Baseline,0.844,0.500\n"
+        "FRS Score,0.396,0.604\n"
+        "FRS Score Composite,0.805,0.889\n"
+        "Composite,0.831,0.944\n"
+    )
+    OR_CSV = {
+        False: (
+            "outcome,modality,OR,ci_low,ci_high,p,significant\n"
+            "CVD,EEG,0.5965,0.2697,1.3194,0.202062,0\n"
+            "CVD,ECG,2.0269,0.8987,4.5713,0.0886468,0\n"
+            "CVD,RESP,3.5603,1.3314,9.5208,0.0113976,1\n"
+            "HTN,EEG,0.8113,0.4184,1.5731,0.535881,0\n"
+            "HTN,ECG,1.0245,0.5273,1.9905,0.943089,0\n"
+            "HTN,RESP,8.7687,1.8772,40.9595,0.00576627,1\n"
+        ),
+        True: (
+            "outcome,modality,OR,ci_low,ci_high,p,significant\n"
+            "CVD,EEG,0.6040,0.2784,1.3105,0.202062,0\n"
+            "CVD,ECG,1.8173,0.9137,3.6145,0.0886468,0\n"
+            "CVD,RESP,3.5667,1.3319,9.5511,0.0113976,1\n"
+            "HTN,EEG,0.8160,0.4286,1.5535,0.535881,0\n"
+            "HTN,ECG,1.0233,0.5433,1.9276,0.943089,0\n"
+            "HTN,RESP,14.4483,2.1698,96.2072,0.00576627,1\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_output_text_is_pinned(self, tmp_path, standardize):
+        manifest, scores = _fixed_cohort()
+        split = split_cohort(manifest, ratio=0.7, seed=2)
+        grid = evaluate_grid(scores, manifest, split, standardize=standardize)
+        rows = odds_ratio_report(scores, manifest, split, standardize=standardize)
+        assert grid.to_csv() == self.GRID_CSV
+        assert _or_report_text(rows, tmp_path) == self.OR_CSV[standardize]

@@ -68,6 +68,10 @@ class TestSynthConfigValidation:
             dict(noise_sigma=0.0),
             dict(affected_fraction=0.0),
             dict(affected_fraction=1.5),
+            dict(prevalence={"A/B": 0.5}),
+            dict(prevalence={"A\\B": 0.5}),
+            dict(prevalence={'A"B': 0.5}),
+            dict(prevalence={"A\rB": 0.5}),
         ],
     )
     def test_bad_config_rejected(self, overrides):
