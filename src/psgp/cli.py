@@ -8,8 +8,6 @@ usage problems, 3 for data problems, 4 for numeric failures.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import math
 import sys
@@ -168,25 +166,17 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     save_split(split, out / "split.csv")
 
 
-def _csv_cells(cells: list) -> str:
-    """``cells`` as ``csv.writer`` writes them, without a line ending."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(cells)
-    return buf.getvalue()
-
-
 def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modality) -> None:
     """One row per segment, each value as ``%.9g`` (which round-trips float32).
 
-    Each subject's key cells go through ``csv.writer`` once, so an id that
-    needs quoting is quoted as csv quotes it; each row is then one ``%``.
+    Subject ids follow ``cohort.check_name``, so no cell needs quoting and
+    each row is one ``%``.
     """
     d = vectors.shape[1]
-    key_cells = {sid: _csv_cells([sid, modality.name]) for sid in dict.fromkeys(sid for sid, _ in keys)}
-    row = "%s,%d" + ",%.9g" * d + "\n"
+    row = f"%s,{modality.name},%d" + ",%.9g" * d + "\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)]) + "\n")
-        fh.writelines(row % (key_cells[sid], idx, *vec) for (sid, idx), vec in zip(keys, vectors.tolist()))
+        fh.writelines(row % (sid, idx, *vec) for (sid, idx), vec in zip(keys, vectors.tolist()))
 
 
 def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
@@ -223,22 +213,18 @@ def _embedding_rows(fh, path: Path, modality: Modality, width: int, subject_ids:
     for lineno, line in enumerate(fh, start=2):
         if line[-1] != "\n":
             raise FormatError(f"{path}: line {lineno} has no line end (truncated table?)")
-        if line[0] == '"':  # a subject id that csv.writer quoted
-            rec = next(csv.reader([line]))
-            cells = rec[:3] + [",".join(rec[3:])] if len(rec) > 3 else rec
-        else:
-            cells = line[:-1].split(",", 3)
+        cells = line[:-1].split(",", 3)
         if len(cells) != 4 or cells[3].count(",") != width - 4:
             n_cells = len(cells) + cells[3].count(",") if len(cells) == 4 else len(cells)
             raise FormatError(f"{path}: line {lineno} has {n_cells} cells, header has {width}")
         sid, mod, index, tail = cells
         if not tail:  # d = 1: loadtxt would skip the row as a blank line
             raise FormatError(f"{path}: line {lineno}: empty embedding value")
+        if mod != name:
+            raise FormatError(f"{path}: line {lineno}: modality {mod!r} in the {name} table")
         try:
-            if mod != name and Modality.parse(mod) is not modality:
-                raise DataError(f"modality {mod!r} in the {modality.name} table")
             int(index)
-        except (ValueError, DataError) as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
         subject_ids.append(sid)
         yield tail

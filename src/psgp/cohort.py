@@ -67,12 +67,13 @@ class CohortManifest:
         return {sid: row.outcomes[outcome] for sid, row in self.rows.items()}
 
 
-def check_outcome_name(name: str, error: type[PsgpError], where: str) -> None:
-    """Refuse an outcome name that cannot be both a file-name part and a CSV
-    header cell: an empty one, or one holding ``,``, ``"``, ``/``, ``\\`` or a
-    line break."""
-    if not name or any(ch in name for ch in ',"/\\') or len(f"|{name}|".splitlines()) > 1:
-        raise error(f"{where}: outcome name {name!r} is empty or holds , \" / \\ or a line break")
+def check_name(kind: str, name: str, error: type[PsgpError], where: str) -> None:
+    """Refuse a subject id or outcome name that cannot be both a file-name
+    part and a plain CSV cell: an empty one, or one holding ``,``, ``"``,
+    ``/``, ``\\`` or a character ``str.isprintable`` rejects (every line
+    break, NUL)."""
+    if not name or any(ch in name for ch in ',"/\\') or not name.isprintable():
+        raise error(f"{where}: {kind} {name!r} is empty or holds , \" / \\ or an unprintable character")
 
 
 def _parse_float(token: str, *, where: str, column: str) -> float | None:
@@ -121,7 +122,7 @@ def load_manifest(path: Path | str) -> CohortManifest:
             )
         outcome_names = tuple(header[len(_FIXED_HEADER):])
         for name in outcome_names:
-            check_outcome_name(name, ManifestError, f"{path} line 1")
+            check_name("outcome name", name, ManifestError, f"{path} line 1")
         if len(set(outcome_names)) != len(outcome_names):
             raise ManifestError(f"{path}: duplicate outcome columns")
         rows: dict[str, SubjectRow] = {}
@@ -132,8 +133,7 @@ def load_manifest(path: Path | str) -> CohortManifest:
             if len(rec) != len(header):
                 raise ManifestError(f"{where}: expected {len(header)} fields")
             sid = rec[0].strip()
-            if not sid:
-                raise ManifestError(f"{where}: empty subject_id")
+            check_name("subject id", sid, ManifestError, where)
             if sid in rows:
                 raise ManifestError(f"{where}: duplicate subject_id {sid!r}")
             age, bmi, sbp, frs = (

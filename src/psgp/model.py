@@ -192,7 +192,7 @@ def _check_schema(params: dict[str, np.ndarray], config: ModelConfig) -> None:
 # --- forward passes ---------------------------------------------------
 
 def _as_tensor_params(params) -> dict[str, Tensor]:
-    return {k: (v if isinstance(v, Tensor) else Tensor(v)) for k, v in params.items()}
+    return {k: Tensor(v) for k, v in params.items()}
 
 
 def stem_forward(x: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
@@ -334,9 +334,6 @@ def config_to_text(config: ModelConfig) -> str:
 def config_from_text(text: str) -> ModelConfig:
     kv: dict[str, str] = {}
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         if "=" not in line:
             raise SchemaMismatchError(f"malformed config line {line!r}")
         key, _, value = line.partition("=")
@@ -345,9 +342,12 @@ def config_from_text(text: str) -> ModelConfig:
     if missing:
         raise SchemaMismatchError(f"checkpoint config missing keys {missing}")
     try:
-        return ModelConfig(**{f.name: _BLOB_FORMS[f.type][1](kv[f.name]) for f in fields(ModelConfig)})
+        config = ModelConfig(**{f.name: _BLOB_FORMS[f.type][1](kv[f.name]) for f in fields(ModelConfig)})
     except (ValueError, ConfigError) as exc:
         raise SchemaMismatchError(f"invalid checkpoint config: {exc}") from exc
+    if config_to_text(config) != text:  # a repeated or unknown key, padding, a blank line
+        raise SchemaMismatchError("checkpoint config is not the text its values write")
+    return config
 
 
 def save_checkpoint(params: dict[str, np.ndarray], config: ModelConfig, path: Path | str) -> None:
@@ -411,6 +411,8 @@ def load_checkpoint(
         config = config_from_text(rd.take(cfg_len).decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{origin}: config blob is not UTF-8") from exc
+    except SchemaMismatchError as exc:
+        raise SchemaMismatchError(f"{origin}: {exc}") from None
     (count,) = rd.unpack("<I")
     params: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cohort import CohortManifest, SubjectRow, check_outcome_name, save_manifest
+from .cohort import CohortManifest, SubjectRow, check_name, save_manifest
 from .errors import ConfigError, DataError
 from .signalio import Modality, Recording, round_half_up, samples_per_window, write_signal_file
 
@@ -44,7 +44,7 @@ class SynthConfig:
         if not self.prevalence:
             raise ConfigError("at least one outcome with a prevalence is required")
         for name, prev in self.prevalence.items():
-            check_outcome_name(name, ConfigError, "prevalence")
+            check_name("outcome name", name, ConfigError, "prevalence")
             if not (0.0 < prev < 1.0):
                 raise ConfigError(f"prevalence for {name!r} must lie in (0, 1)")
         for (outcome, modality), size in self.effects.items():

@@ -4,6 +4,7 @@ installed and taken off here too."""
 from pathlib import Path
 
 from psgp import autodiff, cli, model, pretrain, stats, vectors
+from psgp.signalio import Modality
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = (autodiff, cli, model, pretrain, stats, vectors)
@@ -30,3 +31,27 @@ def test_span_hooks_install_and_restore(monkeypatch):
     for m in MODULES:
         for name, obj in before[m].items():
             assert getattr(m, name) is obj, (m.__name__, name)
+
+
+def test_benchmark_tables_are_the_embed_format(monkeypatch, tmp_path):
+    """The downstream workload writes its embedding tables itself; psgp's
+    reader and writer must take them as their own, byte for byte."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    data = tmp_path / "data"
+    data.mkdir()
+    rows = [f"S{i:04d},{50 + i},{i % 2},25,,,{i % 2}" for i in range(1, 7)]
+    (data / "manifest.csv").write_text(
+        "subject_id,age,sex,bmi,sbp,frs,CVD\n" + "".join(r + "\n" for r in rows), encoding="utf-8"
+    )
+    emb = tmp_path / "emb"
+    sizes = workloads.Sizes(subjects=6, segments=3, embed_dim=5)
+    assert workloads.write_embedding_tables(emb, data, sizes, seed=7, fraction=0.5, shift=2.0) == 3 * 6 * 3
+    for name in workloads.MODALITIES:
+        path = emb / name / "embeddings.csv"
+        ids, X = cli._read_embeddings_csv(path, Modality[name])
+        keys = [(sid, i % 3) for i, sid in enumerate(ids.tolist())]
+        again = tmp_path / f"{name}.csv"
+        cli._write_embeddings_csv(again, keys, X, Modality[name])
+        assert again.read_bytes() == path.read_bytes()

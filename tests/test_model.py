@@ -412,3 +412,17 @@ class TestCheckpointFormat:
         text = config_to_text(tiny_config()).replace("n_heads=2\n", "")
         with pytest.raises(SchemaMismatchError):
             config_from_text(text)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text + "n_heads=4\n",  # a repeated key; the last one would win
+            lambda text: text + "stem_kernels=3,3\n",  # a knob the model no longer has
+            lambda text: text.replace("n_heads=2\n", "n_heads=2 \n"),  # a padded value
+            lambda text: text.replace("n_heads=2\n", "n_heads=2\n\n"),  # a blank line
+        ],
+        ids=["repeated_key", "unknown_key", "padded_line", "blank_line"],
+    )
+    def test_config_text_must_be_what_its_values_write(self, edit):
+        with pytest.raises(SchemaMismatchError):
+            config_from_text(edit(config_to_text(tiny_config())))
