@@ -42,6 +42,7 @@ from .report import build_report_card, render_report_card, report_card_csv
 from .signalio import Modality, read_signal_file, samples_per_window, segment_recording
 from .stats import evaluate_grid, odds_ratio_report, save_or_report
 from .synth import generate_cohort
+from .tables import table_text, terminated_lines
 from .vectors import (
     EmbeddingTable,
     SubjectScore,
@@ -124,6 +125,8 @@ def _load_modality_segments(
         rec = read_signal_file(path)
         if rec.subject_id != sid:
             raise DataError(f"{path}: file claims subject {rec.subject_id!r}, expected {sid!r}")
+        if rec.modality is not modality:
+            raise DataError(f"{path}: file claims modality {rec.modality.name}, expected {modality.name}")
         spw = samples_per_window(rec.sample_rate_hz)
         if spw != input_len:
             raise DataError(
@@ -175,7 +178,7 @@ def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modal
     d = vectors.shape[1]
     row = f"%s,{modality.name},%d" + ",%.9g" * d + "\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)]) + "\n")
+        fh.write(table_text(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)], ()))
         fh.writelines(row % (sid, idx, *vec) for (sid, idx), vec in zip(keys, vectors.tolist()))
 
 
@@ -188,11 +191,13 @@ def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
     """
     subject_ids: list[str] = []
     with path.open(encoding="utf-8") as fh, utf8_text(path):
-        header = fh.readline().rstrip("\n").split(",")
+        lines = terminated_lines(fh, path, FormatError)
+        header = next(lines, "")[:-1].split(",")
         if header[:3] != ["subject_id", "modality", "segment_index"] or len(header) < 4:
             raise FormatError(f"{path}: unexpected embeddings header")
         try:
-            X = _decimal_rows(_embedding_rows(fh, path, modality, len(header), subject_ids), len(header) - 3)
+            rows = _embedding_rows(lines, path, modality, len(header), subject_ids)
+            X = _decimal_rows(rows, len(header) - 3)
         except (ValueError, FormatError):
             _raise_first_bad_line(path, modality, len(header))
             raise
@@ -204,15 +209,13 @@ def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
     return np.array(subject_ids, dtype=str), X
 
 
-def _embedding_rows(fh, path: Path, modality: Modality, width: int, subject_ids: list[str]):
-    """Check the key cells of each line of an open table and yield its numeric tail.
+def _embedding_rows(lines, path: Path, modality: Modality, width: int, subject_ids: list[str]):
+    """Check the key cells of each row line after the header and yield its numeric tail.
 
     Each row's subject id is appended to ``subject_ids``.
     """
     name = modality.name
-    for lineno, line in enumerate(fh, start=2):
-        if line[-1] != "\n":
-            raise FormatError(f"{path}: line {lineno} has no line end (truncated table?)")
+    for lineno, line in enumerate(lines, start=2):
         cells = line[:-1].split(",", 3)
         if len(cells) != 4 or cells[3].count(",") != width - 4:
             n_cells = len(cells) + cells[3].count(",") if len(cells) == 4 else len(cells)
@@ -244,8 +247,8 @@ def _raise_first_bad_line(path: Path, modality: Modality, width: int) -> None:
     """Re-read a table that failed to parse in bulk, row by row, and raise a
     FormatError for its first bad line."""
     with path.open(encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, tail in enumerate(_embedding_rows(fh, path, modality, width, []), start=2):
+        lines = itertools.islice(terminated_lines(fh, path, FormatError), 1, None)
+        for lineno, tail in enumerate(_embedding_rows(lines, path, modality, width, []), start=2):
             try:
                 _decimal_rows(iter([tail]), width - 3)
             except ValueError:

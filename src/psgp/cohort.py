@@ -2,10 +2,9 @@
 
 Manifest header: ``subject_id,age,sex,bmi,sbp,frs,<outcome>...`` with one row
 per subject. Covariates are empty (missing) or plain ASCII decimals; outcome
-cells are ``""``, ``"0"`` or ``"1"``. Sex is coded 1=male, 0=female. Every
-line ends with a line break, so a file cut inside its last row is refused
-rather than read with its last cells missing. Errors name the file and the
-line.
+cells are ``""``, ``"0"`` or ``"1"``. Sex is coded 1=male, 0=female. It is
+the one table read with CSV quoting, since another program may write it.
+Errors name the file and the line.
 """
 from __future__ import annotations
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import DataError, ManifestError, PsgpError, UsageError, utf8_text
 from .signalio import round_half_up
+from .tables import terminated_lines, write_table
 
 COVARIATE_COLUMNS = ("age", "sex", "bmi", "sbp", "frs")
 # what every adjusted model controls for; a subject missing one is ineligible
@@ -97,20 +97,12 @@ def _parse_flag(token: str, *, where: str, column: str) -> int | None:
     return int(token)
 
 
-def _terminated_lines(fh, path: Path):
-    """The file's lines, refusing a last line that has no line break."""
-    for lineno, line in enumerate(fh, 1):
-        if not line.endswith(("\n", "\r")):
-            raise ManifestError(f"{path} line {lineno}: no line end (truncated file?)")
-        yield line
-
-
 def load_manifest(path: Path | str) -> CohortManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh, utf8_text(path, ManifestError):
-        reader = csv.reader(_terminated_lines(fh, path))
+        reader = csv.reader(terminated_lines(fh, path, ManifestError))
         try:
             header = next(reader)
         except StopIteration:
@@ -154,30 +146,16 @@ def load_manifest(path: Path | str) -> CohortManifest:
 
 
 def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".10g")
+    return "" if value is None else format(float(value), ".10g")
 
 
 def save_manifest(manifest: CohortManifest, path: Path | str) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(_FIXED_HEADER) + list(manifest.outcome_names))
-        for sid, row in manifest.rows.items():
-            writer.writerow(
-                [
-                    sid,
-                    _fmt(row.age),
-                    "" if row.sex is None else str(row.sex),
-                    _fmt(row.bmi),
-                    _fmt(row.sbp),
-                    _fmt(row.frs),
-                ]
-                + ["" if row.outcomes[o] is None else str(row.outcomes[o]) for o in manifest.outcome_names]
-            )
+    rows = (
+        [sid, _fmt(row.age), _fmt(row.sex), _fmt(row.bmi), _fmt(row.sbp), _fmt(row.frs)]
+        + [_fmt(row.outcomes[o]) for o in manifest.outcome_names]
+        for sid, row in manifest.rows.items()
+    )
+    write_table(path, _FIXED_HEADER + manifest.outcome_names, rows)
 
 
 @dataclass(frozen=True)
@@ -208,7 +186,5 @@ def split_cohort(manifest: CohortManifest, ratio: float, seed: int) -> CohortSpl
 
 
 def save_split(split: CohortSplit, path: Path | str) -> None:
-    lines = ["subject_id,split"]
     rows = [(sid, "train") for sid in split.train_ids] + [(sid, "test") for sid in split.test_ids]
-    lines += [f"{sid},{part}" for sid, part in sorted(rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, ("subject_id", "split"), sorted(rows))

@@ -7,8 +7,6 @@ current score strictly exceeds the positive mean.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -16,6 +14,7 @@ import numpy as np
 
 from .errors import DataError, InsufficientClassError
 from .signalio import Modality
+from .tables import table_text
 
 STATUS_ABOVE = "Above average"
 STATUS_BELOW = "At/Below average"
@@ -90,11 +89,8 @@ def render_report_card(card: ReportCard) -> str:
 
 
 def report_card_csv(card: ReportCard) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["outcome", "current", "positive_mean", "percentile", "status"])
-    for r in card.rows:
-        writer.writerow(
-            [r.outcome, f"{r.current:.6f}", f"{r.positive_mean:.6f}", f"{r.percentile:.1f}", r.status]
-        )
-    return buf.getvalue()
+    rows = (
+        [r.outcome, f"{r.current:.6f}", f"{r.positive_mean:.6f}", f"{r.percentile:.1f}", r.status]
+        for r in card.rows
+    )
+    return table_text(("outcome", "current", "positive_mean", "percentile", "status"), rows)

@@ -10,7 +10,6 @@ freedom, and ties share their average rank.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .errors import (
     UsageError,
 )
 from .signalio import Modality
+from .tables import table_text, write_table
 from .vectors import SubjectScore
 
 Z95 = 1.959964
@@ -401,14 +401,9 @@ class AucGrid:
     cells: dict[tuple[str, str], float | str]  # float AUC or "NA:<reason>"
 
     def to_csv(self) -> str:
-        lines = ["predictor_set," + ",".join(self.outcomes)]
-        for row in self.predictor_sets:
-            cells = []
-            for outcome in self.outcomes:
-                value = self.cells[(row, outcome)]
-                cells.append(f"{value:.3f}" if isinstance(value, float) else value)
-            lines.append(row + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+        text = {key: f"{v:.3f}" if isinstance(v, float) else v for key, v in self.cells.items()}
+        rows = ([row] + [text[(row, o)] for o in self.outcomes] for row in self.predictor_sets)
+        return table_text(("predictor_set",) + self.outcomes, rows)
 
 
 _Side = tuple[FeatureMatrix, np.ndarray]  # one side's design matrix and 0/1 labels
@@ -538,18 +533,10 @@ def odds_ratio_report(
 
 
 def save_or_report(rows: Sequence[OrReportRow], path: Path | str) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["outcome", "modality", "OR", "ci_low", "ci_high", "p", "significant"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.outcome,
-                    r.modality.name,
-                    f"{r.odds_ratio:.4f}",
-                    f"{r.ci_low:.4f}",
-                    f"{r.ci_high:.4f}",
-                    f"{r.p_value:.6g}",
-                    "1" if r.significant else "0",
-                ]
-            )
+    header = ("outcome", "modality", "OR", "ci_low", "ci_high", "p", "significant")
+    cells = (
+        [r.outcome, r.modality.name, *(f"{v:.4f}" for v in (r.odds_ratio, r.ci_low, r.ci_high))]
+        + [f"{r.p_value:.6g}", str(int(r.significant))]
+        for r in rows
+    )
+    write_table(path, header, cells)

@@ -14,7 +14,6 @@ one child per subject, so generation order cannot change the data.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -24,6 +23,7 @@ import numpy as np
 from .cohort import CohortManifest, SubjectRow, check_name, save_manifest
 from .errors import ConfigError, DataError
 from .signalio import Modality, Recording, round_half_up, samples_per_window, write_signal_file
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -192,17 +192,10 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
     effect_sizes = {
         (o, m.name): config.effect_size(o, m) for o in outcomes for m in Modality
     }
-    with (out_dir / "effects.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["outcome", "modality", "effect_size", "n_positive"])
-        for o in outcomes:
-            n_pos = sum(labels[sid][o] for sid in subject_ids)
-            for m in Modality:
-                writer.writerow([o, m.name, format(effect_sizes[(o, m.name)], ".6g"), n_pos])
-    with (out_dir / "affected.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "outcome", "modality", "segment_indices"])
-        for key in sorted(affected):
-            writer.writerow([key[0], key[1], key[2], " ".join(str(i) for i in affected[key])])
+    n_positive = {o: str(sum(labels[sid][o] for sid in subject_ids)) for o in outcomes}
+    effects = ([o, m, format(size, ".6g"), n_positive[o]] for (o, m), size in effect_sizes.items())
+    write_table(out_dir / "effects.csv", ("outcome", "modality", "effect_size", "n_positive"), effects)
+    subsets = ([*key, " ".join(str(i) for i in affected[key])] for key in sorted(affected))
+    write_table(out_dir / "affected.csv", ("subject_id", "outcome", "modality", "segment_indices"), subsets)
 
     return GroundTruth(labels=labels, affected=affected, effect_sizes=effect_sizes)

@@ -9,7 +9,6 @@ matrix product per modality, no thread pool).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,8 +26,10 @@ from .errors import (
     utf8_text,
 )
 from .signalio import Modality
+from .tables import table_rows, terminated_lines, write_table
 
 _DIRECTION_FLOOR = 1e-10
+_SCORE_HEADER = ("subject_id", "outcome", "modality", "score", "n_segments_used")
 
 EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
 
@@ -243,12 +244,11 @@ def _decimals(text: str) -> np.ndarray:
 
 
 def load_disease_vector(path: Path | str) -> DiseaseVector:
-    with utf8_text(path):
-        text = Path(path).read_text(encoding="utf-8")
-    if not text.endswith("\n"):
-        raise FormatError(f"{path}: last line has no line end (truncated file?)")
+    path = Path(path)
+    with path.open(encoding="utf-8") as fh, utf8_text(path):
+        lines = [line[:-1] for line in terminated_lines(fh, path, FormatError)]
     kv: dict[str, str] = {}
-    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if "=" not in line:
@@ -284,38 +284,26 @@ def load_disease_vector(path: Path | str) -> DiseaseVector:
 
 
 def save_scores(scores: Sequence[SubjectScore], path: Path | str) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "outcome", "modality", "score", "n_segments_used"])
-        for s in sorted(scores, key=lambda s: (s.subject_id, s.outcome, s.modality.name)):
-            writer.writerow([s.subject_id, s.outcome, s.modality.name, format(s.score, ".12g"), s.n_segments_used])
+    rows = (
+        [s.subject_id, s.outcome, s.modality.name, format(s.score, ".12g"), str(s.n_segments_used)]
+        for s in sorted(scores, key=lambda s: (s.subject_id, s.outcome, s.modality.name))
+    )
+    write_table(path, _SCORE_HEADER, rows)
 
 
 def load_scores(path: Path | str) -> list[SubjectScore]:
-    path = Path(path)
-    out: list[SubjectScore] = []
-    seen: set[tuple[str, str, str]] = set()
-    with path.open(newline="", encoding="utf-8") as fh, utf8_text(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["subject_id", "outcome", "modality", "score", "n_segments_used"]:
-            raise FormatError(f"{path}: unexpected score table header {header}")
-        for rec in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(rec) != 5:
-                raise FormatError(f"{where} has {len(rec)} cells, header has 5")
-            sid, outcome, name, score, used = rec
-            if not DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
-                raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
-            if not (used.isascii() and used.isdigit() and int(used) >= 1):
-                raise FormatError(f"{where}: n_segments_used {used!r} is not a positive integer")
-            try:
-                modality = Modality.parse(name)
-            except DataError as exc:
-                raise FormatError(f"{where}: {exc}") from exc
-            key = (sid, outcome, modality.name)
-            if key in seen:
-                raise FormatError(f"{where} repeats the row for {sid}, {outcome}, {modality.name}")
-            seen.add(key)
-            out.append(SubjectScore(sid, outcome, modality, float(score), int(used)))
-    return out
+    rows: dict[tuple[str, str, str], SubjectScore] = {}
+    for where, (sid, outcome, name, score, used) in table_rows(Path(path), _SCORE_HEADER, FormatError):
+        if not DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
+            raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
+        if not (used.isascii() and used.isdigit() and int(used) >= 1):
+            raise FormatError(f"{where}: n_segments_used {used!r} is not a positive integer")
+        try:
+            modality = Modality.parse(name)
+        except DataError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+        key = (sid, outcome, modality.name)
+        if key in rows:
+            raise FormatError(f"{where} repeats the row for {sid}, {outcome}, {modality.name}")
+        rows[key] = SubjectScore(sid, outcome, modality, float(score), int(used))
+    return list(rows.values())

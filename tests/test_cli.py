@@ -3,6 +3,7 @@ import argparse
 import csv
 import io
 import random
+import re
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -13,10 +14,11 @@ import pytest
 import psgp.model as mdl
 from psgp import autodiff
 from psgp.cli import _read_embeddings_csv, _resolve_config, _write_embeddings_csv, build_parser, main
+from psgp.cohort import load_manifest, split_cohort
 from psgp.config import RunConfig
-from psgp.errors import FormatError
+from psgp.errors import DataError, FormatError
 from psgp.signalio import Modality
-from psgp.vectors import SubjectScore, load_scores, save_scores
+from psgp.vectors import SubjectScore, save_scores
 
 
 def run_cli(*argv) -> int:
@@ -399,6 +401,22 @@ class TestCorruptTextTables:
         assert_one_line_data_error(rc, capsys.readouterr().err, "CVD_RESP.txt")
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_score_table_cut_short(self, chain, tmp_path, capsys, command, cut):
+        """The last row's count is 12: one byte short it loses its line
+        break, two bytes short its count reads 1. Both are refused at the
+        last line."""
+        lines = (chain["scores"] / "scores.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = lines[-1].rpartition(",")[0] + ",12\n"
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes("".join(lines).encode("utf-8")[:-cut])
+        rc = run_cli(
+            command, "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--scores", scores, "--seed", 5,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(scores), f"line {len(lines)}:")
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
     def test_score_table_repeated_row(self, chain, tmp_path, capsys, command):
         scores = tmp_path / "scores.csv"
         lines = (chain["scores"] / "scores.csv").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -738,14 +756,15 @@ class TestTableFuzz:
         )
         assert_one_line_data_error(rc, capsys.readouterr().err, str(scores), f"line {lineno}")
 
-    def test_quoted_subject_ids_in_scores(self, tmp_path):
-        scores = [
-            SubjectScore(sid, "CVD", Modality.ECG, 0.25 * i, 1 + i % 3)
-            for i, sid in enumerate(["a,b", 'q"x', "a\nb", '"', "plain"])
-        ]
+    @pytest.mark.parametrize("sid", ["a,b", 'q"x', "a\nb", '"'])
+    def test_score_writer_refuses_a_cell_its_reader_would_split(self, tmp_path, sid):
+        """The manifest refuses these ids (``cohort.check_name``); the score
+        writer refuses them too, before it writes a byte."""
+        scores = [SubjectScore(s, "CVD", Modality.ECG, 0.25, 3) for s in ("plain", sid)]
         path = tmp_path / "scores.csv"
-        save_scores(scores, path)
-        assert load_scores(path) == sorted(scores, key=lambda s: s.subject_id)
+        with pytest.raises(DataError, match=re.escape(repr(sid))):
+            save_scores(scores, path)
+        assert not path.exists()
 
 
 def _mutate_manifest(text: str, kind: str, rng: random.Random) -> tuple[str, int]:
@@ -936,6 +955,38 @@ def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys)
     )
     assert_one_line_data_error(rc, capsys.readouterr().err, str(ckpt), "ECG", "EEG", kind="DataError")
     assert not (tmp_path / "emb" / "EEG").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "embed"])
+def test_signal_file_of_another_modality_is_refused(chain, tmp_path, capsys, command):
+    """EEG and ECG both record at 125 Hz, so an ECG recording saved as a
+    training subject's EEG file has the EEG window; train and embed refuse
+    it by the modality the file holds."""
+    data = tmp_path / "data"
+    (data / "signals").mkdir(parents=True)
+    (data / "manifest.csv").write_bytes((chain["data"] / "manifest.csv").read_bytes())
+    for src in (chain["data"] / "signals").glob("*_EEG.psgs"):
+        (data / "signals" / src.name).write_bytes(src.read_bytes())
+    sid = min(split_cohort(load_manifest(data / "manifest.csv"), RunConfig().split_ratio, 5).train_ids)
+    bad = data / "signals" / f"{sid}_EEG.psgs"
+    bad.write_bytes((chain["data"] / "signals" / f"{sid}_ECG.psgs").read_bytes())
+    if command == "train":
+        extra = ("--steps", 1, "--seed", 5)
+    else:
+        cfg = mdl.default_model_config(
+            Modality.EEG, embed_dim=8, encoder_depth=1, decoder_depth=1, n_heads=2, ffn_mult=4, precision="f32"
+        )
+        ckpt = tmp_path / "models" / "EEG" / "checkpoint.psgm"
+        ckpt.parent.mkdir(parents=True)
+        mdl.save_checkpoint(mdl.init_parameters(cfg, 0), cfg, ckpt)
+        extra = ("--models", tmp_path / "models")
+    rc = run_cli(
+        command, "--out", tmp_path / "out", "--config", chain["ini"], "--data", data,
+        "--modality", "EEG", *extra,
+    )
+    err = capsys.readouterr().err
+    assert_one_line_data_error(rc, err, str(bad), "modality ECG, expected EEG", kind="DataError")
+    assert not (tmp_path / "out" / "EEG").exists()
 
 
 @pytest.mark.parametrize(
