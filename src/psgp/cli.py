@@ -18,10 +18,10 @@ import numpy as np
 
 from .cohort import CohortManifest, CohortSplit, load_manifest, save_split, split_cohort
 from .config import (
-    LIST_PARSERS,
     RunConfig,
     load_run_config,
     model_config_for,
+    parse_value,
     resolved_text,
     ssl_config_for,
     synth_config_for,
@@ -62,16 +62,13 @@ def _require(path: Path, what: str) -> Path:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The INI file, then each flag named after its field."""
+    """The INI file, then each flag named after its field, parsed like its INI value."""
     cfg = load_run_config(args.config)
     updates: dict[str, object] = {}
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name in LIST_PARSERS:  # --prevalence and --effect may repeat
-            value = LIST_PARSERS[f.name](value if isinstance(value, str) else ",".join(value))
-        updates[f.name] = value
+        if value is not None:  # --prevalence and --effect may repeat
+            updates[f.name] = parse_value(f.name, value if isinstance(value, str) else ",".join(value))
     cfg = replace(cfg, **updates)
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -190,29 +187,35 @@ def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
     header must be a full row, so row i is line i + 2.
     """
     subject_ids: list[str] = []
+    indices: list[int] = []
     with path.open(encoding="utf-8") as fh, utf8_text(path):
         lines = terminated_lines(fh, path, FormatError)
         header = next(lines, "")[:-1].split(",")
         if header[:3] != ["subject_id", "modality", "segment_index"] or len(header) < 4:
             raise FormatError(f"{path}: unexpected embeddings header")
         try:
-            rows = _embedding_rows(lines, path, modality, len(header), subject_ids)
+            rows = _embedding_rows(lines, path, modality, len(header), subject_ids, indices)
             X = _decimal_rows(rows, len(header) - 3)
         except (ValueError, FormatError):
             _raise_first_bad_line(path, modality, len(header))
             raise
+    ids = np.array(subject_ids, dtype=str)
+    _refuse_repeated_segments(path, ids, indices)
     with np.errstate(over="ignore"):  # beyond float32 range is caught just below
         X = X.astype(np.float32)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}: line {bad[0] + 2}: non-finite embedding value")
-    return np.array(subject_ids, dtype=str), X
+    return ids, X
 
 
-def _embedding_rows(lines, path: Path, modality: Modality, width: int, subject_ids: list[str]):
+def _embedding_rows(
+    lines, path: Path, modality: Modality, width: int, subject_ids: list[str], indices: list[int]
+):
     """Check the key cells of each row line after the header and yield its numeric tail.
 
-    Each row's subject id is appended to ``subject_ids``.
+    Each row's subject id is appended to ``subject_ids`` and its segment
+    index to ``indices``.
     """
     name = modality.name
     for lineno, line in enumerate(lines, start=2):
@@ -226,11 +229,31 @@ def _embedding_rows(lines, path: Path, modality: Modality, width: int, subject_i
         if mod != name:
             raise FormatError(f"{path}: line {lineno}: modality {mod!r} in the {name} table")
         try:
-            int(index)
+            indices.append(int(index))
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
         subject_ids.append(sid)
         yield tail
+
+
+def _refuse_repeated_segments(path: Path, ids: np.ndarray, indices: list[int]) -> None:
+    """Refuse a (subject, segment_index) pair on two lines, naming the later one."""
+    try:
+        index = np.array(indices, dtype=np.int64)
+    except OverflowError:
+        lineno = next(i for i, v in enumerate(indices, start=2) if not -(2**63) <= v < 2**63)
+        raise FormatError(f"{path}: line {lineno}: segment index out of range") from None
+    order = np.lexsort((index, ids))  # stable: equal keys keep their line order
+    key_s, key_i = ids[order], index[order]
+    repeat = np.flatnonzero((key_s[1:] == key_s[:-1]) & (key_i[1:] == key_i[:-1]))
+    if repeat.size:
+        second = order[repeat + 1]
+        row = second.min()
+        first = order[repeat[second.argmin()]]
+        raise FormatError(
+            f"{path}: line {row + 2} repeats line {first + 2}: "
+            f"subject {str(ids[row])!r}, segment_index {index[row]}"
+        )
 
 
 def _decimal_rows(rows, d: int) -> np.ndarray:
@@ -248,7 +271,7 @@ def _raise_first_bad_line(path: Path, modality: Modality, width: int) -> None:
     FormatError for its first bad line."""
     with path.open(encoding="utf-8") as fh:
         lines = itertools.islice(terminated_lines(fh, path, FormatError), 1, None)
-        for lineno, tail in enumerate(_embedding_rows(lines, path, modality, width, []), start=2):
+        for lineno, tail in enumerate(_embedding_rows(lines, path, modality, width, [], []), start=2):
             try:
                 _decimal_rows(iter([tail]), width - 3)
             except ValueError:
@@ -394,17 +417,60 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> None:
 
 # --- parser ------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", type=Path, default=None, help="INI config file")
-    sp.add_argument("--out", required=True, help="output directory (all writes go here)")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument(
-        "--threads", type=int, default=None, help="worker threads for embed; other stages run on one"
-    )
+# Every flag once, with its argparse keywords. A flag whose dest is a RunConfig
+# field takes no argparse type: _resolve_config parses its text like the
+# field's INI value.
+_FLAGS: dict[str, dict] = {
+    "--config": dict(help="INI config file"),
+    "--out": dict(required=True, help="output directory (all writes go here)"),
+    "--seed": {},
+    "--threads": dict(help="worker threads for embed; other stages run on one"),
+    "--data": dict(required=True, help="cohort directory (manifest.csv, signals/)"),
+    "--models": dict(required=True, help="directory holding <MODALITY>/checkpoint.psgm"),
+    "--embeddings": dict(required=True, help="directory holding <MODALITY>/embeddings.csv"),
+    "--vectors": dict(required=True, help="directory of disease-vector files"),
+    "--scores": dict(required=True, help="scores.csv from the score step"),
+    "--subject": dict(required=True),
+    "--modality": dict(dest="modalities", metavar="MODALITY", help="comma list or 'all'"),
+    "--outcomes": dict(help="comma list (default: all in manifest)"),
+    "--split-ratio": {},
+    "--standardize": dict(action="store_true"),
+    "--subjects": dict(dest="n_subjects", metavar="SUBJECTS"),
+    "--segments": dict(dest="segments_per_subject", metavar="SEGMENTS"),
+    "--prevalence": dict(action="append", metavar="NAME=P"),
+    "--effect": dict(dest="effects", action="append", metavar="OUTCOME:MODALITY=SIZE"),
+    "--noise-sigma": {},
+    "--affected-fraction": {},
+    "--steps": {},
+    "--batch-size": {},
+    "--learning-rate": {},
+    "--mask-ratio": {},
+    "--permutations": dict(dest="n_permutations", metavar="PERMUTATIONS"),
+    "--tcr-weight": {},
+    "--tcr-epsilon": {},
+    "--embed-dim": {},
+    "--precision": dict(choices=("f32", "f64")),
+}
 
-
-def _add_modality(sp: argparse.ArgumentParser, **kwargs) -> None:
-    sp.add_argument("--modality", dest="modalities", metavar="MODALITY", **kwargs)
+# stage -> (function, help, its flags after --config --out --seed --threads)
+_STAGES = {
+    "synth": (cmd_synth, "generate a synthetic cohort with planted effects",
+              "--subjects --segments --prevalence --effect --noise-sigma --affected-fraction"),
+    "train": (cmd_train, "pretrain one model per modality",
+              "--data --modality --split-ratio --steps --batch-size --learning-rate --mask-ratio "
+              "--permutations --tcr-weight --tcr-epsilon --embed-dim --precision"),
+    "embed": (cmd_embed, "embed every segment with trained checkpoints", "--data --models --modality"),
+    "vectors": (cmd_vectors, "derive disease vectors on the training split",
+                "--data --embeddings --modality --outcomes --split-ratio"),
+    "score": (cmd_score, "project embeddings onto disease vectors",
+              "--data --embeddings --vectors --modality"),
+    "fit": (cmd_fit, "adjusted odds-ratio report on the training split",
+            "--data --scores --modality --outcomes --split-ratio --standardize"),
+    "eval": (cmd_eval, "predictor-set x outcome AUC grid on the test split",
+             "--data --scores --outcomes --split-ratio --standardize"),
+    "report": (cmd_report, "per-subject risk report card",
+               "--data --scores --subject --modality --outcomes --split-ratio"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,88 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised sleep-signal risk profiling pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("synth", help="generate a synthetic cohort with planted effects")
-    _add_common(sp)
-    sp.add_argument("--subjects", dest="n_subjects", metavar="SUBJECTS", type=int, default=None)
-    sp.add_argument("--segments", dest="segments_per_subject", metavar="SEGMENTS", type=int, default=None)
-    sp.add_argument("--prevalence", action="append", default=None, metavar="NAME=P")
-    sp.add_argument(
-        "--effect", dest="effects", action="append", default=None, metavar="OUTCOME:MODALITY=SIZE"
-    )
-    sp.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    sp.add_argument("--affected-fraction", dest="affected_fraction", type=float, default=None)
-    sp.set_defaults(func=cmd_synth)
-
-    sp = sub.add_parser("train", help="pretrain one model per modality")
-    _add_common(sp)
-    sp.add_argument("--data", required=True, help="cohort directory (manifest.csv, signals/)")
-    _add_modality(sp, help="comma list or 'all'")
-    sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    sp.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    sp.add_argument("--mask-ratio", dest="mask_ratio", type=float, default=None)
-    sp.add_argument("--permutations", dest="n_permutations", metavar="PERMUTATIONS", type=int, default=None)
-    sp.add_argument("--tcr-weight", dest="tcr_weight", type=float, default=None)
-    sp.add_argument("--tcr-epsilon", dest="tcr_epsilon", type=float, default=None)
-    sp.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    sp.add_argument("--precision", choices=("f32", "f64"), default=None)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("embed", help="embed every segment with trained checkpoints")
-    _add_common(sp)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--models", required=True, help="directory holding <MODALITY>/checkpoint.psgm")
-    _add_modality(sp)
-    sp.set_defaults(func=cmd_embed)
-
-    sp = sub.add_parser("vectors", help="derive disease vectors on the training split")
-    _add_common(sp)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--embeddings", required=True, help="directory holding <MODALITY>/embeddings.csv")
-    _add_modality(sp)
-    sp.add_argument("--outcomes", default=None, help="comma list (default: all in manifest)")
-    sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
-    sp.set_defaults(func=cmd_vectors)
-
-    sp = sub.add_parser("score", help="project embeddings onto disease vectors")
-    _add_common(sp)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--embeddings", required=True)
-    sp.add_argument("--vectors", required=True, help="directory of disease-vector files")
-    _add_modality(sp)
-    sp.set_defaults(func=cmd_score)
-
-    sp = sub.add_parser("fit", help="adjusted odds-ratio report on the training split")
-    _add_common(sp)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--scores", required=True, help="scores.csv from the score step")
-    _add_modality(sp)
-    sp.add_argument("--outcomes", default=None)
-    sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
-    sp.add_argument("--standardize", action="store_true")
-    sp.set_defaults(func=cmd_fit)
-
-    sp = sub.add_parser("eval", help="predictor-set x outcome AUC grid on the test split")
-    _add_common(sp)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--scores", required=True)
-    sp.add_argument("--outcomes", default=None)
-    sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
-    sp.add_argument("--standardize", action="store_true")
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("report", help="per-subject risk report card")
-    _add_common(sp)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--scores", required=True)
-    sp.add_argument("--subject", required=True)
-    _add_modality(sp, required=True)
-    sp.add_argument("--outcomes", default=None)
-    sp.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
-    sp.set_defaults(func=cmd_report)
-
+    for stage, (func, help_text, flags) in _STAGES.items():
+        sp = sub.add_parser(stage, help=help_text)
+        for flag in ["--config", "--out", "--seed", "--threads", *flags.split()]:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -131,7 +131,7 @@ def parse_outcomes(text: str) -> tuple[str, ...]:
 
 # Text parsers of the list-valued fields; every other field is parsed by the
 # type of its default.
-LIST_PARSERS = {
+_LIST_PARSERS = {
     "modalities": parse_modalities,
     "outcomes": parse_outcomes,
     "prevalence": parse_prevalence,
@@ -139,10 +139,11 @@ LIST_PARSERS = {
 }
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """The value of field ``key`` written as text, in an INI file or a flag."""
     raw = raw.strip()
-    if key in LIST_PARSERS:
-        return LIST_PARSERS[key](raw)
+    if key in _LIST_PARSERS:
+        return _LIST_PARSERS[key](raw)
     try:
         return type(getattr(RunConfig, key))(raw)
     except ValueError:
@@ -173,7 +174,7 @@ def load_run_config(path: Path | str | None) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-            updates[key] = _parse_value(key, raw)
+            updates[key] = parse_value(key, raw)
     return replace(cfg, **updates)
 
 

@@ -259,10 +259,12 @@ def load_disease_vector(path: Path | str) -> DiseaseVector:
         kv[key] = value
     try:
         outcome = kv["outcome"]
-        modality = Modality.parse(kv["modality"])
+        modality = Modality.__members__.get(kv["modality"])  # the exact name, as written
+        if modality is None:
+            raise ValueError(f"unknown modality name {kv['modality']!r}")
         d, n_positive, n_negative = (_count(kv[k]) for k in ("d", "n_positive", "n_negative"))
         arrays = {name: _decimals(kv[name]) for name in ("vector", "mu_positive", "mu_negative")}
-    except (KeyError, ValueError, DataError) as exc:
+    except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: incomplete or malformed vector file: {exc}") from exc
     if not outcome:
         raise FormatError(f"{path}: empty outcome")
@@ -298,10 +300,9 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
             raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
         if not (used.isascii() and used.isdigit() and int(used) >= 1):
             raise FormatError(f"{where}: n_segments_used {used!r} is not a positive integer")
-        try:
-            modality = Modality.parse(name)
-        except DataError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
+        modality = Modality.__members__.get(name)  # the exact name, as written
+        if modality is None:
+            raise FormatError(f"{where}: unknown modality name {name!r}")
         key = (sid, outcome, modality.name)
         if key in rows:
             raise FormatError(f"{where} repeats the row for {sid}, {outcome}, {modality.name}")

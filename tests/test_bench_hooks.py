@@ -3,6 +3,8 @@ that psgp drops would fail only the traced benchmark run, so the hooks are
 installed and taken off here too."""
 from pathlib import Path
 
+import pytest
+
 from psgp import autodiff, cli, model, pretrain, stats, vectors
 from psgp.signalio import Modality
 
@@ -55,3 +57,36 @@ def test_benchmark_tables_are_the_embed_format(monkeypatch, tmp_path):
         again = tmp_path / f"{name}.csv"
         cli._write_embeddings_csv(again, keys, X, Modality[name])
         assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("toy", [False, True])
+@pytest.mark.parametrize("name", ["chain_desk", "embed_bulk", "downstream_wide"])
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path, name, toy):
+    """Every command line a workload sends, in set-up and in the timed run,
+    parses and resolves. The stub stage does nothing else, except that synth
+    writes a two-row manifest for the workload to read its subject ids from."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    sent = []
+
+    def call_stage(stage, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == stage
+        cli._resolve_config(args)
+        if stage == "synth":
+            out = Path(args.out)
+            out.mkdir(parents=True)
+            (out / "manifest.csv").write_text(
+                "subject_id,age,sex,bmi,sbp,frs,CVD\nS0001,50,0,25,,,1\nS0002,51,1,26,,,0\n",
+                encoding="utf-8",
+            )
+        sent.append(stage)
+        return 0, 0.0
+
+    workload = workloads.WORKLOADS[name](toy)
+    ctx = workloads.Context(tmp_path, seed=1, threads=workload.threads, call_stage=call_stage)
+    workload.setup(ctx)
+    ctx.phase = "run"
+    workload.run(ctx)
+    assert sent and set(sent) <= set(workloads.CHAIN_STAGES)

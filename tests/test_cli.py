@@ -338,6 +338,48 @@ class TestExitCodes:
         assert rc == 3
         assert "S9999" in err
 
+    def test_report_takes_its_modality_from_the_ini(self, chain, tmp_path, capsys):
+        """``modalities = RESP`` in the chain's INI file names report's one
+        modality, as it does for every other stage."""
+        rc = run_cli(
+            "report", "--out", tmp_path / "r", "--config", chain["ini"], "--data", chain["data"],
+            "--scores", chain["scores"] / "scores.csv", "--subject", "S0001", "--seed", 5,
+        )
+        assert rc == 0
+        assert tree_bytes(tmp_path / "r") == tree_bytes(chain["report"])
+
+    def test_report_without_a_modality_is_usage_error(self, chain, tmp_path, capsys):
+        rc = run_cli(
+            "report", "--out", tmp_path / "r", "--data", chain["data"],
+            "--scores", chain["scores"] / "scores.csv", "--subject", "S0001", "--seed", 5,
+        )
+        err = capsys.readouterr().err
+        assert_one_line_data_error(rc, err, "one modality, got EEG,ECG,RESP", kind="UsageError", code=2)
+        assert not (tmp_path / "r" / "resolved_config_report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv,ini,field",
+        [
+            (["train", "--data", "d", "--steps", "abc"], None, "'steps' has invalid value 'abc'"),
+            (["vectors", "--data", "d", "--embeddings", "e", "--split-ratio", "x"], None,
+             "'split_ratio' has invalid value 'x'"),
+            (["eval", "--data", "d", "--scores", "s", "--threads", "2.5"], None,
+             "'threads' has invalid value '2.5'"),
+            (["train", "--data", "d"], "[run]\nseed = seven\n", "'seed' has invalid value 'seven'"),
+        ],
+    )
+    def test_malformed_value_is_one_config_error_line(self, tmp_path, capsys, argv, ini, field):
+        """A flag's text goes through the parser of its field's INI value:
+        one ``error:`` line naming the field, and no usage block."""
+        if ini is not None:
+            (tmp_path / "bad.ini").write_text(ini, encoding="utf-8")
+            argv = [*argv, "--config", tmp_path / "bad.ini"]
+        rc = run_cli(argv[0], "--out", tmp_path / "out", *argv[1:])
+        err = capsys.readouterr().err
+        assert_one_line_data_error(rc, err, field, kind="ConfigError", code=2)
+        assert "usage:" not in err
+        assert not (tmp_path / "out").exists()
+
 
 def corrupt_cell(src: Path, dst: Path, line: int, column: int, value: str | list[str] | None) -> None:
     """Copy a CSV with one cell replaced (``value=None`` drops the cell, a
@@ -459,6 +501,37 @@ class TestCorruptTextTables:
         )
         assert_one_line_data_error(rc, capsys.readouterr().err, str(table), "line 6", repr(cell))
 
+    @pytest.mark.parametrize("command", ["vectors", "score"])
+    @pytest.mark.parametrize("same_values", [True, False])
+    def test_embeddings_repeated_segment(self, chain, tmp_path, capsys, command, same_values):
+        """A (subject, segment_index) pair on two lines is refused at the
+        second, whether or not its values differ."""
+        lines = (chain["emb"] / "RESP" / "embeddings.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[2][:-1].split(",")
+        again = lines[2] if same_values else ",".join(cells[:3] + ["0.5"] * (len(cells) - 3)) + "\n"
+        table = tmp_path / "emb" / "RESP" / "embeddings.csv"
+        table.parent.mkdir(parents=True)
+        table.write_text("".join(lines[:7] + [again] + lines[7:]), encoding="utf-8")
+        sid, _, index = cells[:3]
+        inputs = ["--vectors", chain["vectors"] / "vectors"] if command == "score" else ["--seed", 5]
+        rc = run_cli(
+            command, "--out", tmp_path / "out", "--config", chain["ini"], "--data", chain["data"],
+            "--embeddings", tmp_path / "emb", *inputs,
+        )
+        assert_one_line_data_error(
+            rc, capsys.readouterr().err, str(table),
+            f"line 8 repeats line 3: subject {sid!r}, segment_index {index}",
+        )
+
+    def test_embeddings_segment_index_out_of_range(self, chain, tmp_path, capsys):
+        table = tmp_path / "emb" / "RESP" / "embeddings.csv"
+        corrupt_cell(chain["emb"] / "RESP" / "embeddings.csv", table, 6, 2, str(2**63))
+        rc = run_cli(
+            "vectors", "--out", tmp_path / "out", "--config", chain["ini"], "--data", chain["data"],
+            "--embeddings", tmp_path / "emb", "--seed", 5,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(table), "line 6: segment index out of range")
+
 
 class TestScoreVectorsDirectory:
     """``score --vectors DIR`` reads only ``<outcome>_<MODALITY>.txt`` files."""
@@ -524,6 +597,113 @@ def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
+
+
+# Each stage's flags as argparse holds them: (option, dest, action, required,
+# metavar, choices), in order, as the parser declared them before its flag
+# table; the one change is that report's --modality is no longer required.
+COMMON_FLAGS = [
+    ("--config", "config", "store", False, None, None),
+    ("--out", "out", "store", True, None, None),
+    ("--seed", "seed", "store", False, None, None),
+    ("--threads", "threads", "store", False, None, None),
+]
+STAGE_FLAGS = {
+    "synth": [
+        ("--subjects", "n_subjects", "store", False, "SUBJECTS", None),
+        ("--segments", "segments_per_subject", "store", False, "SEGMENTS", None),
+        ("--prevalence", "prevalence", "append", False, "NAME=P", None),
+        ("--effect", "effects", "append", False, "OUTCOME:MODALITY=SIZE", None),
+        ("--noise-sigma", "noise_sigma", "store", False, None, None),
+        ("--affected-fraction", "affected_fraction", "store", False, None, None),
+    ],
+    "train": [
+        ("--data", "data", "store", True, None, None),
+        ("--modality", "modalities", "store", False, "MODALITY", None),
+        ("--split-ratio", "split_ratio", "store", False, None, None),
+        ("--steps", "steps", "store", False, None, None),
+        ("--batch-size", "batch_size", "store", False, None, None),
+        ("--learning-rate", "learning_rate", "store", False, None, None),
+        ("--mask-ratio", "mask_ratio", "store", False, None, None),
+        ("--permutations", "n_permutations", "store", False, "PERMUTATIONS", None),
+        ("--tcr-weight", "tcr_weight", "store", False, None, None),
+        ("--tcr-epsilon", "tcr_epsilon", "store", False, None, None),
+        ("--embed-dim", "embed_dim", "store", False, None, None),
+        ("--precision", "precision", "store", False, None, ("f32", "f64")),
+    ],
+    "embed": [
+        ("--data", "data", "store", True, None, None),
+        ("--models", "models", "store", True, None, None),
+        ("--modality", "modalities", "store", False, "MODALITY", None),
+    ],
+    "vectors": [
+        ("--data", "data", "store", True, None, None),
+        ("--embeddings", "embeddings", "store", True, None, None),
+        ("--modality", "modalities", "store", False, "MODALITY", None),
+        ("--outcomes", "outcomes", "store", False, None, None),
+        ("--split-ratio", "split_ratio", "store", False, None, None),
+    ],
+    "score": [
+        ("--data", "data", "store", True, None, None),
+        ("--embeddings", "embeddings", "store", True, None, None),
+        ("--vectors", "vectors", "store", True, None, None),
+        ("--modality", "modalities", "store", False, "MODALITY", None),
+    ],
+    "fit": [
+        ("--data", "data", "store", True, None, None),
+        ("--scores", "scores", "store", True, None, None),
+        ("--modality", "modalities", "store", False, "MODALITY", None),
+        ("--outcomes", "outcomes", "store", False, None, None),
+        ("--split-ratio", "split_ratio", "store", False, None, None),
+        ("--standardize", "standardize", "store_true", False, None, None),
+    ],
+    "eval": [
+        ("--data", "data", "store", True, None, None),
+        ("--scores", "scores", "store", True, None, None),
+        ("--outcomes", "outcomes", "store", False, None, None),
+        ("--split-ratio", "split_ratio", "store", False, None, None),
+        ("--standardize", "standardize", "store_true", False, None, None),
+    ],
+    "report": [
+        ("--data", "data", "store", True, None, None),
+        ("--scores", "scores", "store", True, None, None),
+        ("--subject", "subject", "store", True, None, None),
+        ("--modality", "modalities", "store", False, "MODALITY", None),
+        ("--outcomes", "outcomes", "store", False, None, None),
+        ("--split-ratio", "split_ratio", "store", False, None, None),
+    ],
+}
+ACTION_NAMES = {
+    argparse._StoreAction: "store",
+    argparse._AppendAction: "append",
+    argparse._StoreTrueAction: "store_true",
+}
+
+
+class TestStageFlags:
+    def test_stages(self):
+        assert list(subcommand_parsers()) == list(STAGE_FLAGS)
+
+    @pytest.mark.parametrize("command", list(STAGE_FLAGS))
+    def test_flags_of_each_stage(self, command):
+        actions = [a for a in subcommand_parsers()[command]._actions if not isinstance(a, argparse._HelpAction)]
+        got = [
+            (*a.option_strings, a.dest, ACTION_NAMES[type(a)], a.required, a.metavar,
+             tuple(a.choices) if a.choices else None)
+            for a in actions
+        ]
+        assert got == COMMON_FLAGS + STAGE_FLAGS[command]
+        # every value is text until _resolve_config parses it like an INI value
+        assert [a.option_strings for a in actions if a.type is not None] == []
+
+    def test_each_flag_has_one_declaration(self):
+        """A flag that several stages take reads the same in each."""
+        seen: dict[str, tuple] = {}
+        for command, sp in subcommand_parsers().items():
+            for a in sp._actions:
+                kwargs = (a.dest, type(a), a.required, a.metavar, a.choices, a.help)
+                assert seen.setdefault(a.option_strings[-1], kwargs) == kwargs, (command, a.option_strings)
+        assert len(seen) == 1 + 29  # --help and the 29 flags
 
 
 class TestFlagsNameTheirFields:
@@ -640,6 +820,29 @@ class TestEmbeddingsReader:
         for (key, idx), vec in zip(keys, X):
             writer.writerow([key, "ECG", idx] + [format(float(v), ".9g") for v in vec])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_segment_against_a_set_oracle(self, tmp_path, seed):
+        """The sorted-pair check names the line a per-row ``set`` scan stops
+        at, and the earlier line holding the same pair."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        keys = [(f"S{rng.integers(4)}", int(rng.integers(-3, 12))) for _ in range(n)]
+        if seed % 2:
+            keys = list(dict.fromkeys(keys))  # the same keys, each once, out of order
+        n = len(keys)
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, keys, np.ones((n, 2), np.float32), Modality.RESP)
+        first_line: dict[tuple[str, int], int] = {}
+        for lineno, key in enumerate(keys, start=2):
+            if key in first_line:
+                with pytest.raises(FormatError, match=f"line {lineno} repeats line {first_line[key]}: "
+                                   f"subject '{key[0]}', segment_index {key[1]}$"):
+                    _read_embeddings_csv(path, Modality.RESP)
+                break
+            first_line[key] = lineno
+        else:
+            assert _read_embeddings_csv(path, Modality.RESP)[0].tolist() == [sid for sid, _ in keys]
 
     def test_line_break_in_subject_id_is_refused(self, tmp_path):
         path = tmp_path / "embeddings.csv"

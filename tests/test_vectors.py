@@ -364,6 +364,26 @@ class TestDiskFormats:
         save_scores([SubjectScore("A", "CVD", Modality.ECG, 0.5, 1),
                      SubjectScore("A", "CVD", Modality.EEG, 0.5, 1)], path)
         with path.open("a") as fh:
-            fh.write("A,CVD,ecg,0.25,2\n")
+            fh.write("A,CVD,ECG,0.25,2\n")
         with pytest.raises(FormatError, match="line 4 repeats the row for A, CVD, ECG"):
             load_scores(path)
+
+    @pytest.mark.parametrize("cell", ["ecg", " ECG", "ECG ", "Ecg", "ECG1", ""])
+    def test_scores_modality_must_be_exact(self, tmp_path, cell):
+        """A table psgp wrote holds the modality's exact name; a user's
+        spelling (``ecg``) is for flags and config values only."""
+        path = tmp_path / "scores.csv"
+        save_scores([SubjectScore("A", "CVD", Modality.EEG, 0.5, 1)], path)
+        with path.open("a") as fh:
+            fh.write(f"B,CVD,{cell},0.25,2\n")
+        with pytest.raises(FormatError, match=f"line 3: unknown modality name {cell!r}"):
+            load_scores(path)
+
+    @pytest.mark.parametrize("cell", ["ecg", " ECG", "ECG ", "Ecg", ""])
+    def test_vector_modality_must_be_exact(self, tmp_path, cell):
+        dv = derive_disease_vector(np.array([1.0, 0.0]), np.array([0.0, 1.0]), "CVD", Modality.ECG)
+        path = tmp_path / "CVD_ECG.txt"
+        save_disease_vector(dv, path)
+        path.write_text(path.read_text().replace("modality=ECG\n", f"modality={cell}\n"))
+        with pytest.raises(FormatError, match=f"CVD_ECG.txt: .*unknown modality name {cell!r}"):
+            load_disease_vector(path)
