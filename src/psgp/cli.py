@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,18 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import CohortManifest, CohortSplit, load_manifest, save_split, split_cohort
-from .config import (
-    RunConfig,
-    load_run_config,
-    model_config_for,
-    parse_value,
-    resolved_text,
-    ssl_config_for,
-    synth_config_for,
-)
+from .config import RunConfig, load_run_config, parse_value, resolved_text, stage_configs
 from .errors import (
     EXIT_DATA,
-    ConfigError,
     DataError,
     FormatError,
     MissingInputError,
@@ -62,7 +52,8 @@ def _require(path: Path, what: str) -> Path:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The INI file, then each flag named after its field, parsed like its INI value."""
+    """The INI file, then each flag named after its field, parsed like its INI
+    value; `stage_configs` checks the merged values before any input is read."""
     cfg = load_run_config(args.config)
     updates: dict[str, object] = {}
     for f in fields(RunConfig):
@@ -70,19 +61,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:  # --prevalence and --effect may repeat
             updates[f.name] = parse_value(f.name, value if isinstance(value, str) else ",".join(value))
     cfg = replace(cfg, **updates)
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if not (0.0 < cfg.split_ratio < 1.0):
-        raise ConfigError(f"split_ratio must lie in (0, 1), got {cfg.split_ratio}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        # the number of a prevalence or effect entry is its last item
-        numbers = [entry[-1] for entry in value] if f.name in ("prevalence", "effects") else [value]
-        bad = [v for v in numbers if isinstance(v, float) and not math.isfinite(v)]
-        if bad:
-            raise ConfigError(f"{f.name} must be finite, got {bad[0]}")
+    stage_configs(cfg)
     return cfg
 
 
@@ -141,7 +120,7 @@ def _load_modality_segments(
 
 def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> None:
     out = _out_dir(args)
-    generate_cohort(synth_config_for(cfg), out)
+    generate_cohort(stage_configs(cfg).synth, out)
     print((out / "effects.csv").read_text(encoding="utf-8"), end="")
 
 
@@ -149,15 +128,16 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
+    stages = stage_configs(cfg)
     for modality in cfg.modalities:
-        mcfg = model_config_for(cfg, modality)
+        mcfg = stages.models[modality]
         X, _ = _load_modality_segments(data, modality, split.train_ids, mcfg.input_len)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
         params, _ = train(
             X,
             mcfg,
-            ssl_config_for(cfg),
+            stages.ssl,
             log_path=mod_dir / "train.log",
             checkpoint_dir=mod_dir,
         )
@@ -449,7 +429,7 @@ _FLAGS: dict[str, dict] = {
     "--tcr-weight": {},
     "--tcr-epsilon": {},
     "--embed-dim": {},
-    "--precision": dict(choices=("f32", "f64")),
+    "--precision": dict(help="f32 or f64"),
 }
 
 # stage -> (function, help, its flags after --config --out --seed --threads)

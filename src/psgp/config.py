@@ -3,13 +3,17 @@
 `RunConfig` holds the only defaults, at desk scale (small embedding width, few
 mask permutations, a few hundred steps) so the whole pipeline runs in minutes
 on one core; `configs/paper.ini` sets the paper scale. The INI sections follow
-the fields of the stage dataclasses (`_SECTIONS`).
+the fields of the stage dataclasses (`_SECTIONS`). `parse_value` reads a
+field's text and `_format_value` prints it back; `stage_configs` checks the
+merged values by building the stage dataclasses.
 """
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, DataError, utf8_text
 from .model import ModelConfig, default_model_config
@@ -62,92 +66,82 @@ _SECTIONS = {
 }
 
 
-def _refuse_duplicates(what: str, keys: list[str]) -> None:
-    for i, key in enumerate(keys):
-        if key in keys[:i]:
-            raise ConfigError(f"duplicate {what} {key!r}")
-
-
-def _parse_modality(name: str) -> Modality:
+def _scalar(key: str, text: str, kind: type):
+    text = text.strip()
     try:
-        return Modality.parse(name)
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"config key {key!r} has invalid value {text!r}") from None
+
+
+def _number(key: str, text: str) -> float:
+    """A float of field ``key``, alone or in a list entry; never NaN or infinite."""
+    value = _scalar(key, text, float)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _float_text(value: float) -> str:
+    """``g`` when that text reads back as the same float, ``repr`` otherwise."""
+    text = format(value, "g")
+    return text if float(text) == value else repr(value)
+
+
+def _modality(text: str) -> Modality:
+    try:
+        return Modality.parse(text)
     except DataError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def parse_modalities(text: str) -> tuple[Modality, ...]:
-    text = text.strip()
-    if not text or text.lower() == "all":
-        return tuple(Modality)
-    mods = tuple(_parse_modality(tok) for tok in text.split(",") if tok.strip())
-    _refuse_duplicates("modality", [m.name for m in mods])
-    return mods
+def _prevalence_entry(text: str) -> tuple[str, float]:
+    """\"CVD=0.4\" -> (\"CVD\", 0.4)."""
+    name, eq, p = text.partition("=")
+    if not eq:
+        raise ConfigError(f"prevalence entry {text!r} must look like NAME=P")
+    return name.strip(), _number("prevalence", p)
 
 
-def parse_prevalence(text: str) -> tuple[tuple[str, float], ...]:
-    """\"CVD=0.4,HTN=0.2\" -> ((\"CVD\", 0.4), (\"HTN\", 0.2))."""
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "=" not in tok:
-            raise ConfigError(f"prevalence entry {tok!r} must look like NAME=P")
-        name, _, value = tok.partition("=")
-        try:
-            out.append((name.strip(), float(value)))
-        except ValueError:
-            raise ConfigError(f"bad prevalence value in {tok!r}") from None
-    if not out:
-        raise ConfigError("empty prevalence list")
-    _refuse_duplicates("prevalence outcome", [name for name, _ in out])
-    return tuple(out)
+def _effect_entry(text: str) -> tuple[str, str, float]:
+    """\"CVD:ecg=3.0\" -> (\"CVD\", \"ECG\", 3.0)."""
+    head, eq, size = text.partition("=")
+    outcome, colon, modality = head.partition(":")
+    if not (eq and colon):
+        raise ConfigError(f"effect entry {text!r} must look like OUTCOME:MODALITY=SIZE")
+    return outcome.strip(), _modality(modality).name, _number("effects", size)
 
 
-def parse_effects(text: str) -> tuple[tuple[str, str, float], ...]:
-    """\"CVD:ECG=3.0,CVD:EEG=0\" -> ((\"CVD\", \"ECG\", 3.0), ...)."""
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" not in tok or "=" not in tok:
-            raise ConfigError(f"effect entry {tok!r} must look like OUTCOME:MODALITY=SIZE")
-        head, _, value = tok.partition("=")
-        outcome, _, modality = head.partition(":")
-        try:
-            out.append((outcome.strip(), _parse_modality(modality).name, float(value)))
-        except ValueError:
-            raise ConfigError(f"bad effect size in {tok!r}") from None
-    _refuse_duplicates("effect", [f"{o}:{m}" for o, m, _ in out])
-    return tuple(out)
-
-
-def parse_outcomes(text: str) -> tuple[str, ...]:
-    outcomes = [tok.strip() for tok in text.split(",") if tok.strip()]
-    _refuse_duplicates("outcome", outcomes)
-    return tuple(outcomes)
-
-
-# Text parsers of the list-valued fields; every other field is parsed by the
-# type of its default.
-_LIST_PARSERS = {
-    "modalities": parse_modalities,
-    "outcomes": parse_outcomes,
-    "prevalence": parse_prevalence,
-    "effects": parse_effects,
+# The list fields, written as comma-separated entries: what one entry is
+# called, its parser and the printer of its name. A prevalence or effect
+# entry is a tuple that ends in its number, written after "=". Two entries
+# with the same name are duplicates. Every other field is read by the type
+# of its default.
+_LISTS = {
+    "modalities": ("modality", _modality, lambda m: m.name),
+    "outcomes": ("outcome", str, str),
+    "prevalence": ("prevalence outcome", _prevalence_entry, lambda e: e[0]),
+    "effects": ("effect", _effect_entry, lambda e: f"{e[0]}:{e[1]}"),
 }
 
 
 def parse_value(key: str, raw: str):
     """The value of field ``key`` written as text, in an INI file or a flag."""
     raw = raw.strip()
-    if key in _LIST_PARSERS:
-        return _LIST_PARSERS[key](raw)
-    try:
-        return type(getattr(RunConfig, key))(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key!r} has invalid value {raw!r}") from None
+    if key == "modalities" and raw.lower() in ("", "all"):
+        return tuple(Modality)
+    if key not in _LISTS:
+        kind = type(getattr(RunConfig, key))
+        return _number(key, raw) if kind is float else _scalar(key, raw, kind)
+    what, parse, name_of = _LISTS[key]
+    entries = tuple(parse(tok.strip()) for tok in raw.split(",") if tok.strip())
+    names = [name_of(entry) for entry in entries]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"duplicate {what} {name!r}")
+    if not entries and key in ("modalities", "prevalence"):
+        raise ConfigError(f"empty {key} list")
+    return entries
 
 
 def load_run_config(path: Path | str | None) -> RunConfig:
@@ -180,17 +174,12 @@ def load_run_config(path: Path | str | None) -> RunConfig:
 
 def _format_value(cfg: RunConfig, key: str) -> str:
     value = getattr(cfg, key)
-    if key == "modalities":
-        return ",".join(m.name for m in value)
-    if key == "outcomes":
-        return ",".join(value)
-    if key == "prevalence":
-        return ",".join(f"{name}={p:g}" for name, p in value)
-    if key == "effects":
-        return ",".join(f"{o}:{m}={s:g}" for o, m, s in value)
-    if isinstance(value, float):
-        return format(value, "g")
-    return str(value)
+    if key in _LISTS:
+        _, _, name_of = _LISTS[key]
+        return ",".join(
+            f"{name_of(e)}={_float_text(e[-1])}" if isinstance(e, tuple) else name_of(e) for e in value
+        )
+    return _float_text(value) if isinstance(value, float) else str(value)
 
 
 def resolved_text(cfg: RunConfig) -> str:
@@ -204,15 +193,34 @@ def resolved_text(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def model_config_for(cfg: RunConfig, modality: Modality) -> ModelConfig:
-    return default_model_config(modality, **{key: getattr(cfg, key) for key in _SECTIONS["model"]})
+class StageConfigs(NamedTuple):
+    models: dict[Modality, ModelConfig]  # one per configured modality
+    ssl: SslConfig
+    synth: SynthConfig
 
 
-def ssl_config_for(cfg: RunConfig) -> SslConfig:
-    return SslConfig(**{f.name: getattr(cfg, f.name) for f in fields(SslConfig)})
+def stage_configs(cfg: RunConfig) -> StageConfigs:
+    """Check every value of a merged config and build the stage dataclasses.
 
+    The [run] fields are checked here and every other field by the dataclass
+    that owns it, so each stage refuses every invalid value, used or not.
+    """
+    if cfg.threads < 1:
+        raise ConfigError("threads must be >= 1")
+    if not (0.0 < cfg.split_ratio < 1.0):
+        raise ConfigError(f"split_ratio must lie in (0, 1), got {cfg.split_ratio}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
 
-def synth_config_for(cfg: RunConfig) -> SynthConfig:
-    values = {f.name: getattr(cfg, f.name) for f in fields(SynthConfig)}
-    values.update(prevalence=dict(cfg.prevalence), effects={(o, m): s for o, m, s in cfg.effects})
-    return SynthConfig(**values)
+    def section(name: str) -> dict:
+        return {key: getattr(cfg, key) for key in _SECTIONS[name]}
+
+    synth = section("synth") | {
+        "prevalence": dict(cfg.prevalence),
+        "effects": {(o, m): s for o, m, s in cfg.effects},
+    }
+    return StageConfigs(
+        models={m: default_model_config(m, **section("model")) for m in cfg.modalities},
+        ssl=SslConfig(seed=cfg.seed, **section("ssl")),
+        synth=SynthConfig(seed=cfg.seed, **synth),
+    )

@@ -69,7 +69,6 @@ class SynthConfig:
 class GroundTruth:
     labels: dict[str, dict[str, int]]  # subject -> outcome -> 0/1
     affected: dict[tuple[str, str, str], tuple[int, ...]]  # (subject, outcome, modality) -> segment indices
-    effect_sizes: dict[tuple[str, str], float]  # (outcome, modality name) -> size
 
 
 def _template(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
@@ -198,4 +197,4 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
     subsets = ([*key, " ".join(str(i) for i in affected[key])] for key in sorted(affected))
     write_table(out_dir / "affected.csv", ("subject_id", "outcome", "modality", "segment_indices"), subsets)
 
-    return GroundTruth(labels=labels, affected=affected, effect_sizes=effect_sizes)
+    return GroundTruth(labels=labels, affected=affected)

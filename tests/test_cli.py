@@ -185,6 +185,20 @@ class TestSynthDeterminism:
         assert "CVD" in out and "ECG" in out
         assert out == (tmp_path / "c" / "effects.csv").read_text(encoding="utf-8")
 
+    def test_snapshot_reproduces_the_cohort(self, tmp_path):
+        """A float with more than six digits is recorded exactly, so
+        re-running on the snapshot writes the same bytes."""
+        assert run_cli(
+            "synth", "--out", tmp_path / "a", "--seed", 9, "--subjects", 4, "--segments", 1,
+            "--noise-sigma", "0.123456789", "--prevalence", "CVD=0.3333333",
+        ) == 0
+        snapshot = tmp_path / "a" / "resolved_config_synth.txt"
+        text = snapshot.read_text(encoding="utf-8")
+        assert "noise_sigma = 0.123456789\n" in text
+        assert "prevalence = CVD=0.3333333\n" in text
+        assert run_cli("synth", "--out", tmp_path / "b", "--config", snapshot) == 0
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, tmp_path, capsys):
@@ -366,6 +380,7 @@ class TestExitCodes:
             (["eval", "--data", "d", "--scores", "s", "--threads", "2.5"], None,
              "'threads' has invalid value '2.5'"),
             (["train", "--data", "d"], "[run]\nseed = seven\n", "'seed' has invalid value 'seven'"),
+            (["train", "--data", "d", "--precision", "f16"], None, "precision must be f32 or f64, got 'f16'"),
         ],
     )
     def test_malformed_value_is_one_config_error_line(self, tmp_path, capsys, argv, ini, field):
@@ -379,6 +394,48 @@ class TestExitCodes:
         assert_one_line_data_error(rc, err, field, kind="ConfigError", code=2)
         assert "usage:" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "vectors", "eval"])
+    @pytest.mark.parametrize(
+        "ini,fragment",
+        [
+            ("[run]\nthreads = 0\n", "threads must be >= 1"),
+            ("[model]\nprecision = f16\n", "precision must be f32 or f64, got 'f16'"),
+            ("[model]\nembed_dim = 30\n", "embed_dim must be a positive multiple of n_heads"),
+            ("[ssl]\nbatch_size = 1\n", "batch_size must be >= 2"),
+            ("[synth]\naffected_fraction = 1.5\n", "affected_fraction must lie in (0, 1]"),
+        ],
+        ids=["run", "model-precision", "model-embed_dim", "ssl", "synth"],
+    )
+    def test_invalid_value_of_any_section_is_refused_at_every_stage(
+        self, tmp_path, capsys, command, ini, fragment
+    ):
+        """Each value is checked by the dataclass that owns it once flags
+        apply, whether or not the stage uses it."""
+        (tmp_path / "bad.ini").write_text(ini, encoding="utf-8")
+        inputs = {
+            "synth": ["--subjects", 4, "--segments", 1, "--prevalence", "CVD=0.5"],
+            "train": ["--data", tmp_path / "none"],
+            "vectors": ["--data", tmp_path / "none", "--embeddings", tmp_path / "none"],
+            "eval": ["--data", tmp_path / "none", "--scores", tmp_path / "none.csv"],
+        }[command]
+        rc = run_cli(command, "--out", tmp_path / "out", "--config", tmp_path / "bad.ini", *inputs)
+        err = capsys.readouterr().err
+        assert_one_line_data_error(rc, err, fragment, kind="ConfigError", code=2)
+        assert not (tmp_path / "out" / f"resolved_config_{command}.txt").exists()
+
+    def test_flag_can_mend_an_ini_value(self, tmp_path, capsys):
+        """The merged values are checked, not the file alone: n_heads = 3
+        does not divide the default width 32, but it divides --embed-dim 48."""
+        ini = tmp_path / "heads.ini"
+        ini.write_text("[model]\nn_heads = 3\n", encoding="utf-8")
+        argv = ["--out", tmp_path / "out", "--config", ini, "--subjects", 4, "--segments", 1]
+        assert run_cli("synth", *argv) == 2
+        assert "multiple of n_heads" in capsys.readouterr().err
+        cfg = _resolve_config(build_parser().parse_args(
+            ["train", "--out", "x", "--data", "d", "--config", str(ini), "--embed-dim", "48"]
+        ))
+        assert (cfg.n_heads, cfg.embed_dim) == (3, 48)
 
 
 def corrupt_cell(src: Path, dst: Path, line: int, column: int, value: str | list[str] | None) -> None:
@@ -601,7 +658,8 @@ def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
 
 # Each stage's flags as argparse holds them: (option, dest, action, required,
 # metavar, choices), in order, as the parser declared them before its flag
-# table; the one change is that report's --modality is no longer required.
+# table; since then report's --modality is no longer required and
+# --precision has no choices (the merged config checks its value).
 COMMON_FLAGS = [
     ("--config", "config", "store", False, None, None),
     ("--out", "out", "store", True, None, None),
@@ -629,7 +687,7 @@ STAGE_FLAGS = {
         ("--tcr-weight", "tcr_weight", "store", False, None, None),
         ("--tcr-epsilon", "tcr_epsilon", "store", False, None, None),
         ("--embed-dim", "embed_dim", "store", False, None, None),
-        ("--precision", "precision", "store", False, None, ("f32", "f64")),
+        ("--precision", "precision", "store", False, None, None),
     ],
     "embed": [
         ("--data", "data", "store", True, None, None),
@@ -728,7 +786,8 @@ class TestFlagsNameTheirFields:
             (["synth", "--affected-fraction", "0.2"], "affected_fraction", 0.2),
             (["synth", "--prevalence", "CVD=0.5", "--prevalence", "HTN=0.1"],
              "prevalence", (("CVD", 0.5), ("HTN", 0.1))),
-            (["synth", "--effect", "CVD:ecg=2", "--effect", "HTN:EEG=1.5"],
+            (["synth", "--prevalence", "CVD=0.5", "--prevalence", "HTN=0.1",
+              "--effect", "CVD:ecg=2", "--effect", "HTN:EEG=1.5"],
              "effects", (("CVD", "ECG", 2.0), ("HTN", "EEG", 1.5))),
             (["train", "--data", "d", "--modality", "ECG,resp"],
              "modalities", (Modality.ECG, Modality.RESP)),
