@@ -32,7 +32,7 @@ from .report import build_report_card, render_report_card, report_card_csv
 from .signalio import Modality, read_signal_file, samples_per_window, segment_recording
 from .stats import evaluate_grid, odds_ratio_report, save_or_report
 from .synth import generate_cohort
-from .tables import table_text, terminated_lines
+from .tables import is_count, table_text, terminated_lines
 from .vectors import (
     EmbeddingTable,
     SubjectScore,
@@ -208,10 +208,9 @@ def _embedding_rows(
             raise FormatError(f"{path}: line {lineno}: empty embedding value")
         if mod != name:
             raise FormatError(f"{path}: line {lineno}: modality {mod!r} in the {name} table")
-        try:
-            indices.append(int(index))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not is_count(index):
+            raise FormatError(f"{path}: line {lineno}: segment_index {index!r} is not a non-negative integer")
+        indices.append(int(index))
         subject_ids.append(sid)
         yield tail
 
@@ -221,7 +220,7 @@ def _refuse_repeated_segments(path: Path, ids: np.ndarray, indices: list[int]) -
     try:
         index = np.array(indices, dtype=np.int64)
     except OverflowError:
-        lineno = next(i for i, v in enumerate(indices, start=2) if not -(2**63) <= v < 2**63)
+        lineno = next(i for i, v in enumerate(indices, start=2) if v >= 2**63)
         raise FormatError(f"{path}: line {lineno}: segment index out of range") from None
     order = np.lexsort((index, ids))  # stable: equal keys keep their line order
     key_s, key_i = ids[order], index[order]
@@ -270,13 +269,9 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     models = _require(Path(args.models), "models directory")
     out = _out_dir(args)
-    for modality in cfg.modalities:
+    for modality, expect in stage_configs(cfg).models.items():
         ckpt_path = _require(models / modality.name / "checkpoint.psgm", "checkpoint")
-        params, mcfg = load_checkpoint(ckpt_path)
-        if mcfg.modality is not modality:
-            raise DataError(
-                f"{ckpt_path}: checkpoint was trained on {mcfg.modality.name}, not {modality.name}"
-            )
+        params, mcfg = load_checkpoint(ckpt_path, expect_config=expect)
         X, keys = _load_modality_segments(data, modality, manifest.subject_ids, mcfg.input_len)
         vecs = embed_segments(X, params, mcfg, threads=cfg.threads)
         mod_dir = out / modality.name

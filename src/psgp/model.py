@@ -12,12 +12,14 @@ so every segment embedding lives on the unit sphere.
 Checkpoint container (little-endian)::
 
     magic        4 bytes  b"PSGM"
-    version      u32      currently 2 (version 1 also held an attention
-                          key bias per block; it is refused, not converted)
-    config blob  u32 length + UTF-8 key=value lines
-    tensor count u32
-    per tensor:  u16 name length + UTF-8 name, u8 rank, rank * u64 dims,
-                 u8 dtype (0=f32, 1=f64), raw row-major data
+    version      u32      currently 3 (versions 1 and 2 are refused, not converted)
+    blob length  u32
+    config blob  UTF-8 key=value lines, one per ModelConfig field
+    parameters   every tensor of parameter_schema(config), in schema order, as
+                 one run of the precision's dtype (f4 or f8), each row-major
+
+The config fixes every tensor's name, shape and dtype, so the file states
+none of them again and its length follows from the blob.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .errors import (
 from .signalio import Modality, samples_per_window
 
 CKPT_MAGIC = b"PSGM"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 # stem geometries for the two nominal rates (30 s windows)
 _DEFAULT_STRIDES = {3750: (5, 5, 5), 300: (2, 5)}
@@ -352,100 +354,59 @@ def config_from_text(text: str) -> ModelConfig:
 
 def save_checkpoint(params: dict[str, np.ndarray], config: ModelConfig, path: Path | str) -> None:
     _check_schema(params, config)
-    parts: list[bytes] = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
-    cfg = config_to_text(config).encode("utf-8")
-    parts.append(struct.pack("<I", len(cfg)))
-    parts.append(cfg)
-    schema = parameter_schema(config)
-    parts.append(struct.pack("<I", len(schema)))
-    for name, _, _ in schema:
-        arr = np.ascontiguousarray(params[name])
-        if not np.isfinite(arr).all():
+    names = [name for name, _, _ in parameter_schema(config)]
+    for name in names:
+        if not np.isfinite(params[name]).all():
             raise NumericError(f"refusing to save non-finite tensor {name!r}")
-        if arr.dtype == np.float32:
-            tag, wire = 0, "<f4"
-        elif arr.dtype == np.float64:
-            tag, wire = 1, "<f8"
-        else:
-            raise SchemaMismatchError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(struct.pack("<B", tag))
-        parts.append(arr.astype(wire, copy=False).tobytes())
-    Path(path).write_bytes(b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, blob: bytes, origin: str):
-        self.blob = blob
-        self.off = 0
-        self.origin = origin
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise TruncatedPayloadError(f"{self.origin}: truncated at byte {self.off}")
-        out = self.blob[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))
+        if params[name].dtype != config.np_dtype:
+            raise SchemaMismatchError(
+                f"tensor {name!r} dtype {params[name].dtype} does not match precision {config.precision}"
+            )
+    blob = config_to_text(config).encode("utf-8")
+    payload = np.concatenate([params[name].ravel() for name in names])
+    raw = payload.astype(payload.dtype.newbyteorder("<"), copy=False).tobytes()
+    Path(path).write_bytes(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(blob)) + blob + raw)
 
 
 def load_checkpoint(
     path: Path | str, expect_config: ModelConfig | None = None
 ) -> tuple[dict[str, np.ndarray], ModelConfig]:
     origin = str(path)
-    rd = _Reader(Path(path).read_bytes(), origin)
-    if rd.take(4) != CKPT_MAGIC:
+    data = Path(path).read_bytes()
+    if data[:4] != CKPT_MAGIC:
         raise BadMagicError(f"{origin}: not a model checkpoint")
-    (version,) = rd.unpack("<I")
+    if len(data) < 12:
+        raise TruncatedPayloadError(f"{origin}: truncated at byte {len(data)}")
+    version, cfg_len = struct.unpack_from("<II", data, 4)
     if version != CKPT_VERSION:
         raise VersionMismatchError(f"{origin}: unsupported checkpoint version {version}")
-    (cfg_len,) = rd.unpack("<I")
+    start = 12 + cfg_len
+    if start > len(data):
+        raise TruncatedPayloadError(f"{origin}: a {cfg_len}-byte config blob runs past the end of the file")
     try:
-        config = config_from_text(rd.take(cfg_len).decode("utf-8"))
+        config = config_from_text(data[12:start].decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{origin}: config blob is not UTF-8") from exc
     except SchemaMismatchError as exc:
         raise SchemaMismatchError(f"{origin}: {exc}") from None
-    (count,) = rd.unpack("<I")
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = rd.unpack("<H")
-        try:
-            name = rd.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{origin}: a tensor name is not UTF-8") from exc
-        (rank,) = rd.unpack("<B")
-        shape = rd.unpack(f"<{rank}Q") if rank else ()
-        (tag,) = rd.unpack("<B")
-        if tag == 0:
-            wire, dtype = "<f4", np.float32
-        elif tag == 1:
-            wire, dtype = "<f8", np.float64
-        else:
-            raise FormatError(f"{origin}: tensor {name!r} has unknown dtype tag {tag}")
-        # a Python int: a corrupt dim must fail take(), not wrap around
-        n_items = math.prod(shape)
-        raw = rd.take(n_items * np.dtype(wire).itemsize)
-        params[name] = np.frombuffer(raw, dtype=wire).astype(dtype, copy=False).reshape(shape).copy()
-    if rd.off != len(rd.blob):
-        raise FormatError(f"{origin}: {len(rd.blob) - rd.off} trailing bytes")
-    _check_schema(params, config)
+    if expect_config is not None and config != expect_config:  # name the first differing field
+        lines = zip(config_to_text(config).splitlines(), config_to_text(expect_config).splitlines())
+        got, want = next((a, b) for a, b in lines if a != b)
+        raise SchemaMismatchError(f"{origin}: checkpoint has {got}, expected {want}")
+    schema = parameter_schema(config)
+    sizes = [math.prod(shape) for _, shape, _ in schema]
+    wire = np.dtype(config.np_dtype).newbyteorder("<")
+    end = start + sum(sizes) * wire.itemsize
+    if len(data) < end:
+        raise TruncatedPayloadError(f"{origin}: truncated at byte {len(data)}, its parameters end at {end}")
+    if len(data) > end:
+        raise FormatError(f"{origin}: {len(data) - end} trailing bytes")
+    flat = np.frombuffer(data, dtype=wire, offset=start).astype(config.np_dtype)
+    params = {
+        name: part.reshape(shape)
+        for (name, shape, _), part in zip(schema, np.split(flat, np.cumsum(sizes)[:-1]))
+    }
     for name, arr in params.items():
-        if arr.dtype != config.np_dtype:
-            raise SchemaMismatchError(
-                f"{origin}: tensor {name!r} dtype {arr.dtype} does not match precision {config.precision}"
-            )
         if not np.isfinite(arr).all():
             raise NumericError(f"{origin}: tensor {name!r} contains non-finite values")
-    if expect_config is not None and config != expect_config:
-        raise SchemaMismatchError(
-            f"{origin}: checkpoint config does not match the expected config"
-        )
     return params, config

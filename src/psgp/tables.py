@@ -36,6 +36,11 @@ def terminated_lines(lines: Iterable[str], path: Path, error: type[PsgpError]) -
         yield line
 
 
+def is_count(cell: str) -> bool:
+    """A count cell is plain ASCII digits, as every writer prints a non-negative int."""
+    return cell.isascii() and cell.isdigit()
+
+
 def table_rows(path: Path, header: Sequence[str], error: type[PsgpError]):
     """``(where, cells)`` of each row, ``where`` naming the file and line; the
     first line must be ``header`` and every row as wide."""

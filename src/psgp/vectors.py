@@ -26,7 +26,7 @@ from .errors import (
     utf8_text,
 )
 from .signalio import Modality
-from .tables import table_rows, terminated_lines, write_table
+from .tables import is_count, table_rows, terminated_lines, write_table
 
 _DIRECTION_FLOOR = 1e-10
 _SCORE_HEADER = ("subject_id", "outcome", "modality", "score", "n_segments_used")
@@ -230,7 +230,7 @@ def save_disease_vector(vector: DiseaseVector, path: Path | str) -> None:
 
 
 def _count(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    if not is_count(text):
         raise ValueError(f"{text!r} is not a non-negative integer")
     return int(text)
 
@@ -298,7 +298,7 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
     for where, (sid, outcome, name, score, used) in table_rows(Path(path), _SCORE_HEADER, FormatError):
         if not DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
             raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
-        if not (used.isascii() and used.isdigit() and int(used) >= 1):
+        if not (is_count(used) and int(used) >= 1):
             raise FormatError(f"{where}: n_segments_used {used!r} is not a positive integer")
         modality = Modality.__members__.get(name)  # the exact name, as written
         if modality is None:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from psgp import autodiff, cli, model, pretrain, stats, vectors
+from psgp.config import stage_configs
 from psgp.signalio import Modality
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -63,17 +64,22 @@ def test_benchmark_tables_are_the_embed_format(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", ["chain_desk", "embed_bulk", "downstream_wide"])
 def test_benchmark_command_lines_parse(monkeypatch, tmp_path, name, toy):
     """Every command line a workload sends, in set-up and in the timed run,
-    parses and resolves. The stub stage does nothing else, except that synth
-    writes a two-row manifest for the workload to read its subject ids from."""
+    parses and resolves, and its ``embed`` runs with the model configs its
+    ``train`` saved (``embed`` refuses any other checkpoint). The stub stage
+    does nothing else, except that synth writes a two-row manifest for the
+    workload to read its subject ids from."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     sent = []
+    models = {}
 
     def call_stage(stage, argv):
         args = cli.build_parser().parse_args(argv)
         assert args.command == stage
-        cli._resolve_config(args)
+        cfg = cli._resolve_config(args)
+        if stage in ("train", "embed"):
+            models.setdefault(stage, []).append(stage_configs(cfg).models)
         if stage == "synth":
             out = Path(args.out)
             out.mkdir(parents=True)
@@ -90,3 +96,4 @@ def test_benchmark_command_lines_parse(monkeypatch, tmp_path, name, toy):
     ctx.phase = "run"
     workload.run(ctx)
     assert sent and set(sent) <= set(workloads.CHAIN_STAGES)
+    assert models.get("embed") == models.get("train")

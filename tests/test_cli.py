@@ -528,7 +528,9 @@ class TestCorruptTextTables:
 
     @pytest.mark.parametrize(
         "column,value",
-        [(2, "first"), (5, "0.1.2"), (7, None), (5, "nan"), (5, "inf"), (5, "-inf"), (1, "ECG")],
+        [(2, "first"), (5, "0.1.2"), (7, None), (5, "nan"), (5, "inf"), (5, "-inf"), (1, "ECG"),
+         # a segment index is plain ASCII digits, as the writer prints it
+         (2, "1_0"), (2, " 1"), (2, "1 "), (2, "+1"), (2, "-1"), (2, "\u0661")],
     )
     def test_embeddings_table_cell(self, chain, tmp_path, capsys, column, value):
         emb = tmp_path / "emb"
@@ -886,7 +888,7 @@ class TestEmbeddingsReader:
         at, and the earlier line holding the same pair."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
-        keys = [(f"S{rng.integers(4)}", int(rng.integers(-3, 12))) for _ in range(n)]
+        keys = [(f"S{rng.integers(4)}", int(rng.integers(15))) for _ in range(n)]
         if seed % 2:
             keys = list(dict.fromkeys(keys))  # the same keys, each once, out of order
         n = len(keys)
@@ -1168,29 +1170,29 @@ def test_non_utf8_byte_is_one_error_line(chain, tmp_path, capsys, target):
     assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), "not UTF-8", kind=kind, code=code)
 
 
-@pytest.mark.parametrize("corruption", ["dims", "name", "config"])
+@pytest.mark.parametrize("corruption", ["config_length", "config_utf8", "config", "nan"])
 def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruption):
-    """First tensor dims of (2**32, 2**32) claim 2**64 items, which an int64
-    product wraps to 0, so the loader must see a payload past the end of the
-    file; a tensor name that is not UTF-8 must not escape as a decode error;
-    a config blob with a key the model does not have is refused."""
+    """A config length past the end of the file is a truncated payload; a
+    config blob that is not UTF-8 must not escape as a decode error; a config
+    blob with a key the model does not have is refused; a NaN in the
+    parameters is a numeric error naming its tensor."""
     blob = bytearray((chain["models"] / "RESP" / "checkpoint.psgm").read_bytes())
     (cfg_len,) = struct.unpack_from("<I", blob, 8)
-    at = 12 + cfg_len + 4  # the first tensor's name length
-    (name_len,) = struct.unpack_from("<H", blob, at)
-    if corruption == "config":
+    code = 3
+    if corruption == "config_length":
+        struct.pack_into("<I", blob, 8, len(blob))
+        kind, fragment = "TruncatedPayloadError", "past the end of the file"
+    elif corruption == "config_utf8":
+        blob[12 + cfg_len - 2] = 0xFF  # the last digit of the precision's name
+        kind, fragment = "FormatError", "not UTF-8"
+    elif corruption == "config":
         extra = b"stem_kernels=3,3\n"
         blob[12 + cfg_len:12 + cfg_len] = extra
         struct.pack_into("<I", blob, 8, cfg_len + len(extra))
         kind, fragment = "SchemaMismatchError", "not the text its values write"
-    elif corruption == "name":
-        blob[at + 2] = 0xFF
-        kind, fragment = "FormatError", "not UTF-8"
-    else:
-        at += 2 + name_len
-        assert blob[at] == 2  # its rank
-        struct.pack_into("<2Q", blob, at + 1, 2**32, 2**32)
-        kind, fragment = "TruncatedPayloadError", "truncated"
+    else:  # the last value of the last tensor (RESP is trained in f32)
+        struct.pack_into("<f", blob, len(blob) - 4, np.nan)
+        kind, fragment, code = "NumericError", "tensor 'dec.ln_f.b' contains non-finite values", 4
     bad = tmp_path / "models" / "RESP" / "checkpoint.psgm"
     bad.parent.mkdir(parents=True)
     bad.write_bytes(bytes(blob))
@@ -1198,13 +1200,13 @@ def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruptio
         "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
         "--models", tmp_path / "models",
     )
-    assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), fragment, kind=kind)
+    assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), fragment, kind=kind, code=code)
 
 
 def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys):
     """EEG and ECG share input_len 3750, so an ECG checkpoint under
     ``models/EEG/`` fits the EEG signals; embed refuses it by its config's
-    modality and writes no table."""
+    modality, which is not the run's, and writes no table."""
     cfg = mdl.default_model_config(
         Modality.ECG, embed_dim=8, encoder_depth=1, decoder_depth=1, n_heads=2, ffn_mult=4, precision="f32"
     )
@@ -1215,8 +1217,37 @@ def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys)
         "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
         "--models", tmp_path / "models", "--modality", "EEG",
     )
-    assert_one_line_data_error(rc, capsys.readouterr().err, str(ckpt), "ECG", "EEG", kind="DataError")
+    assert_one_line_data_error(
+        rc, capsys.readouterr().err, str(ckpt), "checkpoint has modality=ECG, expected modality=EEG",
+        kind="SchemaMismatchError",
+    )
     assert not (tmp_path / "emb" / "EEG").exists()
+
+
+def test_embed_runs_a_checkpoint_only_with_its_model_values(chain, tmp_path, capsys):
+    """A checkpoint trained with ``--embed-dim 8 --precision f64`` is refused
+    by an ``embed`` run whose [model] values are the defaults (d = 32, f32),
+    naming the first field that differs. With train's snapshot as its config
+    it embeds, and its own snapshot records the values of the checkpoint it
+    ran."""
+    models = tmp_path / "models"
+    assert run_cli(
+        "train", "--out", models, "--data", chain["data"], "--modality", "RESP", "--embed-dim", 8,
+        "--precision", "f64", "--steps", 1, "--batch-size", 4, "--permutations", 2,
+    ) == 0
+    capsys.readouterr()
+    embed = ("embed", "--data", chain["data"], "--models", models, "--modality", "RESP")
+    rc = run_cli(*embed, "--out", tmp_path / "bare")
+    assert_one_line_data_error(
+        rc, capsys.readouterr().err, str(models / "RESP" / "checkpoint.psgm"),
+        "checkpoint has embed_dim=8, expected embed_dim=32", kind="SchemaMismatchError",
+    )
+    assert not (tmp_path / "bare" / "RESP").exists()
+    assert run_cli(*embed, "--config", models / "resolved_config_train.txt", "--out", tmp_path / "emb") == 0
+    snapshot = (tmp_path / "emb" / "resolved_config_embed.txt").read_text(encoding="utf-8")
+    assert "embed_dim = 8\n" in snapshot and "precision = f64\n" in snapshot
+    header = (tmp_path / "emb" / "RESP" / "embeddings.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+    assert header.split(",")[3:] == [f"v{i}" for i in range(8)]
 
 
 @pytest.mark.parametrize("command", ["train", "embed"])

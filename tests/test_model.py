@@ -345,10 +345,21 @@ class TestCheckpointFormat:
         save_checkpoint(params, cfg, tmp_path / "b.psgm")
         assert (tmp_path / "a.psgm").read_bytes() == (tmp_path / "b.psgm").read_bytes()
 
+    @pytest.mark.parametrize("precision,wire", [("f32", "<f4"), ("f64", "<f8")])
+    def test_file_is_the_blob_then_the_schema_ordered_tensors(self, tmp_path, precision, wire):
+        """Version 3 byte for byte: magic, version, blob length, the config
+        blob, then every tensor in schema order as little-endian values of
+        the precision, with no header of its own."""
+        params, cfg, path = self._saved(tmp_path, cfg=tiny_config(precision=precision))
+        blob = config_to_text(cfg).encode("utf-8")
+        payload = b"".join(params[name].astype(wire).tobytes() for name, _, _ in parameter_schema(cfg))
+        assert path.read_bytes() == b"PSGM" + struct.pack("<II", 3, len(blob)) + blob + payload
+
     def test_expect_config_mismatch(self, tmp_path):
+        """The error names the first field that differs, with both values."""
         _, _, path = self._saved(tmp_path)
         other = tiny_config(embed_dim=16, n_heads=4)
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(SchemaMismatchError, match="checkpoint has embed_dim=8, expected embed_dim=16$"):
             load_checkpoint(path, expect_config=other)
 
     def test_bad_magic(self, tmp_path):
@@ -359,11 +370,12 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
-        """Version 1 checkpoints (they held a key bias per attention block) and
-        unknown versions are refused; nothing converts them."""
+        """Version 1 checkpoints (they held a key bias per attention block),
+        version 2 (a header per tensor) and unknown versions are refused;
+        nothing converts them."""
         _, _, path = self._saved(tmp_path)
         blob = path.read_bytes()
-        for version in (1, 99):
+        for version in (1, 2, 99):
             path.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
             with pytest.raises(VersionMismatchError, match=f"version {version}"):
                 load_checkpoint(path)
@@ -394,6 +406,16 @@ class TestCheckpointFormat:
         params["mask_token"] = np.full(8, np.nan)
         with pytest.raises(NumericError):
             save_checkpoint(params, cfg, tmp_path / "x.psgm")
+
+    def test_tensor_of_another_dtype_rejected_on_save(self, tmp_path):
+        """The file holds one dtype, the config's precision: an f32 tensor in
+        an f64 config is refused, not widened."""
+        cfg = tiny_config(precision="f64")
+        params = init_parameters(cfg, seed=1)
+        params["mask_token"] = params["mask_token"].astype(np.float32)
+        with pytest.raises(SchemaMismatchError, match="'mask_token' dtype float32 does not match precision f64"):
+            save_checkpoint(params, cfg, tmp_path / "x.psgm")
+        assert not (tmp_path / "x.psgm").exists()
 
     def test_config_text_round_trip(self):
         cfg = tiny_config(stem_strides=(4, 5))
