@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The engine records a dynamic tape: every operation whose inputs require
-gradients produces a node holding its parents and a vector-Jacobian-product
-closure. ``backward(root)`` walks the tape once in reverse topological order
-and accumulates gradients into the leaves.
+The engine records a dynamic tape kept apart from the data: a ``Tensor``
+holds its array and a grad node, or ``None`` for a constant. A node holds
+its gradient, its parents' nodes and a vector-Jacobian-product closure.
+``backward(root)`` walks the tape once in reverse topological order and
+accumulates gradients into the leaves.
 
 Design constraints that shaped this module:
 
@@ -23,6 +24,12 @@ Design constraints that shaped this module:
   ``single_blas_thread()``, which sets the bundled OpenBLAS to one thread
   and restores the previous count on exit. Every BLAS/LAPACK call of
   ``train`` and ``embed`` is numpy's, so the pin covers them all.
+* a node keeps what its VJP reads, and nothing else: each VJP captures at
+  forward time the arrays and shapes its formula uses, never a ``Tensor``,
+  so an intermediate array no VJP reads (a residual sum, the output of an
+  output projection, a GELU input) is freed as soon as the model code
+  drops it, not kept until ``backward``. GELU keeps its derivative rather
+  than its input.
 * numpy is the only dependency: ``erf``/``erfc`` are this module's own
   float64 kernel (the cephes rational forms, in cache-sized blocks).
 * every op here is validated against central finite differences in the
@@ -121,17 +128,48 @@ def single_blas_thread():
         blas.set(saved)
 
 
-class Tensor:
-    """An ndarray plus optional tape bookkeeping."""
+class _Node:
+    """One tape entry: the accumulated gradient, the parents' nodes (None
+    for a constant parent) and the VJP, which maps this node's gradient to
+    one gradient (or None) per parent. A leaf has no parents and no VJP."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("grad", "parents", "vjp")
+
+    def __init__(self, parents: tuple["_Node | None", ...] = (), vjp=None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.vjp = vjp
+
+
+class Tensor:
+    """An ndarray plus its grad node, or None for a constant."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self.grad: np.ndarray | None = None
-        self._parents: tuple["Tensor", ...] = ()
-        self._vjp = None
+        self.node = _Node() if requires_grad and _GRAD_ENABLED else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
+
+    @property
+    def _vjp(self):
+        """The node's VJP; perfbench's tracer replaces it to time backward."""
+        return None if self.node is None else self.node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        self.node.vjp = vjp
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -165,11 +203,13 @@ def _binary_lift(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """Wrap an op's output, recording it when grads are on and a parent
+    needs one. ``vjp`` must hold no Tensor, only what its formula reads."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    if _GRAD_ENABLED:
+        nodes = tuple(p.node for p in parents)
+        if any(n is not None for n in nodes):
+            out.node = _Node(nodes, vjp)
     return out
 
 
@@ -191,9 +231,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _binary_lift(a, b)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _node(data, (a, b), vjp)
 
@@ -201,34 +242,32 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _binary_lift(a, b)
     data = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _node(data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _binary_lift(a, b)
-    data = a.data * b.data
+    x, y = a.data, b.data
+    data = x * y
 
     def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _node(data, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = _binary_lift(a, b)
-    data = a.data / b.data
+    x, y = a.data, b.data
+    data = x / y
 
     def vjp(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
+        return _unbroadcast(g / y, x.shape), _unbroadcast(-g * x / (y * y), y.shape)
 
     return _node(data, (a, b), vjp)
 
@@ -282,13 +321,14 @@ def _norm_axis(axis, ndim: int) -> tuple[int, ...]:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axis(axis, a.data.ndim)
     data = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.data.shape
 
     def vjp(g):
         gg = g
         if not keepdims:
             for ax in sorted(axes):
                 gg = np.expand_dims(gg, ax)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return _node(data, (a,), vjp)
 
@@ -313,10 +353,12 @@ def texp(a: Tensor) -> Tensor:
 
 
 def tlog(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g / a.data,)
+    x = a.data
 
-    return _node(np.log(a.data), (a,), vjp)
+    def vjp(g):
+        return (g / x,)
+
+    return _node(np.log(x), (a,), vjp)
 
 
 def tsqrt(a: Tensor) -> Tensor:
@@ -446,11 +488,12 @@ def _erf_f64(x: np.ndarray, complement: bool = False) -> np.ndarray:
 
 def terf(a: Tensor) -> Tensor:
     """erf, evaluated in float64 and returned in the input's dtype."""
-    data = _erf_f64(a.data).astype(a.data.dtype, copy=False)
+    x = a.data
+    data = _erf_f64(x).astype(x.dtype, copy=False)
     two_over_sqrt_pi = 2.0 / math.sqrt(math.pi)
 
     def vjp(g):
-        return (g * (two_over_sqrt_pi * np.exp(-a.data * a.data)),)
+        return (g * (two_over_sqrt_pi * np.exp(-x * x)),)
 
     return _node(data, (a,), vjp)
 
@@ -521,25 +564,31 @@ def gelu(a: Tensor) -> Tensor:
     Phi(x) = erfc(-x / sqrt(2)) / 2 from the cephes kernel, which
     keeps its relative accuracy in the negative tail, where
     (1 + erf(x / sqrt(2))) / 2 cancels to nothing below about x = -8.
+
+    A recorded node keeps only the derivative, built in the forward; the
+    input and Phi are freed. Its VJP scales the derivative in place, which
+    is safe because ``backward`` runs each node's VJP once.
     """
     x = a.data
+    record = _GRAD_ENABLED and a.requires_grad
     if x.dtype == np.float32:
-        data, phi = _gelu_f32(x, keep_phi=_GRAD_ENABLED and a.requires_grad)
+        data, phi = _gelu_f32(x, keep_phi=record)
     else:
         phi = _erf_f64(x * -_INV_SQRT2, complement=True)
         phi *= 0.5
         data = x * phi
+    if not record:
+        return Tensor(data)
+    # d/dx x Phi(x) = Phi(x) + x * pdf(x), built in one buffer
+    d = np.multiply(x, x)
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= x
+    d += phi
 
     def vjp(g):
-        # d/dx x Phi(x) = Phi(x) + x * pdf(x), built in one buffer
-        d = np.multiply(x, x)
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= x
-        d += phi
-        d *= g
-        return (d,)
+        return (np.multiply(d, g, out=d),)
 
     return _node(data, (a,), vjp)
 
@@ -571,13 +620,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # --- matrix ops ------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    data = np.matmul(a.data, b.data)
+    x, y = a.data, b.data
+    data = np.matmul(x, y)
 
     def vjp(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        ga = _unbroadcast(np.matmul(g, bt), a.data.shape)
-        gb = _unbroadcast(np.matmul(at, g), b.data.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), x.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), y.shape)
         return ga, gb
 
     return _node(data, (a, b), vjp)
@@ -596,14 +644,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     GEMM each over all rows, and the bias is added in place.
     """
     shape = x.data.shape
-    k, n = w.data.shape
+    w_data = w.data
+    k, n = w_data.shape
     x2 = x.data.reshape(-1, k)
-    out = x2 @ w.data
+    out = x2 @ w_data
     out += b.data
+    x_grad = x.requires_grad
 
     def vjp(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(shape) if x.requires_grad else None
+        gx = (g2 @ w_data.T).reshape(shape) if x_grad else None
         return gx, x2.T @ g2, _col_sum(g2)
 
     return _node(out.reshape(shape[:-1] + (n,)), (x, w, b), vjp)
@@ -657,12 +707,14 @@ def attention(
     mixed = np.empty((B, n, H, dh), dtype=dtype)
     np.matmul(p.transpose(1, 2, 3, 0), v, out=mixed.transpose(0, 2, 1, 3))
     mixed = mixed.reshape(B * n, d)
-    out = mixed @ wo.data
+    wo_data = wo.data
+    out = mixed @ wo_data
     out += bo.data
+    x_grad = x.requires_grad
 
     def vjp(g):
         g2 = g.reshape(B * n, d)
-        g_mixed = (g2 @ wo.data.T).reshape(B, n, H, dh).transpose(0, 2, 1, 3)
+        g_mixed = (g2 @ wo_data.T).reshape(B, n, H, dh).transpose(0, 2, 1, 3)
         g_qkv = np.empty((B * n, 3 * d), dtype=dtype)
         gq, gk, gv = _heads(g_qkv, B, n, H, dh)
         np.matmul(p.transpose(1, 2, 0, 3), g_mixed, out=gv)
@@ -677,7 +729,7 @@ def attention(
         np.matmul(gs.transpose(1, 2, 0, 3), q, out=gk)
         gw = x2.T @ g_qkv
         gb = _col_sum(g_qkv)
-        gx = (g_qkv @ w_qkv.T).reshape(B, n, d) if x.requires_grad else None
+        gx = (g_qkv @ w_qkv.T).reshape(B, n, d) if x_grad else None
         return (
             gx,
             gw[:, :d], gb[:d],
@@ -706,11 +758,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
-    out = xhat * gamma.data
+    gamma_data = gamma.data
+    out = xhat * gamma_data
     out += beta.data
 
     def vjp(g):
-        gxhat = g * gamma.data
+        gxhat = g * gamma_data
         gx = gxhat - (gxhat @ mean_w)[..., None]
         gx -= xhat * ((gxhat * xhat) @ mean_w)[..., None]
         gx *= inv
@@ -762,42 +815,43 @@ def logdet_psd(a: Tensor) -> Tensor:
 
 # --- engine ----------------------------------------------------------
 
-def _topological_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topological_order(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            stack.append((parent, False))
+        for parent in node.parents:
+            if parent is not None:
+                stack.append((parent, False))
     return order  # parents precede children
 
 
 def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
     """Accumulate d(root)/d(leaf) into every reachable leaf's ``.grad``."""
-    if not root.requires_grad:
+    if root.node is None:
         raise NumericError("backward called on a tensor with no recorded graph")
     if grad is None:
         grad = np.ones_like(root.data)
     root.grad = grad if root.grad is None else root.grad + grad
-    for node in reversed(_topological_order(root)):
-        if node._vjp is None or node.grad is None:
+    for node in reversed(_topological_order(root.node)):
+        if node.vjp is None or node.grad is None:
             continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if parent.requires_grad and g is not None:
+        grads = node.vjp(node.grad)
+        for parent, g in zip(node.parents, grads):
+            if parent is not None and g is not None:
                 parent.grad = g if parent.grad is None else parent.grad + g
         # free intermediate state so long chains do not hoard memory
         node.grad = None
-        node._vjp = None
-        node._parents = ()
+        node.vjp = None
+        node.parents = ()
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

@@ -434,7 +434,8 @@ _STAGES = {
     "train": (cmd_train, "pretrain one model per modality",
               "--data --modality --split-ratio --steps --batch-size --learning-rate --mask-ratio "
               "--permutations --tcr-weight --tcr-epsilon --embed-dim --precision"),
-    "embed": (cmd_embed, "embed every segment with trained checkpoints", "--data --models --modality"),
+    "embed": (cmd_embed, "embed every segment with trained checkpoints",
+              "--data --models --modality --embed-dim --precision"),
     "vectors": (cmd_vectors, "derive disease vectors on the training split",
                 "--data --embeddings --modality --outcomes --split-ratio"),
     "score": (cmd_score, "project embeddings onto disease vectors",

@@ -3,6 +3,7 @@ that psgp drops would fail only the traced benchmark run, so the hooks are
 installed and taken off here too."""
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from psgp import autodiff, cli, model, pretrain, stats, vectors
@@ -13,10 +14,20 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = (autodiff, cli, model, pretrain, stats, vectors)
 
 
+def small_backward() -> np.ndarray:
+    x = autodiff.Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4), requires_grad=True)
+    w = autodiff.Tensor(np.linspace(-1.0, 1.0, 8).reshape(4, 2))
+    autodiff.backward(autodiff.tsum(autodiff.gelu(autodiff.matmul(x, w))))
+    return x.grad
+
+
 def test_span_hooks_install_and_restore(monkeypatch):
+    """The hooks wrap every graph op and time its node's VJP in backward,
+    without changing the gradient."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
 
+    untraced = small_backward()
     before = {m: dict(vars(m)) for m in MODULES}
     tracer = spans.Tracer()
     try:
@@ -25,8 +36,13 @@ def test_span_hooks_install_and_restore(monkeypatch):
             (m.__name__, name) for m in MODULES for name, obj in before[m].items()
             if getattr(m, name) is not obj
         }
+        traced = small_backward()
     finally:
         tracer.restore()
+    names = {span[2] for span in tracer.spans}
+    assert {"autodiff.gelu.vjp", "autodiff.matmul.vjp", "autodiff.tsum.vjp"} <= names, names
+    assert tracer.counts["autodiff.backward.calls"] == 1
+    np.testing.assert_array_equal(traced, untraced)
     for op in spans.GRAPH_OPS:
         assert ("psgp.autodiff", op) in wrapped, op
     assert ("psgp.model", "stem_forward") in wrapped

@@ -695,6 +695,8 @@ STAGE_FLAGS = {
         ("--data", "data", "store", True, None, None),
         ("--models", "models", "store", True, None, None),
         ("--modality", "modalities", "store", False, "MODALITY", None),
+        ("--embed-dim", "embed_dim", "store", False, None, None),
+        ("--precision", "precision", "store", False, None, None),
     ],
     "vectors": [
         ("--data", "data", "store", True, None, None),
@@ -1227,9 +1229,9 @@ def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys)
 def test_embed_runs_a_checkpoint_only_with_its_model_values(chain, tmp_path, capsys):
     """A checkpoint trained with ``--embed-dim 8 --precision f64`` is refused
     by an ``embed`` run whose [model] values are the defaults (d = 32, f32),
-    naming the first field that differs. With train's snapshot as its config
-    it embeds, and its own snapshot records the values of the checkpoint it
-    ran."""
+    naming the first field that differs. With train's snapshot as its config,
+    or with the same values as flags, it embeds, and its own snapshot records
+    the values of the checkpoint it ran."""
     models = tmp_path / "models"
     assert run_cli(
         "train", "--out", models, "--data", chain["data"], "--modality", "RESP", "--embed-dim", 8,
@@ -1243,11 +1245,15 @@ def test_embed_runs_a_checkpoint_only_with_its_model_values(chain, tmp_path, cap
         "checkpoint has embed_dim=8, expected embed_dim=32", kind="SchemaMismatchError",
     )
     assert not (tmp_path / "bare" / "RESP").exists()
-    assert run_cli(*embed, "--config", models / "resolved_config_train.txt", "--out", tmp_path / "emb") == 0
-    snapshot = (tmp_path / "emb" / "resolved_config_embed.txt").read_text(encoding="utf-8")
-    assert "embed_dim = 8\n" in snapshot and "precision = f64\n" in snapshot
-    header = (tmp_path / "emb" / "RESP" / "embeddings.csv").read_text(encoding="utf-8").split("\n", 1)[0]
-    assert header.split(",")[3:] == [f"v{i}" for i in range(8)]
+    for out, model_values in [
+        ("emb", ("--config", models / "resolved_config_train.txt")),
+        ("emb_flags", ("--embed-dim", 8, "--precision", "f64")),
+    ]:
+        assert run_cli(*embed, *model_values, "--out", tmp_path / out) == 0
+        snapshot = (tmp_path / out / "resolved_config_embed.txt").read_text(encoding="utf-8")
+        assert "embed_dim = 8\n" in snapshot and "precision = f64\n" in snapshot
+        header = (tmp_path / out / "RESP" / "embeddings.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+        assert header.split(",")[3:] == [f"v{i}" for i in range(8)]
 
 
 @pytest.mark.parametrize("command", ["train", "embed"])
