@@ -29,7 +29,14 @@ from .errors import (
 from .model import embed_segments, load_checkpoint, save_checkpoint
 from .pretrain import train
 from .report import build_report_card, render_report_card, report_card_csv
-from .signalio import Modality, read_signal_file, samples_per_window, segment_recording
+from .signalio import (
+    Modality,
+    SignalFile,
+    SignalRows,
+    read_signal_file,
+    samples_per_window,
+    segment_recording,
+)
 from .stats import evaluate_grid, odds_ratio_report, save_or_report
 from .synth import generate_cohort
 from .tables import is_count, table_text, terminated_lines
@@ -90,10 +97,16 @@ def _outcomes_for(cfg: RunConfig, manifest: CohortManifest) -> tuple[str, ...]:
 
 def _load_modality_segments(
     data: Path, modality: Modality, subject_ids, input_len: int
-) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Stack every available segment for the given subjects, sorted by id."""
-    blocks: list[np.ndarray] = []
-    keys: list[tuple[str, int]] = []
+) -> SignalRows:
+    """Every window of the given subjects' signal files, as rows read on demand.
+
+    Each file is read and checked in full first, in sorted subject order
+    (subject id, modality, window length, and everything `read_signal_file`
+    checks); only its path, payload offset and window count are kept, so
+    memory does not grow with the cohort. Row order is subject order, then
+    window order.
+    """
+    files: list[SignalFile] = []
     for sid in sorted(subject_ids):
         path = data / "signals" / f"{sid}_{modality.name}.psgs"
         if not path.exists():
@@ -108,12 +121,11 @@ def _load_modality_segments(
             raise DataError(
                 f"{path}: window of {spw} samples does not match the model input length {input_len}"
             )
-        rows = segment_recording(rec)
-        blocks.append(rows)
-        keys.extend((sid, i) for i in range(len(rows)))
-    if not keys:
+        files.append(SignalFile.of(path, rec, len(segment_recording(rec))))
+    rows = SignalRows(files, input_len)
+    if not len(rows):
         raise DataError(f"no {modality.name} segments found under {data / 'signals'}")
-    return np.concatenate(blocks), keys
+    return rows
 
 
 # --- subcommands -------------------------------------------------------
@@ -131,7 +143,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     stages = stage_configs(cfg)
     for modality in cfg.modalities:
         mcfg = stages.models[modality]
-        X, _ = _load_modality_segments(data, modality, split.train_ids, mcfg.input_len)
+        X = _load_modality_segments(data, modality, split.train_ids, mcfg.input_len)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
         params, _ = train(
@@ -146,8 +158,11 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     save_split(split, out / "split.csv")
 
 
-def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modality) -> None:
-    """One row per segment, each value as ``%.9g`` (which round-trips float32).
+def _write_embeddings_csv(
+    path: Path, subject_ids: np.ndarray, indices: np.ndarray, vectors: np.ndarray, modality: Modality
+) -> None:
+    """One row per segment: its subject id, its segment index within the
+    subject's recording, and each value as ``%.9g`` (which round-trips float32).
 
     Subject ids follow ``cohort.check_name``, so no cell needs quoting and
     each row is one ``%``.
@@ -156,7 +171,10 @@ def _write_embeddings_csv(path: Path, keys, vectors: np.ndarray, modality: Modal
     row = f"%s,{modality.name},%d" + ",%.9g" * d + "\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(table_text(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)], ()))
-        fh.writelines(row % (sid, idx, *vec) for (sid, idx), vec in zip(keys, vectors.tolist()))
+        fh.writelines(
+            row % (sid, idx, *vec)
+            for sid, idx, vec in zip(subject_ids.tolist(), indices.tolist(), vectors.tolist())
+        )
 
 
 def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
@@ -272,11 +290,11 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
     for modality, expect in stage_configs(cfg).models.items():
         ckpt_path = _require(models / modality.name / "checkpoint.psgm", "checkpoint")
         params, mcfg = load_checkpoint(ckpt_path, expect_config=expect)
-        X, keys = _load_modality_segments(data, modality, manifest.subject_ids, mcfg.input_len)
+        X = _load_modality_segments(data, modality, manifest.subject_ids, mcfg.input_len)
         vecs = embed_segments(X, params, mcfg, threads=cfg.threads)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
-        _write_embeddings_csv(mod_dir / "embeddings.csv", keys, vecs, modality)
+        _write_embeddings_csv(mod_dir / "embeddings.csv", X.subject_ids, X.window_indices, vecs, modality)
         print(f"embedded {modality.name}: {X.shape[0]} segments")
 
 

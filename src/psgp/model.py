@@ -272,6 +272,11 @@ def embed_tiles(config: ModelConfig) -> tuple[int, int]:
 def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1) -> np.ndarray:
     """Embed (N, m) segment samples -> (N, d) unit-norm embeddings.
 
+    ``X`` is an array or anything with a ``shape`` that returns a fresh array
+    when sliced, such as ``signalio.SignalRows``. Each encoder tile slices
+    its own rows and converts them to the model dtype, so memory follows the
+    tile, not N, and a row source's reads run on the pool's threads.
+
     Rows go through the model in encoder tiles, and each encoder tile through
     the stem in smaller stem tiles (sizes from ``embed_tiles``), so that the
     activations stay in cache while each numpy call still does a lot of
@@ -286,15 +291,14 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
     thread, around all tiles: both are process-wide, so worker threads must
     not enter or leave them themselves.
     """
-    X = np.asarray(X, dtype=config.np_dtype)
-    if X.ndim != 2 or X.shape[1] != config.input_len:
+    if len(X.shape) != 2 or X.shape[1] != config.input_len:
         raise DataError(f"expected (N, {config.input_len}) samples, got {X.shape}")
     stem_tile, tile = embed_tiles(config)
     tp = _as_tensor_params(params)
     out = np.empty((X.shape[0], config.embed_dim), dtype=config.np_dtype)
 
     def embed_tile(start: int) -> None:
-        rows = X[start:start + tile]
+        rows = np.asarray(X[start:start + tile], dtype=config.np_dtype)
         patches = np.concatenate([
             stem_forward(Tensor(rows[s:s + stem_tile]), tp, config).data
             for s in range(0, rows.shape[0], stem_tile)

@@ -338,7 +338,13 @@ def train(
     log_path: Path | str | None = None,
     checkpoint_dir: Path | str | None = None,
 ) -> tuple[dict[str, np.ndarray], list[LossReport]]:
-    """Seeded end-to-end pretraining loop.
+    """Seeded end-to-end pretraining loop over (N, input_len) segments.
+
+    ``segments`` is an array or anything with a ``shape`` that returns a
+    fresh array when indexed by a sorted int array, such as
+    ``signalio.SignalRows``. Each step gathers its batch of rows from it and
+    converts that batch alone to the model dtype, so memory follows the
+    batch, not N.
 
     Everything random derives from ssl_config.seed through named SeedSequence
     children (init / batch order / per-step masks), so two runs with the same
@@ -350,7 +356,9 @@ def train(
     when checkpoint_dir is given they are saved there and the error names
     the file.
     """
-    X = _stack_segments(segments, config)
+    X = segments
+    if len(X.shape) != 2 or X.shape[1] != config.input_len:
+        raise DataError(f"expected (N, {config.input_len}) segment samples, got {X.shape}")
     if X.shape[0] < 2:
         raise DataError("training needs at least 2 segments")
     ss = np.random.SeedSequence(ssl_config.seed)
@@ -380,7 +388,7 @@ def train(
                 if cursor + batch_size > X.shape[0]:
                     order = order_rng.permutation(X.shape[0])
                     cursor = 0
-                batch = X[np.sort(order[cursor:cursor + batch_size])]
+                batch = np.asarray(X[np.sort(order[cursor:cursor + batch_size])], dtype=config.np_dtype)
                 cursor += batch_size
                 step_seed = int(mask_rng.integers(0, 2**63))
                 t0 = time.perf_counter()

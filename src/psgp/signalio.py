@@ -12,11 +12,14 @@ File layout (little-endian throughout)::
     subject id      bytes
     samples         n_samples * f32
 
-Reads and writes round-trip byte-for-byte.
+Reads and writes round-trip byte-for-byte. ``SignalRows`` reads windows of
+validated files straight from the samples, at the payload offset
+(the fixed header plus the subject id).
 """
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -163,3 +166,75 @@ def segment_recording(recording: Recording) -> np.ndarray:
     spw = samples_per_window(recording.sample_rate_hz)
     n_seg = recording.n_samples // spw if spw >= 1 else 0
     return recording.samples[:n_seg * spw].reshape(n_seg, spw)
+
+
+@dataclass(frozen=True)
+class SignalFile:
+    """Where the windows of one signal file lie: its path, its subject id,
+    the byte offset of its samples and the number of whole windows they hold."""
+
+    path: Path
+    subject_id: str
+    offset: int
+    n_windows: int
+
+    @classmethod
+    def of(cls, path: Path | str, recording: Recording, n_windows: int) -> "SignalFile":
+        """The first ``n_windows`` windows of the file ``read_signal_file(path)``
+        returned ``recording`` for."""
+        offset = _HEADER.size + len(recording.subject_id.encode("utf-8"))
+        return cls(Path(path), recording.subject_id, offset, n_windows)
+
+
+class SignalRows:
+    """The windows of a list of signal files as one (N, width) float32 row
+    space, read from the files on demand.
+
+    Row r is window ``window_indices[r]`` of subject ``subject_ids[r]``'s
+    file, the files in list order. Indexing by an int array or a slice reads
+    those rows into a fresh (k, width) float32 array. Each run of consecutive
+    windows of one file is one read, from a file opened for that read and
+    closed after it, so no descriptor stays open between reads and reads on
+    several threads share none; sorted indices give the longest runs. Every
+    read is checked: a short one raises TruncatedPayloadError and a
+    non-finite sample NonFiniteSamplesError, each naming the file, so a file
+    that changed after it was indexed fails the read that meets the change.
+    """
+
+    def __init__(self, files: Sequence[SignalFile], width: int) -> None:
+        self.files = tuple(files)
+        self.width = width
+        counts = np.array([f.n_windows for f in self.files], dtype=np.int64)
+        self._file = np.repeat(np.arange(len(counts)), counts)
+        self.window_indices = np.arange(len(self._file)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.subject_ids = np.array([f.subject_id for f in self.files], dtype=str)[self._file]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self), self.width)
+
+    def __len__(self) -> int:
+        return len(self._file)
+
+    def __getitem__(self, index) -> np.ndarray:
+        files, windows = self._file[index], self.window_indices[index]
+        out = np.empty((len(files), self.width), dtype="<f4")
+        # a run ends where the file changes or the next row is not the next window
+        ends = np.flatnonzero((files[1:] != files[:-1]) | (windows[1:] != windows[:-1] + 1)) + 1
+        bounds = [0, *ends.tolist(), len(files)] if len(files) else []
+        for start, stop in zip(bounds, bounds[1:]):
+            self._read(self.files[files[start]], int(windows[start]), out[start:stop])
+        return out.astype(np.float32, copy=False)
+
+    def _read(self, file: SignalFile, window: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the windows of ``file`` from ``window`` on."""
+        with file.path.open("rb") as fh:
+            fh.seek(file.offset + window * out[0].nbytes)
+            got = fh.readinto(memoryview(out).cast("B"))
+        if got != out.nbytes:
+            raise TruncatedPayloadError(
+                f"{file.path}: payload ends inside windows {window}-{window + len(out) - 1} "
+                f"({got} of {out.nbytes} bytes read)"
+            )
+        if not np.isfinite(out).all():
+            raise NonFiniteSamplesError(f"{file.path}: payload contains NaN or Inf")

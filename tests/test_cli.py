@@ -5,6 +5,7 @@ import io
 import random
 import re
 import struct
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -818,6 +819,11 @@ class TestFlagsNameTheirFields:
         assert getattr(RunConfig(), field) != want
 
 
+def _key_arrays(keys: list[tuple[str, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The subject-id and segment-index arrays ``_write_embeddings_csv`` takes."""
+    return np.array([k[0] for k in keys], dtype=str), np.array([k[1] for k in keys], dtype=np.int64)
+
+
 def oracle_read_embeddings(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """The table parse the streaming reader replaced: csv.reader and float() per cell."""
     with path.open(newline="", encoding="utf-8") as fh:
@@ -853,7 +859,7 @@ class TestEmbeddingsReader:
         flat[: min(flat.size, self.SPECIAL.size)] = self.SPECIAL[: flat.size]
         keys = [(f"S{i % 7:04d}", i) for i in range(n)]
         path = tmp_path / "embeddings.csv"
-        _write_embeddings_csv(path, keys, X, Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays(keys), X, Modality.RESP)
         ids, got = self.assert_matches_oracle(path)
         assert ids.tolist() == [k[0] for k in keys]
         assert got.tobytes() == X.tobytes()  # the writer's .9g round-trips float32
@@ -863,7 +869,7 @@ class TestEmbeddingsReader:
 
     def test_every_special_value_in_one_row(self, tmp_path):
         path = tmp_path / "embeddings.csv"
-        _write_embeddings_csv(path, [("S0001", 0)], self.SPECIAL[None, :], Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays([("S0001", 0)]), self.SPECIAL[None, :], Modality.RESP)
         _, X = self.assert_matches_oracle(path)
         assert np.signbit(X[0, 1]) and X[0, 2] > 0 and X[0, 6] == np.finfo(np.float32).max
 
@@ -876,7 +882,7 @@ class TestEmbeddingsReader:
         X = X.astype(dtype)
         keys = [(sid, 0), (sid, 1), ("S0002", 0), (sid, 2)]
         path = tmp_path / "embeddings.csv"
-        _write_embeddings_csv(path, keys, X, Modality.ECG)
+        _write_embeddings_csv(path, *_key_arrays(keys), X, Modality.ECG)
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(12)])
@@ -895,7 +901,7 @@ class TestEmbeddingsReader:
             keys = list(dict.fromkeys(keys))  # the same keys, each once, out of order
         n = len(keys)
         path = tmp_path / "embeddings.csv"
-        _write_embeddings_csv(path, keys, np.ones((n, 2), np.float32), Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays(keys), np.ones((n, 2), np.float32), Modality.RESP)
         first_line: dict[tuple[str, int], int] = {}
         for lineno, key in enumerate(keys, start=2):
             if key in first_line:
@@ -909,7 +915,7 @@ class TestEmbeddingsReader:
 
     def test_line_break_in_subject_id_is_refused(self, tmp_path):
         path = tmp_path / "embeddings.csv"
-        _write_embeddings_csv(path, [("S1", 0), ("a\nb", 1)], np.ones((2, 2), np.float32), Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays([("S1", 0), ("a\nb", 1)]), np.ones((2, 2), np.float32), Modality.RESP)
         with pytest.raises(FormatError, match="line 3"):
             _read_embeddings_csv(path, Modality.RESP)
 
@@ -917,7 +923,7 @@ class TestEmbeddingsReader:
     def test_bad_value_in_one_column_table(self, tmp_path, value):
         """d = 1: an empty value would be a blank line to loadtxt, not a row."""
         path = tmp_path / "embeddings.csv"
-        _write_embeddings_csv(path, [("S1", i) for i in range(4)], np.ones((4, 1), np.float32), Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays([("S1", i) for i in range(4)]), np.ones((4, 1), np.float32), Modality.RESP)
         path.write_text(path.read_text(encoding="utf-8").replace("S1,RESP,2,1", f"S1,RESP,2,{value}"))
         with pytest.raises(FormatError, match="line 4"):
             _read_embeddings_csv(path, Modality.RESP)
@@ -925,14 +931,14 @@ class TestEmbeddingsReader:
     def test_last_line_cut_inside_a_number_is_refused(self, tmp_path):
         path = tmp_path / "embeddings.csv"
         X = np.full((2, 2), 0.123456789, np.float32)
-        _write_embeddings_csv(path, [("S1", 0), ("S1", 1)], X, Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays([("S1", 0), ("S1", 1)]), X, Modality.RESP)
         path.write_bytes(path.read_bytes()[:-4])  # the cut cell still reads as a number
         with pytest.raises(FormatError, match="line 3"):
             _read_embeddings_csv(path, Modality.RESP)
 
     def test_header_only_table_is_empty(self, tmp_path):
         path = tmp_path / "embeddings.csv"
-        _write_embeddings_csv(path, [], np.empty((0, 4), np.float32), Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays([]), np.empty((0, 4), np.float32), Modality.RESP)
         ids, X = _read_embeddings_csv(path, Modality.RESP)
         assert ids.shape == (0,) and X.shape == (0, 4) and X.dtype == np.float32
 
@@ -943,7 +949,7 @@ class TestEmbeddingsReader:
         path = tmp_path / "embeddings.csv"
         n = 3000
         X = np.random.default_rng(3).standard_normal((n, 4)).astype(np.float32)
-        _write_embeddings_csv(path, [(f"S{i:05d}", i) for i in range(n)], X, Modality.RESP)
+        _write_embeddings_csv(path, *_key_arrays([(f"S{i:05d}", i) for i in range(n)]), X, Modality.RESP)
         lines = path.read_text(encoding="utf-8").split("\n")
         for lineno, (column, value) in ((400, first), (2600, second)):
             cells = lines[lineno - 1].split(",")
@@ -1502,3 +1508,45 @@ def test_paper_ini_trains_at_paper_width(tmp_path, capsys):
     assert b"\nembed_dim=256\n" in blob
     _, cfg = mdl.load_checkpoint(tmp_path / "models" / "RESP" / "checkpoint.psgm")
     assert (cfg.embed_dim, cfg.encoder_depth, cfg.decoder_depth) == (256, 4, 2)
+
+
+@pytest.fixture(scope="module")
+def cohorts_by_windows(tmp_path_factory):
+    """Two cohorts of 48 subjects that differ only in windows per subject
+    (6 and 24), each with a one-step d = 8 model trained on it."""
+    root = tmp_path_factory.mktemp("windows")
+    for windows in (6, 24):
+        data = root / f"cohort{windows}"
+        assert run_cli(
+            "synth", "--out", data, "--seed", 1, "--subjects", 48, "--segments", windows,
+            "--prevalence", "CVD=0.5",
+        ) == 0
+        assert run_cli(
+            "train", "--out", root / f"models{windows}", "--data", data, "--seed", 1,
+            "--steps", 1, "--embed-dim", 8,
+        ) == 0
+    return root
+
+
+@pytest.mark.parametrize("stage", ["train", "embed"])
+def test_stage_memory_does_not_grow_with_windows_per_subject(cohorts_by_windows, tmp_path, stage):
+    """``train`` holds one batch of windows and ``embed`` one encoder tile
+    (273 rows at d = 8, fewer than either cohort's EEG windows), so four
+    times the windows per subject add well under one EEG stack of the
+    smaller cohort: 4.3 MB for ``embed`` and about 3.5 MB for the training
+    split ``train`` reads. Stacking every window took the stack twice (the
+    blocks and their concatenation), 20-40 MB more here."""
+    peaks = {}
+    for windows in (6, 24):
+        args = ["--data", cohorts_by_windows / f"cohort{windows}", "--seed", 1, "--embed-dim", 8]
+        if stage == "train":
+            args += ["--steps", 1]
+        else:
+            args += ["--models", cohorts_by_windows / f"models{windows}"]
+        tracemalloc.start()
+        try:
+            assert run_cli(stage, "--out", tmp_path / f"out{windows}", *args) == 0
+            peaks[windows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[24] - peaks[6] < 1_000_000, peaks

@@ -1,5 +1,7 @@
-"""Signal file format and 30-second segmentation."""
+"""Signal file format, 30-second segmentation and the row source read from it."""
+import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from psgp.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
+from psgp import cli
 from psgp.signalio import (
     FORMAT_VERSION,
     MAGIC,
     Modality,
     Recording,
+    SignalFile,
+    SignalRows,
     read_signal_file,
     round_half_up,
     samples_per_window,
@@ -226,3 +231,117 @@ class TestSegmentation:
         assert segs.shape == (1, 3750)
         assert segs.dtype == np.float32
         assert np.shares_memory(segs, rec.samples)  # a view, not a copy
+
+
+class TestSignalRows:
+    """Windows read from the files at the payload offset equal the segments
+    of the parsed recordings, and a file changed after indexing fails the
+    read that meets the change."""
+
+    SIDS = ("S0", "пациент-1", "S2")  # a multi-byte id moves the payload offset
+
+    def _index(self, tmp_path, lengths):
+        files, recs = [], []
+        for seed, (sid, n) in enumerate(zip(self.SIDS, lengths)):
+            rec = _recording(n=n, rate=10.0, modality=Modality.RESP, sid=sid, seed=seed)
+            path = tmp_path / f"{seed}.psgs"
+            write_signal_file(rec, path)
+            back = read_signal_file(path)
+            files.append(SignalFile.of(path, back, len(segment_recording(back))))
+            recs.append(rec)
+        return SignalRows(files, 300), recs
+
+    def test_rows_equal_the_segments(self, tmp_path):
+        rows, recs = self._index(tmp_path, [3 * 300 + 7, 2 * 300, 300])
+        want = np.concatenate([segment_recording(r) for r in recs])
+        assert rows.shape == want.shape == (6, 300) and len(rows) == 6
+        assert rows.subject_ids.tolist() == ["S0"] * 3 + ["пациент-1"] * 2 + ["S2"]
+        assert rows.window_indices.tolist() == [0, 1, 2, 0, 1, 0]
+        for index in (slice(None), slice(1, 5), slice(4, 99), np.array([0, 2, 3, 5]), np.array([4])):
+            got = rows[index]
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert got.tobytes() == want[index].tobytes()
+        assert rows[np.array([], dtype=np.int64)].shape == (0, 300)
+        assert rows[5:5].shape == (0, 300)
+
+    def test_short_recording_adds_no_rows(self, tmp_path):
+        rows, recs = self._index(tmp_path, [2 * 300, 299, 300 + 5])
+        assert len(rows) == 3
+        assert rows.subject_ids.tolist() == ["S0", "S0", "S2"]
+        assert rows[:].tobytes() == np.concatenate([segment_recording(recs[0]), segment_recording(recs[2])]).tobytes()
+
+    def test_one_read_per_run_of_windows(self, tmp_path, monkeypatch):
+        rows, _ = self._index(tmp_path, [3 * 300, 2 * 300, 300])
+        reads = []
+        real = SignalRows._read
+
+        def counting(self, file, window, out):
+            reads.append((file.subject_id, window, len(out)))
+            real(self, file, window, out)
+
+        monkeypatch.setattr(SignalRows, "_read", counting)
+        rows[:]
+        assert reads == [("S0", 0, 3), ("пациент-1", 0, 2), ("S2", 0, 1)]
+        reads.clear()
+        rows[np.array([0, 2, 3, 4])]
+        assert reads == [("S0", 0, 1), ("S0", 2, 1), ("пациент-1", 0, 2)]
+
+    def test_file_truncated_after_indexing(self, tmp_path):
+        rows, recs = self._index(tmp_path, [3 * 300])
+        path = rows.files[0].path
+        path.write_bytes(path.read_bytes()[:-5])
+        assert rows[0:2].tobytes() == segment_recording(recs[0])[:2].tobytes()
+        with pytest.raises(TruncatedPayloadError, match=re.escape(str(path))):
+            rows[np.array([0, 2])]
+
+    def test_nan_written_after_indexing(self, tmp_path):
+        rows, _ = self._index(tmp_path, [3 * 300])
+        path = rows.files[0].path
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, rows.files[0].offset + (300 + 7) * 4, np.nan)
+        path.write_bytes(bytes(blob))
+        rows[np.array([0, 2])]
+        with pytest.raises(NonFiniteSamplesError, match=re.escape(str(path))):
+            rows[1:2]
+
+
+def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """ECG at d = 32 embeds in encoder tiles of 68 rows, so 144 segments run
+    three tiles on the ``--threads 2`` pool. A signal file cut short after
+    ``embed`` checked it fails the read of the last tile on a worker thread:
+    exit 3 and one ``error:`` line, with no traceback."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nmodalities = ECG\n"
+        "[model]\nembed_dim = 32\nencoder_depth = 1\ndecoder_depth = 1\nn_heads = 2\n"
+        "[ssl]\nsteps = 1\nbatch_size = 4\nn_permutations = 2\n",
+        encoding="utf-8",
+    )
+    data, models = tmp_path / "cohort", tmp_path / "models"
+    common = ["--config", str(ini), "--seed", "3"]
+    assert cli.main(["synth", "--out", str(data), *common, "--subjects", "8", "--segments", "18"]) == 0
+    assert cli.main(["train", "--out", str(models), *common, "--data", str(data)]) == 0
+    last = sorted((data / "signals").glob("*_ECG.psgs"))[-1]
+    failed_on = []
+    real_embed, real_read = cli.embed_segments, SignalRows._read
+
+    def embed_after_cut(X, *args, **kwargs):
+        last.write_bytes(last.read_bytes()[:-4])
+        return real_embed(X, *args, **kwargs)
+
+    def read(self, file, window, out):
+        try:
+            real_read(self, file, window, out)
+        except TruncatedPayloadError:
+            failed_on.append(threading.current_thread() is threading.main_thread())
+            raise
+
+    monkeypatch.setattr(cli, "embed_segments", embed_after_cut)
+    monkeypatch.setattr(SignalRows, "_read", read)
+    capsys.readouterr()
+    rc = cli.main(["embed", "--out", str(tmp_path / "emb"), *common, "--data", str(data),
+                   "--models", str(models), "--threads", "2"])
+    err = capsys.readouterr().err
+    assert failed_on == [False]
+    assert rc == 3 and "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("error: TruncatedPayloadError: ") and str(last) in err
