@@ -45,6 +45,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -52,29 +53,35 @@ import numpy as np
 
 from .errors import NumericError
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Whether ops record the tape, per thread: on until ``no_grad``."""
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class no_grad:
-    """Context manager that suspends tape recording (inference mode)."""
+    """Context manager that suspends tape recording (inference mode) on the
+    thread that enters it; other threads keep their own mode."""
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._saved = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._saved = _GRAD.enabled
+        _GRAD.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._saved
+        _GRAD.enabled = self._saved
         return False
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD.enabled
 
 
 class OpenBlasThreads(NamedTuple):
@@ -148,7 +155,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
-        self.node = _Node() if requires_grad and _GRAD_ENABLED else None
+        self.node = _Node() if requires_grad and _GRAD.enabled else None
 
     @property
     def requires_grad(self) -> bool:
@@ -206,7 +213,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op's output, recording it when grads are on and a parent
     needs one. ``vjp`` must hold no Tensor, only what its formula reads."""
     out = Tensor(data)
-    if _GRAD_ENABLED:
+    if _GRAD.enabled:
         nodes = tuple(p.node for p in parents)
         if any(n is not None for n in nodes):
             out.node = _Node(nodes, vjp)
@@ -570,7 +577,7 @@ def gelu(a: Tensor) -> Tensor:
     is safe because ``backward`` runs each node's VJP once.
     """
     x = a.data
-    record = _GRAD_ENABLED and a.requires_grad
+    record = _GRAD.enabled and a.requires_grad
     if x.dtype == np.float32:
         data, phi = _gelu_f32(x, keep_phi=record)
     else:

@@ -29,14 +29,8 @@ from .errors import (
 from .model import embed_segments, load_checkpoint, save_checkpoint
 from .pretrain import train
 from .report import build_report_card, render_report_card, report_card_csv
-from .signalio import (
-    Modality,
-    SignalFile,
-    SignalRows,
-    read_signal_file,
-    samples_per_window,
-    segment_recording,
-)
+from .signalio import Modality, SignalFile, SignalRows, samples_per_window
+from .signalio import read_signal_file, segment_recording  # unused here: perfbench/spans.py wraps them by name
 from .stats import evaluate_grid, odds_ratio_report, save_or_report
 from .synth import generate_cohort
 from .tables import is_count, table_text, terminated_lines
@@ -100,10 +94,11 @@ def _load_modality_segments(
 ) -> SignalRows:
     """Every window of the given subjects' signal files, as rows read on demand.
 
-    Each file is read and checked in full first, in sorted subject order
-    (subject id, modality, window length, and everything `read_signal_file`
-    checks); only its path, payload offset and window count are kept, so
-    memory does not grow with the cohort. Row order is subject order, then
+    Each file is checked first, in sorted subject order, by
+    `SignalFile.index` (one pass over the file in fixed blocks) and against
+    the subject id, modality and window length asked for; only its header
+    values and payload offset are kept, so memory does not grow with the
+    cohort or the length of a night. Row order is subject order, then
     window order.
     """
     files: list[SignalFile] = []
@@ -111,17 +106,17 @@ def _load_modality_segments(
         path = data / "signals" / f"{sid}_{modality.name}.psgs"
         if not path.exists():
             continue
-        rec = read_signal_file(path)
-        if rec.subject_id != sid:
-            raise DataError(f"{path}: file claims subject {rec.subject_id!r}, expected {sid!r}")
-        if rec.modality is not modality:
-            raise DataError(f"{path}: file claims modality {rec.modality.name}, expected {modality.name}")
-        spw = samples_per_window(rec.sample_rate_hz)
+        file = SignalFile.index(path)
+        if file.subject_id != sid:
+            raise DataError(f"{path}: file claims subject {file.subject_id!r}, expected {sid!r}")
+        if file.modality is not modality:
+            raise DataError(f"{path}: file claims modality {file.modality.name}, expected {modality.name}")
+        spw = samples_per_window(file.sample_rate_hz)
         if spw != input_len:
             raise DataError(
                 f"{path}: window of {spw} samples does not match the model input length {input_len}"
             )
-        files.append(SignalFile.of(path, rec, len(segment_recording(rec))))
+        files.append(file)
     rows = SignalRows(files, input_len)
     if not len(rows):
         raise DataError(f"no {modality.name} segments found under {data / 'signals'}")

@@ -287,9 +287,9 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
     the same rows may move low bits: some GEMMs round differently with their
     row count (seen at d = 8 in the stem's (rows, 40) @ (40, 8) GEMM and in
     attention's softmax sum over more than 16,800 columns).
-    Tape recording and the BLAS pin are switched once, on the calling
-    thread, around all tiles: both are process-wide, so worker threads must
-    not enter or leave them themselves.
+    Each tile runs under ``no_grad``, which holds for its own thread alone.
+    The BLAS pin is process-wide, so it is set once, on the calling thread,
+    around all tiles: worker threads must not set or restore it themselves.
     """
     if len(X.shape) != 2 or X.shape[1] != config.input_len:
         raise DataError(f"expected (N, {config.input_len}) samples, got {X.shape}")
@@ -299,14 +299,15 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
 
     def embed_tile(start: int) -> None:
         rows = np.asarray(X[start:start + tile], dtype=config.np_dtype)
-        patches = np.concatenate([
-            stem_forward(Tensor(rows[s:s + stem_tile]), tp, config).data
-            for s in range(0, rows.shape[0], stem_tile)
-        ])
-        out[start:start + rows.shape[0]] = pool_rows(encode_t(Tensor(patches), tp, config)).data
+        with no_grad():
+            patches = np.concatenate([
+                stem_forward(Tensor(rows[s:s + stem_tile]), tp, config).data
+                for s in range(0, rows.shape[0], stem_tile)
+            ])
+            out[start:start + rows.shape[0]] = pool_rows(encode_t(Tensor(patches), tp, config)).data
 
     starts = range(0, X.shape[0], tile)
-    with no_grad(), ad.single_blas_thread():
+    with ad.single_blas_thread():
         if threads > 1 and len(starts) > 1:
             with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
                 list(pool.map(embed_tile, starts))

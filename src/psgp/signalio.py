@@ -12,12 +12,14 @@ File layout (little-endian throughout)::
     subject id      bytes
     samples         n_samples * f32
 
-Reads and writes round-trip byte-for-byte. ``SignalRows`` reads windows of
-validated files straight from the samples, at the payload offset
-(the fixed header plus the subject id).
+Reads and writes round-trip byte-for-byte. ``SignalFile.index`` checks a
+file in one pass that reads its samples in fixed blocks into one buffer.
+Every read of samples (that pass, ``read_signal_file``, ``SignalRows``) is
+one ``SignalFile.read_at``, which checks what it read.
 """
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ FORMAT_VERSION = 1
 WINDOW_SECONDS = 30.0
 
 _HEADER = struct.Struct("<4sIB3xdQH")
+_BLOCK_SAMPLES = 1 << 18  # 1 MiB of float32 per read of the index pass
 
 
 def round_half_up(x: float) -> int:
@@ -55,13 +58,6 @@ class Modality(Enum):
     @property
     def nominal_rate_hz(self) -> float:
         return 10.0 if self is Modality.RESP else 125.0
-
-    @classmethod
-    def from_tag(cls, tag: int) -> "Modality":
-        try:
-            return cls(tag)
-        except ValueError:
-            raise FormatError(f"unknown modality tag {tag}") from None
 
     @classmethod
     def parse(cls, name: str) -> "Modality":
@@ -121,37 +117,10 @@ def write_signal_file(recording: Recording, path: Path | str) -> None:
 
 def read_signal_file(path: Path | str) -> Recording:
     """Parse a signal file, raising a distinct error per malformation."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than the fixed header")
-    magic, version, tag, rate, n_samples, id_len = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: unsupported version {version}")
-    modality = Modality.from_tag(tag)
-    if not (np.isfinite(rate) and rate > 0):
-        raise FormatError(f"{path}: invalid sample rate {rate}")
-    off = _HEADER.size
-    if len(blob) < off + id_len:
-        raise TruncatedPayloadError(f"{path}: truncated subject id")
-    try:
-        subject_id = blob[off:off + id_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: subject id is not valid UTF-8") from exc
-    off += id_len
-    expected = n_samples * 4
-    got = len(blob) - off
-    if got < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {got} bytes, header promises {expected}"
-        )
-    if got > expected:
-        raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
-    samples = np.frombuffer(blob, dtype="<f4", count=n_samples, offset=off).copy()
-    if not np.isfinite(samples).all():
-        raise NonFiniteSamplesError(f"{path}: payload contains NaN or Inf")
-    return Recording(subject_id, modality, rate, samples)
+    file = SignalFile.index(path)
+    samples = np.empty(file.n_samples, dtype="<f4")
+    file.read_at(0, samples)
+    return Recording(file.subject_id, file.modality, file.sample_rate_hz, samples)
 
 
 def segment_recording(recording: Recording) -> np.ndarray:
@@ -170,20 +139,75 @@ def segment_recording(recording: Recording) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignalFile:
-    """Where the windows of one signal file lie: its path, its subject id,
-    the byte offset of its samples and the number of whole windows they hold."""
+    """A checked signal file's header values, and the byte offset of its samples."""
 
     path: Path
     subject_id: str
+    modality: Modality
+    sample_rate_hz: float
+    n_samples: int
     offset: int
-    n_windows: int
+
+    @property
+    def n_windows(self) -> int:
+        spw = samples_per_window(self.sample_rate_hz)
+        return self.n_samples // spw if spw >= 1 else 0
 
     @classmethod
-    def of(cls, path: Path | str, recording: Recording, n_windows: int) -> "SignalFile":
-        """The first ``n_windows`` windows of the file ``read_signal_file(path)``
-        returned ``recording`` for."""
-        offset = _HEADER.size + len(recording.subject_id.encode("utf-8"))
-        return cls(Path(path), recording.subject_id, offset, n_windows)
+    def index(cls, path: Path | str) -> "SignalFile":
+        """Check a signal file, raising a distinct error per malformation,
+        with memory bounded by one block of samples, not by the file."""
+        path = Path(path)
+        with path.open("rb") as fh:
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise TruncatedPayloadError(f"{path}: file shorter than the fixed header")
+            magic, version, tag, rate, n_samples, id_len = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise BadMagicError(f"{path}: bad magic {magic!r}")
+            if version != FORMAT_VERSION:
+                raise VersionMismatchError(f"{path}: unsupported version {version}")
+            try:
+                modality = Modality(tag)
+            except ValueError:
+                raise FormatError(f"{path}: unknown modality tag {tag}") from None
+            if not (np.isfinite(rate) and rate > 0):
+                raise FormatError(f"{path}: invalid sample rate {rate}")
+            sid = fh.read(id_len)
+            if len(sid) < id_len:
+                raise TruncatedPayloadError(f"{path}: truncated subject id")
+            try:
+                subject_id = sid.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: subject id is not valid UTF-8") from exc
+            offset = _HEADER.size + id_len
+            got = fh.seek(0, os.SEEK_END) - offset
+        expected = n_samples * 4
+        if got < expected:
+            raise TruncatedPayloadError(f"{path}: payload holds {got} bytes, header promises {expected}")
+        if got > expected:
+            raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
+        file = cls(path, subject_id, modality, rate, n_samples, offset)
+        block = np.empty(min(n_samples, _BLOCK_SAMPLES), dtype="<f4")
+        for start in range(0, n_samples, _BLOCK_SAMPLES):
+            file.read_at(start, block[:n_samples - start])
+        return file
+
+    def read_at(self, sample: int, out: np.ndarray) -> None:
+        """Fill the contiguous float32 array ``out`` with the samples from
+        ``sample`` on, from the file opened for this read and closed after
+        it. A short read raises TruncatedPayloadError and a non-finite
+        sample NonFiniteSamplesError, each naming the file."""
+        with self.path.open("rb") as fh:
+            fh.seek(self.offset + sample * 4)
+            got = fh.readinto(memoryview(out).cast("B"))
+        if got != out.nbytes:
+            raise TruncatedPayloadError(
+                f"{self.path}: payload ends inside samples {sample}-{sample + out.size - 1} "
+                f"({got} of {out.nbytes} bytes read)"
+            )
+        if not np.isfinite(out).all():
+            raise NonFiniteSamplesError(f"{self.path}: payload contains NaN or Inf")
 
 
 class SignalRows:
@@ -193,12 +217,10 @@ class SignalRows:
     Row r is window ``window_indices[r]`` of subject ``subject_ids[r]``'s
     file, the files in list order. Indexing by an int array or a slice reads
     those rows into a fresh (k, width) float32 array. Each run of consecutive
-    windows of one file is one read, from a file opened for that read and
-    closed after it, so no descriptor stays open between reads and reads on
-    several threads share none; sorted indices give the longest runs. Every
-    read is checked: a short one raises TruncatedPayloadError and a
-    non-finite sample NonFiniteSamplesError, each naming the file, so a file
-    that changed after it was indexed fails the read that meets the change.
+    windows of one file is one ``SignalFile.read_at``, so no descriptor stays
+    open between reads, reads on several threads share none, and a file that
+    changed after it was indexed fails the read that meets the change;
+    sorted indices give the longest runs.
     """
 
     def __init__(self, files: Sequence[SignalFile], width: int) -> None:
@@ -223,18 +245,5 @@ class SignalRows:
         ends = np.flatnonzero((files[1:] != files[:-1]) | (windows[1:] != windows[:-1] + 1)) + 1
         bounds = [0, *ends.tolist(), len(files)] if len(files) else []
         for start, stop in zip(bounds, bounds[1:]):
-            self._read(self.files[files[start]], int(windows[start]), out[start:stop])
+            self.files[files[start]].read_at(int(windows[start]) * self.width, out[start:stop])
         return out.astype(np.float32, copy=False)
-
-    def _read(self, file: SignalFile, window: int, out: np.ndarray) -> None:
-        """Fill ``out`` with the windows of ``file`` from ``window`` on."""
-        with file.path.open("rb") as fh:
-            fh.seek(file.offset + window * out[0].nbytes)
-            got = fh.readinto(memoryview(out).cast("B"))
-        if got != out.nbytes:
-            raise TruncatedPayloadError(
-                f"{file.path}: payload ends inside windows {window}-{window + len(out) - 1} "
-                f"({got} of {out.nbytes} bytes read)"
-            )
-        if not np.isfinite(out).all():
-            raise NonFiniteSamplesError(f"{file.path}: payload contains NaN or Inf")

@@ -3,6 +3,7 @@ finite differences in float64, plus closed-form spot checks; the float64
 erf/erfc kernel is checked against ``math.erf``/``math.erfc``, and the
 float32 GELU kernel against the float64 scipy oracle."""
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -562,6 +563,26 @@ class TestTapeMechanics:
         assert y.node is None
         ad.backward(ad.tsum(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2.0 * np.ones(3))
+
+    def test_no_grad_holds_for_its_own_thread(self):
+        """One thread inside ``no_grad`` leaves another thread recording."""
+        inside, done = threading.Event(), threading.Event()
+
+        def inference():
+            with ad.no_grad():
+                inside.set()
+                done.wait(10)
+
+        worker = threading.Thread(target=inference)
+        worker.start()
+        try:
+            assert inside.wait(10)
+            x = Tensor(np.ones(3), requires_grad=True)
+            assert ad.grad_enabled() and ad.mul(x, x).node is not None
+        finally:
+            done.set()
+            worker.join()
+        assert ad.grad_enabled()
 
     def test_detach_cuts_graph(self):
         x = Tensor(np.ones(4) * 3.0, requires_grad=True)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (all in-process)."""
 import argparse
 import csv
+import hashlib
 import io
 import random
 import re
@@ -18,7 +19,7 @@ from psgp.cli import _read_embeddings_csv, _resolve_config, _write_embeddings_cs
 from psgp.cohort import load_manifest, split_cohort
 from psgp.config import RunConfig
 from psgp.errors import DataError, FormatError
-from psgp.signalio import Modality
+from psgp.signalio import FORMAT_VERSION, Modality
 from psgp.vectors import SubjectScore, save_scores
 
 
@@ -1039,6 +1040,72 @@ class TestTableFuzz:
         assert not path.exists()
 
 
+# each corruption of a signal file, and the error classes it may raise
+SIGNAL_MUTATIONS = {
+    "magic": ("BadMagicError",),
+    "version": ("VersionMismatchError",),
+    "tag": ("FormatError",),
+    "rate": ("FormatError",),
+    "id_length": ("TruncatedPayloadError", "FormatError"),  # +1 takes a payload byte, which may not be UTF-8
+    "cut_header": ("TruncatedPayloadError",),
+    "cut_payload": ("TruncatedPayloadError",),
+    "trailing": ("FormatError",),
+    "nan": ("NonFiniteSamplesError",),
+}
+
+
+def _mutate_signal(blob: bytes, kind: str, rng: random.Random) -> bytes:
+    """One corruption of a signal file (the layout in ``psgp.signalio``)."""
+    b = bytearray(blob)
+    (id_len,) = struct.unpack_from("<H", b, 28)
+    payload = 30 + id_len
+    if kind == "magic":
+        b[rng.randrange(4)] ^= 1 << rng.randrange(8)
+    elif kind == "version":
+        struct.pack_into("<I", b, 4, FORMAT_VERSION + 1)
+    elif kind == "tag":
+        b[8] = rng.randrange(len(Modality), 256)
+    elif kind == "rate":
+        struct.pack_into("<d", b, 12, rng.choice([-1.0, float("nan")]))
+    elif kind == "id_length":
+        struct.pack_into("<H", b, 28, id_len + rng.choice([-1, 1]))
+    elif kind == "cut_header":
+        del b[rng.randrange(payload):]
+    elif kind == "cut_payload":
+        del b[rng.randrange(payload, len(b)):]
+    elif kind == "trailing":
+        b += bytes(rng.randrange(1, 8))
+    else:
+        struct.pack_into("<f", b, payload + 4 * rng.randrange((len(b) - payload) // 4), float("nan"))
+    return bytes(b)
+
+
+class TestSignalFileFuzz:
+    """Seeded corruptions of one training subject's signal file: ``train``
+    and ``embed`` exit 3 with one ``error:`` line that starts with the file,
+    and write nothing for the modality."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", SIGNAL_MUTATIONS)
+    def test_train_and_embed(self, chain, tmp_path, capsys, kind, seed):
+        rng = random.Random(seed)
+        data = tmp_path / "data"
+        (data / "signals").mkdir(parents=True)
+        (data / "manifest.csv").write_bytes((chain["data"] / "manifest.csv").read_bytes())
+        for src in (chain["data"] / "signals").glob("*_RESP.psgs"):
+            (data / "signals" / src.name).write_bytes(src.read_bytes())
+        train_ids = split_cohort(load_manifest(data / "manifest.csv"), RunConfig().split_ratio, 5).train_ids
+        bad = data / "signals" / f"{rng.choice(sorted(train_ids))}_RESP.psgs"
+        bad.write_bytes(_mutate_signal(bad.read_bytes(), kind, rng))
+        common = ("--config", chain["ini"], "--data", data, "--seed", 5)
+        for command, extra in (("train", ("--steps", 1)), ("embed", ("--models", chain["models"]))):
+            rc = run_cli(command, "--out", tmp_path / command, *common, *extra)
+            err = capsys.readouterr().err
+            assert rc == 3 and "Traceback" not in err and err.count("\n") == 1, err
+            assert re.match(rf"error: ({'|'.join(SIGNAL_MUTATIONS[kind])}): {re.escape(str(bad))}: ", err), err
+            assert not (tmp_path / command / "RESP").exists()
+
+
 def _mutate_manifest(text: str, kind: str, rng: random.Random) -> tuple[str, int]:
     """One single-line corruption of a manifest; returns it and its line number."""
     lines = text.split("\n")[:-1]
@@ -1550,3 +1617,46 @@ def test_stage_memory_does_not_grow_with_windows_per_subject(cohorts_by_windows,
         finally:
             tracemalloc.stop()
     assert peaks[24] - peaks[6] < 1_000_000, peaks
+
+
+def chain_digest(root: Path) -> dict[str, str]:
+    """sha256 of every file under ``root`` by relative path, without the
+    wall-clock column of each ``train.log`` and the ``threads`` line of each
+    configuration snapshot."""
+    digest = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        blob = path.read_bytes()
+        if path.name == "train.log":
+            blob = b"".join(line.rpartition(b",")[0] + b"\n" for line in blob.splitlines())
+        elif path.name.startswith("resolved_config_"):
+            blob = b"".join(line for line in blob.splitlines(True) if not line.startswith(b"threads = "))
+        digest[str(path.relative_to(root))] = hashlib.sha256(blob).hexdigest()
+    return digest
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_chain_bytes_do_not_depend_on_threads(tmp_path, precision):
+    """The whole chain, synth to report, at 24 x 3 and d = 32: 72 windows
+    per modality make two or three encoder tiles, so ``embed``'s pool runs
+    at ``--threads 2``. Every output file has the bytes of ``--threads 1``."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[model]\nprecision = {precision}\n", encoding="utf-8")
+    digests = []
+    for threads in (1, 2):
+        base = tmp_path / f"threads{threads}"
+        data, scores = base / "synth", base / "score" / "scores.csv"
+        plan = [
+            ("synth", "--subjects", 24, "--segments", 3, "--prevalence", "CVD=0.4", "--effect", "CVD:ECG=3.0"),
+            ("train", "--data", data, "--steps", 3, "--batch-size", 4, "--permutations", 2),
+            ("embed", "--data", data, "--models", base / "train"),
+            ("vectors", "--data", data, "--embeddings", base / "embed"),
+            ("score", "--data", data, "--embeddings", base / "embed", "--vectors", base / "vectors" / "vectors"),
+            ("fit", "--data", data, "--scores", scores),
+            ("eval", "--data", data, "--scores", scores),
+            ("report", "--data", data, "--scores", scores, "--subject", "S0001", "--modality", "ECG"),
+        ]
+        for stage, *args in plan:
+            assert run_cli(stage, "--out", base / stage, "--config", ini, "--seed", 3, "--threads", threads, *args) == 0
+        digests.append(chain_digest(base))
+    assert len(digests[0]) > 90
+    assert digests[1] == digests[0]

@@ -294,8 +294,9 @@ class TestPooling:
             assert embed_segments(X, params, cfg, threads=threads).tobytes() == reference
 
     def test_embed_segments_pool_leaves_grad_enabled(self):
-        """``no_grad`` is one process-wide flag: workers that entered and left
-        it themselves could leave tape recording off once the call returns."""
+        """Each encoder tile enters ``no_grad`` on its own thread, and grad
+        mode is per thread, so the calling thread still records after the
+        pool's workers entered and left it, at any interleaving."""
         import sys
 
         from psgp import autodiff as ad

@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from psgp import model as mdl
 from psgp import pretrain
-from psgp.autodiff import Tensor, backward, no_grad
+from psgp.autodiff import Tensor, backward, no_grad, single_blas_thread
 from psgp.errors import (
     ConfigError,
     DataError,
@@ -625,6 +626,30 @@ class TestTrain:
         cfg = tiny_config()
         with pytest.raises(DataError):
             train(self._segments(n=1), cfg, tiny_ssl())
+
+
+def test_two_threads_train_at_once_with_serial_bytes():
+    """Grad mode is per thread: ECG and RESP encoders trained on two threads
+    at once, switching often, each get the parameter bytes of a serial run.
+    The BLAS pin is process-wide, so it is taken once, around both."""
+    ssl = tiny_ssl(steps=3, batch_size=4)
+    runs = {}
+    for modality in (Modality.ECG, Modality.RESP):
+        cfg = mdl.default_model_config(
+            modality, embed_dim=16, encoder_depth=1, decoder_depth=1, n_heads=2, ffn_mult=4, precision="f32"
+        )
+        runs[modality] = (np.random.default_rng(modality.value).standard_normal((12, cfg.input_len)), cfg)
+    serial = {m: train(X, cfg, ssl)[0] for m, (X, cfg) in runs.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with single_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {m: pool.submit(train, X, cfg, ssl) for m, (X, cfg) in runs.items()}
+            threaded = {m: f.result()[0] for m, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for m, params in serial.items():
+        assert {k: v.tobytes() for k, v in threaded[m].items()} == {k: v.tobytes() for k, v in params.items()}
 
 
 FAULT_PROBE = """

@@ -14,7 +14,7 @@ from psgp.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from psgp import cli
+from psgp import cli, signalio
 from psgp.signalio import (
     FORMAT_VERSION,
     MAGIC,
@@ -72,10 +72,6 @@ class TestModality:
     def test_parse_rejects_unknown(self):
         with pytest.raises(DataError):
             Modality.parse("EMG")
-
-    def test_from_tag_rejects_unknown(self):
-        with pytest.raises(FormatError):
-            Modality.from_tag(9)
 
 
 class TestSamplesPerWindow:
@@ -196,6 +192,14 @@ class TestMalformedFiles:
         with pytest.raises(NonFiniteSamplesError):
             read_signal_file(p)
 
+    def test_unknown_modality_tag(self, tmp_path):
+        blob = bytearray(self._valid_bytes(tmp_path))
+        blob[8] = 9
+        p = tmp_path / "x.psgs"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: unknown modality tag 9")):
+            read_signal_file(p)
+
     def test_invalid_rate_in_header(self, tmp_path):
         rec = _recording(n=5)
         path = tmp_path / "ok.psgs"
@@ -246,8 +250,7 @@ class TestSignalRows:
             rec = _recording(n=n, rate=10.0, modality=Modality.RESP, sid=sid, seed=seed)
             path = tmp_path / f"{seed}.psgs"
             write_signal_file(rec, path)
-            back = read_signal_file(path)
-            files.append(SignalFile.of(path, back, len(segment_recording(back))))
+            files.append(SignalFile.index(path))
             recs.append(rec)
         return SignalRows(files, 300), recs
 
@@ -273,13 +276,13 @@ class TestSignalRows:
     def test_one_read_per_run_of_windows(self, tmp_path, monkeypatch):
         rows, _ = self._index(tmp_path, [3 * 300, 2 * 300, 300])
         reads = []
-        real = SignalRows._read
+        real = SignalFile.read_at
 
-        def counting(self, file, window, out):
-            reads.append((file.subject_id, window, len(out)))
-            real(self, file, window, out)
+        def counting(self, sample, out):
+            reads.append((self.subject_id, sample // 300, len(out)))
+            real(self, sample, out)
 
-        monkeypatch.setattr(SignalRows, "_read", counting)
+        monkeypatch.setattr(SignalFile, "read_at", counting)
         rows[:]
         assert reads == [("S0", 0, 3), ("пациент-1", 0, 2), ("S2", 0, 1)]
         reads.clear()
@@ -305,6 +308,28 @@ class TestSignalRows:
             rows[1:2]
 
 
+def test_every_sample_read_is_one_checked_read(tmp_path, monkeypatch):
+    """The index pass reads the payload in blocks of ``_BLOCK_SAMPLES`` and
+    ``read_signal_file`` adds one read of all of it, each a ``read_at``."""
+    block = signalio._BLOCK_SAMPLES
+    rec = _recording(n=2 * block + 7)
+    path = tmp_path / "long.psgs"
+    write_signal_file(rec, path)
+    reads = []
+    real = SignalFile.read_at
+
+    def counting(self, sample, out):
+        reads.append((sample, out.size))
+        real(self, sample, out)
+
+    monkeypatch.setattr(SignalFile, "read_at", counting)
+    assert SignalFile.index(path).n_samples == rec.n_samples
+    assert reads == [(0, block), (block, block), (2 * block, 7)]
+    reads.clear()
+    assert read_signal_file(path).samples.tobytes() == rec.samples.tobytes()
+    assert reads == [(0, block), (block, block), (2 * block, 7), (0, rec.n_samples)]
+
+
 def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
     """ECG at d = 32 embeds in encoder tiles of 68 rows, so 144 segments run
     three tiles on the ``--threads 2`` pool. A signal file cut short after
@@ -323,21 +348,21 @@ def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, mon
     assert cli.main(["train", "--out", str(models), *common, "--data", str(data)]) == 0
     last = sorted((data / "signals").glob("*_ECG.psgs"))[-1]
     failed_on = []
-    real_embed, real_read = cli.embed_segments, SignalRows._read
+    real_embed, real_read = cli.embed_segments, SignalFile.read_at
 
     def embed_after_cut(X, *args, **kwargs):
         last.write_bytes(last.read_bytes()[:-4])
         return real_embed(X, *args, **kwargs)
 
-    def read(self, file, window, out):
+    def read(self, sample, out):
         try:
-            real_read(self, file, window, out)
+            real_read(self, sample, out)
         except TruncatedPayloadError:
             failed_on.append(threading.current_thread() is threading.main_thread())
             raise
 
     monkeypatch.setattr(cli, "embed_segments", embed_after_cut)
-    monkeypatch.setattr(SignalRows, "_read", read)
+    monkeypatch.setattr(SignalFile, "read_at", read)
     capsys.readouterr()
     rc = cli.main(["embed", "--out", str(tmp_path / "emb"), *common, "--data", str(data),
                    "--models", str(models), "--threads", "2"])
