@@ -136,9 +136,12 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
     stages = stage_configs(cfg)
-    for modality in cfg.modalities:
+    inputs = {  # every modality's files are checked before any training
+        m: _load_modality_segments(data, m, split.train_ids, stages.models[m].input_len)
+        for m in cfg.modalities
+    }
+    for modality, X in inputs.items():
         mcfg = stages.models[modality]
-        X = _load_modality_segments(data, modality, split.train_ids, mcfg.input_len)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
         params, _ = train(
@@ -282,10 +285,13 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     models = _require(Path(args.models), "models directory")
     out = _out_dir(args)
+    inputs = {}  # every modality's checkpoint and files are checked before any is embedded
     for modality, expect in stage_configs(cfg).models.items():
         ckpt_path = _require(models / modality.name / "checkpoint.psgm", "checkpoint")
         params, mcfg = load_checkpoint(ckpt_path, expect_config=expect)
         X = _load_modality_segments(data, modality, manifest.subject_ids, mcfg.input_len)
+        inputs[modality] = params, mcfg, X
+    for modality, (params, mcfg, X) in inputs.items():
         vecs = embed_segments(X, params, mcfg, threads=cfg.threads)
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
@@ -304,40 +310,28 @@ def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     tables = _embedding_tables(args, cfg)
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
-    vec_dir = out / "vectors"
-    vec_dir.mkdir(parents=True, exist_ok=True)
-    for outcome in _outcomes_for(cfg, manifest):
-        for modality in cfg.modalities:
-            vector = derive_vectors(tables, manifest, split.train_ids, outcome, modality)
-            save_disease_vector(vector, vec_dir / f"{outcome}_{modality.name}.txt")
+    vectors = [
+        derive_vectors(tables, manifest, split.train_ids, outcome, modality)
+        for outcome in _outcomes_for(cfg, manifest)
+        for modality in cfg.modalities
+    ]
+    (out / "vectors").mkdir(exist_ok=True)
+    save_disease_vector(vectors, out / "vectors" / "vectors.csv")
     save_split(split, out / "split.csv")
-
-
-def _vector_files(vec_dir: Path) -> list[Path]:
-    """The `<outcome>_<MODALITY>.txt` files of a directory, as `vectors` names them."""
-    named = ((p, p.stem.rpartition("_")) for p in vec_dir.glob("*.txt"))
-    return sorted(p for p, (outcome, _, modality) in named if outcome and modality in Modality.__members__)
 
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     _, manifest = _manifest_for(args)
     tables = _embedding_tables(args, cfg)
     vec_dir = _require(Path(args.vectors), "vectors directory")
-    vec_paths = _vector_files(vec_dir)
-    if not vec_paths:
-        nested = vec_dir / "vectors"
-        hint = f"; {nested} holds them, pass --vectors {nested}" if _vector_files(nested) else ""
-        raise MissingInputError(f"no <outcome>_<MODALITY>.txt disease-vector files under {vec_dir}{hint}")
-    vectors = []
-    for path in vec_paths:
-        vector = load_disease_vector(path)
-        if path.stem != f"{vector.outcome}_{vector.modality.name}":
-            raise FormatError(
-                f"{path}: holds outcome={vector.outcome} modality={vector.modality.name}, "
-                "which its file name contradicts"
-            )
-        if vector.modality in cfg.modalities:
-            vectors.append(vector)
+    path, nested = vec_dir / "vectors.csv", vec_dir / "vectors"
+    if not path.exists() and (nested / "vectors.csv").exists():
+        raise MissingInputError(f"disease-vector table not found: {path}; pass --vectors {nested}")
+    vectors = load_disease_vector(_require(path, "disease-vector table"))
+    vectors = [v for v in vectors if v.modality in cfg.modalities]
+    missing = [m.name for m in cfg.modalities if all(v.modality is not m for v in vectors)]
+    if missing:
+        raise MissingInputError(f"{path} has no disease vector for {','.join(missing)}")
     out = _out_dir(args)
     save_scores(score_cohort(tables, vectors, manifest), out / "scores.csv")
 
@@ -416,7 +410,7 @@ _FLAGS: dict[str, dict] = {
     "--data": dict(required=True, help="cohort directory (manifest.csv, signals/)"),
     "--models": dict(required=True, help="directory holding <MODALITY>/checkpoint.psgm"),
     "--embeddings": dict(required=True, help="directory holding <MODALITY>/embeddings.csv"),
-    "--vectors": dict(required=True, help="directory of disease-vector files"),
+    "--vectors": dict(required=True, help="directory holding vectors.csv from the vectors step"),
     "--scores": dict(required=True, help="scores.csv from the score step"),
     "--subject": dict(required=True),
     "--modality": dict(dest="modalities", metavar="MODALITY", help="comma list or 'all'"),

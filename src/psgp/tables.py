@@ -1,8 +1,9 @@
 """psgp's one table format. A table is a header line, then rows of
-comma-joined cells, in UTF-8. A cell is a name (``cohort.check_name``) or a
-number its writer formatted, so no cell is quoted, and every line, the last
-one too, ends in a line break. The manifest alone is read with CSV quoting
-(``cohort.load_manifest``), since another program may write it.
+comma-joined cells, in UTF-8. A cell is a name (``cohort.check_name``), a
+number its writer formatted or a space-joined list of such numbers (as in
+``affected.csv`` and ``vectors.csv``), so no cell is quoted, and every line,
+the last one too, ends in a line break. The manifest alone is read with CSV
+quoting (``cohort.load_manifest``), since another program may write it.
 """
 from __future__ import annotations
 

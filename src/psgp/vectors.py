@@ -6,6 +6,10 @@ direction is the normalized difference of the segment-weighted centroids of
 positive and of negative training subjects (two masked sums); a subject's
 score is the mean of their top min(3, available) projections onto it (one
 matrix product per modality, no thread pool).
+
+A run's disease vectors are one ``tables`` table, ``vectors.csv``: a row per
+(outcome, modality), each array one cell of space-joined ``.17g`` decimals,
+so ``load_disease_vector`` reads back every float exactly.
 """
 from __future__ import annotations
 
@@ -16,20 +20,21 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import DECIMAL, CohortManifest
+from .cohort import DECIMAL, CohortManifest, check_name
 from .errors import (
     DataError,
     DegenerateDirectionError,
     FormatError,
     InsufficientClassError,
     UnknownOutcomeError,
-    utf8_text,
 )
 from .signalio import Modality
-from .tables import is_count, table_rows, terminated_lines, write_table
+from .tables import is_count, table_rows, write_table
 
 _DIRECTION_FLOOR = 1e-10
 _SCORE_HEADER = ("subject_id", "outcome", "modality", "score", "n_segments_used")
+_ARRAYS = ("vector", "mu_positive", "mu_negative")
+_VECTOR_HEADER = ("outcome", "modality", "n_positive", "n_negative", *_ARRAYS)
 
 EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
 
@@ -211,78 +216,46 @@ def score_cohort(
 
 # --- on-disk formats ---------------------------------------------------
 
-def save_disease_vector(vector: DiseaseVector, path: Path | str) -> None:
-    """Structured text, full float64 precision so load() is exact."""
-    def row(arr: np.ndarray) -> str:
-        return " ".join(format(float(v), ".17g") for v in arr)
+def save_disease_vector(vectors: Sequence[DiseaseVector], path: Path | str) -> None:
+    """One row per vector, in the given order; each array is one cell of
+    space-joined ``.17g`` decimals, so ``load_disease_vector`` is exact."""
+    def cell(arr: np.ndarray) -> str:
+        return " ".join(format(float(x), ".17g") for x in arr)
 
-    lines = [
-        f"outcome={vector.outcome}",
-        f"modality={vector.modality.name}",
-        f"d={vector.vector.shape[0]}",
-        f"n_positive={vector.n_positive}",
-        f"n_negative={vector.n_negative}",
-        f"vector={row(vector.vector)}",
-        f"mu_positive={row(vector.mu_positive)}",
-        f"mu_negative={row(vector.mu_negative)}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        [v.outcome, v.modality.name, str(v.n_positive), str(v.n_negative)]
+        + [cell(v.vector), cell(v.mu_positive), cell(v.mu_negative)]
+        for v in vectors
+    )
+    write_table(path, _VECTOR_HEADER, rows)
 
 
-def _count(text: str) -> int:
-    if not is_count(text):
-        raise ValueError(f"{text!r} is not a non-negative integer")
-    return int(text)
-
-
-def _decimals(text: str) -> np.ndarray:
-    tokens = text.split()
-    for token in tokens:
-        if not DECIMAL.fullmatch(token):
-            raise ValueError(f"{token!r} is not a decimal number")
-    return np.array([float(t) for t in tokens], dtype=np.float64)
-
-
-def load_disease_vector(path: Path | str) -> DiseaseVector:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh, utf8_text(path):
-        lines = [line[:-1] for line in terminated_lines(fh, path, FormatError)]
-    kv: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: line {lineno} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        if key in kv:
-            raise FormatError(f"{path}: line {lineno} repeats key {key!r}")
-        kv[key] = value
-    try:
-        outcome = kv["outcome"]
-        modality = Modality.__members__.get(kv["modality"])  # the exact name, as written
+def load_disease_vector(path: Path | str) -> list[DiseaseVector]:
+    """The vectors of a table ``save_disease_vector`` wrote, in row order."""
+    vectors: dict[tuple[str, Modality], DiseaseVector] = {}
+    rows = table_rows(Path(path), _VECTOR_HEADER, FormatError)
+    for where, (outcome, name, n_pos, n_neg, *cells) in rows:
+        check_name("outcome", outcome, FormatError, where)
+        modality = Modality.__members__.get(name)  # the exact name, as written
         if modality is None:
-            raise ValueError(f"unknown modality name {kv['modality']!r}")
-        d, n_positive, n_negative = (_count(kv[k]) for k in ("d", "n_positive", "n_negative"))
-        arrays = {name: _decimals(kv[name]) for name in ("vector", "mu_positive", "mu_negative")}
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: incomplete or malformed vector file: {exc}") from exc
-    if not outcome:
-        raise FormatError(f"{path}: empty outcome")
-    for name, arr in arrays.items():
-        if arr.shape[0] != d:
-            raise FormatError(f"{path}: {name} has {arr.shape[0]} components, header says {d}")
-    try:
-        return DiseaseVector(
-            outcome=outcome,
-            modality=modality,
-            vector=arrays["vector"],
-            mu_positive=arrays["mu_positive"],
-            mu_negative=arrays["mu_negative"],
-            n_positive=n_positive,
-            n_negative=n_negative,
-        )
-    except DataError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+            raise FormatError(f"{where}: unknown modality name {name!r}")
+        for column, count in (("n_positive", n_pos), ("n_negative", n_neg)):
+            if not is_count(count):
+                raise FormatError(f"{where}: {column} {count!r} is not a non-negative integer")
+        arrays = [cell.split(" ") for cell in cells]
+        for column, tokens in zip(_ARRAYS, arrays):
+            bad = next((t for t in tokens if not DECIMAL.fullmatch(t)), None)
+            if bad is not None:
+                raise FormatError(f"{where}: {column} component {bad!r} is not a decimal number")
+        if (outcome, modality) in vectors:
+            raise FormatError(f"{where} repeats the row for {outcome}, {modality.name}")
+        try:
+            vectors[outcome, modality] = DiseaseVector(
+                outcome, modality, *([float(t) for t in a] for a in arrays), int(n_pos), int(n_neg)
+            )
+        except DataError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+    return list(vectors.values())
 
 
 def save_scores(scores: Sequence[SubjectScore], path: Path | str) -> None:

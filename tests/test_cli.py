@@ -5,9 +5,10 @@ import hashlib
 import io
 import random
 import re
+import shutil
 import struct
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,11 @@ import psgp.model as mdl
 from psgp import autodiff
 from psgp.cli import _read_embeddings_csv, _resolve_config, _write_embeddings_csv, build_parser, main
 from psgp.cohort import load_manifest, split_cohort
-from psgp.config import RunConfig
+from psgp.config import RunConfig, load_run_config, stage_configs
 from psgp.errors import DataError, FormatError
 from psgp.signalio import FORMAT_VERSION, Modality
-from psgp.vectors import SubjectScore, save_scores
+from psgp.tables import table_rows
+from psgp.vectors import SubjectScore, derive_vectors, load_disease_vector, save_scores
 
 
 def run_cli(*argv) -> int:
@@ -128,8 +130,30 @@ class TestChainArtifacts:
         assert np.isclose(np.linalg.norm(vec), 1.0, atol=1e-6)
 
     def test_vectors_outputs(self, chain):
-        vec_files = sorted((chain["vectors"] / "vectors").glob("*.txt"))
-        assert [p.name for p in vec_files] == ["CVD_RESP.txt"]
+        """One table, which reads back as the vectors derived from the
+        embeddings, every float exact."""
+        vec_dir = chain["vectors"] / "vectors"
+        assert [p.name for p in vec_dir.iterdir()] == ["vectors.csv"]
+        manifest = load_manifest(chain["data"] / "manifest.csv")
+        table = _read_embeddings_csv(chain["emb"] / "RESP" / "embeddings.csv", Modality.RESP)
+        train_ids = split_cohort(manifest, RunConfig().split_ratio, 5).train_ids
+        want = derive_vectors({Modality.RESP: table}, manifest, train_ids, "CVD", Modality.RESP)
+        (got,) = load_disease_vector(vec_dir / "vectors.csv")
+        assert (got.outcome, got.modality, got.n_positive, got.n_negative) == (
+            want.outcome, want.modality, want.n_positive, want.n_negative
+        )
+        for name in ("vector", "mu_positive", "mu_negative"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    def test_every_table_reads_through_table_rows(self, chain):
+        """Every ``.csv`` the chain writes is a ``tables`` table: it reads
+        through ``table_rows`` with its own header line."""
+        paths = sorted(chain["root"].rglob("*.csv"))
+        names = {p.name for p in paths}
+        assert {"manifest.csv", "embeddings.csv", "vectors.csv", "scores.csv", "grid.csv"} <= names
+        for path in paths:
+            header = path.read_text(encoding="utf-8").split("\n", 1)[0].split(",")
+            list(table_rows(path, header, FormatError))
 
     def test_score_outputs(self, chain):
         with (chain["scores"] / "scores.csv").open(newline="", encoding="utf-8") as fh:
@@ -485,21 +509,15 @@ class TestCorruptTextTables:
         [("n_positive", "many"), ("n_negative", "1.5"), ("outcome", None), ("modality", None)],
     )
     def test_disease_vector_field(self, chain, tmp_path, capsys, key, value):
-        vec_dir = tmp_path / "vectors"
-        vec_dir.mkdir()
-        src = chain["vectors"] / "vectors" / "CVD_RESP.txt"
-        lines = [
-            line for line in src.read_text(encoding="utf-8").splitlines()
-            if value is not None or not line.startswith(f"{key}=")
-        ]
-        if value is not None:
-            lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
-        (vec_dir / "CVD_RESP.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        src = chain["vectors"] / "vectors" / "vectors.csv"
+        column = src.read_text(encoding="utf-8").split("\n", 1)[0].split(",").index(key)
+        table = tmp_path / "vectors" / "vectors.csv"
+        corrupt_cell(src, table, 2, column, value)
         rc = run_cli(
             "score", "--out", tmp_path / "out", "--config", chain["ini"],
-            "--data", chain["data"], "--embeddings", chain["emb"], "--vectors", vec_dir,
+            "--data", chain["data"], "--embeddings", chain["emb"], "--vectors", table.parent,
         )
-        assert_one_line_data_error(rc, capsys.readouterr().err, "CVD_RESP.txt")
+        assert_one_line_data_error(rc, capsys.readouterr().err, str(table), "line 2")
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
     @pytest.mark.parametrize("cut", [1, 2])
@@ -595,7 +613,7 @@ class TestCorruptTextTables:
 
 
 class TestScoreVectorsDirectory:
-    """``score --vectors DIR`` reads only ``<outcome>_<MODALITY>.txt`` files."""
+    """``score --vectors DIR`` reads ``DIR/vectors.csv`` and nothing else of DIR."""
 
     def score(self, chain, tmp_path, vec_dir) -> int:
         return run_cli(
@@ -606,31 +624,52 @@ class TestScoreVectorsDirectory:
     def test_vectors_stage_out_dir_names_its_vectors_subdir(self, chain, tmp_path, capsys):
         rc = self.score(chain, tmp_path, chain["vectors"])
         assert_one_line_data_error(
-            rc, capsys.readouterr().err, f"under {chain['vectors']};", str(chain["vectors"] / "vectors"),
-            kind="MissingInputError",
+            rc, capsys.readouterr().err, f"not found: {chain['vectors'] / 'vectors.csv'};",
+            f"pass --vectors {chain['vectors'] / 'vectors'}", kind="MissingInputError",
         )
 
     def test_other_txt_files_are_ignored(self, chain, tmp_path):
         vec_dir = tmp_path / "vectors"
         vec_dir.mkdir()
-        (vec_dir / "CVD_RESP.txt").write_bytes((chain["vectors"] / "vectors" / "CVD_RESP.txt").read_bytes())
+        (vec_dir / "vectors.csv").write_bytes((chain["vectors"] / "vectors" / "vectors.csv").read_bytes())
         (vec_dir / "resolved_config_vectors.txt").write_bytes(
             (chain["vectors"] / "resolved_config_vectors.txt").read_bytes()
         )
         (vec_dir / "notes.txt").write_text("not a vector\n", encoding="utf-8")
-        (vec_dir / "_RESP.txt").write_text("not a vector\n", encoding="utf-8")
+        (vec_dir / "CVD_RESP.txt").write_text("outcome=CVD\nmodality=RESP\n", encoding="utf-8")
         assert self.score(chain, tmp_path, vec_dir) == 0
         assert (tmp_path / "out" / "scores.csv").read_bytes() == (chain["scores"] / "scores.csv").read_bytes()
 
-    @pytest.mark.parametrize("name", ["CVD_ECG.txt", "HTN_RESP.txt", "CVD_X_RESP.txt"])
-    def test_file_name_must_match_its_contents(self, chain, tmp_path, capsys, name):
+    def test_a_directory_of_vector_files_is_refused(self, chain, tmp_path, capsys):
+        """``<outcome>_<MODALITY>.txt`` files are not read: re-run ``vectors``."""
         vec_dir = tmp_path / "vectors"
         vec_dir.mkdir()
-        (vec_dir / name).write_bytes((chain["vectors"] / "vectors" / "CVD_RESP.txt").read_bytes())
+        (vec_dir / "CVD_RESP.txt").write_text("outcome=CVD\nmodality=RESP\n", encoding="utf-8")
         rc = self.score(chain, tmp_path, vec_dir)
         assert_one_line_data_error(
-            rc, capsys.readouterr().err, str(vec_dir / name), "outcome=CVD modality=RESP", "file name"
+            rc, capsys.readouterr().err, f"not found: {vec_dir / 'vectors.csv'}", kind="MissingInputError"
         )
+
+    @pytest.mark.parametrize("modalities", ["EEG", "RESP,EEG", "ECG,RESP,EEG"])
+    def test_an_asked_modality_without_a_vector_is_refused(self, chain, tmp_path, capsys, modalities):
+        """The table holds RESP alone: a score table without the asked
+        modalities' rows would leave ``eval`` nothing but NA cells."""
+        text = (chain["emb"] / "RESP" / "embeddings.csv").read_text(encoding="utf-8")
+        emb = tmp_path / "emb"
+        for name in modalities.split(","):
+            (emb / name).mkdir(parents=True)
+            (emb / name / "embeddings.csv").write_text(text.replace(",RESP,", f",{name},"), encoding="utf-8")
+        table = chain["vectors"] / "vectors" / "vectors.csv"
+        rc = run_cli(
+            "score", "--out", tmp_path / "out", "--config", chain["ini"], "--data", chain["data"],
+            "--embeddings", emb, "--vectors", table.parent, "--modality", modalities,
+        )
+        missing = ",".join(m for m in modalities.split(",") if m != "RESP")
+        assert_one_line_data_error(
+            rc, capsys.readouterr().err, f"{table} has no disease vector for {missing}\n",
+            kind="MissingInputError",
+        )
+        assert not (tmp_path / "out" / "scores.csv").exists()
 
 
 class TestThreadsResolution:
@@ -1106,6 +1145,35 @@ class TestSignalFileFuzz:
             assert not (tmp_path / command / "RESP").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "embed"])
+def test_every_modality_is_checked_before_any_work(chain, tmp_path, capsys, command):
+    """``train`` and ``embed`` check every modality's inputs, in modality
+    order, before they train or embed one: a RESP file with a bad magic
+    leaves no modality directory, not even EEG's or ECG's."""
+    data = tmp_path / "data"
+    shutil.copytree(chain["data"], data)
+    train_ids = split_cohort(load_manifest(data / "manifest.csv"), RunConfig().split_ratio, 5).train_ids
+    bad = data / "signals" / f"{min(train_ids)}_RESP.psgs"
+    blob = bytearray(bad.read_bytes())
+    blob[0] ^= 1
+    bad.write_bytes(bytes(blob))
+    extra = ("--steps", 1)
+    if command == "embed":
+        models = tmp_path / "models"
+        cfg = replace(load_run_config(chain["ini"]), modalities=tuple(Modality))
+        for modality, mcfg in stage_configs(cfg).models.items():
+            ckpt = models / modality.name / "checkpoint.psgm"
+            ckpt.parent.mkdir(parents=True)
+            mdl.save_checkpoint(mdl.init_parameters(mcfg, 0), mcfg, ckpt)
+        extra = ("--models", models)
+    rc = run_cli(
+        command, "--out", tmp_path / "out", "--config", chain["ini"], "--data", data, "--seed", 5,
+        "--modality", "all", *extra,
+    )
+    assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), kind="BadMagicError")
+    assert not [m.name for m in Modality if (tmp_path / "out" / m.name).exists()]
+
+
 def _mutate_manifest(text: str, kind: str, rng: random.Random) -> tuple[str, int]:
     """One single-line corruption of a manifest; returns it and its line number."""
     lines = text.split("\n")[:-1]
@@ -1137,29 +1205,36 @@ def _mutate_manifest(text: str, kind: str, rng: random.Random) -> tuple[str, int
     return "\n".join(lines) + "\n", lineno
 
 
-def _mutate_vector_file(text: str, kind: str, rng: random.Random) -> str:
-    """One single-line corruption of a disease-vector file."""
-    lines = text.split("\n")[:-1]
-    keys = [line.partition("=")[0] for line in lines]
-    if kind == "truncate":
-        return "\n".join(lines[:-1]) + "\n" + lines[-1][: rng.randrange(1, len(lines[-1]))]
-    lineno = rng.randrange(len(lines))
+def _mutate_vector_table(text: str, kind: str, rng: random.Random) -> tuple[str, int | None]:
+    """One corruption of a disease-vector table with one row; returns it and
+    the line its reader must name (None: the row is gone, so no line is)."""
+    header, row = text.split("\n")[:-1]
+    cells = row.split(",")
+    if kind == "truncate":  # no final line break; the cut may fall inside the last cell
+        return header + "\n" + row[: rng.randrange(1, len(row))], 2
+    if kind == "blank":
+        at = rng.choice([2, 3])
+        return "\n".join([header, row][: at - 1] + [""] + [header, row][at - 1:]) + "\n", at
     if kind == "drop_line":
-        del lines[lineno]
-    elif kind == "repeat_line":
-        lines.insert(rng.randrange(len(lines) + 1), lines[lineno])
-    elif kind == "no_equals":
-        lines[lineno] = lines[lineno].replace("=", " ")
+        return header + "\n", None
+    if kind == "repeat_line":
+        return "\n".join([header, row, row]) + "\n", 3
+    if kind == "no_equals":  # a separator lost: two cells run together
+        at = rng.randrange(len(cells) - 1)
+        cells[at:at + 2] = [cells[at] + " " + cells[at + 1]]
+    elif kind == "drop_cell":
+        del cells[rng.randrange(len(cells))]
+    elif kind == "extra_cell":
+        cells.insert(rng.randrange(len(cells) + 1), "0.5")
     elif kind == "empty":
-        lines[lineno] = keys[lineno] + "="
+        cells[rng.randrange(len(cells))] = ""
     elif kind == "count":
-        at = keys.index(rng.choice(["d", "n_positive", "n_negative"]))
-        lines[at] = keys[at] + "=" + rng.choice(["1.5", "one", "-1", "1_0", "\u0661"])
+        cells[rng.choice([2, 3])] = rng.choice(["1.5", "one", "-1", "1_0", "\u0661", ""])
     elif kind == "modality":
-        lines[keys.index("modality")] = "modality=XYZ"
+        cells[1] = rng.choice(["XYZ", "resp", " RESP"])
     else:
-        at = keys.index(rng.choice(["vector", "mu_positive", "mu_negative"]))
-        parts = lines[at].partition("=")[2].split()
+        at = rng.choice([4, 5, 6])
+        parts = cells[at].split(" ")
         i = rng.randrange(len(parts))
         if kind == "drop_component":
             del parts[i]
@@ -1167,23 +1242,24 @@ def _mutate_vector_file(text: str, kind: str, rng: random.Random) -> str:
             parts.insert(i, "0.5")
         else:
             parts[i] = {
-                "junk": rng.choice(["abc", "0.1.2", "--1", "1e", "#", "0x10", "\u0661", "1_0"]),
-                "nan": "nan", "inf": "-inf", "overflow": "1e400",
+                "junk": rng.choice(["abc", "0.1.2", "--1", "1e", "#", "0x10", "\u0661", ""]),
+                "underscore": "1_0", "nan": "nan", "inf": "-inf", "overflow": "1e400",
             }[kind]
-        lines[at] = keys[at] + "=" + " ".join(parts)
-    return "\n".join(lines) + "\n"
+        cells[at] = " ".join(parts)
+    return header + "\n" + ",".join(cells) + "\n", 2
 
 
 MANIFEST_MUTATIONS = ("drop", "extra", "duplicate", "empty_id", "nonpositive", "flag", "junk",
                       "nan", "inf", "overflow", "truncate")
-VECTOR_MUTATIONS = ("drop_line", "repeat_line", "no_equals", "empty", "count", "modality", "drop_component",
-                    "extra_component", "junk", "nan", "inf", "overflow", "truncate")
+VECTOR_MUTATIONS = ("blank", "drop_line", "repeat_line", "no_equals", "drop_cell", "extra_cell", "empty",
+                    "count", "modality", "drop_component", "extra_component", "junk", "underscore", "nan",
+                    "inf", "overflow", "truncate")
 
 
 class TestManifestAndVectorFuzz:
-    """Seeded single-line corruptions of the manifest and of a disease-vector
-    file: exit 3, one ``error:`` line naming the file (and, for the manifest,
-    the line)."""
+    """Seeded single-line corruptions of the manifest and of the
+    disease-vector table: exit 3, one ``error:`` line naming the file and
+    the line."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", MANIFEST_MUTATIONS)
@@ -1204,16 +1280,20 @@ class TestManifestAndVectorFuzz:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", VECTOR_MUTATIONS)
     def test_vector_file(self, chain, tmp_path, capsys, kind, seed):
-        src = chain["vectors"] / "vectors" / "CVD_RESP.txt"
-        vector = tmp_path / "vectors" / "CVD_RESP.txt"
-        vector.parent.mkdir()
-        vector.write_text(_mutate_vector_file(src.read_text(encoding="utf-8"), kind, random.Random(seed)),
-                          encoding="utf-8")
+        src = chain["vectors"] / "vectors" / "vectors.csv"
+        text, lineno = _mutate_vector_table(src.read_text(encoding="utf-8"), kind, random.Random(seed))
+        table = tmp_path / "vectors" / "vectors.csv"
+        table.parent.mkdir()
+        table.write_text(text, encoding="utf-8")
         rc = run_cli(
             "score", "--out", tmp_path / "out", "--config", chain["ini"],
-            "--data", chain["data"], "--embeddings", chain["emb"], "--vectors", vector.parent,
+            "--data", chain["data"], "--embeddings", chain["emb"], "--vectors", table.parent,
         )
-        assert_one_line_data_error(rc, capsys.readouterr().err, str(vector))
+        err = capsys.readouterr().err
+        if lineno is None:  # a header-only table has no RESP vector
+            assert_one_line_data_error(rc, err, f"{table} has no disease vector for RESP", kind="MissingInputError")
+        else:
+            assert_one_line_data_error(rc, err, f"{table}: line {lineno}")
 
 
 @pytest.mark.parametrize("target", ["manifest", "embeddings", "vector", "scores", "config"])
@@ -1226,7 +1306,7 @@ def test_non_utf8_byte_is_one_error_line(chain, tmp_path, capsys, target):
     key, inner, after, command, kind, code = {  # the 0xff goes right after ``after``
         "manifest": ("data", "manifest.csv", b"\nS0003", "eval", "ManifestError", 3),
         "embeddings": ("emb", "RESP/embeddings.csv", b",RES", "vectors", "FormatError", 3),
-        "vector": ("vectors", "CVD_RESP.txt", b"outcome=", "score", "FormatError", 3),
+        "vector": ("vectors", "vectors.csv", b"\nCVD,", "score", "FormatError", 3),
         "scores": ("scores", "", b"\nS0002,CVD", "eval", "FormatError", 3),
         "config": ("ini", "", b"[run]\n", "eval", "ConfigError", 2),
     }[target]

@@ -1,4 +1,7 @@
 """Centroid-difference directions and top-3 projection scores."""
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -313,31 +316,51 @@ class TestScoreCohort:
 class TestDiskFormats:
     def test_vector_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        dv = derive_disease_vector(
-            rng.standard_normal(7), rng.standard_normal(7), "CVD", Modality.RESP
-        )
-        path = tmp_path / "v.txt"
-        save_disease_vector(dv, path)
+        vectors = [
+            derive_disease_vector(
+                rng.standard_normal(7), rng.standard_normal(7), outcome, modality, n_positive=3, n_negative=5
+            )
+            for outcome in ("CVD", "HTN") for modality in (Modality.RESP, Modality.EEG)
+        ]
+        path = tmp_path / "vectors.csv"
+        save_disease_vector(vectors, path)
         back = load_disease_vector(path)
-        assert back.outcome == dv.outcome and back.modality is dv.modality
-        np.testing.assert_array_equal(back.vector, dv.vector)
-        np.testing.assert_array_equal(back.mu_positive, dv.mu_positive)
-        np.testing.assert_array_equal(back.mu_negative, dv.mu_negative)
-        assert (back.n_positive, back.n_negative) == (dv.n_positive, dv.n_negative)
+        assert [(b.outcome, b.modality, b.n_positive, b.n_negative) for b in back] == [
+            (v.outcome, v.modality, v.n_positive, v.n_negative) for v in vectors
+        ]
+        for b, v in zip(back, vectors):
+            for name in ("vector", "mu_positive", "mu_negative"):
+                assert getattr(b, name).tolist() == getattr(v, name).tolist()
 
     def test_vector_file_malformations(self, tmp_path):
-        path = tmp_path / "v.txt"
-        path.write_text("outcome=CVD\nnonsense\n")
-        with pytest.raises(FormatError):
-            load_disease_vector(path)
-        path.write_text("outcome=CVD\nmodality=EEG\nd=3\nn_positive=1\nn_negative=1\n"
-                        "vector=1 0\nmu_positive=0 0 0\nmu_negative=0 0 0\n")
-        with pytest.raises(FormatError):
-            load_disease_vector(path)
-        path.write_text("outcome=CVD\nmodality=EEG\nd=2\nn_positive=1\nn_negative=1\n"
-                        "vector=nan 0\nmu_positive=0 0\nmu_negative=0 0\n")
-        with pytest.raises(FormatError, match="v.txt"):
-            load_disease_vector(path)
+        """A bad third line after a good row is refused, naming the file and the line."""
+        path = tmp_path / "vectors.csv"
+        good = [derive_disease_vector([1.0, 0.0], [0.0, 0.0], "CVD", Modality.ECG)]
+        for row, fragment in [
+            ("CVD,EEG,1,1,1 0,0 0 0,0 0 0", "line 3: centroid dimensions disagree"),
+            ("CVD,EEG,1,1,nan 0,0 0,0 0", "line 3: vector component 'nan' is not a decimal"),
+            ("CVD,EEG,1,1,1e400 0,0 0,0 0", "line 3: disease vector vector has non-finite components"),
+            ("CVD,EEG,1,1,1  0,0 0,0 0", "line 3: vector component '' is not a decimal"),
+            ("CVD,EEG,1,1,0.6 0.6,0 0,0 0", "line 3: disease vector must be unit-norm"),
+            ("CVD,EEG,0,1,1 0,0 0,0 0", "line 3: both classes"),
+            ("CVD,EEG,1,+1,1 0,0 0,0 0", "line 3: n_negative '+1' is not a non-negative integer"),
+            (",EEG,1,1,1 0,0 0,0 0", "line 3: outcome '' is empty"),
+            ("CVD,ECG,1,1,1 0,0 0,0 0", "line 3 repeats the row for CVD, ECG"),
+            ("CVD,EEG,1,1,1 0,0 0", "line 3 has 6 cells, header has 7"),
+            ("", "line 3 has 1 cells"),
+        ]:
+            save_disease_vector(good, path)
+            with path.open("a") as fh:
+                fh.write(row + "\n")
+            with pytest.raises(FormatError, match=re.escape(f"{path}: {fragment}")):
+                load_disease_vector(path)
+
+    def test_vector_writer_refuses_a_cell_its_reader_would_split(self, tmp_path):
+        dv = derive_disease_vector([1.0, 0.0], [0.0, 0.0], "CVD", Modality.ECG)
+        path = tmp_path / "vectors.csv"
+        with pytest.raises(DataError, match="'A,B'"):
+            save_disease_vector([dv, replace(dv, outcome="A,B")], path)
+        assert not path.exists()
 
     def test_scores_round_trip_and_order(self, tmp_path):
         scores = [
@@ -382,8 +405,8 @@ class TestDiskFormats:
     @pytest.mark.parametrize("cell", ["ecg", " ECG", "ECG ", "Ecg", ""])
     def test_vector_modality_must_be_exact(self, tmp_path, cell):
         dv = derive_disease_vector(np.array([1.0, 0.0]), np.array([0.0, 1.0]), "CVD", Modality.ECG)
-        path = tmp_path / "CVD_ECG.txt"
-        save_disease_vector(dv, path)
-        path.write_text(path.read_text().replace("modality=ECG\n", f"modality={cell}\n"))
-        with pytest.raises(FormatError, match=f"CVD_ECG.txt: .*unknown modality name {cell!r}"):
+        path = tmp_path / "vectors.csv"
+        save_disease_vector([dv], path)
+        path.write_text(path.read_text().replace(",ECG,", f",{cell},"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 2: unknown modality name {cell!r}")):
             load_disease_vector(path)
