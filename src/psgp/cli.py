@@ -36,8 +36,10 @@ from .synth import generate_cohort
 from .tables import is_count, table_text, terminated_lines
 from .vectors import (
     EmbeddingTable,
+    RowGroups,
     SubjectScore,
     derive_vectors,
+    group_rows,
     load_disease_vector,
     load_scores,
     save_disease_vector,
@@ -175,60 +177,63 @@ def _write_embeddings_csv(
         )
 
 
+# characters of whole lines per chunk of the bulk embeddings reader; bounds
+# its transient memory, and the per-chunk cost of np.loadtxt stays small
+_CHUNK_CHARS = 1 << 16
+
+
 def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
     """(subject_ids, X) of one modality's table, X an (N, d) float32 array.
 
-    One streaming pass: each line's key cells are checked as it is read and
-    its numeric tail goes on to a single ``np.loadtxt``. Every line after the
+    One bulk pass over chunks of about ``_CHUNK_CHARS`` characters of whole
+    lines: per chunk the key cells of every line are checked at once and the
+    numeric tails go to one ``np.loadtxt``. Any doubt (a short row, a failed
+    parse, a missing row, a last line cut short, a stray byte) re-reads the
+    table line by line, which names its first bad line. Every line after the
     header must be a full row, so row i is line i + 2.
     """
-    subject_ids: list[str] = []
-    indices: list[int] = []
     with path.open(encoding="utf-8") as fh, utf8_text(path):
-        lines = terminated_lines(fh, path, FormatError)
-        header = next(lines, "")[:-1].split(",")
+        header = next(terminated_lines(fh, path, FormatError), "")[:-1].split(",")
         if header[:3] != ["subject_id", "modality", "segment_index"] or len(header) < 4:
             raise FormatError(f"{path}: unexpected embeddings header")
         try:
-            rows = _embedding_rows(lines, path, modality, len(header), subject_ids, indices)
-            X = _decimal_rows(rows, len(header) - 3)
-        except (ValueError, FormatError):
+            subject_ids, indices, X = _bulk_rows(fh, modality.name, len(header) - 3)
+        except ValueError:  # a UnicodeDecodeError too
             _raise_first_bad_line(path, modality, len(header))
             raise
     ids = np.array(subject_ids, dtype=str)
     _refuse_repeated_segments(path, ids, indices)
-    with np.errstate(over="ignore"):  # beyond float32 range is caught just below
-        X = X.astype(np.float32)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}: line {bad[0] + 2}: non-finite embedding value")
     return ids, X
 
 
-def _embedding_rows(
-    lines, path: Path, modality: Modality, width: int, subject_ids: list[str], indices: list[int]
-):
-    """Check the key cells of each row line after the header and yield its numeric tail.
-
-    Each row's subject id is appended to ``subject_ids`` and its segment
-    index to ``indices``.
-    """
-    name = modality.name
-    for lineno, line in enumerate(lines, start=2):
-        cells = line[:-1].split(",", 3)
-        if len(cells) != 4 or cells[3].count(",") != width - 4:
-            n_cells = len(cells) + cells[3].count(",") if len(cells) == 4 else len(cells)
-            raise FormatError(f"{path}: line {lineno} has {n_cells} cells, header has {width}")
-        sid, mod, index, tail = cells
-        if not tail:  # d = 1: loadtxt would skip the row as a blank line
-            raise FormatError(f"{path}: line {lineno}: empty embedding value")
-        if mod != name:
-            raise FormatError(f"{path}: line {lineno}: modality {mod!r} in the {name} table")
-        if not is_count(index):
-            raise FormatError(f"{path}: line {lineno}: segment_index {index!r} is not a non-negative integer")
-        indices.append(int(index))
-        subject_ids.append(sid)
-        yield tail
+def _bulk_rows(fh, name: str, d: int) -> tuple[list[str], list[int], np.ndarray]:
+    """Subject ids, segment indices and float32 values of the rest of an open
+    table; ValueError on any line the line-by-line reader must look at."""
+    subject_ids: list[str] = []
+    indices: list[int] = []
+    blocks = [np.empty((0, d), np.float32)]
+    while lines := fh.readlines(_CHUNK_CHARS):
+        sids, mods, index, tails = zip(*[line.split(",", 3) for line in lines])
+        distinct = set(index)
+        if (
+            not lines[-1].endswith("\n")
+            or set(mods) != {name}
+            or "" in distinct
+            or not is_count("".join(distinct))  # all ASCII digits iff every cell is
+            or "\n" in tails  # an empty value: loadtxt would skip the row as a blank line
+        ):
+            raise ValueError("a line end, a key cell or an empty value")
+        block = _decimal_rows(tails)
+        if block.shape != (len(lines), d):
+            raise ValueError(f"rows of {block.shape[1]} values, header has {d}")
+        with np.errstate(over="ignore"):  # beyond float32 range is caught as non-finite
+            blocks.append(block.astype(np.float32))
+        subject_ids.extend(sids)
+        indices.extend(map(int, index))
+    return subject_ids, indices, np.concatenate(blocks)
 
 
 def _refuse_repeated_segments(path: Path, ids: np.ndarray, indices: list[int]) -> None:
@@ -251,24 +256,32 @@ def _refuse_repeated_segments(path: Path, ids: np.ndarray, indices: list[int]) -
         )
 
 
-def _decimal_rows(rows, d: int) -> np.ndarray:
-    """(N, d) float64 array of an iterable of comma-separated number rows."""
-    first = next(rows, None)
-    if first is None:  # loadtxt warns on empty input
-        return np.empty((0, d))
-    return np.loadtxt(
-        itertools.chain([first], rows), delimiter=",", comments=None, dtype=np.float64, ndmin=2
-    )
+def _decimal_rows(rows: list[str]) -> np.ndarray:
+    """2-D float64 array of a non-empty list of comma-separated number rows."""
+    return np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
 
 def _raise_first_bad_line(path: Path, modality: Modality, width: int) -> None:
-    """Re-read a table that failed to parse in bulk, row by row, and raise a
-    FormatError for its first bad line."""
+    """Re-read a table the bulk pass doubted, line by line, and raise a
+    FormatError for its first bad line: a cut line end, a row of the wrong
+    width, a bad key cell or a value that is not a decimal number."""
+    name = modality.name
     with path.open(encoding="utf-8") as fh:
         lines = itertools.islice(terminated_lines(fh, path, FormatError), 1, None)
-        for lineno, tail in enumerate(_embedding_rows(lines, path, modality, width, [], []), start=2):
+        for lineno, line in enumerate(lines, start=2):
+            cells = line[:-1].split(",", 3)
+            if len(cells) != 4 or cells[3].count(",") != width - 4:
+                n_cells = len(cells) + cells[3].count(",") if len(cells) == 4 else len(cells)
+                raise FormatError(f"{path}: line {lineno} has {n_cells} cells, header has {width}")
+            sid, mod, index, tail = cells
+            if not tail:  # d = 1: loadtxt would skip the row as a blank line
+                raise FormatError(f"{path}: line {lineno}: empty embedding value")
+            if mod != name:
+                raise FormatError(f"{path}: line {lineno}: modality {mod!r} in the {name} table")
+            if not is_count(index):
+                raise FormatError(f"{path}: line {lineno}: segment_index {index!r} is not a non-negative integer")
             try:
-                _decimal_rows(iter([tail]), width - 3)
+                _decimal_rows([tail])
             except ValueError:
                 cell = next(c for c in tail.split(",") if not _is_decimal(c))
                 raise FormatError(f"{path}: line {lineno}: {cell!r} is not a decimal number") from None
@@ -276,7 +289,7 @@ def _raise_first_bad_line(path: Path, modality: Modality, width: int) -> None:
 
 def _is_decimal(cell: str) -> bool:
     try:  # loadtxt would skip an empty cell as a blank line
-        return cell != "" and _decimal_rows(iter([cell]), 1).size == 1
+        return cell != "" and _decimal_rows([cell]).size == 1
     except ValueError:
         return False
 
@@ -299,20 +312,25 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
         print(f"embedded {modality.name}: {X.shape[0]} segments")
 
 
-def _embedding_tables(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality, EmbeddingTable]:
+def _embedding_tables(
+    args: argparse.Namespace, cfg: RunConfig
+) -> tuple[dict[Modality, EmbeddingTable], dict[Modality, RowGroups]]:
+    """Each asked modality's table, and its rows grouped by subject once for the stage."""
     root = _require(Path(args.embeddings), "embeddings directory")
     paths = {m: _require(root / m.name / "embeddings.csv", "embeddings table") for m in cfg.modalities}
-    return {m: _read_embeddings_csv(path, m) for m, path in paths.items()}
+    tables = {m: _read_embeddings_csv(path, m) for m, path in paths.items()}
+    return tables, {m: group_rows(subject_ids) for m, (subject_ids, _) in tables.items()}
 
 
 def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
-    tables = _embedding_tables(args, cfg)
+    outcomes = _outcomes_for(cfg, manifest)
+    tables, groups = _embedding_tables(args, cfg)
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
     vectors = [
-        derive_vectors(tables, manifest, split.train_ids, outcome, modality)
-        for outcome in _outcomes_for(cfg, manifest)
+        derive_vectors(tables, manifest, split.train_ids, outcome, modality, groups)
+        for outcome in outcomes
         for modality in cfg.modalities
     ]
     (out / "vectors").mkdir(exist_ok=True)
@@ -322,7 +340,6 @@ def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
 
 def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     _, manifest = _manifest_for(args)
-    tables = _embedding_tables(args, cfg)
     vec_dir = _require(Path(args.vectors), "vectors directory")
     path, nested = vec_dir / "vectors.csv", vec_dir / "vectors"
     if not path.exists() and (nested / "vectors.csv").exists():
@@ -332,8 +349,9 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     missing = [m.name for m in cfg.modalities if all(v.modality is not m for v in vectors)]
     if missing:
         raise MissingInputError(f"{path} has no disease vector for {','.join(missing)}")
+    tables, groups = _embedding_tables(args, cfg)
     out = _out_dir(args)
-    save_scores(score_cohort(tables, vectors, manifest), out / "scores.csv")
+    save_scores(score_cohort(tables, vectors, manifest, groups), out / "scores.csv")
 
 
 def _scores_and_split(

@@ -37,6 +37,7 @@ _ARRAYS = ("vector", "mu_positive", "mu_negative")
 _VECTOR_HEADER = ("outcome", "modality", "n_positive", "n_negative", *_ARRAYS)
 
 EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
+RowGroups = tuple[list[str], np.ndarray]  # (sorted distinct subject ids, each row's index into them)
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,22 @@ class SubjectScore:
     n_segments_used: int
 
 
-def _group_rows(subject_ids) -> tuple[list[str], np.ndarray]:
+def group_rows(subject_ids) -> RowGroups:
     """Sorted distinct subject ids and each row's index into them."""
     ids, inverse = np.unique(np.asarray(subject_ids, dtype=str), return_inverse=True)
     return ids.tolist(), inverse
 
 
-def compute_centroids(subject_ids, X, labels: Mapping[str, int | None]) -> tuple[np.ndarray, np.ndarray]:
+def compute_centroids(
+    subject_ids, X, labels: Mapping[str, int | None], groups: RowGroups | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Segment-weighted class means of the rows of X, in float64.
 
     Rows of subjects with a missing label for this outcome are skipped. Each
     class sums its rows subject by subject in id order, then in table order.
+    ``groups`` is ``group_rows(subject_ids)``, when the caller has it.
     """
-    ids, inverse = _group_rows(subject_ids)
+    ids, inverse = group_rows(subject_ids) if groups is None else groups
     X = np.asarray(X)
     classes = np.array([-1 if labels.get(sid) is None else labels[sid] for sid in ids], dtype=np.int8)
     order = np.argsort(inverse, kind="stable")
@@ -149,14 +153,20 @@ def derive_vectors(
     train_ids: Iterable[str],
     outcome: str,
     modality: Modality,
+    groups: Mapping[Modality, RowGroups] | None = None,
 ) -> DiseaseVector:
-    """Centroid-difference vector from training subjects only."""
+    """Centroid-difference vector from training subjects only.
+
+    ``groups`` maps each modality to ``group_rows`` of its table's subject
+    ids, so a caller deriving many vectors groups each table once.
+    """
     if outcome not in manifest.outcome_names:
         raise UnknownOutcomeError(f"manifest has no outcome {outcome!r}")
     train = set(train_ids)
     labels = {s: y for s, y in manifest.outcome_labels(outcome).items() if s in train and y is not None}
     subject_ids, X = tables.get(modality, ((), np.empty((0, 0))))  # no table: no rows
-    classes = [labels[sid] for sid in _group_rows(subject_ids)[0] if sid in labels]
+    grouped = group_rows(subject_ids) if groups is None else groups[modality]
+    classes = [labels[sid] for sid in grouped[0] if sid in labels]
     n_positive = sum(classes)
     n_negative = len(classes) - n_positive
     if n_positive == 0 or n_negative == 0:
@@ -164,7 +174,7 @@ def derive_vectors(
             f"{outcome}/{modality.name}: training split has {n_positive} positive and "
             f"{n_negative} negative subjects with embeddings"
         )
-    mu_pos, mu_neg = compute_centroids(subject_ids, X, labels)
+    mu_pos, mu_neg = compute_centroids(subject_ids, X, labels, grouped)
     return derive_disease_vector(
         mu_pos, mu_neg, outcome, modality, n_positive=n_positive, n_negative=n_negative
     )
@@ -174,12 +184,14 @@ def score_cohort(
     tables: Mapping[Modality, EmbeddingTable],
     vectors: Sequence[DiseaseVector],
     manifest: CohortManifest,
+    groups: Mapping[Modality, RowGroups] | None = None,
 ) -> list[SubjectScore]:
     """Project every manifest subject's rows onto every disease vector.
 
     Rows of subjects outside the manifest are ignored; a subject without rows
     for a modality gets no score for its vectors. Labels are not needed.
     Scores come out by subject id, then in the order of ``vectors``.
+    ``groups`` is as in ``derive_vectors``.
     """
     for vec in vectors:
         if vec.outcome not in manifest.outcome_names:
@@ -193,7 +205,7 @@ def score_cohort(
         X = np.asarray(X)
         if X.shape[1] != V.shape[0]:
             raise DataError(f"{modality.name} embeddings have dimension {X.shape[1]}, vectors {V.shape[0]}")
-        ids, inverse = _group_rows(subject_ids)
+        ids, inverse = group_rows(subject_ids) if groups is None else groups[modality]
         keep = np.array([sid in manifest.rows for sid in ids], dtype=bool)[inverse]
         group = inverse[keep]
         projections = X[keep].astype(np.float64) @ V

@@ -8,12 +8,14 @@ import re
 import shutil
 import struct
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psgp.cli
 import psgp.model as mdl
 from psgp import autodiff
 from psgp.cli import _read_embeddings_csv, _resolve_config, _write_embeddings_csv, build_parser, main
@@ -22,7 +24,7 @@ from psgp.config import RunConfig, load_run_config, stage_configs
 from psgp.errors import DataError, FormatError
 from psgp.signalio import FORMAT_VERSION, Modality
 from psgp.tables import table_rows
-from psgp.vectors import SubjectScore, derive_vectors, load_disease_vector, save_scores
+from psgp.vectors import SubjectScore, derive_vectors, load_disease_vector, save_scores, score_cohort
 
 
 def run_cli(*argv) -> int:
@@ -998,6 +1000,176 @@ class TestEmbeddingsReader:
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(FormatError, match="line 400[:]"):
             _read_embeddings_csv(path, Modality.RESP)
+
+    # --- chunk boundaries of the bulk pass ---
+
+    CHUNK = 3  # lines per bulk chunk in the tests below
+
+    def chunked_table(self, tmp_path, monkeypatch, n: int, d: int = 4) -> tuple[Path, list[str]]:
+        """An n-row table whose lines all have one length, read in chunks of
+        CHUNK lines; returns its path and its lines (without line ends).
+        Header: line 1; chunk k: lines 3k - 1 to 3k + 1."""
+        path = tmp_path / "embeddings.csv"
+        keys = [(f"S{i:04d}", 7) for i in range(n)]
+        _write_embeddings_csv(path, *_key_arrays(keys), np.full((n, d), 0.25, np.float32), Modality.RESP)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        (length,) = {len(line) + 1 for line in lines[1:]}
+        monkeypatch.setattr("psgp.cli._CHUNK_CHARS", self.CHUNK * length - 1)
+        return path, lines
+
+    @staticmethod
+    def set_cell(lines: list[str], lineno: int, column: int, value: str) -> None:
+        cells = lines[lineno - 1].split(",")
+        cells[column] = value
+        lines[lineno - 1] = ",".join(cells)
+
+    @staticmethod
+    def count_parses(monkeypatch) -> list[int]:
+        """Spy on the reader's np.loadtxt calls; returns the list of their row counts."""
+        calls: list[int] = []
+
+        def spy(rows):
+            calls.append(len(rows))
+            return decimal_rows(rows)
+
+        decimal_rows = psgp.cli._decimal_rows
+        monkeypatch.setattr("psgp.cli._decimal_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("d,column,value,message", [
+        (4, 1, "ECG", "modality 'ECG' in the RESP table"),
+        (4, 2, "x", "segment_index 'x' is not a non-negative integer"),
+        (4, 2, "", "segment_index '' is not a non-negative integer"),
+        (4, 5, "abc", "'abc' is not a decimal number"),
+        (4, 3, "", "'' is not a decimal number"),
+        (1, 3, "", "empty embedding value"),
+    ])
+    def test_bad_cell_in_a_later_chunk(self, tmp_path, monkeypatch, d, column, value, message):
+        path, lines = self.chunked_table(tmp_path, monkeypatch, 20, d)
+        self.set_cell(lines, 12, column, value)  # chunk 4
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls = self.count_parses(monkeypatch)
+        with pytest.raises(FormatError, match=f"line 12: {re.escape(message)}$"):
+            _read_embeddings_csv(path, Modality.RESP)
+        assert calls[:3] == [3, 3, 3]  # three whole chunks passed before the doubt
+
+    def test_a_chunk_of_empty_values_is_refused_without_a_warning(self, tmp_path, monkeypatch):
+        """d = 1: np.loadtxt would warn of a chunk whose every value is empty."""
+        path, lines = self.chunked_table(tmp_path, monkeypatch, 20, d=1)
+        for lineno in range(11, 22):  # chunk 4 on: every chunk is all empty values
+            self.set_cell(lines, lineno, 3, "")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="line 11: empty embedding value$"):
+                _read_embeddings_csv(path, Modality.RESP)
+
+    @pytest.mark.parametrize("number_line,key_line", [(3, 9), (5, 6)])
+    def test_number_error_before_a_key_error(self, tmp_path, monkeypatch, number_line, key_line):
+        """The bulk pass checks a chunk's key cells before its numbers; the
+        earlier line is named all the same, in another chunk or the same one."""
+        path, lines = self.chunked_table(tmp_path, monkeypatch, 20)
+        self.set_cell(lines, number_line, 4, "1e")
+        self.set_cell(lines, key_line, 1, "ECG")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"line {number_line}: '1e' is not a decimal number$"):
+            _read_embeddings_csv(path, Modality.RESP)
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_crlf_table_across_chunks(self, tmp_path, monkeypatch, n):
+        path, _ = self.chunked_table(tmp_path, monkeypatch, n)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        calls = self.count_parses(monkeypatch)
+        ids, X = self.assert_matches_oracle(path)
+        assert calls == [3] * (n // 3) + [n % 3] * (n % 3 > 0)
+        assert ids.tolist() == [f"S{i:04d}" for i in range(n)] and (X == 0.25).all()
+
+    def test_row_count_an_exact_multiple_of_the_chunk(self, tmp_path, monkeypatch):
+        path, _ = self.chunked_table(tmp_path, monkeypatch, 4 * self.CHUNK)
+        calls = self.count_parses(monkeypatch)
+        self.assert_matches_oracle(path)
+        assert calls == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_last_line_cut_in_the_final_chunk(self, tmp_path, monkeypatch, n):
+        """The cut line ends a full chunk (n = 9) or is a chunk alone (n = 10);
+        its cut cell still reads as a number."""
+        path, _ = self.chunked_table(tmp_path, monkeypatch, n)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(FormatError, match=f"line {n + 1}: no line end"):
+            _read_embeddings_csv(path, Modality.RESP)
+
+    @pytest.mark.parametrize("key_line", [6, None])
+    def test_stray_byte_in_a_later_chunk(self, tmp_path, monkeypatch, key_line):
+        """A bad key cell in chunk 2 is named although a non-UTF-8 byte follows
+        in a later chunk (and past the first 8 KB the text layer decodes at a
+        time); without it the byte is named."""
+        path, lines = self.chunked_table(tmp_path, monkeypatch, 400)
+        if key_line is not None:
+            self.set_cell(lines, key_line, 1, "ECG")
+        blob = ("\n".join(lines) + "\n").encode("utf-8")
+        at = blob.index(b"S0388,")
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        message = "line 6: modality 'ECG' in the RESP table" if key_line else "byte 0xff is not UTF-8 text"
+        with pytest.raises(FormatError, match=f"{re.escape(message)}$"):
+            _read_embeddings_csv(path, Modality.RESP)
+
+
+def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatch):
+    """``vectors`` and ``score`` over three d = 32 tables, four outcomes, each
+    subject's rows interleaved with others' and out of segment order, write
+    the bytes they write when every table is parsed by the csv.reader oracle
+    and every derive_vectors and score_cohort call groups its rows itself."""
+    data, emb = tmp_path / "data", tmp_path / "emb"
+    assert run_cli(
+        "synth", "--out", data, "--seed", 11, "--subjects", 24, "--segments", 1,
+        *[a for p in ("CVD=0.4", "DM=0.3", "HTN=0.5", "AF=0.2") for a in ("--prevalence", p)],
+    ) == 0
+    rng = np.random.default_rng(11)
+    sids = sorted(load_manifest(data / "manifest.csv").rows)
+    for modality in Modality:
+        keys = [(sid, i) for sid in sids for i in range(10)]
+        keys = [keys[j] for j in rng.permutation(len(keys))]
+        X = rng.standard_normal((len(keys), 32))
+        X = (X / np.linalg.norm(X, axis=1, keepdims=True)).astype(np.float32)
+        (emb / modality.name).mkdir(parents=True)
+        _write_embeddings_csv(emb / modality.name / "embeddings.csv", *_key_arrays(keys), X, modality)
+
+    def stages(out: Path) -> tuple[bytes, bytes]:
+        common = ("--data", data, "--embeddings", emb, "--seed", 11, "--modality", "all")
+        assert run_cli("vectors", "--out", out / "vectors", *common) == 0
+        assert run_cli("score", "--out", out / "score", *common, "--vectors", out / "vectors" / "vectors") == 0
+        return (out / "vectors" / "vectors" / "vectors.csv").read_bytes(), (out / "score" / "scores.csv").read_bytes()
+
+    got = stages(tmp_path / "bulk")
+    monkeypatch.setattr("psgp.cli._read_embeddings_csv", lambda path, modality: oracle_read_embeddings(path))
+    monkeypatch.setattr("psgp.cli.derive_vectors", lambda *args: derive_vectors(*args[:5]))
+    monkeypatch.setattr("psgp.cli.score_cohort", lambda *args: score_cohort(*args[:3]))
+    want = stages(tmp_path / "oracle")
+    assert got[0].count(b"\n") == 1 + 4 * 3 and got[1].count(b"\n") == 1 + 24 * 4 * 3
+    assert got == want
+
+
+@pytest.mark.parametrize("command,extra,message", [
+    ("vectors", ("--outcomes", "NOPE"), "DataError: manifest has no outcome column 'NOPE'"),
+    ("score", ("--modality", "EEG"), "MissingInputError: {table} has no disease vector for EEG"),
+])
+def test_vectors_and_score_refuse_before_reading_a_table(chain, tmp_path, capsys, command, extra, message):
+    """An unknown outcome (``vectors``) or an asked modality without a disease
+    vector (``score``) is refused before any embeddings table is looked at."""
+    def read(path, modality):
+        raise AssertionError(f"{path} was read")
+
+    table = chain["vectors"] / "vectors" / "vectors.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("psgp.cli._read_embeddings_csv", read)
+        rc = run_cli(
+            command, "--out", tmp_path / "out", "--config", chain["ini"], "--data", chain["data"],
+            "--embeddings", tmp_path / "no_such_dir", *extra,
+            *(("--vectors", table.parent) if command == "score" else ()),
+        )
+    err = capsys.readouterr().err
+    assert rc == 3 and err == f"error: {message.format(table=table)}\n"
 
 
 def _mutate(text: str, kind: str, rng: random.Random, table: str) -> tuple[str, int]:
