@@ -36,7 +36,6 @@ from .synth import generate_cohort
 from .tables import is_count, table_text, terminated_lines
 from .vectors import (
     EmbeddingTable,
-    RowGroups,
     SubjectScore,
     derive_vectors,
     group_rows,
@@ -312,20 +311,18 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
         print(f"embedded {modality.name}: {X.shape[0]} segments")
 
 
-def _embedding_tables(
-    args: argparse.Namespace, cfg: RunConfig
-) -> tuple[dict[Modality, EmbeddingTable], dict[Modality, RowGroups]]:
-    """Each asked modality's table, and its rows grouped by subject once for the stage."""
+def _embedding_tables(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality, EmbeddingTable]:
     root = _require(Path(args.embeddings), "embeddings directory")
     paths = {m: _require(root / m.name / "embeddings.csv", "embeddings table") for m in cfg.modalities}
-    tables = {m: _read_embeddings_csv(path, m) for m, path in paths.items()}
-    return tables, {m: group_rows(subject_ids) for m, (subject_ids, _) in tables.items()}
+    return {m: _read_embeddings_csv(path, m) for m, path in paths.items()}
 
 
 def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     outcomes = _outcomes_for(cfg, manifest)
-    tables, groups = _embedding_tables(args, cfg)
+    tables = _embedding_tables(args, cfg)
+    # every (outcome, modality) pair reads the same grouping of its table
+    groups = {m: group_rows(subject_ids) for m, (subject_ids, _) in tables.items()}
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
     vectors = [
@@ -349,9 +346,9 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     missing = [m.name for m in cfg.modalities if all(v.modality is not m for v in vectors)]
     if missing:
         raise MissingInputError(f"{path} has no disease vector for {','.join(missing)}")
-    tables, groups = _embedding_tables(args, cfg)
+    tables = _embedding_tables(args, cfg)
     out = _out_dir(args)
-    save_scores(score_cohort(tables, vectors, manifest, groups), out / "scores.csv")
+    save_scores(score_cohort(tables, vectors, manifest), out / "scores.csv")
 
 
 def _scores_and_split(

@@ -184,14 +184,12 @@ def score_cohort(
     tables: Mapping[Modality, EmbeddingTable],
     vectors: Sequence[DiseaseVector],
     manifest: CohortManifest,
-    groups: Mapping[Modality, RowGroups] | None = None,
 ) -> list[SubjectScore]:
     """Project every manifest subject's rows onto every disease vector.
 
     Rows of subjects outside the manifest are ignored; a subject without rows
     for a modality gets no score for its vectors. Labels are not needed.
     Scores come out by subject id, then in the order of ``vectors``.
-    ``groups`` is as in ``derive_vectors``.
     """
     for vec in vectors:
         if vec.outcome not in manifest.outcome_names:
@@ -205,7 +203,7 @@ def score_cohort(
         X = np.asarray(X)
         if X.shape[1] != V.shape[0]:
             raise DataError(f"{modality.name} embeddings have dimension {X.shape[1]}, vectors {V.shape[0]}")
-        ids, inverse = group_rows(subject_ids) if groups is None else groups[modality]
+        ids, inverse = group_rows(subject_ids)
         keep = np.array([sid in manifest.rows for sid in ids], dtype=bool)[inverse]
         group = inverse[keep]
         projections = X[keep].astype(np.float64) @ V

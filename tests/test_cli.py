@@ -24,7 +24,7 @@ from psgp.config import RunConfig, load_run_config, stage_configs
 from psgp.errors import DataError, FormatError
 from psgp.signalio import FORMAT_VERSION, Modality
 from psgp.tables import table_rows
-from psgp.vectors import SubjectScore, derive_vectors, load_disease_vector, save_scores, score_cohort
+from psgp.vectors import SubjectScore, derive_vectors, load_disease_vector, save_scores
 
 
 def run_cli(*argv) -> int:
@@ -1119,7 +1119,7 @@ def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatc
     """``vectors`` and ``score`` over three d = 32 tables, four outcomes, each
     subject's rows interleaved with others' and out of segment order, write
     the bytes they write when every table is parsed by the csv.reader oracle
-    and every derive_vectors and score_cohort call groups its rows itself."""
+    and every derive_vectors call groups its rows itself."""
     data, emb = tmp_path / "data", tmp_path / "emb"
     assert run_cli(
         "synth", "--out", data, "--seed", 11, "--subjects", 24, "--segments", 1,
@@ -1144,7 +1144,6 @@ def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatc
     got = stages(tmp_path / "bulk")
     monkeypatch.setattr("psgp.cli._read_embeddings_csv", lambda path, modality: oracle_read_embeddings(path))
     monkeypatch.setattr("psgp.cli.derive_vectors", lambda *args: derive_vectors(*args[:5]))
-    monkeypatch.setattr("psgp.cli.score_cohort", lambda *args: score_cohort(*args[:3]))
     want = stages(tmp_path / "oracle")
     assert got[0].count(b"\n") == 1 + 4 * 3 and got[1].count(b"\n") == 1 + 24 * 4 * 3
     assert got == want
