@@ -8,7 +8,6 @@ usage problems, 3 for data problems, 4 for numeric failures.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -33,12 +32,11 @@ from .signalio import Modality, SignalFile, SignalRows, samples_per_window
 from .signalio import read_signal_file, segment_recording  # unused here: perfbench/spans.py wraps them by name
 from .stats import evaluate_grid, odds_ratio_report, save_or_report
 from .synth import generate_cohort
-from .tables import is_count, table_text, terminated_lines
+from .tables import DECIMAL, is_count, table_rows, table_text, terminated_lines
 from .vectors import (
     EmbeddingTable,
     SubjectScore,
     derive_vectors,
-    group_rows,
     load_disease_vector,
     load_scores,
     save_disease_vector,
@@ -157,6 +155,10 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     save_split(split, out / "split.csv")
 
 
+def _embeddings_header(d: int) -> list[str]:
+    return ["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)]
+
+
 def _write_embeddings_csv(
     path: Path, subject_ids: np.ndarray, indices: np.ndarray, vectors: np.ndarray, modality: Modality
 ) -> None:
@@ -169,7 +171,7 @@ def _write_embeddings_csv(
     d = vectors.shape[1]
     row = f"%s,{modality.name},%d" + ",%.9g" * d + "\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(table_text(["subject_id", "modality", "segment_index"] + [f"v{i}" for i in range(d)], ()))
+        fh.write(table_text(_embeddings_header(d), ()))
         fh.writelines(
             row % (sid, idx, *vec)
             for sid, idx, vec in zip(subject_ids.tolist(), indices.tolist(), vectors.tolist())
@@ -184,21 +186,22 @@ _CHUNK_CHARS = 1 << 16
 def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
     """(subject_ids, X) of one modality's table, X an (N, d) float32 array.
 
-    One bulk pass over chunks of about ``_CHUNK_CHARS`` characters of whole
-    lines: per chunk the key cells of every line are checked at once and the
-    numeric tails go to one ``np.loadtxt``. Any doubt (a short row, a failed
-    parse, a missing row, a last line cut short, a stray byte) re-reads the
-    table line by line, which names its first bad line. Every line after the
-    header must be a full row, so row i is line i + 2.
+    The header is ``_embeddings_header(d)``, d >= 1. One bulk pass over
+    chunks of about ``_CHUNK_CHARS`` characters of whole lines checks each
+    chunk's key cells and unpadded ASCII values at once and parses them with
+    one ``np.loadtxt``. Any doubt re-reads the table through ``table_rows``
+    to name its first bad line, judging each value by ``DECIMAL``. Every line
+    after the header must be a full row, so row i is line i + 2.
     """
     with path.open(encoding="utf-8") as fh, utf8_text(path):
-        header = next(terminated_lines(fh, path, FormatError), "")[:-1].split(",")
-        if header[:3] != ["subject_id", "modality", "segment_index"] or len(header) < 4:
+        first = next(terminated_lines(fh, path, FormatError), "")[:-1]
+        header = _embeddings_header(first.count(",") - 2)
+        if len(header) < 4 or first != ",".join(header):
             raise FormatError(f"{path}: unexpected embeddings header")
         try:
             subject_ids, indices, X = _bulk_rows(fh, modality.name, len(header) - 3)
         except ValueError:  # a UnicodeDecodeError too
-            _raise_first_bad_line(path, modality, len(header))
+            _raise_first_bad_line(path, modality, header)
             raise
     ids = np.array(subject_ids, dtype=str)
     _refuse_repeated_segments(path, ids, indices)
@@ -217,14 +220,18 @@ def _bulk_rows(fh, name: str, d: int) -> tuple[list[str], list[int], np.ndarray]
     while lines := fh.readlines(_CHUNK_CHARS):
         sids, mods, index, tails = zip(*[line.split(",", 3) for line in lines])
         distinct = set(index)
+        values = "".join(tails)
         if (
             not lines[-1].endswith("\n")
             or set(mods) != {name}
             or "" in distinct
             or not is_count("".join(distinct))  # all ASCII digits iff every cell is
             or "\n" in tails  # an empty value: loadtxt would skip the row as a blank line
+            # np.loadtxt strips padding DECIMAL refuses: these characters or non-ASCII ones
+            or not values.isascii()
+            or any(pad in values for pad in " \t\v\f\x1c\x1d\x1e\x1f")
         ):
-            raise ValueError("a line end, a key cell or an empty value")
+            raise ValueError("a line end, a key cell, an empty value or padding")
         block = _decimal_rows(tails)
         if block.shape != (len(lines), d):
             raise ValueError(f"rows of {block.shape[1]} values, header has {d}")
@@ -260,37 +267,19 @@ def _decimal_rows(rows: list[str]) -> np.ndarray:
     return np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
 
-def _raise_first_bad_line(path: Path, modality: Modality, width: int) -> None:
-    """Re-read a table the bulk pass doubted, line by line, and raise a
-    FormatError for its first bad line: a cut line end, a row of the wrong
-    width, a bad key cell or a value that is not a decimal number."""
+def _raise_first_bad_line(path: Path, modality: Modality, header: list[str]) -> None:
+    """Raise a FormatError for the first bad line of a table the bulk pass
+    doubted: a cut line end or a row of the wrong width (``table_rows``
+    refuses those), a bad key cell or a value ``DECIMAL`` refuses."""
     name = modality.name
-    with path.open(encoding="utf-8") as fh:
-        lines = itertools.islice(terminated_lines(fh, path, FormatError), 1, None)
-        for lineno, line in enumerate(lines, start=2):
-            cells = line[:-1].split(",", 3)
-            if len(cells) != 4 or cells[3].count(",") != width - 4:
-                n_cells = len(cells) + cells[3].count(",") if len(cells) == 4 else len(cells)
-                raise FormatError(f"{path}: line {lineno} has {n_cells} cells, header has {width}")
-            sid, mod, index, tail = cells
-            if not tail:  # d = 1: loadtxt would skip the row as a blank line
-                raise FormatError(f"{path}: line {lineno}: empty embedding value")
-            if mod != name:
-                raise FormatError(f"{path}: line {lineno}: modality {mod!r} in the {name} table")
-            if not is_count(index):
-                raise FormatError(f"{path}: line {lineno}: segment_index {index!r} is not a non-negative integer")
-            try:
-                _decimal_rows([tail])
-            except ValueError:
-                cell = next(c for c in tail.split(",") if not _is_decimal(c))
-                raise FormatError(f"{path}: line {lineno}: {cell!r} is not a decimal number") from None
-
-
-def _is_decimal(cell: str) -> bool:
-    try:  # loadtxt would skip an empty cell as a blank line
-        return cell != "" and _decimal_rows([cell]).size == 1
-    except ValueError:
-        return False
+    for where, (_, mod, index, *values) in table_rows(path, header, FormatError):
+        if mod != name:
+            raise FormatError(f"{where}: modality {mod!r} in the {name} table")
+        if not is_count(index):
+            raise FormatError(f"{where}: segment_index {index!r} is not a non-negative integer")
+        bad = next((v for v in values if not DECIMAL.fullmatch(v)), None)
+        if bad is not None:
+            raise FormatError(f"{where}: {bad!r} is not a decimal number")
 
 
 def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -321,15 +310,9 @@ def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     outcomes = _outcomes_for(cfg, manifest)
     tables = _embedding_tables(args, cfg)
-    # every (outcome, modality) pair reads the same grouping of its table
-    groups = {m: group_rows(subject_ids) for m, (subject_ids, _) in tables.items()}
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
-    vectors = [
-        derive_vectors(tables, manifest, split.train_ids, outcome, modality, groups)
-        for outcome in outcomes
-        for modality in cfg.modalities
-    ]
+    vectors = derive_vectors(tables, manifest, split.train_ids, outcomes, cfg.modalities)
     (out / "vectors").mkdir(exist_ok=True)
     save_disease_vector(vectors, out / "vectors" / "vectors.csv")
     save_split(split, out / "split.csv")

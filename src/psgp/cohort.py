@@ -9,7 +9,6 @@ Errors name the file and the line.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,14 +16,12 @@ import numpy as np
 
 from .errors import DataError, ManifestError, PsgpError, UsageError, utf8_text
 from .signalio import round_half_up
-from .tables import terminated_lines, write_table
+from .tables import DECIMAL, terminated_lines, write_table
 
 COVARIATE_COLUMNS = ("age", "sex", "bmi", "sbp", "frs")
 # what every adjusted model controls for; a subject missing one is ineligible
 ADJUSTMENT_COVARIATES = ("age", "sex", "bmi")
 _FIXED_HEADER = ("subject_id",) + COVARIATE_COLUMNS
-# a plain ASCII decimal number: no nan/inf, underscores or non-ASCII digits
-DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
 @dataclass

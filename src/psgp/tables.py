@@ -2,11 +2,15 @@
 comma-joined cells, in UTF-8. A cell is a name (``cohort.check_name``), a
 number its writer formatted or a space-joined list of such numbers (as in
 ``affected.csv`` and ``vectors.csv``), so no cell is quoted, and every line,
-the last one too, ends in a line break. The manifest alone is read with CSV
-quoting (``cohort.load_manifest``), since another program may write it.
+the last one too, ends in a line break. Every reader takes a number cell
+that ``DECIMAL`` matches and a count cell that ``is_count`` accepts, and reads
+line by line through ``table_rows``; the embeddings reader parses in bulk and
+goes through ``table_rows`` to name a bad line. The manifest alone is read
+with CSV quoting (``cohort.load_manifest``), since another program may write it.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +39,10 @@ def terminated_lines(lines: Iterable[str], path: Path, error: type[PsgpError]) -
         if not line.endswith(("\n", "\r")):
             raise error(f"{path}: line {lineno}: no line end (truncated file?)")
         yield line
+
+
+# a plain ASCII decimal number: no padding, nan/inf, underscores or non-ASCII digits
+DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
 def is_count(cell: str) -> bool:

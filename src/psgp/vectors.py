@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import DECIMAL, CohortManifest, check_name
+from .cohort import CohortManifest, check_name
 from .errors import (
     DataError,
     DegenerateDirectionError,
@@ -29,7 +29,7 @@ from .errors import (
     UnknownOutcomeError,
 )
 from .signalio import Modality
-from .tables import is_count, table_rows, write_table
+from .tables import DECIMAL, is_count, table_rows, write_table
 
 _DIRECTION_FLOOR = 1e-10
 _SCORE_HEADER = ("subject_id", "outcome", "modality", "score", "n_segments_used")
@@ -81,16 +81,14 @@ def group_rows(subject_ids) -> RowGroups:
     return ids.tolist(), inverse
 
 
-def compute_centroids(
-    subject_ids, X, labels: Mapping[str, int | None], groups: RowGroups | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def compute_centroids(X, labels: Mapping[str, int | None], groups: RowGroups) -> tuple[np.ndarray, np.ndarray]:
     """Segment-weighted class means of the rows of X, in float64.
 
-    Rows of subjects with a missing label for this outcome are skipped. Each
-    class sums its rows subject by subject in id order, then in table order.
-    ``groups`` is ``group_rows(subject_ids)``, when the caller has it.
+    ``groups`` is ``group_rows`` of the rows' subject ids. Rows of subjects
+    with a missing label for this outcome are skipped. Each class sums its
+    rows subject by subject in id order, then in table order.
     """
-    ids, inverse = group_rows(subject_ids) if groups is None else groups
+    ids, inverse = groups
     X = np.asarray(X)
     classes = np.array([-1 if labels.get(sid) is None else labels[sid] for sid in ids], dtype=np.int8)
     order = np.argsort(inverse, kind="stable")
@@ -151,33 +149,32 @@ def derive_vectors(
     tables: Mapping[Modality, EmbeddingTable],
     manifest: CohortManifest,
     train_ids: Iterable[str],
-    outcome: str,
-    modality: Modality,
-    groups: Mapping[Modality, RowGroups] | None = None,
-) -> DiseaseVector:
-    """Centroid-difference vector from training subjects only.
-
-    ``groups`` maps each modality to ``group_rows`` of its table's subject
-    ids, so a caller deriving many vectors groups each table once.
-    """
-    if outcome not in manifest.outcome_names:
-        raise UnknownOutcomeError(f"manifest has no outcome {outcome!r}")
+    outcomes: Sequence[str],
+    modalities: Sequence[Modality],
+) -> list[DiseaseVector]:
+    """Centroid-difference vectors from training subjects only, one per
+    (outcome, modality), outcome by outcome; each table is grouped by
+    subject once."""
     train = set(train_ids)
-    labels = {s: y for s, y in manifest.outcome_labels(outcome).items() if s in train and y is not None}
-    subject_ids, X = tables.get(modality, ((), np.empty((0, 0))))  # no table: no rows
-    grouped = group_rows(subject_ids) if groups is None else groups[modality]
-    classes = [labels[sid] for sid in grouped[0] if sid in labels]
-    n_positive = sum(classes)
-    n_negative = len(classes) - n_positive
-    if n_positive == 0 or n_negative == 0:
-        raise InsufficientClassError(
-            f"{outcome}/{modality.name}: training split has {n_positive} positive and "
-            f"{n_negative} negative subjects with embeddings"
-        )
-    mu_pos, mu_neg = compute_centroids(subject_ids, X, labels, grouped)
-    return derive_disease_vector(
-        mu_pos, mu_neg, outcome, modality, n_positive=n_positive, n_negative=n_negative
-    )
+    rows = {m: tables.get(m, ((), np.empty((0, 0)))) for m in modalities}  # no table: no rows
+    groups = {m: group_rows(subject_ids) for m, (subject_ids, _) in rows.items()}
+    vectors = []
+    for outcome in outcomes:
+        if outcome not in manifest.outcome_names:
+            raise UnknownOutcomeError(f"manifest has no outcome {outcome!r}")
+        labels = {s: y for s, y in manifest.outcome_labels(outcome).items() if s in train and y is not None}
+        for modality in modalities:
+            classes = [labels[sid] for sid in groups[modality][0] if sid in labels]
+            n_positive = sum(classes)
+            n_negative = len(classes) - n_positive
+            if n_positive == 0 or n_negative == 0:
+                raise InsufficientClassError(
+                    f"{outcome}/{modality.name}: training split has {n_positive} positive and "
+                    f"{n_negative} negative subjects with embeddings"
+                )
+            mu_pos, mu_neg = compute_centroids(rows[modality][1], labels, groups[modality])
+            vectors.append(derive_disease_vector(mu_pos, mu_neg, outcome, modality, n_positive, n_negative))
+    return vectors
 
 
 def score_cohort(

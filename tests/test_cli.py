@@ -139,7 +139,7 @@ class TestChainArtifacts:
         manifest = load_manifest(chain["data"] / "manifest.csv")
         table = _read_embeddings_csv(chain["emb"] / "RESP" / "embeddings.csv", Modality.RESP)
         train_ids = split_cohort(manifest, RunConfig().split_ratio, 5).train_ids
-        want = derive_vectors({Modality.RESP: table}, manifest, train_ids, "CVD", Modality.RESP)
+        (want,) = derive_vectors({Modality.RESP: table}, manifest, train_ids, ["CVD"], [Modality.RESP])
         (got,) = load_disease_vector(vec_dir / "vectors.csv")
         assert (got.outcome, got.modality, got.n_positive, got.n_negative) == (
             want.outcome, want.modality, want.n_positive, want.n_negative
@@ -984,6 +984,24 @@ class TestEmbeddingsReader:
         ids, X = _read_embeddings_csv(path, Modality.RESP)
         assert ids.shape == (0,) and X.shape == (0, 4) and X.dtype == np.float32
 
+    @pytest.mark.parametrize("names,message", [
+        ("foo,bar", "unexpected embeddings header"),
+        ("v1,v0", "unexpected embeddings header"),
+        ("v0,v0", "unexpected embeddings header"),
+        ("v0,v1,", "unexpected embeddings header"),
+        ("", "unexpected embeddings header"),
+        ("v0", "line 2 has 5 cells, header has 4"),
+        ("v0,v1,v2", "line 2 has 5 cells, header has 6"),
+    ])
+    def test_header_names_every_value_column_in_order(self, tmp_path, names, message):
+        """The header is exactly subject_id,modality,segment_index,v0,...,v{d-1};
+        the one row here has two values."""
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, *_key_arrays([("S1", 0)]), np.ones((1, 2), np.float32), Modality.RESP)
+        path.write_text(path.read_text(encoding="utf-8").replace("v0,v1", names), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"{re.escape(message)}$"):
+            _read_embeddings_csv(path, Modality.RESP)
+
     @pytest.mark.parametrize("first,second", [(("5", "x"), ("1", "ECG")), (("1", "ECG"), ("5", "x"))])
     def test_first_bad_line_in_file_order(self, tmp_path, first, second):
         """With two bad lines far apart the earlier one is named, whichever
@@ -1042,7 +1060,7 @@ class TestEmbeddingsReader:
         (4, 2, "", "segment_index '' is not a non-negative integer"),
         (4, 5, "abc", "'abc' is not a decimal number"),
         (4, 3, "", "'' is not a decimal number"),
-        (1, 3, "", "empty embedding value"),
+        (1, 3, "", "'' is not a decimal number"),
     ])
     def test_bad_cell_in_a_later_chunk(self, tmp_path, monkeypatch, d, column, value, message):
         path, lines = self.chunked_table(tmp_path, monkeypatch, 20, d)
@@ -1061,7 +1079,7 @@ class TestEmbeddingsReader:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FormatError, match="line 11: empty embedding value$"):
+            with pytest.raises(FormatError, match="line 11: '' is not a decimal number$"):
                 _read_embeddings_csv(path, Modality.RESP)
 
     @pytest.mark.parametrize("number_line,key_line", [(3, 9), (5, 6)])
@@ -1117,9 +1135,9 @@ class TestEmbeddingsReader:
 
 def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatch):
     """``vectors`` and ``score`` over three d = 32 tables, four outcomes, each
-    subject's rows interleaved with others' and out of segment order, write
-    the bytes they write when every table is parsed by the csv.reader oracle
-    and every derive_vectors call groups its rows itself."""
+    subject's rows interleaved with others' and out of segment order (each
+    table grouped once by ``derive_vectors``), write the bytes they write when
+    every table is parsed by the csv.reader oracle."""
     data, emb = tmp_path / "data", tmp_path / "emb"
     assert run_cli(
         "synth", "--out", data, "--seed", 11, "--subjects", 24, "--segments", 1,
@@ -1143,7 +1161,6 @@ def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatc
 
     got = stages(tmp_path / "bulk")
     monkeypatch.setattr("psgp.cli._read_embeddings_csv", lambda path, modality: oracle_read_embeddings(path))
-    monkeypatch.setattr("psgp.cli.derive_vectors", lambda *args: derive_vectors(*args[:5]))
     want = stages(tmp_path / "oracle")
     assert got[0].count(b"\n") == 1 + 4 * 3 and got[1].count(b"\n") == 1 + 24 * 4 * 3
     assert got == want

@@ -20,6 +20,7 @@ from psgp.vectors import (
     compute_centroids,
     derive_disease_vector,
     derive_vectors,
+    group_rows,
     load_disease_vector,
     load_scores,
     project_segment,
@@ -40,23 +41,26 @@ def _table(rows):
     return np.array([sid for sid, _ in rows]), np.array([vec for _, vec in rows], dtype=np.float64)
 
 
+def _centroids(rows, labels):
+    ids, X = _table(rows)
+    return compute_centroids(X, labels, group_rows(ids))
+
+
 class TestComputeCentroids:
     def test_segment_weighted_means(self):
         labels = {"P": 1, "N": 0}
-        ids, X = _table([("P", [1.0, 0.0]), ("P", [0.0, 1.0]), ("N", [-1.0, 0.0])])
-        mu_pos, mu_neg = compute_centroids(ids, X, labels)
+        mu_pos, mu_neg = _centroids([("P", [1.0, 0.0]), ("P", [0.0, 1.0]), ("N", [-1.0, 0.0])], labels)
         np.testing.assert_allclose(mu_pos, [0.5, 0.5])
         np.testing.assert_allclose(mu_neg, [-1.0, 0.0])
 
     def test_unlabelled_subjects_skipped(self):
         labels = {"P": 1, "N": 0, "U": None}
-        ids, X = _table([("P", [1.0]), ("N", [0.0]), ("U", [99.0])])
-        mu_pos, mu_neg = compute_centroids(ids, X, labels)
+        mu_pos, mu_neg = _centroids([("P", [1.0]), ("N", [0.0]), ("U", [99.0])], labels)
         assert mu_pos[0] == 1.0 and mu_neg[0] == 0.0
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientClassError):
-            compute_centroids(*_table([("P", [1.0])]), {"P": 1})
+            _centroids([("P", [1.0])], {"P": 1})
 
 
 class TestDeriveDiseaseVector:
@@ -142,7 +146,7 @@ class TestVonMisesFisherRecovery:
             center = u if label == 1 else -u
             for j in range(4):
                 rows.append((sid, _unit(kappa * center + rng.standard_normal(d))))
-        mu_pos, mu_neg = compute_centroids(*_table(rows), labels)
+        mu_pos, mu_neg = _centroids(rows, labels)
         dv = derive_disease_vector(mu_pos, mu_neg, "CVD", Modality.EEG)
         assert float(dv.vector @ u) > 0.99
 
@@ -189,7 +193,7 @@ class TestDeriveVectors:
                 ("D", [0.0, -50.0]),
             ])
         }
-        dv = derive_vectors(tables, manifest, ["A", "B"], "CVD", Modality.EEG)
+        (dv,) = derive_vectors(tables, manifest, ["A", "B"], ["CVD"], [Modality.EEG])
         np.testing.assert_allclose(dv.vector, [1.0, 0.0])
         assert dv.n_positive == 1 and dv.n_negative == 1
 
@@ -199,19 +203,37 @@ class TestDeriveVectors:
             Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])]),
             Modality.ECG: _table([("A", [0.0, 9.0]), ("B", [0.0, -9.0])]),
         }
-        dv = derive_vectors(tables, manifest, ["A", "B"], "CVD", Modality.EEG)
+        (dv,) = derive_vectors(tables, manifest, ["A", "B"], ["CVD"], [Modality.EEG])
         np.testing.assert_allclose(dv.vector, [1.0, 0.0])
 
     def test_unknown_outcome(self, tmp_path):
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1"])
         with pytest.raises(UnknownOutcomeError):
-            derive_vectors({}, manifest, ["A"], "Stroke", Modality.EEG)
+            derive_vectors({}, manifest, ["A"], ["Stroke"], [Modality.EEG])
 
     def test_single_class_train_split(self, tmp_path):
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0"])
         tables = {Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])])}
         with pytest.raises(InsufficientClassError):
-            derive_vectors(tables, manifest, ["A"], "CVD", Modality.EEG)
+            derive_vectors(tables, manifest, ["A"], ["CVD"], [Modality.EEG])
+
+    def test_pairs_come_outcome_by_outcome(self, tmp_path):
+        """Each table is grouped once for all outcomes; every vector equals the
+        one derived for its pair alone, in outcome-major order."""
+        manifest = _manifest(
+            tmp_path, ["A,60,1,25,,,1,0", "B,61,0,26,,,0,1", "C,62,1,27,,,1,1", "D,63,0,28,,,0,0"],
+            outcomes="CVD,DM",
+        )
+        rng = np.random.default_rng(5)
+        tables = {m: _interleaved(rng, {"A": 2, "B": 3, "C": 1, "D": 4}, 5) for m in (Modality.EEG, Modality.ECG)}
+        pairs = [(o, m) for o in ("DM", "CVD") for m in (Modality.ECG, Modality.EEG)]
+        got = derive_vectors(tables, manifest, "ABCD", ["DM", "CVD"], [Modality.ECG, Modality.EEG])
+        assert [(v.outcome, v.modality) for v in got] == pairs
+        for v, (o, m) in zip(got, pairs):
+            (alone,) = derive_vectors({m: tables[m]}, manifest, "ABCD", [o], [m])
+            assert (v.n_positive, v.n_negative) == (alone.n_positive, alone.n_negative)
+            for name in ("vector", "mu_positive", "mu_negative"):
+                assert getattr(v, name).tolist() == getattr(alone, name).tolist()
 
     def test_matches_per_row_sum(self, tmp_path):
         """Oracle: the centroids equal a per-row float64 sum taken over the
@@ -226,7 +248,7 @@ class TestDeriveVectors:
         # float64 rows of mixed scale, so a sum in another row order rounds differently
         X = X * 10.0 ** rng.uniform(-4.0, 4.0, size=(X.shape[0], 1))
         train = ["D", "A", "B", "C", "E"]  # F is held out; E is unlabelled; Z is not in the manifest
-        dv = derive_vectors({Modality.EEG: (ids, X)}, manifest, train, "CVD", Modality.EEG)
+        (dv,) = derive_vectors({Modality.EEG: (ids, X)}, manifest, train, ["CVD"], [Modality.EEG])
         labels = manifest.outcome_labels("CVD")
         sums = {0: np.zeros(7), 1: np.zeros(7)}
         rows = {0: 0, 1: 0}
