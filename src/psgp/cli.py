@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator, Mapping
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -178,79 +179,92 @@ def _write_embeddings_csv(
         )
 
 
-# characters of whole lines per chunk of the bulk embeddings reader; bounds
-# its transient memory, and the per-chunk cost of np.loadtxt stays small
+# characters of whole lines per chunk of the embeddings reader; bounds its
+# transient memory, and the per-chunk cost of np.loadtxt stays small
 _CHUNK_CHARS = 1 << 16
 
 
-def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
-    """(subject_ids, X) of one modality's table, X an (N, d) float32 array.
+def _embedding_chunks(path: Path, modality: Modality) -> Iterator[EmbeddingTable]:
+    """One modality's table as chunks of rows: (subject ids, (n, d) float32 values).
 
-    The header is ``_embeddings_header(d)``, d >= 1. One bulk pass over
-    chunks of about ``_CHUNK_CHARS`` characters of whole lines checks each
-    chunk's key cells and unpadded ASCII values at once and parses them with
-    one ``np.loadtxt``. Any doubt re-reads the table through ``table_rows``
-    to name its first bad line, judging each value by ``DECIMAL``. Every line
-    after the header must be a full row, so row i is line i + 2.
+    The header is ``_embeddings_header(d)``, d >= 1, and the first chunk is
+    its own: no rows, d columns. Then each chunk of about ``_CHUNK_CHARS``
+    characters of whole lines has its key cells and unpadded ASCII values
+    checked at once and is parsed with one ``np.loadtxt``. Any doubt re-reads
+    the table through ``table_rows`` to name its first bad line. Of the rows
+    yielded only each one's (subject code, segment index) pair is kept: after
+    the last chunk a pair on two lines, then a non-finite value, is refused
+    naming its line, and no chunk from the first non-finite value on is
+    yielded. Every line after the header must be a full row, so row i is
+    line i + 2.
     """
     with path.open(encoding="utf-8") as fh, utf8_text(path):
         first = next(terminated_lines(fh, path, FormatError), "")[:-1]
         header = _embeddings_header(first.count(",") - 2)
         if len(header) < 4 or first != ",".join(header):
             raise FormatError(f"{path}: unexpected embeddings header")
+        d = len(header) - 3
+        yield (), np.empty((0, d), np.float32)
+        codes: dict[str, int] = {}  # subject id -> code, in order of first row
+        subjects, indices = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        rows = 0
+        too_big = nonfinite = None  # the first row of each
         try:
-            subject_ids, indices, X = _bulk_rows(fh, modality.name, len(header) - 3)
+            while lines := fh.readlines(_CHUNK_CHARS):
+                sids, index, X = _chunk_rows(lines, modality.name, d)
+                if too_big is None:  # past it no pair is compared
+                    try:
+                        indices.append(np.fromiter(map(int, index), np.int64, len(index)))
+                    except OverflowError:
+                        too_big = rows + next(i for i, v in enumerate(index) if int(v) >= 2**63)
+                    else:
+                        code = (codes.setdefault(sid, len(codes)) for sid in sids)
+                        subjects.append(np.fromiter(code, np.int64, len(sids)))
+                finite = np.isfinite(X).all(axis=1)
+                if nonfinite is None and not finite.all():
+                    nonfinite = rows + int(finite.argmin())
+                if nonfinite is None:
+                    yield sids, X
+                rows += len(lines)
         except ValueError:  # a UnicodeDecodeError too
             _raise_first_bad_line(path, modality, header)
             raise
-    ids = np.array(subject_ids, dtype=str)
-    _refuse_repeated_segments(path, ids, indices)
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: line {bad[0] + 2}: non-finite embedding value")
-    return ids, X
+    if too_big is not None:
+        raise FormatError(f"{path}: line {too_big + 2}: segment index out of range")
+    _refuse_repeated_segments(path, np.concatenate(subjects), np.concatenate(indices), list(codes))
+    if nonfinite is not None:
+        raise FormatError(f"{path}: line {nonfinite + 2}: non-finite embedding value")
 
 
-def _bulk_rows(fh, name: str, d: int) -> tuple[list[str], list[int], np.ndarray]:
-    """Subject ids, segment indices and float32 values of the rest of an open
-    table; ValueError on any line the line-by-line reader must look at."""
-    subject_ids: list[str] = []
-    indices: list[int] = []
-    blocks = [np.empty((0, d), np.float32)]
-    while lines := fh.readlines(_CHUNK_CHARS):
-        sids, mods, index, tails = zip(*[line.split(",", 3) for line in lines])
-        distinct = set(index)
-        values = "".join(tails)
-        if (
-            not lines[-1].endswith("\n")
-            or set(mods) != {name}
-            or "" in distinct
-            or not is_count("".join(distinct))  # all ASCII digits iff every cell is
-            or "\n" in tails  # an empty value: loadtxt would skip the row as a blank line
-            # np.loadtxt strips padding DECIMAL refuses: these characters or non-ASCII ones
-            or not values.isascii()
-            or any(pad in values for pad in " \t\v\f\x1c\x1d\x1e\x1f")
-        ):
-            raise ValueError("a line end, a key cell, an empty value or padding")
-        block = _decimal_rows(tails)
-        if block.shape != (len(lines), d):
-            raise ValueError(f"rows of {block.shape[1]} values, header has {d}")
-        with np.errstate(over="ignore"):  # beyond float32 range is caught as non-finite
-            blocks.append(block.astype(np.float32))
-        subject_ids.extend(sids)
-        indices.extend(map(int, index))
-    return subject_ids, indices, np.concatenate(blocks)
+def _chunk_rows(lines: list[str], name: str, d: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Subject ids, segment-index cells and float32 values of whole table
+    lines; ValueError on any line the line-by-line reader must look at."""
+    sids, mods, index, tails = zip(*[line.split(",", 3) for line in lines])
+    distinct = set(index)
+    values = "".join(tails)
+    if (
+        not lines[-1].endswith("\n")
+        or set(mods) != {name}
+        or "" in distinct
+        or not is_count("".join(distinct))  # all ASCII digits iff every cell is
+        or "\n" in tails  # an empty value: loadtxt would skip the row as a blank line
+        # np.loadtxt strips padding DECIMAL refuses: these characters or non-ASCII ones
+        or not values.isascii()
+        or any(pad in values for pad in " \t\v\f\x1c\x1d\x1e\x1f")
+    ):
+        raise ValueError("a line end, a key cell, an empty value or padding")
+    block = _decimal_rows(tails)
+    if block.shape != (len(lines), d):
+        raise ValueError(f"rows of {block.shape[1]} values, header has {d}")
+    with np.errstate(over="ignore"):  # beyond float32 range is caught as non-finite
+        return sids, index, block.astype(np.float32)
 
 
-def _refuse_repeated_segments(path: Path, ids: np.ndarray, indices: list[int]) -> None:
-    """Refuse a (subject, segment_index) pair on two lines, naming the later one."""
-    try:
-        index = np.array(indices, dtype=np.int64)
-    except OverflowError:
-        lineno = next(i for i, v in enumerate(indices, start=2) if v >= 2**63)
-        raise FormatError(f"{path}: line {lineno}: segment index out of range") from None
-    order = np.lexsort((index, ids))  # stable: equal keys keep their line order
-    key_s, key_i = ids[order], index[order]
+def _refuse_repeated_segments(path: Path, subjects: np.ndarray, index: np.ndarray, names: list[str]) -> None:
+    """Refuse a (subject code, segment_index) pair on two lines, naming the
+    later one; ``names[code]`` is the subject's id."""
+    order = np.lexsort((index, subjects))  # stable: equal keys keep their line order
+    key_s, key_i = subjects[order], index[order]
     repeat = np.flatnonzero((key_s[1:] == key_s[:-1]) & (key_i[1:] == key_i[:-1]))
     if repeat.size:
         second = order[repeat + 1]
@@ -258,7 +272,7 @@ def _refuse_repeated_segments(path: Path, ids: np.ndarray, indices: list[int]) -
         first = order[repeat[second.argmin()]]
         raise FormatError(
             f"{path}: line {row + 2} repeats line {first + 2}: "
-            f"subject {str(ids[row])!r}, segment_index {index[row]}"
+            f"subject {names[subjects[row]]!r}, segment_index {index[row]}"
         )
 
 
@@ -270,7 +284,8 @@ def _decimal_rows(rows: list[str]) -> np.ndarray:
 def _raise_first_bad_line(path: Path, modality: Modality, header: list[str]) -> None:
     """Raise a FormatError for the first bad line of a table the bulk pass
     doubted: a cut line end or a row of the wrong width (``table_rows``
-    refuses those), a bad key cell or a value ``DECIMAL`` refuses."""
+    refuses those), a bad key cell, a value ``DECIMAL`` refuses or one
+    float32 cannot hold."""
     name = modality.name
     for where, (_, mod, index, *values) in table_rows(path, header, FormatError):
         if mod != name:
@@ -280,6 +295,34 @@ def _raise_first_bad_line(path: Path, modality: Modality, header: list[str]) -> 
         bad = next((v for v in values if not DECIMAL.fullmatch(v)), None)
         if bad is not None:
             raise FormatError(f"{where}: {bad!r} is not a decimal number")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.array(values, dtype=np.float64).astype(np.float32)).all():
+                raise FormatError(f"{where}: non-finite embedding value")
+
+
+def _count_lines(path: Path) -> int:
+    """Lines of a text file as the reader splits them, undecodable bytes
+    passed over (the reader itself refuses them)."""
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        return sum(block.count("\n") for block in iter(lambda: fh.read(_CHUNK_CHARS), ""))
+
+
+def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
+    """(subject_ids, X) of one modality's whole table, X an (N, d) float32
+    array: ``_embedding_chunks`` reads and checks it, and X and each row's
+    subject code are allocated once, N counted from the table's line ends,
+    and filled chunk by chunk."""
+    X = code = None
+    codes: dict[str, int] = {}  # subject id -> code, in order of first row
+    rows = 0
+    for sids, block in _embedding_chunks(path, modality):
+        if X is None:
+            n = _count_lines(path) - 1
+            X, code = np.empty((n, block.shape[1]), np.float32), np.empty(n, np.int64)
+        X[rows:rows + len(sids)] = block
+        code[rows:rows + len(sids)] = [codes.setdefault(sid, len(codes)) for sid in sids]
+        rows += len(sids)
+    return np.array(list(codes), dtype=str)[code[:rows]], X[:rows]
 
 
 def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -300,19 +343,34 @@ def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
         print(f"embedded {modality.name}: {X.shape[0]} segments")
 
 
-def _embedding_tables(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality, EmbeddingTable]:
+def _embedding_paths(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality, Path]:
     root = _require(Path(args.embeddings), "embeddings directory")
-    paths = {m: _require(root / m.name / "embeddings.csv", "embeddings table") for m in cfg.modalities}
-    return {m: _read_embeddings_csv(path, m) for m, path in paths.items()}
+    return {m: _require(root / m.name / "embeddings.csv", "embeddings table") for m in cfg.modalities}
+
+
+class _TablesOnDemand(Mapping):
+    """Each modality's whole embeddings table, read when it is looked up."""
+
+    def __init__(self, paths: dict[Modality, Path]):
+        self._paths = paths
+
+    def __getitem__(self, modality: Modality) -> EmbeddingTable:
+        return _read_embeddings_csv(self._paths[modality], modality)
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
 
 
 def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     outcomes = _outcomes_for(cfg, manifest)
-    tables = _embedding_tables(args, cfg)
-    out = _out_dir(args)
+    tables = _TablesOnDemand(_embedding_paths(args, cfg))
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
     vectors = derive_vectors(tables, manifest, split.train_ids, outcomes, cfg.modalities)
+    out = _out_dir(args)
     (out / "vectors").mkdir(exist_ok=True)
     save_disease_vector(vectors, out / "vectors" / "vectors.csv")
     save_split(split, out / "split.csv")
@@ -329,9 +387,9 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     missing = [m.name for m in cfg.modalities if all(v.modality is not m for v in vectors)]
     if missing:
         raise MissingInputError(f"{path} has no disease vector for {','.join(missing)}")
-    tables = _embedding_tables(args, cfg)
-    out = _out_dir(args)
-    save_scores(score_cohort(tables, vectors, manifest), out / "scores.csv")
+    tables = {m: _embedding_chunks(p, m) for m, p in _embedding_paths(args, cfg).items()}
+    scores = score_cohort(tables, vectors, manifest)
+    save_scores(scores, _out_dir(args) / "scores.csv")
 
 
 def _scores_and_split(

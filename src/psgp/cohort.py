@@ -74,7 +74,6 @@ def check_name(kind: str, name: str, error: type[PsgpError], where: str) -> None
 
 
 def _parse_float(token: str, *, where: str, column: str) -> float | None:
-    token = token.strip()
     if token == "":
         return None
     if not DECIMAL.fullmatch(token):
@@ -86,7 +85,6 @@ def _parse_float(token: str, *, where: str, column: str) -> float | None:
 
 
 def _parse_flag(token: str, *, where: str, column: str) -> int | None:
-    token = token.strip()
     if token == "":
         return None
     if token not in ("0", "1"):

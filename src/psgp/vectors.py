@@ -32,6 +32,8 @@ from .signalio import Modality
 from .tables import DECIMAL, is_count, table_rows, write_table
 
 _DIRECTION_FLOOR = 1e-10
+# rows a class adds per block in compute_centroids; bounds its float64 copy
+_SUM_ROWS = 256
 _SCORE_HEADER = ("subject_id", "outcome", "modality", "score", "n_segments_used")
 _ARRAYS = ("vector", "mu_positive", "mu_negative")
 _VECTOR_HEADER = ("outcome", "modality", "n_positive", "n_negative", *_ARRAYS)
@@ -93,13 +95,31 @@ def compute_centroids(X, labels: Mapping[str, int | None], groups: RowGroups) ->
     classes = np.array([-1 if labels.get(sid) is None else labels[sid] for sid in ids], dtype=np.int8)
     order = np.argsort(inverse, kind="stable")
     row_class = classes[inverse[order]]
-    pos = X[order[row_class == 1]].astype(np.float64)
-    neg = X[order[row_class == 0]].astype(np.float64)
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
+    pos, neg = order[row_class == 1], order[row_class == 0]
+    if pos.size == 0 or neg.size == 0:
         raise InsufficientClassError(
-            f"centroids need both classes (got {pos.shape[0]} positive, {neg.shape[0]} negative segments)"
+            f"centroids need both classes (got {pos.size} positive, {neg.size} negative segments)"
         )
-    return pos.sum(axis=0) / pos.shape[0], neg.sum(axis=0) / neg.shape[0]
+    return _row_sum(X, pos) / pos.size, _row_sum(X, neg) / neg.size
+
+
+def _row_sum(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``X[rows].astype(np.float64).sum(axis=0)``, ``_SUM_ROWS`` rows at a time.
+
+    numpy adds the rows of a 2-D array one after another, so a block headed
+    by the running sum makes every addition the whole sum makes; one column
+    it adds pairwise, so a one-column table is summed whole.
+    """
+    if X.shape[1] == 1:
+        return X[rows].astype(np.float64).sum(axis=0)
+    total = X[rows[:_SUM_ROWS]].astype(np.float64).sum(axis=0)
+    block = np.empty((_SUM_ROWS + 1, X.shape[1]))
+    for start in range(_SUM_ROWS, rows.size, _SUM_ROWS):
+        part = rows[start:start + _SUM_ROWS]
+        block[0] = total
+        block[1:part.size + 1] = X[part]
+        total = block[:part.size + 1].sum(axis=0)
+    return total
 
 
 def derive_disease_vector(
@@ -153,72 +173,123 @@ def derive_vectors(
     modalities: Sequence[Modality],
 ) -> list[DiseaseVector]:
     """Centroid-difference vectors from training subjects only, one per
-    (outcome, modality), outcome by outcome; each table is grouped by
-    subject once."""
-    train = set(train_ids)
-    rows = {m: tables.get(m, ((), np.empty((0, 0)))) for m in modalities}  # no table: no rows
-    groups = {m: group_rows(subject_ids) for m, (subject_ids, _) in rows.items()}
-    vectors = []
+    (outcome, modality), outcome by outcome.
+
+    Each table is looked up once, in ``modalities`` order, grouped by subject
+    and summed for every outcome, and let go before the next lookup, so a
+    mapping that reads a table when it is looked up holds one at a time.
+    """
     for outcome in outcomes:
         if outcome not in manifest.outcome_names:
             raise UnknownOutcomeError(f"manifest has no outcome {outcome!r}")
-        labels = {s: y for s, y in manifest.outcome_labels(outcome).items() if s in train and y is not None}
+    train = set(train_ids)
+    labels = {
+        o: {s: y for s, y in manifest.outcome_labels(o).items() if s in train and y is not None}
+        for o in outcomes
+    }
+    no_rows = ((), np.empty((0, 0)))
+    sums = {m: _class_centroids(tables.get(m, no_rows), labels) for m in modalities}
+    vectors = []
+    for outcome in outcomes:
         for modality in modalities:
-            classes = [labels[sid] for sid in groups[modality][0] if sid in labels]
-            n_positive = sum(classes)
-            n_negative = len(classes) - n_positive
-            if n_positive == 0 or n_negative == 0:
+            n_positive, n_negative, centroids = sums[modality][outcome]
+            if centroids is None:
                 raise InsufficientClassError(
                     f"{outcome}/{modality.name}: training split has {n_positive} positive and "
                     f"{n_negative} negative subjects with embeddings"
                 )
-            mu_pos, mu_neg = compute_centroids(rows[modality][1], labels, groups[modality])
-            vectors.append(derive_disease_vector(mu_pos, mu_neg, outcome, modality, n_positive, n_negative))
+            vectors.append(derive_disease_vector(*centroids, outcome, modality, n_positive, n_negative))
     return vectors
 
 
+def _class_centroids(
+    table: EmbeddingTable, labels: Mapping[str, Mapping[str, int]]
+) -> dict[str, tuple[int, int, tuple[np.ndarray, np.ndarray] | None]]:
+    """Per outcome: the table's positive and negative subject counts and, if
+    both are non-zero, ``compute_centroids``."""
+    subject_ids, X = table
+    groups = group_rows(subject_ids)
+    sums = {}
+    for outcome, outcome_labels in labels.items():
+        classes = [outcome_labels[sid] for sid in groups[0] if sid in outcome_labels]
+        n_positive = sum(classes)
+        n_negative = len(classes) - n_positive
+        both = n_positive and n_negative
+        sums[outcome] = n_positive, n_negative, compute_centroids(X, outcome_labels, groups) if both else None
+    return sums
+
+
 def score_cohort(
-    tables: Mapping[Modality, EmbeddingTable],
+    tables: Mapping[Modality, Iterable[EmbeddingTable]],
     vectors: Sequence[DiseaseVector],
     manifest: CohortManifest,
 ) -> list[SubjectScore]:
     """Project every manifest subject's rows onto every disease vector.
 
-    Rows of subjects outside the manifest are ignored; a subject without rows
-    for a modality gets no score for its vectors. Labels are not needed.
-    Scores come out by subject id, then in the order of ``vectors``.
+    Each modality's table comes as chunks of rows, each (subject_ids, X); an
+    in-memory table is one chunk. A chunk's rows are projected and let go:
+    each kept row leaves only its subject's code and its float64 projections
+    onto the modality's vectors. Rows of subjects outside the manifest are
+    ignored; a subject without rows for a modality gets no score for its
+    vectors. Labels are not needed. Scores come out by subject id, then in
+    the order of ``vectors``.
     """
     for vec in vectors:
         if vec.outcome not in manifest.outcome_names:
             raise UnknownOutcomeError(f"manifest has no outcome {vec.outcome!r}")
     found: list[tuple[str, int, float, int]] = []
-    for modality, (subject_ids, X) in tables.items():
+    for modality, chunks in tables.items():
         picked = [j for j, vec in enumerate(vectors) if vec.modality is modality]
         if not picked:
             continue
         V = np.stack([vectors[j].vector for j in picked], axis=1)
+        names, group, P = _projections(modality, chunks, V, manifest)
+        counts = np.bincount(group, minlength=len(names))
+        used = np.minimum(counts, 3)
+        for j, best in zip(picked, _top_three(group, counts, P)):
+            score = np.empty(len(names))
+            for k in (1, 2, 3):  # a k-wide row mean adds like subject_score's
+                score[used == k] = best[used == k, :k].mean(axis=1)
+            found.extend((names[s], j, v, k) for s, (v, k) in enumerate(zip(score.tolist(), used.tolist())))
+    found.sort(key=lambda f: f[:2])
+    return [SubjectScore(sid, vectors[j].outcome, vectors[j].modality, v, k) for sid, j, v, k in found]
+
+
+def _projections(
+    modality: Modality, chunks: Iterable[EmbeddingTable], V: np.ndarray, manifest: CohortManifest
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The manifest subjects of one table's chunks, in order of first row,
+    and each of their rows' subject code and float64 projections onto the
+    columns of V, in table order."""
+    codes: dict[str, int] = {}
+    groups, projections = [np.empty(0, np.int64)], [np.empty((0, V.shape[1]))]
+    for subject_ids, X in chunks:
         X = np.asarray(X)
         if X.shape[1] != V.shape[0]:
             raise DataError(f"{modality.name} embeddings have dimension {X.shape[1]}, vectors {V.shape[0]}")
-        ids, inverse = group_rows(subject_ids)
-        keep = np.array([sid in manifest.rows for sid in ids], dtype=bool)[inverse]
-        group = inverse[keep]
-        projections = X[keep].astype(np.float64) @ V
-        counts = np.bincount(group, minlength=len(ids))
-        present = np.flatnonzero(counts)
-        used = np.minimum(counts[present], 3)
-        # where each subject's three best rows land once rows are ranked by
-        # subject, then by projection; a slot past its last row is not averaged
-        first = (np.cumsum(counts) - counts)[present]
-        slots = np.minimum(first[:, None] + np.arange(3), group.shape[0] - 1)
-        for col, j in enumerate(picked):
-            top = projections[np.lexsort((-projections[:, col], group)), col][slots]
-            score = np.empty(present.shape[0])
-            for k in (1, 2, 3):  # a k-wide row mean adds like subject_score's
-                score[used == k] = top[used == k, :k].mean(axis=1)
-            found.extend((ids[s], j, v, k) for s, v, k in zip(present, score.tolist(), used.tolist()))
-    found.sort(key=lambda f: f[:2])
-    return [SubjectScore(sid, vectors[j].outcome, vectors[j].modality, v, k) for sid, j, v, k in found]
+        code = np.array(
+            [codes.setdefault(sid, len(codes)) if sid in manifest.rows else -1 for sid in subject_ids],
+            dtype=np.int64,
+        )
+        keep = code >= 0
+        groups.append(code[keep])
+        # einsum, unlike a BLAS product, gives a row the same bits in a chunk of any size
+        projections.append(np.einsum("ij,jk->ik", X[keep].astype(np.float64), V))
+    return list(codes), np.concatenate(groups), np.concatenate(projections)
+
+
+def _top_three(group: np.ndarray, counts: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(columns, subjects, 3): each subject's three largest values of each
+    column of P in descending order, equal values in row order; slots past a
+    subject's rows are zero."""
+    order = np.argsort(group, kind="stable")  # by subject, each one's rows in table order
+    top = np.zeros((P.shape[1], counts.size, 3))
+    start = 0
+    for s, end in enumerate(np.cumsum(counts).tolist()):
+        ranked = np.sort(-P[order[start:end]], axis=0, kind="stable")[:3]  # every column at once
+        top[:, s, :ranked.shape[0]] = -ranked.T
+        start = end
+    return top
 
 
 # --- on-disk formats ---------------------------------------------------

@@ -1019,6 +1019,18 @@ class TestEmbeddingsReader:
         with pytest.raises(FormatError, match="line 400[:]"):
             _read_embeddings_csv(path, Modality.RESP)
 
+    def test_non_finite_value_before_a_bad_key_cell(self, tmp_path):
+        """A value float32 cannot hold is a bad line like any other: with
+        ``1e39`` on line 2 and a stray modality on line 4, line 2 is named."""
+        path = tmp_path / "embeddings.csv"
+        _write_embeddings_csv(path, *_key_arrays([("S1", i) for i in range(4)]), np.ones((4, 2), np.float32), Modality.RESP)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[1] = "S1,RESP,0,1e39,1"
+        lines[3] = "S1,ECG,2,1,1"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match="line 2: non-finite embedding value$"):
+            _read_embeddings_csv(path, Modality.RESP)
+
     # --- chunk boundaries of the bulk pass ---
 
     CHUNK = 3  # lines per bulk chunk in the tests below
@@ -1093,6 +1105,18 @@ class TestEmbeddingsReader:
         with pytest.raises(FormatError, match=f"line {number_line}: '1e' is not a decimal number$"):
             _read_embeddings_csv(path, Modality.RESP)
 
+    @pytest.mark.parametrize("value_line,key_line", [(3, 9), (5, 6)])
+    def test_non_finite_value_before_a_later_key_error(self, tmp_path, monkeypatch, value_line, key_line):
+        """A chunk whose only fault is a value beyond float32 range passes the
+        bulk pass; when a later line is doubted, the diagnosis still names
+        the earlier line, in another chunk or the same one."""
+        path, lines = self.chunked_table(tmp_path, monkeypatch, 20)
+        self.set_cell(lines, value_line, 4, "-1e39")
+        self.set_cell(lines, key_line, 1, "ECG")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"line {value_line}: non-finite embedding value$"):
+            _read_embeddings_csv(path, Modality.RESP)
+
     @pytest.mark.parametrize("n", [12, 20])
     def test_crlf_table_across_chunks(self, tmp_path, monkeypatch, n):
         path, _ = self.chunked_table(tmp_path, monkeypatch, n)
@@ -1137,7 +1161,7 @@ def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatc
     """``vectors`` and ``score`` over three d = 32 tables, four outcomes, each
     subject's rows interleaved with others' and out of segment order (each
     table grouped once by ``derive_vectors``), write the bytes they write when
-    every table is parsed by the csv.reader oracle."""
+    every table is parsed by the csv.reader oracle, as one chunk of rows."""
     data, emb = tmp_path / "data", tmp_path / "emb"
     assert run_cli(
         "synth", "--out", data, "--seed", 11, "--subjects", 24, "--segments", 1,
@@ -1160,7 +1184,7 @@ def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatc
         return (out / "vectors" / "vectors" / "vectors.csv").read_bytes(), (out / "score" / "scores.csv").read_bytes()
 
     got = stages(tmp_path / "bulk")
-    monkeypatch.setattr("psgp.cli._read_embeddings_csv", lambda path, modality: oracle_read_embeddings(path))
+    monkeypatch.setattr("psgp.cli._embedding_chunks", lambda path, modality: iter([oracle_read_embeddings(path)]))
     want = stages(tmp_path / "oracle")
     assert got[0].count(b"\n") == 1 + 4 * 3 and got[1].count(b"\n") == 1 + 24 * 4 * 3
     assert got == want
@@ -1178,7 +1202,7 @@ def test_vectors_and_score_refuse_before_reading_a_table(chain, tmp_path, capsys
 
     table = chain["vectors"] / "vectors" / "vectors.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("psgp.cli._read_embeddings_csv", read)
+        mp.setattr("psgp.cli._embedding_chunks", read)
         rc = run_cli(
             command, "--out", tmp_path / "out", "--config", chain["ini"], "--data", chain["data"],
             "--embeddings", tmp_path / "no_such_dir", *extra,
@@ -1689,6 +1713,16 @@ def test_outcome_name_unfit_for_a_file_name_or_header_cell_is_refused(chain, tmp
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [manifest]
 
 
+def test_padded_manifest_cell_is_one_error_line(chain, tmp_path, capsys):
+    """``S0002, 60 ,...``: exit 3 naming the manifest, the line and the column."""
+    data = tmp_path / "data"
+    manifest = data / "manifest.csv"
+    corrupt_cell(chain["data"] / "manifest.csv", manifest, 3, 1, " 60 ")
+    rc = run_cli("eval", "--out", tmp_path / "out", "--config", chain["ini"], "--data", data,
+                 "--scores", chain["scores"] / "scores.csv")
+    assert_one_line_data_error(rc, capsys.readouterr().err, f"{manifest} line 3", "column 'age'", kind="ManifestError")
+
+
 @pytest.mark.parametrize(
     "sid,line",
     [("c,d", 3), ('q"x', 3), ("../../x", 3), ("a\\b", 3), ("a\nb", 4), ("S1\x00", 3)],
@@ -1885,6 +1919,61 @@ def test_stage_memory_does_not_grow_with_windows_per_subject(cohorts_by_windows,
         finally:
             tracemalloc.stop()
     assert peaks[24] - peaks[6] < 1_000_000, peaks
+
+
+@pytest.fixture(scope="module")
+def wide_tables(tmp_path_factory):
+    """A manifest of 80 subjects, half CVD-positive, and d = 256 EEG and ECG
+    tables of 120 rows per subject (9,600 rows, 9.8 MB as float32 each)."""
+    root = tmp_path_factory.mktemp("wide")
+    lines = ["subject_id,age,sex,bmi,sbp,frs,CVD,DM"]
+    lines += [f"S{i:03d},{50 + i % 30},{i % 2},{22 + i % 9},,,{i % 2},{i // 2 % 2}" for i in range(80)]
+    (root / "data").mkdir()
+    (root / "data" / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    keys = [(f"S{i:03d}", w) for i in range(80) for w in range(120)]
+    X = np.random.default_rng(4).standard_normal((len(keys), 256)).astype(np.float32)
+    eeg = root / "emb" / "EEG" / "embeddings.csv"
+    eeg.parent.mkdir(parents=True)
+    _write_embeddings_csv(eeg, *_key_arrays(keys), X, Modality.EEG)
+    (root / "emb" / "ECG").mkdir()
+    (root / "emb" / "ECG" / "embeddings.csv").write_text(
+        eeg.read_text(encoding="utf-8").replace(",EEG,", ",ECG,"), encoding="utf-8"
+    )
+    assert run_cli("vectors", "--out", root / "vectors", "--data", root / "data", "--embeddings", root / "emb",
+                   "--modality", "EEG") == 0
+    return root, X.nbytes, len(keys)
+
+
+def traced_peak(*argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_memory_follows_the_rows_not_the_table(wide_tables, tmp_path):
+    """``score`` over one d = 256 table with two vectors streams the table:
+    past one chunk it keeps per row a subject code, the reader's key pair and
+    two float64 projections (1.2 MB traced here), not the table's 1,024
+    bytes a row, which it held about four times over (39.8 MB) when it read
+    the table whole."""
+    root, table_bytes, rows = wide_tables
+    peak = traced_peak("score", "--out", tmp_path, "--data", root / "data", "--embeddings", root / "emb",
+                       "--vectors", root / "vectors" / "vectors", "--modality", "EEG")
+    assert peak < 1_000_000 + 4 * rows * 2 * 8 < table_bytes / 6, (peak, table_bytes)
+
+
+def test_vectors_memory_holds_one_table(wide_tables, tmp_path):
+    """``vectors`` over two d = 256 tables holds one table at a time, read
+    into one array, and sums each class in blocks of rows: 1.14 tables
+    traced here, where reading both first (each into blocks plus their join)
+    and a float64 copy of each class took 4.1."""
+    root, table_bytes, _ = wide_tables
+    peak = traced_peak("vectors", "--out", tmp_path, "--data", root / "data", "--embeddings", root / "emb",
+                       "--modality", "EEG,ECG")
+    assert table_bytes < peak < 1.25 * table_bytes, (peak, table_bytes)
 
 
 def chain_digest(root: Path) -> dict[str, str]:

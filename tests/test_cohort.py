@@ -96,6 +96,22 @@ class TestLoadManifest:
             with pytest.raises(ManifestError):
                 load_manifest(path)
 
+    @pytest.mark.parametrize("row,column", [
+        ("S1, 60 ,1,25,,,1,0", "age"),
+        ("S1,60,1,25 ,,,1,0", "bmi"),
+        ("S1,60,1,25,\t120,,1,0", "sbp"),
+        ("S1,60,1,25,, ,1,0", "frs"),
+        ("S1,60, 1,25,,,1,0", "sex"),
+        ("S1,60,1,25,,,1 ,0", "CVD"),
+    ])
+    def test_padded_cell_is_refused(self, tmp_path, row, column):
+        """Covariates are plain decimals and flags plain 0 or 1, as in every
+        psgp table: a cell padded with a space or a tab, or only blank, is
+        not read as its stripped value or as missing."""
+        path = _write(tmp_path, [HEADER, "S0,61,0,26,,,0,1", row])
+        with pytest.raises(ManifestError, match=f"line 3: column '{column}' "):
+            load_manifest(path)
+
     @pytest.mark.parametrize("name", ["", "A,B", 'A"B', "../evil", "A\\B", "A\nB", "A\rB", "A\u2028B"])
     def test_outcome_name_must_suit_a_file_name_and_a_header_cell(self, tmp_path, name):
         quoted = '"' + name.replace('"', '""') + '"'

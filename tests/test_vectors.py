@@ -41,6 +41,11 @@ def _table(rows):
     return np.array([sid for sid, _ in rows]), np.array([vec for _, vec in rows], dtype=np.float64)
 
 
+def _one_chunk(tables):
+    """``score_cohort``'s input: each table as one chunk of rows."""
+    return {m: [table] for m, table in tables.items()}
+
+
 def _centroids(rows, labels):
     ids, X = _table(rows)
     return compute_centroids(X, labels, group_rows(ids))
@@ -264,6 +269,26 @@ class TestDeriveVectors:
         assert (dv.n_positive, dv.n_negative) == (2, 2)
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_block_sums_add_like_one_sum(self, monkeypatch, d, block):
+        """Summed a few rows at a time, each class adds its rows exactly as
+        one float64 sum over all of them does, including one column's
+        pairwise sum; rows of mixed scale show any other order."""
+        monkeypatch.setattr("psgp.vectors._SUM_ROWS", block)
+        rng = np.random.default_rng(d * 10 + block)
+        ids, X = _interleaved(rng, {"A": 9, "B": 4, "C": 17, "D": 1}, d)
+        X = (X * 10.0 ** rng.uniform(-6.0, 6.0, size=(X.shape[0], 1))).astype(np.float32)
+        labels = {"A": 1, "B": 0, "C": 0, "D": 1}
+        groups = group_rows(ids)
+        mu_pos, mu_neg = compute_centroids(X, labels, groups)
+        order = np.argsort(groups[1], kind="stable")
+        for mu, cls in ((mu_pos, 1), (mu_neg, 0)):
+            rows = order[np.array([labels[ids[i]] == cls for i in order])]
+            want = X[rows].astype(np.float64).sum(axis=0) / rows.size
+            assert mu.tobytes() == want.tobytes()
+
+
 class TestScoreCohort:
     def _setup(self, tmp_path):
         manifest = _manifest(
@@ -278,7 +303,7 @@ class TestScoreCohort:
 
     def test_scores_and_membership(self, tmp_path):
         manifest, vectors, tables = self._setup(tmp_path)
-        scores = score_cohort(tables, vectors, manifest)
+        scores = score_cohort(_one_chunk(tables), vectors, manifest)
         by_id = {s.subject_id: s for s in scores}
         # C has no EEG embeddings, so no row for the EEG vector
         assert set(by_id) == {"A", "B"}
@@ -288,14 +313,14 @@ class TestScoreCohort:
 
     def test_pure_function(self, tmp_path):
         manifest, vectors, tables = self._setup(tmp_path)
-        assert score_cohort(tables, vectors, manifest) == score_cohort(tables, vectors, manifest)
+        assert score_cohort(_one_chunk(tables), vectors, manifest) == score_cohort(_one_chunk(tables), vectors, manifest)
 
     def test_unlabelled_subjects_still_scored(self, tmp_path):
         """Scoring needs no labels; a subject missing the outcome label still
         gets a risk score for reporting."""
         manifest = _manifest(tmp_path, ["A,60,1,25,,,"])
         dv = derive_disease_vector([1.0, 0.0], [-1.0, 0.0], "CVD", Modality.EEG)
-        scores = score_cohort({Modality.EEG: _table([("A", [1.0, 0.0])])}, [dv], manifest)
+        scores = score_cohort({Modality.EEG: [_table([("A", [1.0, 0.0])])]}, [dv], manifest)
         assert len(scores) == 1 and scores[0].score == pytest.approx(1.0)
 
     def test_matches_brute_force_oracle(self, tmp_path):
@@ -325,7 +350,7 @@ class TestScoreCohort:
                 projections = [project_segment(x, vec) for row_sid, x in zip(ids, X) if row_sid == sid]
                 if projections:
                     want.append((sid, vec.outcome, vec.modality, *subject_score(projections)))
-        got = score_cohort(tables, vectors, manifest)
+        got = score_cohort(_one_chunk(tables), vectors, manifest)
         assert [(s.subject_id, s.outcome, s.modality, s.n_segments_used) for s in got] == [
             w[:3] + (w[4],) for w in want
         ]
@@ -333,6 +358,22 @@ class TestScoreCohort:
             assert s.score == pytest.approx(w[3], rel=1e-12, abs=1e-15)
         assert {w[0] for w in want} == {"A", "B", "C", "D", "E"}
         assert {w[4] for w in want} == {1, 2, 3}
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chunking_moves_no_score_bit(self, tmp_path, seed):
+        """A table cut into chunks of any sizes, some empty, scores to the
+        same bits as the table in one chunk."""
+        manifest = _manifest(tmp_path, ["A,60,1,25,,,1,0", "B,61,0,26,,,0,1", "C,62,1,27,,,1,"], outcomes="CVD,DM")
+        rng = np.random.default_rng(seed)
+        ids, X = _interleaved(rng, {"A": 7, "B": 2, "C": 11, "Z": 3}, 9)
+        vectors = [derive_disease_vector(rng.standard_normal(9), rng.standard_normal(9), o, Modality.EEG)
+                   for o in ("CVD", "DM")]
+        cuts = np.sort(rng.integers(0, ids.shape[0] + 1, size=6))
+        chunks = [(ids[a:b], X[a:b]) for a, b in zip([0, *cuts], [*cuts, ids.shape[0]])]
+        whole = score_cohort({Modality.EEG: [(ids, X)]}, vectors, manifest)
+        assert score_cohort({Modality.EEG: iter(chunks)}, vectors, manifest) == whole
+        assert len(whole) == 6
 
 
 class TestDiskFormats:
