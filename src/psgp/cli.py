@@ -218,8 +218,7 @@ def _embedding_chunks(path: Path, modality: Modality) -> Iterator[EmbeddingTable
                     except OverflowError:
                         too_big = rows + next(i for i, v in enumerate(index) if int(v) >= 2**63)
                     else:
-                        code = (codes.setdefault(sid, len(codes)) for sid in sids)
-                        subjects.append(np.fromiter(code, np.int64, len(sids)))
+                        subjects.append(_subject_codes(codes, sids))
                 finite = np.isfinite(X).all(axis=1)
                 if nonfinite is None and not finite.all():
                     nonfinite = rows + int(finite.argmin())
@@ -234,6 +233,13 @@ def _embedding_chunks(path: Path, modality: Modality) -> Iterator[EmbeddingTable
     _refuse_repeated_segments(path, np.concatenate(subjects), np.concatenate(indices), list(codes))
     if nonfinite is not None:
         raise FormatError(f"{path}: line {nonfinite + 2}: non-finite embedding value")
+
+
+def _subject_codes(codes: dict[str, int], sids) -> np.ndarray:
+    """Each row's subject code, a subject new to ``codes`` taking the next one."""
+    for sid in dict.fromkeys(sids):
+        codes.setdefault(sid, len(codes))
+    return np.fromiter(map(codes.__getitem__, sids), np.int64, len(sids))
 
 
 def _chunk_rows(lines: list[str], name: str, d: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -320,7 +326,7 @@ def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
             n = _count_lines(path) - 1
             X, code = np.empty((n, block.shape[1]), np.float32), np.empty(n, np.int64)
         X[rows:rows + len(sids)] = block
-        code[rows:rows + len(sids)] = [codes.setdefault(sid, len(codes)) for sid in sids]
+        code[rows:rows + len(sids)] = _subject_codes(codes, sids)
         rows += len(sids)
     return np.array(list(codes), dtype=str)[code[:rows]], X[:rows]
 

@@ -5,7 +5,7 @@ A modality's embeddings are one ``EmbeddingTable``: (N,) subject ids and the
 direction is the normalized difference of the segment-weighted centroids of
 positive and of negative training subjects (two masked sums); a subject's
 score is the mean of their top min(3, available) projections onto it (one
-matrix product per modality, no thread pool).
+product per chunk of a modality's table, no thread pool).
 
 A run's disease vectors are one ``tables`` table, ``vectors.csv``: a row per
 (outcome, modality), each array one cell of space-joined ``.17g`` decimals,
@@ -14,6 +14,7 @@ so ``load_disease_vector`` reads back every float exactly.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -267,10 +268,10 @@ def _projections(
         X = np.asarray(X)
         if X.shape[1] != V.shape[0]:
             raise DataError(f"{modality.name} embeddings have dimension {X.shape[1]}, vectors {V.shape[0]}")
-        code = np.array(
-            [codes.setdefault(sid, len(codes)) if sid in manifest.rows else -1 for sid in subject_ids],
-            dtype=np.int64,
-        )
+        for sid in dict.fromkeys(subject_ids):
+            if sid in manifest.rows:
+                codes.setdefault(sid, len(codes))
+        code = np.fromiter(map(codes.get, subject_ids, repeat(-1)), np.int64, len(subject_ids))
         keep = code >= 0
         groups.append(code[keep])
         # einsum, unlike a BLAS product, gives a row the same bits in a chunk of any size
