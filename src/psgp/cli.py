@@ -363,7 +363,7 @@ class _TablesOnDemand(Mapping):
     def __getitem__(self, modality: Modality) -> EmbeddingTable:
         return _read_embeddings_csv(self._paths[modality], modality)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Modality]:
         return iter(self._paths)
 
     def __len__(self) -> int:
