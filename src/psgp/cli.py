@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -43,6 +43,7 @@ from .vectors import (
     save_disease_vector,
     save_scores,
     score_cohort,
+    subject_codes,
 )
 
 
@@ -218,7 +219,7 @@ def _embedding_chunks(path: Path, modality: Modality) -> Iterator[EmbeddingTable
                     except OverflowError:
                         too_big = rows + next(i for i, v in enumerate(index) if int(v) >= 2**63)
                     else:
-                        subjects.append(_subject_codes(codes, sids))
+                        subjects.append(subject_codes(codes, sids))
                 finite = np.isfinite(X).all(axis=1)
                 if nonfinite is None and not finite.all():
                     nonfinite = rows + int(finite.argmin())
@@ -233,13 +234,6 @@ def _embedding_chunks(path: Path, modality: Modality) -> Iterator[EmbeddingTable
     _refuse_repeated_segments(path, np.concatenate(subjects), np.concatenate(indices), list(codes))
     if nonfinite is not None:
         raise FormatError(f"{path}: line {nonfinite + 2}: non-finite embedding value")
-
-
-def _subject_codes(codes: dict[str, int], sids) -> np.ndarray:
-    """Each row's subject code, a subject new to ``codes`` taking the next one."""
-    for sid in dict.fromkeys(sids):
-        codes.setdefault(sid, len(codes))
-    return np.fromiter(map(codes.__getitem__, sids), np.int64, len(sids))
 
 
 def _chunk_rows(lines: list[str], name: str, d: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -306,31 +300,6 @@ def _raise_first_bad_line(path: Path, modality: Modality, header: list[str]) -> 
                 raise FormatError(f"{where}: non-finite embedding value")
 
 
-def _count_lines(path: Path) -> int:
-    """Lines of a text file as the reader splits them, undecodable bytes
-    passed over (the reader itself refuses them)."""
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        return sum(block.count("\n") for block in iter(lambda: fh.read(_CHUNK_CHARS), ""))
-
-
-def _read_embeddings_csv(path: Path, modality: Modality) -> EmbeddingTable:
-    """(subject_ids, X) of one modality's whole table, X an (N, d) float32
-    array: ``_embedding_chunks`` reads and checks it, and X and each row's
-    subject code are allocated once, N counted from the table's line ends,
-    and filled chunk by chunk."""
-    X = code = None
-    codes: dict[str, int] = {}  # subject id -> code, in order of first row
-    rows = 0
-    for sids, block in _embedding_chunks(path, modality):
-        if X is None:
-            n = _count_lines(path) - 1
-            X, code = np.empty((n, block.shape[1]), np.float32), np.empty(n, np.int64)
-        X[rows:rows + len(sids)] = block
-        code[rows:rows + len(sids)] = _subject_codes(codes, sids)
-        rows += len(sids)
-    return np.array(list(codes), dtype=str)[code[:rows]], X[:rows]
-
-
 def cmd_embed(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     models = _require(Path(args.models), "models directory")
@@ -354,26 +323,10 @@ def _embedding_paths(args: argparse.Namespace, cfg: RunConfig) -> dict[Modality,
     return {m: _require(root / m.name / "embeddings.csv", "embeddings table") for m in cfg.modalities}
 
 
-class _TablesOnDemand(Mapping):
-    """Each modality's whole embeddings table, read when it is looked up."""
-
-    def __init__(self, paths: dict[Modality, Path]):
-        self._paths = paths
-
-    def __getitem__(self, modality: Modality) -> EmbeddingTable:
-        return _read_embeddings_csv(self._paths[modality], modality)
-
-    def __iter__(self) -> Iterator[Modality]:
-        return iter(self._paths)
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-
 def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     outcomes = _outcomes_for(cfg, manifest)
-    tables = _TablesOnDemand(_embedding_paths(args, cfg))
+    tables = {m: _embedding_chunks(p, m) for m, p in _embedding_paths(args, cfg).items()}
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
     vectors = derive_vectors(tables, manifest, split.train_ids, outcomes, cfg.modalities)
     out = _out_dir(args)

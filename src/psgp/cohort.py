@@ -92,14 +92,24 @@ def _parse_flag(token: str, *, where: str, column: str) -> int | None:
     return int(token)
 
 
+def _records(reader, path: Path):
+    """The records of a ``csv.reader``; its ``csv.Error`` (a cell past csv's
+    field size limit) is a ManifestError naming the file and the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ManifestError(f"{path} line {reader.line_num}: {exc}") from None
+
+
 def load_manifest(path: Path | str) -> CohortManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh, utf8_text(path, ManifestError):
         reader = csv.reader(terminated_lines(fh, path, ManifestError))
+        records = _records(reader, path)
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise ManifestError(f"{path}: empty manifest") from None
         header = [h.strip() for h in header]
@@ -113,7 +123,7 @@ def load_manifest(path: Path | str) -> CohortManifest:
         if len(set(outcome_names)) != len(outcome_names):
             raise ManifestError(f"{path}: duplicate outcome columns")
         rows: dict[str, SubjectRow] = {}
-        for rec in reader:
+        for rec in records:
             where = f"{path} line {reader.line_num}"
             if not rec or all(tok.strip() == "" for tok in rec):
                 continue

@@ -17,6 +17,7 @@ keeping the embedding cloud from collapsing.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -168,7 +169,8 @@ def tcr_loss(z, epsilon: float):
     if not np.isfinite(data).all():
         raise NumericError("coding rate received non-finite values")
     d, b = data.shape[-2:]
-    coeff = d / (b * epsilon * epsilon)
+    scale = b * epsilon * epsilon  # a subnormal scale makes coeff inf; one that underflows to 0 does too
+    coeff = d / scale if scale else math.inf
     gram = ad.matmul(zt, ad.swapaxes(zt, -1, -2))
     eye = Tensor(np.eye(d, dtype=data.dtype))
     val = ad.mul(ad.logdet_psd(ad.add(eye, ad.mul(gram, coeff))), 0.5)

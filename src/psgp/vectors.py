@@ -1,11 +1,14 @@
 """Disease directions in embedding space and projection-based risk scores.
 
-A modality's embeddings are one ``EmbeddingTable``: (N,) subject ids and the
-(N, d) unit-norm segment embeddings. For one (outcome, modality) pair the
-direction is the normalized difference of the segment-weighted centroids of
-positive and of negative training subjects (two masked sums); a subject's
-score is the mean of their top min(3, available) projections onto it (one
-product per chunk of a modality's table, no thread pool).
+A modality's embeddings come as chunks of one table's rows, each an
+``EmbeddingTable``: (n,) subject ids and the (n, d) unit-norm segment
+embeddings; an in-memory table is one chunk. Both stages take each chunk as
+it comes and let it go. For one (outcome, modality) pair the direction is
+the normalized difference of the segment-weighted centroids of positive and
+of negative training subjects, each class's float64 sum adding its rows one
+after another in table order; a subject's score is the mean of their top
+min(3, available) projections onto it (one product per chunk, no thread
+pool).
 
 A run's disease vectors are one ``tables`` table, ``vectors.csv``: a row per
 (outcome, modality), each array one cell of space-joined ``.17g`` decimals,
@@ -17,7 +20,7 @@ import math
 from itertools import repeat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,14 +36,11 @@ from .signalio import Modality
 from .tables import DECIMAL, is_count, table_rows, write_table
 
 _DIRECTION_FLOOR = 1e-10
-# rows a class adds per block in compute_centroids; bounds its float64 copy
-_SUM_ROWS = 256
 _SCORE_HEADER = ("subject_id", "outcome", "modality", "score", "n_segments_used")
 _ARRAYS = ("vector", "mu_positive", "mu_negative")
 _VECTOR_HEADER = ("outcome", "modality", "n_positive", "n_negative", *_ARRAYS)
 
 EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
-RowGroups = tuple[list[str], np.ndarray]  # (sorted distinct subject ids, each row's index into them)
 
 
 @dataclass(frozen=True)
@@ -76,51 +76,6 @@ class SubjectScore:
     modality: Modality
     score: float
     n_segments_used: int
-
-
-def group_rows(subject_ids) -> RowGroups:
-    """Sorted distinct subject ids and each row's index into them."""
-    ids, inverse = np.unique(np.asarray(subject_ids, dtype=str), return_inverse=True)
-    return ids.tolist(), inverse
-
-
-def compute_centroids(X, labels: Mapping[str, int | None], groups: RowGroups) -> tuple[np.ndarray, np.ndarray]:
-    """Segment-weighted class means of the rows of X, in float64.
-
-    ``groups`` is ``group_rows`` of the rows' subject ids. Rows of subjects
-    with a missing label for this outcome are skipped. Each class sums its
-    rows subject by subject in id order, then in table order.
-    """
-    ids, inverse = groups
-    X = np.asarray(X)
-    classes = np.array([-1 if labels.get(sid) is None else labels[sid] for sid in ids], dtype=np.int8)
-    order = np.argsort(inverse, kind="stable")
-    row_class = classes[inverse[order]]
-    pos, neg = order[row_class == 1], order[row_class == 0]
-    if pos.size == 0 or neg.size == 0:
-        raise InsufficientClassError(
-            f"centroids need both classes (got {pos.size} positive, {neg.size} negative segments)"
-        )
-    return _row_sum(X, pos) / pos.size, _row_sum(X, neg) / neg.size
-
-
-def _row_sum(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``X[rows].astype(np.float64).sum(axis=0)``, ``_SUM_ROWS`` rows at a time.
-
-    numpy adds the rows of a 2-D array one after another, so a block headed
-    by the running sum makes every addition the whole sum makes; one column
-    it adds pairwise, so a one-column table is summed whole.
-    """
-    if X.shape[1] == 1:
-        return X[rows].astype(np.float64).sum(axis=0)
-    total = X[rows[:_SUM_ROWS]].astype(np.float64).sum(axis=0)
-    block = np.empty((_SUM_ROWS + 1, X.shape[1]))
-    for start in range(_SUM_ROWS, rows.size, _SUM_ROWS):
-        part = rows[start:start + _SUM_ROWS]
-        block[0] = total
-        block[1:part.size + 1] = X[part]
-        total = block[:part.size + 1].sum(axis=0)
-    return total
 
 
 def derive_disease_vector(
@@ -167,7 +122,7 @@ def subject_score(segment_projections: Sequence[float]) -> tuple[float, int]:
 
 
 def derive_vectors(
-    tables: Mapping[Modality, EmbeddingTable],
+    tables: Mapping[Modality, Iterable[EmbeddingTable]],
     manifest: CohortManifest,
     train_ids: Iterable[str],
     outcomes: Sequence[str],
@@ -176,9 +131,9 @@ def derive_vectors(
     """Centroid-difference vectors from training subjects only, one per
     (outcome, modality), outcome by outcome.
 
-    Each table is looked up once, in ``modalities`` order, grouped by subject
-    and summed for every outcome, and let go before the next lookup, so a
-    mapping that reads a table when it is looked up holds one at a time.
+    Each modality's table comes as chunks of rows, as in ``score_cohort``.
+    The tables are read once each, in ``modalities`` order, and a chunk is
+    summed for every outcome and let go before the next is read.
     """
     for outcome in outcomes:
         if outcome not in manifest.outcome_names:
@@ -188,8 +143,7 @@ def derive_vectors(
         o: {s: y for s, y in manifest.outcome_labels(o).items() if s in train and y is not None}
         for o in outcomes
     }
-    no_rows = ((), np.empty((0, 0)))
-    sums = {m: _class_centroids(tables.get(m, no_rows), labels) for m in modalities}
+    sums = {m: _class_sums(tables.get(m, ()), labels) for m in modalities}
     vectors = []
     for outcome in outcomes:
         for modality in modalities:
@@ -203,21 +157,57 @@ def derive_vectors(
     return vectors
 
 
-def _class_centroids(
-    table: EmbeddingTable, labels: Mapping[str, Mapping[str, int]]
+def subject_codes(codes: dict[str, int], sids, among: Container[str] | None = None) -> np.ndarray:
+    """Each row's subject code: a subject new to ``codes`` takes the next one
+    if ``among`` holds it (any subject if ``among`` is None); a row whose
+    subject has no code gets -1."""
+    for sid in dict.fromkeys(sids):
+        if sid not in codes and (among is None or sid in among):
+            codes[sid] = len(codes)
+    return np.fromiter(map(codes.get, sids, repeat(-1)), np.int64, len(sids))
+
+
+def _class_sums(
+    chunks: Iterable[EmbeddingTable], labels: Mapping[str, Mapping[str, int]]
 ) -> dict[str, tuple[int, int, tuple[np.ndarray, np.ndarray] | None]]:
-    """Per outcome: the table's positive and negative subject counts and, if
-    both are non-zero, ``compute_centroids``."""
-    subject_ids, X = table
-    groups = group_rows(subject_ids)
-    sums = {}
-    for outcome, outcome_labels in labels.items():
-        classes = [outcome_labels[sid] for sid in groups[0] if sid in outcome_labels]
-        n_positive = sum(classes)
-        n_negative = len(classes) - n_positive
-        both = n_positive and n_negative
-        sums[outcome] = n_positive, n_negative, compute_centroids(X, outcome_labels, groups) if both else None
-    return sums
+    """Per outcome: the table's positive and negative subjects with rows and,
+    if both counts are non-zero, each class's segment-weighted mean in float64.
+
+    ``labels`` holds each outcome's labelled training subjects. A class's sum
+    is one fold over its rows in table order: a chunk's rows of the class,
+    headed by the sum so far, are added one after another, so how the table
+    is cut into chunks moves no bit.
+    """
+    outcomes = list(labels)
+    codes = {sid: i for i, sid in enumerate(dict.fromkeys(s for o in outcomes for s in labels[o]))}
+    # each training subject's class per outcome, -1 where it is unlabelled
+    classes = np.array([[labels[o].get(sid, -1) for o in outcomes] for sid in codes], np.int8)
+    classes = classes.reshape(len(codes), len(outcomes))
+    seen = np.zeros(len(codes), bool)
+    sums, rows = None, np.zeros((len(outcomes), 2), np.int64)
+    for subject_ids, X in chunks:
+        code = subject_codes(codes, subject_ids, among=())  # every training subject has its code
+        keep = code >= 0
+        seen[code[keep]] = True
+        X = np.asarray(X, dtype=np.float64)[keep]
+        if sums is None:
+            sums = np.full((len(outcomes), 2, X.shape[1]), -0.0)  # -0.0 + x is x, bit for bit
+        pick = classes[code[keep]][:, :, None] == (0, 1)  # (row, outcome, class)
+        counts = pick.sum(axis=0)
+        rows += counts
+        block = np.empty((len(X) + 1, X.shape[1]))
+        for j, c in zip(*counts.nonzero()):
+            k = counts[j, c]
+            block[0] = sums[j, c]
+            X.compress(pick[:, j, c], axis=0, out=block[1:k + 1])
+            # numpy adds a block's rows one after another, but one column pairwise
+            sums[j, c] = np.add.reduce(block[:k + 1]) if X.shape[1] > 1 else np.cumsum(block[:k + 1])[-1]
+    found = {}
+    for j, outcome in enumerate(outcomes):
+        n_negative, n_positive = (int(np.count_nonzero(seen & (classes[:, j] == c))) for c in (0, 1))
+        means = (sums[j, 1] / rows[j, 1], sums[j, 0] / rows[j, 0]) if n_positive and n_negative else None
+        found[outcome] = n_positive, n_negative, means
+    return found
 
 
 def score_cohort(
@@ -268,10 +258,7 @@ def _projections(
         X = np.asarray(X)
         if X.shape[1] != V.shape[0]:
             raise DataError(f"{modality.name} embeddings have dimension {X.shape[1]}, vectors {V.shape[0]}")
-        for sid in dict.fromkeys(subject_ids):
-            if sid in manifest.rows:
-                codes.setdefault(sid, len(codes))
-        code = np.fromiter(map(codes.get, subject_ids, repeat(-1)), np.int64, len(subject_ids))
+        code = subject_codes(codes, subject_ids, manifest.rows)
         keep = code >= 0
         groups.append(code[keep])
         # einsum, unlike a BLAS product, gives a row the same bits in a chunk of any size
@@ -328,6 +315,12 @@ def load_disease_vector(path: Path | str) -> list[DiseaseVector]:
                 raise FormatError(f"{where}: {column} component {bad!r} is not a decimal number")
         if (outcome, modality) in vectors:
             raise FormatError(f"{where} repeats the row for {outcome}, {modality.name}")
+        earlier = next((v for v in vectors.values() if v.modality is modality), None)
+        if earlier is not None and len(arrays[0]) != earlier.vector.size:
+            raise FormatError(
+                f"{where}: vector has {len(arrays[0])} components where the "
+                f"{earlier.outcome}, {name} vector has {earlier.vector.size}"
+            )
         try:
             vectors[outcome, modality] = DiseaseVector(
                 outcome, modality, *([float(t) for t in a] for a in arrays), int(n_pos), int(n_neg)

@@ -52,6 +52,12 @@ def test_span_hooks_install_and_restore(monkeypatch):
             assert getattr(m, name) is obj, (m.__name__, name)
 
 
+def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
+    """A whole embeddings table: the chunks ``cli._embedding_chunks`` yields, joined."""
+    ids, X = zip(*cli._embedding_chunks(path, modality))
+    return np.concatenate([np.asarray(i, dtype=str) for i in ids]), np.concatenate(X)
+
+
 def test_benchmark_tables_are_the_embed_format(monkeypatch, tmp_path):
     """The downstream workload writes its embedding tables itself; psgp's
     reader and writer must take them as their own, byte for byte."""
@@ -69,7 +75,7 @@ def test_benchmark_tables_are_the_embed_format(monkeypatch, tmp_path):
     assert workloads.write_embedding_tables(emb, data, sizes, seed=7, fraction=0.5, shift=2.0) == 3 * 6 * 3
     for name in workloads.MODALITIES:
         path = emb / name / "embeddings.csv"
-        ids, X = cli._read_embeddings_csv(path, Modality[name])
+        ids, X = read_embeddings(path, Modality[name])
         again = tmp_path / f"{name}.csv"
         cli._write_embeddings_csv(again, ids, np.arange(len(ids)) % 3, X, Modality[name])
         assert again.read_bytes() == path.read_bytes()

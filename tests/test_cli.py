@@ -18,7 +18,7 @@ import pytest
 import psgp.cli
 import psgp.model as mdl
 from psgp import autodiff
-from psgp.cli import _read_embeddings_csv, _resolve_config, _write_embeddings_csv, build_parser, main
+from psgp.cli import _embedding_chunks, _resolve_config, _write_embeddings_csv, build_parser, main
 from psgp.cohort import load_manifest, split_cohort
 from psgp.config import RunConfig, load_run_config, stage_configs
 from psgp.errors import DataError, FormatError
@@ -29,6 +29,12 @@ from psgp.vectors import SubjectScore, derive_vectors, load_disease_vector, save
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
+    """A whole embeddings table: the chunks ``_embedding_chunks`` yields, joined."""
+    ids, X = zip(*_embedding_chunks(path, modality))
+    return np.concatenate([np.asarray(i, dtype=str) for i in ids]), np.concatenate(X)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -137,9 +143,9 @@ class TestChainArtifacts:
         vec_dir = chain["vectors"] / "vectors"
         assert [p.name for p in vec_dir.iterdir()] == ["vectors.csv"]
         manifest = load_manifest(chain["data"] / "manifest.csv")
-        table = _read_embeddings_csv(chain["emb"] / "RESP" / "embeddings.csv", Modality.RESP)
+        table = read_embeddings(chain["emb"] / "RESP" / "embeddings.csv", Modality.RESP)
         train_ids = split_cohort(manifest, RunConfig().split_ratio, 5).train_ids
-        (want,) = derive_vectors({Modality.RESP: table}, manifest, train_ids, ["CVD"], [Modality.RESP])
+        (want,) = derive_vectors({Modality.RESP: [table]}, manifest, train_ids, ["CVD"], [Modality.RESP])
         (got,) = load_disease_vector(vec_dir / "vectors.csv")
         assert (got.outcome, got.modality, got.n_positive, got.n_negative) == (
             want.outcome, want.modality, want.n_positive, want.n_negative
@@ -876,7 +882,7 @@ def oracle_read_embeddings(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestEmbeddingsReader:
-    """``_read_embeddings_csv`` against the csv.reader + float() oracle."""
+    """``_embedding_chunks``, joined, against the csv.reader + float() oracle."""
 
     SPECIAL = np.array(
         [0.0, -0.0, 1e-45, -1e-45, 3e-40, 1.1754942e-38, 3.4028235e38, -3.4028235e38,
@@ -885,7 +891,7 @@ class TestEmbeddingsReader:
     )
 
     def assert_matches_oracle(self, path: Path, modality=Modality.RESP):
-        ids, X = _read_embeddings_csv(path, modality)
+        ids, X = read_embeddings(path, modality)
         want_ids, want_X = oracle_read_embeddings(path)
         assert ids.tolist() == want_ids.tolist()
         assert X.dtype == np.float32 and X.shape == want_X.shape
@@ -949,17 +955,17 @@ class TestEmbeddingsReader:
             if key in first_line:
                 with pytest.raises(FormatError, match=f"line {lineno} repeats line {first_line[key]}: "
                                    f"subject '{key[0]}', segment_index {key[1]}$"):
-                    _read_embeddings_csv(path, Modality.RESP)
+                    read_embeddings(path, Modality.RESP)
                 break
             first_line[key] = lineno
         else:
-            assert _read_embeddings_csv(path, Modality.RESP)[0].tolist() == [sid for sid, _ in keys]
+            assert read_embeddings(path, Modality.RESP)[0].tolist() == [sid for sid, _ in keys]
 
     def test_line_break_in_subject_id_is_refused(self, tmp_path):
         path = tmp_path / "embeddings.csv"
         _write_embeddings_csv(path, *_key_arrays([("S1", 0), ("a\nb", 1)]), np.ones((2, 2), np.float32), Modality.RESP)
         with pytest.raises(FormatError, match="line 3"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     @pytest.mark.parametrize("value", ["", " ", "1_0"])
     def test_bad_value_in_one_column_table(self, tmp_path, value):
@@ -968,7 +974,7 @@ class TestEmbeddingsReader:
         _write_embeddings_csv(path, *_key_arrays([("S1", i) for i in range(4)]), np.ones((4, 1), np.float32), Modality.RESP)
         path.write_text(path.read_text(encoding="utf-8").replace("S1,RESP,2,1", f"S1,RESP,2,{value}"))
         with pytest.raises(FormatError, match="line 4"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     def test_last_line_cut_inside_a_number_is_refused(self, tmp_path):
         path = tmp_path / "embeddings.csv"
@@ -976,12 +982,12 @@ class TestEmbeddingsReader:
         _write_embeddings_csv(path, *_key_arrays([("S1", 0), ("S1", 1)]), X, Modality.RESP)
         path.write_bytes(path.read_bytes()[:-4])  # the cut cell still reads as a number
         with pytest.raises(FormatError, match="line 3"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     def test_header_only_table_is_empty(self, tmp_path):
         path = tmp_path / "embeddings.csv"
         _write_embeddings_csv(path, *_key_arrays([]), np.empty((0, 4), np.float32), Modality.RESP)
-        ids, X = _read_embeddings_csv(path, Modality.RESP)
+        ids, X = read_embeddings(path, Modality.RESP)
         assert ids.shape == (0,) and X.shape == (0, 4) and X.dtype == np.float32
 
     @pytest.mark.parametrize("names,message", [
@@ -1000,7 +1006,7 @@ class TestEmbeddingsReader:
         _write_embeddings_csv(path, *_key_arrays([("S1", 0)]), np.ones((1, 2), np.float32), Modality.RESP)
         path.write_text(path.read_text(encoding="utf-8").replace("v0,v1", names), encoding="utf-8")
         with pytest.raises(FormatError, match=f"{re.escape(message)}$"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     @pytest.mark.parametrize("first,second", [(("5", "x"), ("1", "ECG")), (("1", "ECG"), ("5", "x"))])
     def test_first_bad_line_in_file_order(self, tmp_path, first, second):
@@ -1017,7 +1023,7 @@ class TestEmbeddingsReader:
             lines[lineno - 1] = ",".join(cells)
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(FormatError, match="line 400[:]"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     def test_non_finite_value_before_a_bad_key_cell(self, tmp_path):
         """A value float32 cannot hold is a bad line like any other: with
@@ -1029,7 +1035,7 @@ class TestEmbeddingsReader:
         lines[3] = "S1,ECG,2,1,1"
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(FormatError, match="line 2: non-finite embedding value$"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     # --- chunk boundaries of the bulk pass ---
 
@@ -1080,7 +1086,7 @@ class TestEmbeddingsReader:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         calls = self.count_parses(monkeypatch)
         with pytest.raises(FormatError, match=f"line 12: {re.escape(message)}$"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
         assert calls[:3] == [3, 3, 3]  # three whole chunks passed before the doubt
 
     def test_a_chunk_of_empty_values_is_refused_without_a_warning(self, tmp_path, monkeypatch):
@@ -1092,7 +1098,7 @@ class TestEmbeddingsReader:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FormatError, match="line 11: '' is not a decimal number$"):
-                _read_embeddings_csv(path, Modality.RESP)
+                read_embeddings(path, Modality.RESP)
 
     @pytest.mark.parametrize("number_line,key_line", [(3, 9), (5, 6)])
     def test_number_error_before_a_key_error(self, tmp_path, monkeypatch, number_line, key_line):
@@ -1103,7 +1109,7 @@ class TestEmbeddingsReader:
         self.set_cell(lines, key_line, 1, "ECG")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=f"line {number_line}: '1e' is not a decimal number$"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     @pytest.mark.parametrize("value_line,key_line", [(3, 9), (5, 6)])
     def test_non_finite_value_before_a_later_key_error(self, tmp_path, monkeypatch, value_line, key_line):
@@ -1115,7 +1121,7 @@ class TestEmbeddingsReader:
         self.set_cell(lines, key_line, 1, "ECG")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match=f"line {value_line}: non-finite embedding value$"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_crlf_table_across_chunks(self, tmp_path, monkeypatch, n):
@@ -1139,7 +1145,7 @@ class TestEmbeddingsReader:
         path, _ = self.chunked_table(tmp_path, monkeypatch, n)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match=f"line {n + 1}: no line end"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
     @pytest.mark.parametrize("key_line", [6, None])
     def test_stray_byte_in_a_later_chunk(self, tmp_path, monkeypatch, key_line):
@@ -1154,14 +1160,14 @@ class TestEmbeddingsReader:
         path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
         message = "line 6: modality 'ECG' in the RESP table" if key_line else "byte 0xff is not UTF-8 text"
         with pytest.raises(FormatError, match=f"{re.escape(message)}$"):
-            _read_embeddings_csv(path, Modality.RESP)
+            read_embeddings(path, Modality.RESP)
 
 
 def test_bulk_reader_and_stage_grouping_move_no_output_byte(tmp_path, monkeypatch):
     """``vectors`` and ``score`` over three d = 32 tables, four outcomes, each
     subject's rows interleaved with others' and out of segment order (each
-    table grouped once by ``derive_vectors``), write the bytes they write when
-    every table is parsed by the csv.reader oracle, as one chunk of rows."""
+    table streamed in chunks through both stages), write the bytes they write
+    when every table is parsed by the csv.reader oracle, as one chunk of rows."""
     data, emb = tmp_path / "data", tmp_path / "emb"
     assert run_cli(
         "synth", "--out", data, "--seed", 11, "--subjects", 24, "--segments", 1,
@@ -1816,6 +1822,61 @@ def test_overflowing_update_fails_its_step_and_keeps_the_initial_parameters(tmp_
     assert not (models / "RESP" / "checkpoint.psgm").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1e-160", "1e-200"])
+def test_vanishing_tcr_epsilon_fails_step_one_as_a_non_finite_loss(tmp_path, capsys, epsilon):
+    """A positive ``--tcr-epsilon`` so small that b * epsilon^2 is subnormal
+    (1e-160) or underflows to zero (1e-200) makes the coding-rate coefficient
+    infinite: step 1's loss is non-finite, one error line names the step
+    (exit 4) and the last-good checkpoint is kept."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[run]\nmodalities = RESP\n"
+        "[model]\nembed_dim = 8\nencoder_depth = 1\ndecoder_depth = 1\nn_heads = 2\n"
+        "[ssl]\nsteps = 2\nbatch_size = 4\nn_permutations = 2\n",
+        encoding="utf-8",
+    )
+    data, models = tmp_path / "cohort", tmp_path / "models"
+    assert run_cli(
+        "synth", "--out", data, "--config", ini, "--seed", 2, "--subjects", 6, "--segments", 2,
+        "--prevalence", "CVD=0.5",
+    ) == 0
+    capsys.readouterr()
+    rc = run_cli("train", "--out", models, "--config", ini, "--data", data, "--seed", 2, "--tcr-epsilon", epsilon)
+    lastgood = models / "RESP" / "checkpoint_lastgood.psgm"
+    assert_one_line_data_error(
+        rc, capsys.readouterr().err, "non-finite loss at step 1;", str(lastgood), kind="NumericError", code=4
+    )
+    assert lastgood.exists() and not (models / "RESP" / "checkpoint.psgm").exists()
+
+
+def test_score_refuses_vectors_of_two_lengths_for_one_modality(chain, tmp_path, capsys):
+    """Two rows of one modality whose arrays differ in length, each row
+    consistent on its own, are refused naming the later line (exit 3), not
+    left for the projection to trip over."""
+    vec_dir = tmp_path / "vectors"
+    vec_dir.mkdir()
+    text = (chain["vectors"] / "vectors" / "vectors.csv").read_text(encoding="utf-8")
+    (vec_dir / "vectors.csv").write_text(text + "DM,RESP,1,1,1,0,0\n", encoding="utf-8")
+    rc = run_cli("score", "--out", tmp_path / "out", "--config", chain["ini"], "--data", chain["data"],
+                 "--embeddings", chain["emb"], "--vectors", vec_dir)
+    assert_one_line_data_error(
+        rc, capsys.readouterr().err, "line 3: vector has 1 components where the CVD, RESP vector has 8"
+    )
+
+
+def test_oversized_manifest_cell_is_one_error_line(tmp_path, capsys):
+    """A manifest cell past csv's 131,072-character field limit is a data
+    error naming the file and line (exit 3), not a csv traceback."""
+    data = tmp_path / "data"
+    data.mkdir()
+    sid = "S" * 200_000
+    (data / "manifest.csv").write_text(f'subject_id,age,sex,bmi,sbp,frs,CVD\nA,60,1,25,,,1\n"{sid}",60,1,25,,,0\n',
+                                       encoding="utf-8")
+    rc = run_cli("vectors", "--out", tmp_path / "out", "--data", data, "--embeddings", tmp_path)
+    assert_one_line_data_error(rc, capsys.readouterr().err, f"{data / 'manifest.csv'} line 3: field larger than",
+                               kind="ManifestError")
+
+
 def test_train_and_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
     """psgp runs BLAS at one thread while it trains and embeds. EEG at d = 32
     and batch 8 makes 6000-row stem GEMMs, whose weight gradients OpenBLAS
@@ -1965,15 +2026,16 @@ def test_score_memory_follows_the_rows_not_the_table(wide_tables, tmp_path):
     assert peak < 1_000_000 + 4 * rows * 2 * 8 < table_bytes / 6, (peak, table_bytes)
 
 
-def test_vectors_memory_holds_one_table(wide_tables, tmp_path):
-    """``vectors`` over two d = 256 tables holds one table at a time, read
-    into one array, and sums each class in blocks of rows: 1.14 tables
-    traced here, where reading both first (each into blocks plus their join)
-    and a float64 copy of each class took 4.1."""
-    root, table_bytes, _ = wide_tables
+def test_vectors_memory_follows_the_rows_not_the_table(wide_tables, tmp_path):
+    """``vectors`` over two d = 256 tables streams each as ``score`` does:
+    past one chunk it keeps per row only the reader's key pair and per class
+    a float64 running sum (0.85 MB traced here), not the table's 1,024 bytes
+    a row, which it held in one array (1.14 tables) when it read each table
+    whole."""
+    root, table_bytes, rows = wide_tables
     peak = traced_peak("vectors", "--out", tmp_path, "--data", root / "data", "--embeddings", root / "emb",
                        "--modality", "EEG,ECG")
-    assert table_bytes < peak < 1.25 * table_bytes, (peak, table_bytes)
+    assert peak < table_bytes / 6, (peak, table_bytes)
 
 
 def chain_digest(root: Path) -> dict[str, str]:

@@ -1,4 +1,6 @@
 """Manifest parsing and the deterministic cohort split."""
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,13 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="outcome name") as info:
             load_manifest(path)
         assert repr(name) in str(info.value)
+
+    def test_oversized_cell_is_refused(self, tmp_path):
+        """A quoted cell past csv's field size limit is a ManifestError
+        naming the file and the line, not a csv.Error."""
+        path = _write(tmp_path, [HEADER, "S1,60,1,25,,,1,0", '"' + "S" * 200_000 + '",60,1,25,,,1,0'])
+        with pytest.raises(ManifestError, match=re.escape(f"{path} line 3: field larger than field limit")):
+            load_manifest(path)
 
     def test_empty_manifest(self, tmp_path):
         with pytest.raises(ManifestError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psgp.cli import _read_embeddings_csv, _write_embeddings_csv
+from psgp.cli import _embedding_chunks, _write_embeddings_csv
 from psgp.errors import DataError, FormatError, ManifestError
 from psgp.signalio import Modality
 from psgp.tables import DECIMAL, table_rows, table_text, write_table
@@ -85,6 +85,12 @@ DECIMAL_CASES = [
 ]
 
 
+def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
+    """A whole embeddings table: the chunks ``_embedding_chunks`` yields, joined."""
+    ids, X = zip(*_embedding_chunks(path, modality))
+    return np.concatenate([np.asarray(i, dtype=str) for i in ids]), np.concatenate(X)
+
+
 def _embeddings(path: Path, value: str, modality_line_3: str = "RESP") -> Path:
     """A three-row d = 2 table, ``value`` the first value of line 2 and
     ``modality_line_3`` the modality cell of line 3, all in one bulk chunk."""
@@ -126,7 +132,7 @@ def test_every_reader_judges_a_number_by_decimal(tmp_path, value, ok):
     bulk = _embeddings(tmp_path / "bulk.csv", value)
     doubted = _embeddings(tmp_path / "doubted.csv", value, "ECG")
     reads = [
-        lambda: _read_embeddings_csv(bulk, Modality.RESP),
+        lambda: read_embeddings(bulk, Modality.RESP),
         lambda: load_disease_vector(_vectors(tmp_path, value)),
         lambda: load_scores(_scores(tmp_path, value)),
     ]
@@ -137,12 +143,12 @@ def test_every_reader_judges_a_number_by_decimal(tmp_path, value, ok):
             with pytest.raises(FormatError, match="line 2: .*is not a"):
                 read()
     if ok:
-        assert _read_embeddings_csv(bulk, Modality.RESP)[1][0, 0] == np.float32(float(value))
+        assert read_embeddings(bulk, Modality.RESP)[1][0, 0] == np.float32(float(value))
     # the doubted chunk is re-read line by line: a refused value is named
     # before the stray modality of line 3
     message = "line 3: modality 'ECG'" if ok else f"line 2: {value!r} is not a decimal number"
     with pytest.raises(FormatError, match=re.escape(message)):
-        _read_embeddings_csv(doubted, Modality.RESP)
+        read_embeddings(doubted, Modality.RESP)
 
 
 def test_text_is_what_csv_writer_writes():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from psgp.cohort import load_manifest
+from psgp.cohort import CohortManifest, SubjectRow, load_manifest
 from psgp.errors import (
     DataError,
     DegenerateDirectionError,
@@ -17,10 +17,8 @@ from psgp.signalio import Modality
 from psgp.vectors import (
     DiseaseVector,
     SubjectScore,
-    compute_centroids,
     derive_disease_vector,
     derive_vectors,
-    group_rows,
     load_disease_vector,
     load_scores,
     project_segment,
@@ -42,13 +40,18 @@ def _table(rows):
 
 
 def _one_chunk(tables):
-    """``score_cohort``'s input: each table as one chunk of rows."""
+    """``derive_vectors``' and ``score_cohort``'s input: each table as one chunk of rows."""
     return {m: [table] for m, table in tables.items()}
 
 
 def _centroids(rows, labels):
-    ids, X = _table(rows)
-    return compute_centroids(X, labels, group_rows(ids))
+    """(mu_positive, mu_negative) of the rows as ``derive_vectors`` takes them
+    for a manifest of the labelled subjects, every one of them in training."""
+    manifest = CohortManifest(
+        {sid: SubjectRow(sid, 60.0, 1, 25.0, None, None, {"CVD": y}) for sid, y in labels.items()}, ("CVD",)
+    )
+    (dv,) = derive_vectors(_one_chunk({Modality.EEG: _table(rows)}), manifest, labels, ["CVD"], [Modality.EEG])
+    return dv.mu_positive, dv.mu_negative
 
 
 class TestComputeCentroids:
@@ -198,7 +201,7 @@ class TestDeriveVectors:
                 ("D", [0.0, -50.0]),
             ])
         }
-        (dv,) = derive_vectors(tables, manifest, ["A", "B"], ["CVD"], [Modality.EEG])
+        (dv,) = derive_vectors(_one_chunk(tables), manifest, ["A", "B"], ["CVD"], [Modality.EEG])
         np.testing.assert_allclose(dv.vector, [1.0, 0.0])
         assert dv.n_positive == 1 and dv.n_negative == 1
 
@@ -208,7 +211,7 @@ class TestDeriveVectors:
             Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])]),
             Modality.ECG: _table([("A", [0.0, 9.0]), ("B", [0.0, -9.0])]),
         }
-        (dv,) = derive_vectors(tables, manifest, ["A", "B"], ["CVD"], [Modality.EEG])
+        (dv,) = derive_vectors(_one_chunk(tables), manifest, ["A", "B"], ["CVD"], [Modality.EEG])
         np.testing.assert_allclose(dv.vector, [1.0, 0.0])
 
     def test_unknown_outcome(self, tmp_path):
@@ -220,10 +223,10 @@ class TestDeriveVectors:
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0"])
         tables = {Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])])}
         with pytest.raises(InsufficientClassError):
-            derive_vectors(tables, manifest, ["A"], ["CVD"], [Modality.EEG])
+            derive_vectors(_one_chunk(tables), manifest, ["A"], ["CVD"], [Modality.EEG])
 
     def test_pairs_come_outcome_by_outcome(self, tmp_path):
-        """Each table is grouped once for all outcomes; every vector equals the
+        """Each table is read once for all outcomes; every vector equals the
         one derived for its pair alone, in outcome-major order."""
         manifest = _manifest(
             tmp_path, ["A,60,1,25,,,1,0", "B,61,0,26,,,0,1", "C,62,1,27,,,1,1", "D,63,0,28,,,0,0"],
@@ -232,17 +235,17 @@ class TestDeriveVectors:
         rng = np.random.default_rng(5)
         tables = {m: _interleaved(rng, {"A": 2, "B": 3, "C": 1, "D": 4}, 5) for m in (Modality.EEG, Modality.ECG)}
         pairs = [(o, m) for o in ("DM", "CVD") for m in (Modality.ECG, Modality.EEG)]
-        got = derive_vectors(tables, manifest, "ABCD", ["DM", "CVD"], [Modality.ECG, Modality.EEG])
+        got = derive_vectors(_one_chunk(tables), manifest, "ABCD", ["DM", "CVD"], [Modality.ECG, Modality.EEG])
         assert [(v.outcome, v.modality) for v in got] == pairs
         for v, (o, m) in zip(got, pairs):
-            (alone,) = derive_vectors({m: tables[m]}, manifest, "ABCD", [o], [m])
+            (alone,) = derive_vectors({m: [tables[m]]}, manifest, "ABCD", [o], [m])
             assert (v.n_positive, v.n_negative) == (alone.n_positive, alone.n_negative)
             for name in ("vector", "mu_positive", "mu_negative"):
                 assert getattr(v, name).tolist() == getattr(alone, name).tolist()
 
     def test_matches_per_row_sum(self, tmp_path):
         """Oracle: the centroids equal a per-row float64 sum taken over the
-        training subjects in id order, each subject's rows in table order."""
+        training subjects' rows in table order."""
         manifest = _manifest(
             tmp_path,
             ["A,60,1,25,,,1", "B,61,0,26,,,0", "C,62,1,27,,,1", "D,63,0,28,,,0",
@@ -253,40 +256,39 @@ class TestDeriveVectors:
         # float64 rows of mixed scale, so a sum in another row order rounds differently
         X = X * 10.0 ** rng.uniform(-4.0, 4.0, size=(X.shape[0], 1))
         train = ["D", "A", "B", "C", "E"]  # F is held out; E is unlabelled; Z is not in the manifest
-        (dv,) = derive_vectors({Modality.EEG: (ids, X)}, manifest, train, ["CVD"], [Modality.EEG])
+        (dv,) = derive_vectors({Modality.EEG: [(ids, X)]}, manifest, train, ["CVD"], [Modality.EEG])
         labels = manifest.outcome_labels("CVD")
         sums = {0: np.zeros(7), 1: np.zeros(7)}
         rows = {0: 0, 1: 0}
-        for sid in sorted(train):
-            if labels.get(sid) is None:
-                continue
-            for row_sid, x in zip(ids, X):
-                if row_sid == sid:
-                    sums[labels[sid]] += np.asarray(x, dtype=np.float64)
-                    rows[labels[sid]] += 1
+        for sid, x in zip(ids, X):
+            if sid in train and labels.get(sid) is not None:
+                sums[labels[sid]] += np.asarray(x, dtype=np.float64)
+                rows[labels[sid]] += 1
         np.testing.assert_array_equal(dv.mu_positive, sums[1] / rows[1])
         np.testing.assert_array_equal(dv.mu_negative, sums[0] / rows[0])
         assert (dv.n_positive, dv.n_negative) == (2, 2)
 
-
     @pytest.mark.parametrize("d", [1, 2, 3, 7])
     @pytest.mark.parametrize("block", [1, 2, 5])
-    def test_block_sums_add_like_one_sum(self, monkeypatch, d, block):
-        """Summed a few rows at a time, each class adds its rows exactly as
-        one float64 sum over all of them does, including one column's
-        pairwise sum; rows of mixed scale show any other order."""
-        monkeypatch.setattr("psgp.vectors._SUM_ROWS", block)
+    def test_block_sums_add_like_one_sum(self, tmp_path, d, block):
+        """A table cut into chunks of at most ``block`` rows, some of them
+        empty, gives the centroid bits of the table in one chunk, at d = 1
+        too; float64 rows of mixed scale show any other order of addition."""
+        manifest = _manifest(tmp_path, ["A,60,1,25,,,1,0", "B,61,0,26,,,0,1", "C,62,1,27,,,0,", "D,63,0,28,,,1,0"],
+                             outcomes="CVD,DM")
         rng = np.random.default_rng(d * 10 + block)
-        ids, X = _interleaved(rng, {"A": 9, "B": 4, "C": 17, "D": 1}, d)
-        X = (X * 10.0 ** rng.uniform(-6.0, 6.0, size=(X.shape[0], 1))).astype(np.float32)
-        labels = {"A": 1, "B": 0, "C": 0, "D": 1}
-        groups = group_rows(ids)
-        mu_pos, mu_neg = compute_centroids(X, labels, groups)
-        order = np.argsort(groups[1], kind="stable")
-        for mu, cls in ((mu_pos, 1), (mu_neg, 0)):
-            rows = order[np.array([labels[ids[i]] == cls for i in order])]
-            want = X[rows].astype(np.float64).sum(axis=0) / rows.size
-            assert mu.tobytes() == want.tobytes()
+        ids, X = _interleaved(rng, {"A": 19, "B": 8, "C": 27, "D": 3, "Z": 3}, d)
+        X = X * 10.0 ** rng.uniform(-6.0, 6.0, size=(X.shape[0], 1))
+        cuts = np.sort(np.concatenate([np.arange(0, ids.shape[0], block), rng.integers(0, ids.shape[0] + 1, 4)]))
+        chunks = [(ids[a:b], X[a:b]) for a, b in zip([0, *cuts], [*cuts, ids.shape[0]])]
+        assert any(len(c[0]) == 0 for c in chunks)
+        args = (manifest, "ABCD", ["CVD", "DM"], [Modality.EEG])
+        whole = derive_vectors({Modality.EEG: [(ids, X)]}, *args)
+        got = derive_vectors({Modality.EEG: iter(chunks)}, *args)
+        assert [(v.n_positive, v.n_negative) for v in got] == [(2, 2), (1, 2)]
+        for g, w in zip(got, whole):
+            for name in ("vector", "mu_positive", "mu_negative"):
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
 
 
 class TestScoreCohort:
@@ -409,6 +411,7 @@ class TestDiskFormats:
             ("CVD,EEG,1,+1,1 0,0 0,0 0", "line 3: n_negative '+1' is not a non-negative integer"),
             (",EEG,1,1,1 0,0 0,0 0", "line 3: outcome '' is empty"),
             ("CVD,ECG,1,1,1 0,0 0,0 0", "line 3 repeats the row for CVD, ECG"),
+            ("DM,ECG,1,1,1,0,0", "line 3: vector has 1 components where the CVD, ECG vector has 2"),
             ("CVD,EEG,1,1,1 0,0 0", "line 3 has 6 cells, header has 7"),
             ("", "line 3 has 1 cells"),
         ]:
