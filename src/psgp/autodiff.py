@@ -18,18 +18,26 @@ Design constraints that shaped this module:
   the value mix and the output projection; ``layer_norm`` takes its row
   statistics as GEMVs. The small ops (``add``, ``matmul``, ``softmax``, ...)
   remain for everything else.
-* determinism: no op uses threads, unordered reductions, scatters, or
-  in-place mutation of shared buffers. A GEMM's bytes can depend on how
-  many threads BLAS splits it over, so training and inference run inside
-  ``single_blas_thread()``, which sets the bundled OpenBLAS to one thread
-  and restores the previous count on exit. Every BLAS/LAPACK call of
-  ``train`` and ``embed`` is numpy's, so the pin covers them all.
+* determinism: no op uses threads, unordered reductions or scatters, and
+  no op writes over an array it was not handed (below). A GEMM's bytes can
+  depend on how many threads BLAS splits it over, so training and inference
+  run inside ``single_blas_thread()``, which sets the bundled OpenBLAS to
+  one thread and restores the previous count on exit. Every BLAS/LAPACK
+  call of ``train`` and ``embed`` is numpy's, so the pin covers them all.
 * a node keeps what its VJP reads, and nothing else: each VJP captures at
   forward time the arrays and shapes its formula uses, never a ``Tensor``,
   so an intermediate array no VJP reads (a residual sum, the output of an
   output projection, a GELU input) is freed as soon as the model code
   drops it, not kept until ``backward``. GELU keeps its derivative rather
-  than its input.
+  than its input, built block by block beside its value.
+* the hand-over rule: ops leave their operands as they were, unless the
+  caller hands one over, ``gelu(a, overwrite_a=True)`` or
+  ``add(a, b, overwrite_b=True)``, and then the op writes its output over
+  that array instead of allocating one. A caller may hand over an array
+  only if the op just before produced it and no VJP captured it; every
+  ``linear`` and ``attention`` output meets both, since their VJPs read
+  their inputs, not their outputs. ``layer_norm`` scales its own
+  normalized array in place when it records no node.
 * numpy is the only dependency: ``erf``/``erfc`` are this module's own
   float64 kernel (the cephes rational forms, in cache-sized blocks).
 * every op here is validated against central finite differences in the
@@ -209,14 +217,18 @@ def _binary_lift(a, b) -> tuple[Tensor, Tensor]:
     raise TypeError("at least one operand must be a Tensor")
 
 
+def _records(*parents: Tensor) -> bool:
+    """Whether an op over these parents records a node: grads are on and a
+    parent needs one."""
+    return _GRAD.enabled and any(p.node is not None for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op's output, recording it when grads are on and a parent
-    needs one. ``vjp`` must hold no Tensor, only what its formula reads."""
+    """Wrap an op's output, recording it when ``_records(*parents)``.
+    ``vjp`` must hold no Tensor, only what its formula reads."""
     out = Tensor(data)
-    if _GRAD.enabled:
-        nodes = tuple(p.node for p in parents)
-        if any(n is not None for n in nodes):
-            out.node = _Node(nodes, vjp)
+    if _records(*parents):
+        out.node = _Node(tuple(p.node for p in parents), vjp)
     return out
 
 
@@ -235,9 +247,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # --- elementwise arithmetic -----------------------------------------
 
-def add(a, b) -> Tensor:
+def add(a, b, overwrite_b: bool = False) -> Tensor:
+    """a + b; with ``overwrite_b`` the sum is written over ``b.data``, which
+    the caller hands over under the module's hand-over rule and which must
+    already have the sum's shape and dtype."""
     a, b = _binary_lift(a, b)
-    data = a.data + b.data
+    data = np.add(a.data, b.data, out=b.data) if overwrite_b else a.data + b.data
     sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
@@ -545,26 +560,35 @@ def _phi_f32_block(
     out += np.float32(0.5)
 
 
-def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """x * Phi(x) over the flat array in cache-sized blocks; Phi is returned
-    only when ``keep_phi`` (the VJP needs it), otherwise it lives in scratch."""
-    flat = np.ascontiguousarray(x).reshape(-1)
-    n = flat.size
-    out = np.empty_like(flat)
-    phi = np.empty_like(flat) if keep_phi else None
+def _gelu_derivative(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """d/dx x Phi(x) = Phi(x) + x * pdf(x) into ``out``, which holds nothing else."""
+    np.multiply(x, x, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT2PI
+    out *= x
+    out += phi
+
+
+def _gelu_f32(x: np.ndarray, out: np.ndarray, d: np.ndarray | None) -> None:
+    """x * Phi(x) into ``out`` over the flat C-contiguous arrays, in
+    cache-sized blocks, and the derivative into ``d`` when one is given.
+    ``out`` may be ``x`` itself: each block's derivative is built before
+    the block is overwritten."""
+    flat, out, n = x.reshape(-1), out.reshape(-1), x.size
+    d = None if d is None else d.reshape(-1)
     m = min(n, _PHI_BLOCK)
-    z, t, q = (np.empty(m, dtype=np.float32) for _ in range(3))
-    scratch = None if keep_phi else np.empty(m, dtype=np.float32)
+    phi, z, t, q = (np.empty(m, dtype=np.float32) for _ in range(4))
     for s in range(0, n, _PHI_BLOCK):
         e = min(s + _PHI_BLOCK, n)
         k = e - s
-        pb = phi[s:e] if keep_phi else scratch[:k]
-        _phi_f32_block(flat[s:e], pb, z[:k], t[:k], q[:k])
-        np.multiply(flat[s:e], pb, out=out[s:e])
-    return out.reshape(x.shape), (phi.reshape(x.shape) if keep_phi else None)
+        _phi_f32_block(flat[s:e], phi[:k], z[:k], t[:k], q[:k])
+        if d is not None:
+            _gelu_derivative(flat[s:e], phi[:k], d[s:e])
+        np.multiply(flat[s:e], phi[:k], out=out[s:e])
 
 
-def gelu(a: Tensor) -> Tensor:
+def gelu(a: Tensor, overwrite_a: bool = False) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
 
     float32 takes Phi from the rational kernel above. float64 takes
@@ -572,27 +596,27 @@ def gelu(a: Tensor) -> Tensor:
     keeps its relative accuracy in the negative tail, where
     (1 + erf(x / sqrt(2))) / 2 cancels to nothing below about x = -8.
 
+    With ``overwrite_a`` the float32 value is written over ``a.data``, which
+    the caller hands over under the module's hand-over rule; otherwise
+    ``a.data`` is left as it was.
+
     A recorded node keeps only the derivative, built in the forward; the
     input and Phi are freed. Its VJP scales the derivative in place, which
     is safe because ``backward`` runs each node's VJP once.
     """
     x = a.data
-    record = _GRAD.enabled and a.requires_grad
+    d = np.empty(x.shape, dtype=x.dtype) if _records(a) else None
     if x.dtype == np.float32:
-        data, phi = _gelu_f32(x, keep_phi=record)
+        data = x if overwrite_a and x.flags.c_contiguous else np.empty(x.shape, dtype=x.dtype)
+        _gelu_f32(np.ascontiguousarray(x), data, d)
     else:
         phi = _erf_f64(x * -_INV_SQRT2, complement=True)
         phi *= 0.5
-        data = x * phi
-    if not record:
+        if d is not None:
+            _gelu_derivative(x, phi, d)
+        data = np.multiply(x, phi, out=phi)
+    if d is None:
         return Tensor(data)
-    # d/dx x Phi(x) = Phi(x) + x * pdf(x), built in one buffer
-    d = np.multiply(x, x)
-    d *= -0.5
-    np.exp(d, out=d)
-    d *= _INV_SQRT2PI
-    d *= x
-    d += phi
 
     def vjp(g):
         return (np.multiply(d, g, out=d),)
@@ -766,7 +790,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     np.reciprocal(inv, out=inv)
     xhat *= inv
     gamma_data = gamma.data
-    out = xhat * gamma_data
+    # xhat is this op's own array: scaled in place unless the VJP keeps it
+    out = xhat * gamma_data if _records(x, gamma, beta) else np.multiply(xhat, gamma_data, out=xhat)
     out += beta.data
 
     def vjp(g):

@@ -421,7 +421,7 @@ _FLAGS: dict[str, dict] = {
     "--config": dict(help="INI config file"),
     "--out": dict(required=True, help="output directory (all writes go here)"),
     "--seed": {},
-    "--threads": dict(help="worker threads for embed; other stages run on one"),
+    "--threads": dict(help="threads that embed, the calling thread among them; other stages run on one"),
     "--data": dict(required=True, help="cohort directory (manifest.csv, signals/)"),
     "--models": dict(required=True, help="directory holding <MODALITY>/checkpoint.psgm"),
     "--embeddings": dict(required=True, help="directory holding <MODALITY>/embeddings.csv"),

@@ -203,9 +203,9 @@ def stem_forward(x: Tensor, params: dict[str, Tensor], config: ModelConfig) -> T
     h = ad.reshape(x, (B, config.input_len, 1))
     for i, s in enumerate(config.stem_strides):
         h = ad.gather_windows(h, s)
-        h = ad.gelu(ad.linear(h, params[f"stem.{i}.conv.w"], params[f"stem.{i}.conv.b"]))
-        inner = ad.gelu(ad.linear(h, params[f"stem.{i}.pw1.w"], params[f"stem.{i}.pw1.b"]))
-        h = ad.add(h, ad.linear(inner, params[f"stem.{i}.pw2.w"], params[f"stem.{i}.pw2.b"]))
+        h = ad.gelu(ad.linear(h, params[f"stem.{i}.conv.w"], params[f"stem.{i}.conv.b"]), overwrite_a=True)
+        inner = ad.gelu(ad.linear(h, params[f"stem.{i}.pw1.w"], params[f"stem.{i}.pw1.b"]), overwrite_a=True)
+        h = ad.add(h, ad.linear(inner, params[f"stem.{i}.pw2.w"], params[f"stem.{i}.pw2.b"]), overwrite_b=True)
     return h
 
 
@@ -218,7 +218,7 @@ def _attention(x: Tensor, params: dict[str, Tensor], base: str, config: ModelCon
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], base: str) -> Tensor:
-    inner = ad.gelu(ad.linear(x, params[f"{base}.w1"], params[f"{base}.b1"]))
+    inner = ad.gelu(ad.linear(x, params[f"{base}.w1"], params[f"{base}.b1"]), overwrite_a=True)
     return ad.linear(inner, params[f"{base}.w2"], params[f"{base}.b2"])
 
 
@@ -228,9 +228,9 @@ def _transformer(
     for layer in range(depth):
         base = f"{prefix}.{layer}"
         normed = ad.layer_norm(h, params[f"{base}.ln1.g"], params[f"{base}.ln1.b"], _LN_EPS)
-        h = ad.add(h, _attention(normed, params, f"{base}.attn", config))
+        h = ad.add(h, _attention(normed, params, f"{base}.attn", config), overwrite_b=True)
         normed = ad.layer_norm(h, params[f"{base}.ln2.g"], params[f"{base}.ln2.b"], _LN_EPS)
-        h = ad.add(h, _ffn(normed, params, f"{base}.ffn"))
+        h = ad.add(h, _ffn(normed, params, f"{base}.ffn"), overwrite_b=True)
     h = ad.layer_norm(h, params[f"{prefix}.ln_f.g"], params[f"{prefix}.ln_f.b"], _LN_EPS)
     if not np.isfinite(h.data).all():
         raise NumericError(f"non-finite activations leaving the {prefix} transformer")
@@ -269,27 +269,42 @@ def embed_tiles(config: ModelConfig) -> tuple[int, int]:
     return max(1, _EMBED_TILE_BYTES // stem_bytes), max(1, _EMBED_TILE_BYTES // encoder_bytes)
 
 
+def keep_freed_arrays_in_heap() -> None:
+    """Allocate and free one untouched 16 MB block.
+
+    glibc mmaps a block this size and, on its free, raises the mmap
+    threshold to 16 MB and the trim threshold to 32 MB (mallopt(3)), so the
+    arrays a training step or an embed tile frees stay in the heap for the
+    next one instead of being unmapped and faulted back in. Other allocators
+    just allocate and free it.
+    """
+    np.empty(1 << 24, dtype=np.uint8)
+
+
 def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1) -> np.ndarray:
     """Embed (N, m) segment samples -> (N, d) unit-norm embeddings.
 
     ``X`` is an array or anything with a ``shape`` that returns a fresh array
     when sliced, such as ``signalio.SignalRows``. Each encoder tile slices
     its own rows and converts them to the model dtype, so memory follows the
-    tile, not N, and a row source's reads run on the pool's threads.
+    tile, not N, and a row source's reads run on the thread that embeds it.
 
     Rows go through the model in encoder tiles, and each encoder tile through
     the stem in smaller stem tiles (sizes from ``embed_tiles``), so that the
     activations stay in cache while each numpy call still does a lot of
-    work. With ``threads`` > 1 and more than one encoder tile, a thread pool
-    maps over the encoder tiles. The tiling depends on the config alone and
-    BLAS runs at one thread, so one config gives the same bytes at every
-    ``threads`` and every environment BLAS thread count. Another tiling of
-    the same rows may move low bits: some GEMMs round differently with their
-    row count (seen at d = 8 in the stem's (rows, 40) @ (40, 8) GEMM and in
-    attention's softmax sum over more than 16,800 columns).
+    work. ``threads`` threads embed the encoder tiles, the calling thread
+    among them: thread i takes tiles i, i + threads, i + 2 * threads, ... in
+    order, the calling thread being thread 0. When tiles fail, the earliest
+    failing tile's error is raised, the one a single thread would raise. The
+    tiling depends on the config alone and BLAS runs at one thread, so one
+    config gives the same bytes at every ``threads`` and every environment
+    BLAS thread count. Another tiling of the same rows may move low bits:
+    some GEMMs round differently with their row count (seen at d = 8 in the
+    stem's (rows, 40) @ (40, 8) GEMM and in attention's softmax sum over
+    more than 16,800 columns).
     Each tile runs under ``no_grad``, which holds for its own thread alone.
     The BLAS pin is process-wide, so it is set once, on the calling thread,
-    around all tiles: worker threads must not set or restore it themselves.
+    around all tiles: helper threads must not set or restore it themselves.
     """
     if len(X.shape) != 2 or X.shape[1] != config.input_len:
         raise DataError(f"expected (N, {config.input_len}) samples, got {X.shape}")
@@ -306,13 +321,24 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
             ])
             out[start:start + rows.shape[0]] = pool_rows(encode_t(Tensor(patches), tp, config)).data
 
+    def embed_share(share: range) -> tuple[int, Exception] | None:
+        """Embed one thread's tiles in order; (start, error) of its first failure."""
+        for start in share:
+            try:
+                embed_tile(start)
+            except Exception as exc:
+                return start, exc
+        return None
+
     starts = range(0, X.shape[0], tile)
-    with ad.single_blas_thread():
-        if threads > 1 and len(starts) > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
-                list(pool.map(embed_tile, starts))
-        else:
-            list(map(embed_tile, starts))
+    n = max(1, min(threads, len(starts)))
+    keep_freed_arrays_in_heap()
+    with ad.single_blas_thread(), ThreadPoolExecutor(max_workers=max(1, n - 1)) as pool:
+        helpers = [pool.submit(embed_share, starts[i::n]) for i in range(1, n)]
+        failures = [embed_share(starts[::n]), *(h.result() for h in helpers)]
+    failed = [f for f in failures if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return out
 
 

@@ -378,12 +378,7 @@ def train(
     log_fh = Path(log_path).open("w", encoding="utf-8") if log_path else None
     if log_fh:
         log_fh.write("step,similarity,tcr,total,wallclock_ms\n")
-    # An untouched 16 MB block, freed at once. glibc mmaps a block this size
-    # and, on its free, raises the mmap threshold to 16 MB and the trim
-    # threshold to 32 MB (mallopt(3)), so the arrays a step frees stay in
-    # the heap for the next step instead of being unmapped and faulted back
-    # in. Other allocators just allocate and free it.
-    np.empty(1 << 24, dtype=np.uint8)
+    mdl.keep_freed_arrays_in_heap()
     try:
         with ad.single_blas_thread():
             for step in range(1, ssl_config.steps + 1):

@@ -118,7 +118,11 @@ class TestGeluF32Kernel:
     PHI_ATOL = 2.5e-7
 
     def phi(self, x: np.ndarray) -> np.ndarray:
-        return ad._gelu_f32(np.asarray(x, dtype=np.float32), keep_phi=True)[1]
+        """Phi from the float32 block kernel, the whole array as one block."""
+        x = np.ascontiguousarray(x, dtype=np.float32)
+        out, z, t, q = (np.empty_like(x) for _ in range(4))
+        ad._phi_f32_block(x, out, z, t, q)
+        return out
 
     def test_phi_dense_grid(self):
         # every float32 with 4 <= |x| < 8, where the error peaks, plus an even grid
@@ -157,28 +161,58 @@ class TestGeluF32Kernel:
             assert got.shape == x.shape and got.dtype == np.float32
             # elementwise: a value never depends on its block or neighbours
             np.testing.assert_array_equal(got, reference[:n])
-            kept, phi = ad._gelu_f32(x, keep_phi=True)
-            np.testing.assert_array_equal(kept, got)
-            np.testing.assert_array_equal(kept, x * phi)
+            np.testing.assert_array_equal(got, x * self.phi(x))
         view = whole[:30].reshape(2, 3, 5).transpose(2, 0, 1)  # non-contiguous
         expected = reference[:30].reshape(2, 3, 5).transpose(2, 0, 1)
         np.testing.assert_array_equal(ad.gelu(Tensor(view)).data, expected)
 
-    def test_bytes_do_not_depend_on_block_size(self, monkeypatch):
-        """Value and Phi bytes are the same at every block size, over a length
-        that is a multiple of none of them, clamped tails and specials included."""
+    BLOCKS = (999, 1 << 10, 1 << 15, 1 << 16, 1 << 18)
+
+    @staticmethod
+    def block_test_input() -> np.ndarray:
         rng = np.random.default_rng(14)
         x = (6.0 * rng.standard_normal(3 * (1 << 16) + 12_345)).astype(np.float32)
         x[:6] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 40.0]
-        blocks = (999, 1 << 10, 1 << 15, 1 << 16, 1 << 18)
-        assert all(x.size % b for b in blocks)
+        return x
+
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch):
+        """Value and derivative bytes are the same at every block size, over a
+        length that is a multiple of none of them, clamped tails and specials
+        included, and equal to x * Phi and Phi + x * pdf over the whole array."""
+        x = self.block_test_input()
+        assert all(x.size % b for b in self.BLOCKS)
         runs = []
-        for block in blocks:
-            monkeypatch.setattr(ad, "_PHI_BLOCK", block)
-            value, phi = ad._gelu_f32(x, keep_phi=True)
-            runs.append((value.tobytes(), phi.tobytes(), ad._gelu_f32(x, keep_phi=False)[0].tobytes()))
+        with np.errstate(invalid="ignore"):  # the derivative at +-inf is inf * 0
+            for block in self.BLOCKS:
+                monkeypatch.setattr(ad, "_PHI_BLOCK", block)
+                value, d, alone = (np.empty_like(x) for _ in range(3))
+                ad._gelu_f32(x, value, d)
+                ad._gelu_f32(x, alone, None)
+                runs.append((value.tobytes(), d.tobytes(), alone.tobytes()))
+            phi = self.phi(x)
+            d = np.empty_like(x)
+            ad._gelu_derivative(x, phi, d)
         assert runs[0][0] == runs[0][2]
         assert all(run == runs[0] for run in runs[1:])
+        assert runs[0][:2] == ((x * phi).tobytes(), d.tobytes())
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_overwrite_matches_a_copy_at_every_block_size(self, monkeypatch, record):
+        """gelu written over its input gives the bytes of gelu run on a copy,
+        value and derivative, at every block size."""
+        x = self.block_test_input()[6:]  # finite: the derivative at +-inf is inf * 0
+        g = np.ones_like(x)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(ad, "_PHI_BLOCK", block)
+            copy, handed = Tensor(x.copy(), requires_grad=record), Tensor(x.copy(), requires_grad=record)
+            want, got = ad.gelu(copy), ad.gelu(handed, overwrite_a=True)
+            assert got.data is handed.data and got.requires_grad == record
+            np.testing.assert_array_equal(copy.data, x)
+            assert got.data.tobytes() == want.data.tobytes()
+            if record:
+                ad.backward(want, g)
+                ad.backward(got, g)
+                assert handed.grad.tobytes() == copy.grad.tobytes()
 
     def test_vjp_matches_analytic_derivative(self):
         x = np.linspace(-12.0, 12.0, 200_001).astype(np.float32)
@@ -469,6 +503,54 @@ class TestLayerNorm:
         check_op(lambda t: ad.layer_norm(t, Tensor(g), Tensor(b), 1e-5), x.copy(), rtol=1e-5)
         check_op(lambda t: ad.layer_norm(Tensor(x), t, Tensor(b), 1e-5), g.copy(), rtol=1e-5)
         check_op(lambda t: ad.layer_norm(Tensor(x), Tensor(g), t, 1e-5), b.copy(), rtol=1e-5)
+
+
+class TestHandOver:
+    """An op writing over an array its caller hands over gives the bytes of
+    the out-of-place op run on a copy, forward and backward; without a
+    hand-over no operand is touched."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_gelu_f64(self, record):
+        rng = np.random.default_rng(31)
+        x = 4.0 * rng.standard_normal((7, 45))
+        x[0, :3] = [np.nan, -0.0, -40.0]
+        copy, handed = Tensor(x.copy(), requires_grad=record), Tensor(x.copy(), requires_grad=record)
+        want, got = ad.gelu(copy), ad.gelu(handed, overwrite_a=True)
+        np.testing.assert_array_equal(copy.data, x)
+        assert got.data.tobytes() == want.data.tobytes() and got.requires_grad == record
+        if record:
+            g = rng.standard_normal(x.shape)
+            ad.backward(want, g)
+            ad.backward(got, g)
+            assert handed.grad.tobytes() == copy.grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_add_into_second_operand(self, dtype):
+        rng = np.random.default_rng(32)
+        a, b, g = (rng.standard_normal(shape).astype(dtype) for shape in ((5,), (3, 5), (3, 5)))
+        runs = []
+        for overwrite_b in (False, True):
+            ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+            out = ad.add(ta, tb, overwrite_b=overwrite_b)
+            assert (out.data is tb.data) == overwrite_b and out.data.dtype == dtype
+            np.testing.assert_array_equal(ta.data, a)
+            ad.backward(out, g)
+            runs.append((out.data.tobytes(), ta.grad.tobytes(), tb.grad.tobytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (a + b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_unrecorded_matches_recorded(self, dtype):
+        rng = np.random.default_rng(33)
+        x, gamma, beta = (rng.standard_normal(shape).astype(dtype) for shape in ((2, 9, 16), (16,), (16,)))
+        recorded = ad.layer_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta), 1e-5)
+        plain = ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)
+        with ad.no_grad():
+            off = ad.layer_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta), 1e-5)
+        assert recorded.requires_grad and not plain.requires_grad and not off.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes() == off.data.tobytes()
+        assert plain.data.dtype == dtype
 
 
 class TestGatherWindows:

@@ -330,11 +330,14 @@ def test_every_sample_read_is_one_checked_read(tmp_path, monkeypatch):
     assert reads == [(0, block), (block, block), (2 * block, 7), (0, rec.n_samples)]
 
 
-def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
-    """ECG at d = 32 embeds in encoder tiles of 68 rows, so 144 segments run
-    three tiles on the ``--threads 2`` pool. A signal file cut short after
-    ``embed`` checked it fails the read of the last tile on a worker thread:
-    exit 3 and one ``error:`` line, with no traceback."""
+def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int]):
+    """``embed --threads 2`` of ECG at d = 32 over 8 subjects x 18 segments,
+    with the signal files of the subjects at the ``cut`` positions cut short
+    after ``embed`` checked them. 144 rows make encoder tiles of 68 rows
+    (rows 0-67, 68-135 and 136-143); the calling thread embeds the first and
+    the third, its one helper thread the second. Each cut fails the read of
+    the tile holding the file's last window. Returns the exit code, stderr,
+    the cut paths, and whether each failed read ran on the main thread."""
     ini = tmp_path / "run.ini"
     ini.write_text(
         "[run]\nmodalities = ECG\n"
@@ -346,12 +349,14 @@ def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, mon
     common = ["--config", str(ini), "--seed", "3"]
     assert cli.main(["synth", "--out", str(data), *common, "--subjects", "8", "--segments", "18"]) == 0
     assert cli.main(["train", "--out", str(models), *common, "--data", str(data)]) == 0
-    last = sorted((data / "signals").glob("*_ECG.psgs"))[-1]
+    files = sorted((data / "signals").glob("*_ECG.psgs"))
+    paths = [files[i] for i in cut]
     failed_on = []
     real_embed, real_read = cli.embed_segments, SignalFile.read_at
 
     def embed_after_cut(X, *args, **kwargs):
-        last.write_bytes(last.read_bytes()[:-4])
+        for path in paths:
+            path.write_bytes(path.read_bytes()[:-4])
         return real_embed(X, *args, **kwargs)
 
     def read(self, sample, out):
@@ -366,7 +371,32 @@ def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, mon
     capsys.readouterr()
     rc = cli.main(["embed", "--out", str(tmp_path / "emb"), *common, "--data", str(data),
                    "--models", str(models), "--threads", "2"])
-    err = capsys.readouterr().err
+    return rc, capsys.readouterr().err, paths, failed_on
+
+
+def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A read failing on the helper thread (the fifth subject's rows 72-89
+    lie in the second tile): exit 3 and one ``error:`` line naming the file,
+    with no traceback."""
+    rc, err, (cut,), failed_on = embed_with_files_cut(tmp_path, capsys, monkeypatch, [4])
     assert failed_on == [False]
     assert rc == 3 and "Traceback" not in err and err.count("\n") == 1
-    assert err.startswith("error: TruncatedPayloadError: ") and str(last) in err
+    assert err.startswith("error: TruncatedPayloadError: ") and str(cut) in err
+
+
+def test_read_failing_on_the_calling_thread_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """The same on the calling thread, which embeds the third tile: the last
+    subject's last window is row 143."""
+    rc, err, (cut,), failed_on = embed_with_files_cut(tmp_path, capsys, monkeypatch, [7])
+    assert failed_on == [True]
+    assert rc == 3 and "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("error: TruncatedPayloadError: ") and str(cut) in err
+
+
+def test_reads_failing_on_both_threads_report_the_earliest_tile(tmp_path, capsys, monkeypatch):
+    """With both cuts, both threads fail a read; the one error line names the
+    file of the second tile, the error a single thread would stop at."""
+    rc, err, (second, third), failed_on = embed_with_files_cut(tmp_path, capsys, monkeypatch, [4, 7])
+    assert sorted(failed_on) == [False, True]
+    assert rc == 3 and "Traceback" not in err and err.count("\n") == 1
+    assert str(second) in err and str(third) not in err
