@@ -196,24 +196,6 @@ class TestGeluF32Kernel:
         assert all(run == runs[0] for run in runs[1:])
         assert runs[0][:2] == ((x * phi).tobytes(), d.tobytes())
 
-    @pytest.mark.parametrize("record", [False, True])
-    def test_overwrite_matches_a_copy_at_every_block_size(self, monkeypatch, record):
-        """gelu written over its input gives the bytes of gelu run on a copy,
-        value and derivative, at every block size."""
-        x = self.block_test_input()[6:]  # finite: the derivative at +-inf is inf * 0
-        g = np.ones_like(x)
-        for block in self.BLOCKS:
-            monkeypatch.setattr(ad, "_PHI_BLOCK", block)
-            copy, handed = Tensor(x.copy(), requires_grad=record), Tensor(x.copy(), requires_grad=record)
-            want, got = ad.gelu(copy), ad.gelu(handed, overwrite_a=True)
-            assert got.data is handed.data and got.requires_grad == record
-            np.testing.assert_array_equal(copy.data, x)
-            assert got.data.tobytes() == want.data.tobytes()
-            if record:
-                ad.backward(want, g)
-                ad.backward(got, g)
-                assert handed.grad.tobytes() == copy.grad.tobytes()
-
     def test_vjp_matches_analytic_derivative(self):
         x = np.linspace(-12.0, 12.0, 200_001).astype(np.float32)
         g = np.random.default_rng(13).uniform(-1.0, 1.0, x.shape).astype(np.float32)
@@ -511,19 +493,24 @@ class TestHandOver:
     hand-over no operand is touched."""
 
     @pytest.mark.parametrize("record", [False, True])
-    def test_gelu_f64(self, record):
-        rng = np.random.default_rng(31)
-        x = 4.0 * rng.standard_normal((7, 45))
-        x[0, :3] = [np.nan, -0.0, -40.0]
-        copy, handed = Tensor(x.copy(), requires_grad=record), Tensor(x.copy(), requires_grad=record)
-        want, got = ad.gelu(copy), ad.gelu(handed, overwrite_a=True)
-        np.testing.assert_array_equal(copy.data, x)
-        assert got.data.tobytes() == want.data.tobytes() and got.requires_grad == record
-        if record:
-            g = rng.standard_normal(x.shape)
-            ad.backward(want, g)
-            ad.backward(got, g)
-            assert handed.grad.tobytes() == copy.grad.tobytes()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu(self, monkeypatch, dtype, record):
+        """Value and derivative, float32 at every block size of the block-size
+        test; float32 writes into the handed-over array itself."""
+        x = TestGeluF32Kernel.block_test_input()[6:].astype(dtype)  # finite: the derivative at +-inf is inf * 0
+        x[:3] = [-0.0, -40.0, 40.0]
+        g = np.ones_like(x)
+        for block in TestGeluF32Kernel.BLOCKS if dtype == np.float32 else (ad._PHI_BLOCK,):
+            monkeypatch.setattr(ad, "_PHI_BLOCK", block)
+            copy, handed = Tensor(x.copy(), requires_grad=record), Tensor(x.copy(), requires_grad=record)
+            want, got = ad.gelu(copy), ad.gelu(handed, overwrite_a=True)
+            np.testing.assert_array_equal(copy.data, x)
+            assert got.requires_grad == record and (dtype == np.float64 or got.data is handed.data)
+            assert got.data.tobytes() == want.data.tobytes()
+            if record:
+                ad.backward(want, g)
+                ad.backward(got, g)
+                assert handed.grad.tobytes() == copy.grad.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_add_into_second_operand(self, dtype):
