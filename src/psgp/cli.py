@@ -36,7 +36,6 @@ from .synth import generate_cohort
 from .tables import DECIMAL, is_count, table_rows, table_text, terminated_lines
 from .vectors import (
     EmbeddingTable,
-    SubjectScore,
     derive_vectors,
     load_disease_vector,
     load_scores,
@@ -353,7 +352,7 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
 
 def _scores_and_split(
     args: argparse.Namespace, cfg: RunConfig
-) -> tuple[CohortManifest, list[SubjectScore], CohortSplit]:
+) -> tuple[CohortManifest, dict[tuple[str, str, Modality], float], CohortSplit]:
     _, manifest = _manifest_for(args)
     scores = load_scores(_require(Path(args.scores), "score table"))
     return manifest, scores, split_cohort(manifest, cfg.split_ratio, cfg.seed)
@@ -392,19 +391,14 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> None:
     if subject not in manifest.rows:
         raise DataError(f"manifest has no subject {subject!r}")
     outcomes = _outcomes_for(cfg, manifest)
-    reference = {  # the positive training subjects of each outcome
-        o: {sid for sid, y in manifest.outcome_labels(o).items() if y == 1} & split.train_ids
-        for o in outcomes
-    }
     current: dict[str, float] = {}
-    positives: dict[str, list[float]] = {o: [] for o in outcomes}
-    for s in scores:
-        if s.modality is not modality:
-            continue
-        if s.subject_id == subject:
-            current[s.outcome] = s.score
-        if s.subject_id in reference.get(s.outcome, ()):
-            positives[s.outcome].append(s.score)
+    positives: dict[str, list[float]] = {}  # the positive training subjects' scores, by id
+    for o in outcomes:
+        if (subject, o, modality) in scores:
+            current[o] = scores[subject, o, modality]
+        labels = manifest.outcome_labels(o)
+        keys = [(sid, o, modality) for sid in sorted(split.train_ids) if labels[sid] == 1]
+        positives[o] = [scores[k] for k in keys if k in scores]
     card = build_report_card(subject, modality, current, positives, outcomes)
     out = _out_dir(args)
     (out / f"report_{subject}.txt").write_text(render_report_card(card), encoding="utf-8")

@@ -66,11 +66,13 @@ class CohortManifest:
 
 def check_name(kind: str, name: str, error: type[PsgpError], where: str) -> None:
     """Refuse a subject id or outcome name that cannot be both a file-name
-    part and a plain CSV cell: an empty one, or one holding ``,``, ``"``,
-    ``/``, ``\\`` or a character ``str.isprintable`` rejects (every line
-    break, NUL)."""
-    if not name or any(ch in name for ch in ',"/\\') or not name.isprintable():
-        raise error(f"{where}: {kind} {name!r} is empty or holds , \" / \\ or an unprintable character")
+    part and a plain CSV cell: an empty one, one with leading or trailing
+    whitespace, or one holding ``,``, ``"``, ``/``, ``\\`` or a character
+    ``str.isprintable`` rejects (every line break, NUL)."""
+    if not name or name != name.strip() or any(ch in name for ch in ',"/\\') or not name.isprintable():
+        raise error(
+            f"{where}: {kind} {name!r} is empty or padded, or holds , \" / \\ or an unprintable character"
+        )
 
 
 def _parse_float(token: str, *, where: str, column: str) -> float | None:
@@ -112,11 +114,8 @@ def load_manifest(path: Path | str) -> CohortManifest:
             header = next(records)
         except StopIteration:
             raise ManifestError(f"{path}: empty manifest") from None
-        header = [h.strip() for h in header]
         if tuple(header[: len(_FIXED_HEADER)]) != _FIXED_HEADER:
-            raise ManifestError(
-                f"{path}: header must start with {','.join(_FIXED_HEADER)}"
-            )
+            raise ManifestError(f"{path} line 1: header must start with {','.join(_FIXED_HEADER)}")
         outcome_names = tuple(header[len(_FIXED_HEADER):])
         for name in outcome_names:
             check_name("outcome name", name, ManifestError, f"{path} line 1")
@@ -129,7 +128,7 @@ def load_manifest(path: Path | str) -> CohortManifest:
                 continue
             if len(rec) != len(header):
                 raise ManifestError(f"{where}: expected {len(header)} fields")
-            sid = rec[0].strip()
+            sid = rec[0]
             check_name("subject id", sid, ManifestError, where)
             if sid in rows:
                 raise ManifestError(f"{where}: duplicate subject_id {sid!r}")

@@ -1,6 +1,13 @@
 """Downstream statistics: logistic models, odds ratios, AUC, rank tests,
 and the predictor-set x outcome AUC grid.
 
+A predictor set is a tuple of features. A feature is a ``Modality``, meaning
+that modality's score for the outcome being fitted, or the name of a
+manifest covariate; its design-matrix column is ``score_<MODALITY>`` or the
+covariate's name. The scores arrive as one lookup,
+``{(subject_id, outcome, Modality): score}``, as ``vectors.load_scores``
+returns it.
+
 The logistic fitter is iteratively reweighted least squares (Newton) with
 step-halving; covariance is the inverse Fisher information at the optimum.
 Confidence intervals use the fixed two-sided 95% normal quantile 1.959964.
@@ -12,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -29,7 +36,6 @@ from .errors import (
 )
 from .signalio import Modality
 from .tables import table_text, write_table
-from .vectors import SubjectScore
 
 Z95 = 1.959964
 _ALPHA = 0.05  # significance level of the odds-ratio report
@@ -66,7 +72,6 @@ class LogisticModel:
     feature_names: tuple[str, ...]  # without intercept; beta[0] is intercept
     beta: np.ndarray
     cov: np.ndarray
-    n_used: int
     converged: bool
     iterations: int
     separated: bool = False
@@ -164,7 +169,6 @@ def fit_logistic(x: FeatureMatrix, y: np.ndarray, outcome: str = "") -> Logistic
         feature_names=x.feature_names,
         beta=beta,
         cov=cov,
-        n_used=n,
         converged=converged,
         iterations=it,
         separated=separated,
@@ -317,43 +321,34 @@ def chi_square(table, yates: bool = False) -> tuple[float, float, int]:
 
 # --- predictor-set grid ------------------------------------------------
 
-SCORE = "score"
-COV = "cov"
-_ADJUSTMENT = tuple((COV, name) for name in ADJUSTMENT_COVARIATES)
+Feature = Modality | str  # a modality's score for the outcome, or a covariate name
+Scores = Mapping[tuple[str, str, Modality], float]  # (subject_id, outcome, modality) -> score
 
-PREDICTOR_SETS: dict[str, tuple[tuple[str, object], ...]] = {
-    "EEG": ((SCORE, Modality.EEG),),
-    "ECG": ((SCORE, Modality.ECG),),
-    "Resp": ((SCORE, Modality.RESP),),
-    "EEG-ECG": ((SCORE, Modality.EEG), (SCORE, Modality.ECG)),
-    "EEG-Resp": ((SCORE, Modality.EEG), (SCORE, Modality.RESP)),
-    "ECG-Resp": ((SCORE, Modality.ECG), (SCORE, Modality.RESP)),
-    "EEG-ECG-Resp": ((SCORE, Modality.EEG), (SCORE, Modality.ECG), (SCORE, Modality.RESP)),
-    "Baseline": _ADJUSTMENT,
-    "FRS Score": ((COV, "frs"),),
-    "FRS Score Composite": (
-        (SCORE, Modality.EEG),
-        (SCORE, Modality.ECG),
-        (SCORE, Modality.RESP),
-        (COV, "frs"),
-    ),
-    "Composite": ((SCORE, Modality.EEG), (SCORE, Modality.ECG), (SCORE, Modality.RESP)) + _ADJUSTMENT,
+PREDICTOR_SETS: dict[str, tuple[Feature, ...]] = {
+    "EEG": (Modality.EEG,),
+    "ECG": (Modality.ECG,),
+    "Resp": (Modality.RESP,),
+    "EEG-ECG": (Modality.EEG, Modality.ECG),
+    "EEG-Resp": (Modality.EEG, Modality.RESP),
+    "ECG-Resp": (Modality.ECG, Modality.RESP),
+    "EEG-ECG-Resp": tuple(Modality),
+    "Baseline": ADJUSTMENT_COVARIATES,
+    "FRS Score": ("frs",),
+    "FRS Score Composite": (*Modality, "frs"),
+    "Composite": (*Modality, *ADJUSTMENT_COVARIATES),
 }
 
 
-def _feature_label(kind: str, what) -> str:
-    return f"score_{what.name}" if kind == SCORE else str(what)
-
-
-def _score_lookup(scores: Sequence[SubjectScore]) -> dict[tuple[str, str, Modality], float]:
-    return {(s.subject_id, s.outcome, s.modality): s.score for s in scores}
+def _feature_label(feature: Feature) -> str:
+    """A feature's design-matrix column: ``score_<MODALITY>`` or the covariate."""
+    return f"score_{feature.name}" if isinstance(feature, Modality) else feature
 
 
 def build_feature_matrix(
     manifest: CohortManifest,
-    scores: Mapping[tuple[str, str, Modality], float],
+    scores: Scores,
     outcome: str,
-    spec: Sequence[tuple[str, object]],
+    features: Sequence[Feature],
     subject_ids: Sequence[str],
 ) -> tuple[FeatureMatrix, np.ndarray, int]:
     """Complete-case design matrix over the given subjects.
@@ -363,33 +358,23 @@ def build_feature_matrix(
     of input ordering.
     """
     labels = manifest.outcome_labels(outcome)
-    names = tuple(_feature_label(kind, what) for kind, what in spec)
     rows: list[list[float]] = []
     ys: list[float] = []
     kept: list[str] = []
     dropped = 0
     for sid in sorted(subject_ids):
         label = labels.get(sid)
-        if label is None:
+        values = None if label is None else [
+            scores.get((sid, outcome, f)) if isinstance(f, Modality) else manifest.rows[sid].covariate(f)
+            for f in features
+        ]
+        if values is None or None in values:
             dropped += 1
             continue
-        feats: list[float] = []
-        ok = True
-        for kind, what in spec:
-            if kind == SCORE:
-                val = scores.get((sid, outcome, what))
-            else:
-                val = manifest.rows[sid].covariate(str(what))
-            if val is None:
-                ok = False
-                break
-            feats.append(float(val))
-        if not ok:
-            dropped += 1
-            continue
-        rows.append(feats)
+        rows.append(values)
         ys.append(float(label))
         kept.append(sid)
+    names = tuple(map(_feature_label, features))
     values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
     return FeatureMatrix(names, values, tuple(kept)), np.asarray(ys), dropped
 
@@ -419,9 +404,9 @@ def _standardized(sides: list[_Side]) -> list[_Side]:
 
 
 def _fit_on_train(
-    manifest, lookup, outcome, spec, train_ids, test_ids, standardize
+    manifest, scores, outcome, features, train_ids, test_ids, standardize
 ) -> tuple[LogisticModel, list[_Side]] | str:
-    """Fit ``spec`` for ``outcome`` on the training subjects.
+    """Fit ``features`` for ``outcome`` on the training subjects.
 
     Returns the model with each side's matrix and labels, train first (the
     test side only when ``test_ids`` is given), or "NA:<reason>" when a side
@@ -432,7 +417,7 @@ def _fit_on_train(
     for name, ids in (("train", train_ids), ("test", test_ids)):
         if ids is None:
             continue
-        x, y, _ = build_feature_matrix(manifest, lookup, outcome, spec, ids)
+        x, y, _ = build_feature_matrix(manifest, scores, outcome, features, ids)
         if y.shape[0] == 0:
             return f"NA:no_{name}_rows"
         if np.unique(y).shape[0] < 2:
@@ -449,7 +434,7 @@ def _fit_on_train(
 
 
 def evaluate_grid(
-    scores: Sequence[SubjectScore],
+    scores: Scores,
     manifest: CohortManifest,
     split: CohortSplit,
     outcomes: Sequence[str] | None = None,
@@ -462,16 +447,12 @@ def evaluate_grid(
     Unusable cells carry "NA:<reason>" instead of a number.
     """
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
-    for outcome in outs:
-        if outcome not in manifest.outcome_names:
-            raise DataError(f"manifest has no outcome {outcome!r}")
-    train_ids = sorted(split.train_ids)
-    test_ids = sorted(split.test_ids)
-    lookup = _score_lookup(scores)
     cells: dict[tuple[str, str], float | str] = {}
-    for row_name, spec in PREDICTOR_SETS.items():
+    for row_name, features in PREDICTOR_SETS.items():
         for outcome in outs:
-            fit = _fit_on_train(manifest, lookup, outcome, spec, train_ids, test_ids, standardize)
+            fit = _fit_on_train(
+                manifest, scores, outcome, features, split.train_ids, split.test_ids, standardize
+            )
             if isinstance(fit, str):
                 cells[(row_name, outcome)] = fit
             else:
@@ -492,7 +473,7 @@ class OrReportRow:
 
 
 def odds_ratio_report(
-    scores: Sequence[SubjectScore],
+    scores: Scores,
     manifest: CohortManifest,
     split: CohortSplit,
     outcomes: Sequence[str] | None = None,
@@ -505,17 +486,15 @@ def odds_ratio_report(
     "NA:<reason>" on its training side, or whose fit does not converge, has
     no row."""
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
-    train_ids = sorted(split.train_ids)
-    lookup = _score_lookup(scores)
     rows: list[OrReportRow] = []
     for outcome in outs:
         for modality in modalities:
-            spec = ((SCORE, modality),) + _ADJUSTMENT
-            fit = _fit_on_train(manifest, lookup, outcome, spec, train_ids, None, standardize)
+            features = (modality, *ADJUSTMENT_COVARIATES)
+            fit = _fit_on_train(manifest, scores, outcome, features, split.train_ids, None, standardize)
             if isinstance(fit, str):
                 continue
             try:
-                result = odds_ratios(fit[0], [f"score_{modality.name}"])[0]
+                result = odds_ratios(fit[0], [_feature_label(modality)])[0]
             except NotConvergedError:
                 continue
             rows.append(

@@ -338,8 +338,10 @@ def save_scores(scores: Sequence[SubjectScore], path: Path | str) -> None:
     write_table(path, _SCORE_HEADER, rows)
 
 
-def load_scores(path: Path | str) -> list[SubjectScore]:
-    rows: dict[tuple[str, str, str], SubjectScore] = {}
+def load_scores(path: Path | str) -> dict[tuple[str, str, Modality], float]:
+    """Each row's score by (subject_id, outcome, modality), in row order;
+    ``n_segments_used`` is checked, not kept."""
+    scores: dict[tuple[str, str, Modality], float] = {}
     for where, (sid, outcome, name, score, used) in table_rows(Path(path), _SCORE_HEADER, FormatError):
         if not DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
             raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
@@ -348,8 +350,7 @@ def load_scores(path: Path | str) -> list[SubjectScore]:
         modality = Modality.__members__.get(name)  # the exact name, as written
         if modality is None:
             raise FormatError(f"{where}: unknown modality name {name!r}")
-        key = (sid, outcome, modality.name)
-        if key in rows:
+        if (sid, outcome, modality) in scores:
             raise FormatError(f"{where} repeats the row for {sid}, {outcome}, {modality.name}")
-        rows[key] = SubjectScore(sid, outcome, modality, float(score), int(used))
-    return list(rows.values())
+        scores[sid, outcome, modality] = float(score)
+    return scores

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from psgp import autodiff, cli, model, pretrain, stats, vectors
+from psgp.cohort import CohortManifest, SubjectRow, split_cohort
 from psgp.config import stage_configs
 from psgp.signalio import Modality
 
@@ -50,6 +51,44 @@ def test_span_hooks_install_and_restore(monkeypatch):
     for m in MODULES:
         for name, obj in before[m].items():
             assert getattr(m, name) is obj, (m.__name__, name)
+
+
+def test_stats_counters_get_their_data(monkeypatch):
+    """The counters the benchmark reports for the fit stages read what the
+    wrapped functions return: fits and their iterations, AUCs, and each
+    feature matrix's dropped rows (here, every build drops each subject of
+    its side whose label is missing)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    rng = np.random.default_rng(3)
+    rows, scores = {}, {}
+    for i in range(30):
+        sid = f"P{i:02d}"
+        label = None if i in (4, 11, 17) else i % 2
+        rows[sid] = SubjectRow(sid, 40.0 + i, i % 3 % 2, 20.0 + i % 7, 120.0, 0.1 + i % 5 / 100, {"CVD": label})
+        for mod in Modality:
+            scores[sid, "CVD", mod] = float(rng.standard_normal()) + (label or 0)
+    manifest = CohortManifest(rows, ("CVD",))
+    split = split_cohort(manifest, 0.6, seed=1)
+    incomplete = {"P04", "P11", "P17"}
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        grid = cli.evaluate_grid(scores, manifest, split)
+        or_rows = cli.odds_ratio_report(scores, manifest, split)
+    finally:
+        tracer.restore()
+    assert all(isinstance(cell, float) for cell in grid.cells.values()), grid.cells
+    assert len(or_rows) == len(Modality)
+    assert {"stats.evaluate_grid", "stats.odds_ratio_report"} <= {span[2] for span in tracer.spans}
+    fits = len(stats.PREDICTOR_SETS) + len(Modality)
+    assert tracer.counts["stats.fit_logistic.calls"] == fits
+    assert tracer.counts["stats.fit_logistic.iterations"] >= fits
+    assert tracer.counts["stats.auc.calls"] == len(stats.PREDICTOR_SETS)
+    grid_drops = len(stats.PREDICTOR_SETS) * len(incomplete)  # train and test side
+    or_drops = len(Modality) * len(incomplete & split.train_ids)  # train side only
+    assert tracer.counts["stats.build_feature_matrix.dropped"] == grid_drops + or_drops
 
 
 def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:

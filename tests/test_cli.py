@@ -1729,6 +1729,21 @@ def test_padded_manifest_cell_is_one_error_line(chain, tmp_path, capsys):
     assert_one_line_data_error(rc, capsys.readouterr().err, f"{manifest} line 3", "column 'age'", kind="ManifestError")
 
 
+@pytest.mark.parametrize("line,column,value,fragment", [
+    (3, 0, " S0002", "subject id ' S0002'"),
+    (1, 1, "age ", "header must start"),
+    (1, 6, " CVD", "outcome name ' CVD'"),
+])
+def test_padded_manifest_id_or_header_cell_is_one_error_line(chain, tmp_path, capsys, line, column, value, fragment):
+    """A padded subject id or header cell is refused as written, not read
+    stripped: exit 3 naming the manifest and the line."""
+    manifest = tmp_path / "data" / "manifest.csv"
+    corrupt_cell(chain["data"] / "manifest.csv", manifest, line, column, value)
+    rc = run_cli("eval", "--out", tmp_path / "out", "--config", chain["ini"], "--data", manifest.parent,
+                 "--scores", chain["scores"] / "scores.csv")
+    assert_one_line_data_error(rc, capsys.readouterr().err, f"{manifest} line {line}: {fragment}", kind="ManifestError")
+
+
 @pytest.mark.parametrize(
     "sid,line",
     [("c,d", 3), ('q"x', 3), ("../../x", 3), ("a\\b", 3), ("a\nb", 4), ("S1\x00", 3)],

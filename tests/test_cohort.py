@@ -114,7 +114,23 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=f"line 3: column '{column}' "):
             load_manifest(path)
 
-    @pytest.mark.parametrize("name", ["", "A,B", 'A"B', "../evil", "A\\B", "A\nB", "A\rB", "A\u2028B"])
+    @pytest.mark.parametrize("lines,where", [
+        ([HEADER, "S0,61,0,26,,,0,1", " S1,60,1,25,,,1,0"], "line 3: subject id ' S1' "),
+        ([HEADER, "S1 ,60,1,25,,,1,0"], "line 2: subject id 'S1 ' "),
+        ([HEADER.replace(",age", ", age"), "S1,60,1,25,,,1,0"], "line 1: header must start"),
+        ([" " + HEADER, "S1,60,1,25,,,1,0"], "line 1: header must start"),
+        ([HEADER.replace(",CVD", ", CVD"), "S1,60,1,25,,,1,0"], "line 1: outcome name ' CVD' "),
+        ([HEADER + " ", "S1,60,1,25,,,1,0"], "line 1: outcome name 'Stroke ' "),
+    ])
+    def test_padded_id_or_header_cell_is_refused(self, tmp_path, lines, where):
+        """A subject id or a header cell is read as written: ``' S1'`` is not
+        subject ``S1`` and ``' CVD'`` is not outcome ``CVD``."""
+        path = _write(tmp_path, lines)
+        with pytest.raises(ManifestError, match=re.escape(f"{path} {where}")) as info:
+            load_manifest(path)
+        assert info.value.exit_code == 3
+
+    @pytest.mark.parametrize("name", ["", "A,B", 'A"B', "../evil", "A\\B", "A\nB", "A\rB", "A\u2028B", " A", "A "])
     def test_outcome_name_must_suit_a_file_name_and_a_header_cell(self, tmp_path, name):
         quoted = '"' + name.replace('"', '""') + '"'
         path = _write(tmp_path, [f"subject_id,age,sex,bmi,sbp,frs,CVD,{quoted}", "S1,60,1,25,,,1,0"])

@@ -22,7 +22,7 @@ t = ad.Tensor(x, requires_grad=True)
 ad.backward(ad.tsum(ad.gelu(t)))
 ad.terf(ad.Tensor(x))
 auc([0.1, 0.4, 0.4, 0.9], [0, 1, 0, 1])
-model = LogisticModel("CVD", ("x",), np.array([0.0, 0.7]), np.eye(2) * 0.09, 10, True, 4)
+model = LogisticModel("CVD", ("x",), np.array([0.0, 0.7]), np.eye(2) * 0.09, True, 4)
 odds_ratios(model)
 kruskal_wallis([[1.0, 2.0, 2.0], [3.0, 4.0]])
 chi_square([[10, 20], [30, 40]])

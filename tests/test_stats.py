@@ -11,6 +11,7 @@ import pytest
 from scipy import optimize as sp_opt
 from scipy import stats as sp_stats
 
+from psgp import stats
 from psgp.cohort import CohortManifest, SubjectRow, load_manifest, split_cohort
 from psgp.errors import (
     CollinearityError,
@@ -23,9 +24,7 @@ from psgp.errors import (
 from psgp.signalio import Modality
 from psgp.stats import _average_ranks, _chi2_sf
 from psgp.stats import (
-    COV,
     PREDICTOR_SETS,
-    SCORE,
     Z95,
     AucGrid,
     FeatureMatrix,
@@ -41,7 +40,6 @@ from psgp.stats import (
     predict_proba,
     save_or_report,
 )
-from psgp.vectors import SubjectScore
 
 
 class TestFitLogistic:
@@ -176,7 +174,6 @@ class TestOddsRatios:
             feature_names=names,
             beta=np.asarray(beta, dtype=float),
             cov=np.asarray(cov, dtype=float),
-            n_used=10,
             converged=converged,
             iterations=5,
             separated=separated,
@@ -451,22 +448,20 @@ def _manifest(tmp_path, n=40, seed=0, outcome_of=None):
 def _scores_for(manifest, labels, signal=("EEG",), noise=0.5, seed=1):
     """Risk scores: informative for the listed modalities, noise otherwise."""
     rng = np.random.default_rng(seed)
-    out = []
+    out = {}
     for sid in manifest.subject_ids:
         for mod in (Modality.EEG, Modality.ECG, Modality.RESP):
             bump = labels[sid] if mod.name in signal else 0.0
-            out.append(
-                SubjectScore(sid, "CVD", mod, bump + noise * rng.standard_normal(), 3)
-            )
+            out[sid, "CVD", mod] = bump + noise * rng.standard_normal()
     return out
 
 
 def _by_side(train_scores, test_scores, split):
-    """One score list: ``train_scores`` for the training subjects and
+    """One score lookup: ``train_scores`` for the training subjects and
     ``test_scores`` for the held-out ones."""
-    return [s for s in train_scores if s.subject_id in split.train_ids] + [
-        s for s in test_scores if s.subject_id in split.test_ids
-    ]
+    return {k: v for k, v in train_scores.items() if k[0] in split.train_ids} | {
+        k: v for k, v in test_scores.items() if k[0] in split.test_ids
+    }
 
 
 def _with_ineligible(tmp_path, n=50, seed=21):
@@ -484,9 +479,8 @@ class TestBuildFeatureMatrix:
         manifest, labels = _manifest(tmp_path, n=6)
         scores = {(sid, "CVD", Modality.EEG): float(i) for i, sid in enumerate(manifest.subject_ids)}
         del scores[("S003", "CVD", Modality.EEG)]  # force a dropped row
-        spec = ((SCORE, Modality.EEG), (COV, "age"))
         fm, y, dropped = build_feature_matrix(
-            manifest, scores, "CVD", spec, ["S005", "S000", "S003", "S001"]
+            manifest, scores, "CVD", (Modality.EEG, "age"), ["S005", "S000", "S003", "S001"]
         )
         assert fm.feature_names == ("score_EEG", "age")
         assert fm.subject_ids == ("S000", "S001", "S005")  # sorted, S003 dropped
@@ -501,10 +495,55 @@ class TestBuildFeatureMatrix:
         )
         manifest = load_manifest(path)
         fm, y, dropped = build_feature_matrix(
-            manifest, {}, "CVD", ((COV, "age"),), ["A", "B"]
+            manifest, {}, "CVD", ("age",), ["A", "B"]
         )
         assert fm.subject_ids == ("A",)
         assert dropped == 1
+
+
+class TestPredictorSets:
+    """A predictor set's feature order is its design matrix's column order,
+    which fixes each fit and so every cell of ``grid.csv``."""
+
+    LABELS = {
+        "EEG": ("score_EEG",),
+        "ECG": ("score_ECG",),
+        "Resp": ("score_RESP",),
+        "EEG-ECG": ("score_EEG", "score_ECG"),
+        "EEG-Resp": ("score_EEG", "score_RESP"),
+        "ECG-Resp": ("score_ECG", "score_RESP"),
+        "EEG-ECG-Resp": ("score_EEG", "score_ECG", "score_RESP"),
+        "Baseline": ("age", "sex", "bmi"),
+        "FRS Score": ("frs",),
+        "FRS Score Composite": ("score_EEG", "score_ECG", "score_RESP", "frs"),
+        "Composite": ("score_EEG", "score_ECG", "score_RESP", "age", "sex", "bmi"),
+    }
+
+    def test_design_matrix_labels_in_order(self, tmp_path):
+        manifest, labels = _manifest(tmp_path, n=8)
+        scores = _scores_for(manifest, labels)
+        assert list(PREDICTOR_SETS) == list(self.LABELS)
+        for name, features in PREDICTOR_SETS.items():
+            fm, _, dropped = build_feature_matrix(manifest, scores, "CVD", features, manifest.subject_ids)
+            assert fm.feature_names == self.LABELS[name], name
+            assert (fm.values.shape, dropped) == ((8, len(features)), 0), name
+
+    def test_or_model_labels(self, tmp_path, monkeypatch):
+        """The OR model adjusts the score for age, sex and bmi, in that order,
+        and reports the score's ratio."""
+        manifest, labels = _manifest(tmp_path, n=40, seed=2)
+        scores = _scores_for(manifest, labels)
+        split = split_cohort(manifest, ratio=0.8, seed=0)
+        fitted = []
+
+        def recording_fit(x, y, outcome=""):
+            fitted.append(x.feature_names)
+            return fit_logistic(x, y, outcome)
+
+        monkeypatch.setattr(stats, "fit_logistic", recording_fit)
+        rows = odds_ratio_report(scores, manifest, split)
+        assert fitted == [(f"score_{m.name}", "age", "sex", "bmi") for m in Modality]
+        assert [r.modality for r in rows] == list(Modality)
 
 
 class TestEvaluateGrid:
@@ -543,11 +582,11 @@ class TestEvaluateGrid:
     def test_na_collinear(self, tmp_path):
         manifest, labels = _manifest(tmp_path, n=30, seed=10)
         rng = np.random.default_rng(3)
-        scores = []
+        scores = {}
         for sid in manifest.subject_ids:
             val = labels[sid] + 0.2 * rng.standard_normal()
             for mod in (Modality.EEG, Modality.ECG, Modality.RESP):
-                scores.append(SubjectScore(sid, "CVD", mod, val, 3))  # identical columns
+                scores[sid, "CVD", mod] = val  # identical columns
         split = split_cohort(manifest, ratio=0.6, seed=0)
         grid = evaluate_grid(scores, manifest, split)
         assert grid.cells[("EEG-ECG", "CVD")] == "NA:collinear"
@@ -572,11 +611,11 @@ class TestEvaluateGrid:
         manifest, labels = _manifest(tmp_path, n=10)
         split = split_cohort(manifest, ratio=0.5, seed=0)
         with pytest.raises(DataError):
-            evaluate_grid([], manifest, split, outcomes=("Dementia",))
+            evaluate_grid({}, manifest, split, outcomes=("Dementia",))
 
 
 class TestSplitInsideStats:
-    """evaluate_grid and odds_ratio_report take the whole score list and
+    """evaluate_grid and odds_ratio_report take the whole score lookup and
     keep only the subjects of the split that are eligible."""
 
     def test_grid_of_full_list_equals_grid_of_split_subjects(self, tmp_path):
@@ -584,9 +623,9 @@ class TestSplitInsideStats:
         scores = _scores_for(manifest, labels, signal=("EEG", "ECG"), seed=22)
         split = split_cohort(manifest, ratio=0.6, seed=0)
         members = (split.train_ids | split.test_ids) & set(manifest.eligible_ids())
-        assert len({s.subject_id for s in scores} - members) == 4
+        assert len({sid for sid, _, _ in scores} - members) == 4
         grid = evaluate_grid(scores, manifest, split)
-        assert grid == evaluate_grid([s for s in scores if s.subject_id in members], manifest, split)
+        assert grid == evaluate_grid({k: v for k, v in scores.items() if k[0] in members}, manifest, split)
         assert isinstance(grid.cells[("EEG", "CVD")], float)
 
     def test_or_rows_of_full_list_equal_rows_of_training_scores(self, tmp_path):
@@ -595,7 +634,7 @@ class TestSplitInsideStats:
         split = split_cohort(manifest, ratio=0.7, seed=0)
         rows = odds_ratio_report(scores, manifest, split)
         assert len(rows) == 3
-        train_scores = [s for s in scores if s.subject_id in split.train_ids]
+        train_scores = {k: v for k, v in scores.items() if k[0] in split.train_ids}
         assert odds_ratio_report(train_scores, manifest, split) == rows
 
     def test_held_out_scores_and_labels_do_not_move_or_rows(self, tmp_path):
@@ -615,11 +654,9 @@ class TestSplitInsideStats:
         for sid in split.test_ids:
             assert relabelled.rows[sid].outcomes["CVD"] == 1 - labels[sid]
         rng = np.random.default_rng(25)
-        rescored = [
-            SubjectScore(s.subject_id, s.outcome, s.modality, 10.0 * rng.standard_normal(), 3)
-            if s.subject_id in split.test_ids else s
-            for s in scores
-        ]
+        rescored = {
+            k: 10.0 * rng.standard_normal() if k[0] in split.test_ids else v for k, v in scores.items()
+        }
         assert odds_ratio_report(scores, relabelled, split) == rows
         assert odds_ratio_report(rescored, manifest, split) == rows
         assert odds_ratio_report(rescored, relabelled, split) == rows
@@ -660,7 +697,7 @@ def _fixed_cohort():
     eligible, and P59 has no HTN label."""
     rng = np.random.default_rng(31)
     rows = {}
-    scores = []
+    scores = {}
     for i in range(60):
         sid = f"P{i:02d}"
         labels = {"CVD": int(rng.integers(0, 2)), "HTN": int(rng.integers(0, 2))}
@@ -671,7 +708,7 @@ def _fixed_cohort():
         for outcome, label in labels.items():
             for k, mod in enumerate(Modality):
                 shift = 0.6 * k * (label or 0)
-                scores.append(SubjectScore(sid, outcome, mod, shift + float(rng.standard_normal()), 3))
+                scores[sid, outcome, mod] = shift + float(rng.standard_normal())
     return CohortManifest(rows, ("CVD", "HTN")), scores
 
 
@@ -690,10 +727,9 @@ class TestGridAndOrReportShareOneFit:
         manifest, scores = _fixed_cohort()
         for row in manifest.rows.values():  # HTN is single-class everywhere
             row.outcomes["HTN"] = 0
-        scores = [  # a constant ECG score is collinear with the intercept
-            SubjectScore(s.subject_id, s.outcome, s.modality, 1.0, 3) if s.modality is Modality.ECG else s
-            for s in scores
-        ]
+        scores = {  # a constant ECG score is collinear with the intercept
+            k: 1.0 if k[2] is Modality.ECG else v for k, v in scores.items()
+        }
         split = split_cohort(manifest, ratio=0.7, seed=2)
         grid = evaluate_grid(scores, manifest, split, standardize=standardize)
         rows = odds_ratio_report(scores, manifest, split, standardize=standardize)

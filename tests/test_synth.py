@@ -72,6 +72,7 @@ class TestSynthConfigValidation:
             dict(prevalence={"A\\B": 0.5}),
             dict(prevalence={'A"B': 0.5}),
             dict(prevalence={"A\rB": 0.5}),
+            dict(prevalence={" CVD": 0.5}),
         ],
     )
     def test_bad_config_rejected(self, overrides):

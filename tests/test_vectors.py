@@ -410,6 +410,7 @@ class TestDiskFormats:
             ("CVD,EEG,0,1,1 0,0 0,0 0", "line 3: both classes"),
             ("CVD,EEG,1,+1,1 0,0 0,0 0", "line 3: n_negative '+1' is not a non-negative integer"),
             (",EEG,1,1,1 0,0 0,0 0", "line 3: outcome '' is empty"),
+            ("CVD ,EEG,1,1,1 0,0 0,0 0", "line 3: outcome 'CVD ' is empty or padded"),
             ("CVD,ECG,1,1,1 0,0 0,0 0", "line 3 repeats the row for CVD, ECG"),
             ("DM,ECG,1,1,1,0,0", "line 3: vector has 1 components where the CVD, ECG vector has 2"),
             ("CVD,EEG,1,1,1 0,0 0", "line 3 has 6 cells, header has 7"),
@@ -440,7 +441,11 @@ class TestDiskFormats:
         assert lines[0] == "subject_id,outcome,modality,score,n_segments_used"
         assert [l.split(",")[0] for l in lines[1:]] == ["A", "A", "B"]
         back = load_scores(path)
-        assert back == sorted(scores, key=lambda s: (s.subject_id, s.outcome, s.modality.name))
+        assert list(back.items()) == [
+            (("A", "CVD", Modality.ECG), 0.125),
+            (("A", "CVD", Modality.EEG), 0.5),
+            (("B", "CVD", Modality.EEG), -0.25),
+        ]
 
     def test_scores_bad_header(self, tmp_path):
         path = tmp_path / "scores.csv"
