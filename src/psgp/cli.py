@@ -190,13 +190,13 @@ def _embedding_chunks(path: Path, modality: Modality) -> Iterator[EmbeddingTable
     The header is ``_embeddings_header(d)``, d >= 1, and the first chunk is
     its own: no rows, d columns. Then each chunk of about ``_CHUNK_CHARS``
     characters of whole lines has its key cells and unpadded ASCII values
-    checked at once and is parsed with one ``np.loadtxt``. Any doubt re-reads
-    the table through ``table_rows`` to name its first bad line. Of the rows
-    yielded only each one's (subject code, segment index) pair is kept: after
-    the last chunk a pair on two lines, then a non-finite value, is refused
-    naming its line, and no chunk from the first non-finite value on is
-    yielded. Every line after the header must be a full row, so row i is
-    line i + 2.
+    checked at once and is parsed with one ``np.loadtxt``. Any doubt (a
+    segment index past int64 and a value float32 cannot hold among them)
+    re-reads the table through ``table_rows`` to name its first bad line, so
+    no chunk holding a non-finite value is yielded. Of the rows yielded only
+    each one's (subject code, segment index) pair is kept: after the last
+    chunk a pair on two lines is refused, naming its later line. Every line
+    after the header must be a full row, so row i is line i + 2.
     """
     with path.open(encoding="utf-8") as fh, utf8_text(path):
         first = next(terminated_lines(fh, path, FormatError), "")[:-1]
@@ -207,37 +207,21 @@ def _embedding_chunks(path: Path, modality: Modality) -> Iterator[EmbeddingTable
         yield (), np.empty((0, d), np.float32)
         codes: dict[str, int] = {}  # subject id -> code, in order of first row
         subjects, indices = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        rows = 0
-        too_big = nonfinite = None  # the first row of each
         try:
             while lines := fh.readlines(_CHUNK_CHARS):
                 sids, index, X = _chunk_rows(lines, modality.name, d)
-                if too_big is None:  # past it no pair is compared
-                    try:
-                        indices.append(np.fromiter(map(int, index), np.int64, len(index)))
-                    except OverflowError:
-                        too_big = rows + next(i for i, v in enumerate(index) if int(v) >= 2**63)
-                    else:
-                        subjects.append(subject_codes(codes, sids))
-                finite = np.isfinite(X).all(axis=1)
-                if nonfinite is None and not finite.all():
-                    nonfinite = rows + int(finite.argmin())
-                if nonfinite is None:
-                    yield sids, X
-                rows += len(lines)
+                subjects.append(subject_codes(codes, sids))
+                indices.append(index)
+                yield sids, X
         except ValueError:  # a UnicodeDecodeError too
             _raise_first_bad_line(path, modality, header)
             raise
-    if too_big is not None:
-        raise FormatError(f"{path}: line {too_big + 2}: segment index out of range")
     _refuse_repeated_segments(path, np.concatenate(subjects), np.concatenate(indices), list(codes))
-    if nonfinite is not None:
-        raise FormatError(f"{path}: line {nonfinite + 2}: non-finite embedding value")
 
 
-def _chunk_rows(lines: list[str], name: str, d: int) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Subject ids, segment-index cells and float32 values of whole table
-    lines; ValueError on any line the line-by-line reader must look at."""
+def _chunk_rows(lines: list[str], name: str, d: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Subject ids, int64 segment indices and finite float32 values of whole
+    table lines; ValueError on any line the line-by-line reader must look at."""
     sids, mods, index, tails = zip(*[line.split(",", 3) for line in lines])
     distinct = set(index)
     values = "".join(tails)
@@ -252,11 +236,18 @@ def _chunk_rows(lines: list[str], name: str, d: int) -> tuple[tuple[str, ...], t
         or any(pad in values for pad in " \t\v\f\x1c\x1d\x1e\x1f")
     ):
         raise ValueError("a line end, a key cell, an empty value or padding")
+    try:
+        index = np.fromiter(map(int, index), np.int64, len(index))
+    except OverflowError:
+        raise ValueError("a segment index past int64") from None
     block = _decimal_rows(tails)
     if block.shape != (len(lines), d):
         raise ValueError(f"rows of {block.shape[1]} values, header has {d}")
     with np.errstate(over="ignore"):  # beyond float32 range is caught as non-finite
-        return sids, index, block.astype(np.float32)
+        X = block.astype(np.float32)
+    if not np.isfinite(X).all():
+        raise ValueError("a value float32 cannot hold")
+    return sids, index, X
 
 
 def _refuse_repeated_segments(path: Path, subjects: np.ndarray, index: np.ndarray, names: list[str]) -> None:
@@ -283,14 +274,16 @@ def _decimal_rows(rows: list[str]) -> np.ndarray:
 def _raise_first_bad_line(path: Path, modality: Modality, header: list[str]) -> None:
     """Raise a FormatError for the first bad line of a table the bulk pass
     doubted: a cut line end or a row of the wrong width (``table_rows``
-    refuses those), a bad key cell, a value ``DECIMAL`` refuses or one
-    float32 cannot hold."""
+    refuses those), a bad key cell, a segment index past int64, a value
+    ``DECIMAL`` refuses or one float32 cannot hold."""
     name = modality.name
     for where, (_, mod, index, *values) in table_rows(path, header, FormatError):
         if mod != name:
             raise FormatError(f"{where}: modality {mod!r} in the {name} table")
         if not is_count(index):
             raise FormatError(f"{where}: segment_index {index!r} is not a non-negative integer")
+        if int(index) >= 2**63:
+            raise FormatError(f"{where}: segment index out of range")
         bad = next((v for v in values if not DECIMAL.fullmatch(v)), None)
         if bad is not None:
             raise FormatError(f"{where}: {bad!r} is not a decimal number")
@@ -361,7 +354,7 @@ def _scores_and_split(
 def cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> None:
     manifest, scores, split = _scores_and_split(args, cfg)
     out = _out_dir(args)
-    rows = odds_ratio_report(
+    report = odds_ratio_report(
         scores,
         manifest,
         split,
@@ -369,7 +362,7 @@ def cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> None:
         modalities=cfg.modalities,
         standardize=args.standardize,
     )
-    save_or_report(rows, out / "or_report.csv")
+    save_or_report(report, out / "or_report.csv")
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -399,11 +392,11 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> None:
         labels = manifest.outcome_labels(o)
         keys = [(sid, o, modality) for sid in sorted(split.train_ids) if labels[sid] == 1]
         positives[o] = [scores[k] for k in keys if k in scores]
-    card = build_report_card(subject, modality, current, positives, outcomes)
+    rows = build_report_card(subject, current, positives, outcomes)
     out = _out_dir(args)
-    (out / f"report_{subject}.txt").write_text(render_report_card(card), encoding="utf-8")
-    (out / f"report_{subject}.csv").write_text(report_card_csv(card), encoding="utf-8")
-    print(render_report_card(card), end="")
+    (out / f"report_{subject}.txt").write_text(render_report_card(rows), encoding="utf-8")
+    (out / f"report_{subject}.csv").write_text(report_card_csv(rows), encoding="utf-8")
+    print(render_report_card(rows), end="")
 
 
 # --- parser ------------------------------------------------------------

@@ -124,7 +124,7 @@ def load_manifest(path: Path | str) -> CohortManifest:
         rows: dict[str, SubjectRow] = {}
         for rec in records:
             where = f"{path} line {reader.line_num}"
-            if not rec or all(tok.strip() == "" for tok in rec):
+            if len(rec) <= 1 and "".join(rec).strip() == "":  # a blank line; a comma makes a row
                 continue
             if len(rec) != len(header):
                 raise ManifestError(f"{where}: expected {len(header)} fields")
@@ -166,8 +166,6 @@ def save_manifest(manifest: CohortManifest, path: Path | str) -> None:
 class CohortSplit:
     train_ids: frozenset[str]
     test_ids: frozenset[str]
-    seed: int
-    ratio: float
 
 
 def split_cohort(manifest: CohortManifest, ratio: float, seed: int) -> CohortSplit:
@@ -186,7 +184,7 @@ def split_cohort(manifest: CohortManifest, ratio: float, seed: int) -> CohortSpl
     n_train = round_half_up(ratio * len(ids))
     train = frozenset(ids[i] for i in perm[:n_train])
     test = frozenset(ids[i] for i in perm[n_train:])
-    return CohortSplit(train_ids=train, test_ids=test, seed=seed, ratio=ratio)
+    return CohortSplit(train_ids=train, test_ids=test)
 
 
 def save_split(split: CohortSplit, path: Path | str) -> None:

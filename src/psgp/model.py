@@ -294,8 +294,10 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
     activations stay in cache while each numpy call still does a lot of
     work. ``threads`` threads embed the encoder tiles, the calling thread
     among them: thread i takes tiles i, i + threads, i + 2 * threads, ... in
-    order, the calling thread being thread 0. When tiles fail, the earliest
-    failing tile's error is raised, the one a single thread would raise. The
+    order, the calling thread being thread 0. A thread stops at its first
+    failing tile, and before any tile later than a tile another thread saw
+    fail; the earliest failing tile's error is raised, the one a single
+    thread would raise. The
     tiling depends on the config alone and BLAS runs at one thread, so one
     config gives the same bytes at every ``threads`` and every environment
     BLAS thread count. Another tiling of the same rows may move low bits:
@@ -321,22 +323,27 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
             ])
             out[start:start + rows.shape[0]] = pool_rows(encode_t(Tensor(patches), tp, config)).data
 
-    def embed_share(share: range) -> tuple[int, Exception] | None:
-        """Embed one thread's tiles in order; (start, error) of its first failure."""
+    failed: list[tuple[int, Exception]] = []  # (start, error) of each failing tile
+
+    def embed_share(share: range) -> None:
+        """Embed one thread's tiles in order, up to its own or an earlier tile's failure."""
         for start in share:
+            if any(s < start for s, _ in failed):  # a failure appended after this look costs one tile more
+                return
             try:
                 embed_tile(start)
             except Exception as exc:
-                return start, exc
-        return None
+                failed.append((start, exc))
+                return
 
     starts = range(0, X.shape[0], tile)
     n = max(1, min(threads, len(starts)))
     keep_freed_arrays_in_heap()
     with ad.single_blas_thread(), ThreadPoolExecutor(max_workers=max(1, n - 1)) as pool:
         helpers = [pool.submit(embed_share, starts[i::n]) for i in range(1, n)]
-        failures = [embed_share(starts[::n]), *(h.result() for h in helpers)]
-    failed = [f for f in failures if f is not None]
+        embed_share(starts[::n])
+        for h in helpers:
+            h.result()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return out

@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, InsufficientClassError
-from .signalio import Modality
 from .tables import table_text
 
 STATUS_ABOVE = "Above average"
@@ -31,20 +30,13 @@ class ReportRow:
     status: str
 
 
-@dataclass(frozen=True)
-class ReportCard:
-    subject_id: str
-    modality: Modality
-    rows: tuple[ReportRow, ...]
-
-
 def build_report_card(
     subject_id: str,
-    modality: Modality,
     current_scores: Mapping[str, float],
     positive_scores: Mapping[str, Sequence[float]],
     outcomes: Sequence[str],
-) -> ReportCard:
+) -> list[ReportRow]:
+    """One row per outcome, in the given order."""
     rows = []
     for outcome in outcomes:
         if outcome not in current_scores:
@@ -59,13 +51,13 @@ def build_report_card(
         percentile = 100.0 * float((positives <= current).sum()) / positives.size
         status = STATUS_ABOVE if current > mean else STATUS_BELOW
         rows.append(ReportRow(outcome, current, mean, percentile, status))
-    return ReportCard(subject_id, modality, tuple(rows))
+    return rows
 
 
-def render_report_card(card: ReportCard) -> str:
+def render_report_card(rows: Sequence[ReportRow]) -> str:
     """Fixed-width table; two spaces between columns, numbers right-aligned
-    at two decimals. Identical cards render to identical strings."""
-    name_w = max([len(_HEADERS[0])] + [len(r.outcome) for r in card.rows])
+    at two decimals. Identical rows render to identical strings."""
+    name_w = max([len(_HEADERS[0])] + [len(r.outcome) for r in rows])
     widths = (name_w, 8, 13, 10, max(len(STATUS_ABOVE), len(STATUS_BELOW)))
     header = "  ".join(
         [_HEADERS[0].ljust(widths[0])]
@@ -73,7 +65,7 @@ def render_report_card(card: ReportCard) -> str:
         + [_HEADERS[4].ljust(widths[4])]
     ).rstrip()
     lines = [header]
-    for r in card.rows:
+    for r in rows:
         lines.append(
             "  ".join(
                 [
@@ -88,9 +80,9 @@ def render_report_card(card: ReportCard) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_card_csv(card: ReportCard) -> str:
-    rows = (
+def report_card_csv(rows: Sequence[ReportRow]) -> str:
+    cells = (
         [r.outcome, f"{r.current:.6f}", f"{r.positive_mean:.6f}", f"{r.percentile:.1f}", r.status]
-        for r in card.rows
+        for r in rows
     )
-    return table_text(("outcome", "current", "positive_mean", "percentile", "status"), rows)
+    return table_text(("outcome", "current", "positive_mean", "percentile", "status"), cells)

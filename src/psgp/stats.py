@@ -461,17 +461,6 @@ def evaluate_grid(
     return AucGrid(tuple(PREDICTOR_SETS), outs, cells)
 
 
-@dataclass(frozen=True)
-class OrReportRow:
-    outcome: str
-    modality: Modality
-    odds_ratio: float
-    ci_low: float
-    ci_high: float
-    p_value: float
-    significant: bool
-
-
 def odds_ratio_report(
     scores: Scores,
     manifest: CohortManifest,
@@ -479,14 +468,14 @@ def odds_ratio_report(
     outcomes: Sequence[str] | None = None,
     modalities: Sequence[Modality] = tuple(Modality),
     standardize: bool = False,
-) -> list[OrReportRow]:
-    """Per (outcome, modality): adjusted OR of the risk score, controlling
-    for the adjustment covariates, fitted on the training subjects alone
-    (``scores`` may cover the whole cohort). A cell the grid would mark
-    "NA:<reason>" on its training side, or whose fit does not converge, has
-    no row."""
+) -> dict[tuple[str, Modality], OddsRatio]:
+    """Per (outcome, modality), outcome by outcome: adjusted OR of the risk
+    score, controlling for the adjustment covariates, fitted on the training
+    subjects alone (``scores`` may cover the whole cohort). A cell the grid
+    would mark "NA:<reason>" on its training side, or whose fit does not
+    converge, has no entry."""
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
-    rows: list[OrReportRow] = []
+    report: dict[tuple[str, Modality], OddsRatio] = {}
     for outcome in outs:
         for modality in modalities:
             features = (modality, *ADJUSTMENT_COVARIATES)
@@ -494,28 +483,18 @@ def odds_ratio_report(
             if isinstance(fit, str):
                 continue
             try:
-                result = odds_ratios(fit[0], [_feature_label(modality)])[0]
+                report[outcome, modality] = odds_ratios(fit[0], [_feature_label(modality)])[0]
             except NotConvergedError:
                 continue
-            rows.append(
-                OrReportRow(
-                    outcome,
-                    modality,
-                    result.odds_ratio,
-                    result.ci_low,
-                    result.ci_high,
-                    result.p_value,
-                    result.p_value < _ALPHA,
-                )
-            )
-    return rows
+    return report
 
 
-def save_or_report(rows: Sequence[OrReportRow], path: Path | str) -> None:
+def save_or_report(report: Mapping[tuple[str, Modality], OddsRatio], path: Path | str) -> None:
+    """One row per entry, in the given order; ``significant`` is 1 when p < 0.05."""
     header = ("outcome", "modality", "OR", "ci_low", "ci_high", "p", "significant")
     cells = (
-        [r.outcome, r.modality.name, *(f"{v:.4f}" for v in (r.odds_ratio, r.ci_low, r.ci_high))]
-        + [f"{r.p_value:.6g}", str(int(r.significant))]
-        for r in rows
+        [outcome, modality.name, *(f"{v:.4f}" for v in (r.odds_ratio, r.ci_low, r.ci_high))]
+        + [f"{r.p_value:.6g}", str(int(r.p_value < _ALPHA))]
+        for (outcome, modality), r in report.items()
     )
     write_table(path, header, cells)

@@ -69,15 +69,6 @@ class DiseaseVector:
             raise DataError("disease vector must be unit-norm")
 
 
-@dataclass(frozen=True)
-class SubjectScore:
-    subject_id: str
-    outcome: str
-    modality: Modality
-    score: float
-    n_segments_used: int
-
-
 def derive_disease_vector(
     mu_positive: np.ndarray,
     mu_negative: np.ndarray,
@@ -214,21 +205,22 @@ def score_cohort(
     tables: Mapping[Modality, Iterable[EmbeddingTable]],
     vectors: Sequence[DiseaseVector],
     manifest: CohortManifest,
-) -> list[SubjectScore]:
-    """Project every manifest subject's rows onto every disease vector.
+) -> dict[tuple[str, str, Modality], tuple[float, int]]:
+    """Project every manifest subject's rows onto every disease vector:
+    ``{(subject_id, outcome, modality): (score, n_used)}``, the pair
+    ``subject_score`` gives; ``save_scores`` puts the rows in order.
 
     Each modality's table comes as chunks of rows, each (subject_ids, X); an
     in-memory table is one chunk. A chunk's rows are projected and let go:
     each kept row leaves only its subject's code and its float64 projections
     onto the modality's vectors. Rows of subjects outside the manifest are
     ignored; a subject without rows for a modality gets no score for its
-    vectors. Labels are not needed. Scores come out by subject id, then in
-    the order of ``vectors``.
+    vectors. Labels are not needed.
     """
     for vec in vectors:
         if vec.outcome not in manifest.outcome_names:
             raise UnknownOutcomeError(f"manifest has no outcome {vec.outcome!r}")
-    found: list[tuple[str, int, float, int]] = []
+    scores: dict[tuple[str, str, Modality], tuple[float, int]] = {}
     for modality, chunks in tables.items():
         picked = [j for j, vec in enumerate(vectors) if vec.modality is modality]
         if not picked:
@@ -241,9 +233,10 @@ def score_cohort(
             score = np.empty(len(names))
             for k in (1, 2, 3):  # a k-wide row mean adds like subject_score's
                 score[used == k] = best[used == k, :k].mean(axis=1)
-            found.extend((names[s], j, v, k) for s, (v, k) in enumerate(zip(score.tolist(), used.tolist())))
-    found.sort(key=lambda f: f[:2])
-    return [SubjectScore(sid, vectors[j].outcome, vectors[j].modality, v, k) for sid, j, v, k in found]
+            outcome = vectors[j].outcome
+            for sid, v, k in zip(names, score.tolist(), used.tolist()):
+                scores[sid, outcome, modality] = v, k
+    return scores
 
 
 def _projections(
@@ -330,10 +323,13 @@ def load_disease_vector(path: Path | str) -> list[DiseaseVector]:
     return list(vectors.values())
 
 
-def save_scores(scores: Sequence[SubjectScore], path: Path | str) -> None:
+def save_scores(scores: Mapping[tuple[str, str, Modality], tuple[float, int]], path: Path | str) -> None:
+    """One row per ``score_cohort`` entry, by subject id, outcome, then modality name."""
     rows = (
-        [s.subject_id, s.outcome, s.modality.name, format(s.score, ".12g"), str(s.n_segments_used)]
-        for s in sorted(scores, key=lambda s: (s.subject_id, s.outcome, s.modality.name))
+        [sid, outcome, modality.name, format(score, ".12g"), str(used)]
+        for (sid, outcome, modality), (score, used) in sorted(
+            scores.items(), key=lambda item: (item[0][0], item[0][1], item[0][2].name)
+        )
     )
     write_table(path, _SCORE_HEADER, rows)
 
@@ -343,6 +339,8 @@ def load_scores(path: Path | str) -> dict[tuple[str, str, Modality], float]:
     ``n_segments_used`` is checked, not kept."""
     scores: dict[tuple[str, str, Modality], float] = {}
     for where, (sid, outcome, name, score, used) in table_rows(Path(path), _SCORE_HEADER, FormatError):
+        check_name("subject id", sid, FormatError, where)
+        check_name("outcome", outcome, FormatError, where)
         if not DECIMAL.fullmatch(score) or not math.isfinite(float(score)):
             raise FormatError(f"{where}: score {score!r} is not a finite decimal number")
         if not (is_count(used) and int(used) >= 1):

@@ -24,7 +24,7 @@ from psgp.config import RunConfig, load_run_config, stage_configs
 from psgp.errors import DataError, FormatError
 from psgp.signalio import FORMAT_VERSION, Modality
 from psgp.tables import table_rows
-from psgp.vectors import SubjectScore, derive_vectors, load_disease_vector, save_scores
+from psgp.vectors import derive_vectors, load_disease_vector, save_scores
 
 
 def run_cli(*argv) -> int:
@@ -511,6 +511,22 @@ class TestCorruptTextTables:
             "--data", chain["data"], "--scores", scores, "--seed", 5,
         )
         assert_one_line_data_error(rc, capsys.readouterr().err, str(scores), "line 4")
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    @pytest.mark.parametrize("column,value,kind", [
+        (1, "CVD ", "outcome"), (1, "", "outcome"), (0, " S0001", "subject id"), (0, "S/1", "subject id"),
+    ])
+    def test_score_table_name_cell(self, chain, tmp_path, capsys, command, column, value, kind):
+        """A subject id or outcome in ``scores.csv`` follows the manifest's
+        name rule: ``CVD `` is refused, not read as an outcome no subject
+        has (which gave an all-NA grid and exit 0)."""
+        scores = tmp_path / "scores.csv"
+        corrupt_cell(chain["scores"] / "scores.csv", scores, 4, column, value)
+        rc = run_cli(
+            command, "--out", tmp_path / "out", "--config", chain["ini"],
+            "--data", chain["data"], "--scores", scores, "--seed", 5,
+        )
+        assert_one_line_data_error(rc, capsys.readouterr().err, f"{scores}: line 4: {kind} {value!r}")
 
     @pytest.mark.parametrize(
         "key,value",
@@ -1037,6 +1053,39 @@ class TestEmbeddingsReader:
         with pytest.raises(FormatError, match="line 2: non-finite embedding value$"):
             read_embeddings(path, Modality.RESP)
 
+    def test_out_of_range_index_before_a_later_bad_key_cell(self, tmp_path):
+        """A segment index past int64 is a bad line like any other: with one
+        on line 4 and a stray modality on line 4001, chunks apart, line 4 is
+        named."""
+        path = tmp_path / "embeddings.csv"
+        n = 4000
+        X = np.random.default_rng(5).standard_normal((n, 1)).astype(np.float32)
+        _write_embeddings_csv(path, *_key_arrays([(f"S{i:05d}", 0) for i in range(n)]), X, Modality.ECG)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[3] = lines[3].replace(",ECG,0,", ",ECG,99999999999999999999,")
+        lines[4000] = lines[4000].replace(",ECG,", ",EEG,")
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert len("\n".join(lines[:4000])) > psgp.cli._CHUNK_CHARS
+        with pytest.raises(FormatError, match="line 4: segment index out of range$"):
+            read_embeddings(path, Modality.ECG)
+
+    def test_non_finite_value_before_an_earlier_repeated_segment(self, tmp_path):
+        """A value float32 cannot hold is refused as its chunk is read; a
+        repeated (subject, segment_index) pair only after the last chunk. So
+        with line 3 repeating line 2 and ``1e39`` on line 5, line 5 is named."""
+        path = tmp_path / "embeddings.csv"
+        keys = [("S1", 0), ("S1", 0), ("S1", 1), ("S1", 2)]
+        _write_embeddings_csv(path, *_key_arrays(keys), np.ones((4, 2), np.float32), Modality.RESP)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[4] = "S1,RESP,2,1,1e39"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match="line 5: non-finite embedding value$"):
+            read_embeddings(path, Modality.RESP)
+        lines[4] = "S1,RESP,2,1,1"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3 repeats line 2: subject 'S1', segment_index 0$"):
+            read_embeddings(path, Modality.RESP)
+
     # --- chunk boundaries of the bulk pass ---
 
     CHUNK = 3  # lines per bulk chunk in the tests below
@@ -1290,7 +1339,7 @@ class TestTableFuzz:
     def test_score_writer_refuses_a_cell_its_reader_would_split(self, tmp_path, sid):
         """The manifest refuses these ids (``cohort.check_name``); the score
         writer refuses them too, before it writes a byte."""
-        scores = [SubjectScore(s, "CVD", Modality.ECG, 0.25, 3) for s in ("plain", sid)]
+        scores = {(s, "CVD", Modality.ECG): (0.25, 3) for s in ("plain", sid)}
         path = tmp_path / "scores.csv"
         with pytest.raises(DataError, match=re.escape(repr(sid))):
             save_scores(scores, path)
@@ -1729,6 +1778,20 @@ def test_padded_manifest_cell_is_one_error_line(chain, tmp_path, capsys):
     assert_one_line_data_error(rc, capsys.readouterr().err, f"{manifest} line 3", "column 'age'", kind="ManifestError")
 
 
+def test_manifest_row_of_blank_cells_is_one_error_line(chain, tmp_path, capsys):
+    """`` , , , , , , `` between two subjects is a row, not a blank line:
+    exit 3 naming the manifest and the line."""
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = (chain["data"] / "manifest.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    blank = ",".join(" " * len(lines[0].split(","))) + "\n"
+    (data / "manifest.csv").write_text("".join(lines[:2] + [blank] + lines[2:]), encoding="utf-8")
+    rc = run_cli("eval", "--out", tmp_path / "out", "--config", chain["ini"], "--data", data,
+                 "--scores", chain["scores"] / "scores.csv")
+    err = capsys.readouterr().err
+    assert_one_line_data_error(rc, err, f"{data / 'manifest.csv'} line 3: subject id ' '", kind="ManifestError")
+
+
 @pytest.mark.parametrize("line,column,value,fragment", [
     (3, 0, " S0002", "subject id ' S0002'"),
     (1, 1, "age ", "header must start"),
@@ -2094,3 +2157,59 @@ def test_chain_bytes_do_not_depend_on_threads(tmp_path, precision):
         digests.append(chain_digest(base))
     assert len(digests[0]) > 90
     assert digests[1] == digests[0]
+
+
+# sha256 of each downstream output of ``test_downstream_bytes_are_pinned``,
+# as ``chain_digest`` hashes them; recorded before ``score_cohort``,
+# ``odds_ratio_report`` and ``build_report_card`` returned plain mappings and rows
+DOWNSTREAM_DIGEST = {
+    "eval/grid.csv": "20565d402d5079d7e88cc5c926199d59601433004ff2de82d23e4949718c75f2",
+    "eval/resolved_config_eval.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
+    "fit/or_report.csv": "8e58fb12dc17daf151e597572ab21f69f99b30c30c7f3ad95777d30c561b0e1d",
+    "fit/resolved_config_fit.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
+    "fit_standardized/or_report.csv": "22ae6cfc1559ab91d491d7c89fde4c16e38e526425a3ff1c2d462e7be76247a3",
+    "fit_standardized/resolved_config_fit.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
+    "report/report_S004.csv": "03adf8b21b4325de643d547df92682e54906b2704bb9213fc7b97e6cda62b6c4",
+    "report/report_S004.txt": "832cf302e5ed1e7e656672c0f4e0b7d8995d714540a55aa5ea3d0f0949d56836",
+    "report/resolved_config_report.txt": "1574e27a6cbd0ad98f6fef560dae0000aaa88603b8c851dc077ce7b457ab41c4",
+    "score/resolved_config_score.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
+    "score/scores.csv": "c8c83a9f35ca3385f6e48815b86f934ae7f708ce537cdf617d54a97d591c4a71",
+    "vectors/resolved_config_vectors.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
+    "vectors/split.csv": "fddadbb88163abe4c7c8fde38b2eb3802bf85535e3a821876fd610d9b3bf5c02",
+    "vectors/vectors/vectors.csv": "54c5fe3f513d8d09f6757792555b8954f084f66a64d0db3aa9725b76899af349",
+}
+
+
+def test_downstream_bytes_are_pinned(tmp_path):
+    """vectors -> score -> fit (with and without --standardize) -> eval ->
+    report over seeded d = 8 tables of every modality: 30 subjects, two
+    outcomes named out of alphabetical order, each table's rows shuffled,
+    one manifest subject without rows in the ECG table and one table subject
+    outside the manifest. Every output keeps the bytes recorded above."""
+    lines = ["subject_id,age,sex,bmi,sbp,frs,HTN,CVD"]
+    lines += [f"S{i:03d},{40 + i % 25},{i % 2},{21 + i % 11},,,{i // 3 % 2},{i * 7 % 5 // 3}" for i in range(30)]
+    data, emb = tmp_path / "data", tmp_path / "emb"
+    data.mkdir()
+    (data / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rng = np.random.default_rng(34)
+    for modality in Modality:
+        sids = [f"S{i:03d}" for i in range(30) if not (modality is Modality.ECG and i == 7)] + ["X999"]
+        keys = [(sid, w) for sid in sids for w in range(2 + len(sid) % 3 + sids.index(sid) % 4)]
+        keys = [keys[j] for j in rng.permutation(len(keys))]
+        X = rng.standard_normal((len(keys), 8))
+        X = (X / np.linalg.norm(X, axis=1, keepdims=True)).astype(np.float32)
+        (emb / modality.name).mkdir(parents=True)
+        _write_embeddings_csv(emb / modality.name / "embeddings.csv", *_key_arrays(keys), X, modality)
+    out, scores = tmp_path / "out", tmp_path / "out" / "score" / "scores.csv"
+    plan = [
+        ("vectors", "--data", data, "--embeddings", emb),
+        ("score", "--data", data, "--embeddings", emb, "--vectors", out / "vectors" / "vectors"),
+        ("fit", "--data", data, "--scores", scores),
+        ("fit_standardized", "--data", data, "--scores", scores, "--standardize"),
+        ("eval", "--data", data, "--scores", scores),
+        ("report", "--data", data, "--scores", scores, "--subject", "S004", "--modality", "ECG"),
+    ]
+    for stage, *args in plan:
+        assert run_cli(stage.partition("_")[0], "--out", out / stage, "--seed", 5, *args) == 0
+    digest = chain_digest(out)
+    assert digest == DOWNSTREAM_DIGEST

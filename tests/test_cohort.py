@@ -114,6 +114,25 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match=f"line 3: column '{column}' "):
             load_manifest(path)
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\t", '""'])
+    def test_a_blank_line_is_skipped(self, tmp_path, blank):
+        """A blank line is a record of at most one cell, holding only whitespace."""
+        path = _write(tmp_path, [HEADER, "S0,61,0,26,,,0,1", blank, "S1,60,1,25,,,1,0"])
+        assert load_manifest(path).subject_ids == ["S0", "S1"]
+
+    @pytest.mark.parametrize("row,where", [
+        (" , , , , , , , ", "line 3: subject id ' ' "),
+        (",,,,,,,", "line 3: subject id '' "),
+        (" , ", "line 3: expected 8 fields"),
+        (",", "line 3: expected 8 fields"),
+    ])
+    def test_a_row_of_blank_cells_is_refused(self, tmp_path, row, where):
+        """A record with a comma is a row, however blank its cells: it is
+        refused naming its line, not skipped as a blank line."""
+        path = _write(tmp_path, [HEADER, "S0,61,0,26,,,0,1", row, "S1,60,1,25,,,1,0"])
+        with pytest.raises(ManifestError, match=re.escape(f"{path} {where}")):
+            load_manifest(path)
+
     @pytest.mark.parametrize("lines,where", [
         ([HEADER, "S0,61,0,26,,,0,1", " S1,60,1,25,,,1,0"], "line 3: subject id ' S1' "),
         ([HEADER, "S1 ,60,1,25,,,1,0"], "line 2: subject id 'S1 ' "),

@@ -321,6 +321,44 @@ class TestPooling:
             tracemalloc.stop()
         assert peak < 3.6 * 2**20, peak / 2**20
 
+    def test_failing_tiles_raise_the_earliest_at_any_interleaving(self):
+        """Five threads over twelve encoder tiles, some of whose reads fail,
+        with a short switch interval: the error raised is always the
+        earliest failing tile's, and no thread reads a tile of its share
+        (tiles i, i + 5 and i + 10) after its own failure."""
+        import sys
+
+        cfg = tiny_config()
+        _, tile = embed_tiles(cfg)
+        params = init_parameters(cfg, seed=6)
+        X = np.random.default_rng(6).standard_normal((12 * tile, cfg.input_len))
+
+        class Rows:
+            shape = X.shape
+
+            def __init__(self, failing):
+                self.failing, self.reads = failing, {}
+
+            def __getitem__(self, rows):
+                self.reads.setdefault(rows.start // tile % 5, []).append(rows.start)
+                if rows.start in self.failing:
+                    raise DataError(f"tile at {rows.start}")
+                return X[rows]
+
+        rng = np.random.default_rng(7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(6):
+                failing = {tile * int(k) for k in rng.choice(12, size=3, replace=False)}
+                source = Rows(failing)
+                with pytest.raises(DataError, match=f"tile at {min(failing)}$"):
+                    embed_segments(source, params, cfg, threads=5)
+                for reads in source.reads.values():  # a share's failed read is its last
+                    assert [start in failing for start in reads[:-1]] == [False] * (len(reads) - 1), reads
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_embed_segments_pool_leaves_grad_enabled(self):
         """Each encoder tile enters ``no_grad`` on its own thread, and grad
         mode is per thread, so the calling thread still records after the

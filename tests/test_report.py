@@ -10,19 +10,17 @@ from psgp.report import (
     render_report_card,
     report_card_csv,
 )
-from psgp.signalio import Modality
 
 
 class TestBuildReportCard:
     def test_row_values(self):
-        card = build_report_card(
+        rows = build_report_card(
             "S001",
-            Modality.ECG,
             {"CVD": 1.42},
             {"CVD": [1.0, 1.1, 1.2, 1.3, 1.4]},
             ["CVD"],
         )
-        (row,) = card.rows
+        (row,) = rows
         assert row.outcome == "CVD"
         assert row.current == pytest.approx(1.42)
         assert row.positive_mean == pytest.approx(1.2)
@@ -31,37 +29,36 @@ class TestBuildReportCard:
 
     def test_above_average_threshold_is_strict(self):
         pos = [1.0, 1.2, 1.4]  # mean 1.2
-        above = build_report_card("S", Modality.EEG, {"CVD": 1.21}, {"CVD": pos}, ["CVD"])
-        at = build_report_card("S", Modality.EEG, {"CVD": 1.2}, {"CVD": pos}, ["CVD"])
-        below = build_report_card("S", Modality.EEG, {"CVD": 1.18}, {"CVD": pos}, ["CVD"])
-        assert above.rows[0].status == STATUS_ABOVE
-        assert at.rows[0].status == STATUS_BELOW
-        assert below.rows[0].status == STATUS_BELOW
+        above = build_report_card("S", {"CVD": 1.21}, {"CVD": pos}, ["CVD"])
+        at = build_report_card("S", {"CVD": 1.2}, {"CVD": pos}, ["CVD"])
+        below = build_report_card("S", {"CVD": 1.18}, {"CVD": pos}, ["CVD"])
+        assert above[0].status == STATUS_ABOVE
+        assert at[0].status == STATUS_BELOW
+        assert below[0].status == STATUS_BELOW
 
     def test_percentile_counts_less_or_equal(self):
         pos = [0.0, 1.0, 2.0, 3.0]
-        card = build_report_card("S", Modality.EEG, {"CVD": 1.0}, {"CVD": pos}, ["CVD"])
+        rows = build_report_card("S", {"CVD": 1.0}, {"CVD": pos}, ["CVD"])
         # 0.0 and 1.0 are <= current -> 2 of 4
-        assert card.rows[0].percentile == pytest.approx(50.0)
+        assert rows[0].percentile == pytest.approx(50.0)
 
     def test_multiple_outcomes_keep_request_order(self):
         outcomes = ["CVD", "Stroke", "Diabetes"]
-        card = build_report_card(
+        rows = build_report_card(
             "S",
-            Modality.RESP,
             {o: 0.5 for o in outcomes},
             {o: [0.1, 0.9] for o in outcomes},
             outcomes,
         )
-        assert [r.outcome for r in card.rows] == outcomes
+        assert [r.outcome for r in rows] == outcomes
 
     def test_missing_current_score(self):
         with pytest.raises(DataError):
-            build_report_card("S", Modality.EEG, {}, {"CVD": [1.0]}, ["CVD"])
+            build_report_card("S", {}, {"CVD": [1.0]}, ["CVD"])
 
     def test_no_positive_scores(self):
         with pytest.raises(InsufficientClassError):
-            build_report_card("S", Modality.EEG, {"CVD": 1.0}, {"CVD": []}, ["CVD"])
+            build_report_card("S", {"CVD": 1.0}, {"CVD": []}, ["CVD"])
 
 
 class TestRenderReportCard:
@@ -70,7 +67,6 @@ class TestRenderReportCard:
         outcomes = [f"Outcome{i}" for i in range(n_outcomes)]
         return build_report_card(
             "S007",
-            Modality.ECG,
             {o: float(rng.normal()) for o in outcomes},
             {o: rng.normal(size=5).tolist() for o in outcomes},
             outcomes,
@@ -88,10 +84,10 @@ class TestRenderReportCard:
         assert render_report_card(self._card()) == render_report_card(self._card())
 
     def test_values_render_back(self):
-        card = build_report_card(
-            "S", Modality.EEG, {"CVD": 1.42}, {"CVD": [1.0, 1.18, 1.2]}, ["CVD"]
+        rows = build_report_card(
+            "S", {"CVD": 1.42}, {"CVD": [1.0, 1.18, 1.2]}, ["CVD"]
         )
-        line = render_report_card(card).splitlines()[1]
+        line = render_report_card(rows).splitlines()[1]
         parts = line.split()
         assert parts[0] == "CVD"
         assert float(parts[1]) == pytest.approx(1.42)
@@ -103,8 +99,8 @@ class TestRenderReportCard:
         assert len(text.splitlines()) == 8
 
     def test_empty_card_is_header_only(self):
-        card = build_report_card("S", Modality.EEG, {}, {}, [])
-        text = render_report_card(card)
+        rows = build_report_card("S", {}, {}, [])
+        text = render_report_card(rows)
         lines = text.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("Outcome")
@@ -112,10 +108,10 @@ class TestRenderReportCard:
 
 class TestReportCardCsv:
     def test_csv_round_trip(self):
-        card = build_report_card(
-            "S", Modality.EEG, {"CVD": 1.42}, {"CVD": [1.0, 1.18, 1.2]}, ["CVD"]
+        rows = build_report_card(
+            "S", {"CVD": 1.42}, {"CVD": [1.0, 1.18, 1.2]}, ["CVD"]
         )
-        lines = report_card_csv(card).splitlines()
+        lines = report_card_csv(rows).splitlines()
         assert lines[0] == "outcome,current,positive_mean,percentile,status"
         cells = lines[1].split(",")
         assert cells[0] == "CVD"

@@ -2,6 +2,8 @@
 import re
 import struct
 import threading
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from psgp.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from psgp import cli, signalio
+from psgp import cli, model, signalio
 from psgp.signalio import (
     FORMAT_VERSION,
     MAGIC,
@@ -330,14 +332,17 @@ def test_every_sample_read_is_one_checked_read(tmp_path, monkeypatch):
     assert reads == [(0, block), (block, block), (2 * block, 7), (0, rec.n_samples)]
 
 
-def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int]):
+def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int], hold_calling_thread=False):
     """``embed --threads 2`` of ECG at d = 32 over 8 subjects x 18 segments,
     with the signal files of the subjects at the ``cut`` positions cut short
     after ``embed`` checked them. 144 rows make encoder tiles of 68 rows
     (rows 0-67, 68-135 and 136-143); the calling thread embeds the first and
     the third, its one helper thread the second. Each cut fails the read of
-    the tile holding the file's last window. Returns the exit code, stderr,
-    the cut paths, and whether each failed read ran on the main thread."""
+    the tile holding the file's last window. With ``hold_calling_thread``
+    the calling thread's first read waits until the helper thread's share
+    is done. Returns the exit code, stderr, the cut paths, whether each
+    failed read ran on the main thread, and the files each thread read
+    while embedding (main thread first)."""
     ini = tmp_path / "run.ini"
     ini.write_text(
         "[run]\nmodalities = ECG\n"
@@ -352,33 +357,48 @@ def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int]):
     files = sorted((data / "signals").glob("*_ECG.psgs"))
     paths = [files[i] for i in cut]
     failed_on = []
+    read_on: dict[bool, set[Path]] | None = None  # files read while embedding, by "on the main thread"
+    helpers: list[futures.Future] = []
     real_embed, real_read = cli.embed_segments, SignalFile.read_at
 
+    class Pool(futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            helpers.append(super().submit(*args, **kwargs))
+            return helpers[-1]
+
     def embed_after_cut(X, *args, **kwargs):
+        nonlocal read_on
         for path in paths:
             path.write_bytes(path.read_bytes()[:-4])
+        read_on = {True: set(), False: set()}
         return real_embed(X, *args, **kwargs)
 
     def read(self, sample, out):
+        main = threading.current_thread() is threading.main_thread()
+        if read_on is not None:
+            if main and hold_calling_thread and not read_on[True]:
+                assert not futures.wait(helpers, timeout=60).not_done
+            read_on[main].add(self.path)
         try:
             real_read(self, sample, out)
         except TruncatedPayloadError:
-            failed_on.append(threading.current_thread() is threading.main_thread())
+            failed_on.append(main)
             raise
 
     monkeypatch.setattr(cli, "embed_segments", embed_after_cut)
     monkeypatch.setattr(SignalFile, "read_at", read)
+    monkeypatch.setattr(model, "ThreadPoolExecutor", Pool)
     capsys.readouterr()
     rc = cli.main(["embed", "--out", str(tmp_path / "emb"), *common, "--data", str(data),
                    "--models", str(models), "--threads", "2"])
-    return rc, capsys.readouterr().err, paths, failed_on
+    return rc, capsys.readouterr().err, paths, failed_on, (read_on[True], read_on[False])
 
 
 def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
     """A read failing on the helper thread (the fifth subject's rows 72-89
     lie in the second tile): exit 3 and one ``error:`` line naming the file,
     with no traceback."""
-    rc, err, (cut,), failed_on = embed_with_files_cut(tmp_path, capsys, monkeypatch, [4])
+    rc, err, (cut,), failed_on, _ = embed_with_files_cut(tmp_path, capsys, monkeypatch, [4])
     assert failed_on == [False]
     assert rc == 3 and "Traceback" not in err and err.count("\n") == 1
     assert err.startswith("error: TruncatedPayloadError: ") and str(cut) in err
@@ -387,16 +407,23 @@ def test_read_failing_on_an_embed_worker_is_one_error_line(tmp_path, capsys, mon
 def test_read_failing_on_the_calling_thread_is_one_error_line(tmp_path, capsys, monkeypatch):
     """The same on the calling thread, which embeds the third tile: the last
     subject's last window is row 143."""
-    rc, err, (cut,), failed_on = embed_with_files_cut(tmp_path, capsys, monkeypatch, [7])
+    rc, err, (cut,), failed_on, _ = embed_with_files_cut(tmp_path, capsys, monkeypatch, [7])
     assert failed_on == [True]
     assert rc == 3 and "Traceback" not in err and err.count("\n") == 1
     assert err.startswith("error: TruncatedPayloadError: ") and str(cut) in err
 
 
-def test_reads_failing_on_both_threads_report_the_earliest_tile(tmp_path, capsys, monkeypatch):
-    """With both cuts, both threads fail a read; the one error line names the
-    file of the second tile, the error a single thread would stop at."""
-    rc, err, (second, third), failed_on = embed_with_files_cut(tmp_path, capsys, monkeypatch, [4, 7])
-    assert sorted(failed_on) == [False, True]
+def test_a_failing_tile_stops_the_later_tiles_of_every_thread(tmp_path, capsys, monkeypatch):
+    """With both cuts, and the calling thread held until the helper thread
+    has failed the second tile: the calling thread embeds the first tile,
+    then stops before the third, whose file is never read. The one error
+    line names the file of the second tile, the error a single thread would
+    stop at."""
+    rc, err, (second, third), failed_on, (main_read, helper_read) = embed_with_files_cut(
+        tmp_path, capsys, monkeypatch, [4, 7], hold_calling_thread=True
+    )
+    assert failed_on == [False]
+    assert second in helper_read and third not in main_read | helper_read
+    assert main_read and all(path.name < second.name for path in main_read)
     assert rc == 3 and "Traceback" not in err and err.count("\n") == 1
     assert str(second) in err and str(third) not in err

@@ -541,9 +541,9 @@ class TestPredictorSets:
             return fit_logistic(x, y, outcome)
 
         monkeypatch.setattr(stats, "fit_logistic", recording_fit)
-        rows = odds_ratio_report(scores, manifest, split)
+        report = odds_ratio_report(scores, manifest, split)
         assert fitted == [(f"score_{m.name}", "age", "sex", "bmi") for m in Modality]
-        assert [r.modality for r in rows] == list(Modality)
+        assert list(report) == [("CVD", m) for m in Modality]
 
 
 class TestEvaluateGrid:
@@ -667,13 +667,12 @@ class TestOrReport:
         manifest, labels = _manifest(tmp_path, n=80, seed=14)
         scores = _scores_for(manifest, labels, signal=("EEG", "ECG", "RESP"), noise=0.6, seed=15)
         split = split_cohort(manifest, ratio=0.8, seed=0)
-        rows = odds_ratio_report(scores, manifest, split)
-        assert {(r.outcome, r.modality.name) for r in rows} == {
-            ("CVD", "EEG"), ("CVD", "ECG"), ("CVD", "RESP")
-        }
-        for r in rows:
+        report = odds_ratio_report(scores, manifest, split)
+        assert list(report) == [("CVD", m) for m in Modality]
+        for r in report.values():
+            assert r.feature.startswith("score_")
             assert r.odds_ratio > 1.0
-            assert r.significant and r.p_value < 0.05
+            assert r.p_value < 0.05
 
     def test_csv_format(self, tmp_path):
         manifest, labels = _manifest(tmp_path, n=40, seed=16)
@@ -687,7 +686,8 @@ class TestOrReport:
         assert len(lines) == 1 + len(rows)
         first = lines[1].split(",")
         assert first[0] == "CVD" and first[1] in ("EEG", "ECG", "RESP")
-        assert first[6] in ("0", "1")
+        for line, r in zip(lines[1:], rows.values()):
+            assert line.split(",")[6] == str(int(r.p_value < 0.05))
 
 
 def _fixed_cohort():
@@ -742,7 +742,7 @@ class TestGridAndOrReportShareOneFit:
             if isinstance(grid.cells[(row_name, outcome)], float)
         }
         assert fitted == {("CVD", Modality.EEG), ("CVD", Modality.RESP)}
-        assert [(r.outcome, r.modality) for r in rows] == [("CVD", Modality.EEG), ("CVD", Modality.RESP)]
+        assert list(rows) == [("CVD", Modality.EEG), ("CVD", Modality.RESP)]
 
     # Written by the code before the grid and the OR report shared a fit.
     # Standardizing is an affine change of the features: it leaves every AUC

@@ -15,7 +15,6 @@ from psgp.errors import DataError, FormatError, ManifestError
 from psgp.signalio import Modality
 from psgp.tables import DECIMAL, table_rows, table_text, write_table
 from psgp.vectors import (
-    SubjectScore,
     derive_disease_vector,
     load_disease_vector,
     load_scores,
@@ -81,7 +80,7 @@ def test_decimal_refuses_every_other_spelling(cell):
 # a cell of each reader's table, and whether DECIMAL (so every reader) takes it
 DECIMAL_CASES = [
     (" 0.5", False), ("0.5 ", False), ("\t0.5", False), ("\xa00.5", False), ("1_0", False),
-    ("\u0661", False), ("1e", False), (".", False), ("+.5e-3", True),
+    ("\u0661", False), ("1e", False), (".", False), ("nan", False), ("-inf", False), ("+.5e-3", True),
 ]
 
 
@@ -117,7 +116,7 @@ def _vectors(tmp_path: Path, value: str) -> Path:
 def _scores(tmp_path: Path, value: str) -> Path:
     """A one-row score table, ``value`` its score."""
     path = tmp_path / "scores.csv"
-    save_scores([SubjectScore("S1", "CVD", Modality.RESP, 0.25, 3)], path)
+    save_scores({("S1", "CVD", Modality.RESP): (0.25, 3)}, path)
     path.write_text(path.read_text(encoding="utf-8").replace(",0.25,", f",{value},"), encoding="utf-8")
     return path
 

@@ -16,7 +16,6 @@ from psgp.errors import (
 from psgp.signalio import Modality
 from psgp.vectors import (
     DiseaseVector,
-    SubjectScore,
     derive_disease_vector,
     derive_vectors,
     load_disease_vector,
@@ -306,12 +305,10 @@ class TestScoreCohort:
     def test_scores_and_membership(self, tmp_path):
         manifest, vectors, tables = self._setup(tmp_path)
         scores = score_cohort(_one_chunk(tables), vectors, manifest)
-        by_id = {s.subject_id: s for s in scores}
         # C has no EEG embeddings, so no row for the EEG vector
-        assert set(by_id) == {"A", "B"}
-        assert by_id["A"].score == pytest.approx(0.7)
-        assert by_id["A"].n_segments_used == 2
-        assert by_id["B"].score == pytest.approx(-0.8)
+        assert set(scores) == {("A", "CVD", Modality.EEG), ("B", "CVD", Modality.EEG)}
+        assert scores["A", "CVD", Modality.EEG] == (pytest.approx(0.7), 2)
+        assert scores["B", "CVD", Modality.EEG] == (pytest.approx(-0.8), 1)
 
     def test_pure_function(self, tmp_path):
         manifest, vectors, tables = self._setup(tmp_path)
@@ -323,11 +320,11 @@ class TestScoreCohort:
         manifest = _manifest(tmp_path, ["A,60,1,25,,,"])
         dv = derive_disease_vector([1.0, 0.0], [-1.0, 0.0], "CVD", Modality.EEG)
         scores = score_cohort({Modality.EEG: [_table([("A", [1.0, 0.0])])]}, [dv], manifest)
-        assert len(scores) == 1 and scores[0].score == pytest.approx(1.0)
+        assert scores == {("A", "CVD", Modality.EEG): (pytest.approx(1.0), 1)}
 
     def test_matches_brute_force_oracle(self, tmp_path):
         """Oracle: per subject and vector, the top-3 rule over one
-        project_segment call per row, walking the manifest in id order."""
+        project_segment call per row, for every manifest subject with rows."""
         manifest = _manifest(
             tmp_path,
             ["A,60,1,25,,,1,0", "B,61,0,26,,,0,1", "C,62,1,27,,,1,", "D,63,0,28,,,,", "E,64,1,29,,,0,0"],
@@ -345,21 +342,19 @@ class TestScoreCohort:
                 ("CVD", Modality.EEG), ("DM", Modality.ECG), ("DM", Modality.EEG), ("CVD", Modality.ECG)
             ]
         ]
-        want = []
-        for sid in sorted(manifest.rows):
+        want = {}
+        for sid in manifest.rows:
             for vec in vectors:
                 ids, X = tables[vec.modality]
                 projections = [project_segment(x, vec) for row_sid, x in zip(ids, X) if row_sid == sid]
                 if projections:
-                    want.append((sid, vec.outcome, vec.modality, *subject_score(projections)))
+                    want[sid, vec.outcome, vec.modality] = subject_score(projections)
         got = score_cohort(_one_chunk(tables), vectors, manifest)
-        assert [(s.subject_id, s.outcome, s.modality, s.n_segments_used) for s in got] == [
-            w[:3] + (w[4],) for w in want
-        ]
-        for s, w in zip(got, want):
-            assert s.score == pytest.approx(w[3], rel=1e-12, abs=1e-15)
-        assert {w[0] for w in want} == {"A", "B", "C", "D", "E"}
-        assert {w[4] for w in want} == {1, 2, 3}
+        assert got.keys() == want.keys()
+        for key, (score, used) in want.items():
+            assert got[key] == (pytest.approx(score, rel=1e-12, abs=1e-15), used)
+        assert {key[0] for key in want} == {"A", "B", "C", "D", "E"}
+        assert {used for _, used in want.values()} == {1, 2, 3}
 
 
     @pytest.mark.parametrize("seed", range(4))
@@ -430,18 +425,20 @@ class TestDiskFormats:
         assert not path.exists()
 
     def test_scores_round_trip_and_order(self, tmp_path):
-        scores = [
-            SubjectScore("B", "CVD", Modality.EEG, -0.25, 3),
-            SubjectScore("A", "CVD", Modality.ECG, 0.125, 2),
-            SubjectScore("A", "CVD", Modality.EEG, 0.5, 1),
-        ]
+        scores = {
+            ("B", "CVD", Modality.EEG): (-0.25, 3),
+            ("A", "CVD", Modality.EEG): (0.5, 1),
+            ("A", "CVD", Modality.ECG): (0.125, 2),
+            ("A", "AF", Modality.RESP): (0.75, 3),
+        }
         path = tmp_path / "scores.csv"
         save_scores(scores, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "subject_id,outcome,modality,score,n_segments_used"
-        assert [l.split(",")[0] for l in lines[1:]] == ["A", "A", "B"]
+        assert lines[1] == "A,AF,RESP,0.75,3"
         back = load_scores(path)
         assert list(back.items()) == [
+            (("A", "AF", Modality.RESP), 0.75),
             (("A", "CVD", Modality.ECG), 0.125),
             (("A", "CVD", Modality.EEG), 0.5),
             (("B", "CVD", Modality.EEG), -0.25),
@@ -453,10 +450,25 @@ class TestDiskFormats:
         with pytest.raises(FormatError):
             load_scores(path)
 
+    @pytest.mark.parametrize("row,fragment", [
+        ("A,CVD ,ECG,0.25,2", "outcome 'CVD ' is empty or padded"),
+        ("A,,ECG,0.25,2", "outcome '' is empty"),
+        ("A\t,CVD,ECG,0.25,2", "subject id 'A\\t' is empty or padded"),
+        ("A/B,CVD,ECG,0.25,2", "subject id 'A/B' is empty or padded, or holds"),
+    ])
+    def test_scores_names_follow_the_name_rule(self, tmp_path, row, fragment):
+        """Subject ids and outcomes are names (``cohort.check_name``), as in
+        the manifest they came from."""
+        path = tmp_path / "scores.csv"
+        save_scores({("A", "CVD", Modality.EEG): (0.5, 1)}, path)
+        with path.open("a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 3: {fragment}")):
+            load_scores(path)
+
     def test_scores_repeated_row_refused(self, tmp_path):
         path = tmp_path / "scores.csv"
-        save_scores([SubjectScore("A", "CVD", Modality.ECG, 0.5, 1),
-                     SubjectScore("A", "CVD", Modality.EEG, 0.5, 1)], path)
+        save_scores({("A", "CVD", Modality.ECG): (0.5, 1), ("A", "CVD", Modality.EEG): (0.5, 1)}, path)
         with path.open("a") as fh:
             fh.write("A,CVD,ECG,0.25,2\n")
         with pytest.raises(FormatError, match="line 4 repeats the row for A, CVD, ECG"):
@@ -467,7 +479,7 @@ class TestDiskFormats:
         """A table psgp wrote holds the modality's exact name; a user's
         spelling (``ecg``) is for flags and config values only."""
         path = tmp_path / "scores.csv"
-        save_scores([SubjectScore("A", "CVD", Modality.EEG, 0.5, 1)], path)
+        save_scores({("A", "CVD", Modality.EEG): (0.5, 1)}, path)
         with path.open("a") as fh:
             fh.write(f"B,CVD,{cell},0.25,2\n")
         with pytest.raises(FormatError, match=f"line 3: unknown modality name {cell!r}"):
