@@ -778,13 +778,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     Row means are GEMVs against a 1/d vector in the input dtype, several
     times faster than ``mean(axis=-1)`` over short rows. x keeps its leading
     axes, so each (n, d) item is its own GEMV and a row's value does not
-    depend on how many items share the batch.
+    depend on how many items share the batch. A row whose variance is not
+    finite (a non-finite value, or one whose square overflows) raises.
     """
     d = x.data.shape[-1]
     dtype = x.data.dtype
     mean_w = np.full(d, 1.0 / d, dtype=dtype)
-    xhat = x.data - (x.data @ mean_w)[..., None]
-    inv = ((xhat * xhat) @ mean_w)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row is refused below
+        xhat = x.data - (x.data @ mean_w)[..., None]
+        inv = ((xhat * xhat) @ mean_w)[..., None]
+    if not np.isfinite(inv).all():
+        raise NumericError("non-finite activations: a layer_norm row's variance is not finite")
     inv += np.asarray(eps, dtype=dtype)
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)

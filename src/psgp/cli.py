@@ -31,7 +31,7 @@ from .pretrain import train
 from .report import build_report_card, render_report_card, report_card_csv
 from .signalio import Modality, SignalFile, SignalRows, samples_per_window
 from .signalio import read_signal_file, segment_recording  # unused here: perfbench/spans.py wraps them by name
-from .stats import evaluate_grid, odds_ratio_report, save_or_report
+from .stats import Scores, evaluate_grid, odds_ratio_report, save_grid, save_or_report
 from .synth import generate_cohort
 from .tables import DECIMAL, is_count, table_rows, table_text, terminated_lines
 from .vectors import (
@@ -135,6 +135,9 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     data, manifest = _manifest_for(args)
     out = _out_dir(args)
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
+    if not split.train_ids:
+        n = len(split.test_ids)
+        raise DataError(f"split_ratio {cfg.split_ratio:g} gives no training subject among the {n} eligible")
     stages = stage_configs(cfg)
     inputs = {  # every modality's files are checked before any training
         m: _load_modality_segments(data, m, split.train_ids, stages.models[m].input_len)
@@ -320,7 +323,7 @@ def cmd_vectors(args: argparse.Namespace, cfg: RunConfig) -> None:
     outcomes = _outcomes_for(cfg, manifest)
     tables = {m: _embedding_chunks(p, m) for m, p in _embedding_paths(args, cfg).items()}
     split = split_cohort(manifest, cfg.split_ratio, cfg.seed)
-    vectors = derive_vectors(tables, manifest, split.train_ids, outcomes, cfg.modalities)
+    vectors = derive_vectors(tables, manifest, split.train_ids, outcomes)
     out = _out_dir(args)
     (out / "vectors").mkdir(exist_ok=True)
     save_disease_vector(vectors, out / "vectors" / "vectors.csv")
@@ -334,8 +337,8 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     if not path.exists() and (nested / "vectors.csv").exists():
         raise MissingInputError(f"disease-vector table not found: {path}; pass --vectors {nested}")
     vectors = load_disease_vector(_require(path, "disease-vector table"))
-    vectors = [v for v in vectors if v.modality in cfg.modalities]
-    missing = [m.name for m in cfg.modalities if all(v.modality is not m for v in vectors)]
+    vectors = {(o, m): v for (o, m), v in vectors.items() if m in cfg.modalities}
+    missing = [m.name for m in cfg.modalities if m not in {k[1] for k in vectors}]
     if missing:
         raise MissingInputError(f"{path} has no disease vector for {','.join(missing)}")
     tables = {m: _embedding_chunks(p, m) for m, p in _embedding_paths(args, cfg).items()}
@@ -343,9 +346,7 @@ def cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     save_scores(scores, _out_dir(args) / "scores.csv")
 
 
-def _scores_and_split(
-    args: argparse.Namespace, cfg: RunConfig
-) -> tuple[CohortManifest, dict[tuple[str, str, Modality], float], CohortSplit]:
+def _scores_and_split(args: argparse.Namespace, cfg: RunConfig) -> tuple[CohortManifest, Scores, CohortSplit]:
     _, manifest = _manifest_for(args)
     scores = load_scores(_require(Path(args.scores), "score table"))
     return manifest, scores, split_cohort(manifest, cfg.split_ratio, cfg.seed)
@@ -371,7 +372,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> None:
     grid = evaluate_grid(
         scores, manifest, split, outcomes=_outcomes_for(cfg, manifest), standardize=args.standardize
     )
-    (out / "grid.csv").write_text(grid.to_csv(), encoding="utf-8")
+    save_grid(grid, out / "grid.csv")
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -250,6 +250,8 @@ def pool_rows(t: Tensor) -> Tensor:
     """(..., n, d) -> (..., d): mean over patch rows, then unit L2 norm."""
     m = ad.tmean(t, axis=-2)
     norm = ad.tsqrt(ad.tsum(ad.mul(m, m), axis=-1, keepdims=True))
+    if not np.isfinite(norm.data).all():  # an overflowing square would give a zero row
+        raise NumericError("non-finite activations: a pooled row's norm is not finite")
     return ad.div(m, ad.clamp_min(norm, _NORM_FLOOR))
 
 
@@ -294,16 +296,16 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
     activations stay in cache while each numpy call still does a lot of
     work. ``threads`` threads embed the encoder tiles, the calling thread
     among them: thread i takes tiles i, i + threads, i + 2 * threads, ... in
-    order, the calling thread being thread 0. A thread stops at its first
-    failing tile, and before any tile later than a tile another thread saw
-    fail; the earliest failing tile's error is raised, the one a single
-    thread would raise. The
-    tiling depends on the config alone and BLAS runs at one thread, so one
-    config gives the same bytes at every ``threads`` and every environment
-    BLAS thread count. Another tiling of the same rows may move low bits:
-    some GEMMs round differently with their row count (seen at d = 8 in the
-    stem's (rows, 40) @ (40, 8) GEMM and in attention's softmax sum over
-    more than 16,800 columns).
+    order, the calling thread being thread 0 and every other share running
+    on a thread started for it alone. A thread stops at its first failing
+    tile, and before any tile later than a tile another thread saw fail; the
+    earliest failing tile's error is raised, the one a single thread would
+    raise. The tiling depends on the config alone and BLAS runs at one
+    thread, so one config gives the same bytes at every ``threads`` and
+    every environment BLAS thread count. Another tiling of the same rows may
+    move low bits: some GEMMs round differently with their row count (seen
+    at d = 8 in the stem's (rows, 40) @ (40, 8) GEMM and in attention's
+    softmax sum over more than 16,800 columns).
     Each tile runs under ``no_grad``, which holds for its own thread alone.
     The BLAS pin is process-wide, so it is set once, on the calling thread,
     around all tiles: helper threads must not set or restore it themselves.
@@ -316,7 +318,8 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
 
     def embed_tile(start: int) -> None:
         rows = np.asarray(X[start:start + tile], dtype=config.np_dtype)
-        with no_grad():
+        # a huge weight may overflow any op: what it leaves non-finite is refused, not warned about
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             patches = np.concatenate([
                 stem_forward(Tensor(rows[s:s + stem_tile]), tp, config).data
                 for s in range(0, rows.shape[0], stem_tile)
@@ -339,11 +342,13 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
     starts = range(0, X.shape[0], tile)
     n = max(1, min(threads, len(starts)))
     keep_freed_arrays_in_heap()
-    with ad.single_blas_thread(), ThreadPoolExecutor(max_workers=max(1, n - 1)) as pool:
-        helpers = [pool.submit(embed_share, starts[i::n]) for i in range(1, n)]
-        embed_share(starts[::n])
+    helpers = [threading.Thread(target=embed_share, args=(starts[i::n],)) for i in range(1, n)]
+    with ad.single_blas_thread():
         for h in helpers:
-            h.result()
+            h.start()
+        embed_share(starts[::n])  # it keeps every Exception, so the helpers are always joined
+        for h in helpers:
+            h.join()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return out

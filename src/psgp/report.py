@@ -58,26 +58,14 @@ def render_report_card(rows: Sequence[ReportRow]) -> str:
     """Fixed-width table; two spaces between columns, numbers right-aligned
     at two decimals. Identical rows render to identical strings."""
     name_w = max([len(_HEADERS[0])] + [len(r.outcome) for r in rows])
-    widths = (name_w, 8, 13, 10, max(len(STATUS_ABOVE), len(STATUS_BELOW)))
-    header = "  ".join(
-        [_HEADERS[0].ljust(widths[0])]
-        + [h.rjust(w) for h, w in zip(_HEADERS[1:4], widths[1:4])]
-        + [_HEADERS[4].ljust(widths[4])]
-    ).rstrip()
-    lines = [header]
-    for r in rows:
-        lines.append(
-            "  ".join(
-                [
-                    r.outcome.ljust(widths[0]),
-                    f"{r.current:.2f}".rjust(widths[1]),
-                    f"{r.positive_mean:.2f}".rjust(widths[2]),
-                    f"{r.percentile:.1f}".rjust(widths[3]),
-                    r.status,
-                ]
-            ).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    lines = [_HEADERS] + [
+        (r.outcome, f"{r.current:.2f}", f"{r.positive_mean:.2f}", f"{r.percentile:.1f}", r.status)
+        for r in rows
+    ]
+    return "".join(
+        "  ".join([name.ljust(name_w), *map(str.rjust, numbers, (8, 13, 10)), status]).rstrip() + "\n"
+        for name, *numbers, status in lines
+    )
 
 
 def report_card_csv(rows: Sequence[ReportRow]) -> str:

@@ -35,7 +35,7 @@ from .errors import (
     UsageError,
 )
 from .signalio import Modality
-from .tables import table_text, write_table
+from .tables import write_table
 
 Z95 = 1.959964
 _ALPHA = 0.05  # significance level of the odds-ratio report
@@ -379,18 +379,6 @@ def build_feature_matrix(
     return FeatureMatrix(names, values, tuple(kept)), np.asarray(ys), dropped
 
 
-@dataclass
-class AucGrid:
-    predictor_sets: tuple[str, ...]
-    outcomes: tuple[str, ...]
-    cells: dict[tuple[str, str], float | str]  # float AUC or "NA:<reason>"
-
-    def to_csv(self) -> str:
-        text = {key: f"{v:.3f}" if isinstance(v, float) else v for key, v in self.cells.items()}
-        rows = ([row] + [text[(row, o)] for o in self.outcomes] for row in self.predictor_sets)
-        return table_text(("predictor_set",) + self.outcomes, rows)
-
-
 _Side = tuple[FeatureMatrix, np.ndarray]  # one side's design matrix and 0/1 labels
 
 
@@ -439,8 +427,9 @@ def evaluate_grid(
     split: CohortSplit,
     outcomes: Sequence[str] | None = None,
     standardize: bool = False,
-) -> AucGrid:
-    """Fit every predictor set on the train split, report test-split AUC.
+) -> dict[tuple[str, str], float | str]:
+    """Fit every predictor set on the train split, report test-split AUC:
+    ``{(predictor_set, outcome): AUC}``, in ``PREDICTOR_SETS`` order.
 
     ``scores`` may cover the whole cohort: only the subjects of each side of
     the split are read, and test labels are never touched during fitting.
@@ -450,15 +439,23 @@ def evaluate_grid(
     cells: dict[tuple[str, str], float | str] = {}
     for row_name, features in PREDICTOR_SETS.items():
         for outcome in outs:
-            fit = _fit_on_train(
+            cell = _fit_on_train(
                 manifest, scores, outcome, features, split.train_ids, split.test_ids, standardize
             )
-            if isinstance(fit, str):
-                cells[(row_name, outcome)] = fit
-            else:
-                model, (_, (x_te, y_te)) = fit
-                cells[(row_name, outcome)] = float(auc(predict_proba(model, x_te), y_te.astype(int)))
-    return AucGrid(tuple(PREDICTOR_SETS), outs, cells)
+            if not isinstance(cell, str):  # a fit, or already "NA:<reason>"
+                model, (_, (x_te, y_te)) = cell
+                cell = float(auc(predict_proba(model, x_te), y_te.astype(int)))
+            cells[row_name, outcome] = cell
+    return cells
+
+
+def save_grid(cells: Mapping[tuple[str, str], float | str], path: Path | str) -> None:
+    """A row per predictor set in ``PREDICTOR_SETS`` order and a column per
+    outcome in key order; an AUC to three decimals, "NA:<reason>" as it is."""
+    outcomes = tuple(dict.fromkeys(outcome for _, outcome in cells))
+    text = {key: f"{v:.3f}" if isinstance(v, float) else v for key, v in cells.items()}
+    rows = ([name] + [text[name, o] for o in outcomes] for name in PREDICTOR_SETS)
+    write_table(path, ("predictor_set", *outcomes), rows)
 
 
 def odds_ratio_report(

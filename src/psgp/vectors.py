@@ -10,9 +10,10 @@ after another in table order; a subject's score is the mean of their top
 min(3, available) projections onto it (one product per chunk, no thread
 pool).
 
-A run's disease vectors are one ``tables`` table, ``vectors.csv``: a row per
-(outcome, modality), each array one cell of space-joined ``.17g`` decimals,
-so ``load_disease_vector`` reads back every float exactly.
+A run's disease vectors are one ``{(outcome, Modality): DiseaseVector}``
+mapping from ``derive_vectors`` through ``vectors.csv`` to ``score_cohort``;
+the table has a row per key, each array one cell of space-joined ``.17g``
+decimals, so ``load_disease_vector`` reads back every float exactly.
 """
 from __future__ import annotations
 
@@ -45,8 +46,6 @@ EmbeddingTable = tuple[np.ndarray, np.ndarray]  # (subject_ids, X)
 
 @dataclass(frozen=True)
 class DiseaseVector:
-    outcome: str
-    modality: Modality
     vector: np.ndarray = field(repr=False)
     mu_positive: np.ndarray = field(repr=False)
     mu_negative: np.ndarray = field(repr=False)
@@ -54,7 +53,7 @@ class DiseaseVector:
     n_negative: int
 
     def __post_init__(self) -> None:
-        for name in ("vector", "mu_positive", "mu_negative"):
+        for name in _ARRAYS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if not np.isfinite(arr).all():
                 raise DataError(f"disease vector {name} has non-finite components")
@@ -85,15 +84,7 @@ def derive_disease_vector(
         raise DegenerateDirectionError(
             f"{outcome}/{modality.name}: class centroids coincide (|diff|={norm:.3e})"
         )
-    return DiseaseVector(
-        outcome=outcome,
-        modality=modality,
-        vector=diff / norm,
-        mu_positive=mu_positive,
-        mu_negative=mu_negative,
-        n_positive=n_positive,
-        n_negative=n_negative,
-    )
+    return DiseaseVector(diff / norm, mu_positive, mu_negative, n_positive, n_negative)
 
 
 def project_segment(embedding: np.ndarray, vector: DiseaseVector) -> float:
@@ -117,14 +108,13 @@ def derive_vectors(
     manifest: CohortManifest,
     train_ids: Iterable[str],
     outcomes: Sequence[str],
-    modalities: Sequence[Modality],
-) -> list[DiseaseVector]:
-    """Centroid-difference vectors from training subjects only, one per
-    (outcome, modality), outcome by outcome.
+) -> dict[tuple[str, Modality], DiseaseVector]:
+    """Centroid-difference vectors from training subjects only, keyed by
+    (outcome, modality): outcome by outcome, then in the order of ``tables``.
 
     Each modality's table comes as chunks of rows, as in ``score_cohort``.
-    The tables are read once each, in ``modalities`` order, and a chunk is
-    summed for every outcome and let go before the next is read.
+    The tables are read once each, in order, and a chunk is summed for
+    every outcome and let go before the next is read.
     """
     for outcome in outcomes:
         if outcome not in manifest.outcome_names:
@@ -134,17 +124,17 @@ def derive_vectors(
         o: {s: y for s, y in manifest.outcome_labels(o).items() if s in train and y is not None}
         for o in outcomes
     }
-    sums = {m: _class_sums(tables.get(m, ()), labels) for m in modalities}
-    vectors = []
+    sums = {m: _class_sums(chunks, labels) for m, chunks in tables.items()}
+    vectors = {}
     for outcome in outcomes:
-        for modality in modalities:
-            n_positive, n_negative, centroids = sums[modality][outcome]
+        for modality, found in sums.items():
+            n_pos, n_neg, centroids = found[outcome]
             if centroids is None:
                 raise InsufficientClassError(
-                    f"{outcome}/{modality.name}: training split has {n_positive} positive and "
-                    f"{n_negative} negative subjects with embeddings"
+                    f"{outcome}/{modality.name}: training split has {n_pos} positive and "
+                    f"{n_neg} negative subjects with embeddings"
                 )
-            vectors.append(derive_disease_vector(*centroids, outcome, modality, n_positive, n_negative))
+            vectors[outcome, modality] = derive_disease_vector(*centroids, outcome, modality, n_pos, n_neg)
     return vectors
 
 
@@ -203,10 +193,11 @@ def _class_sums(
 
 def score_cohort(
     tables: Mapping[Modality, Iterable[EmbeddingTable]],
-    vectors: Sequence[DiseaseVector],
+    vectors: Mapping[tuple[str, Modality], DiseaseVector],
     manifest: CohortManifest,
 ) -> dict[tuple[str, str, Modality], tuple[float, int]]:
-    """Project every manifest subject's rows onto every disease vector:
+    """Project every manifest subject's rows onto every disease vector, keyed
+    by (outcome, modality) as ``derive_vectors`` returns them:
     ``{(subject_id, outcome, modality): (score, n_used)}``, the pair
     ``subject_score`` gives; ``save_scores`` puts the rows in order.
 
@@ -217,23 +208,22 @@ def score_cohort(
     ignored; a subject without rows for a modality gets no score for its
     vectors. Labels are not needed.
     """
-    for vec in vectors:
-        if vec.outcome not in manifest.outcome_names:
-            raise UnknownOutcomeError(f"manifest has no outcome {vec.outcome!r}")
+    for outcome, _ in vectors:
+        if outcome not in manifest.outcome_names:
+            raise UnknownOutcomeError(f"manifest has no outcome {outcome!r}")
     scores: dict[tuple[str, str, Modality], tuple[float, int]] = {}
     for modality, chunks in tables.items():
-        picked = [j for j, vec in enumerate(vectors) if vec.modality is modality]
+        picked = [o for o, m in vectors if m is modality]
         if not picked:
             continue
-        V = np.stack([vectors[j].vector for j in picked], axis=1)
+        V = np.stack([vectors[o, modality].vector for o in picked], axis=1)
         names, group, P = _projections(modality, chunks, V, manifest)
         counts = np.bincount(group, minlength=len(names))
         used = np.minimum(counts, 3)
-        for j, best in zip(picked, _top_three(group, counts, P)):
+        for outcome, best in zip(picked, _top_three(group, counts, P)):
             score = np.empty(len(names))
             for k in (1, 2, 3):  # a k-wide row mean adds like subject_score's
                 score[used == k] = best[used == k, :k].mean(axis=1)
-            outcome = vectors[j].outcome
             for sid, v, k in zip(names, score.tolist(), used.tolist()):
                 scores[sid, outcome, modality] = v, k
     return scores
@@ -275,22 +265,22 @@ def _top_three(group: np.ndarray, counts: np.ndarray, P: np.ndarray) -> np.ndarr
 
 # --- on-disk formats ---------------------------------------------------
 
-def save_disease_vector(vectors: Sequence[DiseaseVector], path: Path | str) -> None:
-    """One row per vector, in the given order; each array is one cell of
+def save_disease_vector(vectors: Mapping[tuple[str, Modality], DiseaseVector], path: Path | str) -> None:
+    """One row per key, in the given order; each array is one cell of
     space-joined ``.17g`` decimals, so ``load_disease_vector`` is exact."""
     def cell(arr: np.ndarray) -> str:
         return " ".join(format(float(x), ".17g") for x in arr)
 
     rows = (
-        [v.outcome, v.modality.name, str(v.n_positive), str(v.n_negative)]
+        [outcome, modality.name, str(v.n_positive), str(v.n_negative)]
         + [cell(v.vector), cell(v.mu_positive), cell(v.mu_negative)]
-        for v in vectors
+        for (outcome, modality), v in vectors.items()
     )
     write_table(path, _VECTOR_HEADER, rows)
 
 
-def load_disease_vector(path: Path | str) -> list[DiseaseVector]:
-    """The vectors of a table ``save_disease_vector`` wrote, in row order."""
+def load_disease_vector(path: Path | str) -> dict[tuple[str, Modality], DiseaseVector]:
+    """The vectors of a table ``save_disease_vector`` wrote, by key in row order."""
     vectors: dict[tuple[str, Modality], DiseaseVector] = {}
     rows = table_rows(Path(path), _VECTOR_HEADER, FormatError)
     for where, (outcome, name, n_pos, n_neg, *cells) in rows:
@@ -308,19 +298,19 @@ def load_disease_vector(path: Path | str) -> list[DiseaseVector]:
                 raise FormatError(f"{where}: {column} component {bad!r} is not a decimal number")
         if (outcome, modality) in vectors:
             raise FormatError(f"{where} repeats the row for {outcome}, {modality.name}")
-        earlier = next((v for v in vectors.values() if v.modality is modality), None)
-        if earlier is not None and len(arrays[0]) != earlier.vector.size:
+        earlier = next(((o, v) for (o, m), v in vectors.items() if m is modality), None)
+        if earlier is not None and len(arrays[0]) != earlier[1].vector.size:
             raise FormatError(
                 f"{where}: vector has {len(arrays[0])} components where the "
-                f"{earlier.outcome}, {name} vector has {earlier.vector.size}"
+                f"{earlier[0]}, {name} vector has {earlier[1].vector.size}"
             )
         try:
             vectors[outcome, modality] = DiseaseVector(
-                outcome, modality, *([float(t) for t in a] for a in arrays), int(n_pos), int(n_neg)
+                *([float(t) for t in a] for a in arrays), int(n_pos), int(n_neg)
             )
         except DataError as exc:
             raise FormatError(f"{where}: {exc}") from exc
-    return list(vectors.values())
+    return vectors
 
 
 def save_scores(scores: Mapping[tuple[str, str, Modality], tuple[float, int]], path: Path | str) -> None:

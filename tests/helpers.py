@@ -1,0 +1,39 @@
+"""Helpers that several test modules share."""
+from pathlib import Path
+
+import numpy as np
+
+from psgp.cli import _embedding_chunks
+from psgp.model import ModelConfig
+from psgp.signalio import Modality
+
+
+def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
+    """A whole embeddings table: the chunks ``_embedding_chunks`` yields, joined."""
+    ids, X = zip(*_embedding_chunks(path, modality))
+    return np.concatenate([np.asarray(i, dtype=str) for i in ids]), np.concatenate(X)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def tiny_config(**overrides) -> ModelConfig:
+    """Small geometry used throughout: 40 samples -> 4 patches of 10."""
+    defaults = dict(
+        modality=Modality.EEG,
+        input_len=40,
+        embed_dim=8,
+        encoder_depth=1,
+        decoder_depth=1,
+        n_heads=2,
+        ffn_mult=2,
+        stem_strides=(2, 5),
+        precision="f64",
+    )
+    defaults.update(overrides)
+    return ModelConfig(**defaults)

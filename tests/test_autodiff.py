@@ -539,6 +539,17 @@ class TestHandOver:
         assert plain.data.tobytes() == recorded.data.tobytes() == off.data.tobytes()
         assert plain.data.dtype == dtype
 
+    @pytest.mark.parametrize("bad", [2.0**100, np.inf, np.nan])
+    def test_layer_norm_refuses_a_row_whose_variance_is_not_finite(self, bad):
+        """One huge but finite f32 value overflows its row's variance, which
+        would scale the row to zero and leave it ``beta`` alone; the error is
+        raised without a RuntimeWarning, for a non-finite value too."""
+        x = np.ones((3, 4), np.float32)
+        x[1, 2] = bad
+        gamma, beta = np.ones(4, np.float32), np.full(4, 0.5, np.float32)
+        with pytest.raises(NumericError, match="variance is not finite"):
+            ad.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)
+
 
 class TestGatherWindows:
     def test_non_overlapping_is_reshape(self):

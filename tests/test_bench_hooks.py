@@ -11,6 +11,8 @@ from psgp.cohort import CohortManifest, SubjectRow, split_cohort
 from psgp.config import stage_configs
 from psgp.signalio import Modality
 
+from helpers import read_embeddings
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = (autodiff, cli, model, pretrain, stats, vectors)
 
@@ -79,7 +81,7 @@ def test_stats_counters_get_their_data(monkeypatch):
         or_rows = cli.odds_ratio_report(scores, manifest, split)
     finally:
         tracer.restore()
-    assert all(isinstance(cell, float) for cell in grid.cells.values()), grid.cells
+    assert all(isinstance(cell, float) for cell in grid.values()), grid
     assert len(or_rows) == len(Modality)
     assert {"stats.evaluate_grid", "stats.odds_ratio_report"} <= {span[2] for span in tracer.spans}
     fits = len(stats.PREDICTOR_SETS) + len(Modality)
@@ -89,12 +91,6 @@ def test_stats_counters_get_their_data(monkeypatch):
     grid_drops = len(stats.PREDICTOR_SETS) * len(incomplete)  # train and test side
     or_drops = len(Modality) * len(incomplete & split.train_ids)  # train side only
     assert tracer.counts["stats.build_feature_matrix.dropped"] == grid_drops + or_drops
-
-
-def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
-    """A whole embeddings table: the chunks ``cli._embedding_chunks`` yields, joined."""
-    ids, X = zip(*cli._embedding_chunks(path, modality))
-    return np.concatenate([np.asarray(i, dtype=str) for i in ids]), np.concatenate(X)
 
 
 def test_benchmark_tables_are_the_embed_format(monkeypatch, tmp_path):

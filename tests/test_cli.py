@@ -18,7 +18,7 @@ import pytest
 import psgp.cli
 import psgp.model as mdl
 from psgp import autodiff
-from psgp.cli import _embedding_chunks, _resolve_config, _write_embeddings_csv, build_parser, main
+from psgp.cli import _resolve_config, _write_embeddings_csv, build_parser, main
 from psgp.cohort import load_manifest, split_cohort
 from psgp.config import RunConfig, load_run_config, stage_configs
 from psgp.errors import DataError, FormatError
@@ -26,23 +26,11 @@ from psgp.signalio import FORMAT_VERSION, Modality
 from psgp.tables import table_rows
 from psgp.vectors import derive_vectors, load_disease_vector, save_scores
 
+from helpers import read_embeddings, tree_bytes
+
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
-
-
-def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
-    """A whole embeddings table: the chunks ``_embedding_chunks`` yields, joined."""
-    ids, X = zip(*_embedding_chunks(path, modality))
-    return np.concatenate([np.asarray(i, dtype=str) for i in ids]), np.concatenate(X)
-
-
-def tree_bytes(root: Path) -> dict[str, bytes]:
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +133,11 @@ class TestChainArtifacts:
         manifest = load_manifest(chain["data"] / "manifest.csv")
         table = read_embeddings(chain["emb"] / "RESP" / "embeddings.csv", Modality.RESP)
         train_ids = split_cohort(manifest, RunConfig().split_ratio, 5).train_ids
-        (want,) = derive_vectors({Modality.RESP: [table]}, manifest, train_ids, ["CVD"], [Modality.RESP])
-        (got,) = load_disease_vector(vec_dir / "vectors.csv")
-        assert (got.outcome, got.modality, got.n_positive, got.n_negative) == (
-            want.outcome, want.modality, want.n_positive, want.n_negative
-        )
+        want = derive_vectors({Modality.RESP: [table]}, manifest, train_ids, ["CVD"])
+        back = load_disease_vector(vec_dir / "vectors.csv")
+        assert list(back) == list(want) == [("CVD", Modality.RESP)]
+        got, want = back["CVD", Modality.RESP], want["CVD", Modality.RESP]
+        assert (got.n_positive, got.n_negative) == (want.n_positive, want.n_negative)
         for name in ("vector", "mu_positive", "mu_negative"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
@@ -262,6 +250,20 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error: ConfigError:")
         assert err.count("\n") == 1
+
+    def test_empty_training_split_names_the_ratio(self, chain, tmp_path, capsys):
+        """A ratio that rounds to no training subject is refused before any
+        signal file is indexed: the error names the ratio and the eligible
+        count, not the signal files, which are there."""
+        rc = run_cli(
+            "train", "--out", tmp_path / "m", "--config", chain["ini"], "--data", chain["data"],
+            "--split-ratio", "0.01",
+        )
+        err = capsys.readouterr().err
+        assert_one_line_data_error(
+            rc, err, "split_ratio 0.01 gives no training subject among the 14 eligible", kind="DataError"
+        )
+        assert "signals" not in err and not (tmp_path / "m" / "RESP").exists()
 
     def test_missing_data_dir_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
@@ -1624,6 +1626,52 @@ def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruptio
     )
     assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), fragment, kind=kind, code=code)
 
+
+def _mutate_checkpoint(blob: bytes, kind: str, rng: random.Random) -> bytes:
+    """One corruption of an f32 checkpoint (the layout in ``psgp.model``)."""
+    b = bytearray(blob)
+    if kind == "flip":
+        b[rng.randrange(len(b))] ^= rng.randrange(1, 256)
+    elif kind == "insert":
+        b.insert(rng.randrange(len(b) + 1), rng.randrange(256))
+    elif kind == "delete":
+        del b[rng.randrange(len(b))]
+    elif kind == "cut":
+        del b[rng.randrange(len(b)):]
+    else:  # one parameter scaled by a power of two, still finite in f32
+        (cfg_len,) = struct.unpack_from("<I", b, 8)
+        at = 12 + cfg_len + 4 * rng.randrange((len(b) - 12 - cfg_len) // 4)
+        (value,) = struct.unpack_from("<f", b, at)
+        struct.pack_into("<f", b, at, value * 2.0 ** rng.randint(40, 100))
+    return bytes(b)
+
+
+@pytest.mark.parametrize("kind", ["flip", "insert", "delete", "cut", "scale"])
+def test_checkpoint_mutations_keep_the_cli_contract(chain, tmp_path, capsys, kind):
+    """Seeded corruptions of the chain's RESP checkpoint, each run through
+    ``embed``: exit 0 with nothing on stderr, or exit 2, 3 or 4 with one
+    ``error:`` line, and no exception or warning leaving ``main``. A weight
+    scaled by 2**100 used to overflow a ``layer_norm`` variance, which
+    printed a RuntimeWarning and gave every segment the same embedding."""
+    rng = random.Random(f"checkpoint {kind}")
+    blob = (chain["models"] / "RESP" / "checkpoint.psgm").read_bytes()
+    bad = tmp_path / "models" / "RESP" / "checkpoint.psgm"
+    bad.parent.mkdir(parents=True)
+    codes = set()
+    for _ in range(200):
+        bad.write_bytes(_mutate_checkpoint(blob, kind, rng))
+        rc = run_cli(
+            "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
+            "--models", tmp_path / "models",
+        )
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), (rc, err)
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, (rc, err)
+        else:
+            assert err == "", err
+        codes.add(rc)
+    assert codes - {0}, "no mutation was refused"
 
 def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys):
     """EEG and ECG share input_len 3750, so an ECG checkpoint under

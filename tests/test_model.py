@@ -34,22 +34,7 @@ from psgp.model import (
 )
 from psgp.signalio import Modality
 
-
-def tiny_config(**overrides) -> ModelConfig:
-    """Small geometry used throughout: 40 samples -> 4 patches of 10."""
-    defaults = dict(
-        modality=Modality.EEG,
-        input_len=40,
-        embed_dim=8,
-        encoder_depth=1,
-        decoder_depth=1,
-        n_heads=2,
-        ffn_mult=2,
-        stem_strides=(2, 5),
-        precision="f64",
-    )
-    defaults.update(overrides)
-    return ModelConfig(**defaults)
+from helpers import tiny_config
 
 
 def window_config(modality: Modality, **overrides) -> ModelConfig:
@@ -232,6 +217,14 @@ class TestPooling:
         # the norm is clamped at its floor: a zero mean pools to zeros, not NaN
         np.testing.assert_array_equal(pool(np.zeros((4, 3))), np.zeros(3))
 
+    def test_norm_that_overflows_is_refused(self):
+        """A mean whose square overflows f32 would pool to a zero row; under
+        the overflow silencing that ``embed_segments`` runs its tiles with,
+        it raises instead."""
+        grid = np.full((1, 2, 4), 2.0**70, np.float32)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="norm is not finite"):
+            pool_rows(Tensor(grid))
+
     def test_embed_segments_matches_manual_path(self):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=7)
@@ -380,6 +373,41 @@ class TestPooling:
                 assert ad.grad_enabled()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_each_share_runs_on_a_thread_of_its_own(self, monkeypatch):
+        """Three one-tile shares are read by three threads, the calling one
+        among them, however slowly a pool would start its workers: an
+        executor whose ``submit`` was slowed by 0.2 s handed share 2 to the
+        idle worker that had already run share 1, so the two ran one after
+        the other."""
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        real_submit = ThreadPoolExecutor.submit
+
+        def slow_submit(self, *args, **kwargs):
+            time.sleep(0.2)
+            return real_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", slow_submit)
+        cfg = tiny_config()
+        _, tile = embed_tiles(cfg)
+        params = init_parameters(cfg, seed=2)
+        X = np.random.default_rng(2).standard_normal((3 * tile, cfg.input_len))
+        readers = {}
+
+        class Rows:
+            shape = X.shape
+
+            def __getitem__(self, rows):
+                readers[rows.start // tile] = threading.current_thread()
+                return X[rows]
+
+        got = embed_segments(Rows(), params, cfg, threads=3)
+        assert got.tobytes() == embed_segments(X, params, cfg).tobytes()
+        assert readers[0] is threading.current_thread()
+        assert len(set(readers.values())) == 3, readers
 
 
 class TestCheckpointFormat:

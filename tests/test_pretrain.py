@@ -21,7 +21,7 @@ from psgp.errors import (
     NumericError,
     UsageError,
 )
-from psgp.model import ModelConfig, init_parameters, load_checkpoint, parameter_schema
+from psgp.model import init_parameters, load_checkpoint, parameter_schema
 from psgp.pretrain import (
     LossReport,
     MaskPlan,
@@ -35,21 +35,7 @@ from psgp.pretrain import (
 )
 from psgp.signalio import Modality
 
-
-def tiny_config(**overrides) -> ModelConfig:
-    defaults = dict(
-        modality=Modality.EEG,
-        input_len=40,
-        embed_dim=8,
-        encoder_depth=1,
-        decoder_depth=1,
-        n_heads=2,
-        ffn_mult=2,
-        stem_strides=(2, 5),
-        precision="f64",
-    )
-    defaults.update(overrides)
-    return ModelConfig(**defaults)
+from helpers import tiny_config
 
 
 def tiny_ssl(**overrides) -> SslConfig:

@@ -2,7 +2,6 @@
 import re
 import struct
 import threading
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from psgp.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from psgp import cli, model, signalio
+from psgp import cli, signalio
 from psgp.signalio import (
     FORMAT_VERSION,
     MAGIC,
@@ -358,13 +357,13 @@ def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int], hold_cal
     paths = [files[i] for i in cut]
     failed_on = []
     read_on: dict[bool, set[Path]] | None = None  # files read while embedding, by "on the main thread"
-    helpers: list[futures.Future] = []
+    helpers: list[threading.Thread] = []
     real_embed, real_read = cli.embed_segments, SignalFile.read_at
 
-    class Pool(futures.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            helpers.append(super().submit(*args, **kwargs))
-            return helpers[-1]
+    class Helper(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
 
     def embed_after_cut(X, *args, **kwargs):
         nonlocal read_on
@@ -377,7 +376,9 @@ def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int], hold_cal
         main = threading.current_thread() is threading.main_thread()
         if read_on is not None:
             if main and hold_calling_thread and not read_on[True]:
-                assert not futures.wait(helpers, timeout=60).not_done
+                for helper in helpers:
+                    helper.join(timeout=60)
+                assert not any(helper.is_alive() for helper in helpers)
             read_on[main].add(self.path)
         try:
             real_read(self, sample, out)
@@ -387,7 +388,7 @@ def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int], hold_cal
 
     monkeypatch.setattr(cli, "embed_segments", embed_after_cut)
     monkeypatch.setattr(SignalFile, "read_at", read)
-    monkeypatch.setattr(model, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(threading, "Thread", Helper)
     capsys.readouterr()
     rc = cli.main(["embed", "--out", str(tmp_path / "emb"), *common, "--data", str(data),
                    "--models", str(models), "--threads", "2"])

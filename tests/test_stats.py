@@ -26,7 +26,6 @@ from psgp.stats import _average_ranks, _chi2_sf
 from psgp.stats import (
     PREDICTOR_SETS,
     Z95,
-    AucGrid,
     FeatureMatrix,
     LogisticModel,
     auc,
@@ -38,6 +37,7 @@ from psgp.stats import (
     odds_ratios,
     odds_ratio_report,
     predict_proba,
+    save_grid,
     save_or_report,
 )
 
@@ -553,10 +553,9 @@ class TestEvaluateGrid:
         test_scores = _scores_for(manifest, labels, signal=("EEG",), noise=0.15, seed=7)
         split = split_cohort(manifest, ratio=0.6, seed=0)
         grid = evaluate_grid(_by_side(train_scores, test_scores, split), manifest, split)
-        assert grid.predictor_sets == tuple(PREDICTOR_SETS)
-        assert grid.outcomes == ("CVD",)
-        eeg = grid.cells[("EEG", "CVD")]
-        resp = grid.cells[("Resp", "CVD")]
+        assert list(grid) == [(name, "CVD") for name in PREDICTOR_SETS]
+        eeg = grid[("EEG", "CVD")]
+        resp = grid[("Resp", "CVD")]
         assert isinstance(eeg, float) and eeg > 0.9
         assert isinstance(resp, float) and abs(resp - 0.5) < 0.35
 
@@ -565,7 +564,7 @@ class TestEvaluateGrid:
         scores = _scores_for(manifest, labels)
         split = split_cohort(manifest, ratio=0.6, seed=0)
         grid = evaluate_grid(scores, manifest, split)
-        lines = grid.to_csv().splitlines()
+        lines = _grid_text(grid, tmp_path).splitlines()
         assert lines[0] == "predictor_set,CVD"
         assert len(lines) == 1 + len(PREDICTOR_SETS)
         name, cell = lines[1].split(",")
@@ -577,7 +576,7 @@ class TestEvaluateGrid:
         scores = _scores_for(manifest, labels)
         split = split_cohort(manifest, ratio=0.5, seed=0)
         grid = evaluate_grid(scores, manifest, split)
-        assert grid.cells[("EEG", "CVD")] == "NA:single_class_train"
+        assert grid[("EEG", "CVD")] == "NA:single_class_train"
 
     def test_na_collinear(self, tmp_path):
         manifest, labels = _manifest(tmp_path, n=30, seed=10)
@@ -589,8 +588,8 @@ class TestEvaluateGrid:
                 scores[sid, "CVD", mod] = val  # identical columns
         split = split_cohort(manifest, ratio=0.6, seed=0)
         grid = evaluate_grid(scores, manifest, split)
-        assert grid.cells[("EEG-ECG", "CVD")] == "NA:collinear"
-        assert isinstance(grid.cells[("EEG", "CVD")], float)
+        assert grid[("EEG-ECG", "CVD")] == "NA:collinear"
+        assert isinstance(grid[("EEG", "CVD")], float)
 
     def test_standardize_leaves_auc_unchanged(self, tmp_path):
         """Standardizing features is an affine reparameterization, so the
@@ -602,8 +601,8 @@ class TestEvaluateGrid:
         scores = _by_side(train_scores, test_scores, split)
         plain = evaluate_grid(scores, manifest, split)
         scaled = evaluate_grid(scores, manifest, split, standardize=True)
-        for key, value in plain.cells.items():
-            other = scaled.cells[key]
+        for key, value in plain.items():
+            other = scaled[key]
             if isinstance(value, float) and isinstance(other, float):
                 assert other == pytest.approx(value, abs=1e-6), key
 
@@ -626,7 +625,7 @@ class TestSplitInsideStats:
         assert len({sid for sid, _, _ in scores} - members) == 4
         grid = evaluate_grid(scores, manifest, split)
         assert grid == evaluate_grid({k: v for k, v in scores.items() if k[0] in members}, manifest, split)
-        assert isinstance(grid.cells[("EEG", "CVD")], float)
+        assert isinstance(grid[("EEG", "CVD")], float)
 
     def test_or_rows_of_full_list_equal_rows_of_training_scores(self, tmp_path):
         manifest, labels = _with_ineligible(tmp_path)
@@ -712,6 +711,12 @@ def _fixed_cohort():
     return CohortManifest(rows, ("CVD", "HTN")), scores
 
 
+def _grid_text(cells, tmp_path) -> str:
+    path = tmp_path / "grid.csv"
+    save_grid(cells, path)
+    return path.read_text(encoding="utf-8")
+
+
 def _or_report_text(rows, tmp_path) -> str:
     path = tmp_path / "or_report.csv"
     save_or_report(rows, path)
@@ -733,13 +738,13 @@ class TestGridAndOrReportShareOneFit:
         split = split_cohort(manifest, ratio=0.7, seed=2)
         grid = evaluate_grid(scores, manifest, split, standardize=standardize)
         rows = odds_ratio_report(scores, manifest, split, standardize=standardize)
-        assert grid.cells[("EEG", "HTN")] == "NA:single_class_train"
-        assert grid.cells[("ECG", "CVD")] == "NA:collinear"
+        assert grid[("EEG", "HTN")] == "NA:single_class_train"
+        assert grid[("ECG", "CVD")] == "NA:collinear"
         fitted = {
             (outcome, modality)
             for outcome in manifest.outcome_names
             for modality, row_name in zip(Modality, ("EEG", "ECG", "Resp"))
-            if isinstance(grid.cells[(row_name, outcome)], float)
+            if isinstance(grid[(row_name, outcome)], float)
         }
         assert fitted == {("CVD", Modality.EEG), ("CVD", Modality.RESP)}
         assert list(rows) == [("CVD", Modality.EEG), ("CVD", Modality.RESP)]
@@ -788,5 +793,5 @@ class TestGridAndOrReportShareOneFit:
         split = split_cohort(manifest, ratio=0.7, seed=2)
         grid = evaluate_grid(scores, manifest, split, standardize=standardize)
         rows = odds_ratio_report(scores, manifest, split, standardize=standardize)
-        assert grid.to_csv() == self.GRID_CSV
+        assert _grid_text(grid, tmp_path) == self.GRID_CSV
         assert _or_report_text(rows, tmp_path) == self.OR_CSV[standardize]

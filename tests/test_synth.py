@@ -1,7 +1,6 @@
 """Tests for the synthetic cohort generator."""
 import csv
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +10,8 @@ from psgp.cohort import load_manifest
 from psgp.errors import ConfigError
 from psgp.signalio import Modality, read_signal_file, round_half_up, samples_per_window
 from psgp.synth import GroundTruth, SynthConfig, generate_cohort
+
+from helpers import tree_bytes
 
 
 def small_config(**overrides):
@@ -25,14 +26,6 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SynthConfig(**base)
-
-
-def tree_bytes(root: Path) -> dict[str, bytes]:
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*"))
-        if p.is_file()
-    }
 
 
 class TestSynthConfigValidation:

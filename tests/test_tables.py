@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psgp.cli import _embedding_chunks, _write_embeddings_csv
+from psgp.cli import _write_embeddings_csv
 from psgp.errors import DataError, FormatError, ManifestError
 from psgp.signalio import Modality
 from psgp.tables import DECIMAL, table_rows, table_text, write_table
@@ -21,6 +21,8 @@ from psgp.vectors import (
     save_disease_vector,
     save_scores,
 )
+
+from helpers import read_embeddings
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "psgp"
 HEADER = ("subject_id", "outcome", "score")
@@ -84,12 +86,6 @@ DECIMAL_CASES = [
 ]
 
 
-def read_embeddings(path: Path, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
-    """A whole embeddings table: the chunks ``_embedding_chunks`` yields, joined."""
-    ids, X = zip(*_embedding_chunks(path, modality))
-    return np.concatenate([np.asarray(i, dtype=str) for i in ids]), np.concatenate(X)
-
-
 def _embeddings(path: Path, value: str, modality_line_3: str = "RESP") -> Path:
     """A three-row d = 2 table, ``value`` the first value of line 2 and
     ``modality_line_3`` the modality cell of line 3, all in one bulk chunk."""
@@ -105,7 +101,8 @@ def _embeddings(path: Path, value: str, modality_line_3: str = "RESP") -> Path:
 def _vectors(tmp_path: Path, value: str) -> Path:
     """A one-row disease-vector table, ``value`` the first mu_positive component."""
     path = tmp_path / "vectors.csv"
-    save_disease_vector([derive_disease_vector([0.25, 1.0], [0.0, 0.0], "CVD", Modality.RESP)], path)
+    dv = derive_disease_vector([0.25, 1.0], [0.0, 0.0], "CVD", Modality.RESP)
+    save_disease_vector({("CVD", Modality.RESP): dv}, path)
     header, row = path.read_text(encoding="utf-8").split("\n")[:2]
     cells = row.split(",")
     cells[5] = " ".join([value, *cells[5].split(" ")[1:]])

@@ -1,6 +1,5 @@
 """Centroid-difference directions and top-3 projection scores."""
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +48,7 @@ def _centroids(rows, labels):
     manifest = CohortManifest(
         {sid: SubjectRow(sid, 60.0, 1, 25.0, None, None, {"CVD": y}) for sid, y in labels.items()}, ("CVD",)
     )
-    (dv,) = derive_vectors(_one_chunk({Modality.EEG: _table(rows)}), manifest, labels, ["CVD"], [Modality.EEG])
+    (dv,) = derive_vectors(_one_chunk({Modality.EEG: _table(rows)}), manifest, labels, ["CVD"]).values()
     return dv.mu_positive, dv.mu_negative
 
 
@@ -109,7 +108,7 @@ class TestDeriveDiseaseVector:
         fields = {"vector": np.array([1.0, 0.0]), "mu_positive": np.zeros(2), "mu_negative": np.zeros(2)}
         fields[name] = np.array([bad, 0.0])
         with pytest.raises(DataError, match="non-finite"):
-            DiseaseVector(outcome="CVD", modality=Modality.EEG, n_positive=1, n_negative=1, **fields)
+            DiseaseVector(n_positive=1, n_negative=1, **fields)
 
 
 class TestSubjectScore:
@@ -200,29 +199,38 @@ class TestDeriveVectors:
                 ("D", [0.0, -50.0]),
             ])
         }
-        (dv,) = derive_vectors(_one_chunk(tables), manifest, ["A", "B"], ["CVD"], [Modality.EEG])
+        vectors = derive_vectors(_one_chunk(tables), manifest, ["A", "B"], ["CVD"])
+        assert list(vectors) == [("CVD", Modality.EEG)]
+        dv = vectors["CVD", Modality.EEG]
         np.testing.assert_allclose(dv.vector, [1.0, 0.0])
         assert dv.n_positive == 1 and dv.n_negative == 1
 
     def test_modality_filtering(self, tmp_path):
+        """The modalities are the keys of the tables: each vector comes from
+        its own modality's table alone."""
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0"])
         tables = {
             Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])]),
             Modality.ECG: _table([("A", [0.0, 9.0]), ("B", [0.0, -9.0])]),
         }
-        (dv,) = derive_vectors(_one_chunk(tables), manifest, ["A", "B"], ["CVD"], [Modality.EEG])
-        np.testing.assert_allclose(dv.vector, [1.0, 0.0])
+        eeg = derive_vectors(_one_chunk({Modality.EEG: tables[Modality.EEG]}), manifest, ["A", "B"], ["CVD"])
+        assert list(eeg) == [("CVD", Modality.EEG)]
+        np.testing.assert_allclose(eeg["CVD", Modality.EEG].vector, [1.0, 0.0])
+        both = derive_vectors(_one_chunk(tables), manifest, ["A", "B"], ["CVD"])
+        assert list(both) == [("CVD", Modality.EEG), ("CVD", Modality.ECG)]
+        np.testing.assert_allclose(both["CVD", Modality.EEG].vector, [1.0, 0.0])
+        np.testing.assert_allclose(both["CVD", Modality.ECG].vector, [0.0, 1.0])
 
     def test_unknown_outcome(self, tmp_path):
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1"])
         with pytest.raises(UnknownOutcomeError):
-            derive_vectors({}, manifest, ["A"], ["Stroke"], [Modality.EEG])
+            derive_vectors({}, manifest, ["A"], ["Stroke"])
 
     def test_single_class_train_split(self, tmp_path):
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0"])
         tables = {Modality.EEG: _table([("A", [1.0, 0.0]), ("B", [-1.0, 0.0])])}
         with pytest.raises(InsufficientClassError):
-            derive_vectors(_one_chunk(tables), manifest, ["A"], ["CVD"], [Modality.EEG])
+            derive_vectors(_one_chunk(tables), manifest, ["A"], ["CVD"])
 
     def test_pairs_come_outcome_by_outcome(self, tmp_path):
         """Each table is read once for all outcomes; every vector equals the
@@ -233,11 +241,12 @@ class TestDeriveVectors:
         )
         rng = np.random.default_rng(5)
         tables = {m: _interleaved(rng, {"A": 2, "B": 3, "C": 1, "D": 4}, 5) for m in (Modality.EEG, Modality.ECG)}
+        tables = {m: tables[m] for m in (Modality.ECG, Modality.EEG)}  # drawn as EEG, ECG; passed as ECG, EEG
         pairs = [(o, m) for o in ("DM", "CVD") for m in (Modality.ECG, Modality.EEG)]
-        got = derive_vectors(_one_chunk(tables), manifest, "ABCD", ["DM", "CVD"], [Modality.ECG, Modality.EEG])
-        assert [(v.outcome, v.modality) for v in got] == pairs
-        for v, (o, m) in zip(got, pairs):
-            (alone,) = derive_vectors({m: [tables[m]]}, manifest, "ABCD", [o], [m])
+        got = derive_vectors(_one_chunk(tables), manifest, "ABCD", ["DM", "CVD"])
+        assert list(got) == pairs
+        for (o, m), v in got.items():
+            (alone,) = derive_vectors({m: [tables[m]]}, manifest, "ABCD", [o]).values()
             assert (v.n_positive, v.n_negative) == (alone.n_positive, alone.n_negative)
             for name in ("vector", "mu_positive", "mu_negative"):
                 assert getattr(v, name).tolist() == getattr(alone, name).tolist()
@@ -255,7 +264,7 @@ class TestDeriveVectors:
         # float64 rows of mixed scale, so a sum in another row order rounds differently
         X = X * 10.0 ** rng.uniform(-4.0, 4.0, size=(X.shape[0], 1))
         train = ["D", "A", "B", "C", "E"]  # F is held out; E is unlabelled; Z is not in the manifest
-        (dv,) = derive_vectors({Modality.EEG: [(ids, X)]}, manifest, train, ["CVD"], [Modality.EEG])
+        (dv,) = derive_vectors({Modality.EEG: [(ids, X)]}, manifest, train, ["CVD"]).values()
         labels = manifest.outcome_labels("CVD")
         sums = {0: np.zeros(7), 1: np.zeros(7)}
         rows = {0: 0, 1: 0}
@@ -281,11 +290,12 @@ class TestDeriveVectors:
         cuts = np.sort(np.concatenate([np.arange(0, ids.shape[0], block), rng.integers(0, ids.shape[0] + 1, 4)]))
         chunks = [(ids[a:b], X[a:b]) for a, b in zip([0, *cuts], [*cuts, ids.shape[0]])]
         assert any(len(c[0]) == 0 for c in chunks)
-        args = (manifest, "ABCD", ["CVD", "DM"], [Modality.EEG])
+        args = (manifest, "ABCD", ["CVD", "DM"])
         whole = derive_vectors({Modality.EEG: [(ids, X)]}, *args)
         got = derive_vectors({Modality.EEG: iter(chunks)}, *args)
-        assert [(v.n_positive, v.n_negative) for v in got] == [(2, 2), (1, 2)]
-        for g, w in zip(got, whole):
+        assert [(v.n_positive, v.n_negative) for v in got.values()] == [(2, 2), (1, 2)]
+        assert list(got) == list(whole)
+        for g, w in zip(got.values(), whole.values()):
             for name in ("vector", "mu_positive", "mu_negative"):
                 assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
 
@@ -300,7 +310,7 @@ class TestScoreCohort:
             Modality.EEG: _table([("A", [0.8, 0.6]), ("A", [0.6, 0.8]), ("B", [-0.8, 0.6])]),
             Modality.ECG: _table([("C", [0.0, 1.0])]),
         }
-        return manifest, [dv], tables
+        return manifest, {("CVD", Modality.EEG): dv}, tables
 
     def test_scores_and_membership(self, tmp_path):
         manifest, vectors, tables = self._setup(tmp_path)
@@ -319,7 +329,7 @@ class TestScoreCohort:
         gets a risk score for reporting."""
         manifest = _manifest(tmp_path, ["A,60,1,25,,,"])
         dv = derive_disease_vector([1.0, 0.0], [-1.0, 0.0], "CVD", Modality.EEG)
-        scores = score_cohort({Modality.EEG: [_table([("A", [1.0, 0.0])])]}, [dv], manifest)
+        scores = score_cohort({Modality.EEG: [_table([("A", [1.0, 0.0])])]}, {("CVD", Modality.EEG): dv}, manifest)
         assert scores == {("A", "CVD", Modality.EEG): (pytest.approx(1.0), 1)}
 
     def test_matches_brute_force_oracle(self, tmp_path):
@@ -336,19 +346,19 @@ class TestScoreCohort:
             Modality.EEG: _interleaved(rng, {"A": 1, "B": 2, "C": 3, "D": 5, "Z": 4}, 6),
             Modality.ECG: _interleaved(rng, {"A": 5, "B": 3, "C": 1, "D": 2, "E": 3, "Z": 2}, 6),
         }
-        vectors = [
-            derive_disease_vector(rng.standard_normal(6), rng.standard_normal(6), outcome, modality)
-            for outcome, modality in [
+        vectors = {
+            (o, m): derive_disease_vector(rng.standard_normal(6), rng.standard_normal(6), o, m)
+            for o, m in [
                 ("CVD", Modality.EEG), ("DM", Modality.ECG), ("DM", Modality.EEG), ("CVD", Modality.ECG)
             ]
-        ]
+        }
         want = {}
         for sid in manifest.rows:
-            for vec in vectors:
-                ids, X = tables[vec.modality]
+            for (outcome, modality), vec in vectors.items():
+                ids, X = tables[modality]
                 projections = [project_segment(x, vec) for row_sid, x in zip(ids, X) if row_sid == sid]
                 if projections:
-                    want[sid, vec.outcome, vec.modality] = subject_score(projections)
+                    want[sid, outcome, modality] = subject_score(projections)
         got = score_cohort(_one_chunk(tables), vectors, manifest)
         assert got.keys() == want.keys()
         for key, (score, used) in want.items():
@@ -364,8 +374,10 @@ class TestScoreCohort:
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1,0", "B,61,0,26,,,0,1", "C,62,1,27,,,1,"], outcomes="CVD,DM")
         rng = np.random.default_rng(seed)
         ids, X = _interleaved(rng, {"A": 7, "B": 2, "C": 11, "Z": 3}, 9)
-        vectors = [derive_disease_vector(rng.standard_normal(9), rng.standard_normal(9), o, Modality.EEG)
-                   for o in ("CVD", "DM")]
+        vectors = {
+            (o, Modality.EEG): derive_disease_vector(rng.standard_normal(9), rng.standard_normal(9), o, Modality.EEG)
+            for o in ("CVD", "DM")
+        }
         cuts = np.sort(rng.integers(0, ids.shape[0] + 1, size=6))
         chunks = [(ids[a:b], X[a:b]) for a, b in zip([0, *cuts], [*cuts, ids.shape[0]])]
         whole = score_cohort({Modality.EEG: [(ids, X)]}, vectors, manifest)
@@ -376,26 +388,26 @@ class TestScoreCohort:
 class TestDiskFormats:
     def test_vector_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        vectors = [
-            derive_disease_vector(
+        vectors = {
+            (outcome, modality): derive_disease_vector(
                 rng.standard_normal(7), rng.standard_normal(7), outcome, modality, n_positive=3, n_negative=5
             )
             for outcome in ("CVD", "HTN") for modality in (Modality.RESP, Modality.EEG)
-        ]
+        }
         path = tmp_path / "vectors.csv"
         save_disease_vector(vectors, path)
         back = load_disease_vector(path)
-        assert [(b.outcome, b.modality, b.n_positive, b.n_negative) for b in back] == [
-            (v.outcome, v.modality, v.n_positive, v.n_negative) for v in vectors
+        assert [(key, b.n_positive, b.n_negative) for key, b in back.items()] == [
+            (key, v.n_positive, v.n_negative) for key, v in vectors.items()
         ]
-        for b, v in zip(back, vectors):
+        for b, v in zip(back.values(), vectors.values()):
             for name in ("vector", "mu_positive", "mu_negative"):
                 assert getattr(b, name).tolist() == getattr(v, name).tolist()
 
     def test_vector_file_malformations(self, tmp_path):
         """A bad third line after a good row is refused, naming the file and the line."""
         path = tmp_path / "vectors.csv"
-        good = [derive_disease_vector([1.0, 0.0], [0.0, 0.0], "CVD", Modality.ECG)]
+        good = {("CVD", Modality.ECG): derive_disease_vector([1.0, 0.0], [0.0, 0.0], "CVD", Modality.ECG)}
         for row, fragment in [
             ("CVD,EEG,1,1,1 0,0 0 0,0 0 0", "line 3: centroid dimensions disagree"),
             ("CVD,EEG,1,1,nan 0,0 0,0 0", "line 3: vector component 'nan' is not a decimal"),
@@ -421,7 +433,7 @@ class TestDiskFormats:
         dv = derive_disease_vector([1.0, 0.0], [0.0, 0.0], "CVD", Modality.ECG)
         path = tmp_path / "vectors.csv"
         with pytest.raises(DataError, match="'A,B'"):
-            save_disease_vector([dv, replace(dv, outcome="A,B")], path)
+            save_disease_vector({("CVD", Modality.ECG): dv, ("A,B", Modality.ECG): dv}, path)
         assert not path.exists()
 
     def test_scores_round_trip_and_order(self, tmp_path):
@@ -489,7 +501,7 @@ class TestDiskFormats:
     def test_vector_modality_must_be_exact(self, tmp_path, cell):
         dv = derive_disease_vector(np.array([1.0, 0.0]), np.array([0.0, 1.0]), "CVD", Modality.ECG)
         path = tmp_path / "vectors.csv"
-        save_disease_vector([dv], path)
+        save_disease_vector({("CVD", Modality.ECG): dv}, path)
         path.write_text(path.read_text().replace(",ECG,", f",{cell},"))
         with pytest.raises(FormatError, match=re.escape(f"{path}: line 2: unknown modality name {cell!r}")):
             load_disease_vector(path)
