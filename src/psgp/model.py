@@ -9,22 +9,19 @@ transformers sharing one learned absolute position table, applied at the
 encoder input. Pooling is mean-over-patches followed by L2 normalization,
 so every segment embedding lives on the unit sphere.
 
-Checkpoint container (little-endian)::
+A checkpoint is one ``psgp.frame`` frame (magic ``PSGM``, version 4; older
+versions are refused, not converted). Its header and payload::
 
-    magic        4 bytes  b"PSGM"
-    version      u32      currently 3 (versions 1 and 2 are refused, not converted)
-    blob length  u32
     config blob  UTF-8 key=value lines, one per ModelConfig field
     parameters   every tensor of parameter_schema(config), in schema order, as
                  one run of the precision's dtype (f4 or f8), each row-major
 
 The config fixes every tensor's name, shape and dtype, so the file states
-none of them again and its length follows from the blob.
+none of them again and the payload's length follows from the blob.
 """
 from __future__ import annotations
 
 import math
-import struct
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,21 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import frame
 from .autodiff import Tensor, no_grad
-from .errors import (
-    BadMagicError,
-    ConfigError,
-    DataError,
-    FormatError,
-    NumericError,
-    SchemaMismatchError,
-    TruncatedPayloadError,
-    VersionMismatchError,
-)
+from .errors import ConfigError, DataError, FormatError, NumericError, SchemaMismatchError, utf8_text
 from .signalio import Modality, samples_per_window
 
 CKPT_MAGIC = b"PSGM"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 
 # stem geometries for the two nominal rates (30 s windows)
 _DEFAULT_STRIDES = {3750: (5, 5, 5), 300: (2, 5)}
@@ -88,6 +77,8 @@ class ModelConfig:
             raise ConfigError(
                 f"input_len {self.input_len} is not divisible by stride product {prod}"
             )
+        if self.n_heads < 1:
+            raise ConfigError("n_heads must be positive")
         if self.embed_dim < 1 or self.embed_dim % self.n_heads != 0:
             raise ConfigError("embed_dim must be a positive multiple of n_heads")
         if self.encoder_depth < 1 or self.decoder_depth < 1:
@@ -405,51 +396,35 @@ def save_checkpoint(params: dict[str, np.ndarray], config: ModelConfig, path: Pa
             raise SchemaMismatchError(
                 f"tensor {name!r} dtype {params[name].dtype} does not match precision {config.precision}"
             )
-    blob = config_to_text(config).encode("utf-8")
     payload = np.concatenate([params[name].ravel() for name in names])
-    raw = payload.astype(payload.dtype.newbyteorder("<"), copy=False).tobytes()
-    Path(path).write_bytes(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(blob)) + blob + raw)
+    payload = payload.astype(payload.dtype.newbyteorder("<"), copy=False)
+    frame.write(path, CKPT_MAGIC, CKPT_VERSION, config_to_text(config).encode("utf-8"), payload)
 
 
 def load_checkpoint(
     path: Path | str, expect_config: ModelConfig | None = None
 ) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    origin = str(path)
-    data = Path(path).read_bytes()
-    if data[:4] != CKPT_MAGIC:
-        raise BadMagicError(f"{origin}: not a model checkpoint")
-    if len(data) < 12:
-        raise TruncatedPayloadError(f"{origin}: truncated at byte {len(data)}")
-    version, cfg_len = struct.unpack_from("<II", data, 4)
-    if version != CKPT_VERSION:
-        raise VersionMismatchError(f"{origin}: unsupported checkpoint version {version}")
-    start = 12 + cfg_len
-    if start > len(data):
-        raise TruncatedPayloadError(f"{origin}: a {cfg_len}-byte config blob runs past the end of the file")
+    blob, payload = frame.read(path, CKPT_MAGIC, CKPT_VERSION)
     try:
-        config = config_from_text(data[12:start].decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{origin}: config blob is not UTF-8") from exc
+        with utf8_text(path):
+            config = config_from_text(blob.decode("utf-8"))
     except SchemaMismatchError as exc:
-        raise SchemaMismatchError(f"{origin}: {exc}") from None
+        raise SchemaMismatchError(f"{path}: {exc}") from None
     if expect_config is not None and config != expect_config:  # name the first differing field
         lines = zip(config_to_text(config).splitlines(), config_to_text(expect_config).splitlines())
         got, want = next((a, b) for a, b in lines if a != b)
-        raise SchemaMismatchError(f"{origin}: checkpoint has {got}, expected {want}")
+        raise SchemaMismatchError(f"{path}: checkpoint has {got}, expected {want}")
     schema = parameter_schema(config)
     sizes = [math.prod(shape) for _, shape, _ in schema]
     wire = np.dtype(config.np_dtype).newbyteorder("<")
-    end = start + sum(sizes) * wire.itemsize
-    if len(data) < end:
-        raise TruncatedPayloadError(f"{origin}: truncated at byte {len(data)}, its parameters end at {end}")
-    if len(data) > end:
-        raise FormatError(f"{origin}: {len(data) - end} trailing bytes")
-    flat = np.frombuffer(data, dtype=wire, offset=start).astype(config.np_dtype)
+    if len(payload) != sum(sizes) * wire.itemsize:
+        raise FormatError(f"{path}: {len(payload)} bytes of parameters, {sum(sizes)} values in its config")
+    flat = np.frombuffer(payload, dtype=wire).astype(config.np_dtype)
     params = {
         name: part.reshape(shape)
         for (name, shape, _), part in zip(schema, np.split(flat, np.cumsum(sizes)[:-1]))
     }
     for name, arr in params.items():
         if not np.isfinite(arr).all():
-            raise NumericError(f"{origin}: tensor {name!r} contains non-finite values")
+            raise NumericError(f"{path}: tensor {name!r} contains non-finite values")
     return params, config

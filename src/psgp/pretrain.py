@@ -380,7 +380,7 @@ def train(
         log_fh.write("step,similarity,tcr,total,wallclock_ms\n")
     mdl.keep_freed_arrays_in_heap()
     try:
-        with ad.single_blas_thread():
+        with ad.single_blas_thread(), np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
             for step in range(1, ssl_config.steps + 1):
                 if cursor + batch_size > X.shape[0]:
                     order = order_rng.permutation(X.shape[0])

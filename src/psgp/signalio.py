@@ -1,25 +1,21 @@
 """Single-channel signal recordings: binary file format and segmentation.
 
-File layout (little-endian throughout)::
+A signal file is one little-endian ``psgp.frame`` frame (magic ``PSGS``,
+version 2). Its header and payload::
 
-    magic           4 bytes  b"PSGS"
-    version         u32      currently 1
     modality tag    u8       0=EEG, 1=ECG, 2=RESP
-    padding         3 bytes  zeros
     sample_rate_hz  f64
-    n_samples       u64
-    id length       u16      byte length of the UTF-8 subject id
-    subject id      bytes
-    samples         n_samples * f32
+    subject id      UTF-8 bytes, the rest of the header
+    samples         the payload, f32 each
 
 Reads and writes round-trip byte-for-byte. ``SignalFile.index`` checks a
-file in one pass that reads its samples in fixed blocks into one buffer.
-Every read of samples (that pass, ``read_signal_file``, ``SignalRows``) is
-one ``SignalFile.read_at``, which checks what it read.
+file in one pass that reads its samples in fixed blocks into one buffer and
+folds each block into the frame's crc. Every read of samples (that pass,
+``read_signal_file``, ``SignalRows``) is one ``SignalFile.read_at``, which
+checks what it read: its length and finiteness, not the crc.
 """
 from __future__ import annotations
 
-import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -28,20 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    DataError,
-    FormatError,
-    NonFiniteSamplesError,
-    TruncatedPayloadError,
-    VersionMismatchError,
-)
+from . import frame
+from .errors import DataError, FormatError, NonFiniteSamplesError, TruncatedPayloadError, utf8_text
 
 MAGIC = b"PSGS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 WINDOW_SECONDS = 30.0
 
-_HEADER = struct.Struct("<4sIB3xdQH")
+_HEADER = struct.Struct("<Bd")  # modality tag, sample rate; the subject id follows
 _BLOCK_SAMPLES = 1 << 18  # 1 MiB of float32 per read of the index pass
 
 
@@ -100,19 +90,9 @@ def write_signal_file(recording: Recording, path: Path | str) -> None:
         raise NonFiniteSamplesError(
             f"recording {recording.subject_id}/{recording.modality.name} contains NaN or Inf"
         )
+    header = _HEADER.pack(recording.modality.value, recording.sample_rate_hz)
     sid = recording.subject_id.encode("utf-8")
-    if len(sid) > 0xFFFF:
-        raise DataError("subject id longer than 65535 bytes")
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        recording.modality.value,
-        float(recording.sample_rate_hz),
-        recording.n_samples,
-        len(sid),
-    )
-    payload = recording.samples.astype("<f4", copy=False).tobytes()
-    Path(path).write_bytes(header + sid + payload)
+    frame.write(path, MAGIC, FORMAT_VERSION, header + sid, recording.samples.astype("<f4", copy=False))
 
 
 def read_signal_file(path: Path | str) -> Recording:
@@ -159,38 +139,22 @@ class SignalFile:
         with memory bounded by one block of samples, not by the file."""
         path = Path(path)
         with path.open("rb") as fh:
-            head = fh.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise TruncatedPayloadError(f"{path}: file shorter than the fixed header")
-            magic, version, tag, rate, n_samples, id_len = _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise BadMagicError(f"{path}: bad magic {magic!r}")
-            if version != FORMAT_VERSION:
-                raise VersionMismatchError(f"{path}: unsupported version {version}")
-            try:
-                modality = Modality(tag)
-            except ValueError:
-                raise FormatError(f"{path}: unknown modality tag {tag}") from None
-            if not (np.isfinite(rate) and rate > 0):
-                raise FormatError(f"{path}: invalid sample rate {rate}")
-            sid = fh.read(id_len)
-            if len(sid) < id_len:
-                raise TruncatedPayloadError(f"{path}: truncated subject id")
-            try:
-                subject_id = sid.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: subject id is not valid UTF-8") from exc
-            offset = _HEADER.size + id_len
-            got = fh.seek(0, os.SEEK_END) - offset
-        expected = n_samples * 4
-        if got < expected:
-            raise TruncatedPayloadError(f"{path}: payload holds {got} bytes, header promises {expected}")
-        if got > expected:
-            raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
-        file = cls(path, subject_id, modality, rate, n_samples, offset)
-        block = np.empty(min(n_samples, _BLOCK_SAMPLES), dtype="<f4")
-        for start in range(0, n_samples, _BLOCK_SAMPLES):
-            file.read_at(start, block[:n_samples - start])
+            fr = frame.Frame(fh, path, MAGIC, FORMAT_VERSION)
+        if len(fr.header) < _HEADER.size or fr.size % 4:
+            raise FormatError(f"{path}: {len(fr.header)} header and {fr.size} payload bytes are no signal")
+        tag, rate = _HEADER.unpack_from(fr.header)
+        if tag >= len(Modality):  # the tags are 0, 1, 2
+            raise FormatError(f"{path}: unknown modality tag {tag}")
+        if not (np.isfinite(rate) and rate > 0):
+            raise FormatError(f"{path}: invalid sample rate {rate}")
+        with utf8_text(path):
+            subject_id = fr.header[_HEADER.size:].decode("utf-8")
+        file = cls(path, subject_id, Modality(tag), rate, fr.size // 4, fr.offset)
+        block = np.empty(min(file.n_samples, _BLOCK_SAMPLES), dtype="<f4")
+        for start in range(0, file.n_samples, _BLOCK_SAMPLES):
+            file.read_at(start, block[:file.n_samples - start])
+            fr.fold(block[:file.n_samples - start])
+        fr.check()
         return file
 
     def read_at(self, sample: int, out: np.ndarray) -> None:

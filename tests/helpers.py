@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
+from psgp import frame
 from psgp.cli import _embedding_chunks
 from psgp.model import ModelConfig
 from psgp.signalio import Modality
@@ -37,3 +38,14 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
+
+
+def reframe(path: Path, edit) -> None:
+    """Rewrite the signal file or checkpoint at ``path`` with ``edit`` applied
+    to its header and payload (two bytearrays, edited in place) and its frame
+    written anew, lengths and crc included, so that a reader gets past the
+    frame to the check the edit is meant for."""
+    magic, version = frame.PREFIX.unpack_from(path.read_bytes())[:2]
+    header, payload = (bytearray(part) for part in frame.read(path, magic, version))
+    edit(header, payload)
+    frame.write(path, magic, version, bytes(header), payload)

@@ -17,7 +17,7 @@ import pytest
 
 import psgp.cli
 import psgp.model as mdl
-from psgp import autodiff
+from psgp import autodiff, frame
 from psgp.cli import _resolve_config, _write_embeddings_csv, build_parser, main
 from psgp.cohort import load_manifest, split_cohort
 from psgp.config import RunConfig, load_run_config, stage_configs
@@ -26,7 +26,7 @@ from psgp.signalio import FORMAT_VERSION, Modality
 from psgp.tables import table_rows
 from psgp.vectors import derive_vectors, load_disease_vector, save_scores
 
-from helpers import read_embeddings, tree_bytes
+from helpers import read_embeddings, reframe, tree_bytes
 
 
 def run_cli(*argv) -> int:
@@ -438,10 +438,11 @@ class TestExitCodes:
             ("[run]\nthreads = 0\n", "threads must be >= 1"),
             ("[model]\nprecision = f16\n", "precision must be f32 or f64, got 'f16'"),
             ("[model]\nembed_dim = 30\n", "embed_dim must be a positive multiple of n_heads"),
+            ("[model]\nn_heads = 0\n", "n_heads must be positive"),
             ("[ssl]\nbatch_size = 1\n", "batch_size must be >= 2"),
             ("[synth]\naffected_fraction = 1.5\n", "affected_fraction must lie in (0, 1]"),
         ],
-        ids=["run", "model-precision", "model-embed_dim", "ssl", "synth"],
+        ids=["run", "model-precision", "model-embed_dim", "model-n_heads", "ssl", "synth"],
     )
     def test_invalid_value_of_any_section_is_refused_at_every_stage(
         self, tmp_path, capsys, command, ini, fragment
@@ -1354,38 +1355,45 @@ SIGNAL_MUTATIONS = {
     "version": ("VersionMismatchError",),
     "tag": ("FormatError",),
     "rate": ("FormatError",),
-    "id_length": ("TruncatedPayloadError", "FormatError"),  # +1 takes a payload byte, which may not be UTF-8
+    "id_length": ("TruncatedPayloadError", "FormatError"),  # +1 promises a byte too many, -1 leaves one over
     "cut_header": ("TruncatedPayloadError",),
     "cut_payload": ("TruncatedPayloadError",),
     "trailing": ("FormatError",),
     "nan": ("NonFiniteSamplesError",),
+    "flip": ("BadMagicError", "VersionMismatchError", "TruncatedPayloadError", "FormatError",
+             "NonFiniteSamplesError"),
 }
 
 
-def _mutate_signal(blob: bytes, kind: str, rng: random.Random) -> bytes:
-    """One corruption of a signal file (the layout in ``psgp.signalio``)."""
-    b = bytearray(blob)
-    (id_len,) = struct.unpack_from("<H", b, 28)
-    payload = 30 + id_len
+def _mutate_signal(path: Path, kind: str, rng: random.Random) -> None:
+    """One corruption of a signal file (the layout in ``psgp.signalio``). A
+    header field or a sample is changed inside a valid frame, so that the
+    change reaches the check it is meant for, not the crc."""
+    if kind == "tag":
+        return reframe(path, lambda header, _: header.__setitem__(0, rng.randrange(len(Modality), 256)))
+    if kind == "rate":
+        return reframe(path, lambda header, _: struct.pack_into("<d", header, 1, rng.choice([-1.0, float("nan")])))
+    if kind == "nan":
+        return reframe(path, lambda _, samples: struct.pack_into(
+            "<f", samples, 4 * rng.randrange(len(samples) // 4), float("nan")))
+    b = bytearray(path.read_bytes())
+    header_len = frame.PREFIX.unpack_from(b)[2]
+    payload = frame.PREFIX.size + header_len
     if kind == "magic":
         b[rng.randrange(4)] ^= 1 << rng.randrange(8)
     elif kind == "version":
         struct.pack_into("<I", b, 4, FORMAT_VERSION + 1)
-    elif kind == "tag":
-        b[8] = rng.randrange(len(Modality), 256)
-    elif kind == "rate":
-        struct.pack_into("<d", b, 12, rng.choice([-1.0, float("nan")]))
-    elif kind == "id_length":
-        struct.pack_into("<H", b, 28, id_len + rng.choice([-1, 1]))
+    elif kind == "id_length":  # the header length, which gives the subject id's
+        struct.pack_into("<I", b, 8, header_len + rng.choice([-1, 1]))
     elif kind == "cut_header":
         del b[rng.randrange(payload):]
     elif kind == "cut_payload":
         del b[rng.randrange(payload, len(b)):]
     elif kind == "trailing":
         b += bytes(rng.randrange(1, 8))
-    else:
-        struct.pack_into("<f", b, payload + 4 * rng.randrange((len(b) - payload) // 4), float("nan"))
-    return bytes(b)
+    else:  # one bit anywhere
+        b[rng.randrange(len(b))] ^= 1 << rng.randrange(8)
+    path.write_bytes(bytes(b))
 
 
 class TestSignalFileFuzz:
@@ -1404,7 +1412,7 @@ class TestSignalFileFuzz:
             (data / "signals" / src.name).write_bytes(src.read_bytes())
         train_ids = split_cohort(load_manifest(data / "manifest.csv"), RunConfig().split_ratio, 5).train_ids
         bad = data / "signals" / f"{rng.choice(sorted(train_ids))}_RESP.psgs"
-        bad.write_bytes(_mutate_signal(bad.read_bytes(), kind, rng))
+        _mutate_signal(bad, kind, rng)
         common = ("--config", chain["ini"], "--data", data, "--seed", 5)
         for command, extra in (("train", ("--steps", 1)), ("embed", ("--models", chain["models"]))):
             rc = run_cli(command, "--out", tmp_path / command, *common, *extra)
@@ -1599,27 +1607,27 @@ def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruptio
     """A config length past the end of the file is a truncated payload; a
     config blob that is not UTF-8 must not escape as a decode error; a config
     blob with a key the model does not have is refused; a NaN in the
-    parameters is a numeric error naming its tensor."""
-    blob = bytearray((chain["models"] / "RESP" / "checkpoint.psgm").read_bytes())
-    (cfg_len,) = struct.unpack_from("<I", blob, 8)
-    code = 3
-    if corruption == "config_length":
-        struct.pack_into("<I", blob, 8, len(blob))
-        kind, fragment = "TruncatedPayloadError", "past the end of the file"
-    elif corruption == "config_utf8":
-        blob[12 + cfg_len - 2] = 0xFF  # the last digit of the precision's name
-        kind, fragment = "FormatError", "not UTF-8"
-    elif corruption == "config":
-        extra = b"stem_kernels=3,3\n"
-        blob[12 + cfg_len:12 + cfg_len] = extra
-        struct.pack_into("<I", blob, 8, cfg_len + len(extra))
-        kind, fragment = "SchemaMismatchError", "not the text its values write"
-    else:  # the last value of the last tensor (RESP is trained in f32)
-        struct.pack_into("<f", blob, len(blob) - 4, np.nan)
-        kind, fragment, code = "NumericError", "tensor 'dec.ln_f.b' contains non-finite values", 4
+    parameters is a numeric error naming its tensor. The last three are
+    written inside a valid frame, so they reach the checks of the config and
+    the parameters."""
     bad = tmp_path / "models" / "RESP" / "checkpoint.psgm"
     bad.parent.mkdir(parents=True)
-    bad.write_bytes(bytes(blob))
+    bad.write_bytes((chain["models"] / "RESP" / "checkpoint.psgm").read_bytes())
+    code = 3
+    if corruption == "config_length":
+        blob = bytearray(bad.read_bytes())
+        struct.pack_into("<I", blob, 8, len(blob))
+        bad.write_bytes(bytes(blob))
+        kind, fragment = "TruncatedPayloadError", "bytes, its frame"
+    elif corruption == "config_utf8":  # the last digit of the precision's name
+        reframe(bad, lambda blob, _: blob.__setitem__(len(blob) - 2, 0xFF))
+        kind, fragment = "FormatError", "not UTF-8"
+    elif corruption == "config":
+        reframe(bad, lambda blob, _: blob.extend(b"stem_kernels=3,3\n"))
+        kind, fragment = "SchemaMismatchError", "not the text its values write"
+    else:  # the last value of the last tensor (RESP is trained in f32)
+        reframe(bad, lambda _, params: struct.pack_into("<f", params, len(params) - 4, np.nan))
+        kind, fragment, code = "NumericError", "tensor 'dec.ln_f.b' contains non-finite values", 4
     rc = run_cli(
         "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
         "--models", tmp_path / "models",
@@ -1639,8 +1647,8 @@ def _mutate_checkpoint(blob: bytes, kind: str, rng: random.Random) -> bytes:
     elif kind == "cut":
         del b[rng.randrange(len(b)):]
     else:  # one parameter scaled by a power of two, still finite in f32
-        (cfg_len,) = struct.unpack_from("<I", b, 8)
-        at = 12 + cfg_len + 4 * rng.randrange((len(b) - 12 - cfg_len) // 4)
+        _, _, blob_len, size = frame.PREFIX.unpack_from(b)
+        at = frame.PREFIX.size + blob_len + 4 * rng.randrange(size // 4)
         (value,) = struct.unpack_from("<f", b, at)
         struct.pack_into("<f", b, at, value * 2.0 ** rng.randint(40, 100))
     return bytes(b)
@@ -1649,9 +1657,11 @@ def _mutate_checkpoint(blob: bytes, kind: str, rng: random.Random) -> bytes:
 @pytest.mark.parametrize("kind", ["flip", "insert", "delete", "cut", "scale"])
 def test_checkpoint_mutations_keep_the_cli_contract(chain, tmp_path, capsys, kind):
     """Seeded corruptions of the chain's RESP checkpoint, each run through
-    ``embed``: exit 0 with nothing on stderr, or exit 2, 3 or 4 with one
-    ``error:`` line, and no exception or warning leaving ``main``. A weight
-    scaled by 2**100 used to overflow a ``layer_norm`` variance, which
+    ``embed``: a file whose bytes changed is exit 3 with one ``error:`` line
+    naming it, and no exception or warning leaves ``main``. Scaling a 0.0
+    parameter leaves the bytes as they were: exit 0 with nothing on stderr.
+    Before checkpoints held a crc, most flips and scalings loaded, and a
+    weight scaled by 2**100 overflowed a ``layer_norm`` variance, which
     printed a RuntimeWarning and gave every segment the same embedding."""
     rng = random.Random(f"checkpoint {kind}")
     blob = (chain["models"] / "RESP" / "checkpoint.psgm").read_bytes()
@@ -1659,19 +1669,21 @@ def test_checkpoint_mutations_keep_the_cli_contract(chain, tmp_path, capsys, kin
     bad.parent.mkdir(parents=True)
     codes = set()
     for _ in range(200):
-        bad.write_bytes(_mutate_checkpoint(blob, kind, rng))
+        mutated = _mutate_checkpoint(blob, kind, rng)
+        bad.write_bytes(mutated)
         rc = run_cli(
             "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
             "--models", tmp_path / "models",
         )
         err = capsys.readouterr().err
-        assert rc in (0, 2, 3, 4), (rc, err)
-        if rc:
-            assert err.startswith("error: ") and err.count("\n") == 1, (rc, err)
+        if mutated == blob:
+            assert (rc, err) == (0, ""), (rc, err)
         else:
-            assert err == "", err
+            assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1, (rc, err)
+            assert str(bad) in err, err
         codes.add(rc)
     assert codes - {0}, "no mutation was refused"
+
 
 def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys):
     """EEG and ECG share input_len 3750, so an ECG checkpoint under
@@ -1946,6 +1958,20 @@ def test_overflowing_update_fails_its_step_and_keeps_the_initial_parameters(tmp_
     for name, want in mdl.init_parameters(mcfg, s_init).items():
         np.testing.assert_array_equal(params[name], want, err_msg=name)
     assert not (models / "RESP" / "checkpoint.psgm").exists()
+
+
+def test_diverging_training_is_one_error_line(chain, tmp_path, capsys):
+    """``--learning-rate 1e6`` makes the chain's RESP training overflow
+    within a few steps: the step that meets it fails (exit 4) with one error
+    line, and no numpy RuntimeWarning is printed before it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(
+            "train", "--out", tmp_path / "models", "--config", chain["ini"], "--data", chain["data"],
+            "--seed", 5, "--steps", 20, "--learning-rate", "1e6",
+        )
+    assert [str(w.message) for w in caught] == []
+    assert_one_line_data_error(rc, capsys.readouterr().err, " at step ", kind="NumericError", code=4)
 
 
 @pytest.mark.parametrize("epsilon", ["1e-160", "1e-200"])

@@ -2,20 +2,14 @@
 import re
 import struct
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from psgp.errors import (
-    BadMagicError,
-    DataError,
-    FormatError,
-    NonFiniteSamplesError,
-    TruncatedPayloadError,
-    VersionMismatchError,
-)
-from psgp import cli, signalio
+from psgp.errors import DataError, FormatError, NonFiniteSamplesError, TruncatedPayloadError
+from psgp import cli, frame, signalio
 from psgp.signalio import (
     FORMAT_VERSION,
     MAGIC,
@@ -29,6 +23,8 @@ from psgp.signalio import (
     segment_recording,
     write_signal_file,
 )
+
+from helpers import reframe
 
 
 def _recording(n=7500, rate=125.0, modality=Modality.EEG, sid="S0001", seed=0):
@@ -135,6 +131,17 @@ class TestRoundTrip:
         write_signal_file(rec, tmp_path / "u.psgs")
         assert read_signal_file(tmp_path / "u.psgs").subject_id == "пациент-42"
 
+    def test_file_is_the_frame_of_the_header_and_the_samples(self, tmp_path):
+        """Version 2 byte for byte: the frame's prefix (magic, version,
+        header length, payload length), the modality tag, the sample rate and
+        the UTF-8 subject id, the samples, and the crc32 of all of it."""
+        rec = _recording(n=20, modality=Modality.RESP, rate=10.0, sid="пациент-7")
+        path = tmp_path / "x.psgs"
+        write_signal_file(rec, path)
+        header = struct.pack("<Bd", 2, 10.0) + "пациент-7".encode("utf-8")
+        body = b"PSGS" + struct.pack("<IIQ", 2, len(header), 80) + header + rec.samples.astype("<f4").tobytes()
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+
     def test_rejects_nonfinite_on_write(self, tmp_path):
         rec = _recording(n=10)
         rec.samples[3] = np.nan
@@ -143,73 +150,42 @@ class TestRoundTrip:
 
 
 class TestMalformedFiles:
-    """Each malformation maps to its own error class."""
+    """Each malformation of what a signal file's header and payload say maps
+    to its own error class. Each file is written with a valid frame, so it
+    gets past the frame's checks (``tests/test_frame.py``) to the format's."""
 
-    def _valid_bytes(self, tmp_path):
-        rec = _recording(n=20)
-        path = tmp_path / "ok.psgs"
-        write_signal_file(rec, path)
-        return path.read_bytes()
-
-    def test_short_header(self, tmp_path):
-        p = tmp_path / "x.psgs"
-        p.write_bytes(b"PS")
-        with pytest.raises(TruncatedPayloadError):
-            read_signal_file(p)
-
-    def test_bad_magic(self, tmp_path):
-        blob = self._valid_bytes(tmp_path)
-        p = tmp_path / "x.psgs"
-        p.write_bytes(b"NOPE" + blob[4:])
-        with pytest.raises(BadMagicError):
-            read_signal_file(p)
-
-    def test_version_mismatch(self, tmp_path):
-        blob = self._valid_bytes(tmp_path)
-        p = tmp_path / "x.psgs"
-        p.write_bytes(blob[:4] + struct.pack("<I", FORMAT_VERSION + 1) + blob[8:])
-        with pytest.raises(VersionMismatchError):
-            read_signal_file(p)
-
-    def test_truncated_payload(self, tmp_path):
-        blob = self._valid_bytes(tmp_path)
-        p = tmp_path / "x.psgs"
-        p.write_bytes(blob[:-5])
-        with pytest.raises(TruncatedPayloadError):
-            read_signal_file(p)
-
-    def test_trailing_garbage(self, tmp_path):
-        blob = self._valid_bytes(tmp_path)
-        p = tmp_path / "x.psgs"
-        p.write_bytes(blob + b"\x00\x01")
-        with pytest.raises(FormatError):
-            read_signal_file(p)
+    def _file(self, tmp_path, edit):
+        path = tmp_path / "x.psgs"
+        write_signal_file(_recording(n=20), path)
+        reframe(path, edit)
+        return path
 
     def test_nan_in_payload(self, tmp_path):
-        blob = self._valid_bytes(tmp_path)
-        p = tmp_path / "x.psgs"
-        nan = struct.pack("<f", np.nan)
-        p.write_bytes(blob[:-4] + nan)
-        with pytest.raises(NonFiniteSamplesError):
-            read_signal_file(p)
+        path = self._file(tmp_path, lambda header, payload: struct.pack_into("<f", payload, 76, np.nan))
+        with pytest.raises(NonFiniteSamplesError, match=re.escape(f"{path}: payload contains NaN or Inf")):
+            read_signal_file(path)
 
     def test_unknown_modality_tag(self, tmp_path):
-        blob = bytearray(self._valid_bytes(tmp_path))
-        blob[8] = 9
-        p = tmp_path / "x.psgs"
-        p.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match=re.escape(f"{p}: unknown modality tag 9")):
-            read_signal_file(p)
+        path = self._file(tmp_path, lambda header, payload: header.__setitem__(0, 9))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: unknown modality tag 9")):
+            read_signal_file(path)
 
     def test_invalid_rate_in_header(self, tmp_path):
-        rec = _recording(n=5)
-        path = tmp_path / "ok.psgs"
-        write_signal_file(rec, path)
-        blob = bytearray(path.read_bytes())
-        blob[12:20] = struct.pack("<d", -1.0)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError):
+        path = self._file(tmp_path, lambda header, payload: struct.pack_into("<d", header, 1, -1.0))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: invalid sample rate -1.0")):
             read_signal_file(path)
+
+    @pytest.mark.parametrize(
+        "header,payload", [(b"\x00\x01", b""), (struct.pack("<Bd", 0, 125.0) + b"S1", b"\x00" * 6)], ids=["header", "payload"]
+    )
+    def test_frame_that_holds_no_signal(self, tmp_path, header, payload):
+        """A valid frame whose header is shorter than its fields, or whose
+        payload is not whole float32 samples."""
+        path = tmp_path / "x.psgs"
+        frame.write(path, MAGIC, FORMAT_VERSION, header, payload)
+        message = f"{path}: {len(header)} header and {len(payload)} payload bytes are no signal"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            SignalFile.index(path)
 
 
 class TestSegmentation:
@@ -368,7 +344,7 @@ def embed_with_files_cut(tmp_path, capsys, monkeypatch, cut: list[int], hold_cal
     def embed_after_cut(X, *args, **kwargs):
         nonlocal read_on
         for path in paths:
-            path.write_bytes(path.read_bytes()[:-4])
+            path.write_bytes(path.read_bytes()[:-8])  # the crc and the last sample
         read_on = {True: set(), False: set()}
         return real_embed(X, *args, **kwargs)
 
