@@ -354,25 +354,15 @@ def _scores_and_split(args: argparse.Namespace, cfg: RunConfig) -> tuple[CohortM
 
 def cmd_fit(args: argparse.Namespace, cfg: RunConfig) -> None:
     manifest, scores, split = _scores_and_split(args, cfg)
-    out = _out_dir(args)
-    report = odds_ratio_report(
-        scores,
-        manifest,
-        split,
-        outcomes=_outcomes_for(cfg, manifest),
-        modalities=cfg.modalities,
-        standardize=args.standardize,
-    )
-    save_or_report(report, out / "or_report.csv")
+    outcomes = _outcomes_for(cfg, manifest)
+    report = odds_ratio_report(scores, manifest, split, outcomes=outcomes, modalities=cfg.modalities)
+    save_or_report(report, _out_dir(args) / "or_report.csv")
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> None:
     manifest, scores, split = _scores_and_split(args, cfg)
-    out = _out_dir(args)
-    grid = evaluate_grid(
-        scores, manifest, split, outcomes=_outcomes_for(cfg, manifest), standardize=args.standardize
-    )
-    save_grid(grid, out / "grid.csv")
+    grid = evaluate_grid(scores, manifest, split, outcomes=_outcomes_for(cfg, manifest))
+    save_grid(grid, _out_dir(args) / "grid.csv")
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -419,7 +409,6 @@ _FLAGS: dict[str, dict] = {
     "--modality": dict(dest="modalities", metavar="MODALITY", help="comma list or 'all'"),
     "--outcomes": dict(help="comma list (default: all in manifest)"),
     "--split-ratio": {},
-    "--standardize": dict(action="store_true"),
     "--subjects": dict(dest="n_subjects", metavar="SUBJECTS"),
     "--segments": dict(dest="segments_per_subject", metavar="SEGMENTS"),
     "--prevalence": dict(action="append", metavar="NAME=P"),
@@ -451,9 +440,9 @@ _STAGES = {
     "score": (cmd_score, "project embeddings onto disease vectors",
               "--data --embeddings --vectors --modality"),
     "fit": (cmd_fit, "adjusted odds-ratio report on the training split",
-            "--data --scores --modality --outcomes --split-ratio --standardize"),
+            "--data --scores --modality --outcomes --split-ratio"),
     "eval": (cmd_eval, "predictor-set x outcome AUC grid on the test split",
-             "--data --scores --outcomes --split-ratio --standardize"),
+             "--data --scores --outcomes --split-ratio"),
     "report": (cmd_report, "per-subject risk report card",
                "--data --scores --subject --modality --outcomes --split-ratio"),
 }

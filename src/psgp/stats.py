@@ -39,7 +39,9 @@ from .tables import write_table
 
 Z95 = 1.959964
 _ALPHA = 0.05  # significance level of the odds-ratio report
-_SEPARATION_BETA = 30.0
+# Both scale with the units of the features; the grid and the OR report fit
+# features scaled to one training-side SD, so there they are in training SDs.
+_SEPARATION_BETA = 30.0  # |coefficient| past which a saturating fit is separated
 _MAX_ITER = 100  # Newton steps of one logistic fit
 _TOL = 1e-10  # on the score, max |X^T (y - p)|
 
@@ -382,24 +384,17 @@ def build_feature_matrix(
 _Side = tuple[FeatureMatrix, np.ndarray]  # one side's design matrix and 0/1 labels
 
 
-def _standardized(sides: list[_Side]) -> list[_Side]:
-    """Each side's features scaled by the mean and SD of the first side's."""
-    train = sides[0][0].values
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return [(FeatureMatrix(x.feature_names, (x.values - mean) / std, x.subject_ids), y) for x, y in sides]
-
-
 def _fit_on_train(
-    manifest, scores, outcome, features, train_ids, test_ids, standardize
+    manifest, scores, outcome, features, train_ids, test_ids
 ) -> tuple[LogisticModel, list[_Side]] | str:
-    """Fit ``features`` for ``outcome`` on the training subjects.
+    """Fit ``features`` for ``outcome`` on the training subjects, each
+    feature scaled by the training side's mean and population SD (a
+    constant feature is only centred), so a coefficient is per training SD.
 
-    Returns the model with each side's matrix and labels, train first (the
-    test side only when ``test_ids`` is given), or "NA:<reason>" when a side
-    has no rows or one class, or the design is collinear. Separated fits are
-    returned as fitted, without their warning.
+    Returns the model with each side's scaled matrix and labels, train first
+    (the test side only when ``test_ids`` is given), or "NA:<reason>" when a
+    side has no rows or one class, or the design is collinear. Separated fits
+    are returned as fitted, without their warning.
     """
     sides: list[_Side] = []
     for name, ids in (("train", train_ids), ("test", test_ids)):
@@ -411,8 +406,11 @@ def _fit_on_train(
         if np.unique(y).shape[0] < 2:
             return f"NA:single_class_{name}"
         sides.append((x, y))
-    if standardize:
-        sides = _standardized(sides)
+    train = sides[0][0].values
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    sides = [(FeatureMatrix(x.feature_names, (x.values - mean) / std, x.subject_ids), y) for x, y in sides]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SeparationWarning)
         try:
@@ -426,10 +424,12 @@ def evaluate_grid(
     manifest: CohortManifest,
     split: CohortSplit,
     outcomes: Sequence[str] | None = None,
-    standardize: bool = False,
 ) -> dict[tuple[str, str], float | str]:
     """Fit every predictor set on the train split, report test-split AUC:
     ``{(predictor_set, outcome): AUC}``, in ``PREDICTOR_SETS`` order.
+
+    Each fit is on features scaled by the training side's mean and SD, the
+    one fit ``odds_ratio_report`` makes; the test side gets the same scaling.
 
     ``scores`` may cover the whole cohort: only the subjects of each side of
     the split are read, and test labels are never touched during fitting.
@@ -439,9 +439,7 @@ def evaluate_grid(
     cells: dict[tuple[str, str], float | str] = {}
     for row_name, features in PREDICTOR_SETS.items():
         for outcome in outs:
-            cell = _fit_on_train(
-                manifest, scores, outcome, features, split.train_ids, split.test_ids, standardize
-            )
+            cell = _fit_on_train(manifest, scores, outcome, features, split.train_ids, split.test_ids)
             if not isinstance(cell, str):  # a fit, or already "NA:<reason>"
                 model, (_, (x_te, y_te)) = cell
                 cell = float(auc(predict_proba(model, x_te), y_te.astype(int)))
@@ -464,19 +462,19 @@ def odds_ratio_report(
     split: CohortSplit,
     outcomes: Sequence[str] | None = None,
     modalities: Sequence[Modality] = tuple(Modality),
-    standardize: bool = False,
 ) -> dict[tuple[str, Modality], OddsRatio]:
     """Per (outcome, modality), outcome by outcome: adjusted OR of the risk
-    score, controlling for the adjustment covariates, fitted on the training
-    subjects alone (``scores`` may cover the whole cohort). A cell the grid
-    would mark "NA:<reason>" on its training side, or whose fit does not
-    converge, has no entry."""
+    score per one training-side SD of it, controlling for the adjustment
+    covariates (scaled alike), fitted on the training subjects alone
+    (``scores`` may cover the whole cohort). A cell the grid would mark
+    "NA:<reason>" on its training side, or whose fit does not converge, has
+    no entry."""
     outs = tuple(outcomes) if outcomes is not None else manifest.outcome_names
     report: dict[tuple[str, Modality], OddsRatio] = {}
     for outcome in outs:
         for modality in modalities:
             features = (modality, *ADJUSTMENT_COVARIATES)
-            fit = _fit_on_train(manifest, scores, outcome, features, split.train_ids, None, standardize)
+            fit = _fit_on_train(manifest, scores, outcome, features, split.train_ids, None)
             if isinstance(fit, str):
                 continue
             try:

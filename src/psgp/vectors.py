@@ -116,9 +116,6 @@ def derive_vectors(
     The tables are read once each, in order, and a chunk is summed for
     every outcome and let go before the next is read.
     """
-    for outcome in outcomes:
-        if outcome not in manifest.outcome_names:
-            raise UnknownOutcomeError(f"manifest has no outcome {outcome!r}")
     train = set(train_ids)
     labels = {
         o: {s: y for s, y in manifest.outcome_labels(o).items() if s in train and y is not None}

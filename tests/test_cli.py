@@ -22,7 +22,9 @@ from psgp.cli import _resolve_config, _write_embeddings_csv, build_parser, main
 from psgp.cohort import load_manifest, split_cohort
 from psgp.config import RunConfig, load_run_config, stage_configs
 from psgp.errors import DataError, FormatError
-from psgp.signalio import FORMAT_VERSION, Modality
+from psgp.signalio import (
+    FORMAT_VERSION, Modality, read_signal_file, samples_per_window, write_signal_file,
+)
 from psgp.tables import table_rows
 from psgp.vectors import derive_vectors, load_disease_vector, save_scores
 
@@ -713,10 +715,10 @@ class TestThreadsResolution:
         assert not (tmp_path / "s" / "resolved_config_synth.txt").exists()
 
 
-# Stage arguments: every other flag sets the RunConfig field its dest names.
+# Stage arguments: the paths, --subject and argparse's own. Every other flag
+# sets the RunConfig field its dest names, so the stage's snapshot records it.
 STAGE_DESTS = {
-    "out", "config", "data", "models", "embeddings", "vectors", "scores", "subject",
-    "standardize", "command", "func",
+    "out", "config", "data", "models", "embeddings", "vectors", "scores", "subject", "command", "func",
 }
 
 
@@ -785,14 +787,12 @@ STAGE_FLAGS = {
         ("--modality", "modalities", "store", False, "MODALITY", None),
         ("--outcomes", "outcomes", "store", False, None, None),
         ("--split-ratio", "split_ratio", "store", False, None, None),
-        ("--standardize", "standardize", "store_true", False, None, None),
     ],
     "eval": [
         ("--data", "data", "store", True, None, None),
         ("--scores", "scores", "store", True, None, None),
         ("--outcomes", "outcomes", "store", False, None, None),
         ("--split-ratio", "split_ratio", "store", False, None, None),
-        ("--standardize", "standardize", "store_true", False, None, None),
     ],
     "report": [
         ("--data", "data", "store", True, None, None),
@@ -806,7 +806,6 @@ STAGE_FLAGS = {
 ACTION_NAMES = {
     argparse._StoreAction: "store",
     argparse._AppendAction: "append",
-    argparse._StoreTrueAction: "store_true",
 }
 
 
@@ -833,7 +832,7 @@ class TestStageFlags:
             for a in sp._actions:
                 kwargs = (a.dest, type(a), a.required, a.metavar, a.choices, a.help)
                 assert seen.setdefault(a.option_strings[-1], kwargs) == kwargs, (command, a.option_strings)
-        assert len(seen) == 1 + 29  # --help and the 29 flags
+        assert len(seen) == 1 + 28  # --help and the 28 flags
 
 
 class TestFlagsNameTheirFields:
@@ -1635,6 +1634,55 @@ def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruptio
     assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), fragment, kind=kind, code=code)
 
 
+@pytest.mark.parametrize(
+    "case", ["other_subject", "window_length", "no_files", "short_recordings", "vector_outcome", "embedding_dim"]
+)
+def test_refused_segment_or_score_input_is_one_error_line(chain, tmp_path, capsys, case):
+    """``embed`` refuses a signal file that claims another subject, a window
+    length other than the model's and a modality with no window at all;
+    ``score`` refuses a vector for an outcome the manifest lacks and
+    embeddings of another dimension than the vectors'."""
+    data, emb, vectors = tmp_path / "data", chain["emb"], chain["vectors"] / "vectors"
+    shutil.copytree(chain["data"], data)
+    signals, kind = data / "signals", "DataError"
+    if case == "other_subject":
+        bad = signals / "S0002_RESP.psgs"
+        bad.write_bytes((signals / "S0001_RESP.psgs").read_bytes())
+        fragments = str(bad), "claims subject 'S0001', expected 'S0002'"
+    elif case == "window_length":
+        bad = signals / "S0003_RESP.psgs"
+        write_signal_file(replace(read_signal_file(bad), sample_rate_hz=20.0), bad)
+        fragments = str(bad), "window of 600 samples does not match the model input length"
+    elif case == "no_files":
+        for path in signals.glob("*_RESP.psgs"):
+            path.unlink()
+        fragments = (f"no RESP segments found under {signals}",)
+    elif case == "short_recordings":
+        for path in signals.glob("*_RESP.psgs"):
+            r = read_signal_file(path)
+            write_signal_file(replace(r, samples=r.samples[:samples_per_window(r.sample_rate_hz) - 1]), path)
+        fragments = (f"no RESP segments found under {signals}",)
+    elif case == "vector_outcome":
+        vectors = tmp_path / "vectors"
+        vectors.mkdir()
+        blob = (chain["vectors"] / "vectors" / "vectors.csv").read_bytes()
+        (vectors / "vectors.csv").write_bytes(blob.replace(b"\nCVD,", b"\nStroke,"))
+        kind, fragments = "UnknownOutcomeError", ("manifest has no outcome 'Stroke'",)
+    else:
+        emb = tmp_path / "emb"
+        keys = [(sid, w) for sid in load_manifest(data / "manifest.csv").subject_ids for w in range(3)]
+        X = np.random.default_rng(3).standard_normal((len(keys), 4))
+        (emb / "RESP").mkdir(parents=True)
+        _write_embeddings_csv(emb / "RESP" / "embeddings.csv", *_key_arrays(keys), X.astype(np.float32), Modality.RESP)
+        fragments = ("RESP embeddings have dimension 4, vectors 8",)
+    if case in ("vector_outcome", "embedding_dim"):
+        argv = ("score", "--embeddings", emb, "--vectors", vectors)
+    else:
+        argv = ("embed", "--models", chain["models"])
+    rc = run_cli(*argv, "--out", tmp_path / "out", "--config", chain["ini"], "--data", data)
+    assert_one_line_data_error(rc, capsys.readouterr().err, *fragments, kind=kind)
+
+
 def _mutate_checkpoint(blob: bytes, kind: str, rng: random.Random) -> bytes:
     """One corruption of an f32 checkpoint (the layout in ``psgp.model``)."""
     b = bytearray(blob)
@@ -2235,14 +2283,14 @@ def test_chain_bytes_do_not_depend_on_threads(tmp_path, precision):
 
 # sha256 of each downstream output of ``test_downstream_bytes_are_pinned``,
 # as ``chain_digest`` hashes them; recorded before ``score_cohort``,
-# ``odds_ratio_report`` and ``build_report_card`` returned plain mappings and rows
+# ``odds_ratio_report`` and ``build_report_card`` returned plain mappings and
+# rows. ``or_report.csv`` is what ``fit --standardize`` wrote while per-SD
+# fits were an option.
 DOWNSTREAM_DIGEST = {
     "eval/grid.csv": "20565d402d5079d7e88cc5c926199d59601433004ff2de82d23e4949718c75f2",
     "eval/resolved_config_eval.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
-    "fit/or_report.csv": "8e58fb12dc17daf151e597572ab21f69f99b30c30c7f3ad95777d30c561b0e1d",
+    "fit/or_report.csv": "22ae6cfc1559ab91d491d7c89fde4c16e38e526425a3ff1c2d462e7be76247a3",
     "fit/resolved_config_fit.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
-    "fit_standardized/or_report.csv": "22ae6cfc1559ab91d491d7c89fde4c16e38e526425a3ff1c2d462e7be76247a3",
-    "fit_standardized/resolved_config_fit.txt": "e6a1f3f5c41a2b8deae7bf4db0db5e32d74208baae036dd52ea60b2a07feda05",
     "report/report_S004.csv": "03adf8b21b4325de643d547df92682e54906b2704bb9213fc7b97e6cda62b6c4",
     "report/report_S004.txt": "832cf302e5ed1e7e656672c0f4e0b7d8995d714540a55aa5ea3d0f0949d56836",
     "report/resolved_config_report.txt": "1574e27a6cbd0ad98f6fef560dae0000aaa88603b8c851dc077ce7b457ab41c4",
@@ -2254,15 +2302,14 @@ DOWNSTREAM_DIGEST = {
 }
 
 
-def test_downstream_bytes_are_pinned(tmp_path):
-    """vectors -> score -> fit (with and without --standardize) -> eval ->
-    report over seeded d = 8 tables of every modality: 30 subjects, two
-    outcomes named out of alphabetical order, each table's rows shuffled,
-    one manifest subject without rows in the ECG table and one table subject
-    outside the manifest. Every output keeps the bytes recorded above."""
+def downstream_inputs(root: Path) -> tuple[Path, Path]:
+    """A cohort directory and seeded d = 8 tables of every modality: 30
+    subjects, two outcomes named out of alphabetical order, each table's rows
+    shuffled, one manifest subject without rows in the ECG table and one
+    table subject outside the manifest. Returns (data, embeddings)."""
     lines = ["subject_id,age,sex,bmi,sbp,frs,HTN,CVD"]
     lines += [f"S{i:03d},{40 + i % 25},{i % 2},{21 + i % 11},,,{i // 3 % 2},{i * 7 % 5 // 3}" for i in range(30)]
-    data, emb = tmp_path / "data", tmp_path / "emb"
+    data, emb = root / "data", root / "emb"
     data.mkdir()
     (data / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     rng = np.random.default_rng(34)
@@ -2274,16 +2321,46 @@ def test_downstream_bytes_are_pinned(tmp_path):
         X = (X / np.linalg.norm(X, axis=1, keepdims=True)).astype(np.float32)
         (emb / modality.name).mkdir(parents=True)
         _write_embeddings_csv(emb / modality.name / "embeddings.csv", *_key_arrays(keys), X, modality)
+    return data, emb
+
+
+def test_downstream_bytes_are_pinned(tmp_path):
+    """vectors -> score -> fit -> eval -> report over ``downstream_inputs``.
+    Every output keeps the bytes recorded above."""
+    data, emb = downstream_inputs(tmp_path)
     out, scores = tmp_path / "out", tmp_path / "out" / "score" / "scores.csv"
     plan = [
         ("vectors", "--data", data, "--embeddings", emb),
         ("score", "--data", data, "--embeddings", emb, "--vectors", out / "vectors" / "vectors"),
         ("fit", "--data", data, "--scores", scores),
-        ("fit_standardized", "--data", data, "--scores", scores, "--standardize"),
         ("eval", "--data", data, "--scores", scores),
         ("report", "--data", data, "--scores", scores, "--subject", "S004", "--modality", "ECG"),
     ]
     for stage, *args in plan:
-        assert run_cli(stage.partition("_")[0], "--out", out / stage, "--seed", 5, *args) == 0
+        assert run_cli(stage, "--out", out / stage, "--seed", 5, *args) == 0
     digest = chain_digest(out)
     assert digest == DOWNSTREAM_DIGEST
+
+
+def test_snapshot_reproduces_each_downstream_stage(tmp_path):
+    """Each downstream stage, run with options off their defaults, then again
+    with ``--config`` its own snapshot and only its paths and ``--subject``:
+    the second run writes the bytes of the first, snapshot included. An
+    option that is not a RunConfig field would be lost on the second run."""
+    data, emb = downstream_inputs(tmp_path)
+    first, scores = tmp_path / "first", tmp_path / "first" / "score" / "scores.csv"
+    narrowed = ["--outcomes", "CVD", "--split-ratio", "0.6"]
+    plan = [
+        ("vectors", ["--data", data, "--embeddings", emb], ["--modality", "EEG,ECG", *narrowed]),
+        ("score", ["--data", data, "--embeddings", emb, "--vectors", first / "vectors" / "vectors"],
+         ["--modality", "EEG,ECG"]),
+        ("fit", ["--data", data, "--scores", scores], ["--modality", "ECG", *narrowed]),
+        ("eval", ["--data", data, "--scores", scores], narrowed),
+        ("report", ["--data", data, "--scores", scores, "--subject", "S004"], ["--modality", "ECG", *narrowed]),
+    ]
+    for stage, paths, options in plan:
+        assert run_cli(stage, "--out", first / stage, "--seed", 8, *paths, *options) == 0
+        snapshot = first / stage / f"resolved_config_{stage}.txt"
+        again = tmp_path / "again" / stage
+        assert run_cli(stage, "--out", again, "--config", snapshot, *paths) == 0
+        assert tree_bytes(again) == tree_bytes(first / stage), stage

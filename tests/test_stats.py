@@ -136,6 +136,34 @@ class TestFitLogistic:
         assert model.iterations == 17
         np.testing.assert_allclose(model.beta, [0.0, 93.35075101783124], rtol=1e-9, atol=1e-9)
 
+    def test_step_halving_keeps_the_likelihood_rising(self, monkeypatch):
+        """A separated 9 x 3 design (found by a seeded search) on which one
+        full Newton step would lower the log-likelihood, so IRLS halves it.
+        The log-likelihood after each step, read from the fit stopped there,
+        never falls, and the fit is flagged separated."""
+        X = np.array([
+            [0.57, -0.09, -0.69], [-0.49, 1.23, -1.02], [0.93, 0.05, -0.73],
+            [0.13, -0.03, -0.07], [-1.94, 0.09, -1.37], [-1.23, -0.47, -0.49],
+            [-0.46, 0.35, 0.98], [0.99, 1.23, -0.33], [0.2, -1.14, 1.06],
+        ])
+        y = np.array([0, 1, 1, 0, 1, 1, 0, 1, 0], dtype=float)
+        x, design = FeatureMatrix(("a", "b", "c"), X), np.column_stack([np.ones(9), X])
+        log_likelihood, calls = stats._log_likelihood, []
+        monkeypatch.setattr(stats, "_log_likelihood", lambda eta, y: calls.append(1) or log_likelihood(eta, y))
+        with pytest.warns(SeparationWarning):
+            model = fit_logistic(x, y)
+        assert model.separated
+        # unhalved, each step scores one candidate and then the accepted beta
+        assert len(calls) > 1 + 2 * model.iterations
+        lls = [log_likelihood(np.zeros(9), y)]
+        for steps in range(1, model.iterations + 1):
+            monkeypatch.setattr(stats, "_MAX_ITER", steps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SeparationWarning)
+                lls.append(log_likelihood(design @ fit_logistic(x, y).beta, y))
+        assert lls[-1] == log_likelihood(design @ model.beta, y)
+        assert all(later >= earlier for earlier, later in zip(lls, lls[1:]))
+
     def test_collinear_design_rejected(self):
         rng = np.random.default_rng(13)
         col = rng.standard_normal(20)
@@ -591,21 +619,6 @@ class TestEvaluateGrid:
         assert grid[("EEG-ECG", "CVD")] == "NA:collinear"
         assert isinstance(grid[("EEG", "CVD")], float)
 
-    def test_standardize_leaves_auc_unchanged(self, tmp_path):
-        """Standardizing features is an affine reparameterization, so the
-        fitted probabilities -- and hence every AUC -- are unchanged."""
-        manifest, labels = _manifest(tmp_path, n=50, seed=11)
-        train_scores = _scores_for(manifest, labels, seed=12)
-        test_scores = _scores_for(manifest, labels, seed=13)
-        split = split_cohort(manifest, ratio=0.6, seed=0)
-        scores = _by_side(train_scores, test_scores, split)
-        plain = evaluate_grid(scores, manifest, split)
-        scaled = evaluate_grid(scores, manifest, split, standardize=True)
-        for key, value in plain.items():
-            other = scaled[key]
-            if isinstance(value, float) and isinstance(other, float):
-                assert other == pytest.approx(value, abs=1e-6), key
-
     def test_unknown_outcome_rejected(self, tmp_path):
         manifest, labels = _manifest(tmp_path, n=10)
         split = split_cohort(manifest, ratio=0.5, seed=0)
@@ -727,8 +740,7 @@ class TestGridAndOrReportShareOneFit:
     """``evaluate_grid`` and ``odds_ratio_report`` fit on the same training
     subjects, and the OR report leaves out what the grid cannot fit."""
 
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_or_report_skips_the_cells_the_grid_marks_na(self, tmp_path, standardize):
+    def test_or_report_skips_the_cells_the_grid_marks_na(self, tmp_path):
         manifest, scores = _fixed_cohort()
         for row in manifest.rows.values():  # HTN is single-class everywhere
             row.outcomes["HTN"] = 0
@@ -736,8 +748,8 @@ class TestGridAndOrReportShareOneFit:
             k: 1.0 if k[2] is Modality.ECG else v for k, v in scores.items()
         }
         split = split_cohort(manifest, ratio=0.7, seed=2)
-        grid = evaluate_grid(scores, manifest, split, standardize=standardize)
-        rows = odds_ratio_report(scores, manifest, split, standardize=standardize)
+        grid = evaluate_grid(scores, manifest, split)
+        rows = odds_ratio_report(scores, manifest, split)
         assert grid[("EEG", "HTN")] == "NA:single_class_train"
         assert grid[("ECG", "CVD")] == "NA:collinear"
         fitted = {
@@ -749,9 +761,8 @@ class TestGridAndOrReportShareOneFit:
         assert fitted == {("CVD", Modality.EEG), ("CVD", Modality.RESP)}
         assert list(rows) == [("CVD", Modality.EEG), ("CVD", Modality.RESP)]
 
-    # Written by the code before the grid and the OR report shared a fit.
-    # Standardizing is an affine change of the features: it leaves every AUC
-    # and every Wald p as it is and moves only the ORs and their bounds.
+    # Written by the code before the grid and the OR report shared a fit, with
+    # features scaled to one training-side SD.
     GRID_CSV = (
         "predictor_set,CVD,HTN\n"
         "EEG,0.208,0.569\n"
@@ -766,32 +777,20 @@ class TestGridAndOrReportShareOneFit:
         "FRS Score Composite,0.805,0.889\n"
         "Composite,0.831,0.944\n"
     )
-    OR_CSV = {
-        False: (
-            "outcome,modality,OR,ci_low,ci_high,p,significant\n"
-            "CVD,EEG,0.5965,0.2697,1.3194,0.202062,0\n"
-            "CVD,ECG,2.0269,0.8987,4.5713,0.0886468,0\n"
-            "CVD,RESP,3.5603,1.3314,9.5208,0.0113976,1\n"
-            "HTN,EEG,0.8113,0.4184,1.5731,0.535881,0\n"
-            "HTN,ECG,1.0245,0.5273,1.9905,0.943089,0\n"
-            "HTN,RESP,8.7687,1.8772,40.9595,0.00576627,1\n"
-        ),
-        True: (
-            "outcome,modality,OR,ci_low,ci_high,p,significant\n"
-            "CVD,EEG,0.6040,0.2784,1.3105,0.202062,0\n"
-            "CVD,ECG,1.8173,0.9137,3.6145,0.0886468,0\n"
-            "CVD,RESP,3.5667,1.3319,9.5511,0.0113976,1\n"
-            "HTN,EEG,0.8160,0.4286,1.5535,0.535881,0\n"
-            "HTN,ECG,1.0233,0.5433,1.9276,0.943089,0\n"
-            "HTN,RESP,14.4483,2.1698,96.2072,0.00576627,1\n"
-        ),
-    }
+    OR_CSV = (
+        "outcome,modality,OR,ci_low,ci_high,p,significant\n"
+        "CVD,EEG,0.6040,0.2784,1.3105,0.202062,0\n"
+        "CVD,ECG,1.8173,0.9137,3.6145,0.0886468,0\n"
+        "CVD,RESP,3.5667,1.3319,9.5511,0.0113976,1\n"
+        "HTN,EEG,0.8160,0.4286,1.5535,0.535881,0\n"
+        "HTN,ECG,1.0233,0.5433,1.9276,0.943089,0\n"
+        "HTN,RESP,14.4483,2.1698,96.2072,0.00576627,1\n"
+    )
 
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_output_text_is_pinned(self, tmp_path, standardize):
+    def test_output_text_is_pinned(self, tmp_path):
         manifest, scores = _fixed_cohort()
         split = split_cohort(manifest, ratio=0.7, seed=2)
-        grid = evaluate_grid(scores, manifest, split, standardize=standardize)
-        rows = odds_ratio_report(scores, manifest, split, standardize=standardize)
+        grid = evaluate_grid(scores, manifest, split)
+        rows = odds_ratio_report(scores, manifest, split)
         assert _grid_text(grid, tmp_path) == self.GRID_CSV
-        assert _or_report_text(rows, tmp_path) == self.OR_CSV[standardize]
+        assert _or_report_text(rows, tmp_path) == self.OR_CSV

@@ -10,7 +10,7 @@ from psgp.errors import (
     DegenerateDirectionError,
     FormatError,
     InsufficientClassError,
-    UnknownOutcomeError,
+    ManifestError,
 )
 from psgp.signalio import Modality
 from psgp.vectors import (
@@ -222,9 +222,14 @@ class TestDeriveVectors:
         np.testing.assert_allclose(both["CVD", Modality.ECG].vector, [0.0, 1.0])
 
     def test_unknown_outcome(self, tmp_path):
+        """The manifest refuses the outcome before any table is read."""
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1"])
-        with pytest.raises(UnknownOutcomeError):
-            derive_vectors({}, manifest, ["A"], ["Stroke"])
+        def unread():
+            raise AssertionError("table read")
+            yield
+
+        with pytest.raises(ManifestError, match="no outcome column 'Stroke'"):
+            derive_vectors({Modality.EEG: unread()}, manifest, ["A"], ["Stroke"])
 
     def test_single_class_train_split(self, tmp_path):
         manifest = _manifest(tmp_path, ["A,60,1,25,,,1", "B,61,0,26,,,0"])
