@@ -147,13 +147,7 @@ def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
         mcfg = stages.models[modality]
         mod_dir = out / modality.name
         mod_dir.mkdir(parents=True, exist_ok=True)
-        params, _ = train(
-            X,
-            mcfg,
-            stages.ssl,
-            log_path=mod_dir / "train.log",
-            checkpoint_dir=mod_dir,
-        )
+        params, _ = train(X, mcfg, stages.ssl, mod_dir)
         save_checkpoint(params, mcfg, mod_dir / "checkpoint.psgm")
         print(f"trained {modality.name}: {X.shape[0]} segments -> {mod_dir / 'checkpoint.psgm'}")
     save_split(split, out / "split.csv")

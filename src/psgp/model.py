@@ -22,8 +22,10 @@ none of them again and the payload's length follows from the blob.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -347,43 +349,23 @@ def embed_segments(X: np.ndarray, params, config: ModelConfig, threads: int = 1)
 
 # --- checkpoint container ---------------------------------------------
 
-# (format, parse) of each ModelConfig field type in the config blob, keyed by
-# the annotation text (annotations are postponed in this module); the blob
-# lists the fields in declaration order
+# the text of each ModelConfig field type in the config blob, keyed by the
+# annotation text (annotations are postponed in this module); the blob lists
+# the fields in declaration order
 _BLOB_FORMS = {
-    "Modality": (lambda m: m.name, Modality.parse),
-    "int": (str, int),
-    "str": (str, str),
-    "tuple[int, ...]": (
-        lambda t: ",".join(str(v) for v in t),
-        lambda text: tuple(int(v) for v in text.split(",") if v),
-    ),
+    "Modality": lambda m: m.name,
+    "int": str,
+    "str": str,
+    "tuple[int, ...]": lambda t: ",".join(str(v) for v in t),
 }
+# a blob line an error message shows as written: visible ASCII, then its line end
+_PLAIN_LINE = re.compile(r"[!-~]+\n")
 
 
 def config_to_text(config: ModelConfig) -> str:
     return "".join(
-        f"{f.name}={_BLOB_FORMS[f.type][0](getattr(config, f.name))}\n" for f in fields(ModelConfig)
+        f"{f.name}={_BLOB_FORMS[f.type](getattr(config, f.name))}\n" for f in fields(ModelConfig)
     )
-
-
-def config_from_text(text: str) -> ModelConfig:
-    kv: dict[str, str] = {}
-    for line in text.splitlines():
-        if "=" not in line:
-            raise SchemaMismatchError(f"malformed config line {line!r}")
-        key, _, value = line.partition("=")
-        kv[key] = value
-    missing = [f.name for f in fields(ModelConfig) if f.name not in kv]
-    if missing:
-        raise SchemaMismatchError(f"checkpoint config missing keys {missing}")
-    try:
-        config = ModelConfig(**{f.name: _BLOB_FORMS[f.type][1](kv[f.name]) for f in fields(ModelConfig)})
-    except (ValueError, ConfigError) as exc:
-        raise SchemaMismatchError(f"invalid checkpoint config: {exc}") from exc
-    if config_to_text(config) != text:  # a repeated or unknown key, padding, a blank line
-        raise SchemaMismatchError("checkpoint config is not the text its values write")
-    return config
 
 
 def save_checkpoint(params: dict[str, np.ndarray], config: ModelConfig, path: Path | str) -> None:
@@ -402,24 +384,28 @@ def save_checkpoint(params: dict[str, np.ndarray], config: ModelConfig, path: Pa
 
 
 def load_checkpoint(
-    path: Path | str, expect_config: ModelConfig | None = None
+    path: Path | str, expect_config: ModelConfig
 ) -> tuple[dict[str, np.ndarray], ModelConfig]:
+    """The parameters of the checkpoint at ``path``, and ``expect_config``, the
+    one config it loads under: its blob must be the text that config writes,
+    else one SchemaMismatchError names the first differing line (both lines
+    quoted, line end and all, unless each is plain). Nothing parses the blob."""
     blob, payload = frame.read(path, CKPT_MAGIC, CKPT_VERSION)
-    try:
-        with utf8_text(path):
-            config = config_from_text(blob.decode("utf-8"))
-    except SchemaMismatchError as exc:
-        raise SchemaMismatchError(f"{path}: {exc}") from None
-    if expect_config is not None and config != expect_config:  # name the first differing field
-        lines = zip(config_to_text(config).splitlines(), config_to_text(expect_config).splitlines())
-        got, want = next((a, b) for a, b in lines if a != b)
-        raise SchemaMismatchError(f"{path}: checkpoint has {got}, expected {want}")
-    schema = parameter_schema(config)
+    with utf8_text(path):
+        text = blob.decode("utf-8")
+    want = config_to_text(expect_config)
+    if text != want:  # a line one side lacks reads as "", which differs from every line
+        pairs = zip_longest(text.splitlines(keepends=True), want.splitlines(keepends=True), fillvalue="")
+        got, expected = next((a, b) for a, b in pairs if a != b)
+        if not (_PLAIN_LINE.fullmatch(got) and _PLAIN_LINE.fullmatch(expected)):
+            got, expected = repr(got), repr(expected)
+        raise SchemaMismatchError(f"{path}: checkpoint has {got.rstrip()}, expected {expected.rstrip()}")
+    schema = parameter_schema(expect_config)
     sizes = [math.prod(shape) for _, shape, _ in schema]
-    wire = np.dtype(config.np_dtype).newbyteorder("<")
+    wire = np.dtype(expect_config.np_dtype).newbyteorder("<")
     if len(payload) != sum(sizes) * wire.itemsize:
         raise FormatError(f"{path}: {len(payload)} bytes of parameters, {sum(sizes)} values in its config")
-    flat = np.frombuffer(payload, dtype=wire).astype(config.np_dtype)
+    flat = np.frombuffer(payload, dtype=wire).astype(expect_config.np_dtype)
     params = {
         name: part.reshape(shape)
         for (name, shape, _), part in zip(schema, np.split(flat, np.cumsum(sizes)[:-1]))
@@ -427,4 +413,4 @@ def load_checkpoint(
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise NumericError(f"{path}: tensor {name!r} contains non-finite values")
-    return params, config
+    return params, expect_config

@@ -334,11 +334,7 @@ class _Adam:
 
 
 def train(
-    segments,
-    config: ModelConfig,
-    ssl_config: SslConfig,
-    log_path: Path | str | None = None,
-    checkpoint_dir: Path | str | None = None,
+    segments, config: ModelConfig, ssl_config: SslConfig, out_dir: Path | str
 ) -> tuple[dict[str, np.ndarray], list[LossReport]]:
     """Seeded end-to-end pretraining loop over (N, input_len) segments.
 
@@ -351,12 +347,13 @@ def train(
     Everything random derives from ssl_config.seed through named SeedSequence
     children (init / batch order / per-step masks), so two runs with the same
     inputs agree bit-for-bit; BLAS runs at one thread throughout, so they
-    agree whatever the environment's BLAS thread count. A non-finite loss,
-    gradient or parameter update, or a NumericError raised inside a step (non-finite
-    activations, a coding-rate matrix that is not positive definite), aborts
-    with the step number, keeping the parameters from before the bad step;
-    when checkpoint_dir is given they are saved there and the error names
-    the file.
+    agree whatever the environment's BLAS thread count. Each step's loss
+    terms and wall-clock time go to ``train.log`` in the existing directory
+    ``out_dir``. A non-finite loss, gradient or parameter update, or a
+    NumericError raised inside a step (non-finite activations, a coding-rate
+    matrix that is not positive definite), aborts with the step number,
+    keeping the parameters from before the bad step: they are saved to
+    ``checkpoint_lastgood.psgm`` in ``out_dir`` and the error names the file.
     """
     X = segments
     if len(X.shape) != 2 or X.shape[1] != config.input_len:
@@ -375,45 +372,39 @@ def train(
     order = order_rng.permutation(X.shape[0])
     cursor = 0
     reports: list[LossReport] = []
-    log_fh = Path(log_path).open("w", encoding="utf-8") if log_path else None
-    if log_fh:
-        log_fh.write("step,similarity,tcr,total,wallclock_ms\n")
+    out_dir = Path(out_dir)
     mdl.keep_freed_arrays_in_heap()
-    try:
-        with ad.single_blas_thread(), np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
-            for step in range(1, ssl_config.steps + 1):
-                if cursor + batch_size > X.shape[0]:
-                    order = order_rng.permutation(X.shape[0])
-                    cursor = 0
-                batch = np.asarray(X[np.sort(order[cursor:cursor + batch_size])], dtype=config.np_dtype)
-                cursor += batch_size
-                step_seed = int(mask_rng.integers(0, 2**63))
-                t0 = time.perf_counter()
-                try:
-                    loss, report = total_loss_graph(batch, params_t, config, ssl_config, step_seed)
-                    if not np.isfinite(report.total):
-                        raise NumericError("non-finite loss")
-                    zero_grads(params_t)
-                    backward(loss)
-                    opt.gather(params_t)
-                    opt.step()
-                except NumericError as exc:
-                    # the optimizer has not written params_t, so it holds the pre-step values
-                    where = ""
-                    if checkpoint_dir is not None:
-                        path = Path(checkpoint_dir) / "checkpoint_lastgood.psgm"
-                        mdl.save_checkpoint({k: t.data for k, t in params_t.items()}, config, path)
-                        where = f"; last good parameters saved to {path}"
-                    raise NumericError(f"{exc} at step {step}{where}") from exc
-                report = replace(report, step=step)
-                reports.append(report)
-                if log_fh:
-                    ms = (time.perf_counter() - t0) * 1000.0
-                    log_fh.write(
-                        f"{step},{report.similarity_term:.6f},{report.tcr_term:.6f},"
-                        f"{report.total:.6f},{ms:.1f}\n"
-                    )
-    finally:
-        if log_fh:
-            log_fh.close()
+    with (
+        (out_dir / "train.log").open("w", encoding="utf-8") as log,
+        ad.single_blas_thread(),
+        np.errstate(over="ignore", invalid="ignore"),  # refused, not warned
+    ):
+        log.write("step,similarity,tcr,total,wallclock_ms\n")
+        for step in range(1, ssl_config.steps + 1):
+            if cursor + batch_size > X.shape[0]:
+                order = order_rng.permutation(X.shape[0])
+                cursor = 0
+            batch = np.asarray(X[np.sort(order[cursor:cursor + batch_size])], dtype=config.np_dtype)
+            cursor += batch_size
+            step_seed = int(mask_rng.integers(0, 2**63))
+            t0 = time.perf_counter()
+            try:
+                loss, report = total_loss_graph(batch, params_t, config, ssl_config, step_seed)
+                if not np.isfinite(report.total):
+                    raise NumericError("non-finite loss")
+                zero_grads(params_t)
+                backward(loss)
+                opt.gather(params_t)
+                opt.step()
+            except NumericError as exc:
+                # the optimizer has not written params_t, so it holds the pre-step values
+                path = out_dir / "checkpoint_lastgood.psgm"
+                mdl.save_checkpoint({k: t.data for k, t in params_t.items()}, config, path)
+                raise NumericError(f"{exc} at step {step}; last good parameters saved to {path}") from exc
+            report = replace(report, step=step)
+            reports.append(report)
+            ms = (time.perf_counter() - t0) * 1000.0
+            log.write(
+                f"{step},{report.similarity_term:.6f},{report.tcr_term:.6f},{report.total:.6f},{ms:.1f}\n"
+            )
     return {k: t.data for k, t in params_t.items()}, reports

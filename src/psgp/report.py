@@ -47,7 +47,10 @@ def build_report_card(
                 f"outcome {outcome!r} has no positive reference subjects"
             )
         current = float(current_scores[outcome])
-        mean = float(positives.mean())
+        with np.errstate(over="ignore"):  # a sum past the float64 range is refused just below
+            mean = float(positives.mean())
+        if not np.isfinite(mean):
+            raise DataError(f"outcome {outcome!r}: the mean score of its positive references is not finite")
         percentile = 100.0 * float((positives <= current).sum()) / positives.size
         status = STATUS_ABOVE if current > mean else STATUS_BELOW
         rows.append(ReportRow(outcome, current, mean, percentile, status))

@@ -407,10 +407,14 @@ def _fit_on_train(
             return f"NA:single_class_{name}"
         sides.append((x, y))
     train = sides[0][0].values
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    sides = [(FeatureMatrix(x.feature_names, (x.values - mean) / std, x.subject_ids), y) for x, y in sides]
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused just below
+        mean, std = train.mean(axis=0), train.std(axis=0)  # the SD is not finite when the mean is not
+        scaled = [(x.values - mean) / np.where(std < 1e-12, 1.0, std) for x, _ in sides]
+    finite = np.isfinite(std) & np.logical_and.reduce([np.isfinite(v).all(axis=0) for v in scaled])
+    if not finite.all():
+        column = sides[0][0].feature_names[np.argmin(finite)]
+        raise DataError(f"{outcome}: feature {column!r} overflows when scaled by the training mean and SD")
+    sides = [(FeatureMatrix(x.feature_names, v, x.subject_ids), y) for (x, y), v in zip(sides, scaled)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SeparationWarning)
         try:

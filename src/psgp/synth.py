@@ -25,6 +25,11 @@ from .errors import ConfigError, DataError
 from .signalio import Modality, Recording, round_half_up, samples_per_window, write_signal_file
 from .tables import write_table
 
+# a sample is sines of amplitude <= 1, noise_sigma x a standard normal draw and
+# effect x noise_sigma x a unit-RMS template: a scale noise_sigma x max(1, effect)
+# of at most 1e30 keeps it about seven orders of magnitude inside float32's 3.4e38
+_MAX_SAMPLE_SCALE = 1e30
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -58,6 +63,12 @@ class SynthConfig:
                 raise ConfigError("effect sizes must be non-negative")
         if self.noise_sigma <= 0:
             raise ConfigError("noise_sigma must be positive")
+        scale = self.noise_sigma * max([1.0, *self.effects.values()])
+        if scale > _MAX_SAMPLE_SCALE:
+            raise ConfigError(
+                f"noise_sigma x max(1, largest effect size) is {scale:g}, above {_MAX_SAMPLE_SCALE:g}: "
+                "float32 signal files cannot hold such samples"
+            )
         if not (0.0 < self.affected_fraction <= 1.0):
             raise ConfigError("affected_fraction must lie in (0, 1]")
 

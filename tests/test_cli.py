@@ -490,6 +490,11 @@ def corrupt_cell(src: Path, dst: Path, line: int, column: int, value: str | list
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def model_config(ini: Path, modality: Modality) -> mdl.ModelConfig:
+    """The model config a run of ``ini`` trains for ``modality``."""
+    return stage_configs(replace(load_run_config(ini), modalities=(modality,))).models[modality]
+
+
 def assert_one_line_data_error(rc: int, err: str, *fragments: str, kind: str = "FormatError", code: int = 3) -> None:
     assert rc == code
     assert "Traceback" not in err
@@ -1601,14 +1606,17 @@ def test_non_utf8_byte_is_one_error_line(chain, tmp_path, capsys, target):
     assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), "not UTF-8", kind=kind, code=code)
 
 
-@pytest.mark.parametrize("corruption", ["config_length", "config_utf8", "config", "nan"])
+@pytest.mark.parametrize(
+    "corruption", ["config_length", "config_utf8", "config", "config_crlf", "config_trailing_byte", "nan"]
+)
 def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruption):
     """A config length past the end of the file is a truncated payload; a
     config blob that is not UTF-8 must not escape as a decode error; a config
-    blob with a key the model does not have is refused; a NaN in the
-    parameters is a numeric error naming its tensor. The last three are
-    written inside a valid frame, so they reach the checks of the config and
-    the parameters."""
+    blob that is not the run's config text (a key the model does not have,
+    CRLF line ends, one trailing byte) is refused naming its first differing
+    line; a NaN in the parameters is a numeric error naming its tensor. All
+    but the first are written inside a valid frame, so they reach the checks
+    of the config and the parameters."""
     bad = tmp_path / "models" / "RESP" / "checkpoint.psgm"
     bad.parent.mkdir(parents=True)
     bad.write_bytes((chain["models"] / "RESP" / "checkpoint.psgm").read_bytes())
@@ -1623,7 +1631,14 @@ def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruptio
         kind, fragment = "FormatError", "not UTF-8"
     elif corruption == "config":
         reframe(bad, lambda blob, _: blob.extend(b"stem_kernels=3,3\n"))
-        kind, fragment = "SchemaMismatchError", "not the text its values write"
+        kind, fragment = "SchemaMismatchError", "checkpoint has 'stem_kernels=3,3\\n', expected ''"
+    elif corruption == "config_crlf":
+        reframe(bad, lambda blob, _: blob.__setitem__(slice(None), blob.replace(b"\n", b"\r\n")))
+        kind = "SchemaMismatchError"
+        fragment = "checkpoint has 'modality=RESP\\r\\n', expected 'modality=RESP\\n'"
+    elif corruption == "config_trailing_byte":
+        reframe(bad, lambda blob, _: blob.append(ord("x")))
+        kind, fragment = "SchemaMismatchError", "checkpoint has 'x', expected ''"
     else:  # the last value of the last tensor (RESP is trained in f32)
         reframe(bad, lambda _, params: struct.pack_into("<f", params, len(params) - 4, np.nan))
         kind, fragment, code = "NumericError", "tensor 'dec.ln_f.b' contains non-finite values", 4
@@ -1632,6 +1647,71 @@ def test_corrupt_checkpoint_is_one_error_line(chain, tmp_path, capsys, corruptio
         "--models", tmp_path / "models",
     )
     assert_one_line_data_error(rc, capsys.readouterr().err, str(bad), fragment, kind=kind, code=code)
+
+
+def _with_column(src: Path, dst: Path, column: str, every: int) -> None:
+    """A copy of the table ``src`` whose ``column`` reads 1e308 on every
+    ``every``-th row."""
+    header, *rows = src.read_text(encoding="utf-8").splitlines()
+    at = header.split(",").index(column)
+    for i in range(0, len(rows), every):
+        cells = rows[i].split(",")
+        cells[at] = "1e308"
+        rows[i] = ",".join(cells)
+    dst.write_text("".join(line + "\n" for line in (header, *rows)), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "synth-noise_1e39", "synth-noise_1e308", "synth-effect_1e300",
+        "fit-manifest", "eval-manifest", "fit-scores", "eval-scores", "report-scores",
+    ],
+)
+def test_values_past_the_float_range_are_one_error_line(chain, tmp_path, capsys, case):
+    """A noise or effect size whose samples float32 cannot hold is refused
+    before synth writes anything (exit 2). A manifest age of 1e308 on every
+    other subject, or scores of 1e308, overflow the training side's scaling
+    of ``fit`` and ``eval`` (exit 3, naming the outcome and the column) and
+    the positive mean of ``report`` (exit 3, naming the outcome). Each is
+    one error line, and no numpy warning comes before it."""
+    command, source = case.split("-")
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "synth":
+        flag = {
+            "noise_1e39": ("--noise-sigma", "1e39"),
+            "noise_1e308": ("--noise-sigma", "1e308"),
+            "effect_1e300": ("--effect", "CVD:ECG=1e300"),
+        }[source]
+        argv = ("--subjects", 4, "--segments", 1, "--prevalence", "CVD=0.5", *flag)
+        kind, code, fragments = "ConfigError", 2, ("float32 signal files cannot hold such samples",)
+    else:
+        data, scores = chain["data"], chain["scores"] / "scores.csv"
+        if source == "manifest":
+            data = tmp_path / "data"
+            data.mkdir()
+            _with_column(chain["data"] / "manifest.csv", data / "manifest.csv", "age", every=2)
+            column = "age"
+        else:
+            scores = tmp_path / "scores.csv"
+            _with_column(chain["scores"] / "scores.csv", scores, "score", every=1)
+            column = "score_RESP"
+        argv = ("--config", chain["ini"], "--data", data, "--scores", scores, "--seed", 5)
+        if command == "report":
+            argv += ("--subject", "S0001", "--modality", "RESP")
+            fragments = ("outcome 'CVD': the mean score of its positive references is not finite",)
+        else:
+            fragments = (f"CVD: feature '{column}' overflows when scaled by the training mean and SD",)
+        kind, code = "DataError", 3
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(command, "--out", out, *argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert_one_line_data_error(rc, capsys.readouterr().err, *fragments, kind=kind, code=code)
+    if command == "synth":
+        assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -1958,8 +2038,7 @@ def test_embed_threads_reach_the_pool_and_leave_training_usable(tmp_path):
         "--prevalence", "CVD=0.5",
     ) == 0
     assert run_cli("train", "--out", models, "--config", ini, "--data", data, "--seed", 3) == 0
-    _, mcfg = mdl.load_checkpoint(models / "ECG" / "checkpoint.psgm")
-    _, tile = mdl.embed_tiles(mcfg)
+    _, tile = mdl.embed_tiles(model_config(ini, Modality.ECG))
     tables = {}
     for threads in (1, 2):
         out = tmp_path / f"emb{threads}"
@@ -2001,7 +2080,8 @@ def test_overflowing_update_fails_its_step_and_keeps_the_initial_parameters(tmp_
     assert_one_line_data_error(
         rc, err, "non-finite parameter update at step 1;", str(lastgood), kind="NumericError", code=4
     )
-    params, mcfg = mdl.load_checkpoint(lastgood)
+    mcfg = model_config(ini, Modality.RESP)
+    params, _ = mdl.load_checkpoint(lastgood, mcfg)
     s_init = np.random.SeedSequence(2).spawn(3)[0]
     for name, want in mdl.init_parameters(mcfg, s_init).items():
         np.testing.assert_array_equal(params[name], want, err_msg=name)
@@ -2136,7 +2216,8 @@ def test_paper_ini_trains_at_paper_width(tmp_path, capsys):
     capsys.readouterr()
     blob = (tmp_path / "models" / "RESP" / "checkpoint.psgm").read_bytes()
     assert b"\nembed_dim=256\n" in blob
-    _, cfg = mdl.load_checkpoint(tmp_path / "models" / "RESP" / "checkpoint.psgm")
+    cfg = model_config(paper_ini, Modality.RESP)
+    mdl.load_checkpoint(tmp_path / "models" / "RESP" / "checkpoint.psgm", cfg)
     assert (cfg.embed_dim, cfg.encoder_depth, cfg.decoder_depth) == (256, 4, 2)
 
 

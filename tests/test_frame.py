@@ -23,15 +23,17 @@ def _signal_file(path: Path) -> None:
     write_signal_file(Recording("S0001", Modality.RESP, 10.0, rng.standard_normal(20).astype(np.float32)), path)
 
 
+CKPT_CONFIG = tiny_config(precision="f32")
+
+
 def _checkpoint(path: Path) -> None:
-    cfg = tiny_config(precision="f32")
-    save_checkpoint(init_parameters(cfg, seed=11), cfg, path)
+    save_checkpoint(init_parameters(CKPT_CONFIG, seed=11), CKPT_CONFIG, path)
 
 
 # each format: its writer, its reader, its version and the older versions it refuses
 FORMATS = {
     "signal": (_signal_file, read_signal_file, FORMAT_VERSION, (1,)),
-    "checkpoint": (_checkpoint, load_checkpoint, CKPT_VERSION, (1, 2, 3)),
+    "checkpoint": (_checkpoint, lambda path: load_checkpoint(path, CKPT_CONFIG), CKPT_VERSION, (1, 2, 3)),
 }
 
 

@@ -4,6 +4,7 @@ import re
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from psgp.autodiff import Tensor, no_grad
 from psgp.errors import ConfigError, DataError, FormatError, NumericError, SchemaMismatchError
 from psgp.model import (
     ModelConfig,
-    config_from_text,
     config_to_text,
     default_model_config,
     embed_segments,
@@ -416,7 +416,7 @@ class TestCheckpointFormat:
 
     def test_round_trip_exact(self, tmp_path):
         params, cfg, path = self._saved(tmp_path)
-        loaded, loaded_cfg = load_checkpoint(path)
+        loaded, loaded_cfg = load_checkpoint(path, cfg)
         assert loaded_cfg == cfg
         assert list(loaded) == list(params)
         for name in params:
@@ -425,7 +425,7 @@ class TestCheckpointFormat:
 
     def test_round_trip_f32(self, tmp_path):
         params, cfg, path = self._saved(tmp_path, cfg=tiny_config(precision="f32"))
-        loaded, _ = load_checkpoint(path)
+        loaded, _ = load_checkpoint(path, cfg)
         for name in params:
             assert loaded[name].dtype == np.float32
             np.testing.assert_array_equal(loaded[name], params[name])
@@ -455,7 +455,7 @@ class TestCheckpointFormat:
         reframe(path, lambda blob, payload: payload.__delitem__(slice(-8, None)))
         message = f"{path}: {8 * values - 8} bytes of parameters, {values} values in its config"
         with pytest.raises(FormatError, match=re.escape(message)):
-            load_checkpoint(path)
+            load_checkpoint(path, cfg)
 
     def test_expect_config_mismatch(self, tmp_path):
         """The error names the first field that differs, with both values."""
@@ -463,6 +463,30 @@ class TestCheckpointFormat:
         other = tiny_config(embed_dim=16, n_heads=4)
         with pytest.raises(SchemaMismatchError, match="checkpoint has embed_dim=8, expected embed_dim=16$"):
             load_checkpoint(path, expect_config=other)
+
+    @pytest.mark.parametrize(
+        "field,value,line",
+        [
+            ("modality", Modality.ECG, "modality=ECG"),
+            ("input_len", 80, "input_len=80"),
+            ("embed_dim", 16, "embed_dim=16"),
+            ("encoder_depth", 3, "encoder_depth=3"),
+            ("decoder_depth", 2, "decoder_depth=2"),
+            ("n_heads", 4, "n_heads=4"),
+            ("ffn_mult", 4, "ffn_mult=4"),
+            ("stem_strides", (4, 5), "stem_strides=4,5"),
+            ("precision", "f32", "precision=f32"),
+        ],
+    )
+    def test_a_changed_field_is_refused(self, tmp_path, field, value, line):
+        """Each ModelConfig field: a checkpoint does not load under a config
+        that differs in it alone, and the error names that field's line."""
+        _, cfg, path = self._saved(tmp_path, cfg=tiny_config(encoder_depth=2))
+        other = replace(cfg, **{field: value})
+        written = next(w for w in config_to_text(cfg).splitlines() if w.startswith(f"{field}="))
+        with pytest.raises(SchemaMismatchError) as caught:
+            load_checkpoint(path, other)
+        assert str(caught.value) == f"{path}: checkpoint has {written}, expected {line}"
 
     def test_missing_tensor_rejected(self, tmp_path):
         cfg = tiny_config()
@@ -488,9 +512,12 @@ class TestCheckpointFormat:
             save_checkpoint(params, cfg, tmp_path / "x.psgm")
         assert not (tmp_path / "x.psgm").exists()
 
-    def test_config_text_round_trip(self):
-        cfg = tiny_config(stem_strides=(4, 5))
-        assert config_from_text(config_to_text(cfg)) == cfg
+    def test_config_text_round_trip(self, tmp_path):
+        """The blob of a config loads under another config of equal values."""
+        params, cfg, path = self._saved(tmp_path, cfg=tiny_config(stem_strides=(4, 5)))
+        loaded, loaded_cfg = load_checkpoint(path, tiny_config(stem_strides=[4, 5]))
+        assert loaded_cfg == cfg
+        assert {k: v.tobytes() for k, v in loaded.items()} == {k: v.tobytes() for k, v in params.items()}
 
     def test_config_text_is_the_field_list_in_order(self):
         """The config blob byte for byte: one key=value line per ModelConfig
@@ -501,22 +528,61 @@ class TestCheckpointFormat:
             "n_heads=2\nffn_mult=2\nstem_strides=2,5\nprecision=f64\n"
         )
 
-    def test_config_text_missing_key(self):
-        text = config_to_text(tiny_config()).replace("n_heads=2\n", "")
-        with pytest.raises(SchemaMismatchError):
-            config_from_text(text)
+    def _refused(self, tmp_path, edit) -> str:
+        """The one error of loading, under its own config, a checkpoint whose
+        blob ``edit`` rewrote (frame lengths and crc written anew)."""
+        _, cfg, path = self._saved(tmp_path)
+        reframe(path, lambda blob, payload: blob.__setitem__(slice(None), edit(bytes(blob))))
+        with pytest.raises(SchemaMismatchError) as caught:
+            load_checkpoint(path, cfg)
+        assert type(caught.value) is SchemaMismatchError and caught.value.exit_code == 3
+        message = str(caught.value)
+        assert message.startswith(f"{path}: checkpoint has ") and len(message.splitlines()) == 1
+        return message.removeprefix(f"{path}: ")
+
+    def test_config_text_missing_key(self, tmp_path):
+        message = self._refused(tmp_path, lambda blob: blob.replace(b"n_heads=2\n", b""))
+        assert message == "checkpoint has ffn_mult=2, expected n_heads=2"
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,message",
         [
-            lambda text: text + "n_heads=4\n",  # a repeated key; the last one would win
-            lambda text: text + "stem_kernels=3,3\n",  # a knob the model no longer has
-            lambda text: text.replace("n_heads=2\n", "n_heads=2 \n"),  # a padded value
-            lambda text: text.replace("n_heads=2\n", "n_heads=2\n\n"),  # a blank line
-            lambda text: text.replace("n_heads=2\n", "n_heads=0\n"),  # no head to divide embed_dim by
+            # a repeated key; the last one would win
+            (lambda blob: blob + b"n_heads=4\n", "checkpoint has 'n_heads=4\\n', expected ''"),
+            # a knob the model no longer has
+            (lambda blob: blob + b"stem_kernels=3,3\n", "checkpoint has 'stem_kernels=3,3\\n', expected ''"),
+            # a padded value
+            (
+                lambda blob: blob.replace(b"n_heads=2\n", b"n_heads=2 \n"),
+                "checkpoint has 'n_heads=2 \\n', expected 'n_heads=2\\n'",
+            ),
+            # a blank line
+            (
+                lambda blob: blob.replace(b"n_heads=2\n", b"n_heads=2\n\n"),
+                "checkpoint has '\\n', expected 'ffn_mult=2\\n'",
+            ),
+            # no head to divide embed_dim by
+            (
+                lambda blob: blob.replace(b"n_heads=2\n", b"n_heads=0\n"),
+                "checkpoint has n_heads=0, expected n_heads=2",
+            ),
+            # CRLF line ends
+            (
+                lambda blob: blob.replace(b"\n", b"\r\n"),
+                "checkpoint has 'modality=EEG\\r\\n', expected 'modality=EEG\\n'",
+            ),
+            # one trailing byte
+            (lambda blob: blob + b"x", "checkpoint has 'x', expected ''"),
+            # the last line end cut
+            (lambda blob: blob[:-1], "checkpoint has 'precision=f64', expected 'precision=f64\\n'"),
         ],
-        ids=["repeated_key", "unknown_key", "padded_line", "blank_line", "zero_heads"],
+        ids=[
+            "repeated_key", "unknown_key", "padded_line", "blank_line", "zero_heads",
+            "crlf", "trailing_byte", "cut_line_end",
+        ],
     )
-    def test_config_text_must_be_what_its_values_write(self, edit):
-        with pytest.raises(SchemaMismatchError):
-            config_from_text(edit(config_to_text(tiny_config())))
+    def test_config_text_must_be_what_its_values_write(self, tmp_path, edit, message):
+        """Any blob but the exact text of the expected config is refused,
+        naming the first differing line: as written when both are plain
+        lines, else both quoted with their line ends."""
+        assert self._refused(tmp_path, edit) == message

@@ -493,42 +493,41 @@ class TestTrain:
         base = np.stack([np.sin(2 * np.pi * (2 + k % 3) * t) for k in range(n)])
         return base + 0.3 * rng.standard_normal((n, 40))
 
-    def test_loss_decreases(self):
+    def test_loss_decreases(self, tmp_path):
         cfg = tiny_config()
         ssl = tiny_ssl(steps=40, learning_rate=3e-3, batch_size=8)
-        _, reports = train(self._segments(), cfg, ssl)
+        _, reports = train(self._segments(), cfg, ssl, tmp_path)
         first = np.mean([r.total for r in reports[:5]])
         last = np.mean([r.total for r in reports[-5:]])
         assert last < first
 
-    def test_bitwise_determinism(self):
+    def test_bitwise_determinism(self, tmp_path):
         cfg = tiny_config()
         ssl = tiny_ssl(steps=6)
-        params_a, reports_a = train(self._segments(), cfg, ssl)
-        params_b, reports_b = train(self._segments(), cfg, ssl)
+        params_a, reports_a = train(self._segments(), cfg, ssl, tmp_path)
+        params_b, reports_b = train(self._segments(), cfg, ssl, tmp_path)
         assert reports_a == reports_b
         for name in params_a:
             np.testing.assert_array_equal(params_a[name], params_b[name])
 
-    def test_seed_changes_run(self):
+    def test_seed_changes_run(self, tmp_path):
         cfg = tiny_config()
-        a, _ = train(self._segments(), cfg, tiny_ssl(steps=3, seed=0))
-        b, _ = train(self._segments(), cfg, tiny_ssl(steps=3, seed=1))
+        a, _ = train(self._segments(), cfg, tiny_ssl(steps=3, seed=0), tmp_path)
+        b, _ = train(self._segments(), cfg, tiny_ssl(steps=3, seed=1), tmp_path)
         assert np.abs(a["enc.0.attn.wq"] - b["enc.0.attn.wq"]).max() > 0
 
-    def test_zero_steps_returns_init(self):
+    def test_zero_steps_returns_init(self, tmp_path):
         cfg = tiny_config()
-        params, reports = train(self._segments(), cfg, tiny_ssl(steps=0))
+        params, reports = train(self._segments(), cfg, tiny_ssl(steps=0), tmp_path)
         assert reports == []
-        again, _ = train(self._segments(), cfg, tiny_ssl(steps=0))
+        again, _ = train(self._segments(), cfg, tiny_ssl(steps=0), tmp_path)
         for name in params:
             np.testing.assert_array_equal(params[name], again[name])
 
     def test_log_file_format(self, tmp_path):
         cfg = tiny_config()
-        log = tmp_path / "train.log"
-        _, reports = train(self._segments(), cfg, tiny_ssl(steps=4), log_path=log)
-        lines = log.read_text().splitlines()
+        _, reports = train(self._segments(), cfg, tiny_ssl(steps=4), tmp_path)
+        lines = (tmp_path / "train.log").read_text().splitlines()
         assert lines[0] == "step,similarity,tcr,total,wallclock_ms"
         assert len(lines) == 1 + 4
         first = lines[1].split(",")
@@ -549,11 +548,10 @@ class TestTrain:
 
         monkeypatch.setattr(pretrain, "total_loss_graph", exploding)
         with pytest.raises(NumericError, match="step 3"):
-            train(self._segments(), cfg, tiny_ssl(steps=10), checkpoint_dir=tmp_path)
+            train(self._segments(), cfg, tiny_ssl(steps=10), tmp_path)
         saved = tmp_path / "checkpoint_lastgood.psgm"
         assert saved.exists()
-        loaded, loaded_cfg = load_checkpoint(saved)
-        assert loaded_cfg == cfg
+        loaded, _ = load_checkpoint(saved, cfg)
         assert set(loaded) == {name for name, _, _ in parameter_schema(cfg)}
 
     def test_divergence_inside_a_step_saves_last_good(self, tmp_path):
@@ -563,16 +561,15 @@ class TestTrain:
         cfg = tiny_config(precision="f32")
         ssl = tiny_ssl(steps=20, learning_rate=1e6)
         with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
-            train(self._segments(), cfg, ssl, checkpoint_dir=tmp_path)
+            train(self._segments(), cfg, ssl, tmp_path)
         message = str(info.value)
         assert "non-finite activations" in message
         step = int(re.search(r"at step (\d+);", message).group(1))
         assert step > 1
         saved = tmp_path / "checkpoint_lastgood.psgm"
         assert str(saved) in message
-        loaded, loaded_cfg = load_checkpoint(saved)
-        assert loaded_cfg == cfg
-        before, _ = train(self._segments(), cfg, replace(ssl, steps=step - 1))
+        loaded, _ = load_checkpoint(saved, cfg)
+        before, _ = train(self._segments(), cfg, replace(ssl, steps=step - 1), tmp_path)
         for name, arr in before.items():
             np.testing.assert_array_equal(loaded[name], arr)
 
@@ -597,24 +594,24 @@ class TestTrain:
         monkeypatch.setattr(pretrain, "total_loss_graph", capturing)
         monkeypatch.setattr(pretrain, "backward", poisoned)
         with pytest.raises(NumericError) as info:
-            train(self._segments(), cfg, tiny_ssl(steps=5), checkpoint_dir=tmp_path)
+            train(self._segments(), cfg, tiny_ssl(steps=5), tmp_path)
         message = str(info.value)
         assert "non-finite gradient for 'stem.0.conv.w' at step 2;" in message
         saved = tmp_path / "checkpoint_lastgood.psgm"
         assert str(saved) in message
-        loaded, _ = load_checkpoint(saved)
+        loaded, _ = load_checkpoint(saved, cfg)
         monkeypatch.undo()
-        before, _ = train(self._segments(), cfg, tiny_ssl(steps=1))
+        before, _ = train(self._segments(), cfg, tiny_ssl(steps=1), tmp_path)
         for name, arr in before.items():
             np.testing.assert_array_equal(loaded[name], arr)
 
-    def test_too_few_segments(self):
+    def test_too_few_segments(self, tmp_path):
         cfg = tiny_config()
         with pytest.raises(DataError):
-            train(self._segments(n=1), cfg, tiny_ssl())
+            train(self._segments(n=1), cfg, tiny_ssl(), tmp_path)
 
 
-def test_two_threads_train_at_once_with_serial_bytes():
+def test_two_threads_train_at_once_with_serial_bytes(tmp_path):
     """Grad mode is per thread: ECG and RESP encoders trained on two threads
     at once, switching often, each get the parameter bytes of a serial run.
     The BLAS pin is process-wide, so it is taken once, around both."""
@@ -625,12 +622,13 @@ def test_two_threads_train_at_once_with_serial_bytes():
             modality, embed_dim=16, encoder_depth=1, decoder_depth=1, n_heads=2, ffn_mult=4, precision="f32"
         )
         runs[modality] = (np.random.default_rng(modality.value).standard_normal((12, cfg.input_len)), cfg)
-    serial = {m: train(X, cfg, ssl)[0] for m, (X, cfg) in runs.items()}
+        (tmp_path / modality.name).mkdir()
+    serial = {m: train(X, cfg, ssl, tmp_path / m.name)[0] for m, (X, cfg) in runs.items()}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with single_blas_thread(), ThreadPoolExecutor(max_workers=2) as pool:
-            futures = {m: pool.submit(train, X, cfg, ssl) for m, (X, cfg) in runs.items()}
+            futures = {m: pool.submit(train, X, cfg, ssl, tmp_path / m.name) for m, (X, cfg) in runs.items()}
             threaded = {m: f.result()[0] for m, f in futures.items()}
     finally:
         sys.setswitchinterval(interval)
