@@ -94,36 +94,56 @@ def _template(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
     return wave / rms
 
 
-def _base_signal(rng: np.random.Generator, n: int, rate: float, sigma: float) -> np.ndarray:
-    """Four random sinusoids plus sigma-scaled white noise.
+def _base_signal(
+    rng: np.random.Generator, t: np.ndarray, rate: float, sigma: float, f64: np.ndarray, f32: np.ndarray
+) -> np.ndarray:
+    """Four random sinusoids over the time grid t plus sigma-scaled white
+    noise, returned as a float64 view of f64[1].
 
     Each sinusoid's phase is reduced in float64 to a fraction of a cycle,
     c = t*freq + phase/2pi - floor(...), so the float32 sin only ever sees
     an argument in [0, 2pi): a float32 argument of up to 15,000 rad (4 Hz
     over 600 s) would be wrong by about 1e-3. The sines are summed in
     float32, within a few float32 ulps of the float64 sum.
+
+    No array a recording long is allocated: the work arrays f64 and f32
+    (two rows each, of which the first len(t) samples are used) are the
+    caller's, reused from one call to the next. f64[0] holds the phase in
+    cycles and f64[1] its whole part, then the noise and the signal; f32[0]
+    holds one sinusoid and f32[1] their sum.
     """
-    t = np.arange(n) / rate
-    cycles = np.empty(n)
-    whole = np.empty(n)
-    wave = np.empty(n, dtype=np.float32)
-    sig = np.zeros(n, dtype=np.float32)
+    n = len(t)
+    cycles, out = f64[0, :n], f64[1, :n]
+    wave, sig = f32[0, :n], f32[1, :n]
+    sig.fill(0.0)
     for _ in range(4):
         freq = rng.uniform(0.1, min(4.0, rate / 4.0))
         phase = rng.uniform(0.0, 2.0 * np.pi)
         amp = rng.uniform(0.3, 1.0)
         np.multiply(t, freq, out=cycles)
         cycles += phase / (2.0 * np.pi)
-        cycles -= np.floor(cycles, out=whole)
+        cycles -= np.floor(cycles, out=out)
         np.multiply(cycles, 2.0 * np.pi, out=wave, casting="same_kind")
         np.sin(wave, out=wave)
         wave *= np.float32(amp)
         sig += wave
-    return sig + sigma * rng.standard_normal(n)
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += sig
+    return out
 
 
 def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
-    """Write signals/, manifest.csv, effects.csv and affected.csv under out_dir."""
+    """Write signals/, manifest.csv, effects.csv and affected.csv under out_dir.
+
+    Every subject's signals are built in one set of work arrays, allocated
+    before the subject loop: one time grid per sample rate, and two float64
+    and two float32 rows as long as the longest recording, of which each
+    modality uses a prefix (see ``_base_signal``). Each recording's float32
+    samples are cast into f32[0] and written before the next is built, so a
+    cohort's memory does not depend on its subjects and no recording's
+    arrays are mapped afresh.
+    """
     out_dir = Path(out_dir)
     signals_dir = out_dir / "signals"
     signals_dir.mkdir(parents=True, exist_ok=True)
@@ -161,6 +181,12 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
     rows: dict[str, SubjectRow] = {}
     affected: dict[tuple[str, str, str], tuple[int, ...]] = {}
     n_segments = config.segments_per_subject
+    grids = {
+        rate: np.arange(n_segments * samples_per_window(rate)) / rate
+        for rate in {m.nominal_rate_hz for m in Modality}
+    }
+    longest = max(len(t) for t in grids.values())
+    f64, f32 = np.empty((2, longest)), np.empty((2, longest), dtype=np.float32)
     for sid, child in zip(subject_ids, subject_seeds):
         rng = np.random.default_rng(child)
         lab = labels[sid]
@@ -178,8 +204,7 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
         for modality in Modality:
             rate = modality.nominal_rate_hz
             spw = samples_per_window(rate)
-            total = n_segments * spw
-            sig = _base_signal(rng, total, rate, config.noise_sigma)
+            sig = _base_signal(rng, grids[rate], rate, config.noise_sigma, f64, f32)
             for outcome in outcomes:
                 size = config.effect_size(outcome, modality)
                 # draw the affected subset unconditionally to keep subject
@@ -191,9 +216,10 @@ def generate_cohort(config: SynthConfig, out_dir: Path | str) -> GroundTruth:
                     for seg in subset:
                         sig[seg * spw:(seg + 1) * spw] += tpl
                     affected[(sid, outcome, modality.name)] = tuple(int(s) for s in subset)
+            samples = f32[0, :len(sig)]
+            np.copyto(samples, sig, casting="same_kind")
             write_signal_file(
-                Recording(sid, modality, rate, sig.astype(np.float32)),
-                signals_dir / f"{sid}_{modality.name}.psgs",
+                Recording(sid, modality, rate, samples), signals_dir / f"{sid}_{modality.name}.psgs"
             )
 
     manifest = CohortManifest(rows, tuple(outcomes))

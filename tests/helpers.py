@@ -1,7 +1,12 @@
 """Helpers that several test modules share."""
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from psgp import frame
 from psgp.cli import _embedding_chunks
@@ -49,3 +54,38 @@ def reframe(path: Path, edit) -> None:
     header, payload = (bytearray(part) for part in frame.read(path, magic, version))
     edit(header, payload)
     frame.write(path, magic, version, bytes(header), payload)
+
+
+FAULT_PROBE = """
+import resource
+import sys
+from psgp import cli
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def fresh_process_faults(*argv) -> int:
+    """Minor page faults of one CLI stage run in a fresh interpreter, which
+    must exit 0."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, faults = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    return faults
+
+
+glibc_defaults = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or any(k.startswith("MALLOC_") for k in os.environ),
+    reason="counts glibc's page faults under its default malloc settings",
+)

@@ -1763,8 +1763,10 @@ def test_refused_segment_or_score_input_is_one_error_line(chain, tmp_path, capsy
     assert_one_line_data_error(rc, capsys.readouterr().err, *fragments, kind=kind)
 
 
-def _mutate_checkpoint(blob: bytes, kind: str, rng: random.Random) -> bytes:
-    """One corruption of an f32 checkpoint (the layout in ``psgp.model``)."""
+def _mutate_bytes(blob: bytes, kind: str, rng: random.Random) -> bytes:
+    """One corruption of a file's bytes at a seeded position: a byte
+    flipped, inserted or deleted, or the file cut; ``scale`` reads an f32
+    checkpoint (the layout in ``psgp.model``)."""
     b = bytearray(blob)
     if kind == "flip":
         b[rng.randrange(len(b))] ^= rng.randrange(1, 256)
@@ -1797,7 +1799,7 @@ def test_checkpoint_mutations_keep_the_cli_contract(chain, tmp_path, capsys, kin
     bad.parent.mkdir(parents=True)
     codes = set()
     for _ in range(200):
-        mutated = _mutate_checkpoint(blob, kind, rng)
+        mutated = _mutate_bytes(blob, kind, rng)
         bad.write_bytes(mutated)
         rc = run_cli(
             "embed", "--out", tmp_path / "emb", "--config", chain["ini"], "--data", chain["data"],
@@ -1812,6 +1814,32 @@ def test_checkpoint_mutations_keep_the_cli_contract(chain, tmp_path, capsys, kin
         codes.add(rc)
     assert codes - {0}, "no mutation was refused"
 
+
+@pytest.mark.parametrize("kind", ["flip", "insert", "delete"])
+def test_manifest_byte_mutations_keep_the_cli_contract(chain, tmp_path, capsys, kind):
+    """Seeded byte flips, inserts and deletes anywhere in the chain's
+    manifest, the one table another program may write, each run through
+    ``eval``: exit 0 with nothing on stderr, or exit 2, 3 or 4 with one
+    ``error:`` line, and no exception or warning leaves ``main``."""
+    rng = random.Random(f"manifest {kind}")
+    blob = (chain["data"] / "manifest.csv").read_bytes()
+    bad = tmp_path / "data" / "manifest.csv"
+    bad.parent.mkdir()
+    codes = set()
+    for _ in range(150):
+        mutated = _mutate_bytes(blob, kind, rng)
+        bad.write_bytes(mutated)
+        rc = run_cli(
+            "eval", "--out", tmp_path / "out", "--config", chain["ini"], "--data", bad.parent,
+            "--scores", chain["scores"] / "scores.csv", "--seed", 5,
+        )
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == "", (mutated, err)
+        else:
+            assert rc in (2, 3, 4) and err.startswith("error: ") and err.count("\n") == 1, (mutated, rc, err)
+        codes.add(rc)
+    assert codes - {0}, "no mutation was refused"
 
 def test_embed_refuses_a_checkpoint_of_another_modality(chain, tmp_path, capsys):
     """EEG and ECG share input_len 3750, so an ECG checkpoint under

@@ -1,12 +1,8 @@
 """Masking, the two loss terms, and the seeded training loop."""
-import os
-import platform
 import re
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +31,7 @@ from psgp.pretrain import (
 )
 from psgp.signalio import Modality
 
-from helpers import tiny_config
+from helpers import fresh_process_faults, glibc_defaults, tiny_config
 
 
 def tiny_ssl(**overrides) -> SslConfig:
@@ -634,41 +630,6 @@ def test_two_threads_train_at_once_with_serial_bytes(tmp_path):
         sys.setswitchinterval(interval)
     for m, params in serial.items():
         assert {k: v.tobytes() for k, v in threaded[m].items()} == {k: v.tobytes() for k, v in params.items()}
-
-
-FAULT_PROBE = """
-import resource
-import sys
-from psgp import cli
-
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-code = cli.main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def fresh_process_faults(*argv) -> int:
-    """Minor page faults of one CLI stage run in a fresh interpreter, which
-    must exit 0."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", FAULT_PROBE, *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, faults = map(int, proc.stdout.splitlines()[-1].split())
-    assert code == 0
-    return faults
-
-
-glibc_defaults = pytest.mark.skipif(
-    platform.libc_ver()[0] != "glibc" or any(k.startswith("MALLOC_") for k in os.environ),
-    reason="counts glibc's page faults under its default malloc settings",
-)
 
 
 @glibc_defaults
